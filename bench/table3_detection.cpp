@@ -67,6 +67,11 @@ int main(int argc, char** argv) {
                   rep.Value("ddg_seconds", report->ddg_seconds);
                   rep.Value("analyzed_functions",
                             static_cast<double>(report->analyzed_functions));
+                  // Gated exactly: each analysed function is summarized
+                  // once, however often its summaries are linked.
+                  rep.Value("summary_functions",
+                            static_cast<double>(report->metrics.CounterValue(
+                                "summary.functions")));
                   rep.Value("sinks",
                             static_cast<double>(report->sink_count));
                   rep.Value("vuln_paths",

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   harness.Run("ddg_phase", [&](bench::Rep& rep) {
     resolutions = ResolveIndirectCalls(program, analysis.summaries);
     CallGraph graph2 = CallGraph::Build(program);
-    ProgramAnalysis linked = RunBottomUp(program, graph2, engine);
+    ProgramAnalysis linked = Link(program, graph2, Unlink(analysis));
     PathFinder finder(program, linked);
     paths = finder.FindAll();
     vulns = FilterVulnerable(paths);

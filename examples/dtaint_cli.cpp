@@ -54,6 +54,7 @@
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
 #include "src/ir/printer.h"
+#include "src/lifter/lifter.h"
 #include "src/obs/events.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
@@ -248,7 +249,13 @@ int CmdInspect(int argc, char** argv) {
     }
     std::printf("\n%s @ %s, %zu blocks:\n\n", fn->name.c_str(),
                 HexStr(fn->addr).c_str(), fn->blocks.size());
-    for (const auto& [addr, block] : fn->blocks) {
+    auto ir = Lifter(*binary).LiftFunction(*fn);
+    if (!ir.ok()) {
+      DTAINT_LOG(obs::LogLevel::kError, "cli", "lift %s: %s", argv[1],
+                 ir.status().ToString().c_str());
+      return 1;
+    }
+    for (const auto& [addr, block] : ir->blocks) {
       std::printf("%s", PrintBlockWithDisasm(*binary, block).c_str());
     }
     if (HasFlag(argc, argv, "--summary")) {

@@ -9,6 +9,7 @@
 #include "src/binary/writer.h"
 #include "src/core/dtaint.h"
 #include "src/ir/printer.h"
+#include "src/lifter/lifter.h"
 #include "src/isa/asm_builder.h"
 
 using namespace dtaint;
@@ -77,10 +78,11 @@ int main() {
   CfgBuilder cfg(binary);
   Program program = cfg.BuildProgram().value();
   const Function& handler = program.functions.at("soap_handler");
+  FunctionIR handler_ir = Lifter(binary).LiftFunction(handler).value();
   std::printf("soap_handler lifts to %zu basic blocks; first block:\n",
               handler.blocks.size());
   std::printf("%s\n",
-              PrintBlockWithDisasm(binary, handler.blocks.begin()->second)
+              PrintBlockWithDisasm(binary, handler_ir.blocks.begin()->second)
                   .c_str());
 
   // -- 3. Run DTaint ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "src/lifter/lifter.h"
 #include "src/obs/stopwatch.h"
 #include "src/util/hash.h"
 
@@ -87,6 +88,8 @@ class BaselineRun {
     if (!visited_.insert(key).second) return;
     const Function* fn = program_.FindFunction(name);
     if (!fn || fn->blocks.empty()) return;
+    const FunctionIR* ir = IrOf(*fn);
+    if (!ir) return;
     ++stats_.contexts_analyzed;
     stats_.context_functions.push_back(name);
 
@@ -98,7 +101,7 @@ class BaselineRun {
       uint32_t addr = worklist.front();
       worklist.pop_front();
       if (++iterations[addr] > config_.max_iterations) continue;
-      const IRBlock* block = fn->BlockAt(addr);
+      const IRBlock* block = ir->BlockAt(addr);
       if (!block) continue;
 
       FlowState state = in_states[addr];
@@ -135,6 +138,18 @@ class BaselineRun {
   }
 
  private:
+  /// The function's IR, lifted on its first context and kept for the
+  /// rest (the baseline re-walks a function once per context).
+  const FunctionIR* IrOf(const Function& fn) {
+    auto it = ir_.find(fn.name);
+    if (it == ir_.end()) {
+      auto lifted = Lifter(*program_.binary).LiftFunction(fn);
+      if (!lifted.ok()) return nullptr;
+      it = ir_.emplace(fn.name, std::move(*lifted)).first;
+    }
+    return &it->second;
+  }
+
   void ExecuteBlock(const IRBlock& block, FlowState& state) {
     uint32_t site = block.addr;
     for (const Stmt& stmt : block.stmts) {
@@ -195,6 +210,7 @@ class BaselineRun {
   const BaselineConfig& config_;
   BaselineStats& stats_;
   std::set<uint64_t> visited_;
+  std::map<std::string, FunctionIR> ir_;
 };
 
 }  // namespace

@@ -11,46 +11,6 @@ namespace dtaint {
 
 namespace {
 
-void MixExpr(Fingerprint128& fp, const ExprRef& e) {
-  if (!e) {
-    fp.Mix(0);
-    return;
-  }
-  fp.Mix(static_cast<uint64_t>(e->kind()) + 1);
-  switch (e->kind()) {
-    case ExprKind::kConst:
-      fp.Mix(e->const_value());
-      break;
-    case ExprKind::kRdTmp:
-      fp.Mix(static_cast<uint64_t>(e->tmp()));
-      break;
-    case ExprKind::kGet:
-      fp.Mix(static_cast<uint64_t>(e->reg()));
-      break;
-    case ExprKind::kLoad:
-      fp.Mix(e->load_size());
-      MixExpr(fp, e->lhs());
-      break;
-    case ExprKind::kBinop:
-      fp.Mix(static_cast<uint64_t>(e->binop()));
-      MixExpr(fp, e->lhs());
-      MixExpr(fp, e->rhs());
-      break;
-  }
-}
-
-void MixStmt(Fingerprint128& fp, const Stmt& stmt) {
-  fp.Mix(static_cast<uint64_t>(stmt.kind));
-  fp.Mix(stmt.addr);
-  fp.Mix(static_cast<uint64_t>(stmt.tmp));
-  fp.Mix(static_cast<uint64_t>(stmt.reg));
-  fp.Mix(stmt.size);
-  fp.Mix(stmt.target);
-  MixExpr(fp, stmt.expr);
-  MixExpr(fp, stmt.addr_expr);
-  MixExpr(fp, stmt.data_expr);
-}
-
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
@@ -110,22 +70,23 @@ Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
 
 Hash128 FunctionKey(const Function& fn, const Hash128& engine_fingerprint) {
   Fingerprint128 fp;
+  fp.Mix(kFunctionKeySchema);
   fp.Mix(engine_fingerprint.hi);
   fp.Mix(engine_fingerprint.lo);
   fp.Mix(fn.name);
   fp.Mix(fn.addr);
   fp.Mix(fn.size);
+  // The code digest plus the block bounds determine the lifted IR, so
+  // the key needs no lifting.
+  fp.Mix(fn.code_digest.hi);
+  fp.Mix(fn.code_digest.lo);
 
   fp.Mix(fn.blocks.size());
   for (const auto& [addr, block] : fn.blocks) {
     fp.Mix(addr);
     fp.Mix(block.size);
-    fp.Mix(static_cast<uint64_t>(block.next_tmp));
     fp.Mix(static_cast<uint64_t>(block.jumpkind));
     fp.Mix(block.return_addr);
-    MixExpr(fp, block.next);
-    fp.Mix(block.stmts.size());
-    for (const Stmt& stmt : block.stmts) MixStmt(fp, stmt);
   }
 
   fp.Mix(fn.succs.size());

@@ -3,11 +3,12 @@
 // DTaint's structural win is that every function is symbolically
 // analyzed exactly once per run (Algorithm 2); this cache extends
 // "once" across runs. The key is a 128-bit fingerprint of the
-// function's *lifted IR* plus an engine-configuration fingerprint, so a
-// re-scan of a firmware corpus re-analyzes only functions whose code or
-// analysis configuration actually changed — everything else (shared
-// libc/busybox code between firmware revisions, unchanged binaries) is
-// a lookup.
+// function's CFG skeleton and code digest plus an engine-configuration
+// fingerprint, so a re-scan of a firmware corpus re-analyzes only
+// functions whose code or analysis configuration actually changed —
+// everything else (shared libc/busybox code between firmware revisions,
+// unchanged binaries) is a lookup. The key needs no lifted IR, so a hit
+// never lifts the function.
 //
 // Two tiers:
 //  * an in-memory LRU of *encoded* blobs (bounded by entries and
@@ -139,14 +140,19 @@ class SummaryCache {
 Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
                           int alias_mode_key);
 
+/// Version of the FunctionKey layout. Bumped whenever what the key
+/// hashes changes, so entries written under an older layout miss
+/// instead of aliasing. 2: skeleton + code digest (1 hashed the IR).
+inline constexpr uint64_t kFunctionKeySchema = 2;
+
 /// Cache key for one function: the engine fingerprint extended with the
-/// function's full lifted IR — blocks, statements, expressions, CFG
-/// edges and callsites. Any single-instruction change reaches the key
-/// through the lifted statements. Deliberately EXCLUDES
+/// function's CFG skeleton — block bounds and jump kinds, CFG edges,
+/// callsites — and its code digest. Any single-instruction change
+/// reaches the key through the digest. Deliberately EXCLUDES
 /// CallSite::resolved_targets: structure-similarity resolution only
 /// affects the later linking phase, never the intraprocedural summary
 /// being cached, so resolving indirect calls must not invalidate
-/// entries (the re-link pass inside one scan re-uses them).
+/// entries (a later scan that resolves more targets still hits).
 Hash128 FunctionKey(const Function& fn, const Hash128& engine_fingerprint);
 
 }  // namespace dtaint

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/isa/decode.h"
+#include "src/lifter/lifter.h"
 
 namespace dtaint {
 
@@ -28,7 +29,8 @@ Result<Function> CfgBuilder::BuildFunction(const Symbol& symbol) const {
   fn.size = symbol.size;
   const uint32_t end = symbol.addr + symbol.size;
 
-  // Pass 1: linear sweep for block leaders.
+  // Pass 1: linear sweep for block leaders, fingerprinting the code.
+  Fingerprint128 code;
   std::set<uint32_t> leaders{symbol.addr};
   for (uint32_t pc = symbol.addr; pc < end; pc += kInsnSize) {
     auto word = binary_.ReadWordAt(pc);
@@ -38,6 +40,7 @@ Result<Function> CfgBuilder::BuildFunction(const Symbol& symbol) const {
       return CorruptData("undecodable instruction in " + fn.name + " at " +
                          std::to_string(pc));
     }
+    code.Mix(*word);
     uint32_t next_pc = pc + kInsnSize;
     switch (insn->op) {
       case Op::kB:
@@ -66,16 +69,17 @@ Result<Function> CfgBuilder::BuildFunction(const Symbol& symbol) const {
         break;
     }
   }
+  fn.code_digest = code.Digest();
 
-  // Pass 2: lift leader-to-leader runs.
+  // Pass 2: bound each leader-to-leader run exactly as lifting it would.
   Lifter lifter(binary_);
   std::vector<uint32_t> ordered(leaders.begin(), leaders.end());
   for (size_t i = 0; i < ordered.size(); ++i) {
     uint32_t start = ordered[i];
     uint32_t stop = (i + 1 < ordered.size()) ? ordered[i + 1] : end;
-    auto block = lifter.LiftBlock(start, stop);
+    auto block = lifter.ScanBlock(start, stop);
     if (!block.ok()) return block.status();
-    fn.blocks.emplace(start, std::move(*block));
+    fn.blocks.emplace_hint(fn.blocks.end(), start, *block);
   }
 
   // Pass 3: wire edges and record callsites.
@@ -83,16 +87,13 @@ Result<Function> CfgBuilder::BuildFunction(const Symbol& symbol) const {
     fn.succs[from].push_back(to);
     fn.preds[to].push_back(from);
   };
-  for (auto& [start, block] : fn.blocks) {
-    uint32_t call_addr = block.addr + block.size - kInsnSize;
-    for (const Stmt& s : block.stmts) {
-      if (s.kind == StmtKind::kExit) add_edge(start, s.target);
-    }
+  for (const auto& [start, block] : fn.blocks) {
+    uint32_t call_addr = block.EndAddr() - kInsnSize;
+    if (block.taken) add_edge(start, *block.taken);
     switch (block.jumpkind) {
       case JumpKind::kBoring:
-        if (block.next && block.next->kind() == ExprKind::kConst) {
-          uint32_t target = block.next->const_value();
-          if (target >= symbol.addr && target < end) add_edge(start, target);
+        if (block.next && *block.next >= symbol.addr && *block.next < end) {
+          add_edge(start, *block.next);
         }
         break;
       case JumpKind::kCall: {
@@ -100,7 +101,7 @@ Result<Function> CfgBuilder::BuildFunction(const Symbol& symbol) const {
         cs.block_addr = start;
         cs.call_addr = call_addr;
         cs.return_addr = block.return_addr;
-        cs.target_addr = block.next->const_value();
+        cs.target_addr = *block.next;
         if (const Import* imp = binary_.ImportAt(cs.target_addr)) {
           cs.target_name = imp->name;
           cs.target_is_import = true;

@@ -2,24 +2,26 @@
 //
 // Mirrors the paper's §III-B front end: "DTaint first creates a control
 // flow graph (CFG) for the firmware ... for each function separately."
-// Two passes per function: (1) linear sweep collecting block leaders
-// (branch targets, post-branch/post-call fallthroughs), (2) lift each
-// leader-to-leader run into an IRBlock and wire CFG edges. Calls end
-// blocks and fall through to their return address; the callee target is
-// recorded as a CallSite (resolved to a symbol or import when direct).
+// Per function: (1) a linear decode sweep collects block leaders (branch
+// targets, post-branch/post-call fallthroughs) and fingerprints the
+// code, (2) each leader-to-leader run is bounded by Lifter::ScanBlock,
+// (3) CFG edges are wired. Calls end blocks and fall through to their
+// return address; the callee target is recorded as a CallSite (resolved
+// to a symbol or import when direct). No statement is lifted here: the
+// result is a skeleton, and the engine lifts a function's IR only when
+// it executes it (Lifter::LiftFunction).
 #pragma once
 
 #include <cstdint>
 
 #include "src/binary/binary.h"
 #include "src/cfg/function.h"
-#include "src/lifter/lifter.h"
 #include "src/resilience/fault.h"
 #include "src/util/status.h"
 
 namespace dtaint {
 
-/// A whole lifted program: every function in the binary.
+/// A whole program: the CFG skeleton of every function in the binary.
 struct Program {
   const Binary* binary = nullptr;
   std::map<std::string, Function> functions;  // by name
@@ -52,7 +54,10 @@ class CfgBuilder {
  public:
   explicit CfgBuilder(const Binary& binary) : binary_(binary) {}
 
-  /// Builds the CFG of a single function symbol.
+  /// Builds the CFG skeleton of a single function symbol. Fails exactly
+  /// where lifting every block of it would: a read off the section, an
+  /// undecodable word, a branch escaping the function, an unaligned
+  /// start.
   Result<Function> BuildFunction(const Symbol& symbol) const;
 
   /// Builds every function symbol in the binary. Per-function lift

@@ -49,7 +49,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   DTAINT_LOG(obs::LogLevel::kInfo, "dtaint", "analyzing %s",
              report.binary_name.c_str());
 
-  // 1. Lift and structure the whole binary.
+  // 1. CFG skeleton of every function. No IR is lifted here: the
+  // engine lifts a function only when it executes it (step 2).
   obs::Stopwatch t_ssa;
   obs::Span lift_span(tracer, "phase", "lift");
   obs::Stopwatch t_lift;
@@ -136,17 +137,14 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   InterprocConfig interproc_config = config_.interproc;
   interproc_config.apply_alias = config_.enable_alias;
 
+  // Every function is summarized once; the summaries are linked, and
+  // unlinked and linked again once structure similarity resolves
+  // indirect calls.
   CallGraph graph = CallGraph::Build(program);
   ProgramAnalysis analysis =
-      RunBottomUp(program, graph, engine, interproc_config);
+      Link(program, graph, Summarize(program, graph, engine, interproc_config),
+           interproc_config);
   report.ssa_seconds = t_ssa.Seconds();
-  // Stats that must combine across the two bottom-up passes (the
-  // re-link after indirect-call resolution re-runs RunBottomUp, whose
-  // stats are per-pass).
-  double summary_seconds = analysis.stats.summary_seconds;
-  size_t cache_hits = analysis.stats.cache_hits;
-  size_t cache_misses = analysis.stats.cache_misses;
-  std::vector<HotFunction> hot_functions = analysis.stats.hot_functions;
 
   // 3. Indirect-call resolution via structure-layout similarity, then
   // re-link so flows cross the resolved edges.
@@ -175,25 +173,12 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                                report.indirect_calls_resolved)));
     }
     if (!resolutions.empty()) {
-      CallGraph graph2 = CallGraph::Build(program);
-      analysis = RunBottomUp(program, graph2, engine, interproc_config);
-      summary_seconds += analysis.stats.summary_seconds;
-      cache_hits += analysis.stats.cache_hits;
-      cache_misses += analysis.stats.cache_misses;
-      hot_functions =
-          MergeHotFunctions(std::move(hot_functions),
-                            analysis.stats.hot_functions,
-                            interproc_config.hot_function_count);
+      analysis = Link(program, CallGraph::Build(program),
+                      Unlink(std::move(analysis)), interproc_config);
     }
   }
   report.interproc_stats = analysis.stats;
-  // Both bottom-up passes produce summaries; report the combined time
-  // and combined cache traffic.
-  report.interproc_stats.summary_seconds = summary_seconds;
-  report.interproc_stats.cache_hits = cache_hits;
-  report.interproc_stats.cache_misses = cache_misses;
-  report.interproc_stats.hot_functions = hot_functions;
-  report.hot_functions = std::move(hot_functions);
+  report.hot_functions = analysis.stats.hot_functions;
   report.call_graph_edges = program.CallEdgeCount();
 
   // 4. Sink-to-source path search + sanitization checks.

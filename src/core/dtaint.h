@@ -1,6 +1,6 @@
 // DTaint — the end-to-end detector facade.
 //
-// Pipeline (paper Fig. 4 + §IV): load binary -> lift & build CFGs ->
+// Pipeline (paper Fig. 4 + §IV): load binary -> build CFG skeletons ->
 // per-function static symbolic analysis (bottom-up, once per function)
 // with pointer-alias recognition -> indirect-call resolution by
 // data-structure-layout similarity -> interprocedural linking ->
@@ -57,7 +57,7 @@ struct AnalysisReport {
   std::vector<Finding> findings;
 
   // Phase timings (paper Tables VI/VII).
-  double ssa_seconds = 0.0;        // lifting + symbolic analysis
+  double ssa_seconds = 0.0;        // CFG + lifting + symbolic analysis
   double ddg_seconds = 0.0;        // alias + structsim + linking + paths
   double total_seconds = 0.0;
 
@@ -69,8 +69,8 @@ struct AnalysisReport {
   /// total_paths - vulnerable_paths). Deterministic, unlike timings.
   PathFinderStats pathfinder_stats;
 
-  /// Hot-function profile: top functions by summary-analysis wall time,
-  /// merged across both bottom-up passes (most expensive first).
+  /// Hot-function profile: top functions by summary-analysis wall time
+  /// (most expensive first).
   std::vector<HotFunction> hot_functions;
 
   /// Per-run metrics delta (global registry counters as deltas over
@@ -83,8 +83,7 @@ struct AnalysisReport {
   // effort cap, degradation, lift failure, or suppression fire? When
   // false the absence of findings is NOT a clean bill of health.
   bool complete = true;
-  /// Functions replaced by the conservative degraded summary (last
-  /// bottom-up pass).
+  /// Functions replaced by the conservative degraded summary.
   size_t degraded_functions = 0;
   /// Vulnerable paths withheld because they crossed degraded
   /// (over-approximated) data flow. Guarantees a tight-budget run

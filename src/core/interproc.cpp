@@ -96,10 +96,10 @@ int AliasModeKey(const InterprocConfig& config) {
 
 }  // namespace
 
-ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
-                            const SymEngine& engine,
-                            const InterprocConfig& config) {
-  ProgramAnalysis analysis;
+SummarySet Summarize(const Program& program, const CallGraph& graph,
+                     const SymEngine& engine, const InterprocConfig& config) {
+  SummarySet result;
+  InterprocStats& stats = result.stats;
   const std::vector<std::string> order = graph.BottomUpOrder();
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -120,13 +120,14 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
   obs::Counter& m_memo_lookups = registry.counter("engine.block_memo_lookups");
   obs::Counter& m_tainted_paths = registry.counter("engine.tainted_paths");
 
-  // Phase 1: intraprocedural static symbolic analysis — exactly once
-  // per function (and, with a summary cache configured, once per
-  // function *content* across runs). The analyses are independent of
-  // each other, so with num_threads > 1 they run on a worker pool;
-  // results land in a pre-sized slot vector so no synchronization
-  // beyond the work-index counter (and the cache's internal lock) is
-  // needed.
+  // Intraprocedural static symbolic analysis — exactly once per
+  // function (and, with a summary cache configured, once per function
+  // *content* across runs). The analyses are independent of each
+  // other, so with num_threads > 1 they run on a worker pool; results
+  // land in a pre-sized slot vector so no synchronization beyond the
+  // work-index counter (and the cache's internal lock) is needed. Only
+  // a function the engine executes (a cache miss, or no cache) has its
+  // IR lifted, and only for the duration of its analysis.
   std::vector<FunctionSummary> base(order.size());
   // Per-function cost accounting for the hot-function profile and the
   // "summary.function_micros" histogram; slot-per-function, so the
@@ -252,7 +253,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
       for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
       for (std::thread& t : pool) t.join();
     }
-    analysis.stats.summary_seconds = phase1.Seconds();
+    stats.summary_seconds = phase1.Seconds();
   }
   for (size_t i = 0; i < order.size(); ++i) {
     if (fn_budget[i].exhausted_by == BudgetExhaustion::kNone) continue;
@@ -265,7 +266,7 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::string(BudgetExhaustionName(fn_budget[i].exhausted_by)) +
         "); degraded summary substituted");
     incident.budget = fn_budget[i];
-    analysis.stats.incidents.push_back(std::move(incident));
+    stats.incidents.push_back(std::move(incident));
   }
   {
     obs::Histogram& fn_micros = registry.histogram("summary.function_micros");
@@ -281,10 +282,10 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
                       [&](size_t a, size_t b) {
                         return fn_seconds[a] > fn_seconds[b];
                       });
-    analysis.stats.hot_functions.reserve(keep);
+    stats.hot_functions.reserve(keep);
     for (size_t k = 0; k < keep; ++k) {
       size_t i = by_cost[k];
-      analysis.stats.hot_functions.push_back(
+      stats.hot_functions.push_back(
           {order[i], fn_seconds[i], fn_cached[i] != 0});
     }
   }
@@ -292,41 +293,70 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
     // Compatibility view: the cache mirrors its counters into the
     // global registry as it goes; read the pass's deltas back out
     // instead of snapshotting CacheStats (proven equal in obs_test).
-    analysis.stats.cache_hits =
+    stats.cache_hits =
         registry.counter("cache.hits").Value() - cache_hits_before;
-    analysis.stats.cache_misses =
+    stats.cache_misses =
         registry.counter("cache.misses").Value() - cache_misses_before;
-    analysis.stats.cache_evictions = registry.counter("cache.evictions").Value();
-    analysis.stats.cache_memory_bytes =
+    stats.cache_evictions = registry.counter("cache.evictions").Value();
+    stats.cache_memory_bytes =
         static_cast<size_t>(registry.gauge("cache.memory_bytes").Value());
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (!program.FindFunction(order[i])) continue;
+    ++stats.functions_processed;
+    // Step 2 (alias recognition) ran with the analysis; fold its
+    // per-function count into the program stats.
+    stats.alias_pairs_added += base[i].alias_pairs;
+    if (base[i].degraded) ++stats.degraded_functions;
+    if (base[i].truncated) ++stats.truncated_functions;
+    result.summaries.emplace(order[i], std::move(base[i]));
   }
   if (events.enabled()) {
     events.Emit(
         obs::Event("phase_end")
             .Str("phase", "summary")
-            .Double("duration_ms", analysis.stats.summary_seconds * 1e3)
+            .Double("duration_ms", stats.summary_seconds * 1e3)
             .Num("functions", static_cast<uint64_t>(order.size()))
-            .Num("cache_hits",
-                 static_cast<uint64_t>(analysis.stats.cache_hits))
-            .Num("cache_misses",
-                 static_cast<uint64_t>(analysis.stats.cache_misses)));
+            .Num("cache_hits", static_cast<uint64_t>(stats.cache_hits))
+            .Num("cache_misses", static_cast<uint64_t>(stats.cache_misses)));
+  }
+  registry.counter("summary.functions").Add(stats.functions_processed);
+  registry.counter("summary.degraded").Add(stats.degraded_functions);
+  registry.counter("alias.pairs_added").Add(stats.alias_pairs_added);
+  DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
+             "summaries done: %zu functions in %.3fs, cache %zu/%zu hit/miss",
+             stats.functions_processed, stats.summary_seconds,
+             stats.cache_hits, stats.cache_misses);
+  return result;
+}
+
+ProgramAnalysis Link(const Program& program, const CallGraph& graph,
+                     SummarySet phase1, const InterprocConfig& config) {
+  ProgramAnalysis analysis;
+  analysis.stats = std::move(phase1.stats);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::EventStream& events = obs::EventStream::Global();
+  if (events.enabled()) {
     events.Emit(obs::Event("phase_begin").Str("phase", "link"));
   }
 
-  // Phase 2: linking, sequential in bottom-up order (each caller needs
-  // its callees' already-linked summaries).
+  // Sequential in bottom-up order: each caller needs its callees'
+  // already-linked summaries.
   obs::Span link_span(tracer, "phase", "link");
   obs::Stopwatch link_watch;
-  for (size_t order_index = 0; order_index < order.size(); ++order_index) {
-    const std::string& name = order[order_index];
+  for (const std::string& name : graph.BottomUpOrder()) {
     const Function* fn = program.FindFunction(name);
     if (!fn) continue;
-
-    FunctionSummary summary = std::move(base[order_index]);
-
-    // Step 2 (alias recognition) already ran in phase 1; fold its
-    // per-function count into the program stats.
-    analysis.stats.alias_pairs_added += summary.alias_pairs;
+    auto base_it = phase1.summaries.find(name);
+    if (base_it == phase1.summaries.end()) continue;
+    FunctionSummary summary = std::move(base_it->second);
+    LinkUndo& undo = analysis.link_undo[name];
+    undo.own_def_pairs = summary.def_pairs.size();
+    undo.own_undefined_uses = summary.undefined_uses.size();
+    undo.own_return_values = summary.return_values;
+    undo.own_ret_degraded = summary.ret_degraded;
+    std::vector<bool> saved;  // def pairs already in the undo record
 
     // Step 3: link against already-processed callees (Algorithm 2).
     std::vector<DefPair> imported_defs;
@@ -357,20 +387,20 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         if (ret_value) {
           ret_value = ReplaceFormalArgs(ret_value, call.args);
           ret_value = RehashHeap(ret_value, call.callsite);
-          for (DefPair& dp : summary.def_pairs) {
-            bool touched = false;
-            if (dp.d && dp.d->Contains(ret_sym)) {
-              dp.d = SymExpr::Replace(dp.d, ret_sym, ret_value);
-              touched = true;
+          for (size_t k = 0; k < summary.def_pairs.size(); ++k) {
+            DefPair& dp = summary.def_pairs[k];
+            bool in_d = dp.d && dp.d->Contains(ret_sym);
+            bool in_u = dp.u && dp.u->Contains(ret_sym);
+            if (!in_d && !in_u) continue;
+            if (saved.empty()) saved.resize(summary.def_pairs.size());
+            if (!saved[k]) {
+              saved[k] = true;
+              undo.rewritten_def_pairs.emplace_back(k, dp);
             }
-            if (dp.u && dp.u->Contains(ret_sym)) {
-              dp.u = SymExpr::Replace(dp.u, ret_sym, ret_value);
-              touched = true;
-            }
-            if (touched) {
-              ++analysis.stats.rets_replaced;
-              if (callee_ret_degraded) dp.degraded = true;
-            }
+            if (in_d) dp.d = SymExpr::Replace(dp.d, ret_sym, ret_value);
+            if (in_u) dp.u = SymExpr::Replace(dp.u, ret_sym, ret_value);
+            ++analysis.stats.rets_replaced;
+            if (callee_ret_degraded) dp.degraded = true;
           }
           for (SymRef& rv : summary.return_values) {
             if (rv && rv->Contains(ret_sym)) {
@@ -422,9 +452,6 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::make_move_iterator(imported_uses.begin()),
         std::make_move_iterator(imported_uses.end()));
 
-    ++analysis.stats.functions_processed;
-    if (summary.degraded) ++analysis.stats.degraded_functions;
-    if (summary.truncated) ++analysis.stats.truncated_functions;
     analysis.summaries.emplace(name, std::move(summary));
   }
   link_span.Finish();
@@ -444,44 +471,46 @@ ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
         std::make_shared<OnDemandAliasOracle>(config.budget);
   }
 
-  registry.counter("summary.functions").Add(analysis.stats.functions_processed);
-  registry.counter("summary.degraded").Add(analysis.stats.degraded_functions);
   registry.counter("link.defs_propagated").Add(analysis.stats.defs_propagated);
   registry.counter("link.uses_forwarded").Add(analysis.stats.uses_forwarded);
   registry.counter("link.rets_replaced").Add(analysis.stats.rets_replaced);
-  registry.counter("alias.pairs_added").Add(analysis.stats.alias_pairs_added);
-  // Expression-interner counters cover this pass's factory traffic
-  // (worker pool included) once published.
+  // Expression-interner counters cover the factory traffic so far
+  // (the summary worker pool included) once published.
   ExprInterner::Global().PublishMetrics();
   DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
-             "pass done: %zu functions in %.3fs, %zu defs propagated, "
-             "%zu uses forwarded, %zu rets replaced, cache %zu/%zu hit/miss",
+             "link done: %zu functions, %zu defs propagated, "
+             "%zu uses forwarded, %zu rets replaced",
              analysis.stats.functions_processed,
-             analysis.stats.summary_seconds, analysis.stats.defs_propagated,
-             analysis.stats.uses_forwarded, analysis.stats.rets_replaced,
-             analysis.stats.cache_hits, analysis.stats.cache_misses);
+             analysis.stats.defs_propagated, analysis.stats.uses_forwarded,
+             analysis.stats.rets_replaced);
   return analysis;
 }
 
-std::vector<HotFunction> MergeHotFunctions(std::vector<HotFunction> a,
-                                           const std::vector<HotFunction>& b,
-                                           size_t limit) {
-  for (const HotFunction& hot : b) {
-    auto it = std::find_if(a.begin(), a.end(), [&](const HotFunction& h) {
-      return h.name == hot.name;
-    });
-    if (it == a.end()) {
-      a.push_back(hot);
-    } else if (hot.seconds > it->seconds) {
-      *it = hot;
+SummarySet Unlink(ProgramAnalysis analysis) {
+  for (auto& [name, summary] : analysis.summaries) {
+    LinkUndo& undo = analysis.link_undo.at(name);
+    summary.def_pairs.resize(undo.own_def_pairs);
+    for (auto& [k, dp] : undo.rewritten_def_pairs) {
+      summary.def_pairs[k] = std::move(dp);
     }
+    summary.undefined_uses.resize(undo.own_undefined_uses);
+    summary.return_values = std::move(undo.own_return_values);
+    summary.ret_degraded = undo.own_ret_degraded;
   }
-  std::sort(a.begin(), a.end(), [](const HotFunction& x, const HotFunction& y) {
-    if (x.seconds != y.seconds) return x.seconds > y.seconds;
-    return x.name < y.name;
-  });
-  if (a.size() > limit) a.resize(limit);
-  return a;
+  SummarySet phase1;
+  phase1.summaries = std::move(analysis.summaries);
+  phase1.stats = std::move(analysis.stats);
+  phase1.stats.defs_propagated = 0;
+  phase1.stats.uses_forwarded = 0;
+  phase1.stats.rets_replaced = 0;
+  return phase1;
+}
+
+ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
+                            const SymEngine& engine,
+                            const InterprocConfig& config) {
+  return Link(program, graph, Summarize(program, graph, engine, config),
+              config);
 }
 
 }  // namespace dtaint

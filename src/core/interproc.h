@@ -16,8 +16,9 @@
 //  * the callee's undefined uses are likewise rewritten and forwarded
 //    to the caller (ForwardUndefinedUse).
 //
-// Every function's symbolic analysis runs exactly once; linking is a
-// cheap substitution pass. This is the structural reason DTaint's DDG
+// Every function's symbolic analysis runs exactly once (Summarize);
+// linking (Link) is a cheap substitution pass that can be re-run over
+// the same summaries once indirect calls are resolved. This is the structural reason DTaint's DDG
 // generation beats the top-down worklist baseline (paper Table VII).
 #pragma once
 
@@ -99,26 +100,27 @@ struct InterprocStats {
   /// work a summary cache can serve, so bench/cache_warm reports its
   /// cold-vs-warm ratio separately from end-to-end wall time.
   double summary_seconds = 0.0;
-  size_t functions_processed = 0;
+  size_t functions_processed = 0;  // functions summarized
+  size_t alias_pairs_added = 0;
+  /// Counters of the last Link.
   size_t defs_propagated = 0;
   size_t uses_forwarded = 0;
   size_t rets_replaced = 0;
-  size_t alias_pairs_added = 0;
-  /// Summary-cache counters for this pass (zero when no cache is
+  /// Summary-cache counters of Summarize (zero when no cache is
   /// configured). Hits + misses = functions looked up. Compatibility
   /// view: since the obs layer landed these are populated from the
   /// metrics registry ("cache.*" counters, which the cache itself
   /// increments), not read off the cache — proven equal to the cache's
-  /// own CacheStats by the obs test suite. hits/misses are deltas for
-  /// this pass; evictions is the registry's lifetime total (identical
+  /// own CacheStats by the obs test suite. hits/misses are deltas over
+  /// Summarize; evictions is the registry's lifetime total (identical
   /// to the legacy semantics when one cache is shared, the supported
   /// configuration); memory_bytes is the "cache.memory_bytes" gauge.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t cache_evictions = 0;   // lifetime evictions of the shared cache
-  size_t cache_memory_bytes = 0;  // in-memory tier footprint after the pass
-  /// Top functions by summary-production time this pass, most expensive
-  /// first (bounded by InterprocConfig::hot_function_count).
+  size_t cache_memory_bytes = 0;  // in-memory tier footprint afterwards
+  /// Top functions by summary-production time, most expensive first
+  /// (bounded by InterprocConfig::hot_function_count).
   std::vector<HotFunction> hot_functions;
   /// Functions that exhausted their budget (or hit an injected summary
   /// fault) and were replaced by the conservative degraded summary.
@@ -131,11 +133,25 @@ struct InterprocStats {
   std::vector<Incident> incidents;
 };
 
+/// What Link changed in one summary — enough to restore the phase-1
+/// summary exactly. Link only appends imported defs/uses and rewrites
+/// ret symbols in place, so the record is small.
+struct LinkUndo {
+  size_t own_def_pairs = 0;
+  size_t own_undefined_uses = 0;
+  /// Phase-1 value of every def pair the ret substitution rewrote.
+  std::vector<std::pair<size_t, DefPair>> rewritten_def_pairs;
+  std::vector<SymRef> own_return_values;
+  bool own_ret_degraded = false;
+};
+
 /// Whole-program analysis state after the bottom-up pass: per-function
 /// linked summaries (def pairs now include inherited callee effects).
 struct ProgramAnalysis {
   std::map<std::string, FunctionSummary> summaries;
   InterprocStats stats;
+  /// Per linked function, how to undo the link (see Unlink).
+  std::map<std::string, LinkUndo> link_undo;
   /// Set iff the pass ran with AliasMode::kOnDemandSSE: the memoized
   /// alias-query oracle consumers (pathfinder, structsim) share.
   /// Null in eager mode — callers treat "no oracle" as "twins already
@@ -143,19 +159,44 @@ struct ProgramAnalysis {
   std::shared_ptr<OnDemandAliasOracle> alias_oracle;
 };
 
-/// Runs intraprocedural symbolic analysis (once per function, in
-/// bottom-up call-graph order) and links summaries per Algorithm 2.
-/// `graph` must be built over `program` (with indirect calls resolved
-/// beforehand if structure-similarity resolution is enabled).
+/// Phase 1 of the bottom-up pass: every function's intraprocedural
+/// summary (symbolic analysis plus, in eager mode, the alias rewrite),
+/// not yet linked, with the stats of producing them. Link consumes it
+/// and Unlink gives it back, so the summaries can be linked again after
+/// indirect-call resolution without summarizing any function twice.
+struct SummarySet {
+  std::map<std::string, FunctionSummary> summaries;
+  /// Summary-phase stats: time, cache traffic, hot functions,
+  /// degraded/truncated counts, incidents, alias pairs. Link counters
+  /// are zero.
+  InterprocStats stats;
+};
+
+/// Summarizes every function of `graph` that `program` holds, exactly
+/// once, on `config.num_threads` workers and through `config.cache`
+/// when set. A function's IR is lifted only when the engine executes it
+/// (a cache miss, or no cache) and freed when its summary is done.
+SummarySet Summarize(const Program& program, const CallGraph& graph,
+                     const SymEngine& engine,
+                     const InterprocConfig& config = {});
+
+/// Links phase-1 summaries per Algorithm 2, sequentially in `graph`'s
+/// bottom-up order. `graph` may hold more edges than the one Summarize
+/// saw (indirect calls resolved since); the result's stats are
+/// `phase1.stats` plus this link's counters.
+ProgramAnalysis Link(const Program& program, const CallGraph& graph,
+                     SummarySet phase1, const InterprocConfig& config = {});
+
+/// Restores the phase-1 summaries `analysis` was linked from, using its
+/// link_undo records, so they can be linked again over a graph with
+/// more edges. Holds one copy of the summaries, not two.
+SummarySet Unlink(ProgramAnalysis analysis);
+
+/// Summarize followed by Link. `graph` must be built over `program`
+/// (with indirect calls resolved beforehand if structure-similarity
+/// resolution is enabled).
 ProgramAnalysis RunBottomUp(const Program& program, const CallGraph& graph,
                             const SymEngine& engine,
                             const InterprocConfig& config = {});
-
-/// Merges two hot-function profiles (e.g. the two bottom-up passes of
-/// one analysis): per function the larger time wins; result sorted
-/// descending and truncated to `limit`.
-std::vector<HotFunction> MergeHotFunctions(std::vector<HotFunction> a,
-                                           const std::vector<HotFunction>& b,
-                                           size_t limit);
 
 }  // namespace dtaint

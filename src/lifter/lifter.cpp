@@ -1,6 +1,7 @@
 #include "src/lifter/lifter.h"
 
 #include "src/isa/decode.h"
+#include "src/obs/metrics.h"
 
 namespace dtaint {
 
@@ -88,6 +89,8 @@ BinOp CondOp(Op op) {
 }  // namespace
 
 Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
+  // Keep in step with ScanBlock, which must end every block where this
+  // loop does and fail wherever it fails.
   if (addr % kInsnSize != 0) {
     return InvalidArgument("unaligned block address");
   }
@@ -245,6 +248,76 @@ Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
   block.next = Expr::MakeConst(pc);
   block.jumpkind = JumpKind::kBoring;
   return block;
+}
+
+Result<BlockInfo> Lifter::ScanBlock(uint32_t addr, uint32_t stop_before) const {
+  if (addr % kInsnSize != 0) {
+    return InvalidArgument("unaligned block address");
+  }
+  BlockInfo info;
+  info.addr = addr;
+  uint32_t pc = addr;
+  for (;;) {
+    if (stop_before != 0 && pc >= stop_before && pc != addr) break;
+    auto word = binary_.ReadWordAt(pc);
+    if (!word.ok()) {
+      return CorruptData("block runs off mapped memory at " +
+                         std::to_string(pc));
+    }
+    auto decoded = Decode(*word);
+    if (!decoded.ok()) return decoded.status();
+    const Insn& insn = *decoded;
+    uint32_t next_pc = pc + kInsnSize;
+    uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
+    info.size = next_pc - addr;
+    switch (insn.op) {
+      case Op::kB:
+        info.next = target;
+        return info;
+      case Op::kBeq:
+      case Op::kBne:
+      case Op::kBlt:
+      case Op::kBge:
+      case Op::kBle:
+      case Op::kBgt:
+        info.taken = target;
+        info.next = next_pc;
+        return info;
+      case Op::kBl:
+        info.jumpkind = JumpKind::kCall;
+        info.next = target;
+        info.return_addr = next_pc;
+        return info;
+      case Op::kBlr:
+        info.jumpkind = JumpKind::kIndirectCall;
+        info.return_addr = next_pc;
+        return info;
+      case Op::kRet:
+        info.jumpkind = JumpKind::kRet;
+        return info;
+      case Op::kInvalid:
+        return CorruptData("invalid opcode while lifting");
+      default:
+        break;
+    }
+    pc = next_pc;
+  }
+  info.size = pc - addr;
+  info.next = pc;
+  return info;
+}
+
+Result<FunctionIR> Lifter::LiftFunction(const Function& fn) const {
+  static obs::Counter& lifted =
+      obs::MetricsRegistry::Global().counter("lift.ir_functions");
+  lifted.Add();
+  FunctionIR ir;
+  for (const auto& [addr, info] : fn.blocks) {
+    auto block = LiftBlock(addr, info.EndAddr());
+    if (!block.ok()) return block.status();
+    ir.blocks.emplace_hint(ir.blocks.end(), addr, std::move(*block));
+  }
+  return ir;
 }
 
 }  // namespace dtaint

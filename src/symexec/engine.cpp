@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/lifter/lifter.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -253,10 +254,10 @@ class MemoRecorder : public StateTape {
 
 class Exploration {
  public:
-  Exploration(const Binary& binary, const Function& fn,
+  Exploration(const Binary& binary, const Function& fn, const FunctionIR& ir,
               const EngineConfig& config, FunctionSummary& summary,
               BudgetTracker* budget)
-      : binary_(binary), fn_(fn), config_(config), summary_(summary),
+      : binary_(binary), fn_(fn), ir_(ir), config_(config), summary_(summary),
         budget_(budget), cc_(ConventionFor(binary.arch)) {}
 
   void Run() {
@@ -518,7 +519,7 @@ class Exploration {
   }
 
   void ExecuteBlock(uint32_t block_addr, SymState state) {
-    const IRBlock* block = fn_.BlockAt(block_addr);
+    const IRBlock* block = ir_.BlockAt(block_addr);
     if (!block) {
       FinishPath(state);
       return;
@@ -805,6 +806,7 @@ class Exploration {
 
   const Binary& binary_;
   const Function& fn_;
+  const FunctionIR& ir_;
   const EngineConfig& config_;
   FunctionSummary& summary_;
   BudgetTracker* budget_;
@@ -825,10 +827,15 @@ class Exploration {
 
 FunctionSummary SymEngine::Analyze(const Function& fn,
                                    BudgetTracker* budget) const {
+  // The IR lives exactly as long as this analysis: lifted here, freed on
+  // return. The skeleton was built by the same decode, so lifting it
+  // cannot fail unless the binary changed underneath; degrade then.
+  auto ir = Lifter(binary_).LiftFunction(fn);
+  if (!ir.ok()) return MakeDegradedSummary(fn);
   FunctionSummary summary;
   summary.name = fn.name;
   summary.addr = fn.addr;
-  Exploration exploration(binary_, fn, config_, summary, budget);
+  Exploration exploration(binary_, fn, *ir, config_, summary, budget);
   exploration.Run();
   if (budget && budget->exhausted()) return MakeDegradedSummary(fn);
   return summary;

@@ -1,6 +1,7 @@
 // Static symbolic analysis of one function (paper §III-B).
 //
-// Explores the function CFG path-by-path over the lifted IR:
+// Explores the function CFG path-by-path over its IR, lifted on entry
+// and freed when the summary is done:
 //  * calling-convention-aware entry state (args symbolic, sp = SP);
 //  * both directions of every symbolic conditional are explored, with
 //    the branch condition recorded as a path constraint;
@@ -49,7 +50,8 @@ class SymEngine {
   SymEngine(const Binary& binary, EngineConfig config = {})
       : binary_(binary), config_(config) {}
 
-  /// Runs static symbolic analysis over one lifted function. When a
+  /// Runs static symbolic analysis over one function, lifting its IR
+  /// for the duration of the call (Lifter::LiftFunction). When a
   /// budget tracker is supplied, exploration charges it cooperatively
   /// (one step per IR statement, one state per path enqueue); on
   /// exhaustion the partial exploration is discarded and the

@@ -137,9 +137,7 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
   CacheConfig cache_config;
   cache_config.disk_dir = dir.string();
 
-  // Populating run: misses store entries; the second bottom-up pass
-  // (after indirect-call resolution) already replays decoded blobs, so
-  // this run also proves decode(encode(x)) is analysis-equivalent to x.
+  // Populating run: misses store entries.
   {
     SummaryCache cache(cache_config);
     for (size_t i = 0; i < corpus.size(); ++i) {
@@ -150,13 +148,19 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
   }
 
   // Warm run: a fresh process-equivalent (new cache instance, empty
-  // memory tier) must serve every single function from disk.
+  // memory tier) must serve every single function from disk — which
+  // also proves decode(encode(x)) is analysis-equivalent to x — and,
+  // every summary being a hit, must not lift a single function's IR.
   {
     SummaryCache cache(cache_config);
+    obs::Counter& lifted =
+        obs::MetricsRegistry::Global().counter("lift.ir_functions");
+    uint64_t lifted_before = lifted.Value();
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(AnalyzeNormalized(corpus[i], &cache), cold[i])
           << "warm run diverged on corpus[" << i << "]";
     }
+    EXPECT_EQ(lifted.Value() - lifted_before, 0u);
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 0u);
     EXPECT_GT(stats.hits, 0u);

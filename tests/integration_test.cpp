@@ -7,6 +7,7 @@
 #include "src/core/dtaint.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
+#include "src/report/json.h"
 #include "src/report/scoring.h"
 #include "src/synth/firmware_synth.h"
 #include "src/synth/paper_images.h"
@@ -246,6 +247,77 @@ TEST(PaperImages, VulnerabilityCountsMatchTableThree) {
     ++idx;
   }
   EXPECT_EQ(total, 21);  // the paper's headline number
+}
+
+}  // namespace
+}  // namespace dtaint
+
+// ---- summarize once (appended) ----------------------------------------------
+
+namespace dtaint {
+namespace {
+
+/// The facade's call sequence before summaries were reused: the whole
+/// bottom-up pass (summarize + link) run again after structure
+/// similarity resolves indirect calls. Returns the reported findings.
+std::vector<Finding> TwoPassFindings(const Binary& binary,
+                                     const std::vector<std::string>& focus) {
+  Program program = CfgBuilder(binary).BuildProgram().value();
+  std::set<std::string> keep;
+  std::vector<std::string> work(focus.begin(), focus.end());
+  for (const std::string& name : AddressTakenFunctions(program)) {
+    work.push_back(name);
+  }
+  while (!work.empty()) {
+    std::string name = std::move(work.back());
+    work.pop_back();
+    if (!program.functions.count(name) || !keep.insert(name).second) continue;
+    for (const CallSite& cs : program.functions.at(name).callsites) {
+      if (!cs.is_indirect && !cs.target_is_import && !cs.target_name.empty()) {
+        work.push_back(cs.target_name);
+      }
+    }
+  }
+  std::erase_if(program.functions,
+                [&](const auto& entry) { return !keep.count(entry.first); });
+  SymEngine engine(binary);
+  ProgramAnalysis analysis =
+      RunBottomUp(program, CallGraph::Build(program), engine);
+  EXPECT_FALSE(ResolveIndirectCalls(program, analysis.summaries).empty());
+  analysis = RunBottomUp(program, CallGraph::Build(program), engine);
+  PathFinder finder(program, analysis);
+  std::vector<Finding> findings;
+  for (TaintPath& path : FilterVulnerable(finder.FindAll())) {
+    if (!path.crossed_degraded) findings.push_back({std::move(path)});
+  }
+  return findings;
+}
+
+TEST(PaperImages, HikvisionSummarizesEachAnalyzedFunctionOnce) {
+  // The centaurus image is scanned by its focus list, and structure
+  // similarity resolves indirect calls in it, so its summaries are
+  // linked twice. Each analysed function is still summarized — and its
+  // IR lifted — exactly once, and the out-of-focus ones never.
+  PaperImageSpec spec = PaperImageSpecs().back();
+  ASSERT_EQ(spec.firmware.vendor, "Hikvision");
+  auto fw = BuildPaperImage(spec);
+  ASSERT_TRUE(fw.ok());
+  auto binary =
+      BinaryLoader::Load(fw->image.FindFile(spec.firmware.binary_path)->bytes);
+  ASSERT_TRUE(binary.ok());
+  auto report = DTaint().AnalyzeFunctions(*binary, spec.focus);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->indirect_calls_resolved, 0u);
+  EXPECT_EQ(report->analyzed_functions, 323u);
+  EXPECT_GT(report->functions, report->analyzed_functions);
+  EXPECT_EQ(report->interproc_stats.functions_processed,
+            report->analyzed_functions);
+  EXPECT_EQ(report->metrics.CounterValue("summary.functions"),
+            report->analyzed_functions);
+  EXPECT_EQ(report->metrics.CounterValue("lift.ir_functions"),
+            report->analyzed_functions);
+  EXPECT_EQ(FindingsToJson(report->findings),
+            FindingsToJson(TwoPassFindings(*binary, spec.focus)));
 }
 
 }  // namespace

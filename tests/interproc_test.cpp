@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "src/binary/writer.h"
+#include "src/cache/summary_codec.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/interproc.h"
 #include "src/isa/asm_builder.h"
+#include "src/synth/firmware_synth.h"
 
 namespace dtaint {
 namespace {
@@ -238,6 +240,79 @@ TEST(BottomUp, ImportCapBoundsWork) {
   config.max_imported_per_callsite = 5;
   ProgramAnalysis analysis = RunAnalysis(writer.Build().value(), config);
   EXPECT_EQ(analysis.stats.defs_propagated, 5u);
+}
+
+/// Link then Unlink must give back exactly what Summarize produced, and
+/// linking that again must reproduce the first link. Returns how many
+/// def pairs the link rewrote (and the undo log restored).
+size_t ExpectUnlinkRoundTrip(const Binary& bin) {
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  SymEngine engine(bin);
+  CallGraph graph = CallGraph::Build(program);
+  SummarySet phase1 = Summarize(program, graph, engine);
+  ProgramAnalysis linked = Link(program, graph, phase1);
+  size_t rewritten = 0;
+  for (const auto& [name, undo] : linked.link_undo) {
+    rewritten += undo.rewritten_def_pairs.size();
+  }
+  SummarySet restored = Unlink(linked);
+  EXPECT_EQ(restored.summaries.size(), phase1.summaries.size());
+  for (const auto& [name, summary] : phase1.summaries) {
+    EXPECT_EQ(EncodeSummary(restored.summaries.at(name)),
+              EncodeSummary(summary))
+        << name;
+  }
+  EXPECT_EQ(restored.stats.defs_propagated, 0u);
+  EXPECT_EQ(restored.stats.rets_replaced, 0u);
+  ProgramAnalysis relinked = Link(program, graph, std::move(restored));
+  EXPECT_EQ(relinked.stats.defs_propagated, linked.stats.defs_propagated);
+  EXPECT_EQ(relinked.stats.rets_replaced, linked.stats.rets_replaced);
+  for (const auto& [name, summary] : linked.summaries) {
+    EXPECT_EQ(EncodeSummary(relinked.summaries.at(name)),
+              EncodeSummary(summary))
+        << name;
+  }
+  return rewritten;
+}
+
+TEST(BottomUp, UnlinkRestoresThePhaseOneSummaries) {
+  // Linking rewrites ret symbols in place and appends imports; Unlink
+  // must undo exactly that, so a re-link after indirect-call resolution
+  // starts from the summaries phase 1 produced.
+  ProgramSpec spec;
+  spec.name = "relink";
+  spec.seed = 17;
+  spec.filler_functions = 12;
+  for (VulnPattern pattern : {VulnPattern::kWrapper, VulnPattern::kDispatch,
+                              VulnPattern::kAliasChain}) {
+    PlantSpec p;
+    p.id = "p" + std::to_string(static_cast<int>(pattern));
+    p.pattern = pattern;
+    p.source = "recv";
+    p.sink = pattern == VulnPattern::kDispatch ? "memcpy" : "strcpy";
+    spec.plants.push_back(p);
+  }
+  auto out = SynthesizeBinary(spec);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectUnlinkRoundTrip(out->binary);
+  ExpectUnlinkRoundTrip(FooWooBinary());
+
+  // A stored return value: the link rewrites ret_{cs} inside a def pair.
+  BinaryWriter writer(Arch::kDtArm, "t");
+  {
+    FnBuilder b("get_arg");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  {
+    FnBuilder b("caller");
+    b.MovR(0, 4);
+    b.Call("get_arg");
+    b.StrW(0, 13, 0);
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  EXPECT_GT(ExpectUnlinkRoundTrip(writer.Build().value()), 0u);
 }
 
 }  // namespace

@@ -571,17 +571,6 @@ TEST(ReportObservability, HotFunctionsAndPathStats) {
   EXPECT_GT(micros->second.count, 0u);
 }
 
-TEST(ReportObservability, MergeHotFunctions) {
-  std::vector<HotFunction> a = {{"f1", 3.0, false}, {"f2", 1.0, false}};
-  std::vector<HotFunction> b = {{"f2", 2.0, true}, {"f3", 0.5, true}};
-  std::vector<HotFunction> merged = MergeHotFunctions(a, b, 2);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].name, "f1");
-  EXPECT_EQ(merged[1].name, "f2");
-  EXPECT_DOUBLE_EQ(merged[1].seconds, 2.0);  // larger time wins
-  EXPECT_TRUE(merged[1].cached);
-}
-
 TEST(Stopwatch, MeasuresElapsedTime) {
   obs::Stopwatch watch;
   EXPECT_GE(watch.Seconds(), 0.0);

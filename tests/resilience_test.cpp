@@ -13,6 +13,7 @@
 
 #include "src/binary/loader.h"
 #include "src/binary/writer.h"
+#include "src/isa/asm_builder.h"
 #include "src/cache/summary_cache.h"
 #include "src/core/dtaint.h"
 #include "src/firmware/extractor.h"
@@ -395,6 +396,45 @@ TEST_F(ResilienceTest, InjectedLiftFaultIsIsolatedToOneFunction) {
   for (const std::string& key : FindingKeys(*faulted)) {
     EXPECT_TRUE(std::binary_search(full.begin(), full.end(), key)) << key;
   }
+}
+
+TEST_F(ResilienceTest, LiftFaultOutsideTheFocusStillSurfaces) {
+  // The kLift fault site fires per symbol while building the CFG, before
+  // the focus filter: a function the focus scan would drop still yields
+  // the same incident and an incomplete report.
+  BinaryWriter writer(Arch::kDtArm, "focus.bin");
+  writer.AddImport("getenv");
+  {
+    FnBuilder b("handler");
+    b.Call("getenv");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  {
+    FnBuilder b("idle");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  Binary bin = writer.Build().value();
+
+  ASSERT_TRUE(FaultPlan::Global().InstallSpec("lift@idle").ok());
+  auto focused = DTaint().AnalyzeFunctions(bin, {"handler"});
+  ASSERT_TRUE(focused.ok());
+  ASSERT_TRUE(FaultPlan::Global().InstallSpec("lift@idle").ok());
+  auto whole = DTaint().Analyze(bin);
+  ASSERT_TRUE(whole.ok());
+
+  EXPECT_EQ(focused->analyzed_functions, 1u);
+  EXPECT_FALSE(focused->complete);
+  ASSERT_EQ(focused->incidents.size(), 1u);
+  ASSERT_EQ(whole->incidents.size(), 1u);
+  const Incident& got = focused->incidents[0];
+  const Incident& want = whole->incidents[0];
+  EXPECT_EQ(got.phase, "lift");
+  EXPECT_EQ(got.detail, "idle");
+  EXPECT_EQ(got.phase, want.phase);
+  EXPECT_EQ(got.detail, want.detail);
+  EXPECT_EQ(got.status.ToString(), want.status.ToString());
 }
 
 TEST_F(ResilienceTest, InjectedSummaryFaultDegradesExactlyOneFunction) {
