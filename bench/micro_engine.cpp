@@ -22,7 +22,6 @@
 #include "src/isa/decode.h"
 #include "src/isa/encode.h"
 #include "src/lifter/lifter.h"
-#include "src/symexec/intern.h"
 #include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 
@@ -31,11 +30,9 @@ namespace {
 
 // ---- SymExpr hot-operation microbenchmarks ---------------------------------
 //
-// Each pair runs the same operation with hash-consing on (the default)
-// and off (the legacy heap-allocating path), so the interner's win is
-// visible in isolation: Equal on interned operands is a pointer
-// compare, Replace prunes by the per-node bloom/kind masks, and Bin
-// normalization stops allocating on the hit path.
+// The interner's fast paths in isolation: Equal is a pointer compare,
+// Replace prunes by the per-node bloom/kind masks, and Bin
+// normalization allocates nothing on the hit path.
 
 /// A deep expression exercising every recursive operation:
 /// deref(...deref(arg0+1)+2...)+depth with alternating Add/Deref spine.
@@ -49,7 +46,6 @@ SymRef DeepExpr(int depth) {
 }
 
 void BM_SymExprEqualDeep_Interned(benchmark::State& state) {
-  ScopedExprInterning on(true);
   // Two separately-built but structurally identical trees: interning
   // canonicalizes them to the same node, so Equal is one compare.
   SymRef a = DeepExpr(32);
@@ -60,18 +56,7 @@ void BM_SymExprEqualDeep_Interned(benchmark::State& state) {
 }
 BENCHMARK(BM_SymExprEqualDeep_Interned);
 
-void BM_SymExprEqualDeep_Legacy(benchmark::State& state) {
-  ScopedExprInterning off(false);
-  SymRef a = DeepExpr(32);
-  SymRef b = DeepExpr(32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SymExpr::Equal(a, b));
-  }
-}
-BENCHMARK(BM_SymExprEqualDeep_Legacy);
-
 void BM_SymExprReplace_Interned(benchmark::State& state) {
-  ScopedExprInterning on(true);
   SymRef hay = DeepExpr(32);
   SymRef from = SymExpr::Arg(0);  // buried at the bottom of the spine
   SymRef to = SymExpr::Sp0();
@@ -81,19 +66,7 @@ void BM_SymExprReplace_Interned(benchmark::State& state) {
 }
 BENCHMARK(BM_SymExprReplace_Interned);
 
-void BM_SymExprReplace_Legacy(benchmark::State& state) {
-  ScopedExprInterning off(false);
-  SymRef hay = DeepExpr(32);
-  SymRef from = SymExpr::Arg(0);
-  SymRef to = SymExpr::Sp0();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SymExpr::Replace(hay, from, to));
-  }
-}
-BENCHMARK(BM_SymExprReplace_Legacy);
-
 void BM_SymExprReplaceMiss_Interned(benchmark::State& state) {
-  ScopedExprInterning on(true);
   // Absent needle: the bloom/kind-mask prune answers without a walk.
   SymRef hay = DeepExpr(32);
   SymRef from = SymExpr::Arg(7);
@@ -105,7 +78,6 @@ void BM_SymExprReplaceMiss_Interned(benchmark::State& state) {
 BENCHMARK(BM_SymExprReplaceMiss_Interned);
 
 void BM_BinNormalization_Interned(benchmark::State& state) {
-  ScopedExprInterning on(true);
   SymRef base = SymExpr::Arg(0);
   for (auto _ : state) {
     // (arg0 + 4) + 4 + ... — the store-address pattern the engine
@@ -117,19 +89,7 @@ void BM_BinNormalization_Interned(benchmark::State& state) {
 }
 BENCHMARK(BM_BinNormalization_Interned);
 
-void BM_BinNormalization_Legacy(benchmark::State& state) {
-  ScopedExprInterning off(false);
-  SymRef base = SymExpr::Arg(0);
-  for (auto _ : state) {
-    SymRef e = base;
-    for (int i = 0; i < 16; ++i) e = SymAdd(e, 4);
-    benchmark::DoNotOptimize(e);
-  }
-}
-BENCHMARK(BM_BinNormalization_Legacy);
-
 void BM_IsTaintedDeep_Interned(benchmark::State& state) {
-  ScopedExprInterning on(true);
   SymRef e = SymAdd(SymExpr::Bin(BinOp::kXor, DeepExpr(32),
                                  SymExpr::Taint(0x10, "recv")),
                     8);
@@ -204,25 +164,11 @@ void BM_SymExecFunction(benchmark::State& state) {
 }
 BENCHMARK(BM_SymExecFunction);
 
-void BM_SymExecFunction_Legacy(benchmark::State& state) {
-  ScopedExprInterning off(false);
-  const Binary& bin = TestProgram().binary;
-  CfgBuilder builder(bin);
-  Program program = std::move(*builder.BuildProgram());
-  SymEngine engine(bin);
-  const Function& fn = program.functions.at("b1_handler");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Analyze(fn));
-  }
-}
-BENCHMARK(BM_SymExecFunction_Legacy);
-
 // ---- symbolic-state microbenchmarks ----------------------------------------
 //
 // Fork/mutate churn is the engine's inner loop: every symbolic branch
-// copies the path state. The CoW pair measures the persistent
-// spine+overlay representation against the legacy deep-copying
-// containers on an identically populated state.
+// copies the path state. Both benchmarks run on a deep populated state
+// so the copy-on-write spine's O(1) fork is what gets measured.
 
 /// Populates a state the way a deep path does: register traffic, ~100
 /// distinct memory cells (long paths accumulate stores well past the
@@ -245,10 +191,10 @@ SymState PopulateState() {
 }
 
 /// One fork plus the child's small divergence — the per-branch cost.
-void StateForkBody(benchmark::State& state) {
+void BM_StateFork(benchmark::State& state) {
   SymState parent = PopulateState();
   // Pre-intern the divergence expressions so the loop times state
-  // operations, not expression construction (identical in both modes).
+  // operations, not expression construction.
   SymRef daddr = SymAdd(SymExpr::Arg(0), 4);
   std::array<SymRef, 16> dvals;
   for (size_t i = 0; i < dvals.size(); ++i) {
@@ -263,23 +209,12 @@ void StateForkBody(benchmark::State& state) {
     benchmark::DoNotOptimize(child.MemEntryCount());
   }
 }
-
-void BM_StateFork(benchmark::State& state) {
-  ScopedStateCow on(true);
-  StateForkBody(state);
-}
 BENCHMARK(BM_StateFork);
-
-void BM_StateFork_Legacy(benchmark::State& state) {
-  ScopedStateCow off(false);
-  StateForkBody(state);
-}
-BENCHMARK(BM_StateFork_Legacy);
 
 /// Fan-out/fan-in churn: a parent forks eight children, each diverges
 /// with stores and a constraint, and all observables are consumed —
 /// the shape of a branchy block's exploration frontier.
-void StateMergeBody(benchmark::State& state) {
+void BM_StateMerge(benchmark::State& state) {
   SymState parent = PopulateState();
   for (auto _ : state) {
     size_t sum = 0;
@@ -297,18 +232,7 @@ void StateMergeBody(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
 }
-
-void BM_StateMerge(benchmark::State& state) {
-  ScopedStateCow on(true);
-  StateMergeBody(state);
-}
 BENCHMARK(BM_StateMerge);
-
-void BM_StateMerge_Legacy(benchmark::State& state) {
-  ScopedStateCow off(false);
-  StateMergeBody(state);
-}
-BENCHMARK(BM_StateMerge_Legacy);
 
 void BM_AliasReplace(benchmark::State& state) {
   const Binary& bin = TestProgram().binary;

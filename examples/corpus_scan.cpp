@@ -63,21 +63,19 @@
 // streams with tools/scan_report.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 
 #include "src/binary/loader.h"
 #include "src/cache/summary_cache.h"
+#include "src/core/cli_flags.h"
 #include "src/core/dtaint.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
 #include "src/obs/events.h"
 #include "src/obs/log.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/report/json.h"
 #include "src/report/scoring.h"
 #include "src/report/table.h"
@@ -85,7 +83,6 @@
 #include "src/resilience/incident.h"
 #include "src/resilience/journal.h"
 #include "src/resilience/supervisor.h"
-#include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
@@ -189,7 +186,6 @@ void PrintUsage() {
       "  --max-expr-nodes N   per-function analysis budget (0 = off)\n"
       "  --corrupt K          corrupt first K extractable images\n"
       "  --fail-fast          stop at the first incident, exit nonzero\n"
-      "  --legacy-state       legacy (non-CoW) symbolic state, for A/B\n"
       "\n"
       "isolation & resume:\n"
       "  --isolate            scan each image in a forked worker\n"
@@ -281,112 +277,65 @@ std::string FleetToJson(const std::vector<ImageResult>& images,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<SummaryCache> cache;
-  const char* trace_out = nullptr;
-  const char* metrics_out = nullptr;
-  const char* json_out = nullptr;
-  const char* events_out = nullptr;
-  const char* journal_dir = nullptr;
+  ScanFlags scan;
+  ObsFlags obs_flags;
+  std::string json_out;
+  std::string journal_dir;
   int heartbeat_ms = 1000;
-  int num_threads = 1;
   int corrupt_count = 0;
   int workers = 1;
   int max_retries = 2;
   int image_timeout_ms = 0;
   int mem_limit_mb = 0;
+  bool help = false;
   bool fail_fast = false;
   bool isolate = false;
   bool resume = false;
-  AnalysisBudget budget;
-  AliasMode alias_mode = AliasMode::kEager;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      PrintUsage();
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--fail-fast") == 0) {
-      fail_fast = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--isolate") == 0) {
-      isolate = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--legacy-state") == 0) {
-      // A/B escape hatch: legacy deep-copying symbolic state (reports
-      // are byte-identical either way; this trades speed for nothing).
-      SetStateCow(false);
-      continue;
-    }
-    if (i + 1 >= argc) continue;
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      num_threads = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      CacheConfig cache_config;
-      cache_config.disk_dir = argv[i + 1];
-      cache.emplace(cache_config);
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      budget.deadline_ms = atof(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--max-steps") == 0) {
-      budget.max_steps = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--max-states") == 0) {
-      budget.max_states = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--max-expr-nodes") == 0) {
-      budget.max_expr_nodes = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--alias-mode") == 0) {
-      if (!ParseAliasMode(argv[i + 1], &alias_mode)) {
-        std::fprintf(stderr, "bad --alias-mode: %s (want eager|ondemand)\n",
-                     argv[i + 1]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--corrupt") == 0) {
-      corrupt_count = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--max-retries") == 0) {
-      max_retries = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--image-timeout-ms") == 0) {
-      image_timeout_ms = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--mem-limit-mb") == 0) {
-      mem_limit_mb = atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      journal_dir = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--json-out") == 0) {
-      json_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
-      obs::LogLevel level;
-      if (!obs::ParseLogLevel(argv[i + 1], &level)) {
-        std::fprintf(stderr, "bad --log-level: %s\n", argv[i + 1]);
-        return 2;
-      }
-      obs::SetLogLevel(level);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--events-out") == 0) {
-      events_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0) {
-      heartbeat_ms = atoi(argv[i + 1]);
-    }
+  FlagSet flags;
+  AddScanFlags(flags, &scan);
+  AddObsFlags(flags, &obs_flags);
+  flags.Switch("--help", &help);
+  flags.Switch("--fail-fast", &fail_fast);
+  flags.Switch("--isolate", &isolate);
+  flags.Switch("--resume", &resume);
+  flags.Int("--corrupt", &corrupt_count);
+  flags.Int("--workers", &workers);
+  flags.Int("--max-retries", &max_retries);
+  flags.Int("--image-timeout-ms", &image_timeout_ms);
+  flags.Int("--mem-limit-mb", &mem_limit_mb);
+  flags.String("--journal", &journal_dir);
+  flags.String("--json-out", &json_out);
+  flags.Int("--heartbeat-ms", &heartbeat_ms);
+  std::vector<std::string> positional;
+  std::string error;
+  if (!flags.Parse(argc - 1, argv + 1, &positional, &error)) {
+    std::fprintf(stderr, "corpus_scan: %s (see --help)\n", error.c_str());
+    return 2;
   }
-  if (resume && !journal_dir) {
+  if (!positional.empty()) {
+    std::fprintf(stderr, "corpus_scan: unexpected argument %s\n",
+                 positional[0].c_str());
+    return 2;
+  }
+  if (help) {
+    PrintUsage();
+    return 0;
+  }
+  std::optional<SummaryCache> cache;
+  if (!scan.cache_dir.empty()) {
+    CacheConfig cache_config;
+    cache_config.disk_dir = scan.cache_dir;
+    cache.emplace(cache_config);
+  }
+  if (resume && journal_dir.empty()) {
     std::fprintf(stderr, "--resume needs --journal DIR\n");
     return 2;
   }
-  if (trace_out && !obs::Tracer::Global().StreamTo(trace_out)) {
-    std::fprintf(stderr, "cannot open trace file %s\n", trace_out);
+  if (!obs_flags.Open("corpus_scan", &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
   obs::EventStream& events = obs::EventStream::Global();
-  if (events_out && !events.Open(events_out, "corpus_scan")) {
-    std::fprintf(stderr, "cannot open event stream %s\n", events_out);
-    return 2;
-  }
 
   std::vector<CorpusItem> corpus = BuildCorpus();
   // Deterministic damage for the resilience demo: only images whose
@@ -514,11 +463,9 @@ int main(int argc, char** argv) {
       finish_image();
       return out;
     }
-    DTaintConfig config;
+    DTaintConfig config = scan.config;
     if (cache) config.interproc.cache = &*cache;
-    config.interproc.num_threads = num_threads;
     config.interproc.budget = image_budget;
-    config.interproc.alias_mode = alias_mode;
     DTaint detector(config);
     auto report = detector.Analyze(*binary);
     if (!report.ok()) {
@@ -616,7 +563,8 @@ int main(int argc, char** argv) {
     images.push_back(std::move(im));
   };
 
-  bool use_supervisor = isolate || journal_dir != nullptr;
+  const AnalysisBudget& budget = scan.config.interproc.budget;
+  bool use_supervisor = isolate || !journal_dir.empty();
   if (use_supervisor) {
     SupervisorConfig sup_config;
     sup_config.workers = workers;
@@ -626,7 +574,7 @@ int main(int argc, char** argv) {
     sup_config.mem_limit_mb =
         mem_limit_mb > 0 ? static_cast<uint32_t>(mem_limit_mb) : 0;
     sup_config.budget = budget;
-    sup_config.journal_dir = journal_dir ? journal_dir : "";
+    sup_config.journal_dir = journal_dir;
     sup_config.resume = resume;
     sup_config.stop_on_failure = fail_fast;
     sup_config.force_in_process = !isolate;
@@ -715,29 +663,16 @@ int main(int argc, char** argv) {
   // score the same way an unextractable image's is.
   int rc = (totals.fn == 0 && totals.fp == 0) ? 0 : 1;
   if (fail_fast && (aborted || !incidents.empty())) rc = 1;
-  if (json_out) {
+  if (!json_out.empty()) {
     std::ofstream out(json_out, std::ios::trunc);
     out << FleetToJson(images, incidents, totals) << '\n';
     if (!out.good()) {
       DTAINT_LOG(obs::LogLevel::kError, "corpus",
-                 "cannot write fleet report to %s", json_out);
+                 "cannot write fleet report to %s", json_out.c_str());
       if (rc == 0) rc = 1;
     }
   }
-  if (trace_out && !obs::Tracer::Global().FinishStream()) {
-    DTAINT_LOG(obs::LogLevel::kError, "corpus", "cannot finish trace at %s",
-               trace_out);
-    if (rc == 0) rc = 1;
-  }
-  if (metrics_out) {
-    std::ofstream out(metrics_out, std::ios::trunc);
-    out << obs::MetricsRegistry::Global().ToJson() << '\n';
-    if (!out.good()) {
-      DTAINT_LOG(obs::LogLevel::kError, "corpus",
-                 "cannot write metrics to %s", metrics_out);
-      if (rc == 0) rc = 1;
-    }
-  }
+  if (!obs_flags.Finish() && rc == 0) rc = 1;
   events.Close(aborted ? "aborted" : "ok");
   return rc;
 }

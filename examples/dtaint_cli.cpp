@@ -25,6 +25,10 @@
 // --fail-fast makes an incomplete analysis exit nonzero (exit 4), for
 // CI jobs that want "no findings" to actually mean "nothing found".
 //
+// Flags are parsed by the shared FlagSet (src/core/cli_flags.h): an
+// unknown flag, or a malformed or negative number, exits 2 with a
+// message naming the flag.
+//
 // Observability flags (accepted by every command):
 //   --log-level error|warn|info|debug   stderr log threshold (warn)
 //   --trace-out FILE    streamed Chrome trace of the pipeline's spans
@@ -42,7 +46,6 @@
 // are stored content-addressed under DIR and re-used by later scans of
 // unchanged functions (identical findings, much faster re-scan).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -50,6 +53,7 @@
 
 #include "src/binary/loader.h"
 #include "src/cache/summary_cache.h"
+#include "src/core/cli_flags.h"
 #include "src/core/dtaint.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
@@ -57,10 +61,7 @@
 #include "src/lifter/lifter.h"
 #include "src/obs/events.h"
 #include "src/obs/log.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/report/json.h"
-#include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/strings.h"
 
@@ -81,48 +82,78 @@ bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   return out.good();
 }
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+/// Every command's options; each command registers (and reads) only
+/// its own.
+struct CliOptions {
+  // synth
+  FirmwareSpec spec;
+  int vulns = 2;
+  int safe = 1;
+  // inspect
+  bool summary = false;
+  // scan
+  ScanFlags scan;
+  bool json = false;
+  bool fail_fast = false;
+};
+
+/// Registers `cmd`'s own flags; false for an unknown command.
+bool AddCommandFlags(const std::string& cmd, FlagSet& flags,
+                     CliOptions* opts) {
+  if (cmd == "synth") {
+    FirmwareSpec& spec = opts->spec;
+    flags.Custom(
+        "--arch",
+        [&spec](const std::string& text) {
+          if (text != "arm" && text != "mips") return false;
+          spec.program.arch = text == "mips" ? Arch::kDtMips : Arch::kDtArm;
+          return true;
+        },
+        "arm|mips");
+    flags.Uint("--seed", &spec.program.seed);
+    flags.Custom(
+        "--packing",
+        [&spec](const std::string& text) {
+          for (Packing p : {Packing::kPlain, Packing::kXor,
+                            Packing::kEncrypted}) {
+            if (text == PackingName(p)) {
+              spec.packing = p;
+              return true;
+            }
+          }
+          return false;
+        },
+        "plain|xor|encrypted");
+    flags.Int("--vulns", &opts->vulns);
+    flags.Int("--safe", &opts->safe);
+  } else if (cmd == "inspect") {
+    flags.Switch("--summary", &opts->summary);
+  } else if (cmd == "scan") {
+    AddScanFlags(flags, &opts->scan);
+    flags.Switch("--no-alias", &opts->scan.config.enable_alias, false);
+    flags.Switch("--no-structsim", &opts->scan.config.enable_structsim,
+                 false);
+    flags.Switch("--json", &opts->json);
+    flags.Switch("--fail-fast", &opts->fail_fast);
+  } else if (cmd != "extract") {
+    return false;
   }
-  return nullptr;
+  return true;
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-int CmdSynth(int argc, char** argv) {
-  if (argc < 1) {
+int CmdSynth(const std::vector<std::string>& args, const CliOptions& opts) {
+  if (args.empty()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "synth: missing output path");
     return 2;
   }
-  FirmwareSpec spec;
+  FirmwareSpec spec = opts.spec;  // arch, seed and packing from flags
   spec.vendor = "Acme";
   spec.product = "RT-9000";
   spec.version = "1.0";
   spec.binary_path = "/bin/httpd";
   spec.program.name = "httpd";
   spec.program.filler_functions = 80;
-  if (const char* arch = FlagValue(argc, argv, "--arch")) {
-    spec.program.arch =
-        std::strcmp(arch, "mips") == 0 ? Arch::kDtMips : Arch::kDtArm;
-  }
-  if (const char* seed = FlagValue(argc, argv, "--seed")) {
-    spec.program.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* packing = FlagValue(argc, argv, "--packing")) {
-    if (std::strcmp(packing, "xor") == 0) spec.packing = Packing::kXor;
-    if (std::strcmp(packing, "encrypted") == 0) {
-      spec.packing = Packing::kEncrypted;
-    }
-  }
-  int vulns = 2, safe = 1;
-  if (const char* v = FlagValue(argc, argv, "--vulns")) vulns = atoi(v);
-  if (const char* s = FlagValue(argc, argv, "--safe")) safe = atoi(s);
+  const int vulns = opts.vulns, safe = opts.safe;
 
   const VulnPattern patterns[] = {
       VulnPattern::kDirect, VulnPattern::kWrapper, VulnPattern::kAliasChain,
@@ -159,13 +190,14 @@ int CmdSynth(int argc, char** argv) {
     return 1;
   }
   std::vector<uint8_t> blob = FirmwarePacker::Pack(fw->image);
-  if (!WriteFile(argv[0], blob)) {
-    DTAINT_LOG(obs::LogLevel::kError, "cli", "cannot write %s", argv[0]);
+  if (!WriteFile(args[0], blob)) {
+    DTAINT_LOG(obs::LogLevel::kError, "cli", "cannot write %s",
+               args[0].c_str());
     return 1;
   }
   std::printf("wrote %s: %zu bytes, %d vulnerable + %d sanitized "
               "plants, packing=%s\n",
-              argv[0], blob.size(), vulns, safe,
+              args[0].c_str(), blob.size(), vulns, safe,
               std::string(PackingName(spec.packing)).c_str());
   return 0;
 }
@@ -202,12 +234,12 @@ Result<Binary> LoadFirstBinary(const std::string& path,
                             path + ":" + exec_path);
 }
 
-int CmdExtract(int argc, char** argv) {
-  if (argc < 1) {
+int CmdExtract(const std::vector<std::string>& args) {
+  if (args.empty()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "extract: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(argv[0], /*print_rootfs=*/true);
+  auto binary = LoadFirstBinary(args[0], /*print_rootfs=*/true);
   if (!binary.ok()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "extract failed: %s",
                binary.status().ToString().c_str());
@@ -216,12 +248,12 @@ int CmdExtract(int argc, char** argv) {
   return 0;
 }
 
-int CmdInspect(int argc, char** argv) {
-  if (argc < 1) {
+int CmdInspect(const std::vector<std::string>& args, const CliOptions& opts) {
+  if (args.empty()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "inspect: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(argv[0]);
+  auto binary = LoadFirstBinary(args[0]);
   if (!binary.ok()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "inspect failed: %s",
                binary.status().ToString().c_str());
@@ -240,25 +272,25 @@ int CmdInspect(int argc, char** argv) {
               std::string(ArchName(binary->arch)).c_str(),
               program->functions.size(), program->TotalBlocks(),
               program->CallEdgeCount(), binary->imports.size());
-  if (argc >= 2) {
-    const Function* fn = program->FindFunction(argv[1]);
+  if (args.size() >= 2) {
+    const Function* fn = program->FindFunction(args[1]);
     if (!fn) {
       DTAINT_LOG(obs::LogLevel::kError, "cli", "no such function: %s",
-                 argv[1]);
+                 args[1].c_str());
       return 1;
     }
     std::printf("\n%s @ %s, %zu blocks:\n\n", fn->name.c_str(),
                 HexStr(fn->addr).c_str(), fn->blocks.size());
     auto ir = Lifter(*binary).LiftFunction(*fn);
     if (!ir.ok()) {
-      DTAINT_LOG(obs::LogLevel::kError, "cli", "lift %s: %s", argv[1],
-                 ir.status().ToString().c_str());
+      DTAINT_LOG(obs::LogLevel::kError, "cli", "lift %s: %s",
+                 args[1].c_str(), ir.status().ToString().c_str());
       return 1;
     }
     for (const auto& [addr, block] : ir->blocks) {
       std::printf("%s", PrintBlockWithDisasm(*binary, block).c_str());
     }
-    if (HasFlag(argc, argv, "--summary")) {
+    if (opts.summary) {
       SymEngine engine(*binary);
       std::printf("\n%s", SummaryToString(engine.Analyze(*fn)).c_str());
     }
@@ -278,50 +310,22 @@ int CmdInspect(int argc, char** argv) {
   return 0;
 }
 
-int CmdScan(int argc, char** argv) {
-  if (argc < 1) {
+int CmdScan(const std::vector<std::string>& args, const CliOptions& opts) {
+  if (args.empty()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "scan: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(argv[0]);
+  auto binary = LoadFirstBinary(args[0]);
   if (!binary.ok()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "scan failed: %s",
                binary.status().ToString().c_str());
     return 1;
   }
-  DTaintConfig config;
-  config.enable_alias = !HasFlag(argc, argv, "--no-alias");
-  config.enable_structsim = !HasFlag(argc, argv, "--no-structsim");
-  // Escape hatch: run exploration on the legacy deep-copying symbolic
-  // state (reports are byte-identical either way — the differential
-  // oracle pins it; this exists for A/B timing and bisection).
-  if (HasFlag(argc, argv, "--legacy-state")) SetStateCow(false);
-  if (const char* mode = FlagValue(argc, argv, "--alias-mode")) {
-    if (!ParseAliasMode(mode, &config.interproc.alias_mode)) {
-      DTAINT_LOG(obs::LogLevel::kError, "cli",
-                 "bad --alias-mode: %s (want eager|ondemand)", mode);
-      return 2;
-    }
-  }
-  if (const char* threads = FlagValue(argc, argv, "--threads")) {
-    config.interproc.num_threads = atoi(threads);
-  }
-  if (const char* v = FlagValue(argc, argv, "--deadline-ms")) {
-    config.interproc.budget.deadline_ms = atof(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--max-steps")) {
-    config.interproc.budget.max_steps = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--max-states")) {
-    config.interproc.budget.max_states = std::strtoull(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--max-expr-nodes")) {
-    config.interproc.budget.max_expr_nodes = std::strtoull(v, nullptr, 10);
-  }
+  DTaintConfig config = opts.scan.config;
   std::optional<SummaryCache> cache;
-  if (const char* dir = FlagValue(argc, argv, "--cache-dir")) {
+  if (!opts.scan.cache_dir.empty()) {
     CacheConfig cache_config;
-    cache_config.disk_dir = dir;
+    cache_config.disk_dir = opts.scan.cache_dir;
     cache.emplace(cache_config);
     config.interproc.cache = &*cache;
   }
@@ -332,7 +336,7 @@ int CmdScan(int argc, char** argv) {
                report.status().ToString().c_str());
     return 1;
   }
-  if (HasFlag(argc, argv, "--json")) {
+  if (opts.json) {
     std::printf("%s\n", ReportToJson(*report).c_str());
   } else {
     std::printf("%s: %zu functions, %zu sinks, %.2fs; %zu vulnerable "
@@ -362,7 +366,7 @@ int CmdScan(int argc, char** argv) {
                cs.hits, cs.misses, cs.disk_hits, cs.corrupt_entries,
                cs.stores);
   }
-  if (HasFlag(argc, argv, "--fail-fast") && !report->complete) {
+  if (opts.fail_fast && !report->complete) {
     DTAINT_LOG(obs::LogLevel::kError, "cli",
                "analysis incomplete (%zu incident(s), %zu degraded "
                "function(s), %zu suppressed finding(s)) and --fail-fast set",
@@ -371,17 +375,6 @@ int CmdScan(int argc, char** argv) {
     return 4;
   }
   return report->findings.empty() ? 0 : 3;  // CI-friendly exit code
-}
-
-int Dispatch(int argc, char** argv) {
-  std::string cmd = argv[1];
-  if (cmd == "synth") return CmdSynth(argc - 2, argv + 2);
-  if (cmd == "extract") return CmdExtract(argc - 2, argv + 2);
-  if (cmd == "inspect") return CmdInspect(argc - 2, argv + 2);
-  if (cmd == "scan") return CmdScan(argc - 2, argv + 2);
-  DTAINT_LOG(obs::LogLevel::kError, "cli", "unknown command: %s",
-             cmd.c_str());
-  return 2;
 }
 
 }  // namespace
@@ -395,51 +388,38 @@ int main(int argc, char** argv) {
                  "       [--threads N] [--cache-dir DIR] [--deadline-ms MS]\n"
                  "       [--max-steps N] [--max-states N]\n"
                  "       [--max-expr-nodes N] [--fail-fast]\n"
-                 "       [--legacy-state]\n"
                  "  all commands:\n"
                  "       [--log-level error|warn|info|debug]\n"
                  "       [--trace-out FILE] [--metrics-out FILE]\n"
                  "       [--events-out FILE]\n");
     return 2;
   }
-  if (const char* level_name = FlagValue(argc, argv, "--log-level")) {
-    obs::LogLevel level;
-    if (!obs::ParseLogLevel(level_name, &level)) {
-      std::fprintf(stderr, "bad --log-level: %s\n", level_name);
-      return 2;
-    }
-    obs::SetLogLevel(level);
-  }
-  const char* trace_out = FlagValue(argc, argv, "--trace-out");
-  const char* metrics_out = FlagValue(argc, argv, "--metrics-out");
-  const char* events_out = FlagValue(argc, argv, "--events-out");
-  if (trace_out && !obs::Tracer::Global().StreamTo(trace_out)) {
-    std::fprintf(stderr, "cannot open trace file %s\n", trace_out);
+  const std::string cmd = argv[1];
+  FlagSet flags;
+  ObsFlags obs_flags;
+  CliOptions opts;
+  AddObsFlags(flags, &obs_flags);
+  if (!AddCommandFlags(cmd, flags, &opts)) {
+    std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
     return 2;
   }
-  if (events_out &&
-      !obs::EventStream::Global().Open(events_out, "dtaint_cli")) {
-    std::fprintf(stderr, "cannot open event stream %s\n", events_out);
+  std::vector<std::string> args;
+  std::string error;
+  if (!flags.Parse(argc - 2, argv + 2, &args, &error)) {
+    std::fprintf(stderr, "dtaint_cli %s: %s\n", cmd.c_str(), error.c_str());
+    return 2;
+  }
+  if (!obs_flags.Open("dtaint_cli", &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 
-  int rc = Dispatch(argc, argv);
+  int rc = cmd == "synth"     ? CmdSynth(args, opts)
+           : cmd == "extract" ? CmdExtract(args)
+           : cmd == "inspect" ? CmdInspect(args, opts)
+                              : CmdScan(args, opts);
 
-  if (trace_out && !obs::Tracer::Global().FinishStream()) {
-    DTAINT_LOG(obs::LogLevel::kError, "cli", "cannot finish trace at %s",
-               trace_out);
-    if (rc == 0) rc = 1;
-  }
-  if (metrics_out) {
-    std::string json = obs::MetricsRegistry::Global().ToJson();
-    std::ofstream out(metrics_out, std::ios::trunc);
-    out << json << '\n';
-    if (!out.good()) {
-      DTAINT_LOG(obs::LogLevel::kError, "cli", "cannot write metrics to %s",
-                 metrics_out);
-      if (rc == 0) rc = 1;
-    }
-  }
+  if (!obs_flags.Finish() && rc == 0) rc = 1;
   obs::EventStream::Global().Close(rc == 0 || rc == 3 ? "ok" : "failed");
   return rc;
 }

@@ -106,13 +106,6 @@ struct Work {
   SymState state;
 };
 
-/// Pointer-first canonical comparison (both operands may be null).
-bool SameValue(const SymRef& a, const SymRef& b) {
-  if (a.get() == b.get()) return true;
-  if (!a || !b) return false;
-  return SymExpr::Equal(a, b);
-}
-
 // ---- block-transfer memoization --------------------------------------------
 //
 // A block's effect on a path state is a deterministic function of (a)
@@ -123,16 +116,18 @@ bool SameValue(const SymRef& a, const SymRef& b) {
 // and every externally visible effect (state writes, def pairs,
 // undefined uses, call events, type observations, the successor
 // decision) as a replayable delta. A later visit whose state matches
-// every probe (canonical pointer compare, falling back to structural
-// Equal — exact, not a hash gamble) must produce the same effects, by
-// induction over the probe order: probe k is a deterministic function
-// of the block and probes 0..k-1. Replay substitutes the current
-// path's id and constraint trail, which are the only path-dependent
-// parts of the recorded effects (constraints never change mid-block —
-// they are pushed at block exits). Blocks that widened (the fresh
-// symbol draws from a global counter) are never memoized, and the
-// whole machinery is off under a limited budget so degradation points
-// stay bit-exact with per-statement charging.
+// every probe (canonical pointer compare — exact, not a hash gamble)
+// must produce the same effects, by induction over the probe order:
+// probe k is a deterministic function of the block and probes 0..k-1.
+// Replay substitutes the current path's id and constraint trail, which
+// are the only path-dependent parts of the recorded effects
+// (constraints never change mid-block — they are pushed at block
+// exits). Blocks that widened (the fresh symbol draws from a global
+// counter) are never memoized, and the whole machinery is off under a
+// limited budget so degradation points stay bit-exact with
+// per-statement charging. Memoization is invisible to analysis
+// results (tests/golden_report_test pins this), so it is not part of
+// the engine cache fingerprint.
 
 /// The successor decision a block execution arrived at; shared by the
 /// executed and replayed paths (Dispatch interprets it).
@@ -226,10 +221,10 @@ class MemoRecorder : public StateTape {
   void OnMemRead(const SymRef& addr, const SymRef& value) override {
     if (!active) return;
     for (const SymRef& w : written_addrs_) {
-      if (SameValue(w, addr)) return;
+      if (SymExpr::Equal(w, addr)) return;
     }
     for (const MemoProbe& p : memo.probes) {
-      if (p.reg < 0 && SameValue(p.addr, addr)) return;
+      if (p.reg < 0 && SymExpr::Equal(p.addr, addr)) return;
     }
     memo.probes.push_back({-1, addr, value});
     if (memo.probes.size() > kMaxMemoProbes) active = false;
@@ -266,13 +261,11 @@ class Exploration {
     for (const auto& [addr, block] : fn_.blocks) {
       block_index_.emplace(addr, static_cast<int>(block_index_.size()));
     }
-    bool cow = StateCowEnabled();
     // Memoization replays whole blocks; under a limited budget the
     // per-statement charge points ARE the observable behavior
     // (degradation must trip at the same statement), so it stays off.
-    memo_enabled_ =
-        config_.block_memo && cow && !(budget_ && budget_->limits().limited());
-    if (cow) arena_ = std::make_shared<StateArena>();
+    memo_enabled_ = !(budget_ && budget_->limits().limited());
+    arena_ = std::make_shared<StateArena>();
     SymState init = SymState::Entry(binary_.arch, arena_);
     init.path_id = next_path_id_++;
     work_.push_back({fn_.addr, std::move(init)});
@@ -287,12 +280,10 @@ class Exploration {
       work_.pop_back();
       ExecuteBlock(work.block_addr, std::move(work.state));
     }
-    if (arena_) {
-      summary_.engine_stats.cow_chunk_copies = arena_->stats.cow_chunk_copies;
-      summary_.engine_stats.overlay_spills = arena_->stats.overlay_spills;
-      summary_.engine_stats.trie_nodes = arena_->stats.trie_nodes;
-      summary_.engine_stats.arena_bytes = arena_->arena.bytes_reserved();
-    }
+    summary_.engine_stats.cow_chunk_copies = arena_->stats.cow_chunk_copies;
+    summary_.engine_stats.overlay_spills = arena_->stats.overlay_spills;
+    summary_.engine_stats.trie_nodes = arena_->stats.trie_nodes;
+    summary_.engine_stats.arena_bytes = arena_->arena.bytes_reserved();
   }
 
  private:
@@ -470,10 +461,10 @@ class Exploration {
   bool ProbesMatch(const BlockMemo& memo, const SymState& state) const {
     for (const MemoProbe& p : memo.probes) {
       if (p.reg >= 0) {
-        if (!SameValue(state.Reg(p.reg), p.value)) return false;
+        if (!SymExpr::Equal(state.Reg(p.reg), p.value)) return false;
       } else {
         SymRef current = state.PeekMem(p.addr);
-        if (!SameValue(current, p.value)) return false;
+        if (!SymExpr::Equal(current, p.value)) return false;
       }
     }
     return true;
@@ -525,12 +516,12 @@ class Exploration {
       return;
     }
     int block_idx = BlockIndexOf(block_addr);
-    if (state.VisitedBlock(block_addr, block_idx)) {
+    if (state.VisitedBlock(block_idx)) {
       // Loop heuristic: a block is analyzed once per path.
       FinishPath(state);
       return;
     }
-    state.MarkVisited(block_addr, block_idx);
+    state.MarkVisited(block_idx);
     ++block_visits_;
     ++summary_.blocks_visited;
 

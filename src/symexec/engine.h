@@ -34,15 +34,6 @@ struct EngineConfig {
   int max_block_visits = 4096; // total block executions per function
   int max_expr_depth = 96;     // widen expressions beyond this
   bool record_types = true;
-  /// Block-level transfer memoization: when a block's input footprint
-  /// (the registers/memory it actually reads) matches a prior visit
-  /// exactly, replay the recorded output delta instead of re-executing
-  /// its statements. Invisible to analysis results (the differential
-  /// oracle pins this), so deliberately NOT part of the engine cache
-  /// fingerprint. Auto-disabled under a limited AnalysisBudget and in
-  /// legacy-state mode, where exact step accounting / the original
-  /// execution order are the point.
-  bool block_memo = true;
 };
 
 class SymEngine {

@@ -19,16 +19,15 @@
 //    arg/deref spines for every function), so residency is bounded by
 //    the number of *unique* shapes ever built — observable via the
 //    `intern.nodes` / `intern.bytes` metrics.
-//  * The legacy heap-allocating path stays selectable
-//    (SetExprInterning(false)) so the differential oracle can prove
-//    the interner is invisible to analysis results.
+//  * It is the only way to build a SymExpr: the node constructor is
+//    private to it and there is a single (process-wide) instance, so
+//    every node in existence is canonical.
 //
 // Thread-safety: Intern() may be called from any number of threads.
 // Parents are only published after their children, and every lookup
 // synchronizes on the owning shard's mutex, so a node obtained from
 // the table (directly or through a parent's child pointer) is always
-// fully constructed. SetExprInterning() must not race factory calls —
-// it is a test/CLI-setup knob, not a hot-path switch.
+// fully constructed.
 #pragma once
 
 #include <atomic>
@@ -54,7 +53,6 @@ class ExprInterner {
  public:
   static constexpr size_t kShards = 64;
 
-  ExprInterner();
   ExprInterner(const ExprInterner&) = delete;
   ExprInterner& operator=(const ExprInterner&) = delete;
 
@@ -62,14 +60,10 @@ class ExprInterner {
   static ExprInterner& Global();
 
   /// Returns the canonical node for the given shape, creating it on
-  /// first sight. Children are canonicalized first (hash-consing is
-  /// bottom-up: canonical children make the shape key a pointer tuple).
+  /// first sight. Children are canonical already (hash-consing is
+  /// bottom-up), so the shape key compares them by pointer.
   SymRef Intern(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                 SymRef lhs, SymRef rhs, std::string text);
-
-  /// Rebuilds `expr` out of canonical nodes. Pointer-identical no-op
-  /// when the tree is already canonical.
-  SymRef Canonical(const SymRef& expr);
 
   /// Point-in-time counters, summed across shards.
   InternStats stats() const;
@@ -83,6 +77,8 @@ class ExprInterner {
 
  private:
   struct Shard;
+
+  ExprInterner();
 
   // Direct-mapped lock-free cache for the leaf shapes the engine builds
   // millions of times (small constants, formal args, SP0, initial
@@ -105,27 +101,6 @@ class ExprInterner {
 
   std::mutex publish_mu_;
   InternStats published_;  // totals already pushed to the registry
-};
-
-/// Whether the SymExpr factories hash-cons (default true). The
-/// uninterned path exists for the differential oracle and A/B
-/// benchmarks; both paths produce analysis-identical results.
-bool ExprInterningEnabled();
-void SetExprInterning(bool enabled);
-
-/// RAII toggle for tests/benchmarks.
-class ScopedExprInterning {
- public:
-  explicit ScopedExprInterning(bool enabled)
-      : prev_(ExprInterningEnabled()) {
-    SetExprInterning(enabled);
-  }
-  ~ScopedExprInterning() { SetExprInterning(prev_); }
-  ScopedExprInterning(const ScopedExprInterning&) = delete;
-  ScopedExprInterning& operator=(const ScopedExprInterning&) = delete;
-
- private:
-  bool prev_;
 };
 
 }  // namespace dtaint

@@ -70,13 +70,8 @@ SymExpr::SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op,
 
 SymRef SymExpr::Make(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                      SymRef lhs, SymRef rhs, std::string text) {
-  if (ExprInterningEnabled()) {
-    return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
-                                         std::move(rhs), std::move(text));
-  }
-  uint64_t h = ShapeHash(kind, a, size, op, lhs.get(), rhs.get(), text);
-  return SymRef(new SymExpr(kind, a, size, op, std::move(lhs),
-                            std::move(rhs), std::move(text), h));
+  return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
+                                       std::move(rhs), std::move(text));
 }
 
 SymRef SymExpr::Const(uint32_t value) {
@@ -138,23 +133,17 @@ SymRef SymExpr::Bin(BinOp op, SymRef lhs, SymRef rhs) {
   return Make(SymKind::kBin, 0, 4, op, std::move(lhs), std::move(rhs));
 }
 
-bool SymExpr::Equal(const SymRef& a, const SymRef& b) {
-  if (a.get() == b.get()) return true;
-  if (!a || !b) return false;
-  if (a->interned_ && b->interned_) {
-    // Hash-consed nodes are canonical: distinct pointers are distinct
-    // structures. The deep walk survives as a differential check.
-    assert(!DeepEqual(*a, *b));
-    return false;
-  }
-  return DeepEqual(*a, *b);
-}
-
 bool SymExpr::DeepEqual(const SymExpr& a, const SymExpr& b) {
   if (&a == &b) return true;
   if (a.hash_ != b.hash_) return false;
-  if (!SameShallowFields(a, b)) return false;
-  return Equal(a.lhs_, b.lhs_) && Equal(a.rhs_, b.rhs_);
+  if (a.kind_ != b.kind_ || a.a_ != b.a_ || a.size_ != b.size_ ||
+      a.op_ != b.op_ || a.text_ != b.text_) {
+    return false;
+  }
+  auto deep = [](const SymRef& x, const SymRef& y) {
+    return x.get() == y.get() || (x && y && DeepEqual(*x, *y));
+  };
+  return deep(a.lhs_, b.lhs_) && deep(a.rhs_, b.rhs_);
 }
 
 SymExpr::BaseOffset SymExpr::SplitBaseOffset(const SymRef& expr) {
@@ -175,14 +164,7 @@ bool SymExpr::Contains(const SymRef& needle) const {
 }
 
 bool SymExpr::ContainsImpl(const SymExpr& needle) const {
-  if (this == &needle) return true;
-  // Interned nodes match by identity alone (checked above); a mixed or
-  // legacy pair falls back to the shared structural compare.
-  if (!(interned_ && needle.interned_) && hash_ == needle.hash_ &&
-      SameShallowFields(*this, needle) && Equal(lhs_, needle.lhs_) &&
-      Equal(rhs_, needle.rhs_)) {
-    return true;
-  }
+  if (this == &needle) return true;  // canonical nodes match by identity
   if (lhs_ && lhs_->MayContain(needle) && lhs_->ContainsImpl(needle)) {
     return true;
   }

@@ -12,10 +12,7 @@
 // NewArray, which register their destructors on an intrusive list
 // (the list nodes live in the arena too). Reset runs them newest-first
 // — reverse construction order — so objects may reference earlier
-// allocations from their destructors. SymRef fields are the motivating
-// case: with interning on they are non-owning and destruction is free,
-// but the legacy heap-allocating mode still holds real refcounts that
-// must drop.
+// allocations from their destructors.
 //
 // Single-threaded by design: one arena per function analysis, owned by
 // the worker that runs it. Not internally synchronized.

@@ -1,11 +1,10 @@
 // Unit tests for the hash-consing SymExpr interner (src/symexec/intern).
 //
-// The contract under test: with interning on (the default), the SymExpr
-// factories return the *same node* for the same structure, so Equal is
-// a pointer compare; with it off they allocate fresh nodes whose deep
-// comparison must agree with the pointer fast path; Canonical() bridges
-// the two worlds; and the whole thing is safe to hammer from many
-// threads (the TSan CI job runs this binary under -fsanitize=thread).
+// The contract under test: the SymExpr factories return the *same
+// node* for the same structure, so Equal is a pointer compare; rewrites
+// land on the canonical node of their result; and the whole thing is
+// safe to hammer from many threads (the TSan CI job runs this binary
+// under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -18,9 +17,9 @@
 namespace dtaint {
 namespace {
 
-/// deref(...deref(arg0+1)+2...) spine mixing every node family.
-SymRef DeepExpr(int depth, int arg = 0) {
-  SymRef e = SymExpr::Arg(arg);
+/// deref(...deref(root+1)+2...) spine mixing every node family.
+SymRef DeepSpine(SymRef root, int depth) {
+  SymRef e = std::move(root);
   for (int i = 1; i <= depth; ++i) {
     e = SymExpr::Deref(SymAdd(e, i));
     e = SymExpr::Bin(BinOp::kXor, e, SymExpr::InitReg(i % 8));
@@ -28,12 +27,14 @@ SymRef DeepExpr(int depth, int arg = 0) {
   return e;
 }
 
+SymRef DeepExpr(int depth, int arg = 0) {
+  return DeepSpine(SymExpr::Arg(arg), depth);
+}
+
 TEST(Intern, FactoriesReturnTheCanonicalNode) {
-  ScopedExprInterning on(true);
   SymRef a = DeepExpr(16);
   SymRef b = DeepExpr(16);
   EXPECT_EQ(a.get(), b.get());  // same node, not merely equal
-  EXPECT_TRUE(a->interned());
   EXPECT_TRUE(SymExpr::Equal(a, b));
 
   // Every leaf family dedups too.
@@ -46,7 +47,6 @@ TEST(Intern, FactoriesReturnTheCanonicalNode) {
 }
 
 TEST(Intern, DistinctShapesAreDistinctNodes) {
-  ScopedExprInterning on(true);
   EXPECT_NE(SymExpr::Arg(0).get(), SymExpr::Arg(1).get());
   EXPECT_NE(SymExpr::Taint(0x10, "recv").get(),
             SymExpr::Taint(0x10, "read").get());  // text participates
@@ -56,79 +56,44 @@ TEST(Intern, DistinctShapesAreDistinctNodes) {
 }
 
 TEST(Intern, NormalizationLandsOnTheSameNode) {
-  ScopedExprInterning on(true);
   // ((arg0+4)+4) normalizes to arg0+8 — interning makes that literal.
   SymRef chained = SymAdd(SymAdd(SymExpr::Arg(0), 4), 4);
   SymRef direct = SymAdd(SymExpr::Arg(0), 8);
   EXPECT_EQ(chained.get(), direct.get());
 }
 
-TEST(Intern, LegacyPathStillDeepCompares) {
-  ScopedExprInterning off(false);
-  SymRef a = DeepExpr(16);
-  SymRef b = DeepExpr(16);
-  EXPECT_NE(a.get(), b.get());  // fresh heap nodes
-  EXPECT_FALSE(a->interned());
-  EXPECT_TRUE(SymExpr::Equal(a, b));
-  EXPECT_FALSE(SymExpr::Equal(a, DeepExpr(16, 1)));
-}
-
-TEST(Intern, MixedInternedAndLegacyCompareStructurally) {
-  SymRef legacy;
-  {
-    ScopedExprInterning off(false);
-    legacy = DeepExpr(12);
-  }
-  ScopedExprInterning on(true);
-  SymRef interned = DeepExpr(12);
-  EXPECT_NE(legacy.get(), interned.get());
-  EXPECT_TRUE(SymExpr::Equal(legacy, interned));
-  EXPECT_TRUE(SymExpr::Equal(interned, legacy));
-  EXPECT_TRUE(interned->Contains(legacy->lhs()->lhs()));
-}
-
-TEST(Intern, CanonicalBridgesLegacyTrees) {
-  SymRef legacy;
-  {
-    ScopedExprInterning off(false);
-    legacy = DeepExpr(12);
-  }
-  SymRef canon = ExprInterner::Global().Canonical(legacy);
-  EXPECT_TRUE(canon->interned());
-  EXPECT_TRUE(SymExpr::Equal(canon, legacy));
-  {
-    ScopedExprInterning on(true);
-    EXPECT_EQ(canon.get(), DeepExpr(12).get());
-  }
-  // Idempotent and pointer-identical on an already-canonical tree.
-  EXPECT_EQ(ExprInterner::Global().Canonical(canon).get(), canon.get());
-}
-
-TEST(Intern, ReplaceAndTaintQueriesMatchLegacySemantics) {
+TEST(Intern, ReplaceAndTaintQueriesHaveFixedResults) {
   SymRef from = SymExpr::Arg(0);
   SymRef to = SymExpr::Sp0();
-  for (bool enabled : {true, false}) {
-    ScopedExprInterning toggle(enabled);
-    SymRef hay = DeepExpr(12);
-    SymRef replaced = SymExpr::Replace(hay, from, to);
-    EXPECT_FALSE(replaced->Contains(from));
-    EXPECT_TRUE(replaced->Contains(to));
-    // Absent needle: unchanged, same pointer.
-    EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to).get(), hay.get());
+  SymRef hay = DeepExpr(2);
+  EXPECT_EQ(hay->ToString(),
+            "(deref((deref(arg0+0x1) Xor init_r1)+0x2) Xor init_r2)");
+  SymRef replaced = SymExpr::Replace(hay, from, to);
+  EXPECT_EQ(replaced->ToString(),
+            "(deref((deref(SP+0x1) Xor init_r1)+0x2) Xor init_r2)");
+  // The rewrite lands on the canonical node of the rewritten spine.
+  EXPECT_EQ(replaced.get(), DeepSpine(to, 2).get());
+  EXPECT_EQ(SymExpr::Replace(DeepExpr(12), from, to).get(),
+            DeepSpine(to, 12).get());
+  EXPECT_FALSE(replaced->Contains(from));
+  EXPECT_TRUE(replaced->Contains(to));
+  // Absent needle: unchanged, same pointer.
+  EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to).get(), hay.get());
 
-    SymRef tainted = SymExpr::Bin(BinOp::kXor, hay,
-                                  SymExpr::Taint(0x20, "recv"));
-    EXPECT_FALSE(hay->IsTainted());
-    EXPECT_TRUE(tainted->IsTainted());
-    auto found = tainted->FindTaint();
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->first, 0x20u);
-    EXPECT_EQ(found->second, "recv");
-  }
+  SymRef tainted =
+      SymExpr::Bin(BinOp::kXor, hay, SymExpr::Taint(0x20, "recv"));
+  EXPECT_EQ(tainted->ToString(),
+            "((deref((deref(arg0+0x1) Xor init_r1)+0x2) Xor init_r2) Xor "
+            "taint(recv@0x20))");
+  EXPECT_FALSE(hay->IsTainted());
+  EXPECT_TRUE(tainted->IsTainted());
+  auto found = tainted->FindTaint();
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->first, 0x20u);
+  EXPECT_EQ(found->second, "recv");
 }
 
 TEST(Intern, StatsCountHitsNodesAndBytes) {
-  ScopedExprInterning on(true);
   ExprInterner& interner = ExprInterner::Global();
   InternStats before = interner.stats();
   // A never-seen-before shape (unique heap ids) ...
@@ -151,7 +116,6 @@ TEST(Intern, StatsCountHitsNodesAndBytes) {
 }
 
 TEST(Intern, PublishMetricsPushesDeltasIntoTheRegistry) {
-  ScopedExprInterning on(true);
   ExprInterner& interner = ExprInterner::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
 
@@ -176,7 +140,6 @@ TEST(Intern, PublishMetricsPushesDeltasIntoTheRegistry) {
 }
 
 TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
-  ScopedExprInterning on(true);
   constexpr int kThreads = 8;
   constexpr int kShapes = 64;
   // Each thread builds every shape; all threads must get the same
@@ -193,7 +156,6 @@ TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
             BinOp::kXor, DeepExpr(8, s % 4),
             SymAdd(SymExpr::Taint(0x9000 + s, "recv"), s));
         seen[t][s] = e.get();
-        EXPECT_TRUE(e->interned());
         EXPECT_TRUE(e->IsTainted());
       }
     });
