@@ -144,8 +144,9 @@ TEST(CliFlags, SwitchCanClearAFlag) {
 TEST(CliFlags, CorpusScanExitsTwoOnUnknownFlag) {
   const char* bin = std::getenv("DTAINT_CORPUS_SCAN_BIN");
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
-  std::string cmd =
-      "\"" + std::string(bin) + "\" --theads 4 > /dev/null 2>&1";
+  std::string cmd = "\"";
+  cmd += bin;
+  cmd += "\" --theads 4 > /dev/null 2>&1";
   int status = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
