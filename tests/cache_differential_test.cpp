@@ -21,72 +21,19 @@
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/dtaint.h"
-#include "src/report/json.h"
-#include "src/synth/firmware_synth.h"
+#include "tests/testing/plant_corpus.h"
 
 namespace dtaint {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// 20 synthesized firmware binaries (10 seeds x 2 architectures)
-/// rotating through all five plant patterns, half with a sanitized
-/// twin so reports contain both findings and their absence.
+/// 20 synthesized firmware binaries (10 seeds x 2 architectures).
 std::vector<Binary> BuildCorpus() {
-  std::vector<Binary> corpus;
-  for (int seed = 0; seed < 10; ++seed) {
-    for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
-      ProgramSpec spec;
-      spec.name = "fw" + std::to_string(seed);
-      spec.arch = arch;
-      spec.seed = 100 + static_cast<uint64_t>(seed);
-      spec.filler_functions = 15 + seed;
-      PlantSpec p;
-      p.id = "v" + std::to_string(seed);
-      p.pattern = static_cast<VulnPattern>(seed % 5);
-      p.source = (p.pattern == VulnPattern::kDispatch ||
-                  p.pattern == VulnPattern::kLoopCopy ||
-                  p.pattern == VulnPattern::kAliasChain)
-                     ? "recv"
-                     : "getenv";
-      p.sink = p.pattern == VulnPattern::kLoopCopy
-                   ? "loop"
-                   : (p.pattern == VulnPattern::kDispatch ? "memcpy"
-                                                          : "system");
-      spec.plants.push_back(p);
-      if (seed % 2) {
-        PlantSpec safe = p;
-        safe.id = "s" + std::to_string(seed);
-        safe.sanitized = true;
-        spec.plants.push_back(safe);
-      }
-      auto out = SynthesizeBinary(spec);
-      EXPECT_TRUE(out.ok()) << out.status().ToString();
-      if (out.ok()) corpus.push_back(std::move(out->binary));
-    }
-  }
-  return corpus;
+  return testing_util::PlantCorpus("fw", 100, 10, 15);
 }
 
-/// Serializes a report with the run-dependent fields (timings, cache
-/// counters, per-run metrics, the timing-ordered hot-function profile)
-/// zeroed; everything else must survive byte comparison. Note
-/// PathFinderStats is NOT cleared: path-search effort is deterministic
-/// and must itself be identical cold vs warm.
-std::string NormalizedJson(AnalysisReport report) {
-  report.ssa_seconds = 0.0;
-  report.ddg_seconds = 0.0;
-  report.total_seconds = 0.0;
-  report.interproc_stats.summary_seconds = 0.0;
-  report.interproc_stats.cache_hits = 0;
-  report.interproc_stats.cache_misses = 0;
-  report.interproc_stats.cache_evictions = 0;
-  report.interproc_stats.cache_memory_bytes = 0;
-  report.interproc_stats.hot_functions.clear();
-  report.hot_functions.clear();
-  report.metrics = obs::MetricsSnapshot{};
-  return ReportToJson(report);
-}
+using testing_util::NormalizedJson;
 
 std::string AnalyzeNormalized(const Binary& binary,
                               SummaryCache* cache = nullptr,

@@ -25,9 +25,8 @@
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/dtaint.h"
-#include "src/report/json.h"
-#include "src/synth/firmware_synth.h"
 #include "src/util/hash.h"
+#include "tests/testing/plant_corpus.h"
 
 namespace dtaint {
 namespace {
@@ -74,79 +73,19 @@ const GoldenEntry kGolden[] = {
 };
 // clang-format on
 
-struct CorpusBinary {
-  std::string name;
-  Binary binary;
-};
-
-/// Synthesized binaries (seeds x 2 architectures) rotating through the
-/// five standard plant patterns, with a sanitized twin on odd seeds so
-/// reports contain both findings and their absence.
-void AddCorpus(const std::string& prefix, uint64_t seed_base, int seeds,
-               int filler_base, std::vector<CorpusBinary>* corpus) {
-  for (int seed = 0; seed < seeds; ++seed) {
-    for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
-      ProgramSpec spec;
-      spec.name = prefix + std::to_string(seed);
-      spec.arch = arch;
-      spec.seed = seed_base + static_cast<uint64_t>(seed);
-      spec.filler_functions = filler_base + seed;
-      PlantSpec p;
-      p.id = "v" + std::to_string(seed);
-      p.pattern = static_cast<VulnPattern>(seed % 5);
-      p.source = (p.pattern == VulnPattern::kDispatch ||
-                  p.pattern == VulnPattern::kLoopCopy ||
-                  p.pattern == VulnPattern::kAliasChain)
-                     ? "recv"
-                     : "getenv";
-      p.sink = p.pattern == VulnPattern::kLoopCopy
-                   ? "loop"
-                   : (p.pattern == VulnPattern::kDispatch ? "memcpy"
-                                                          : "system");
-      spec.plants.push_back(p);
-      if (seed % 2) {
-        PlantSpec safe = p;
-        safe.id = "s" + std::to_string(seed);
-        safe.sanitized = true;
-        spec.plants.push_back(safe);
-      }
-      auto out = SynthesizeBinary(spec);
-      EXPECT_TRUE(out.ok()) << out.status().ToString();
-      if (!out.ok()) continue;
-      corpus->push_back({spec.name + "/" + std::string(ArchName(arch)),
-                         std::move(out->binary)});
-    }
-  }
-}
+using testing_util::NamedBinary;
+using testing_util::NormalizedJson;
 
 /// The two corpora the interned-vs-legacy expression and CoW-vs-legacy
 /// state differential suites ran on: 30 binaries.
-const std::vector<CorpusBinary>& Corpus() {
-  static const std::vector<CorpusBinary> corpus = [] {
-    std::vector<CorpusBinary> out;
-    AddCorpus("ifw", 300, 5, 15, &out);
-    AddCorpus("sfw", 900, 10, 12, &out);
+const std::vector<NamedBinary>& Corpus() {
+  static const std::vector<NamedBinary> corpus = [] {
+    std::vector<NamedBinary> out;
+    testing_util::AddPlantCorpus("ifw", 300, 5, 15, &out);
+    testing_util::AddPlantCorpus("sfw", 900, 10, 12, &out);
     return out;
   }();
   return corpus;
-}
-
-/// Serializes a report with the run-dependent fields (timings, cache
-/// counters, per-run metrics, the timing-ordered hot-function profile)
-/// zeroed; everything else must survive byte comparison.
-std::string NormalizedJson(AnalysisReport report) {
-  report.ssa_seconds = 0.0;
-  report.ddg_seconds = 0.0;
-  report.total_seconds = 0.0;
-  report.interproc_stats.summary_seconds = 0.0;
-  report.interproc_stats.cache_hits = 0;
-  report.interproc_stats.cache_misses = 0;
-  report.interproc_stats.cache_evictions = 0;
-  report.interproc_stats.cache_memory_bytes = 0;
-  report.interproc_stats.hot_functions.clear();
-  report.hot_functions.clear();
-  report.metrics = obs::MetricsSnapshot{};
-  return ReportToJson(report);
 }
 
 uint64_t ReportDigest(const Binary& binary, int num_threads,
@@ -198,16 +137,16 @@ const GoldenEntry* FindGolden(const std::string& name) {
 // ---------- the oracle -------------------------------------------------------
 
 TEST(GoldenReport, CorpusMatchesTheTable) {
-  const std::vector<CorpusBinary>& corpus = Corpus();
+  const std::vector<NamedBinary>& corpus = Corpus();
   ASSERT_EQ(corpus.size(), 30u);
   EXPECT_EQ(std::size(kGolden), corpus.size());
-  for (const CorpusBinary& item : corpus) {
+  for (const NamedBinary& item : corpus) {
     EXPECT_NE(FindGolden(item.name), nullptr) << item.name;
   }
 }
 
 TEST(GoldenReport, ReportsMatchGoldenDigests) {
-  for (const CorpusBinary& item : Corpus()) {
+  for (const NamedBinary& item : Corpus()) {
     uint64_t report = ReportDigest(item.binary, 1, nullptr, AliasMode::kEager);
     uint64_t ondemand =
         ReportDigest(item.binary, 1, nullptr, AliasMode::kOnDemandSSE);
@@ -223,7 +162,7 @@ TEST(GoldenReport, ReportsMatchGoldenDigests) {
 }
 
 TEST(GoldenReport, EveryThreadCountMatches) {
-  for (const CorpusBinary& item : Corpus()) {
+  for (const NamedBinary& item : Corpus()) {
     const GoldenEntry* golden = FindGolden(item.name);
     ASSERT_NE(golden, nullptr) << item.name;
     for (int threads : {2, 8}) {
@@ -243,7 +182,7 @@ TEST(GoldenReport, EveryThreadCountMatches) {
 TEST(GoldenReport, ColdAndWarmCacheMatch) {
   // A cache filled by a cold run must replay to the same bytes; the
   // cache keys by alias mode, so one cache serves both modes.
-  for (const CorpusBinary& item : Corpus()) {
+  for (const NamedBinary& item : Corpus()) {
     const GoldenEntry* golden = FindGolden(item.name);
     ASSERT_NE(golden, nullptr) << item.name;
     SummaryCache cache;  // in-memory
