@@ -11,11 +11,23 @@ namespace dtaint {
 
 namespace {
 
+/// The whole file, in one read sized by the file's length.
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+  std::error_code ec;
+  uintmax_t size = std::filesystem::file_size(path, ec);
+  std::vector<uint8_t> bytes(ec ? 0 : static_cast<size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<size_t>(in.gcount()));
+  // The path may name a different file by now (an atomic rename after
+  // the open): whatever the open file holds beyond the size read.
+  if (in) {
+    bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  return bytes;
 }
 
 bool WriteFileAtomic(const std::string& path,

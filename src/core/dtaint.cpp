@@ -27,6 +27,9 @@ Result<AnalysisReport> DTaint::Analyze(const Binary& binary) const {
 
 Result<AnalysisReport> DTaint::AnalyzeFunctions(
     const Binary& binary, const std::vector<std::string>& only) const {
+  // Taken first so it is released last: every local below may hold
+  // expressions of this generation.
+  InternPin pin = ExprInterner::Global().Pin();
   obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Stopwatch t_total;
@@ -235,7 +238,7 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   registry.counter("resilience.findings_suppressed")
       .Add(report.suppressed_findings);
   for (TaintPath& path : vulnerable) {
-    report.findings.push_back({std::move(path)});
+    report.findings.push_back({std::move(path), pin});
   }
   if (events.enabled()) {
     for (const Finding& finding : report.findings) {

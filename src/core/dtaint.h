@@ -20,6 +20,7 @@
 #include "src/core/sanitizer.h"
 #include "src/core/structsim.h"
 #include "src/obs/metrics.h"
+#include "src/symexec/intern.h"
 #include "src/util/status.h"
 
 namespace dtaint {
@@ -36,6 +37,9 @@ struct DTaintConfig {
 /// One reported vulnerability (an unsanitized source->sink path).
 struct Finding {
   TaintPath path;
+  /// Keeps the expressions in `path` valid for as long as the finding
+  /// (or any copy of it) lives: the pin of the analysis that found it.
+  InternPin pin = nullptr;
   std::string Summary() const;
 };
 
@@ -103,7 +107,9 @@ class DTaint {
 
   /// Analyzes only the named functions (the paper manually restricts
   /// huge binaries to their protocol modules, §V-A3/A4). Empty filter
-  /// means "all functions".
+  /// means "all functions". Runs under an ExprInterner pin, so an
+  /// analysis that starts with no other pin held recycles the
+  /// expressions of the ones before it.
   Result<AnalysisReport> AnalyzeFunctions(
       const Binary& binary, const std::vector<std::string>& only) const;
 

@@ -72,7 +72,7 @@ void BudgetTracker::SlowCheck() {
   if (limits_.max_expr_nodes > 0) {
     // stats() sums 64 shards — fine at this cadence, too costly per
     // step.
-    expr_nodes_seen_ = ExprInterner::Global().stats().nodes;
+    expr_nodes_seen_ = ExprInterner::Global().stats().resident_nodes;
     if (expr_nodes_seen_ >= limits_.max_expr_nodes) {
       cause_ = BudgetExhaustion::kExprNodes;
     }

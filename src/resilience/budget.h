@@ -6,13 +6,13 @@
 // state-exploding function stalling a corpus run. Following the SSE
 // follow-up work (arXiv:2109.12209), per-function effort is bounded by
 // an AnalysisBudget: wall-clock deadline, symbolic-step count, queued
-// symbolic states, and a process-wide interned-expression-node
-// ceiling. Hot loops in the symbolic engine and the alias pass charge
-// a BudgetTracker cooperatively; on exhaustion the function yields a
-// *conservative degraded summary* (see MakeDegradedSummary in
-// src/symexec/engine.h) instead of aborting the scan — the Sdft move
-// (arXiv:2111.04005) of substituting a sound summary when precise
-// analysis is infeasible.
+// symbolic states, and a ceiling on the interned expression nodes of
+// the current interner generation. Hot loops in the symbolic engine
+// and the alias pass charge a BudgetTracker cooperatively; on
+// exhaustion the function yields a *conservative degraded summary*
+// (see MakeDegradedSummary in src/symexec/engine.h) instead of
+// aborting the scan — the Sdft move (arXiv:2111.04005) of substituting
+// a sound summary when precise analysis is infeasible.
 //
 // Semantics notes:
 //  * All limits default to 0 = unlimited; the tracker is a no-op then.
@@ -38,8 +38,12 @@ struct AnalysisBudget {
   uint64_t max_steps = 0;
   /// Symbolic states enqueued per function (path forks).
   uint64_t max_states = 0;
-  /// Ceiling on *process-wide* unique interned expression nodes; trips
-  /// when the interner grows past it while this function is analyzed.
+  /// Ceiling on the interned expression nodes resident in the current
+  /// interner generation (InternStats::resident_nodes); trips when the
+  /// generation grows past it while this function is analyzed. A
+  /// DTaint::Analyze that starts with no earlier finding still held
+  /// runs in a fresh generation, so the check does not depend on what
+  /// the process analysed before.
   uint64_t max_expr_nodes = 0;
 
   bool limited() const {
@@ -67,7 +71,7 @@ struct BudgetCounters {
   uint64_t steps = 0;
   uint64_t states = 0;
   double elapsed_ms = 0;
-  uint64_t expr_nodes = 0;  // interner population at the last check
+  uint64_t expr_nodes = 0;  // generation's resident nodes at the last check
   BudgetExhaustion exhausted_by = BudgetExhaustion::kNone;
 };
 

@@ -91,10 +91,14 @@ const LibModel* FindLibModel(std::string_view name) {
     }
     return models;
   }();
-  for (const LibModel& m : kModels) {
-    if (m.name == name) return &m;
-  }
-  return nullptr;
+  static const std::unordered_map<std::string_view, const LibModel*>
+      kByName = [] {
+        std::unordered_map<std::string_view, const LibModel*> by_name;
+        for (const LibModel& m : kModels) by_name.emplace(m.name, &m);
+        return by_name;
+      }();
+  auto it = kByName.find(name);
+  return it == kByName.end() ? nullptr : it->second;
 }
 
 namespace {

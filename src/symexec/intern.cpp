@@ -12,8 +12,8 @@ namespace dtaint {
 
 namespace {
 
-/// Non-owning view of an immortal arena node: an aliasing shared_ptr
-/// with no control block. Copying it performs no atomic operations.
+/// Non-owning view of an arena node: an aliasing shared_ptr with no
+/// control block. Copying it performs no atomic operations.
 SymRef NonOwningRef(const SymExpr* node) {
   return SymRef(SymRef(), node);
 }
@@ -21,8 +21,9 @@ SymRef NonOwningRef(const SymExpr* node) {
 }  // namespace
 
 /// One lock stripe: an open-addressed pointer table plus the arena its
-/// nodes live in. Nodes are placement-new'd into arena blocks and never
-/// destroyed; the table only ever grows.
+/// nodes live in. Nodes are placement-new'd into arena blocks; within a
+/// generation the table only grows, and Recycle() drops the whole
+/// generation at once.
 struct ExprInterner::Shard {
   static constexpr size_t kInitialSlots = 1024;   // power of two
   static constexpr size_t kArenaBlockBytes = 64 * 1024;
@@ -38,14 +39,34 @@ struct ExprInterner::Shard {
 
   std::mutex mu;
   std::vector<Slot> slots = std::vector<Slot>(kInitialSlots);
-  size_t used = 0;
+  size_t used = 0;      // nodes of the current generation
+  uint64_t created = 0;  // nodes ever created
 
   std::vector<std::unique_ptr<std::byte[]>> arena;
   size_t arena_pos = 0;       // offset into the current (last) block
-  uint64_t arena_bytes = 0;   // total reserved across blocks
+  uint64_t arena_bytes = 0;   // total ever reserved across blocks
+  // Nodes whose destructor frees heap memory (a taint node's source
+  // name); every other node is trivially dropped with its arena block.
+  std::vector<SymExpr*> owners;
 
   uint64_t hits = 0;
   uint64_t contended = 0;
+
+  ~Shard() { DestroyOwners(); }
+
+  void DestroyOwners() {
+    for (SymExpr* node : owners) node->~SymExpr();
+    owners.clear();
+  }
+
+  /// Drops the generation: its nodes, their arena and the grown table.
+  void Recycle() {
+    DestroyOwners();
+    arena.clear();
+    arena_pos = 0;
+    std::vector<Slot>(kInitialSlots).swap(slots);
+    used = 0;
+  }
 
   void* Allocate(size_t size, size_t align) {
     size_t pos = (arena_pos + align - 1) & ~(align - 1);
@@ -73,6 +94,8 @@ struct ExprInterner::Shard {
 
 ExprInterner::ExprInterner() : shards_(new Shard[kShards]) {}
 
+ExprInterner::~ExprInterner() = default;
+
 ExprInterner& ExprInterner::Global() {
   static ExprInterner* interner = new ExprInterner();
   return *interner;
@@ -85,11 +108,21 @@ ExprInterner::Shard& ExprInterner::ShardFor(uint64_t hash) {
 SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
                             BinOp op, SymRef lhs, SymRef rhs,
                             std::string text) {
+  // A caller without a pin may keep what it gets for good, so the
+  // generation can no longer be recycled. The flag is set under
+  // pin_mu_, which a recycle holds throughout: this call either stops
+  // the recycle or runs after it.
+  if (pins_.load(std::memory_order_relaxed) == 0 &&
+      !unpinned_use_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    unpinned_use_.store(true, std::memory_order_release);
+  }
+
   // A handful of leaf shapes (small constants, formal args, SP0,
   // initial registers) account for a large share of all factory calls.
-  // They get a lock-free direct-mapped cache: one acquire-load on a
-  // hit, no hash, no shard lock. Misses fall through to the table once
-  // and then publish the canonical node into the cache slot.
+  // They get a lock-free direct-mapped cache: one load on a hit, no
+  // hash, no shard lock. Misses fall through to the table once and
+  // then publish the canonical node into the cache slot.
   std::atomic<const SymExpr*>* leaf_slot = nullptr;
   if (!lhs && !rhs && size == 4 && op == BinOp::kAdd && text.empty()) {
     switch (kind) {
@@ -153,17 +186,57 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
               std::move(text), h);
   shard.slots[i] = {h, node};
   ++shard.used;
+  ++shard.created;
+  if (!node->text_.empty()) shard.owners.push_back(node);
   if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
   return NonOwningRef(node);
+}
+
+InternPin ExprInterner::Pin() {
+  std::lock_guard<std::mutex> lock(pin_mu_);
+  if (pins_.load(std::memory_order_relaxed) == 0) TryRecycle();
+  pins_.fetch_add(1, std::memory_order_relaxed);
+  return InternPin(this, [](ExprInterner* self) { self->Unpin(); });
+}
+
+void ExprInterner::Unpin() {
+  std::lock_guard<std::mutex> lock(pin_mu_);
+  pins_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void ExprInterner::TryRecycle() {
+  // With pin_mu_ held and no pin outstanding nothing can be interning:
+  // pinned callers have released their pins, and an unpinned one would
+  // have set the flag (under pin_mu_) before touching any node.
+  if (unpinned_use_.load(std::memory_order_relaxed)) return;
+  bool recycled = false;
+  for (size_t s = 0; s < kShards; ++s) {
+    Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);  // stats() may be reading
+    if (shard.used == 0) continue;
+    shard.Recycle();
+    recycled = true;
+  }
+  if (!recycled) return;
+  auto clear = [](std::atomic<const SymExpr*>& slot) {
+    slot.store(nullptr, std::memory_order_relaxed);
+  };
+  for (auto& slot : leaf_consts_) clear(slot);
+  for (auto& slot : leaf_args_) clear(slot);
+  for (auto& slot : leaf_regs_) clear(slot);
+  clear(leaf_sp0_);
+  recycles_.fetch_add(1, std::memory_order_relaxed);
 }
 
 InternStats ExprInterner::stats() const {
   InternStats total;
   total.hits = leaf_hits_.load(std::memory_order_relaxed);
+  total.recycles = recycles_.load(std::memory_order_relaxed);
   for (size_t s = 0; s < kShards; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.nodes += shard.used;
+    total.nodes += shard.created;
+    total.resident_nodes += shard.used;
     total.hits += shard.hits;
     total.bytes += shard.arena_bytes;
     total.contended += shard.contended;
@@ -180,6 +253,9 @@ void ExprInterner::PublishMetrics() {
   registry.counter("intern.bytes").Add(now.bytes - published_.bytes);
   registry.counter("intern.contended")
       .Add(now.contended - published_.contended);
+  registry.counter("intern.recycles").Add(now.recycles - published_.recycles);
+  registry.gauge("intern.resident_nodes")
+      .Set(static_cast<double>(now.resident_nodes));
   published_ = now;
 }
 

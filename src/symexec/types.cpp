@@ -1,5 +1,7 @@
 #include "src/symexec/types.h"
 
+#include <unordered_map>
+
 namespace dtaint {
 
 std::string_view ValueTypeName(ValueType type) {
@@ -90,10 +92,16 @@ const LibSignature* FindLibSignature(std::string_view name) {
       {"fprintf", {VT::kPtr, VT::kCharPtr}, VT::kInt},
       {"exit", {VT::kInt}, VT::kInt},
   };
-  for (const LibSignature& sig : kSignatures) {
-    if (sig.name == name) return &sig;
-  }
-  return nullptr;
+  static const std::unordered_map<std::string_view, const LibSignature*>
+      kByName = [] {
+        std::unordered_map<std::string_view, const LibSignature*> by_name;
+        for (const LibSignature& sig : kSignatures) {
+          by_name.emplace(sig.name, &sig);
+        }
+        return by_name;
+      }();
+  auto it = kByName.find(name);
+  return it == kByName.end() ? nullptr : it->second;
 }
 
 }  // namespace dtaint
