@@ -27,24 +27,26 @@ std::string_view BinOpName(BinOp op) {
 bool IsCompare(BinOp op) { return op >= BinOp::kCmpEq; }
 
 ExprRef Expr::MakeConst(uint32_t value) {
-  return ExprRef(new Expr(ExprKind::kConst, value, 4, BinOp::kAdd, nullptr,
-                          nullptr));
+  return std::make_shared<const Expr>(Key{}, ExprKind::kConst, value, 4,
+                                      BinOp::kAdd, nullptr, nullptr);
 }
 ExprRef Expr::MakeRdTmp(int tmp) {
-  return ExprRef(new Expr(ExprKind::kRdTmp, static_cast<uint32_t>(tmp), 4,
-                          BinOp::kAdd, nullptr, nullptr));
+  return std::make_shared<const Expr>(Key{}, ExprKind::kRdTmp,
+                                      static_cast<uint32_t>(tmp), 4,
+                                      BinOp::kAdd, nullptr, nullptr);
 }
 ExprRef Expr::MakeGet(int reg) {
-  return ExprRef(new Expr(ExprKind::kGet, static_cast<uint32_t>(reg), 4,
-                          BinOp::kAdd, nullptr, nullptr));
+  return std::make_shared<const Expr>(Key{}, ExprKind::kGet,
+                                      static_cast<uint32_t>(reg), 4,
+                                      BinOp::kAdd, nullptr, nullptr);
 }
 ExprRef Expr::MakeLoad(ExprRef addr, uint8_t size) {
-  return ExprRef(new Expr(ExprKind::kLoad, 0, size, BinOp::kAdd,
-                          std::move(addr), nullptr));
+  return std::make_shared<const Expr>(Key{}, ExprKind::kLoad, 0, size,
+                                      BinOp::kAdd, std::move(addr), nullptr);
 }
 ExprRef Expr::MakeBinop(BinOp op, ExprRef lhs, ExprRef rhs) {
-  return ExprRef(new Expr(ExprKind::kBinop, 0, 4, op, std::move(lhs),
-                          std::move(rhs)));
+  return std::make_shared<const Expr>(Key{}, ExprKind::kBinop, 0, 4, op,
+                                      std::move(lhs), std::move(rhs));
 }
 
 std::string Expr::ToString() const {

@@ -56,7 +56,19 @@ using ExprRef = std::shared_ptr<const Expr>;
 
 /// Immutable IR expression node.
 class Expr {
+  /// A key only the factories can create. The constructor is public so
+  /// std::make_shared can put node and control block in one
+  /// allocation, but without a key nothing else can call it.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
+  Expr(Key, ExprKind kind, uint32_t value, uint8_t size, BinOp op,
+       ExprRef lhs, ExprRef rhs)
+      : kind_(kind), value_(value), size_(size), op_(op),
+        lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
+
   // Factories.
   static ExprRef MakeConst(uint32_t value);
   static ExprRef MakeRdTmp(int tmp);
@@ -77,11 +89,6 @@ class Expr {
   std::string ToString() const;
 
  private:
-  Expr(ExprKind kind, uint32_t value, uint8_t size, BinOp op, ExprRef lhs,
-       ExprRef rhs)
-      : kind_(kind), value_(value), size_(size), op_(op),
-        lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-
   ExprKind kind_;
   uint32_t value_;  // const value / tmp index / reg index
   uint8_t size_;    // load size in bytes

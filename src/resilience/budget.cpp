@@ -69,10 +69,13 @@ void BudgetTracker::SlowCheck() {
       return;
     }
   }
-  if (limits_.max_expr_nodes > 0) {
-    // stats() sums 64 shards — fine at this cadence, too costly per
-    // step.
-    expr_nodes_seen_ = ExprInterner::Global().stats().resident_nodes;
+  // The nodes this function's exploration has built: a count private
+  // to the analysing thread, so the trip point does not depend on what
+  // other threads intern meanwhile. Outside an exploration (the alias
+  // pass) there is no scratch interner and this limit does not apply.
+  const ScratchInterner* scratch = ScratchInterner::Current();
+  if (limits_.max_expr_nodes > 0 && scratch) {
+    expr_nodes_seen_ = scratch->size();
     if (expr_nodes_seen_ >= limits_.max_expr_nodes) {
       cause_ = BudgetExhaustion::kExprNodes;
     }

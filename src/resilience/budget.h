@@ -6,8 +6,8 @@
 // state-exploding function stalling a corpus run. Following the SSE
 // follow-up work (arXiv:2109.12209), per-function effort is bounded by
 // an AnalysisBudget: wall-clock deadline, symbolic-step count, queued
-// symbolic states, and a ceiling on the interned expression nodes of
-// the current interner generation. Hot loops in the symbolic engine
+// symbolic states, and a ceiling on the expression nodes the
+// function's exploration builds. Hot loops in the symbolic engine
 // and the alias pass charge a BudgetTracker cooperatively; on
 // exhaustion the function yields a *conservative degraded summary*
 // (see MakeDegradedSummary in src/symexec/engine.h) instead of
@@ -38,12 +38,13 @@ struct AnalysisBudget {
   uint64_t max_steps = 0;
   /// Symbolic states enqueued per function (path forks).
   uint64_t max_states = 0;
-  /// Ceiling on the interned expression nodes resident in the current
-  /// interner generation (InternStats::resident_nodes); trips when the
-  /// generation grows past it while this function is analyzed. A
-  /// DTaint::Analyze that starts with no earlier finding still held
-  /// runs in a fresh generation, so the check does not depend on what
-  /// the process analysed before.
+  /// Ceiling on the distinct expression nodes this function's symbolic
+  /// exploration builds (its ScratchInterner's size, src/symexec/
+  /// intern.h). The count is private to the analysing thread and
+  /// starts from zero for every function, so the trip point depends
+  /// neither on the other summary threads nor on what the process
+  /// analysed before. The alias pass, which runs outside the
+  /// exploration, is bounded by the other limits only.
   uint64_t max_expr_nodes = 0;
 
   bool limited() const {
@@ -71,15 +72,15 @@ struct BudgetCounters {
   uint64_t steps = 0;
   uint64_t states = 0;
   double elapsed_ms = 0;
-  uint64_t expr_nodes = 0;  // generation's resident nodes at the last check
+  uint64_t expr_nodes = 0;  // exploration's scratch nodes at the last check
   BudgetExhaustion exhausted_by = BudgetExhaustion::kNone;
 };
 
 /// Cooperative watchdog for one function's analysis. Owned by a single
 /// worker thread — not internally synchronized (each analysis in the
-/// phase-1 pool constructs its own). Charging is O(1); the clock and
-/// the interner (both comparatively expensive) are consulted only
-/// every kSlowCheckInterval steps.
+/// phase-1 pool constructs its own). Charging is O(1); the clock
+/// (comparatively expensive) and the scratch interner's node count are
+/// consulted only every kSlowCheckInterval steps.
 class BudgetTracker {
  public:
   explicit BudgetTracker(const AnalysisBudget& limits);
@@ -112,7 +113,7 @@ class BudgetTracker {
  private:
   static constexpr uint64_t kSlowCheckInterval = 1024;
 
-  /// Deadline + interner-population check, amortized over steps.
+  /// Deadline + expression-node check, amortized over steps.
   void SlowCheck();
 
   AnalysisBudget limits_;

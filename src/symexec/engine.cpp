@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "src/lifter/lifter.h"
+#include "src/symexec/intern.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -818,6 +819,32 @@ class Exploration {
   uint32_t widen_counter_ = 0;
 };
 
+/// Replaces every expression the summary carries by its global twin,
+/// so nothing downstream ever sees a scratch node. TypeMap needs no
+/// rewrite: it is keyed by the structural hash, the same in both
+/// interners.
+void PublishSummary(ScratchInterner& scratch, FunctionSummary& summary) {
+  auto publish = [&scratch](SymRef& expr) { expr = scratch.Publish(expr); };
+  auto publish_all = [&publish](std::vector<PathConstraint>& constraints) {
+    for (PathConstraint& c : constraints) {
+      publish(c.lhs);
+      publish(c.rhs);
+    }
+  };
+  for (DefPair& dp : summary.def_pairs) {
+    publish(dp.d);
+    publish(dp.u);
+    publish_all(dp.constraints);
+  }
+  for (UseRecord& use : summary.undefined_uses) publish(use.u);
+  for (CallEvent& call : summary.calls) {
+    publish(call.indirect_target);
+    for (SymRef& arg : call.args) publish(arg);
+    publish_all(call.constraints);
+  }
+  for (SymRef& value : summary.return_values) publish(value);
+}
+
 }  // namespace
 
 FunctionSummary SymEngine::Analyze(const Function& fn,
@@ -830,8 +857,17 @@ FunctionSummary SymEngine::Analyze(const Function& fn,
   FunctionSummary summary;
   summary.name = fn.name;
   summary.addr = fn.addr;
-  Exploration exploration(binary_, fn, *ir, config_, summary, budget);
-  exploration.Run();
+  {
+    // The exploration's expressions live in this thread's scratch
+    // interner; only the finished summary's reach the global one.
+    ScratchScope scope;
+    Exploration exploration(binary_, fn, *ir, config_, summary, budget);
+    exploration.Run();
+    if (!(budget && budget->exhausted())) {
+      PublishSummary(scope.interner(), summary);
+    }
+  }
+  // Built after the scope closes, so the stand-in's nodes are global.
   if (budget && budget->exhausted()) return MakeDegradedSummary(fn);
   return summary;
 }

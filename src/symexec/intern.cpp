@@ -1,12 +1,21 @@
 #include "src/symexec/intern.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <iterator>
 #include <new>
 #include <utility>
 
 #include "src/obs/metrics.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace dtaint {
 
@@ -118,34 +127,18 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     unpinned_use_.store(true, std::memory_order_release);
   }
 
-  // A handful of leaf shapes (small constants, formal args, SP0,
-  // initial registers) account for a large share of all factory calls.
-  // They get a lock-free direct-mapped cache: one load on a hit, no
-  // hash, no shard lock. Misses fall through to the table once and
-  // then publish the canonical node into the cache slot.
-  std::atomic<const SymExpr*>* leaf_slot = nullptr;
-  if (!lhs && !rhs && size == 4 && op == BinOp::kAdd && text.empty()) {
-    switch (kind) {
-      case SymKind::kConst:
-        if (a < kLeafConsts) leaf_slot = &leaf_consts_[a];
-        break;
-      case SymKind::kArg:
-        if (a < kLeafArgs) leaf_slot = &leaf_args_[a];
-        break;
-      case SymKind::kInit:
-        if (a < kLeafRegs) leaf_slot = &leaf_regs_[a];
-        break;
-      case SymKind::kSp0:
-        leaf_slot = &leaf_sp0_;
-        break;
-      default:
-        break;
-    }
-    if (leaf_slot) {
-      if (const SymExpr* hit = leaf_slot->load(std::memory_order_acquire)) {
-        leaf_hits_.fetch_add(1, std::memory_order_relaxed);
-        return NonOwningRef(hit);
-      }
+  assert((!lhs || !lhs->scratch_) && (!rhs || !rhs->scratch_));
+  // A handful of leaf shapes account for a large share of all factory
+  // calls: one load on a hit, no hash, no shard lock. Misses fall
+  // through to the table once and then publish the canonical node into
+  // the cache slot.
+  const int leaf = LeafSlot(kind, a, size, op, lhs.get(), rhs.get(), text);
+  std::atomic<const SymExpr*>* leaf_slot =
+      leaf >= 0 ? &leaves_[leaf] : nullptr;
+  if (leaf_slot) {
+    if (const SymExpr* hit = leaf_slot->load(std::memory_order_acquire)) {
+      leaf_hits_.fetch_add(1, std::memory_order_relaxed);
+      return NonOwningRef(hit);
     }
   }
 
@@ -164,9 +157,7 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
   for (; shard.slots[i].node; i = (i + 1) & mask) {
     if (shard.slots[i].hash != h) continue;
     const SymExpr* node = shard.slots[i].node;
-    if (node->kind_ == kind && node->a_ == a && node->size_ == size &&
-        node->op_ == op && node->lhs_.get() == lhs.get() &&
-        node->rhs_.get() == rhs.get() && node->text_ == text) {
+    if (node->HasShape(kind, a, size, op, lhs.get(), rhs.get(), text)) {
       ++shard.hits;
       if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
       return NonOwningRef(node);
@@ -218,13 +209,7 @@ void ExprInterner::TryRecycle() {
     recycled = true;
   }
   if (!recycled) return;
-  auto clear = [](std::atomic<const SymExpr*>& slot) {
-    slot.store(nullptr, std::memory_order_relaxed);
-  };
-  for (auto& slot : leaf_consts_) clear(slot);
-  for (auto& slot : leaf_args_) clear(slot);
-  for (auto& slot : leaf_regs_) clear(slot);
-  clear(leaf_sp0_);
+  for (auto& slot : leaves_) slot.store(nullptr, std::memory_order_relaxed);
   recycles_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -257,6 +242,154 @@ void ExprInterner::PublishMetrics() {
   registry.gauge("intern.resident_nodes")
       .Set(static_cast<double>(now.resident_nodes));
   published_ = now;
+}
+
+// ---- ScratchInterner -------------------------------------------------------
+
+constinit thread_local ScratchInterner* ScratchInterner::current_ = nullptr;
+
+ScratchInterner::ScratchInterner() = default;
+
+ScratchInterner::~ScratchInterner() {
+  for (SymExpr* node : owners_) node->~SymExpr();
+  for (auto& block : arena_) {
+    ASAN_UNPOISON_MEMORY_REGION(block.get(), kArenaBlockBytes);
+  }
+}
+
+SymRef ScratchInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
+                               BinOp op, SymRef lhs, SymRef rhs,
+                               std::string text) {
+  assert((!lhs || lhs->scratch_) && (!rhs || rhs->scratch_));
+  const int leaf = LeafSlot(kind, a, size, op, lhs.get(), rhs.get(), text);
+  if (leaf >= 0 && leaves_[leaf]) return NonOwningRef(leaves_[leaf]);
+
+  const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs.get(),
+                                        rhs.get(), text);
+  size_t mask = slots_.size() - 1;
+  size_t i = h & mask;
+  for (; slots_[i].node; i = (i + 1) & mask) {
+    if (slots_[i].hash != h) continue;
+    const SymExpr* node = slots_[i].node;
+    if (node->HasShape(kind, a, size, op, lhs.get(), rhs.get(), text)) {
+      if (leaf >= 0) leaves_[leaf] = node;
+      return NonOwningRef(node);
+    }
+  }
+  if (used_ + 1 > slots_.size() / 2) {
+    Grow();
+    mask = slots_.size() - 1;
+    i = h & mask;
+    while (slots_[i].node) i = (i + 1) & mask;
+  }
+
+  void* mem = Allocate(sizeof(SymExpr), alignof(SymExpr));
+  SymExpr* node = new (mem)
+      SymExpr(kind, a, size, op, std::move(lhs), std::move(rhs),
+              std::move(text), h);
+  node->scratch_ = true;
+  slots_[i] = {h, node, nullptr};
+  ++used_;
+  if (!node->text_.empty()) owners_.push_back(node);
+  if (leaf >= 0) leaves_[leaf] = node;
+  return NonOwningRef(node);
+}
+
+SymRef ScratchInterner::Publish(const SymRef& expr) {
+  if (!expr || !expr->scratch_) return expr;
+  Slot& slot = SlotOf(expr.get());
+  if (!slot.published) {
+    // Exact fields, no factory: the scratch node is normalized already,
+    // and its published children are the global twins of its own.
+    slot.published = ExprInterner::Global()
+                         .Intern(expr->kind_, expr->a_, expr->size_,
+                                 expr->op_, Publish(expr->lhs_),
+                                 Publish(expr->rhs_), expr->text_)
+                         .get();
+  }
+  return NonOwningRef(slot.published);
+}
+
+ScratchInterner::Slot& ScratchInterner::SlotOf(const SymExpr* node) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = node->hash_ & mask;
+  while (slots_[i].node != node) {
+    assert(slots_[i].node);  // every scratch node is in the table
+    i = (i + 1) & mask;
+  }
+  return slots_[i];
+}
+
+void ScratchInterner::Reset() {
+  for (SymExpr* node : owners_) node->~SymExpr();
+  owners_.clear();
+  if (used_ > 0) {
+    // Clearing costs the table's size, which the last function's
+    // growth bounds by 8x its node count; a table that much larger
+    // than its use goes back to the initial size instead.
+    if (slots_.size() > kInitialSlots && used_ * 8 < slots_.size()) {
+      std::vector<Slot>(kInitialSlots).swap(slots_);
+    } else {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+    }
+    std::fill(std::begin(leaves_), std::end(leaves_), nullptr);
+    used_ = 0;
+  }
+  for (auto& block : arena_) {
+    ASAN_POISON_MEMORY_REGION(block.get(), kArenaBlockBytes);
+  }
+  arena_block_ = 0;
+  arena_pos_ = 0;
+}
+
+void* ScratchInterner::Allocate(size_t size, size_t align) {
+  size_t pos = (arena_pos_ + align - 1) & ~(align - 1);
+  if (arena_.empty() || pos + size > kArenaBlockBytes) {
+    if (!arena_.empty()) ++arena_block_;
+    if (arena_block_ == arena_.size()) {
+      arena_.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(kArenaBlockBytes));
+    }
+    pos = 0;
+  }
+  arena_pos_ = pos + size;
+  std::byte* mem = arena_[arena_block_].get() + pos;
+  ASAN_UNPOISON_MEMORY_REGION(mem, size);
+  return mem;
+}
+
+void ScratchInterner::Grow() {
+  std::vector<Slot> bigger(slots_.size() * 2);
+  const size_t mask = bigger.size() - 1;
+  for (const Slot& slot : slots_) {
+    if (!slot.node) continue;
+    size_t i = slot.hash & mask;
+    while (bigger[i].node) i = (i + 1) & mask;
+    bigger[i] = slot;
+  }
+  slots_ = std::move(bigger);
+}
+
+namespace {
+
+ScratchInterner& ThreadScratch() {
+  thread_local ScratchInterner scratch;
+  return scratch;
+}
+
+}  // namespace
+
+ScratchScope::ScratchScope() : interner_(ThreadScratch()) {
+  assert(!ScratchInterner::current_ && "scratch scopes do not nest");
+  ScratchInterner::current_ = &interner_;
+}
+
+ScratchScope::~ScratchScope() {
+  ScratchInterner::current_ = nullptr;
+  static obs::Counter& scratch_nodes =
+      obs::MetricsRegistry::Global().counter("intern.scratch_nodes");
+  scratch_nodes.Add(interner_.size());
+  interner_.Reset();
 }
 
 }  // namespace dtaint

@@ -1,19 +1,32 @@
-// Hash-consing interner for SymExpr — every expression built through
-// the SymExpr factories canonicalizes here, so structurally equal
-// expressions are the *same* node and structural equality degenerates
-// to a pointer compare (the workhorse fast path behind alias
-// recognition, def-pair lookup and the backward path search).
+// Hash-consing interners for SymExpr — every expression built through
+// the SymExpr factories canonicalizes in one of them, so structurally
+// equal expressions are the *same* node and structural equality
+// degenerates to a pointer compare (the workhorse fast path behind
+// alias recognition, def-pair lookup and the backward path search).
 //
-// Design:
+// Two interners, one canonical world:
+//  * ExprInterner::Global() holds every node that outlives one
+//    function's exploration: summaries, link, structsim, the alias
+//    oracle, pathfind and the cache codec only ever see its nodes.
+//  * While SymEngine::Analyze explores a function, a ScratchScope
+//    routes the calling thread's factories to that thread's private
+//    ScratchInterner: no lock, no atomic, an open-addressed table and
+//    an arena reused from one function to the next. The exploration's
+//    millions of intermediate shapes never touch the shared table.
+//    Before the scope closes, the engine publishes the finished
+//    summary with ScratchInterner::Publish, a memoized bottom-up copy
+//    that re-interns each reachable node into the global interner
+//    with its exact fields (no second normalization). Closing the
+//    scope resets the scratch interner. A node's hash is structural,
+//    so it is the same in both interners (TypeMap keys stay valid).
+//
+// Global interner design:
 //  * The table is sharded 64 ways by node hash; each shard owns a
 //    mutex, an open-addressed pointer table, and a bump-pointer arena
-//    the nodes live in. Factory traffic from the parallel bottom-up
-//    phase thus stripes across independent locks, and a hit allocates
-//    nothing at all — no shared_ptr control block, no node.
+//    the nodes live in. A hit allocates nothing at all — no
+//    shared_ptr control block, no node.
 //  * Interned SymRefs are non-owning (aliasing shared_ptr with no
-//    control block): copying one costs zero atomic operations, which
-//    is what removes the refcount/allocator contention that used to
-//    make `num_threads > 1` slower than sequential.
+//    control block): copying one costs zero atomic operations.
 //  * Nodes live in *generations*. DTaint::AnalyzeFunctions holds a
 //    pin (Pin()) for its whole run, and every Finding it returns keeps
 //    a copy, so the nodes a caller can reach stay valid while any pin
@@ -29,21 +42,23 @@
 //    immortal-node behaviour such callers rely on. Interning on a
 //    thread without a pin while another thread's pin is live counts as
 //    use under that pin, so such a caller must take a pin of its own.
-//  * It is the only way to build a SymExpr: the node constructor is
-//    private to it and the factories use a single (process-wide)
-//    instance, so every node in existence is canonical.
+//  * The interners are the only way to build a SymExpr: the node
+//    constructor is private to them, so every node is canonical within
+//    its interner, and only global nodes escape an exploration.
 //
-// Thread-safety: Intern() and Pin() may be called from any number of
-// threads. Parents are only published after their children, and every
-// lookup synchronizes on the owning shard's mutex, so a node obtained
-// from the table (directly or through a parent's child pointer) is
-// always fully constructed. A recycle runs under the pin mutex with no
-// pin held, and the first Intern() without a pin sets its flag under
-// that same mutex, so such a call either stops the recycle or runs
-// after it.
+// Thread-safety: ExprInterner::Intern() and Pin() may be called from
+// any number of threads. Parents are only published after their
+// children, and every lookup synchronizes on the owning shard's mutex,
+// so a node obtained from the table (directly or through a parent's
+// child pointer) is always fully constructed. A recycle runs under the
+// pin mutex with no pin held, and the first Intern() without a pin
+// sets its flag under that same mutex, so such a call either stops the
+// recycle or runs after it. A ScratchInterner is used by its own
+// thread only.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -64,6 +79,31 @@ struct InternStats {
   uint64_t contended = 0;       // shard-lock acquisitions that had to wait
   uint64_t recycles = 0;        // generations recycled
 };
+
+/// Direct-mapped cache index for the leaf shapes the engine builds
+/// millions of times (small constants, formal args, SP0, initial
+/// registers), or -1 for any other shape. Both interners keep one
+/// pointer per index, so a leaf hit needs no hash and no table probe.
+inline constexpr int kLeafSlots = 1024 + 16 + 32 + 1;
+inline int LeafSlot(SymKind kind, uint64_t a, uint8_t size, BinOp op,
+                    const SymExpr* lhs, const SymExpr* rhs,
+                    const std::string& text) {
+  if (lhs || rhs || size != 4 || op != BinOp::kAdd || !text.empty()) {
+    return -1;
+  }
+  switch (kind) {
+    case SymKind::kConst:
+      return a < 1024 ? static_cast<int>(a) : -1;
+    case SymKind::kArg:
+      return a < 16 ? 1024 + static_cast<int>(a) : -1;
+    case SymKind::kInit:
+      return a < 32 ? 1040 + static_cast<int>(a) : -1;
+    case SymKind::kSp0:
+      return a == 0 ? 1072 : -1;
+    default:
+      return -1;
+  }
+}
 
 /// Keeps the interner generation it was taken from alive: a shared
 /// handle, released when its last copy is destroyed.
@@ -116,22 +156,14 @@ class ExprInterner {
   /// pin. Caller holds pin_mu_ with no pin outstanding.
   void TryRecycle();
 
-  // Direct-mapped lock-free cache for the leaf shapes the engine builds
-  // millions of times (small constants, formal args, SP0, initial
-  // registers): a hit is one load plus a relaxed counter bump — no
-  // hash, no shard lock. Slots are populated (under the shard lock) by
-  // whichever thread interns the shape first and cleared by a recycle.
-  static constexpr uint64_t kLeafConsts = 1024;
-  static constexpr uint64_t kLeafArgs = 16;
-  static constexpr uint64_t kLeafRegs = 32;
-
   Shard& ShardFor(uint64_t hash);
 
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<const SymExpr*> leaf_consts_[kLeafConsts] = {};
-  std::atomic<const SymExpr*> leaf_args_[kLeafArgs] = {};
-  std::atomic<const SymExpr*> leaf_regs_[kLeafRegs] = {};
-  std::atomic<const SymExpr*> leaf_sp0_{nullptr};
+  // Lock-free leaf cache (see LeafSlot): a hit is one load plus a
+  // relaxed counter bump. Slots are populated (under the shard lock)
+  // by whichever thread interns the shape first and cleared by a
+  // recycle.
+  std::atomic<const SymExpr*> leaves_[kLeafSlots] = {};
   std::atomic<uint64_t> leaf_hits_{0};
 
   // Generation state. `pins_` changes only under pin_mu_ but is read
@@ -145,6 +177,89 @@ class ExprInterner {
 
   std::mutex publish_mu_;
   InternStats published_;  // totals already pushed to the registry
+};
+
+/// One thread's private interner for the function it is exploring:
+/// an open-addressed table and a bump arena, neither locked nor
+/// atomic, both reused (not freed) from one function to the next.
+/// Reached through a ScratchScope; see the header comment for the
+/// scratch/publish protocol.
+class ScratchInterner {
+ public:
+  ScratchInterner();
+  ~ScratchInterner();
+  ScratchInterner(const ScratchInterner&) = delete;
+  ScratchInterner& operator=(const ScratchInterner&) = delete;
+
+  /// The interner the calling thread's SymExpr factories route to:
+  /// its scratch interner inside a ScratchScope, nullptr outside one.
+  static ScratchInterner* Current() { return current_; }
+
+  /// As ExprInterner::Intern, for this interner's own nodes: children
+  /// must be nodes of this interner (debug builds assert it).
+  SymRef Intern(SymKind kind, uint64_t a, uint8_t size, BinOp op,
+                SymRef lhs, SymRef rhs, std::string text);
+
+  /// The global node with the same structure as `expr`: each scratch
+  /// node reachable from it is re-interned into ExprInterner::Global()
+  /// with its exact fields, children first, once per node until the
+  /// next Reset. Null and global nodes are returned as they are.
+  SymRef Publish(const SymRef& expr);
+
+  /// Nodes created since the last Reset.
+  size_t size() const { return used_; }
+  /// Nodes with a heap-owning field (taint source names) waiting for
+  /// their destructor, which Reset runs.
+  size_t owners() const { return owners_.size(); }
+
+  /// Ends the function: destroys the heap-owning nodes, empties the
+  /// table and the leaf cache, and rewinds the arena (poisoned for
+  /// AddressSanitizer until reused, so a scratch node that escaped
+  /// into a summary is a use-after-poison).
+  void Reset();
+
+ private:
+  friend class ScratchScope;
+
+  struct Slot {
+    uint64_t hash = 0;
+    const SymExpr* node = nullptr;
+    const SymExpr* published = nullptr;  // global twin, once published
+  };
+  static constexpr size_t kInitialSlots = 1024;  // power of two
+  static constexpr size_t kArenaBlockBytes = 64 * 1024;
+
+  static constinit thread_local ScratchInterner* current_;
+
+  Slot& SlotOf(const SymExpr* node);
+  void* Allocate(size_t size, size_t align);
+  void Grow();
+
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  size_t used_ = 0;
+  const SymExpr* leaves_[kLeafSlots] = {};
+  std::vector<std::unique_ptr<std::byte[]>> arena_;
+  size_t arena_block_ = 0;  // index of the block being filled
+  size_t arena_pos_ = 0;    // offset into that block
+  std::vector<SymExpr*> owners_;
+};
+
+/// Routes the calling thread's SymExpr factories to the thread's
+/// ScratchInterner for the scope's lifetime. Closing the scope adds
+/// the nodes the function built to the `intern.scratch_nodes` counter
+/// and resets the scratch interner, so every node it handed out is
+/// dead: publish what must survive first. Scopes do not nest.
+class ScratchScope {
+ public:
+  ScratchScope();
+  ~ScratchScope();
+  ScratchScope(const ScratchScope&) = delete;
+  ScratchScope& operator=(const ScratchScope&) = delete;
+
+  ScratchInterner& interner() { return interner_; }
+
+ private:
+  ScratchInterner& interner_;
 };
 
 }  // namespace dtaint

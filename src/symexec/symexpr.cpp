@@ -70,6 +70,10 @@ SymExpr::SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op,
 
 SymRef SymExpr::Make(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                      SymRef lhs, SymRef rhs, std::string text) {
+  if (ScratchInterner* scratch = ScratchInterner::Current()) {
+    return scratch->Intern(kind, a, size, op, std::move(lhs), std::move(rhs),
+                           std::move(text));
+  }
   return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
                                        std::move(rhs), std::move(text));
 }

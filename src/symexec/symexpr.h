@@ -14,8 +14,10 @@
 //                   library call at `site`
 //
 // Expressions are immutable, shared, and hash-consed through the
-// ExprInterner (src/symexec/intern.h): the factories return the
-// canonical node for each structure, so structural equality is a
+// ExprInterner (src/symexec/intern.h), or through the calling thread's
+// ScratchInterner while SymEngine::Analyze explores a function: the
+// factories return the canonical node for each structure in the
+// interner they route to, so structural equality is a
 // pointer compare and Contains/Replace/taint queries short-circuit on
 // per-node flags cached at construction (a kind bitmask and a subtree
 // hash bloom). Add/Sub chains are normalized to `base + const` so that
@@ -48,6 +50,7 @@ enum class SymKind : uint8_t {
 
 class SymExpr;
 class ExprInterner;
+class ScratchInterner;
 using SymRef = std::shared_ptr<const SymExpr>;
 
 class SymExpr {
@@ -134,7 +137,8 @@ class SymExpr {
   std::string ToString() const;
 
  private:
-  friend class ExprInterner;  // constructs nodes in its arena
+  friend class ExprInterner;     // constructs nodes in its arena
+  friend class ScratchInterner;  // likewise, and publishes them
 
   /// `shape_hash` must be ShapeHash over the same fields — the
   /// interner's miss path has already computed it for the table probe,
@@ -166,6 +170,15 @@ class SymExpr {
                             BinOp op, const SymExpr* lhs,
                             const SymExpr* rhs, std::string_view text);
 
+  /// True if this node has exactly these fields (children by pointer):
+  /// the interners' table-hit test.
+  bool HasShape(SymKind kind, uint64_t a, uint8_t size, BinOp op,
+                const SymExpr* lhs, const SymExpr* rhs,
+                std::string_view text) const {
+    return kind_ == kind && a_ == a && size_ == size && op_ == op &&
+           lhs_.get() == lhs && rhs_.get() == rhs && text_ == text;
+  }
+
   /// Full structural walk, hash-gated. The reference semantics Equal's
   /// pointer compare must agree with (debug builds assert this).
   static bool DeepEqual(const SymExpr& a, const SymExpr& b);
@@ -175,6 +188,7 @@ class SymExpr {
   SymKind kind_;
   uint8_t size_ = 4;
   BinOp op_ = BinOp::kAdd;
+  bool scratch_ = false;    // lives in a ScratchInterner, not Global()
   uint16_t kind_mask_ = 0;  // union of KindBit over the subtree
   uint64_t a_ = 0;          // const/arg/ret/heap/init payload
   SymRef lhs_;

@@ -229,7 +229,7 @@ TEST(InternGenerationDTaint, ExprNodeBudgetDoesNotDependOnEarlierAnalyses) {
   Binary binary = Image(41);
   DTaintConfig config;
   config.interproc.num_threads = 1;
-  config.interproc.budget.max_expr_nodes = 4000;
+  config.interproc.budget.max_expr_nodes = 800;
   // Each report is dropped before the next analysis, as a corpus scan
   // does: a finding still held would keep its generation resident.
   size_t degraded = 0;
@@ -247,6 +247,28 @@ TEST(InternGenerationDTaint, ExprNodeBudgetDoesNotDependOnEarlierAnalyses) {
   std::string second = analyze();
   EXPECT_EQ(degraded, first_degraded);
   EXPECT_EQ(second, first);
+}
+
+TEST(InternGenerationDTaint, ExprNodeBudgetIsTheSameAtEveryThreadCount) {
+  // The node count a function is charged for is its own exploration's,
+  // so the summary threads building other functions at the same time
+  // cannot move its trip point.
+  Binary binary = Image(41);
+  std::string expected;
+  for (int threads : {1, 2, 8}) {
+    DTaintConfig config;
+    config.interproc.num_threads = threads;
+    config.interproc.budget.max_expr_nodes = 800;
+    for (int run = 0; run < 8; ++run) {
+      auto report = DTaint(config).Analyze(binary);
+      ASSERT_TRUE(report.ok());
+      ASSERT_GT(report->degraded_functions, 0u) << "the budget must bind";
+      std::string normalized = Normalized(std::move(*report));
+      if (expected.empty()) expected = normalized;
+      EXPECT_TRUE(normalized == expected)
+          << "threads " << threads << ", run " << run;
+    }
+  }
 }
 
 TEST(InternGenerationDTaint, CopiedFindingOutlivesItsReport) {

@@ -1,0 +1,250 @@
+// Scratch interning: a function's exploration builds its expressions in
+// the analysing thread's ScratchInterner, and only the summary it
+// returns is published into the global interner.
+//
+// These tests pin the three promises that protocol makes: nothing a
+// summary carries is a scratch node, a reset scratch interner keeps
+// nothing of the function before, and the summary threads' private
+// interners do not race with code that builds global nodes meanwhile
+// (the cache decoder).
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/cache/summary_codec.h"
+#include "src/cfg/callgraph.h"
+#include "src/cfg/cfg_builder.h"
+#include "src/core/interproc.h"
+#include "src/obs/metrics.h"
+#include "src/symexec/engine.h"
+#include "src/symexec/intern.h"
+#include "tests/testing/plant_corpus.h"
+
+namespace dtaint {
+namespace {
+
+SymRef Leaf(ScratchInterner& scratch, SymKind kind, uint64_t a) {
+  return scratch.Intern(kind, a, 4, BinOp::kAdd, nullptr, nullptr, {});
+}
+
+SymRef Add(ScratchInterner& scratch, SymRef lhs, SymRef rhs) {
+  return scratch.Intern(SymKind::kBin, 0, 4, BinOp::kAdd, std::move(lhs),
+                        std::move(rhs), {});
+}
+
+/// The node's kind payload, as the interners key it.
+uint64_t Payload(const SymExpr& e) {
+  switch (e.kind()) {
+    case SymKind::kConst:
+      return e.const_value();
+    case SymKind::kArg:
+      return static_cast<uint64_t>(e.arg_index());
+    case SymKind::kRet:
+      return e.ret_site();
+    case SymKind::kHeap:
+      return e.heap_id();
+    case SymKind::kTaint:
+      return e.taint_site();
+    case SymKind::kInit:
+      return static_cast<uint64_t>(e.init_reg());
+    default:
+      return 0;
+  }
+}
+
+/// Counts the expressions of one kind of summary field, and whether
+/// every node reachable from them is the global interner's own: the
+/// node it returns for the same fields outside any scratch scope (the
+/// factories' backend there), children first.
+struct GlobalCheck {
+  size_t expressions = 0;
+  size_t scratch_nodes = 0;
+
+  void Expect(const SymRef& expr) {
+    if (!expr) return;
+    ++expressions;
+    if (Canonical(expr).get() != expr.get()) ++scratch_nodes;
+  }
+
+  static SymRef Canonical(const SymRef& expr) {
+    if (!expr) return nullptr;
+    return ExprInterner::Global().Intern(
+        expr->kind(), Payload(*expr), expr->deref_size(), expr->binop(),
+        Canonical(expr->lhs()), Canonical(expr->rhs()),
+        expr->taint_source());
+  }
+};
+
+TEST(ScratchIntern, EveryNodeOfAnAnalysedSummaryIsGlobal) {
+  ASSERT_EQ(ScratchInterner::Current(), nullptr);
+  GlobalCheck defs, def_constraints, uses, targets, args, call_constraints,
+      returns;
+  // Five seeds cover all five plant patterns (indirect calls included),
+  // on both architectures.
+  for (const Binary& bin : testing_util::PlantCorpus("scratch", 300, 5, 3)) {
+    Program program = CfgBuilder(bin).BuildProgram().value();
+    SymEngine engine(bin);
+    for (const auto& [name, fn] : program.functions) {
+      FunctionSummary summary = engine.Analyze(fn);
+      for (const DefPair& dp : summary.def_pairs) {
+        defs.Expect(dp.d);
+        defs.Expect(dp.u);
+        for (const PathConstraint& c : dp.constraints) {
+          def_constraints.Expect(c.lhs);
+          def_constraints.Expect(c.rhs);
+        }
+      }
+      for (const UseRecord& use : summary.undefined_uses) uses.Expect(use.u);
+      for (const CallEvent& call : summary.calls) {
+        targets.Expect(call.indirect_target);
+        for (const SymRef& arg : call.args) args.Expect(arg);
+        for (const PathConstraint& c : call.constraints) {
+          call_constraints.Expect(c.lhs);
+          call_constraints.Expect(c.rhs);
+        }
+      }
+      for (const SymRef& value : summary.return_values) returns.Expect(value);
+    }
+  }
+  for (const GlobalCheck* check : {&defs, &def_constraints, &uses, &targets,
+                                   &args, &call_constraints, &returns}) {
+    EXPECT_GT(check->expressions, 0u) << "the corpus must exercise it";
+    EXPECT_EQ(check->scratch_nodes, 0u);
+  }
+}
+
+TEST(ScratchIntern, ScopeRoutesTheFactoriesAndCountsItsNodes) {
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("intern.scratch_nodes");
+  uint64_t before = counter.Value();
+  SymRef global = SymExpr::Bin(BinOp::kAdd, SymExpr::Arg(1),
+                               SymExpr::Const(8));
+  size_t built = 0;
+  {
+    ScratchScope scope;
+    ASSERT_EQ(ScratchInterner::Current(), &scope.interner());
+    SymRef scratch = SymExpr::Bin(BinOp::kAdd, SymExpr::Arg(1),
+                                  SymExpr::Const(8));
+    built = scope.interner().size();
+    EXPECT_EQ(built, 3u);
+    EXPECT_NE(scratch.get(), global.get());
+    EXPECT_EQ(scratch->hash(), global->hash());  // structural, shared
+    EXPECT_EQ(scope.interner().Publish(scratch).get(), global.get());
+    EXPECT_EQ(scope.interner().Publish(global).get(), global.get());
+  }
+  EXPECT_EQ(ScratchInterner::Current(), nullptr);
+  EXPECT_EQ(counter.Value() - before, built);
+}
+
+TEST(ScratchIntern, AResetScratchGivesNoStaleLeafOrTableHit) {
+  ScratchInterner scratch;
+  // A leaf-cache shape, a table shape, and a parent of both.
+  SymRef c = Leaf(scratch, SymKind::kConst, 5);
+  SymRef h = Leaf(scratch, SymKind::kHeap, 0x77);
+  Add(scratch, h, c);
+  EXPECT_EQ(Leaf(scratch, SymKind::kConst, 5).get(), c.get());
+  EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x77).get(), h.get());
+  EXPECT_EQ(scratch.size(), 3u);
+  scratch.Reset();
+  EXPECT_EQ(scratch.size(), 0u);
+  // Every shape is built afresh: a stale hit would leave size() as is.
+  SymRef c2 = Leaf(scratch, SymKind::kConst, 5);
+  EXPECT_EQ(scratch.size(), 1u);
+  SymRef h2 = Leaf(scratch, SymKind::kHeap, 0x77);
+  EXPECT_EQ(scratch.size(), 2u);
+  SymRef sum = Add(scratch, h2, c2);
+  EXPECT_EQ(scratch.size(), 3u);
+  EXPECT_EQ(sum->lhs()->heap_id(), 0x77u);
+  EXPECT_EQ(sum->rhs()->const_value(), 5u);
+
+  // A grown table is cleared in place after a large function and
+  // shrunk after a small one; neither keeps a hit.
+  for (uint64_t round = 0; round < 3; ++round) {
+    const uint64_t count = round == 1 ? 10 : 3000;
+    scratch.Reset();
+    for (uint64_t i = 0; i < count; ++i) {
+      Leaf(scratch, SymKind::kHeap, 0x1000 + i);
+      Leaf(scratch, SymKind::kConst, i);  // leaf cache below 1024
+    }
+    EXPECT_EQ(scratch.size(), count * 2) << "round " << round;
+    for (uint64_t i = 0; i < count; ++i) {
+      EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x1000 + i)->heap_id(),
+                0x1000 + i);
+    }
+    EXPECT_EQ(scratch.size(), count * 2) << "round " << round;
+  }
+}
+
+TEST(ScratchIntern, TaintNodesAreDestroyedOnReset) {
+  ScratchInterner scratch;
+  // Longer than any small-string buffer, so each node owns heap memory.
+  const std::string name(64, 'r');
+  for (uint32_t round = 0; round < 3; ++round) {
+    SymRef first = scratch.Intern(SymKind::kTaint, 0x40 + round, 4,
+                                  BinOp::kAdd, nullptr, nullptr, name);
+    SymRef second = scratch.Intern(SymKind::kTaint, 0x80 + round, 4,
+                                   BinOp::kAdd, nullptr, nullptr, name);
+    Add(scratch, first, second);  // a parent owns nothing
+    EXPECT_EQ(scratch.owners(), 2u);
+    EXPECT_EQ(first->taint_source(), name);
+    scratch.Reset();
+    EXPECT_EQ(scratch.owners(), 0u);
+  }
+  // Each round built its taint nodes over the last round's arena
+  // bytes: a node whose destructor Reset skipped would leak its name,
+  // which the AddressSanitizer build's leak checker reports.
+}
+
+TEST(ScratchIntern, EightSummaryThreadsRaceACacheDecoder) {
+  std::vector<Binary> corpus = testing_util::PlantCorpus("race", 400, 2, 12);
+  ASSERT_FALSE(corpus.empty());
+  const Binary& bin = corpus.back();
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  CallGraph graph = CallGraph::Build(program);
+  SymEngine engine(bin);
+  SummarySet reference = Summarize(program, graph, engine);
+  ASSERT_GT(reference.summaries.size(), 8u);
+  std::vector<std::vector<uint8_t>> blobs;
+  for (const auto& [name, summary] : reference.summaries) {
+    blobs.push_back(EncodeSummary(summary));
+  }
+
+  // The decoder builds global nodes from a thread with no scratch
+  // scope while eight summary threads explore in theirs and publish.
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> decoded{0};
+  std::atomic<size_t> decode_mismatches{0};
+  std::thread decoder([&] {
+    do {
+      for (const std::vector<uint8_t>& blob : blobs) {
+        auto summary = DecodeSummary(blob);
+        if (!summary.ok() || EncodeSummary(*summary) != blob) {
+          decode_mismatches.fetch_add(1);
+        }
+        decoded.fetch_add(1);
+      }
+    } while (!stop.load());
+  });
+  InterprocConfig config;
+  config.num_threads = 8;
+  size_t summary_mismatches = 0;
+  for (int run = 0; run < 3; ++run) {
+    SummarySet got = Summarize(program, graph, engine, config);
+    ASSERT_EQ(got.summaries.size(), reference.summaries.size());
+    size_t i = 0;
+    for (const auto& [name, summary] : got.summaries) {
+      if (EncodeSummary(summary) != blobs[i++]) ++summary_mismatches;
+    }
+  }
+  stop.store(true);
+  decoder.join();
+  EXPECT_EQ(summary_mismatches, 0u);
+  EXPECT_EQ(decode_mismatches.load(), 0u);
+  EXPECT_GE(decoded.load(), blobs.size());
+}
+
+}  // namespace
+}  // namespace dtaint
