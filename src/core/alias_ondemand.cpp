@@ -28,6 +28,7 @@ OnDemandAliasOracle::OnDemandAliasOracle(const AnalysisBudget& budget)
 OnDemandAliasOracle::Entry& OnDemandAliasOracle::EntryForLocked(
     const FunctionSummary& summary) {
   Entry& entry = memo_[summary.name];
+  CountQuery(entry.ready);
   if (entry.ready) return entry;
   // Permissive policy: the oracle works on *linked* summaries, where a
   // callee's library-signature type observations are not visible, so
@@ -60,19 +61,13 @@ OnDemandAliasOracle::Entry& OnDemandAliasOracle::EntryForLocked(
 const std::vector<DefPair>& OnDemandAliasOracle::TwinsFor(
     const FunctionSummary& summary) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = memo_.find(summary.name);
-  bool hit = it != memo_.end() && it->second.ready;
-  CountQuery(hit);
-  return (hit ? it->second : EntryForLocked(summary)).twins;
+  return EntryForLocked(summary).twins;
 }
 
 const std::vector<AliasFact>& OnDemandAliasOracle::FactsFor(
     const FunctionSummary& summary) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = memo_.find(summary.name);
-  bool hit = it != memo_.end() && it->second.ready;
-  CountQuery(hit);
-  return (hit ? it->second : EntryForLocked(summary)).facts;
+  return EntryForLocked(summary).facts;
 }
 
 SymRef OnDemandAliasOracle::CanonicalSse(const FunctionSummary& summary,
@@ -83,10 +78,7 @@ SymRef OnDemandAliasOracle::CanonicalSse(const FunctionSummary& summary,
   std::vector<AliasFact> facts;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(summary.name);
-    bool hit = it != memo_.end() && it->second.ready;
-    CountQuery(hit);
-    facts = (hit ? it->second : EntryForLocked(summary)).facts;
+    facts = EntryForLocked(summary).facts;
   }
   SymRef cur = expr;
   for (int round = 0; round < kMaxCanonicalRounds; ++round) {

@@ -93,7 +93,8 @@ class OnDemandAliasOracle {
     bool ready = false;
   };
 
-  /// Computes (or returns) the entry; must be called with mu_ held.
+  /// One public query: counts it (a hit when the entry is ready) and
+  /// computes or returns the entry. Must be called with mu_ held.
   Entry& EntryForLocked(const FunctionSummary& summary);
 
   mutable std::mutex mu_;

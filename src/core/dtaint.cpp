@@ -5,6 +5,7 @@
 
 #include "src/obs/events.h"
 #include "src/obs/log.h"
+#include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
 #include "src/obs/trace.h"
 #include "src/resilience/fault.h"
@@ -30,13 +31,12 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   // Taken first so it is released last: every local below may hold
   // expressions of this generation.
   InternPin pin = ExprInterner::Global().Pin();
-  obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Stopwatch t_total;
   AnalysisReport report;
   report.binary_name = binary.soname;
   report.arch = binary.arch;
-  obs::Span binary_span(tracer, "binary", report.binary_name);
+  obs::Span binary_span(obs::Tracer::Global(), "binary", report.binary_name);
   obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsSnapshot metrics_before = registry.Snapshot();
   if (events.enabled()) {
@@ -52,14 +52,14 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   DTAINT_LOG(obs::LogLevel::kInfo, "dtaint", "analyzing %s",
              report.binary_name.c_str());
 
+  // The phases below tile the binary span, one obs::Phase each, in the
+  // order lift, filter, callgraph, summary, link, structsim, relink,
+  // pathfind_index, pathfind, sanitize, report. ssa_seconds sums lift
+  // through link; ddg_seconds sums structsim through report.
+
   // 1. CFG skeleton of every function. No IR is lifted here: the
   // engine lifts a function only when it executes it (step 2).
-  obs::Stopwatch t_ssa;
-  obs::Span lift_span(tracer, "phase", "lift");
-  obs::Stopwatch t_lift;
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "lift"));
-  }
+  obs::Phase lift("lift");
   CfgBuilder builder(binary);
   auto program_or = builder.BuildProgram();
   if (!program_or.ok()) {
@@ -69,7 +69,6 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
     return program_or.status();
   }
   Program program = std::move(*program_or);
-  lift_span.Finish();
   for (const auto& [fn_name, status] : program.lift_failures) {
     Incident incident;
     incident.binary = report.binary_name;
@@ -87,19 +86,15 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   report.blocks = program.TotalBlocks();
   registry.counter("lift.functions").Add(report.functions);
   registry.counter("lift.blocks").Add(report.blocks);
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "lift")
-                    .Double("duration_ms", t_lift.Seconds() * 1e3)
-                    .Num("functions", static_cast<uint64_t>(report.functions))
-                    .Num("blocks", static_cast<uint64_t>(report.blocks))
-                    .Num("lift_failures",
-                         static_cast<uint64_t>(
-                             program.lift_failures.size())));
-  }
+  report.ssa_seconds += lift.Finish([&](obs::Event& end) {
+    end.Num("functions", report.functions)
+        .Num("blocks", report.blocks)
+        .Num("lift_failures", program.lift_failures.size());
+  });
 
   // Optional focus filter: keep the named functions plus everything
   // transitively reachable from them.
+  obs::Phase filter("filter");
   std::set<std::string> keep;
   if (!only.empty()) {
     // Seed + direct-call closure. Address-taken functions stay too:
@@ -123,41 +118,47 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
         }
       }
     }
-    for (auto it = program.functions.begin();
-         it != program.functions.end();) {
-      if (!keep.count(it->first)) {
-        program.fn_by_addr.erase(it->second.addr);
-        it = program.functions.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(program.functions,
+                  [&](const auto& fn) { return !keep.count(fn.first); });
+    std::erase_if(program.fn_by_addr,
+                  [&](const auto& addr) { return !keep.count(addr.second); });
   }
   report.analyzed_functions = program.functions.size();
+  report.ssa_seconds += filter.Finish();
+
+  obs::Phase callgraph("callgraph");
+  CallGraph graph = CallGraph::Build(program);
+  report.ssa_seconds += callgraph.Finish();
 
   // 2. Intraprocedural symbolic analysis, bottom-up; alias recognition.
-  SymEngine engine(binary, config_.engine);
-  InterprocConfig interproc_config = config_.interproc;
-  interproc_config.apply_alias = config_.enable_alias;
-
   // Every function is summarized once; the summaries are linked, and
   // unlinked and linked again once structure similarity resolves
   // indirect calls.
-  CallGraph graph = CallGraph::Build(program);
-  ProgramAnalysis analysis =
-      Link(program, graph, Summarize(program, graph, engine, interproc_config),
-           interproc_config);
-  report.ssa_seconds = t_ssa.Seconds();
+  obs::Phase summary("summary");
+  SymEngine engine(binary, config_.engine);
+  InterprocConfig interproc_config = config_.interproc;
+  interproc_config.apply_alias = config_.enable_alias;
+  SummarySet summaries = Summarize(program, graph, engine, interproc_config);
+  summaries.stats.summary_seconds = summary.Finish([&](obs::Event& end) {
+    end.Num("functions", program.functions.size())
+        .Num("cache_hits", summaries.stats.cache_hits)
+        .Num("cache_misses", summaries.stats.cache_misses);
+  });
+  report.ssa_seconds += summaries.stats.summary_seconds;
+
+  ProgramAnalysis analysis;
+  auto link_fields = [&analysis](obs::Event& end) {
+    end.Num("defs_propagated", analysis.stats.defs_propagated)
+        .Num("uses_forwarded", analysis.stats.uses_forwarded);
+  };
+  obs::Phase link("link");
+  analysis = Link(program, graph, std::move(summaries), interproc_config);
+  report.ssa_seconds += link.Finish(link_fields);
 
   // 3. Indirect-call resolution via structure-layout similarity, then
   // re-link so flows cross the resolved edges.
-  obs::Stopwatch t_ddg;
   if (config_.enable_structsim) {
-    obs::Span structsim_span(tracer, "phase", "structsim");
-    obs::Stopwatch t_structsim;
-    if (events.enabled()) {
-      events.Emit(obs::Event("phase_begin").Str("phase", "structsim"));
-    }
+    obs::Phase structsim("structsim");
     // In on-demand alias mode the oracle adds the SSE resolution tier:
     // call-target SSEs matched against linked function-pointer stores
     // and their alias twins (null oracle = eager mode, tier disabled).
@@ -166,62 +167,48 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
     report.indirect_calls_resolved = resolutions.size();
     registry.counter("structsim.indirect_calls_resolved")
         .Add(report.indirect_calls_resolved);
-    structsim_span.Finish();
-    if (events.enabled()) {
-      events.Emit(obs::Event("phase_end")
-                      .Str("phase", "structsim")
-                      .Double("duration_ms", t_structsim.Seconds() * 1e3)
-                      .Num("resolved",
-                           static_cast<uint64_t>(
-                               report.indirect_calls_resolved)));
-    }
+    report.ddg_seconds += structsim.Finish([&](obs::Event& end) {
+      end.Num("resolved", report.indirect_calls_resolved);
+    });
     if (!resolutions.empty()) {
+      obs::Phase relink("relink");
       analysis = Link(program, CallGraph::Build(program),
                       Unlink(std::move(analysis)), interproc_config);
+      report.ddg_seconds += relink.Finish(link_fields);
     }
   }
-  report.interproc_stats = analysis.stats;
-  report.hot_functions = analysis.stats.hot_functions;
-  report.call_graph_edges = program.CallEdgeCount();
 
   // 4. Sink-to-source path search + sanitization checks.
+  obs::Phase pathfind_index("pathfind_index");
   if (FaultPlan::Global().ShouldFail(FaultSite::kPathfinder,
                                      report.binary_name)) {
     return Internal("injected pathfinder fault: " + report.binary_name);
   }
   PathFinder finder(program, analysis, config_.pathfinder);
   report.sink_count = finder.SinkCount();
-  obs::Span pathfind_span(tracer, "phase", "pathfind");
-  obs::Stopwatch t_pathfind;
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "pathfind"));
-  }
+  report.ddg_seconds += pathfind_index.Finish();
+
+  obs::Phase pathfind("pathfind");
   std::vector<TaintPath> paths = finder.FindAll();
-  pathfind_span.Finish();
   report.total_paths = paths.size();
   report.pathfinder_stats = finder.stats();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "pathfind")
-                    .Double("duration_ms", t_pathfind.Seconds() * 1e3)
-                    .Num("paths", static_cast<uint64_t>(report.total_paths))
-                    .Num("sinks", static_cast<uint64_t>(report.sink_count)));
-    events.Emit(obs::Event("phase_begin").Str("phase", "sanitize"));
-  }
-  obs::Span sanitize_span(tracer, "phase", "sanitize");
-  obs::Stopwatch t_sanitize;
+  report.ddg_seconds += pathfind.Finish([&](obs::Event& end) {
+    end.Num("paths", report.total_paths)
+        .Num("sinks", report.sink_count);
+  });
+
+  obs::Phase sanitize("sanitize");
   std::vector<TaintPath> vulnerable = FilterVulnerable(std::move(paths));
-  sanitize_span.Finish();
   report.pathfinder_stats.sanitized_away =
       report.total_paths - vulnerable.size();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_end")
-                    .Str("phase", "sanitize")
-                    .Double("duration_ms", t_sanitize.Seconds() * 1e3)
-                    .Num("sanitized",
-                         static_cast<uint64_t>(
-                             report.pathfinder_stats.sanitized_away)));
-  }
+  report.ddg_seconds += sanitize.Finish([&](obs::Event& end) {
+    end.Num("sanitized", report.pathfinder_stats.sanitized_away);
+  });
+
+  obs::Phase report_phase("report");
+  report.interproc_stats = analysis.stats;
+  report.hot_functions = analysis.stats.hot_functions;
+  report.call_graph_edges = program.CallEdgeCount();
   // Paths riding on degraded (over-approximated) flow are withheld:
   // reporting them would let a *smaller* budget produce *more*
   // findings. They count as suppressed and flip `complete` instead.
@@ -249,9 +236,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                       .Str("sink", p.sink_name)
                       .Str("sink_function", p.sink_function)
                       .Str("sink_site", HexStr(p.sink_site))
-                      .Num("hops", static_cast<uint64_t>(p.hops.size()))
-                      .Num("constraints",
-                           static_cast<uint64_t>(p.constraints.size())));
+                      .Num("hops", p.hops.size())
+                      .Num("constraints", p.constraints.size()));
     }
   }
   report.degraded_functions = report.interproc_stats.degraded_functions;
@@ -268,19 +254,23 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                     report.suppressed_findings == 0 &&
                     report.degraded_functions == 0 &&
                     report.pathfinder_stats.pruned_by_depth == 0;
-  report.ddg_seconds = t_ddg.Seconds();
-  report.total_seconds = t_total.Seconds();
   // Fold the path-search/sanitization expression traffic into the
   // intern.* counters before the per-run delta is taken.
   ExprInterner::Global().PublishMetrics();
+  // Tearing the analysis state down is work every call pays before it
+  // returns: do it inside the phase, so the phases tile the binary.
+  // `finder` is not used past this point.
+  analysis = ProgramAnalysis();
+  graph = CallGraph();
+  program = Program();
+  report.ddg_seconds += report_phase.Finish();
+  report.total_seconds = t_total.Seconds();
   report.metrics = registry.Snapshot().DeltaSince(metrics_before);
   if (events.enabled()) {
     events.Emit(obs::Event("binary_end")
                     .Str("binary", report.binary_name)
-                    .Num("functions",
-                         static_cast<uint64_t>(report.analyzed_functions))
-                    .Num("findings",
-                         static_cast<uint64_t>(report.findings.size()))
+                    .Num("functions", report.analyzed_functions)
+                    .Num("findings", report.findings.size())
                     .Bool("complete", report.complete)
                     .Double("duration_ms", report.total_seconds * 1e3));
   }
@@ -289,6 +279,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
              report.binary_name.c_str(), report.findings.size(),
              report.total_paths, report.pathfinder_stats.sanitized_away,
              report.total_seconds);
+  // Ended before `report` moves out: the span names it by view.
+  binary_span.Finish();
   return report;
 }
 

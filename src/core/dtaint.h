@@ -60,10 +60,11 @@ struct AnalysisReport {
   size_t total_paths = 0;          // all sink->source paths found
   std::vector<Finding> findings;
 
-  // Phase timings (paper Tables VI/VII).
-  double ssa_seconds = 0.0;        // CFG + lifting + symbolic analysis
-  double ddg_seconds = 0.0;        // alias + structsim + linking + paths
-  double total_seconds = 0.0;
+  // Phase timings (paper Tables VI/VII): sums of obs::Phase seconds;
+  // each phase's own time is `phase.<name>_micros` in `metrics`.
+  double ssa_seconds = 0.0;    // lift, filter, callgraph, summary, link
+  double ddg_seconds = 0.0;    // structsim through report
+  double total_seconds = 0.0;  // the whole call, on its own clock
 
   // Internals for inspection.
   InterprocStats interproc_stats;

@@ -229,31 +229,21 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   int threads = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(std::max(1, config.num_threads)),
       std::max<size_t>(1, order.size())));
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin")
-                    .Str("phase", "summary")
-                    .Num("functions", static_cast<uint64_t>(order.size())));
-  }
-  {
-    obs::Span summary_span(tracer, "phase", "summary");
-    obs::Stopwatch phase1;
-    if (threads == 1) {
-      for (size_t i = 0; i < order.size(); ++i) analyze_one(i);
-    } else {
-      std::atomic<size_t> next{0};
-      auto worker = [&] {
-        for (;;) {
-          size_t i = next.fetch_add(1);
-          if (i >= order.size()) return;
-          analyze_one(i);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
-    stats.summary_seconds = phase1.Seconds();
+  if (threads == 1) {
+    for (size_t i = 0; i < order.size(); ++i) analyze_one(i);
+  } else {
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+      for (;;) {
+        size_t i = next.fetch_add(1);
+        if (i >= order.size()) return;
+        analyze_one(i);
+      }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
   }
   for (size_t i = 0; i < order.size(); ++i) {
     if (fn_budget[i].exhausted_by == BudgetExhaustion::kNone) continue;
@@ -311,22 +301,12 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     if (base[i].truncated) ++stats.truncated_functions;
     result.summaries.emplace(order[i], std::move(base[i]));
   }
-  if (events.enabled()) {
-    events.Emit(
-        obs::Event("phase_end")
-            .Str("phase", "summary")
-            .Double("duration_ms", stats.summary_seconds * 1e3)
-            .Num("functions", static_cast<uint64_t>(order.size()))
-            .Num("cache_hits", static_cast<uint64_t>(stats.cache_hits))
-            .Num("cache_misses", static_cast<uint64_t>(stats.cache_misses)));
-  }
   registry.counter("summary.functions").Add(stats.functions_processed);
   registry.counter("summary.degraded").Add(stats.degraded_functions);
   registry.counter("alias.pairs_added").Add(stats.alias_pairs_added);
   DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
-             "summaries done: %zu functions in %.3fs, cache %zu/%zu hit/miss",
-             stats.functions_processed, stats.summary_seconds,
-             stats.cache_hits, stats.cache_misses);
+             "summaries done: %zu functions, cache %zu/%zu hit/miss",
+             stats.functions_processed, stats.cache_hits, stats.cache_misses);
   return result;
 }
 
@@ -334,17 +314,8 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
                      SummarySet phase1, const InterprocConfig& config) {
   ProgramAnalysis analysis;
   analysis.stats = std::move(phase1.stats);
-  obs::Tracer& tracer = obs::Tracer::Global();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::EventStream& events = obs::EventStream::Global();
-  if (events.enabled()) {
-    events.Emit(obs::Event("phase_begin").Str("phase", "link"));
-  }
-
   // Sequential in bottom-up order: each caller needs its callees'
   // already-linked summaries.
-  obs::Span link_span(tracer, "phase", "link");
-  obs::Stopwatch link_watch;
   for (const std::string& name : graph.BottomUpOrder()) {
     const Function* fn = program.FindFunction(name);
     if (!fn) continue;
@@ -454,23 +425,13 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
 
     analysis.summaries.emplace(name, std::move(summary));
   }
-  link_span.Finish();
-  if (events.enabled()) {
-    events.Emit(
-        obs::Event("phase_end")
-            .Str("phase", "link")
-            .Double("duration_ms", link_watch.Seconds() * 1e3)
-            .Num("defs_propagated",
-                 static_cast<uint64_t>(analysis.stats.defs_propagated))
-            .Num("uses_forwarded",
-                 static_cast<uint64_t>(analysis.stats.uses_forwarded)));
-  }
 
   if (config.apply_alias && config.alias_mode == AliasMode::kOnDemandSSE) {
     analysis.alias_oracle =
         std::make_shared<OnDemandAliasOracle>(config.budget);
   }
 
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.counter("link.defs_propagated").Add(analysis.stats.defs_propagated);
   registry.counter("link.uses_forwarded").Add(analysis.stats.uses_forwarded);
   registry.counter("link.rets_replaced").Add(analysis.stats.rets_replaced);

@@ -95,10 +95,11 @@ struct HotFunction {
 };
 
 struct InterprocStats {
-  /// Wall time of phase 1 — per-function summary production (symbolic
-  /// analysis + alias rewrite, or a cache hit). This is exactly the
-  /// work a summary cache can serve, so bench/cache_warm reports its
-  /// cold-vs-warm ratio separately from end-to-end wall time.
+  /// Wall time of the `summary` phase (set by DTaint::AnalyzeFunctions;
+  /// zero from Summarize alone) — per-function summary production
+  /// (symbolic analysis + alias rewrite, or a cache hit). This is
+  /// exactly the work a summary cache can serve, so bench/cache_warm
+  /// reports its cold-vs-warm ratio separately from end-to-end time.
   double summary_seconds = 0.0;
   size_t functions_processed = 0;  // functions summarized
   size_t alias_pairs_added = 0;
@@ -166,7 +167,7 @@ struct ProgramAnalysis {
 /// indirect-call resolution without summarizing any function twice.
 struct SummarySet {
   std::map<std::string, FunctionSummary> summaries;
-  /// Summary-phase stats: time, cache traffic, hot functions,
+  /// Summary-phase stats: cache traffic, hot functions,
   /// degraded/truncated counts, incidents, alias pairs. Link counters
   /// are zero.
   InterprocStats stats;

@@ -74,6 +74,26 @@ EnvBlock CaptureEnv() {
   return env;
 }
 
+void RecordPhaseSeconds(Rep& rep, const obs::MetricsSnapshot& metrics,
+                        double total_seconds) {
+  constexpr std::string_view kPrefix = "phase.", kSuffix = "_micros";
+  double phases = 0.0;
+  for (const auto& [name, histogram] : metrics.histograms) {
+    std::string_view phase = name;
+    if (histogram.count == 0 || !phase.starts_with(kPrefix) ||
+        !phase.ends_with(kSuffix)) {
+      continue;
+    }
+    phase = phase.substr(kPrefix.size(),
+                         phase.size() - kPrefix.size() - kSuffix.size());
+    double seconds = static_cast<double>(histogram.sum) * 1e-6;
+    rep.Value(std::string(phase) + "_seconds", seconds);
+    phases += seconds;
+  }
+  rep.Value("phase_coverage_ratio",
+            total_seconds > 0 ? phases / total_seconds : 0.0);
+}
+
 Harness::Harness(std::string name, int argc, char** argv)
     : name_(std::move(name)),
       now_([] {

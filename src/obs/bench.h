@@ -94,6 +94,13 @@ struct RunResult {
   obs::MetricsSnapshot metrics;  // median rep's per-rep registry delta
 };
 
+/// Records what an obs::Phase-instrumented run spent per phase: one
+/// `<phase>_seconds` value per `phase.<phase>_micros` histogram with
+/// samples in `metrics` (the run's per-run delta), and
+/// `phase_coverage_ratio`, their sum over `total_seconds`.
+void RecordPhaseSeconds(Rep& rep, const obs::MetricsSnapshot& metrics,
+                        double total_seconds);
+
 class Harness {
  public:
   /// Parses --json-out / --trace-out / --reps out of argv (other flags
@@ -104,7 +111,6 @@ class Harness {
   Harness& operator=(const Harness&) = delete;
 
   const std::string& name() const { return name_; }
-  bool json_requested() const { return !json_out_.empty(); }
 
   /// Effective rep count for a run that defaults to `default_reps`,
   /// after --reps / DTAINT_BENCH_N (benches print it up front).

@@ -10,11 +10,6 @@ namespace dtaint::bench {
 
 namespace {
 
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 const char* StatusName(DiffStatus status) {
   switch (status) {
     case DiffStatus::kOk: return "ok";
@@ -111,14 +106,12 @@ Result<ParsedDoc> ParseDoc(const JsonValue& doc, const char* which) {
 }  // namespace
 
 MetricClass ClassifyMetric(std::string_view name) {
-  if (EndsWith(name, "_ratio") || EndsWith(name, "_speedup") ||
-      EndsWith(name, "_pct") || EndsWith(name, "_mb")) {
+  if (name.ends_with("_ratio") || name.ends_with("_speedup") ||
+      name.ends_with("_pct") || name.ends_with("_mb")) {
     return MetricClass::kInformational;
   }
-  if (name == "wall_seconds" || EndsWith(name, "_seconds")) {
-    return MetricClass::kTimeSeconds;
-  }
-  if (EndsWith(name, "_nanos")) return MetricClass::kTimeNanos;
+  if (name.ends_with("_seconds")) return MetricClass::kTimeSeconds;
+  if (name.ends_with("_nanos")) return MetricClass::kTimeNanos;
   return MetricClass::kCount;
 }
 
@@ -175,15 +168,8 @@ Result<DiffReport> DiffBenchDocs(const JsonValue& baseline,
   auto add = [&](const std::string& run, const std::string& metric,
                  double base_v, double cur_v, double ratio,
                  DiffStatus status) {
-    MetricDelta row;
-    row.bench = cur->bench;
-    row.run = run;
-    row.metric = metric;
-    row.baseline = base_v;
-    row.current = cur_v;
-    row.ratio = ratio;
-    row.status = status;
-    report.rows.push_back(std::move(row));
+    report.rows.push_back(
+        {cur->bench, run, metric, base_v, cur_v, ratio, status});
   };
 
   for (const auto& [run_name, base_metrics] : base->runs) {

@@ -16,8 +16,6 @@ namespace dtaint::obs {
 
 // ---- Event ----------------------------------------------------------------
 
-Event::Event(std::string_view type) : type_(type) {}
-
 Event& Event::Str(std::string_view key, std::string_view value) {
   fields_ += ",\"";
   fields_ += JsonEscape(key);
@@ -80,7 +78,9 @@ void FlightRecorder::Record(std::string_view line) {
   slot.len = static_cast<uint32_t>(n + 1);
 }
 
-void FlightRecorder::DumpToFd(int fd) const {
+bool FlightRecorder::WriteDump() const {
+  int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
   uint64_t end = seq_.load(std::memory_order_relaxed);
   uint64_t begin = end > kSlots ? end - kSlots : 0;
   for (uint64_t s = begin; s < end; ++s) {
@@ -90,27 +90,21 @@ void FlightRecorder::DumpToFd(int fd) const {
     ssize_t ignored = ::write(fd, slot.text, len);
     (void)ignored;
   }
+  ::close(fd);
+  return true;
 }
 
 bool FlightRecorder::Dump() {
   if (!armed()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  DumpToFd(fd);
-  ::close(fd);
-  return true;
+  return WriteDump();
 }
 
 void FlightRecorder::DumpFromSignal() {
   // No locking — the handler may have interrupted a Record() holding
   // mu_. open/write/close are async-signal-safe; a concurrently
   // written slot may come out torn, and NDJSON consumers skip it.
-  if (!armed_.load(std::memory_order_acquire)) return;
-  int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  DumpToFd(fd);
-  ::close(fd);
+  if (armed()) WriteDump();
 }
 
 // ---- crash hook -----------------------------------------------------------
@@ -180,10 +174,8 @@ bool EventStream::Open(const std::string& path, std::string_view tool) {
   // completed emit survives a crash as a whole line.
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd_ < 0) return false;
-  path_ = path;
   t0_ = std::chrono::steady_clock::now();
   count_.store(0, std::memory_order_relaxed);
-  counts_by_type_.clear();
   enabled_.store(true, std::memory_order_release);
   lock.unlock();
 
@@ -222,13 +214,6 @@ double EventStream::NowRelMillis() const {
       .count();
 }
 
-void EventStream::WriteLine(std::string_view line) {
-  // Single write(2) per line: atomic append, no userspace buffering to
-  // lose in a crash.
-  ssize_t ignored = ::write(fd_, line.data(), line.size());
-  (void)ignored;
-}
-
 void EventStream::Emit(const Event& event) {
   if (!enabled()) return;
   std::string line = "{\"v\":" + std::to_string(kEventSchemaVersion) +
@@ -240,8 +225,10 @@ void EventStream::Emit(const Event& event) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (fd_ < 0) return;
-    WriteLine(line);
-    ++counts_by_type_[event.type()];
+    // Single write(2) per line: atomic append, no userspace buffering
+    // to lose in a crash.
+    ssize_t ignored = ::write(fd_, line.data(), line.size());
+    (void)ignored;
   }
   count_.fetch_add(1, std::memory_order_relaxed);
   MetricsRegistry::Global().counter("events.emitted").Add();
@@ -261,11 +248,6 @@ void EventStream::EmitHeartbeat(uint64_t images_done, uint64_t images_total,
       .Double("rss_mb", static_cast<double>(CurrentRssBytes()) / (1 << 20), 1)
       .Num("events", EventCount());
   Emit(beat);
-}
-
-std::map<std::string, uint64_t> EventStream::CountsByType() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {counts_by_type_.begin(), counts_by_type_.end()};
 }
 
 // ---- helpers --------------------------------------------------------------

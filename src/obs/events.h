@@ -18,11 +18,15 @@
 //   stream_begin / stream_end    tool, pid, unix_ms / outcome, events
 //   corpus_begin / corpus_end    fleet scan brackets (corpus_scan)
 //   image_begin / image_end      per-image outcome, status, duration_ms
-//   binary_begin / binary_end    one Analyze() call
-//   phase_begin / phase_end      lift|summary|link|structsim|pathfind|
-//                                sanitize, with duration_ms and
-//                                per-phase gauges (cache hits/misses,
-//                                resolved indirect calls, paths)
+//   binary_begin / binary_end    one Analyze() call (duration_ms)
+//   phase_begin / phase_end      one obs::Phase (src/obs/phase.h): lift,
+//                                filter, callgraph, summary, link,
+//                                structsim, relink, pathfind_index,
+//                                pathfind, sanitize, report — in that
+//                                order, never nested; phase_end carries
+//                                duration_ms and per-phase gauges
+//                                (cache hits/misses, resolved indirect
+//                                calls, paths)
 //   function_begin / function_end  per-function summary production:
 //                                micros, cached (cache hit/miss),
 //                                degraded
@@ -39,8 +43,7 @@
 //   log                          flight-recorder-only: a log record
 //
 // Event *counts* per type are deterministic for a given program and
-// config (timestamps are not); the bench overhead gate exact-matches
-// them.
+// config (timestamps are not); the benches exact-match the totals.
 //
 // The flight recorder is the crash half: a fixed-size lock-protected
 // ring of the most recent event lines plus log records. Incident
@@ -51,11 +54,12 @@
 // main stream.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -74,12 +78,14 @@ inline constexpr int kEventSchemaVersion = 1;
 /// envelope (v, ts_ms, tid) at emit time.
 class Event {
  public:
-  explicit Event(std::string_view type);
+  explicit Event(std::string_view type) : type_(type) {}
 
   Event& Str(std::string_view key, std::string_view value);
   Event& Num(std::string_view key, uint64_t value);
-  Event& Num(std::string_view key, int value) {
-    return Num(key, static_cast<uint64_t>(value < 0 ? 0 : value));
+  /// Any other integer type (size_t, int, ...); negatives clamp to 0.
+  template <std::integral T>
+  Event& Num(std::string_view key, T value) {
+    return Num(key, static_cast<uint64_t>(std::max<T>(value, 0)));
   }
   Event& Double(std::string_view key, double value, int decimals = 3);
   Event& Bool(std::string_view key, bool value);
@@ -136,7 +142,9 @@ class FlightRecorder {
 
  private:
   FlightRecorder() = default;
-  void DumpToFd(int fd) const;
+  /// Rewrites the armed path with the ring, oldest line first, using
+  /// open/write/close only. False when the file cannot be opened.
+  bool WriteDump() const;
 
   struct Slot {
     uint32_t len = 0;
@@ -189,10 +197,6 @@ class EventStream {
   /// Lifetime event count (including stream_begin).
   uint64_t EventCount() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Per-type emission counts — deterministic for a given scan, which
-  /// is what the bench overhead gate exact-matches.
-  std::map<std::string, uint64_t> CountsByType() const;
-
   /// Milliseconds since Open (what ts_ms carries).
   double NowRelMillis() const;
 
@@ -202,15 +206,11 @@ class EventStream {
   }
 
  private:
-  void WriteLine(std::string_view line);
-
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   int fd_ = -1;
-  std::string path_;
   std::chrono::steady_clock::time_point t0_;
   std::atomic<uint64_t> count_{0};
-  std::map<std::string, uint64_t, std::less<>> counts_by_type_;
 };
 
 /// Emits an `incident` event mirroring `incident` (budget cause

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "src/util/strings.h"
 
@@ -19,24 +18,42 @@ void Histogram::Observe(uint64_t v) {
   }
 }
 
-uint64_t Histogram::ValueAtQuantile(double q) const {
-  uint64_t total = Count();
-  if (total == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-quantile sample, 1-based, at least 1.
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total));
-  if (rank == 0) rank = 1;
+namespace {
+
+/// Upper bound of the bucket holding the q-quantile sample (1-based
+/// rank, at least 1), clamped to `max_clamp`; 0 when empty.
+template <typename Buckets>
+uint64_t QuantileOf(const Buckets& buckets, uint64_t count, double q,
+                    uint64_t max_clamp) {
+  if (count == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  uint64_t rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>(q * static_cast<double>(count)));
   uint64_t cumulative = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
+  for (size_t i = 0; i < std::size(buckets); ++i) {
+    cumulative += buckets[i];
     if (cumulative >= rank) {
       uint64_t upper =
           i == 0 ? 0 : (i >= 64 ? UINT64_MAX : (uint64_t{1} << i) - 1);
-      return std::min(upper, Max());
+      return std::min(upper, max_clamp);
     }
   }
-  return Max();
+  return max_clamp;
+}
+
+/// Get-or-create in one instrument map; `make` builds a new instrument
+/// (the registry's lambdas may call the private constructors).
+template <typename Map, typename Make>
+auto& FindOrCreate(Map& map, std::string_view name, Make make) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), make()).first;
+  return *it->second;
+}
+
+}  // namespace
+
+uint64_t Histogram::ValueAtQuantile(double q) const {
+  return QuantileOf(buckets_, Count(), q, Max());
 }
 
 HistogramStats Histogram::Stats() const {
@@ -53,26 +70,10 @@ HistogramStats HistogramStatsFromBuckets(std::vector<uint64_t> buckets,
   stats.sum = sum;
   stats.max = max_clamp;
   for (uint64_t b : buckets) stats.count += b;
-  auto quantile = [&](double q) -> uint64_t {
-    if (stats.count == 0) return 0;
-    uint64_t rank =
-        static_cast<uint64_t>(q * static_cast<double>(stats.count));
-    if (rank == 0) rank = 1;
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < buckets.size(); ++i) {
-      cumulative += buckets[i];
-      if (cumulative >= rank) {
-        uint64_t upper =
-            i == 0 ? 0 : (i >= 64 ? UINT64_MAX : (uint64_t{1} << i) - 1);
-        return std::min(upper, max_clamp);
-      }
-    }
-    return max_clamp;
-  };
-  stats.p50 = quantile(0.5);
-  stats.p90 = quantile(0.9);
-  stats.p95 = quantile(0.95);
-  stats.p99 = quantile(0.99);
+  stats.p50 = QuantileOf(buckets, stats.count, 0.5, max_clamp);
+  stats.p90 = QuantileOf(buckets, stats.count, 0.9, max_clamp);
+  stats.p95 = QuantileOf(buckets, stats.count, 0.95, max_clamp);
+  stats.p99 = QuantileOf(buckets, stats.count, 0.99, max_clamp);
   stats.buckets = std::move(buckets);
   return stats;
 }
@@ -123,9 +124,7 @@ std::string MetricsSnapshotToJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out += ',';
     first = false;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6f", value);
-    out += '"' + JsonEscape(name) + "\":" + buf;
+    out += '"' + JsonEscape(name) + "\":" + FmtDouble(value, 6);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -151,38 +150,23 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(&enabled_)))
-             .first;
-  }
-  return *it->second;
+  return FindOrCreate(counters_, name, [this] {
+    return std::unique_ptr<Counter>(new Counter(&enabled_));
+  });
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name),
-                      std::unique_ptr<Gauge>(new Gauge(&enabled_)))
-             .first;
-  }
-  return *it->second;
+  return FindOrCreate(gauges_, name, [this] {
+    return std::unique_ptr<Gauge>(new Gauge(&enabled_));
+  });
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(new Histogram(&enabled_)))
-             .first;
-  }
-  return *it->second;
+  return FindOrCreate(histograms_, name, [this] {
+    return std::unique_ptr<Histogram>(new Histogram(&enabled_));
+  });
 }
 
 void MetricsRegistry::Reset() {

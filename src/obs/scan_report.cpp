@@ -25,36 +25,29 @@ double FieldNum(const JsonValue& event, std::string_view key) {
   return v->number();
 }
 
+uint64_t FieldCount(const JsonValue& event, std::string_view key) {
+  return static_cast<uint64_t>(FieldNum(event, key));
+}
+
 bool FieldBool(const JsonValue& event, std::string_view key) {
   const JsonValue* v = event.Find(key);
   return v && v->is_bool() && v->boolean();
 }
 
+/// The rollup keyed `name` in `rows` (by its `key` member), appended on
+/// first sight so rows keep first-seen order.
+template <typename Rollup>
+Rollup& RowFor(std::vector<Rollup>& rows, std::string Rollup::*key,
+               std::string_view name) {
+  for (Rollup& row : rows) {
+    if (row.*key == name) return row;
+  }
+  rows.emplace_back().*key = std::string(name);
+  return rows.back();
+}
+
 ImageRollup& ImageFor(ScanAggregate* agg, std::string_view name) {
-  for (ImageRollup& im : agg->images) {
-    if (im.image == name) return im;
-  }
-  agg->images.emplace_back();
-  agg->images.back().image = std::string(name);
-  return agg->images.back();
-}
-
-PhaseRollup& PhaseFor(ScanAggregate* agg, std::string_view name) {
-  for (PhaseRollup& ph : agg->phases) {
-    if (ph.phase == name) return ph;
-  }
-  agg->phases.emplace_back();
-  agg->phases.back().phase = std::string(name);
-  return agg->phases.back();
-}
-
-FunctionRollup& FunctionFor(ScanAggregate* agg, std::string_view name) {
-  for (FunctionRollup& fn : agg->functions) {
-    if (fn.function == name) return fn;
-  }
-  agg->functions.emplace_back();
-  agg->functions.back().function = std::string(name);
-  return agg->functions.back();
+  return RowFor(agg->images, &ImageRollup::image, name);
 }
 
 void FoldEvent(const JsonValue& event, std::string_view type,
@@ -71,19 +64,16 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     // Supervisor re-dispatch: raise the attempt count to next_attempt
     // (covers attempts whose worker died before image_begin flushed).
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
-    im.attempts = std::max(
-        im.attempts, static_cast<uint64_t>(FieldNum(event, "next_attempt")));
+    im.attempts = std::max(im.attempts, FieldCount(event, "next_attempt"));
     ++agg->image_retries;
   } else if (type == "worker_exit") {
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
-    im.attempts = std::max(im.attempts,
-                           static_cast<uint64_t>(FieldNum(event, "attempt")));
+    im.attempts = std::max(im.attempts, FieldCount(event, "attempt"));
     ++agg->worker_exits;
   } else if (type == "image_quarantined") {
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
     im.status = "quarantined";
-    im.attempts = std::max(im.attempts,
-                           static_cast<uint64_t>(FieldNum(event, "attempts")));
+    im.attempts = std::max(im.attempts, FieldCount(event, "attempts"));
     ++agg->quarantined_images;
   } else if (type == "image_resumed") {
     // Journal replay satisfied this image: no scan events will follow
@@ -91,29 +81,30 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
     std::string_view status = FieldStr(event, "status");
     if (!status.empty()) im.status = std::string(status);
-    im.attempts = std::max(im.attempts,
-                           static_cast<uint64_t>(FieldNum(event, "attempts")));
+    im.attempts = std::max(im.attempts, FieldCount(event, "attempts"));
     im.resumed = true;
     ++agg->resumed_images;
   } else if (type == "image_end") {
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
     im.status = FieldStr(event, "status");
     im.complete = FieldBool(event, "complete");
-    im.functions = static_cast<uint64_t>(FieldNum(event, "functions"));
-    im.findings = static_cast<uint64_t>(FieldNum(event, "findings"));
+    im.functions = FieldCount(event, "functions");
+    im.findings = FieldCount(event, "findings");
     im.duration_ms = FieldNum(event, "duration_ms");
   } else if (type == "phase_end") {
-    PhaseRollup& ph = PhaseFor(agg, FieldStr(event, "phase"));
+    PhaseRollup& ph =
+        RowFor(agg->phases, &PhaseRollup::phase, FieldStr(event, "phase"));
     ++ph.runs;
     ph.total_ms += FieldNum(event, "duration_ms");
   } else if (type == "function_end") {
-    FunctionRollup& fn = FunctionFor(agg, FieldStr(event, "function"));
+    FunctionRollup& fn = RowFor(agg->functions, &FunctionRollup::function,
+                                 FieldStr(event, "function"));
     ++fn.calls;
     fn.total_ms += FieldNum(event, "micros") / 1000.0;
     if (FieldBool(event, "cached")) ++fn.cached;
     if (FieldBool(event, "degraded")) ++agg->degraded_functions;
-    fn.memo_hits += static_cast<uint64_t>(FieldNum(event, "memo_hits"));
-    fn.memo_lookups += static_cast<uint64_t>(FieldNum(event, "memo_lookups"));
+    fn.memo_hits += FieldCount(event, "memo_hits");
+    fn.memo_lookups += FieldCount(event, "memo_lookups");
   } else if (type == "incident") {
     ++agg->incidents;
     std::string_view phase = FieldStr(event, "phase");
@@ -123,15 +114,22 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     ++agg->findings;
   } else if (type == "binary_end") {
     ++agg->binaries;
+    agg->binary_ms += FieldNum(event, "duration_ms");
   } else if (type == "heartbeat") {
     ++agg->heartbeats;
-    agg->last_images_done = static_cast<uint64_t>(FieldNum(event, "images_done"));
-    agg->last_images_total =
-        static_cast<uint64_t>(FieldNum(event, "images_total"));
-    agg->last_functions_done =
-        static_cast<uint64_t>(FieldNum(event, "functions_done"));
+    agg->last_images_done = FieldCount(event, "images_done");
+    agg->last_images_total = FieldCount(event, "images_total");
+    agg->last_functions_done = FieldCount(event, "functions_done");
     agg->last_rss_mb = FieldNum(event, "rss_mb");
   }
+}
+
+/// Binary time no phase covers: the phases tile each binary span, so
+/// this is what the phase instrumentation misses.
+double UnattributedMs(const ScanAggregate& agg) {
+  double phases_ms = 0.0;
+  for (const PhaseRollup& ph : agg.phases) phases_ms += ph.total_ms;
+  return agg.binary_ms - phases_ms;
 }
 
 }  // namespace
@@ -278,6 +276,11 @@ std::string AggregateToMarkdown(const ScanAggregate& agg) {
                     static_cast<unsigned long long>(ph.runs), ph.total_ms);
       out += buf;
     }
+    std::snprintf(buf, sizeof(buf),
+                  "| binary | %llu | %.1f |\n| unattributed | | %.1f |\n",
+                  static_cast<unsigned long long>(agg.binaries),
+                  agg.binary_ms, UnattributedMs(agg));
+    out += buf;
   }
 
   if (!agg.functions.empty()) {
@@ -333,6 +336,10 @@ std::string AggregateToJson(const ScanAggregate& agg) {
   b.Number(static_cast<uint64_t>(agg.malformed_lines));
   b.Key("binaries");
   b.Number(agg.binaries);
+  b.Key("binary_ms");
+  b.Number(agg.binary_ms);
+  b.Key("unattributed_ms");
+  b.Number(UnattributedMs(agg));
   b.Key("findings");
   b.Number(agg.findings);
   b.Key("incidents");

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "src/obs/log.h"
@@ -19,17 +18,11 @@ namespace {
 void AppendEventJson(std::string& out, std::string_view category,
                      std::string_view name, uint64_t start_ns,
                      uint64_t dur_ns, uint32_t tid) {
-  char buf[64];
   out += "{\"name\":\"" + JsonEscape(name) + "\",\"cat\":\"" +
-         JsonEscape(category) + "\",\"ph\":\"X\",\"ts\":";
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(start_ns) / 1000.0);
-  out += buf;
-  out += ",\"dur\":";
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(dur_ns) / 1000.0);
-  out += buf;
-  out += ",\"pid\":1,\"tid\":" + std::to_string(tid) + '}';
+         JsonEscape(category) + "\",\"ph\":\"X\",\"ts\":" +
+         FmtDouble(static_cast<double>(start_ns) / 1000.0, 3) + ",\"dur\":" +
+         FmtDouble(static_cast<double>(dur_ns) / 1000.0, 3) +
+         ",\"pid\":1,\"tid\":" + std::to_string(tid) + '}';
 }
 
 bool WriteAll(int fd, std::string_view text) {
@@ -89,11 +82,6 @@ bool Tracer::FinishStream() {
   ok = (::close(stream_fd_) == 0) && ok;
   stream_fd_ = -1;
   return ok;
-}
-
-bool Tracer::streaming() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stream_fd_ >= 0;
 }
 
 uint64_t Tracer::NowRelNanos() const {

@@ -2,7 +2,8 @@
 // JSON ("X" complete events), loadable in chrome://tracing or Perfetto.
 //
 // The pipeline nests spans three deep: binary (one per Analyze call) →
-// phase (lift, summary, structsim, link, pathfind, sanitize) →
+// phase (one per obs::Phase, src/obs/phase.h, which records it next to
+// its events and histogram; the phases tile the binary span) →
 // function (one per intraprocedural symbolic analysis). Nesting is
 // positional — Chrome reconstructs the stack per thread from
 // timestamps — so spans from the interprocedural worker pool land on
@@ -66,8 +67,6 @@ class Tracer {
   /// tracer. False on I/O failure or if not streaming.
   bool FinishStream();
 
-  bool streaming() const;
-
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Nanoseconds since Start() — what spans record.
@@ -109,14 +108,14 @@ class Tracer {
   size_t stream_count_ = 0;
 };
 
-/// RAII scoped span. Construction against a stopped tracer is a no-op
-/// (no clock read, no allocation); against a running one, destruction
-/// records a complete event covering the span's lifetime. The category
-/// and name string_views must outlive the span — in the pipeline they
-/// are literals and Program-owned function names.
+/// RAII scoped span (a pipeline phase's is owned by its obs::Phase).
+/// Construction against a stopped tracer is a no-op (no clock read, no
+/// allocation); against a running one, destruction records a complete
+/// event covering the span's lifetime. The category and name
+/// string_views must outlive the span — in the pipeline they are
+/// literals and Program-owned function names.
 class Span {
  public:
-  Span() = default;
   Span(Tracer& tracer, std::string_view category, std::string_view name) {
     if (!tracer.enabled()) return;
     tracer_ = &tracer;
@@ -125,27 +124,22 @@ class Span {
     start_ns_ = tracer.NowRelNanos();
   }
 
-  Span(Span&& other) noexcept { *this = std::move(other); }
-  Span& operator=(Span&& other) noexcept {
-    Finish();
-    tracer_ = other.tracer_;
-    category_ = other.category_;
-    name_ = other.name_;
-    start_ns_ = other.start_ns_;
-    other.tracer_ = nullptr;
-    return *this;
-  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   ~Span() { Finish(); }
 
-  /// Records the event now instead of at destruction.
-  void Finish() {
-    if (!tracer_) return;
-    tracer_->RecordComplete(category_, name_, start_ns_,
-                            tracer_->NowRelNanos() - start_ns_);
+  /// Whether the span will record an event (the tracer was running).
+  bool recording() const { return tracer_ != nullptr; }
+
+  /// Records the event now instead of at destruction and returns its
+  /// duration in nanoseconds (0 when not recording).
+  uint64_t Finish() {
+    if (!tracer_) return 0;
+    uint64_t dur_ns = tracer_->NowRelNanos() - start_ns_;
+    tracer_->RecordComplete(category_, name_, start_ns_, dur_ns);
     tracer_ = nullptr;
+    return dur_ns;
   }
 
  private:

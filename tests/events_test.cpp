@@ -3,11 +3,13 @@
 // Covers the crash-safety contract end to end: every emitted line is
 // parseable NDJSON (validated against the repo's own JSON parser),
 // per-type event counts are deterministic across identical runs, the
-// flight-recorder ring wraps and dumps correctly (from normal context
-// and after a real fatal signal in a child process), and scan_report
-// produces a correct partial fleet summary from the truncated stream a
-// killed corpus_scan worker leaves behind — checked against the ground
-// truth of a clean run of the same corpus.
+// pipeline's phases tile the binary in the trace, the event stream and
+// the metrics alike, the flight-recorder ring wraps and dumps
+// correctly (from normal context and after a real fatal signal in a
+// child process), and scan_report produces a correct partial fleet
+// summary from the truncated stream a killed corpus_scan worker leaves
+// behind — checked against the ground truth of a clean run of the same
+// corpus.
 //
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
@@ -194,6 +196,101 @@ TEST(EventStream, PipelineEmitsDeterministicCountsAcrossRuns) {
   EXPECT_GT(findings1, 0u);
 }
 
+/// A function-pointer dispatch plant among fillers, so structure
+/// similarity resolves an indirect call and the relink phase runs.
+SynthOutput DispatchProgram() {
+  ProgramSpec spec;
+  spec.name = "phases";
+  spec.arch = Arch::kDtArm;
+  spec.seed = 43;
+  spec.filler_functions = 20;
+  PlantSpec p;
+  p.id = "d1";
+  p.pattern = VulnPattern::kDispatch;
+  p.source = "recv";
+  p.sink = "memcpy";
+  spec.plants.push_back(p);
+  return std::move(*SynthesizeBinary(spec));
+}
+
+TEST(EventStream, PhasesTileTheBinaryInEveryChannel) {
+  fs::path path = ArtifactDir() / "phase_tiling.ndjson";
+  obs::EventStream& events = obs::EventStream::Global();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  SynthOutput synth = DispatchProgram();
+  tracer.Start();
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  auto report = DTaint{DTaintConfig{}}.Analyze(synth.binary);
+  events.Close("ok");
+  tracer.Stop();
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report->indirect_calls_resolved, 0u);
+
+  // Trace: flat phase spans, in order, none overlapping, all inside
+  // the one binary span.
+  auto trace = ParseJson(tracer.ToChromeJson());
+  ASSERT_TRUE(trace.ok());
+  std::vector<std::pair<double, double>> spans;  // [start, end] in µs
+  std::vector<std::string> span_names;
+  double bin_start = 0.0, bin_end = 0.0;
+  int binaries = 0;
+  for (const JsonValue& e : trace->Find("traceEvents")->array()) {
+    double ts = e.Find("ts")->number();
+    double end = ts + e.Find("dur")->number();
+    if (e.Find("cat")->string() == "binary") {
+      ++binaries;
+      bin_start = ts;
+      bin_end = end;
+    } else if (e.Find("cat")->string() == "phase") {
+      spans.emplace_back(ts, end);
+      span_names.push_back(e.Find("name")->string());
+    }
+  }
+  ASSERT_EQ(binaries, 1);
+  const std::vector<std::string> expected = {
+      "lift",     "filter",    "callgraph", "summary",
+      "link",     "structsim", "relink",    "pathfind_index",
+      "pathfind", "sanitize",  "report"};
+  EXPECT_EQ(span_names, expected);
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_GE(spans[i].first, bin_start) << span_names[i];
+    EXPECT_LE(spans[i].second, bin_end) << span_names[i];
+    if (i > 0) {
+      EXPECT_LE(spans[i - 1].second, spans[i].first)
+          << span_names[i - 1] << " overlaps " << span_names[i];
+    }
+  }
+
+  // Events: phase_end names in the same order; their durations sum to
+  // at most the binary's (each duration_ms is rounded to 1 µs).
+  std::vector<std::string> end_names;
+  double phase_ms = 0.0, binary_ms = 0.0;
+  for (const std::string& line : Lines(ReadAll(path))) {
+    auto event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    std::string type = event->Find("type")->string();
+    if (type == "phase_end") {
+      end_names.push_back(event->Find("phase")->string());
+      phase_ms += event->Find("duration_ms")->number();
+    } else if (type == "binary_end") {
+      binary_ms = event->Find("duration_ms")->number();
+    }
+  }
+  EXPECT_EQ(end_names, span_names);
+  EXPECT_GT(binary_ms, 0.0);
+  EXPECT_LE(phase_ms,
+            binary_ms + 0.0005 * static_cast<double>(end_names.size()));
+
+  // Metrics: one histogram sample per phase_end.
+  std::map<std::string, uint64_t> ends_by_phase;
+  for (const std::string& name : end_names) ++ends_by_phase[name];
+  for (const auto& [name, ends] : ends_by_phase) {
+    auto it = report->metrics.histograms.find("phase." + name + "_micros");
+    ASSERT_NE(it, report->metrics.histograms.end()) << name;
+    EXPECT_EQ(it->second.count, ends) << name;
+  }
+}
+
 TEST(EventStream, DisabledStreamEmitsNothingAndCountsZero) {
   obs::EventStream stream;
   EXPECT_FALSE(stream.enabled());
@@ -294,6 +391,7 @@ constexpr const char* kCompleteStream =
 {"v":1,"type":"corpus_begin","ts_ms":0.1,"tid":0,"images":2}
 {"v":1,"type":"image_begin","ts_ms":1,"tid":0,"image":"A 1","vendor":"A","product":"1","arch":"arm","packing":"plain"}
 {"v":1,"type":"phase_end","ts_ms":2,"tid":0,"phase":"lift","duration_ms":1.5}
+{"v":1,"type":"binary_end","ts_ms":2.5,"tid":0,"binary":"A 1","functions":12,"findings":1,"complete":true,"duration_ms":2.0}
 {"v":1,"type":"function_end","ts_ms":3,"tid":1,"function":"main","micros":1500,"cached":false,"degraded":false}
 {"v":1,"type":"function_end","ts_ms":4,"tid":1,"function":"helper","micros":500,"cached":true,"degraded":true}
 {"v":1,"type":"finding","ts_ms":5,"tid":0,"class":"command_injection","source":"getenv","sink":"system"}
@@ -323,7 +421,7 @@ TEST(ScanReport, AggregatesCompleteAndTruncatedStreams) {
   EXPECT_EQ(agg.truncated_streams, 1u);
   // "not json" + the torn final line.
   EXPECT_EQ(agg.malformed_lines, 2u);
-  EXPECT_EQ(agg.events, 16u);
+  EXPECT_EQ(agg.events, 17u);
 
   ASSERT_EQ(agg.images.size(), 3u);
   EXPECT_EQ(agg.images[0].image, "A 1");
@@ -349,6 +447,8 @@ TEST(ScanReport, AggregatesCompleteAndTruncatedStreams) {
   ASSERT_EQ(agg.phases.size(), 1u);
   EXPECT_EQ(agg.phases[0].phase, "lift");
   EXPECT_DOUBLE_EQ(agg.phases[0].total_ms, 1.5);
+  EXPECT_EQ(agg.binaries, 1u);
+  EXPECT_DOUBLE_EQ(agg.binary_ms, 2.0);
 }
 
 TEST(ScanReport, MarkdownAndJsonRender) {
@@ -362,6 +462,10 @@ TEST(ScanReport, MarkdownAndJsonRender) {
   EXPECT_NE(md.find("| A 1 |"), std::string::npos);
   EXPECT_NE(md.find("in_flight"), std::string::npos);
   EXPECT_NE(md.find("## Phase time"), std::string::npos);
+  // The phase table sums to the binary total: 1.5 ms of phases, 2.0 ms
+  // of binary, 0.5 ms unattributed.
+  EXPECT_NE(md.find("| binary | 1 | 2.0 |"), std::string::npos);
+  EXPECT_NE(md.find("| unattributed | | 0.5 |"), std::string::npos);
 
   std::string json = obs::AggregateToJson(agg);
   auto parsed = ParseJson(json);
@@ -371,6 +475,8 @@ TEST(ScanReport, MarkdownAndJsonRender) {
   EXPECT_EQ(parsed->Find("images")->array()[2].Find("status")->string(),
             "in_flight");
   EXPECT_EQ(static_cast<int>(parsed->Find("malformed_lines")->number()), 2);
+  EXPECT_DOUBLE_EQ(parsed->Find("binary_ms")->number(), 2.0);
+  EXPECT_DOUBLE_EQ(parsed->Find("unattributed_ms")->number(), 0.5);
 }
 
 TEST(ScanReport, TopFunctionsTruncationIsDeterministic) {

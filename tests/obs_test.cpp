@@ -2,12 +2,16 @@
 // concurrency, histogram quantiles, snapshot deltas, JSON round-trip),
 // span tracer (golden Chrome-trace JSON re-parsed by the repo's own
 // JSON parser, no-allocation guarantee when disabled), leveled logging
-// (threshold filtering, sink capture, lazy argument evaluation), and
+// (threshold filtering, sink capture, lazy argument evaluation), the
+// obs::Phase scope (one span, one event pair and one histogram sample
+// per phase; only the sample when the tracer and stream are off), and
 // the InterprocStats-from-registry cache compatibility view.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <string>
 #include <thread>
@@ -16,8 +20,10 @@
 #include "src/cache/summary_cache.h"
 #include "src/core/alias_ondemand.h"
 #include "src/core/dtaint.h"
+#include "src/obs/events.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
 #include "src/obs/trace.h"
 #include "src/synth/firmware_synth.h"
@@ -569,6 +575,94 @@ TEST(ReportObservability, HotFunctionsAndPathStats) {
   auto micros = report->metrics.histograms.find("summary.function_micros");
   ASSERT_NE(micros, report->metrics.histograms.end());
   EXPECT_GT(micros->second.count, 0u);
+}
+
+// ------------------------------------------------------------------ phase
+
+uint64_t PhaseSamples(const obs::MetricsSnapshot& delta,
+                      const std::string& histogram) {
+  auto it = delta.histograms.find(histogram);
+  return it == delta.histograms.end() ? 0 : it->second.count;
+}
+
+TEST(Phase, OneScopeIsOneSpanOneEventPairAndOneSample) {
+  const std::string path = "obs_test_phase.ndjson";
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::EventStream& events = obs::EventStream::Global();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::MetricsSnapshot before = registry.Snapshot();
+  tracer.Start();
+  ASSERT_TRUE(events.Open(path, "obs_test"));
+  double first = 0.0;
+  {
+    obs::Phase phase("unit");
+    first = phase.Finish([](obs::Event& end) { end.Num("items", 3); });
+    // Idempotent: a second Finish and the destructor record nothing.
+    EXPECT_EQ(phase.Finish(), first);
+  }
+  events.Close("ok");
+  tracer.Stop();
+  obs::MetricsSnapshot delta = registry.Snapshot().DeltaSince(before);
+
+  auto trace = ParseJson(tracer.ToChromeJson());
+  ASSERT_TRUE(trace.ok());
+  std::vector<const JsonValue*> spans;
+  for (const JsonValue& e : trace->Find("traceEvents")->array()) {
+    if (e.Find("cat")->string() == "phase") spans.push_back(&e);
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0]->Find("name")->string(), "unit");
+  double span_us = spans[0]->Find("dur")->number();
+
+  std::ifstream in(path);
+  std::string line;
+  int begins = 0, ends = 0;
+  while (std::getline(in, line)) {
+    auto event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    std::string type = event->Find("type")->string();
+    if (type == "phase_begin") {
+      ++begins;
+      EXPECT_EQ(event->Find("phase")->string(), "unit");
+    } else if (type == "phase_end") {
+      ++ends;
+      EXPECT_EQ(event->Find("phase")->string(), "unit");
+      EXPECT_EQ(event->Find("items")->number(), 3);
+      // duration_ms carries 3 decimals: the span's time to the µs.
+      EXPECT_NEAR(event->Find("duration_ms")->number() * 1e3, span_us, 1.0);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".flight.ndjson").c_str());
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
+  EXPECT_NEAR(first * 1e6, span_us, 1e-3);
+
+  ASSERT_EQ(PhaseSamples(delta, "phase.unit_micros"), 1u);
+  EXPECT_NEAR(static_cast<double>(delta.histograms.at("phase.unit_micros").sum),
+              span_us, 1.0);
+}
+
+TEST(Phase, StoppedTracerAndClosedStreamRecordOnlyTheSample) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::EventStream& events = obs::EventStream::Global();
+  ASSERT_FALSE(tracer.enabled());
+  ASSERT_FALSE(events.enabled());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::MetricsSnapshot before = registry.Snapshot();
+  size_t spans = tracer.EventCount();
+  uint64_t emitted = events.EventCount();
+  bool formatted = false;
+  {
+    obs::Phase phase("quiet");
+    phase.Finish([&](obs::Event&) { formatted = true; });
+  }
+  EXPECT_FALSE(formatted);
+  EXPECT_EQ(tracer.EventCount(), spans);
+  EXPECT_EQ(events.EventCount(), emitted);
+  EXPECT_EQ(PhaseSamples(registry.Snapshot().DeltaSince(before),
+                         "phase.quiet_micros"),
+            1u);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {
