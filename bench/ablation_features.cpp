@@ -1,8 +1,9 @@
 // Ablation bench (extra, not a paper table): what each DTaint design
-// choice buys. Toggles pointer-alias recognition (Algorithm 1) and
-// structure-layout similarity (§III-D) and measures recall over the
-// pattern plants that exercise them; compares bottom-up linking time
-// against the top-down baseline for the interprocedural choice.
+// choice buys. Toggles pointer-alias recognition (Algorithm 1, queried
+// on demand) and structure-layout similarity (§III-D) and measures
+// recall over the pattern plants that exercise them; compares bottom-up
+// linking time against the top-down baseline for the interprocedural
+// choice.
 #include <cstdio>
 
 #include "src/baseline/naive_reachability.h"
@@ -49,11 +50,10 @@ Result<SynthOutput> FeatureProgram() {
 }
 
 /// A program whose function pointer is registered through an alias
-/// created across a call boundary (VulnPattern::kCrossCallAlias): the
-/// eager per-function pass never sees the linked-summary alias, so only
-/// AliasMode::kOnDemandSSE resolves the indirect call. Deliberately a
-/// separate program from FeatureProgram() — it isolates what the
-/// on-demand oracle buys instead of penalizing the full config.
+/// created across a call boundary (VulnPattern::kCrossCallAlias): only
+/// the alias oracle's view of the linked summaries resolves the
+/// indirect call. Deliberately a separate program from
+/// FeatureProgram() — it isolates what the oracle buys.
 Result<SynthOutput> CrossCallProgram() {
   ProgramSpec spec;
   spec.name = "xcall_ab";
@@ -131,42 +131,26 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  // Eager vs on-demand alias resolution. Two programs: the standard
-  // feature mix (detection must be identical, phase-1 time is what the
-  // deferred twin rewrite saves) and the cross-call-alias program
-  // (detection is what the oracle's linked-summary view buys).
-  std::printf("=== AliasMode: eager vs on-demand SSE ===\n\n");
+  // The cross-call-alias program, alias on vs off: detection there is
+  // what the oracle's linked-summary view buys.
+  std::printf("=== Cross-call alias: alias on vs off ===\n\n");
   auto xcall = CrossCallProgram();
   if (!xcall.ok()) {
     std::printf("synth failed: %s\n", xcall.status().ToString().c_str());
     return harness.Finish(false);
   }
-  struct ModeCase {
-    const char* program;
-    const SynthOutput* out;
-    AliasMode mode;
-  };
-  const ModeCase mode_cases[] = {
-      {"feature mix", &*out, AliasMode::kEager},
-      {"feature mix", &*out, AliasMode::kOnDemandSSE},
-      {"cross-call alias", &*xcall, AliasMode::kEager},
-      {"cross-call alias", &*xcall, AliasMode::kOnDemandSSE},
-  };
-  TextTable mode_table({"Program", "Mode", "TP", "FN", "Icalls resolved",
-                        "Summary (s)", "Oracle queries"});
-  for (const ModeCase& mc : mode_cases) {
-    std::string run_name = std::string(mc.program == mode_cases[0].program
-                                           ? "featuremix"
-                                           : "crosscall") +
-                           ",alias_mode=" + std::string(AliasModeName(mc.mode));
+  TextTable xcall_table({"Alias", "TP", "FN", "Icalls resolved",
+                         "Summary (s)", "Oracle queries"});
+  for (bool alias : {true, false}) {
+    const char* label = alias ? "on" : "off";
     Result<AnalysisReport> report = InvalidArgument("not analyzed");
     DetectionScore score;
-    harness.Run(run_name, [&](bench::Rep& rep) {
+    harness.Run(std::string("crosscall,alias=") + label, [&](bench::Rep& rep) {
       DTaintConfig config;
-      config.interproc.alias_mode = mc.mode;
-      report = DTaint(config).Analyze(mc.out->binary);
+      config.enable_alias = alias;
+      report = DTaint(config).Analyze(xcall->binary);
       if (!report.ok()) return;
-      score = ScoreFindings(report->findings, mc.out->ground_truth);
+      score = ScoreFindings(report->findings, xcall->ground_truth);
       rep.Value("summary_seconds", report->interproc_stats.summary_seconds);
       rep.Value("true_positives", static_cast<double>(score.true_positives));
       rep.Value("false_negatives",
@@ -178,16 +162,15 @@ int main(int argc, char** argv) {
                     report->metrics.CounterValue("alias.ondemand.queries")));
     });
     if (!report.ok()) return harness.Finish(false);
-    mode_table.AddRow(
-        {mc.program, std::string(AliasModeName(mc.mode)),
-         std::to_string(score.true_positives),
+    xcall_table.AddRow(
+        {label, std::to_string(score.true_positives),
          std::to_string(score.false_negatives),
          std::to_string(report->indirect_calls_resolved),
          FmtDouble(report->interproc_stats.summary_seconds, 3),
          std::to_string(
              report->metrics.CounterValue("alias.ondemand.queries"))});
   }
-  std::printf("%s\n", mode_table.Render().c_str());
+  std::printf("%s\n", xcall_table.Render().c_str());
 
   // Bottom-up vs top-down interprocedural traversal.
   CfgBuilder builder(out->binary);

@@ -234,24 +234,25 @@ void BM_StateMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_StateMerge);
 
-void BM_AliasReplace(benchmark::State& state) {
+// Algorithm 1's rewrite alone (phase 2), facts collected up front.
+void BM_AliasTwins(benchmark::State& state) {
   const Binary& bin = TestProgram().binary;
   CfgBuilder builder(bin);
   Program program = std::move(*builder.BuildProgram());
   SymEngine engine(bin);
   FunctionSummary summary =
       engine.Analyze(program.functions.at("b1_woo"));
+  std::vector<AliasFact> facts = CollectAliasFacts(summary);
   for (auto _ : state) {
-    FunctionSummary copy = summary;
-    benchmark::DoNotOptimize(AliasReplace(copy));
+    benchmark::DoNotOptimize(ComputeAliasTwins(summary, facts));
   }
 }
-BENCHMARK(BM_AliasReplace);
+BENCHMARK(BM_AliasTwins);
 
 // ---- on-demand alias oracle queries ----------------------------------------
 //
 // Cold = first TwinsFor on a summary (fact collection + twin
-// computation, what phase 1 saves by deferring); warm = the memoized
+// computation, paid once per queried function); warm = the memoized
 // path every later taint-transfer / indirect-call query takes;
 // MayAlias = a full canonicalize-and-compare query through the memo.
 

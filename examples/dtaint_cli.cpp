@@ -6,18 +6,15 @@
 //              [--vulns K] [--safe K] [--packing plain|xor|encrypted]
 //   dtaint_cli extract <image.dtfw>
 //   dtaint_cli inspect <image.dtfw> [function]
-//   dtaint_cli scan <image.dtfw> [--json] [--no-alias]
-//              [--alias-mode eager|ondemand] [--no-structsim]
+//   dtaint_cli scan <image.dtfw> [--json] [--no-alias] [--no-structsim]
 //              [--threads N] [--cache-dir DIR]
 //              [--deadline-ms MS] [--max-steps N] [--max-states N]
 //              [--max-expr-nodes N] [--fail-fast]
 //
-// --alias-mode selects how pointer aliases are recognized: "eager"
-// (the paper's Algorithm 1, summaries rewritten up front) or
-// "ondemand" (lazy SSE comparison against linked summaries, which
-// also resolves indirect calls through cross-call registration
-// stores). Summaries cache separately per mode, so switching modes
-// against the same --cache-dir is safe.
+// --no-alias turns off pointer-alias recognition (lazy SSE comparison
+// against linked summaries, which also resolves indirect calls through
+// cross-call registration stores). Summaries do not depend on it, so
+// one --cache-dir serves scans with and without it.
 //
 // Budget flags bound per-function analysis effort (0 = unlimited); a
 // function that exhausts its budget degrades to a conservative summary
@@ -383,8 +380,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: dtaint_cli <synth|extract|inspect|scan> ...\n"
-                 "  scan flags: [--json] [--no-alias]\n"
-                 "       [--alias-mode eager|ondemand] [--no-structsim]\n"
+                 "  scan flags: [--json] [--no-alias] [--no-structsim]\n"
                  "       [--threads N] [--cache-dir DIR] [--deadline-ms MS]\n"
                  "       [--max-steps N] [--max-states N]\n"
                  "       [--max-expr-nodes N] [--fail-fast]\n"

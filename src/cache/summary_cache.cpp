@@ -48,8 +48,7 @@ bool WriteFileAtomic(const std::string& path,
 
 }  // namespace
 
-Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
-                          int alias_mode_key) {
+Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config) {
   Fingerprint128 fp;
   fp.Mix(kSummaryCodecVersion);
   fp.Mix(static_cast<uint64_t>(binary.arch));
@@ -57,10 +56,6 @@ Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
   fp.Mix(static_cast<uint64_t>(config.max_block_visits));
   fp.Mix(static_cast<uint64_t>(config.max_expr_depth));
   fp.Mix(config.record_types ? 1 : 0);
-  // 0 = alias off, 1 = eager, 2 = on-demand SSE. Eager summaries carry
-  // Algorithm 1's twin pairs and on-demand ones do not, so the modes
-  // must never share cache entries.
-  fp.Mix(static_cast<uint64_t>(alias_mode_key));
   // The engine concretizes constant-address loads out of mapped data
   // sections (string literals, dispatch tables), so those bytes are
   // analysis input. Text bytes are covered per-function by the lifted

@@ -128,17 +128,12 @@ class SummaryCache {
 
 /// Fingerprint of everything outside the function body that can change
 /// what SymEngine::Analyze produces: codec version, target arch,
-/// engine budgets/toggles, the alias mode, and the binary's
-/// readable data bytes (the engine concretizes loads from
-/// .rodata/.data, so those bytes are part of the analysis input).
-///
-/// `alias_mode_key` encodes the alias configuration: 0 = alias off,
-/// 1 = eager Algorithm 1 rewrite, 2 = on-demand SSE (summaries carry
-/// no alias twins). 0/1 mix the same bits the pre-mode bool did, so
-/// caches written before the mode existed stay valid; a bool still
-/// converts correctly (false -> 0, true -> 1 = eager).
-Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config,
-                          int alias_mode_key);
+/// engine budgets/toggles, and the binary's readable data bytes (the
+/// engine concretizes loads from .rodata/.data, so those bytes are part
+/// of the analysis input). The alias setting is not in it: alias
+/// queries run on demand after linking, so summaries are the same with
+/// alias on or off.
+Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config);
 
 /// Version of the FunctionKey layout. Bumped whenever what the key
 /// hashes changes, so entries written under an older layout miss

@@ -1,30 +1,6 @@
 #include "src/core/alias.h"
 
-#include "src/obs/log.h"
-
 namespace dtaint {
-
-std::string_view AliasModeName(AliasMode mode) {
-  switch (mode) {
-    case AliasMode::kEager:
-      return "eager";
-    case AliasMode::kOnDemandSSE:
-      return "ondemand";
-  }
-  return "eager";
-}
-
-bool ParseAliasMode(std::string_view text, AliasMode* out) {
-  if (text == "eager") {
-    *out = AliasMode::kEager;
-    return true;
-  }
-  if (text == "ondemand" || text == "on-demand" || text == "ondemand-sse") {
-    *out = AliasMode::kOnDemandSSE;
-    return true;
-  }
-  return false;
-}
 
 bool IsPointerValue(const SymRef& value, const TypeMap& types) {
   if (!value) return false;
@@ -34,28 +10,6 @@ bool IsPointerValue(const SymRef& value, const TypeMap& types) {
   switch (base->kind()) {
     case SymKind::kSp0:
     case SymKind::kHeap:
-      return true;
-    case SymKind::kArg:
-    case SymKind::kRet:
-    case SymKind::kDeref:
-      return IsPointerType(types.TypeOf(base));
-    default:
-      return false;
-  }
-}
-
-namespace {
-
-/// Permissive pointer gate (AliasFactPolicy::kPermissive): everything
-/// IsPointerValue accepts, plus Arg/Ret/Deref-rooted values with no
-/// type evidence. Init-register values and arithmetic residues stay
-/// excluded — treating them as pointers would fabricate facts eager
-/// mode can never have.
-bool IsPointerValuePermissive(const SymRef& value, const TypeMap& types) {
-  if (IsPointerValue(value, types)) return true;
-  auto split = SymExpr::SplitBaseOffset(value);
-  const SymRef& base = split.base ? split.base : value;
-  switch (base->kind()) {
     case SymKind::kArg:
     case SymKind::kRet:
     case SymKind::kDeref:
@@ -65,20 +19,14 @@ bool IsPointerValuePermissive(const SymRef& value, const TypeMap& types) {
   }
 }
 
-}  // namespace
-
-std::vector<AliasFact> CollectAliasFacts(const FunctionSummary& summary,
-                                         AliasFactPolicy policy) {
+std::vector<AliasFact> CollectAliasFacts(const FunctionSummary& summary) {
   // Phase 1 (Alg. 1 lines 3-12): (d.op == deref) && u is a pointer
   // =>  ALIAS fact.
   std::vector<AliasFact> facts;
   for (const DefPair& dp : summary.def_pairs) {
     if (!dp.d || dp.d->kind() != SymKind::kDeref) continue;
     if (!dp.u) continue;
-    bool pointer = policy == AliasFactPolicy::kPermissive
-                       ? IsPointerValuePermissive(dp.u, summary.types)
-                       : IsPointerValue(dp.u, summary.types);
-    if (pointer) {
+    if (IsPointerValue(dp.u, summary.types)) {
       auto split = SymExpr::SplitBaseOffset(dp.u);
       if (split.base) {
         facts.push_back({dp.d, split.base, split.offset});
@@ -89,9 +37,7 @@ std::vector<AliasFact> CollectAliasFacts(const FunctionSummary& summary,
 }
 
 std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
-                                       const std::vector<AliasFact>& facts,
-                                       BudgetTracker* budget,
-                                       bool* truncated) {
+                                       const std::vector<AliasFact>& facts) {
   std::vector<DefPair> additions;
   if (facts.empty()) return additions;
 
@@ -121,10 +67,6 @@ std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
   for (const DopEntry& entry : dop) {
     for (const SymRef& ptr : entry.ptrs) {
       for (const AliasFact& fact : facts) {
-        if (budget && budget->ChargeStep()) {
-          if (truncated) *truncated = true;
-          return additions;
-        }
         if (!SymExpr::Equal(fact.base, ptr)) continue;
         // Do not rewrite a location with an alias derived from itself
         // (deref(X) = X + k would loop).
@@ -140,31 +82,6 @@ std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
     }
   }
   return additions;
-}
-
-AliasResult AliasReplace(FunctionSummary& summary, BudgetTracker* budget) {
-  AliasResult result;
-  if (budget && budget->exhausted()) {
-    summary.truncated = true;
-    return result;
-  }
-
-  result.facts = CollectAliasFacts(summary);
-  bool truncated = false;
-  std::vector<DefPair> additions =
-      ComputeAliasTwins(summary, result.facts, budget, &truncated);
-  if (truncated) summary.truncated = true;
-
-  result.pairs_added = additions.size();
-  for (DefPair& dp : additions) {
-    summary.def_pairs.push_back(std::move(dp));
-  }
-  if (result.pairs_added > 0) {
-    DTAINT_LOG(obs::LogLevel::kDebug, "alias",
-               "%zu alias-derived def pair(s) from %zu fact(s)",
-               result.pairs_added, result.facts.size());
-  }
-  return result;
 }
 
 }  // namespace dtaint

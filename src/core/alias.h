@@ -7,48 +7,21 @@
 //     int *p = x;  *(q+4) = p;   =>  *(*(q+4)) and *p alias
 //
 // i.e. whenever a definition pair says  deref(base1+off1) = base2+off2
-// with a pointer-typed right side, any location addressed through
+// with a pointer-shaped right side, any location addressed through
 // base2 can equivalently be addressed through deref(base1+off1)-off2.
-// AliasReplace materializes those alternate names as extra definition
-// pairs so later def/use matching connects flows across both names.
 //
-// Two modes exist (the authors' own follow-up, arXiv 2109.12209,
-// replaced the eager pass with on-demand SSE equality):
-//
-//  * AliasMode::kEager — Algorithm 1 as published: rewrite every
-//    function summary up front in phase 1 (AliasReplace below).
-//  * AliasMode::kOnDemandSSE — no phase-1 rewrite; "may-alias?"
-//    queries are answered lazily at taint-transfer and indirect-call
-//    sites by comparing interned SSE base+offset expressions, memoized
-//    per function (src/core/alias_ondemand.h). Because the query runs
-//    against *linked* summaries, it also sees aliases created across
-//    call boundaries that the eager pass structurally cannot.
+// These are Algorithm 1's two phases as pure functions over a summary.
+// They never rewrite a summary: the on-demand SSE oracle
+// (src/core/alias_ondemand.h, after the authors' follow-up, arXiv
+// 2109.12209) calls them lazily on *linked* summaries, for the
+// functions the path walk and indirect-call resolution query.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
-#include "src/resilience/budget.h"
 #include "src/symexec/defpairs.h"
 
 namespace dtaint {
-
-/// When the alias step runs (see file comment). Part of the summary
-/// cache key: EngineFingerprint mixes 0 (off) / 1 (eager) / 2
-/// (on-demand), so summaries produced under different modes never
-/// collide (eager summaries carry the rewrite, on-demand ones do not).
-enum class AliasMode : uint8_t {
-  kEager = 0,
-  kOnDemandSSE = 1,
-};
-
-/// Stable flag-facing name: "eager" / "ondemand".
-std::string_view AliasModeName(AliasMode mode);
-
-/// Parses "eager" / "ondemand" (also accepts "on-demand" and
-/// "ondemand-sse"). Returns false on anything else, leaving *out
-/// untouched.
-bool ParseAliasMode(std::string_view text, AliasMode* out);
 
 /// One discovered alias fact: `alias_loc` (a deref expression) holds
 /// the pointer `base + offset`.
@@ -58,57 +31,29 @@ struct AliasFact {
   int64_t offset;    // off2
 };
 
-struct AliasResult {
-  std::vector<AliasFact> facts;
-  /// Number of definition pairs added by replacement.
-  size_t pairs_added = 0;
-};
-
-/// Which stored values count as pointers when collecting facts.
-enum class AliasFactPolicy : uint8_t {
-  /// The paper's gate: typed as a pointer, or structurally rooted at
-  /// the stack / a heap object (IsPointerValue). What eager Algorithm 1
-  /// uses.
-  kTyped,
-  /// Additionally accepts Arg/Ret/Deref-rooted values without type
-  /// evidence. The on-demand oracle needs this: it collects facts from
-  /// *linked* summaries, where a callee's library-signature type
-  /// observations are not visible (TypeMaps do not merge across
-  /// linking), so the typed gate would drop facts the callee's eager
-  /// pass had. Matches the SSE follow-up paper, which compares
-  /// base+offset expressions without the type heuristic.
-  kPermissive,
-};
-
 /// Algorithm 1 phase 1 (lines 3-12): scan the summary's definition
 /// pairs for store-created aliases — deref locations whose stored
-/// value is pointer-shaped under `policy`.
-std::vector<AliasFact> CollectAliasFacts(
-    const FunctionSummary& summary,
-    AliasFactPolicy policy = AliasFactPolicy::kTyped);
+/// value IsPointerValue.
+std::vector<AliasFact> CollectAliasFacts(const FunctionSummary& summary);
 
 /// Algorithm 1 phase 2 (lines 13-22): rewrite each deref-location pair
 /// through every matching fact, producing twin pairs with the location
 /// renamed (new_d = d.Replace(p, alias_loc - offset)). Does not mutate
 /// the summary; returns the twins in deterministic (pair, pointer,
-/// fact) order. The loop is cubic in the worst case, so it charges the
-/// optional budget tracker cooperatively; on exhaustion it stops early
-/// and sets *truncated (twins already computed are kept — all sound).
+/// fact) order. The loop is cubic in the worst case; the oracle bounds
+/// what it retains (OnDemandAliasOracle).
 std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
-                                       const std::vector<AliasFact>& facts,
-                                       BudgetTracker* budget,
-                                       bool* truncated);
+                                       const std::vector<AliasFact>& facts);
 
-/// Runs Algorithm 1 over a function summary *in place* (the eager
-/// mode): CollectAliasFacts + ComputeAliasTwins with the twins
-/// appended to summary.def_pairs and the summary marked truncated on
-/// budget exhaustion.
-AliasResult AliasReplace(FunctionSummary& summary,
-                         BudgetTracker* budget = nullptr);
-
-/// True when the value expression is known or strongly suspected to be
-/// a pointer: typed as one, or structurally rooted at the stack, a
-/// heap object, or a pointer-returning call.
+/// True when the value expression may be a pointer: typed as one, or
+/// rooted at the stack, a heap object, a formal argument, a call's
+/// return value or a loaded value. The argument/return/load roots need
+/// no type evidence: facts are collected from *linked* summaries, where
+/// a callee's library-signature type observations are not visible
+/// (TypeMaps do not merge across linking). This matches the SSE
+/// follow-up, which compares base+offset expressions without a type
+/// heuristic. Init-register values and arithmetic residues stay
+/// excluded.
 bool IsPointerValue(const SymRef& value, const TypeMap& types);
 
 }  // namespace dtaint

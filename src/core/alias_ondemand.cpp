@@ -30,11 +30,7 @@ OnDemandAliasOracle::Entry& OnDemandAliasOracle::EntryForLocked(
   Entry& entry = memo_[summary.name];
   CountQuery(entry.ready);
   if (entry.ready) return entry;
-  // Permissive policy: the oracle works on *linked* summaries, where a
-  // callee's library-signature type observations are not visible, so
-  // the eager pass's typed gate would drop facts the callee had. See
-  // AliasFactPolicy.
-  entry.facts = CollectAliasFacts(summary, AliasFactPolicy::kPermissive);
+  entry.facts = CollectAliasFacts(summary);
   // Memo-table budget (AnalysisBudget::max_expr_nodes): once the
   // retained twin-pair total crosses the limit, later functions keep
   // an empty twin set. Conservative — fewer alias matches can only
@@ -49,9 +45,7 @@ OnDemandAliasOracle::Entry& OnDemandAliasOracle::EntryForLocked(
     }
     exhausted_ = true;
   } else {
-    bool truncated = false;
-    entry.twins =
-        ComputeAliasTwins(summary, entry.facts, nullptr, &truncated);
+    entry.twins = ComputeAliasTwins(summary, entry.facts);
     memo_pairs_ += entry.twins.size();
   }
   entry.ready = true;

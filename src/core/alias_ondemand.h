@@ -1,31 +1,30 @@
-// On-demand SSE alias resolution (AliasMode::kOnDemandSSE) — the
-// authors' follow-up to Algorithm 1 (arXiv 2109.12209).
+// On-demand SSE alias resolution — the authors' follow-up to
+// Algorithm 1 (arXiv 2109.12209) and the only alias implementation.
 //
-// Instead of materializing every alias-renamed definition pair up
-// front (AliasReplace, phase 1), this oracle answers "may these two
-// structured symbolic expressions name the same storage?" lazily, at
-// the two places the answer is consumed:
+// Summaries carry no alias-renamed definition pairs. This oracle
+// answers "may these two structured symbolic expressions name the
+// same storage?" lazily, at the two places the answer is consumed:
 //
 //  * taint transfer: the backward path walk (src/core/pathfinder.cpp)
-//    matches a use against a function's definition pairs — with the
-//    oracle it additionally matches against TwinsFor(summary), the
+//    matches a use against a function's definition pairs and
+//    additionally against TwinsFor(summary), Algorithm 1's
 //    alias-renamed pairs computed on first demand;
 //  * indirect-call resolution: structsim's SSE tier compares the
 //    call-target SSE against known function-pointer stores, including
 //    the oracle twins.
 //
-// Two properties make this mode more than a lazy spelling of the
-// eager pass:
+// Two properties make this more than a lazy spelling of Algorithm 1's
+// per-function rewrite:
 //
 //  1. Queries run against *linked* summaries (after Algorithm 2
 //     imported callee definitions), so aliases created across call
 //     boundaries — caller stores p into a struct inside callee A,
-//     callee B stores a function pointer through p — participate. The
-//     eager pass runs per function before linking and structurally
-//     cannot see these.
-//  2. The hash-consed interner (PR 4) makes SSE equality a pointer
-//     compare, so each memoized query is cheap; the cubic rewrite is
-//     paid only for functions the path walk actually visits.
+//     callee B stores a function pointer through p — participate. A
+//     per-function rewrite before linking structurally cannot see
+//     these.
+//  2. The hash-consed interner makes SSE equality a pointer compare,
+//     so each memoized query is cheap; the cubic rewrite is paid only
+//     for functions the path walk actually visits.
 //
 // Memoization is per function (keyed by name — summaries are unique
 // per program analysis) and thread-safe. The memo table is bounded by

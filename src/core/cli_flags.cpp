@@ -7,7 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/core/alias.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -140,12 +139,6 @@ bool FlagSet::Parse(int argc, char** argv,
 void AddScanFlags(FlagSet& flags, ScanFlags* out) {
   InterprocConfig& interproc = out->config.interproc;
   flags.Int("--threads", &interproc.num_threads);
-  flags.Custom(
-      "--alias-mode",
-      [&interproc](const std::string& text) {
-        return ParseAliasMode(text, &interproc.alias_mode);
-      },
-      "eager|ondemand");
   flags.String("--cache-dir", &out->cache_dir);
   flags.Double("--deadline-ms", &interproc.budget.deadline_ms);
   flags.Uint("--max-steps", &interproc.budget.max_steps);

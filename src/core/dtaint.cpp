@@ -44,10 +44,7 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
                     .Str("binary", report.binary_name)
                     .Str("arch", ArchName(binary.arch)));
     events.Emit(obs::Event("alias_mode")
-                    .Str("mode", config_.enable_alias
-                                     ? AliasModeName(
-                                           config_.interproc.alias_mode)
-                                     : "off"));
+                    .Str("mode", config_.enable_alias ? "ondemand" : "off"));
   }
   DTAINT_LOG(obs::LogLevel::kInfo, "dtaint", "analyzing %s",
              report.binary_name.c_str());
@@ -159,9 +156,9 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   // re-link so flows cross the resolved edges.
   if (config_.enable_structsim) {
     obs::Phase structsim("structsim");
-    // In on-demand alias mode the oracle adds the SSE resolution tier:
-    // call-target SSEs matched against linked function-pointer stores
-    // and their alias twins (null oracle = eager mode, tier disabled).
+    // With alias on, the oracle adds the SSE resolution tier: call-target
+    // SSEs matched against linked function-pointer stores and their
+    // alias twins.
     auto resolutions = ResolveIndirectCalls(program, analysis.summaries,
                                             analysis.alias_oracle.get());
     report.indirect_calls_resolved = resolutions.size();

@@ -206,10 +206,10 @@ class Tracer {
 
     // (a) Backward through definition pairs: any deref component of
     // the expression may have been defined elsewhere in the function
-    // (or by a linked callee summary). In on-demand alias mode the
-    // alias-renamed twins are not materialized in the summary; the
-    // oracle supplies them here, at the taint-transfer site — computed
-    // over the *linked* pairs, so cross-call aliases participate.
+    // (or by a linked callee summary). Alias-renamed twins are not
+    // materialized in the summary; the oracle supplies them here, at
+    // the taint-transfer site — computed over the *linked* pairs, so
+    // cross-call aliases participate.
     std::vector<SymRef> deref_parts;
     SymExpr::CollectDerefs(expr, &deref_parts);
     const std::vector<DefPair>* twins = nullptr;

@@ -249,7 +249,7 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
         continue;
       }
 
-      // Case 1.5 (on-demand SSE mode): the symbolic target may read a
+      // Case 1.5 (alias oracle): the symbolic target may read a
       // cell some *linked* definition pair stores a concrete function
       // address into — a registration store made in another function,
       // imported here by Algorithm 2. Match the target SSE against

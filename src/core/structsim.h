@@ -90,7 +90,7 @@ struct IndirectResolution {
 /// Resolves indirect callsites across the program:
 ///  * constant targets (dispatch-table loads the engine concretized)
 ///    resolve directly to the function at that address;
-///  * with `sse_oracle` set (AliasMode::kOnDemandSSE), symbolic targets
+///  * with `sse_oracle` set (alias on), symbolic targets
 ///    whose SSE — directly or through an alias twin — matches a linked
 ///    definition pair storing a known function address resolve exactly
 ///    (the cross-call-boundary case layout similarity cannot see);

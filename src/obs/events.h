@@ -4,7 +4,7 @@
 // Chrome trace and the JSON report only exist if the run *finishes*.
 // The event stream is the always-durable record: every scan-lifecycle
 // event (corpus/image/phase/function begin+end, cache traffic, budget
-// exhaustion, alias-mode decisions, incidents, per-finding evidence,
+// exhaustion, the alias setting, incidents, per-finding evidence,
 // periodic heartbeats) is serialized as one JSON line and appended to
 // the `--events-out` file with a single O_APPEND write(2) — so every
 // event that was emitted before a crash is on disk, each on its own
@@ -30,7 +30,7 @@
 //   function_begin / function_end  per-function summary production:
 //                                micros, cached (cache hit/miss),
 //                                degraded
-//   alias_mode                   which alias strategy the run chose
+//   alias_mode                   "ondemand", or "off" with alias disabled
 //   incident                     mirror of a resilience Incident
 //                                (budget exhaustion carries its cause)
 //   finding                      per-finding evidence: class, source,

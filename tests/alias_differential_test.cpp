@@ -1,21 +1,20 @@
-// Differential oracle for the alias-analysis modes.
+// Differential oracle for the on-demand alias oracle.
 //
-// AliasMode::kOnDemandSSE replaces the eager Algorithm 1 summary
-// rewrite with lazy SSE queries, so it is only admissible if it is
-// *invisible* on code the eager pass handles: for any input in the
-// standard pattern corpus, the full analysis report — findings, sink
-// and path counts, resolution counts, everything except wall-clock
-// timings, per-run metrics, and the propagation-effort counters that
-// legitimately reflect how many twin pairs each mode materializes —
-// must be byte-identical between the two modes, at any thread count,
-// cold or warm cache.
+// The reference model materializes every alias twin up front: it
+// summarizes, links, resolves indirect calls and relinks exactly like
+// the detector, then appends Algorithm 1's twins
+// (ComputeAliasTwins(CollectAliasFacts(s))) to every *linked* summary
+// and runs the path search with no oracle. The detector never
+// materializes twins; its path walk asks the oracle for them at each
+// taint-transfer site. Its findings must equal the model's on the
+// standard pattern corpus, at any thread count, cold or warm cache.
 //
-// On the cross-call-alias family (VulnPattern::kCrossCallAlias) the
-// oracle must strictly dominate: the indirect call through
-// container->ctx->handler is resolvable only from the *linked* entry
-// summary, which the eager pass (per-function, pre-link) never sees,
-// so the on-demand run finds every eager finding plus at least one
-// planted vulnerability the eager run misses.
+// On the cross-call-alias family (VulnPattern::kCrossCallAlias) alias
+// recognition must pay for itself: the indirect call through
+// container->ctx->handler is resolvable only through alias twins of
+// the *linked* entry summary, so the alias-off run finds nothing there
+// while the alias-on run finds the planted vulnerability and stays
+// silent on its sanitized twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,9 @@
 #include <vector>
 
 #include "src/cache/summary_cache.h"
+#include "src/core/alias.h"
 #include "src/core/dtaint.h"
+#include "src/report/json.h"
 #include "src/report/scoring.h"
 #include "src/synth/firmware_synth.h"
 #include "tests/testing/plant_corpus.h"
@@ -37,98 +38,102 @@ std::vector<Binary> BuildCorpus() {
   return testing_util::PlantCorpus("afw", 700, 10, 12);
 }
 
-/// Serializes a report with the run-dependent fields zeroed: timings,
-/// cache counters, per-run metrics, the timing-ordered hot-function
-/// profile — plus the propagation-effort counters that lawfully
-/// differ between modes (eager materializes and propagates twin
-/// pairs; on-demand does not). Findings, sink/path/resolution counts,
-/// and the completeness bit must survive byte comparison.
-std::string NormalizedJson(AnalysisReport report) {
-  report.interproc_stats.defs_propagated = 0;
-  report.interproc_stats.uses_forwarded = 0;
-  report.interproc_stats.rets_replaced = 0;
-  report.interproc_stats.alias_pairs_added = 0;
-  report.pathfinder_stats.paths_explored = 0;
-  return testing_util::NormalizedJson(std::move(report));
+/// The reference model's findings (see file comment), serialized like
+/// the detector's.
+std::string ModelFindings(const Binary& binary) {
+  CfgBuilder builder(binary);
+  auto program = builder.BuildProgram();
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return std::string();
+  SymEngine engine(binary);
+  InterprocConfig config;
+  CallGraph graph = CallGraph::Build(*program);
+  ProgramAnalysis analysis =
+      Link(*program, graph, Summarize(*program, graph, engine, config),
+           config);
+  if (!ResolveIndirectCalls(*program, analysis.summaries,
+                            analysis.alias_oracle.get())
+           .empty()) {
+    analysis = Link(*program, CallGraph::Build(*program),
+                    Unlink(std::move(analysis)), config);
+  }
+  for (auto& [name, summary] : analysis.summaries) {
+    std::vector<DefPair> twins =
+        ComputeAliasTwins(summary, CollectAliasFacts(summary));
+    summary.def_pairs.insert(summary.def_pairs.end(), twins.begin(),
+                             twins.end());
+  }
+  analysis.alias_oracle = nullptr;
+  PathFinder finder(*program, analysis);
+  std::vector<Finding> findings;
+  for (TaintPath& path : FilterVulnerable(finder.FindAll())) {
+    if (!path.crossed_degraded) findings.push_back({std::move(path)});
+  }
+  return FindingsToJson(findings);
 }
 
-Result<AnalysisReport> Analyze(const Binary& binary, AliasMode mode,
+Result<AnalysisReport> Analyze(const Binary& binary, bool alias = true,
                                int num_threads = 1,
                                SummaryCache* cache = nullptr) {
   DTaintConfig config;
-  config.interproc.alias_mode = mode;
+  config.enable_alias = alias;
   config.interproc.num_threads = num_threads;
   config.interproc.cache = cache;
   return DTaint(config).Analyze(binary);
 }
 
-std::string AnalyzeNormalized(const Binary& binary, AliasMode mode,
-                              int num_threads = 1,
-                              SummaryCache* cache = nullptr) {
-  auto report = Analyze(binary, mode, num_threads, cache);
+/// The detector's findings with alias on.
+std::string Findings(const Binary& binary, int num_threads = 1,
+                     SummaryCache* cache = nullptr) {
+  auto report = Analyze(binary, true, num_threads, cache);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return report.ok() ? NormalizedJson(*report) : std::string();
+  return report.ok() ? FindingsToJson(report->findings) : std::string();
 }
 
-// ---------- the oracle: standard corpus, modes must agree ------------------
+// ---------- the oracle: standard corpus, detector equals the model ---------
 
-TEST(AliasDifferential, EagerAndOnDemandReportsAreByteIdentical) {
+TEST(AliasDifferential, FindingsMatchTheModel) {
   std::vector<Binary> corpus = BuildCorpus();
-  ASSERT_GE(corpus.size(), 20u);
+  ASSERT_EQ(corpus.size(), 20u);
+  size_t with_findings = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    std::string eager = AnalyzeNormalized(corpus[i], AliasMode::kEager);
-    ASSERT_FALSE(eager.empty());
-    EXPECT_EQ(AnalyzeNormalized(corpus[i], AliasMode::kOnDemandSSE), eager)
-        << "on-demand run diverged on corpus[" << i << "]";
+    std::string model = ModelFindings(corpus[i]);
+    ASSERT_FALSE(model.empty());
+    if (model != "[]") ++with_findings;
+    EXPECT_EQ(Findings(corpus[i]), model)
+        << "detector diverged from the model on corpus[" << i << "]";
   }
+  // The comparison is not vacuous.
+  EXPECT_GT(with_findings, corpus.size() / 2);
 }
 
-TEST(AliasDifferential, ByteIdenticalAtEveryThreadCount) {
+TEST(AliasDifferential, MatchesTheModelAtEveryThreadCount) {
   std::vector<Binary> corpus = BuildCorpus();
-  ASSERT_GE(corpus.size(), 10u);
-  // Every pattern is covered by the even-indexed (ARM) half alone.
-  for (size_t i = 0; i < 5; ++i) {
-    const Binary& binary = corpus[i * 2];
-    std::string reference =
-        AnalyzeNormalized(binary, AliasMode::kEager, /*num_threads=*/1);
-    ASSERT_FALSE(reference.empty());
-    for (int threads : {1, 2, 8}) {
-      EXPECT_EQ(AnalyzeNormalized(binary, AliasMode::kOnDemandSSE, threads),
-                reference)
-          << "corpus[" << i * 2 << "] at num_threads=" << threads;
+  ASSERT_EQ(corpus.size(), 20u);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    std::string model = ModelFindings(corpus[i]);
+    for (int threads : {2, 8}) {
+      EXPECT_EQ(Findings(corpus[i], threads), model)
+          << "corpus[" << i << "] at num_threads=" << threads;
     }
   }
 }
 
-TEST(AliasDifferential, ColdAndWarmCacheStayByteIdentical) {
-  // One shared in-memory cache serves both modes back to back. Mode is
-  // part of the engine fingerprint, so eager and on-demand runs miss
-  // each other's entries instead of replaying summaries with (or
-  // without) the eager twin rewrite baked in; a warm re-run in either
-  // mode must reproduce its own cold report byte for byte.
+TEST(AliasDifferential, MatchesTheModelWithColdAndWarmCache) {
+  // One shared in-memory cache: the first pass over the corpus fills
+  // it, the second is served from it.
   std::vector<Binary> corpus = BuildCorpus();
-  ASSERT_GE(corpus.size(), 6u);
-  CacheConfig cache_config;
-  SummaryCache cache(cache_config);
-  for (size_t i = 0; i < 6; ++i) {
-    const Binary& binary = corpus[i];
-    std::string eager_cold =
-        AnalyzeNormalized(binary, AliasMode::kEager, 1, &cache);
-    std::string ondemand_cold =
-        AnalyzeNormalized(binary, AliasMode::kOnDemandSSE, 1, &cache);
-    ASSERT_FALSE(eager_cold.empty());
-    EXPECT_EQ(ondemand_cold, eager_cold)
-        << "cold-cache mode divergence on corpus[" << i << "]";
-    EXPECT_EQ(AnalyzeNormalized(binary, AliasMode::kEager, 1, &cache),
-              eager_cold)
-        << "warm eager run diverged on corpus[" << i << "]";
-    EXPECT_EQ(AnalyzeNormalized(binary, AliasMode::kOnDemandSSE, 1, &cache),
-              ondemand_cold)
-        << "warm on-demand run diverged on corpus[" << i << "]";
+  ASSERT_EQ(corpus.size(), 20u);
+  SummaryCache cache;
+  for (const char* pass : {"cold", "warm"}) {
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_EQ(Findings(corpus[i], 1, &cache), ModelFindings(corpus[i]))
+          << "corpus[" << i << "], " << pass << " cache";
+    }
   }
 }
 
-// ---------- the family where on-demand must strictly dominate -------------
+// ---------- the family alias recognition exists for -----------------------
 
 std::vector<SynthOutput> BuildCrossCallFamily() {
   std::vector<SynthOutput> family;
@@ -163,50 +168,42 @@ std::multiset<std::string> FindingKeys(const AnalysisReport& report) {
   return keys;
 }
 
-TEST(AliasDifferential, CrossCallAliasFamilyOnDemandDominates) {
+TEST(AliasDifferential, CrossCallAliasFamilyNeedsAlias) {
   std::vector<SynthOutput> family = BuildCrossCallFamily();
-  ASSERT_GE(family.size(), 2u);
+  ASSERT_EQ(family.size(), 2u);
   for (size_t i = 0; i < family.size(); ++i) {
-    auto eager = Analyze(family[i].binary, AliasMode::kEager);
-    auto ondemand = Analyze(family[i].binary, AliasMode::kOnDemandSSE);
-    ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-    ASSERT_TRUE(ondemand.ok()) << ondemand.status().ToString();
+    auto off = Analyze(family[i].binary, /*alias=*/false);
+    auto on = Analyze(family[i].binary);
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
 
-    // Superset: every eager finding appears in the on-demand report.
-    std::multiset<std::string> eager_keys = FindingKeys(*eager);
-    std::multiset<std::string> ondemand_keys = FindingKeys(*ondemand);
-    EXPECT_TRUE(std::includes(ondemand_keys.begin(), ondemand_keys.end(),
-                              eager_keys.begin(), eager_keys.end()))
-        << "family[" << i << "]: on-demand lost an eager finding";
+    // Superset: every alias-off finding appears in the alias-on report.
+    std::multiset<std::string> off_keys = FindingKeys(*off);
+    std::multiset<std::string> on_keys = FindingKeys(*on);
+    EXPECT_TRUE(std::includes(on_keys.begin(), on_keys.end(),
+                              off_keys.begin(), off_keys.end()))
+        << "family[" << i << "]: alias on lost an alias-off finding";
 
-    // The registration-store resolution is exclusive to the oracle.
-    EXPECT_GT(ondemand->indirect_calls_resolved,
-              eager->indirect_calls_resolved)
-        << "family[" << i << "]";
+    // Both registration stores (the plant's and its sanitized twin's)
+    // resolve only through the oracle.
+    EXPECT_EQ(off->indirect_calls_resolved, 0u) << "family[" << i << "]";
+    EXPECT_EQ(on->indirect_calls_resolved, 2u) << "family[" << i << "]";
 
-    // At least one planted (non-sanitized) vulnerability is found only
-    // by the on-demand run, and it is the cross-call plant's impl.
-    DetectionScore eager_score =
-        ScoreFindings(eager->findings, family[i].ground_truth);
-    DetectionScore ondemand_score =
-        ScoreFindings(ondemand->findings, family[i].ground_truth);
-    EXPECT_EQ(eager_score.true_positives, 0u)
-        << "family[" << i << "]: eager unexpectedly resolved the "
-        << "cross-call registration";
-    EXPECT_GE(ondemand_score.true_positives, 1u)
-        << "family[" << i << "]: on-demand missed the planted vuln";
-    EXPECT_EQ(ondemand_score.safe_twin_hits, 0u)
+    DetectionScore off_score =
+        ScoreFindings(off->findings, family[i].ground_truth);
+    DetectionScore on_score =
+        ScoreFindings(on->findings, family[i].ground_truth);
+    EXPECT_EQ(off_score.true_positives, 0u)
+        << "family[" << i << "]: alias off resolved the cross-call "
+        << "registration";
+    EXPECT_GE(on_score.true_positives, 1u)
+        << "family[" << i << "]: alias on missed the planted vuln";
+    EXPECT_EQ(on_score.safe_twin_hits, 0u)
         << "family[" << i << "]: sanitized twin fired";
-    bool exclusive_matches_ground_truth = false;
-    for (const std::string& id : ondemand_score.found_ids) {
-      if (std::find(eager_score.found_ids.begin(),
-                    eager_score.found_ids.end(),
-                    id) == eager_score.found_ids.end()) {
-        exclusive_matches_ground_truth = true;
-      }
-    }
-    EXPECT_TRUE(exclusive_matches_ground_truth)
-        << "family[" << i << "]: no on-demand-exclusive ground-truth hit";
+
+    EXPECT_EQ(FindingsToJson(on->findings),
+              ModelFindings(family[i].binary))
+        << "family[" << i << "]: detector diverged from the model";
   }
 }
 
@@ -214,13 +211,16 @@ TEST(AliasDifferential, CrossCallFamilyIsDeterministicAcrossThreads) {
   std::vector<SynthOutput> family = BuildCrossCallFamily();
   ASSERT_FALSE(family.empty());
   const Binary& binary = family[0].binary;
-  std::string reference =
-      AnalyzeNormalized(binary, AliasMode::kOnDemandSSE, /*num_threads=*/1);
+  auto normalized = [&](int threads) {
+    auto report = Analyze(binary, true, threads);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return report.ok() ? testing_util::NormalizedJson(std::move(*report))
+                       : std::string();
+  };
+  std::string reference = normalized(1);
   ASSERT_FALSE(reference.empty());
   for (int threads : {2, 8}) {
-    EXPECT_EQ(AnalyzeNormalized(binary, AliasMode::kOnDemandSSE, threads),
-              reference)
-        << "num_threads=" << threads;
+    EXPECT_EQ(normalized(threads), reference) << "num_threads=" << threads;
   }
 }
 

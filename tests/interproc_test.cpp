@@ -4,6 +4,7 @@
 #include "src/cache/summary_codec.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
+#include "src/core/alias_ondemand.h"
 #include "src/core/interproc.h"
 #include "src/isa/asm_builder.h"
 #include "src/synth/firmware_synth.h"
@@ -60,17 +61,21 @@ TEST(BottomUp, FooWooWorkedExample) {
   const FunctionSummary& foo = analysis.summaries.at("foo");
 
   // woo's tainted definition arrived in foo, expressed through foo's
-  // formals: deref(deref(arg1+0x24)) = taint (and, via Algorithm 1,
-  // the alias twin deref(deref(arg0+0x4c)) = taint).
-  bool direct = false, via_alias = false;
-  for (const DefPair& dp : foo.def_pairs) {
-    if (!dp.u || !dp.u->IsTainted()) continue;
-    std::string d = dp.d->ToString();
-    if (d == "deref(deref(arg1+0x24))") direct = true;
-    if (d == "deref(deref(arg0+0x4c))") via_alias = true;
-  }
-  EXPECT_TRUE(direct);
-  EXPECT_TRUE(via_alias);
+  // formals: deref(deref(arg1+0x24)) = taint. Algorithm 1's alias twin
+  // deref(deref(arg0+0x4c)) = taint (paper Fig. 7) is the oracle's, not
+  // the summary's.
+  auto tainted_def = [](const std::vector<DefPair>& pairs,
+                        const std::string& d) {
+    for (const DefPair& dp : pairs) {
+      if (dp.u && dp.u->IsTainted() && dp.d->ToString() == d) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(tainted_def(foo.def_pairs, "deref(deref(arg1+0x24))"));
+  EXPECT_FALSE(tainted_def(foo.def_pairs, "deref(deref(arg0+0x4c))"));
+  ASSERT_NE(analysis.alias_oracle, nullptr);
+  EXPECT_TRUE(tainted_def(analysis.alias_oracle->TwinsFor(foo),
+                          "deref(deref(arg0+0x4c))"));
 
   // The memcpy call sees the paper's Fig. 6 source argument.
   const CallEvent* memcpy_call = nullptr;
@@ -93,7 +98,7 @@ TEST(BottomUp, AliasOffCanBeDisabled) {
       EXPECT_NE(dp.d->ToString(), "deref(deref(arg0+0x4c))");
     }
   }
-  EXPECT_EQ(analysis.stats.alias_pairs_added, 0u);
+  EXPECT_EQ(analysis.alias_oracle, nullptr);
 }
 
 TEST(BottomUp, EachFunctionProcessedOnce) {

@@ -524,10 +524,8 @@ TEST(MetricsRegistry, AliasOnDemandCountersResetAndDeltaCleanly) {
 
 TEST(ReportObservability, AliasOnDemandCountersArePerRunDeltas) {
   Binary binary = SynthesizeSmallBinary();
-  DTaintConfig config;
-  config.interproc.alias_mode = AliasMode::kOnDemandSSE;
-  auto first = DTaint(config).Analyze(binary);
-  auto second = DTaint(config).Analyze(binary);
+  auto first = DTaint().Analyze(binary);
+  auto second = DTaint().Analyze(binary);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_GT(first->metrics.CounterValue("alias.ondemand.queries"), 0u);
@@ -538,10 +536,12 @@ TEST(ReportObservability, AliasOnDemandCountersArePerRunDeltas) {
             first->metrics.CounterValue("alias.ondemand.queries"));
   EXPECT_EQ(second->metrics.CounterValue("alias.ondemand.hits"),
             first->metrics.CounterValue("alias.ondemand.hits"));
-  // An eager run never consults the oracle.
-  auto eager = DTaint().Analyze(binary);
-  ASSERT_TRUE(eager.ok());
-  EXPECT_EQ(eager->metrics.CounterValue("alias.ondemand.queries"), 0u);
+  // An alias-off run never consults the oracle.
+  DTaintConfig off;
+  off.enable_alias = false;
+  auto no_alias = DTaint(off).Analyze(binary);
+  ASSERT_TRUE(no_alias.ok());
+  EXPECT_EQ(no_alias->metrics.CounterValue("alias.ondemand.queries"), 0u);
 }
 
 TEST(ReportObservability, HotFunctionsAndPathStats) {

@@ -521,9 +521,7 @@ TEST_P(AliasOracleProperties, MemoIsDeterministicAcrossThreadCounts) {
   ASSERT_TRUE(program.ok());
   SymEngine engine(out->binary);
   CallGraph graph = CallGraph::Build(*program);
-  InterprocConfig config;
-  config.alias_mode = AliasMode::kOnDemandSSE;
-  ProgramAnalysis analysis = RunBottomUp(*program, graph, engine, config);
+  ProgramAnalysis analysis = RunBottomUp(*program, graph, engine);
   ASSERT_TRUE(analysis.alias_oracle);
 
   std::vector<const FunctionSummary*> summaries;

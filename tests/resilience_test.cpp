@@ -349,7 +349,6 @@ TEST_F(ResilienceTest, OnDemandAliasMemoBudgetDegradesConservatively) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   DTaintConfig config;
-  config.interproc.alias_mode = AliasMode::kOnDemandSSE;
   auto generous = DTaint(config).Analyze(out->binary);
   ASSERT_TRUE(generous.ok());
   DetectionScore full_score =

@@ -303,12 +303,11 @@ using testing_util::NormalizedJson;
 /// Analyzes `binary` and adds the block-memo replays it made to
 /// `*memo_hits`.
 std::string AnalyzeNormalized(const Binary& binary, bool memo,
-                              AliasMode alias_mode, uint64_t* memo_hits) {
+                              uint64_t* memo_hits) {
   obs::Counter& hits =
       obs::MetricsRegistry::Global().counter("engine.block_memo_hits");
   uint64_t hits_before = hits.Value();
   DTaintConfig config;
-  config.interproc.alias_mode = alias_mode;
   // A step ceiling no function comes near: nothing is degraded, but
   // the budget is limited, which switches block memoization off.
   if (!memo) config.interproc.budget.max_steps = uint64_t{1} << 40;
@@ -326,15 +325,11 @@ TEST(StateDifferential, BlockMemoIsInvisibleInReports) {
   uint64_t exact_hits = 0;
   uint64_t memo_hits = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    for (AliasMode mode : {AliasMode::kEager, AliasMode::kOnDemandSSE}) {
-      std::string exact =
-          AnalyzeNormalized(corpus[i], /*memo=*/false, mode, &exact_hits);
-      ASSERT_FALSE(exact.empty());
-      EXPECT_EQ(AnalyzeNormalized(corpus[i], /*memo=*/true, mode, &memo_hits),
-                exact)
-          << "memoized run diverged on corpus[" << i << "] in alias mode "
-          << static_cast<int>(mode);
-    }
+    std::string exact =
+        AnalyzeNormalized(corpus[i], /*memo=*/false, &exact_hits);
+    ASSERT_FALSE(exact.empty());
+    EXPECT_EQ(AnalyzeNormalized(corpus[i], /*memo=*/true, &memo_hits), exact)
+        << "memoized run diverged on corpus[" << i << "]";
   }
   // Both sides of the comparison are what they claim to be.
   EXPECT_EQ(exact_hits, 0u);
