@@ -408,7 +408,6 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
   w.U32(static_cast<uint32_t>(summary.paths_explored));
   w.U32(static_cast<uint32_t>(summary.blocks_visited));
   w.U8(summary.truncated ? 1 : 0);
-  w.U32(static_cast<uint32_t>(summary.alias_pairs));
 
   std::vector<uint8_t> out = std::move(w).Take();
   uint64_t checksum = Fnv1a(std::span<const uint8_t>(out));
@@ -508,7 +507,6 @@ Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes) {
   summary.paths_explored = static_cast<int>(r.U32());
   summary.blocks_visited = static_cast<int>(r.U32());
   summary.truncated = r.U8() != 0;
-  summary.alias_pairs = r.U32();
 
   if (!r.ok()) return CorruptData("summary blob truncated");
   if (r.remaining() != 0) {
@@ -525,7 +523,6 @@ std::string SummaryToDebugJson(const FunctionSummary& summary) {
   out += ",\"blocks_visited\":" + std::to_string(summary.blocks_visited);
   out += std::string(",\"truncated\":") +
          (summary.truncated ? "true" : "false");
-  out += ",\"alias_pairs\":" + std::to_string(summary.alias_pairs);
 
   out += ",\"def_pairs\":[";
   for (size_t i = 0; i < summary.def_pairs.size(); ++i) {

@@ -33,7 +33,8 @@
 namespace dtaint {
 
 inline constexpr uint32_t kSummaryCodecMagic = 0x44545343;  // "DTSC"
-inline constexpr uint16_t kSummaryCodecVersion = 1;
+/// 2: the per-summary count of alias twin pairs left the blob.
+inline constexpr uint16_t kSummaryCodecVersion = 2;
 
 /// Serializes a summary (def pairs, undefined uses, calls, return
 /// values, types, exploration stats) into the versioned blob above.

@@ -106,8 +106,6 @@ std::string ReportToJson(const AnalysisReport& report) {
   json.Number(static_cast<uint64_t>(report.interproc_stats.uses_forwarded));
   json.Key("rets_replaced");
   json.Number(static_cast<uint64_t>(report.interproc_stats.rets_replaced));
-  json.Key("alias_pairs_added");
-  json.Number(static_cast<uint64_t>(report.interproc_stats.alias_pairs_added));
   json.Key("indirect_calls_resolved");
   json.Number(static_cast<uint64_t>(report.indirect_calls_resolved));
   json.Key("cache");

@@ -111,10 +111,6 @@ struct FunctionSummary {
   /// summary originated in a degraded callee; propagated transitively
   /// so findings through such values can be suppressed.
   bool ret_degraded = false;
-  /// Def pairs added by the alias pass (Algorithm 1), once it has run
-  /// over this summary. Carried here so a summary served from the
-  /// persistent cache reports the same count as one aliased in-process.
-  size_t alias_pairs = 0;
   /// Exploration-internals counters (never serialized; see above).
   ExplorationStats engine_stats;
 
