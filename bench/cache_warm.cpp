@@ -9,7 +9,7 @@
 //
 // Two times are reported per phase. "Summary (s)" is the
 // summary-production time (InterprocStats::summary_seconds: symbolic
-// analysis + alias rewrite, or a cache hit) — the work the cache can
+// analysis, or a cache hit) — the work the cache can
 // serve, and the headline self-check: warm must be at least 3x faster
 // than cold. "Wall (s)" is the whole pipeline including the phases no
 // summary cache can skip (lifting, linking, indirect-call resolution,

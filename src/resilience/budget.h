@@ -8,7 +8,7 @@
 // an AnalysisBudget: wall-clock deadline, symbolic-step count, queued
 // symbolic states, and a ceiling on the expression nodes the
 // function's exploration builds. Hot loops in the symbolic engine
-// and the alias pass charge a BudgetTracker cooperatively; on
+// charge a BudgetTracker cooperatively; on
 // exhaustion the function yields a *conservative degraded summary*
 // (see MakeDegradedSummary in src/symexec/engine.h) instead of
 // aborting the scan — the Sdft move (arXiv:2111.04005) of substituting
@@ -43,8 +43,8 @@ struct AnalysisBudget {
   /// intern.h). The count is private to the analysing thread and
   /// starts from zero for every function, so the trip point depends
   /// neither on the other summary threads nor on what the process
-  /// analysed before. The alias pass, which runs outside the
-  /// exploration, is bounded by the other limits only.
+  /// analysed before. The alias oracle, which runs after linking,
+  /// bounds its memo table by the same number (OnDemandAliasOracle).
   uint64_t max_expr_nodes = 0;
 
   bool limited() const {

@@ -480,7 +480,7 @@ Status CodeGen::EmitLoopCopy(const PlantSpec& plant) {
 
 Status CodeGen::EmitCrossCallAlias(const PlantSpec& plant) {
   // A handler registration spread across call boundaries, the shape
-  // the eager alias pass structurally misses: link_ctx parks the ctx
+  // a per-function alias pass structurally misses: link_ctx parks the ctx
   // pointer in a container field, install writes the handler address
   // into ctx, and the entry calls container->ctx->handler(msg). No
   // single function sees both the registration store and the indirect

@@ -34,8 +34,8 @@ enum class VulnPattern : uint8_t {
                     // ctx into a container, another installs the
                     // handler into ctx, the entry calls through
                     // container->ctx->handler. Only the on-demand SSE
-                    // oracle resolves the indirect call (the eager
-                    // pass runs pre-link and never sees the
+                    // oracle resolves the indirect call (a per-function
+                    // pass before linking never sees the
                     // cross-boundary facts; layout similarity scores 0)
 };
 
