@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the analysis hot paths:
 // decode, lift, CFG recovery, per-function symbolic analysis, alias
-// recognition, layout similarity, and whole-binary detection.
+// recognition, layout similarity, whole-binary detection, and the
+// relink over a paper image.
 //
 // A custom main feeds every google-benchmark result into the shared
 // bench harness so micro_engine emits the same BENCH_*.json document
@@ -10,9 +11,11 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <optional>
 
 #include "src/obs/bench.h"
 
+#include "src/binary/loader.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/alias.h"
@@ -24,6 +27,7 @@
 #include "src/lifter/lifter.h"
 #include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
+#include "src/synth/paper_images.h"
 
 namespace dtaint {
 namespace {
@@ -348,6 +352,40 @@ void BM_BottomUpLinking(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BottomUpLinking);
+
+/// Link alone, without summary noise: the DGN2200 paper image is
+/// summarized, linked and structsim-resolved once, then each iteration
+/// unlinks and relinks it over the resolved call graph — the round trip
+/// DTaint::AnalyzeFunctions makes after structsim.
+void BM_Relink(benchmark::State& state) {
+  std::optional<Binary> binary;
+  for (const PaperImageSpec& spec : PaperImageSpecs()) {
+    if (spec.firmware.product != "DGN2200") continue;
+    auto fw = BuildPaperImage(spec);
+    const FirmwareFile* file =
+        fw.ok() ? fw->image.FindFile(spec.firmware.binary_path) : nullptr;
+    if (!file) break;
+    auto loaded = BinaryLoader::Load(file->bytes);
+    if (loaded.ok()) binary = std::move(*loaded);
+  }
+  if (!binary) {
+    state.SkipWithError("DGN2200 paper image unavailable");
+    return;
+  }
+  Program program = std::move(*CfgBuilder(*binary).BuildProgram());
+  SymEngine engine(*binary);
+  CallGraph graph = CallGraph::Build(program);
+  ProgramAnalysis analysis =
+      Link(program, graph, Summarize(program, graph, engine));
+  ResolveIndirectCalls(program, analysis.summaries,
+                       analysis.alias_oracle.get());
+  CallGraph resolved = CallGraph::Build(program);
+  for (auto _ : state) {
+    analysis = Link(program, resolved, Unlink(std::move(analysis)));
+    benchmark::DoNotOptimize(analysis.stats.rets_replaced);
+  }
+}
+BENCHMARK(BM_Relink)->Unit(benchmark::kMillisecond);
 
 /// ConsoleReporter subclass that tees every per-iteration result into
 /// the harness while keeping google-benchmark's normal console table.

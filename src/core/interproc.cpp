@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <thread>
+#include <unordered_map>
 
 #include "src/cache/summary_cache.h"
 #include "src/core/alias_ondemand.h"
@@ -83,6 +85,55 @@ SymRef RepresentativeReturn(const FunctionSummary& callee) {
     if (ret->IsTainted()) return ret;
   }
   return best;
+}
+
+/// A summary Link has finished, as its callers consume it.
+struct LinkedCallee {
+  const FunctionSummary* summary;
+  std::vector<const DefPair*> escaping_defs;  // summary->EscapingDefs()
+};
+
+/// Where ret_{cs} symbols occur in the caller being linked: the
+/// ascending indices of its def pairs and of its return values that
+/// mention ret_{cs}. A superset of the items that still do once a
+/// rewrite has replaced the symbol.
+struct RetUses {
+  std::vector<size_t> def_pairs;
+  std::vector<size_t> return_values;
+};
+using RetIndex = std::unordered_map<uint32_t, RetUses>;
+
+/// Calls `visit(cs)` for every ret_{cs} leaf of `expr`, entering only
+/// subtrees whose kind bitmask holds a ret.
+template <typename Visit>
+void ForEachRetSite(const SymRef& expr, Visit&& visit) {
+  if (!expr || !expr->ContainsKind(SymKind::kRet)) return;
+  if (expr->kind() == SymKind::kRet) {
+    visit(expr->ret_site());
+    return;
+  }
+  ForEachRetSite(expr->lhs(), visit);
+  ForEachRetSite(expr->rhs(), visit);
+}
+
+/// Adds `k` to the ascending, duplicate-free `list`.
+void InsertSorted(std::vector<size_t>& list, size_t k) {
+  auto it = std::lower_bound(list.begin(), list.end(), k);
+  if (it == list.end() || *it != k) list.insert(it, k);
+}
+
+/// Lists def pair `k` under every ret_{cs} its d or u mentions.
+void IndexDefPair(const DefPair& dp, size_t k, RetIndex& index) {
+  auto add = [&](uint32_t cs) { InsertSorted(index[cs].def_pairs, k); };
+  ForEachRetSite(dp.d, add);
+  ForEachRetSite(dp.u, add);
+}
+
+/// Lists return value `k` under every ret_{cs} it mentions.
+void IndexReturnValue(const SymRef& rv, size_t k, RetIndex& index) {
+  ForEachRetSite(rv, [&](uint32_t cs) {
+    InsertSorted(index[cs].return_values, k);
+  });
 }
 
 }  // namespace
@@ -282,6 +333,11 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
                      SummarySet phase1, const InterprocConfig& config) {
   ProgramAnalysis analysis;
   analysis.stats = std::move(phase1.stats);
+  // Every summary linked so far, with its escaping definitions listed
+  // once: the summary is final when it enters analysis.summaries, and
+  // every call edge into it reuses the list.
+  std::unordered_map<std::string, LinkedCallee> linked_callees;
+  RetIndex ret_index;
   // Sequential in bottom-up order: each caller needs its callees'
   // already-linked summaries.
   for (const std::string& name : graph.BottomUpOrder()) {
@@ -297,22 +353,33 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
     undo.own_ret_degraded = summary.ret_degraded;
     std::vector<bool> saved;  // def pairs already in the undo record
 
+    // Where each ret_{cs} occurs, so ReplaceRetVariable visits only
+    // the items that mention its callsite. Imports are appended after
+    // the call loop, so the index covers every item a rewrite touches.
+    ret_index.clear();
+    for (size_t k = 0; k < summary.def_pairs.size(); ++k) {
+      IndexDefPair(summary.def_pairs[k], k, ret_index);
+    }
+    for (size_t k = 0; k < summary.return_values.size(); ++k) {
+      IndexReturnValue(summary.return_values[k], k, ret_index);
+    }
+
     // Step 3: link against already-processed callees (Algorithm 2).
     std::vector<DefPair> imported_defs;
     std::vector<UseRecord> imported_uses;
     for (const CallEvent& call : summary.calls) {
       // Indirect calls may have several similarity-resolved targets.
-      std::vector<std::string> targets;
+      std::span<const std::string> targets;
       if (call.is_indirect) {
         const CallSite* cs = fn->CallSiteAt(call.callsite);
         if (cs) targets = cs->resolved_targets;
       } else if (!call.is_import && !call.callee.empty()) {
-        targets.push_back(call.callee);
+        targets = {&call.callee, 1};
       }
       for (const std::string& target : targets) {
-        auto callee_it = analysis.summaries.find(target);
-        if (callee_it == analysis.summaries.end()) continue;  // SCC member
-        const FunctionSummary& callee = callee_it->second;
+        auto callee_it = linked_callees.find(target);
+        if (callee_it == linked_callees.end()) continue;  // SCC member
+        const FunctionSummary& callee = *callee_it->second.summary;
 
         // -- ReplaceRetVariable: resolve ret_{cs} in the caller --------
         // A return value minted by a degraded callee (directly, or
@@ -320,13 +387,24 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
         // taint the substituted pairs with the degraded flag and mark
         // the caller's returns contaminated, so the path finder can
         // suppress flows built on guessed data.
-        bool callee_ret_degraded = callee.degraded || callee.ret_degraded;
-        SymRef ret_sym = SymExpr::Ret(call.callsite);
-        SymRef ret_value = RepresentativeReturn(callee);
+        auto uses_it = ret_index.find(call.callsite);
+        SymRef ret_value = uses_it == ret_index.end()
+                               ? nullptr
+                               : RepresentativeReturn(callee);
         if (ret_value) {
+          // By reference: inserting a new callsite may rehash the
+          // index, which moves no element but invalidates `uses_it`.
+          RetUses& uses = uses_it->second;
+          bool callee_ret_degraded = callee.degraded || callee.ret_degraded;
+          SymRef ret_sym = SymExpr::Ret(call.callsite);
           ret_value = ReplaceFormalArgs(ret_value, call.args);
           ret_value = RehashHeap(ret_value, call.callsite);
-          for (size_t k = 0; k < summary.def_pairs.size(); ++k) {
+          // The index lists may outgrow what still matches, so re-test
+          // before rewriting. A rewritten item joins the list of every
+          // ret_{cs'} the substitute carried in from the call's
+          // arguments; a later event at cs' must still find it. That
+          // never grows the list being walked: the item is on it.
+          for (size_t k : uses.def_pairs) {
             DefPair& dp = summary.def_pairs[k];
             bool in_d = dp.d && dp.d->Contains(ret_sym);
             bool in_u = dp.u && dp.u->Contains(ret_sym);
@@ -340,19 +418,21 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
             if (in_u) dp.u = SymExpr::Replace(dp.u, ret_sym, ret_value);
             ++analysis.stats.rets_replaced;
             if (callee_ret_degraded) dp.degraded = true;
+            IndexDefPair(dp, k, ret_index);
           }
-          for (SymRef& rv : summary.return_values) {
-            if (rv && rv->Contains(ret_sym)) {
-              rv = SymExpr::Replace(rv, ret_sym, ret_value);
-              ++analysis.stats.rets_replaced;
-              if (callee_ret_degraded) summary.ret_degraded = true;
-            }
+          for (size_t k : uses.return_values) {
+            SymRef& rv = summary.return_values[k];
+            if (!rv || !rv->Contains(ret_sym)) continue;
+            rv = SymExpr::Replace(rv, ret_sym, ret_value);
+            ++analysis.stats.rets_replaced;
+            if (callee_ret_degraded) summary.ret_degraded = true;
+            IndexReturnValue(rv, k, ret_index);
           }
         }
 
         // -- UpdateDefPairs: import callee's escaping definitions ------
         size_t imported = 0;
-        for (const DefPair* dp : callee.EscapingDefs()) {
+        for (const DefPair* dp : callee_it->second.escaping_defs) {
           if (imported >= config.max_imported_per_callsite) break;
           DefPair linked;
           linked.d = ReplaceFormalArgs(dp->d, call.args);
@@ -391,7 +471,12 @@ ProgramAnalysis Link(const Program& program, const CallGraph& graph,
         std::make_move_iterator(imported_uses.begin()),
         std::make_move_iterator(imported_uses.end()));
 
-    analysis.summaries.emplace(name, std::move(summary));
+    auto [it, inserted] =
+        analysis.summaries.emplace(name, std::move(summary));
+    if (inserted) {
+      linked_callees.emplace(
+          name, LinkedCallee{&it->second, it->second.EscapingDefs()});
+    }
   }
 
   if (config.apply_alias) {

@@ -320,5 +320,82 @@ TEST(BottomUp, UnlinkRestoresThePhaseOneSummaries) {
   EXPECT_GT(ExpectUnlinkRoundTrip(writer.Build().value()), 0u);
 }
 
+TEST(BottomUp, LaterEventFindsARetTheSubstituteCarriedIn) {
+  // caller: x = get_arg(init_r4) @cs1; y = get_arg(x) @cs2; *SP = y.
+  // Linking cs2 rewrites ret_{cs2} to ret_{cs1}; a later event at cs1
+  // (another path through the same callsite) must then resolve it, so
+  // the rewritten def pair has to be found under ret_{cs1} as well.
+  BinaryWriter writer(Arch::kDtArm, "t");
+  {
+    FnBuilder b("get_arg");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  {
+    FnBuilder b("caller");
+    b.MovR(0, 4);
+    b.Call("get_arg");
+    b.Call("get_arg");
+    b.StrW(0, 13, 0);
+    b.MovI(0, 0);             // return a constant, not ret_{cs2}
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  Binary bin = writer.Build().value();
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  SymEngine engine(bin);
+  CallGraph graph = CallGraph::Build(program);
+  SummarySet phase1 = Summarize(program, graph, engine);
+  FunctionSummary& caller = phase1.summaries.at("caller");
+  ASSERT_EQ(caller.calls.size(), 2u);
+  ASSERT_EQ(caller.calls[0].args[0]->ToString(), "init_r4");
+  caller.calls.push_back(caller.calls[0]);
+  const std::vector<uint8_t> caller_phase1 = EncodeSummary(caller);
+
+  ProgramAnalysis linked = Link(program, graph, phase1);
+  size_t stores = 0;
+  for (const DefPair& dp : linked.summaries.at("caller").def_pairs) {
+    if (dp.d->ToString() != "deref(SP)") continue;
+    ++stores;
+    EXPECT_EQ(dp.u->ToString(), "init_r4");
+  }
+  EXPECT_EQ(stores, 1u);
+  EXPECT_EQ(linked.stats.rets_replaced, 2u);
+
+  SummarySet restored = Unlink(std::move(linked));
+  EXPECT_EQ(EncodeSummary(restored.summaries.at("caller")), caller_phase1);
+}
+
+TEST(BottomUp, EscapingDefsComeFromTheLinkedSummary) {
+  // a -> b -> c, c stores through arg0 and each caller passes its own
+  // arg0 down. b defines nothing itself, so a sees c's store only if
+  // b's escaping definitions are taken after b was linked.
+  BinaryWriter writer(Arch::kDtArm, "t");
+  {
+    FnBuilder b("c");
+    b.MovI(1, 0x41);
+    b.StrW(1, 0, 8);
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  for (auto [name, callee] : {std::pair{"b", "c"}, std::pair{"a", "b"}}) {
+    FnBuilder b(name);
+    b.Call(callee);
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  ProgramAnalysis analysis = RunAnalysis(writer.Build().value());
+  const std::vector<DefPair>& c_defs = analysis.summaries.at("c").def_pairs;
+  ASSERT_EQ(c_defs.size(), 1u);
+  for (const char* name : {"b", "a"}) {
+    const std::vector<DefPair>& defs = analysis.summaries.at(name).def_pairs;
+    ASSERT_EQ(defs.size(), 1u) << name;
+    EXPECT_EQ(defs[0].d->ToString(), "deref(arg0+0x8)") << name;
+    EXPECT_EQ(defs[0].u->ToString(), "0x41") << name;
+    EXPECT_EQ(defs[0].site, c_defs[0].site) << name;
+  }
+  EXPECT_EQ(analysis.stats.defs_propagated, 2u);
+}
+
 }  // namespace
 }  // namespace dtaint
