@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   // scratch file). "events_emitted" is a deterministic count the
   // regression gate holds exactly. The sweep is microseconds per
   // image, so it prices nothing: table3_detection's
-  // instrumentation_overhead run measures event and trace cost on a
+  // instrumentation_overhead run measures the event cost on a
   // real scan.
   auto sweep = [&](obs::EventStream* events) {
     int ok = 0;

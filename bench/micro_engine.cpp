@@ -415,7 +415,7 @@ class HarnessReporter : public benchmark::ConsoleReporter {
 }  // namespace dtaint
 
 int main(int argc, char** argv) {
-  // The harness consumes --json-out/--trace-out/--reps; the leftovers
+  // The harness consumes --json-out/--reps; the leftovers
   // go to google-benchmark (we skip ReportUnrecognizedArguments so the
   // harness flags don't trip it).
   dtaint::bench::Harness harness("micro_engine", argc, argv);

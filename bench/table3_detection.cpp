@@ -11,7 +11,7 @@
 // Each image's run also exports the pipeline's per-phase seconds (the
 // obs::Phase histograms) and their coverage of the binary's total. A
 // last run prices the instrumentation itself: the six images scanned
-// with the event stream and the tracer off, then on.
+// with the event stream off, then on.
 #include <cstdio>
 #include <filesystem>
 
@@ -21,7 +21,6 @@
 #include "src/obs/bench.h"
 #include "src/obs/events.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 #include "src/report/scoring.h"
 #include "src/report/table.h"
 #include "src/synth/paper_images.h"
@@ -127,9 +126,8 @@ int main(int argc, char** argv) {
   }
 
   // Instrumentation priced on a real scan: every image with the event
-  // stream and the tracer off, then with both on (under --trace-out the
-  // tracer runs in both passes). The event count is deterministic; the
-  // ratio is informational.
+  // stream off, then on. The event count is deterministic; the ratio is
+  // informational.
   harness.Run("instrumentation_overhead", [&](bench::Rep& rep) {
     auto scan_all = [&] {
       obs::Stopwatch watch;
@@ -143,17 +141,13 @@ int main(int argc, char** argv) {
     const std::string events_path = "bench_table3_events.ndjson";
     obs::EventStream& events = obs::EventStream::Global();
     if (!events.Open(events_path, "table3_detection")) return;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    bool own_tracer = !tracer.enabled();
-    if (own_tracer) tracer.Start();
     double on = scan_all();
     rep.Value("events_emitted", static_cast<double>(events.EventCount()));
     events.Close("ok");
-    if (own_tracer) tracer.Stop();
     std::filesystem::remove(events_path);
     std::filesystem::remove(events_path + ".flight.ndjson");
     rep.Value("instrumentation_overhead_ratio", on / off);
-    std::printf("instrumentation: %.3fs off, %.3fs with events and trace on "
+    std::printf("instrumentation: %.3fs off, %.3fs with events on "
                 "(%.3fx)\n\n",
                 off, on, on / off);
   });

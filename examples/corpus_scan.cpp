@@ -47,15 +47,14 @@
 // default (no flags) stays fully in-process.
 //
 // Observability: `--log-level LEVEL` sets the stderr log threshold,
-// `--trace-out FILE` streams a fleet-wide Chrome trace (JSON Array
-// Format, crash-tolerant — append `]` to recover a killed worker's
-// file), `--metrics-out FILE` dumps the metrics registry,
+// `--metrics-out FILE` dumps the metrics registry,
 // `--events-out FILE` streams the NDJSON scan event stream (schema v1,
 // see src/obs/events.h) with a `<FILE>.flight.ndjson` flight-recorder
 // dump on incident or fatal signal, and `--heartbeat-ms MS` sets the
 // heartbeat cadence on that stream (default 1000, 0 = off; a final
 // beat is always emitted at shutdown). Aggregate one or more event
-// streams with tools/scan_report.
+// streams with tools/scan_report, or convert them to a Chrome trace
+// with `scan_report --chrome-trace OUT`.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -196,8 +195,6 @@ void PrintUsage() {
       "output & observability:\n"
       "  --json-out FILE      fleet report as JSON\n"
       "  --log-level LEVEL    error | warn | info | debug (stderr)\n"
-      "  --trace-out FILE     streamed Chrome trace (crash-tolerant\n"
-      "                       JSON Array Format; append ']' to recover)\n"
       "  --metrics-out FILE   metrics registry dump as JSON\n"
       "  --events-out FILE    NDJSON scan event stream (schema v1) +\n"
       "                       FILE.flight.ndjson flight-recorder dump\n"

@@ -28,16 +28,14 @@
 //
 // Observability flags (accepted by every command):
 //   --log-level error|warn|info|debug   stderr log threshold (warn)
-//   --trace-out FILE    streamed Chrome trace of the pipeline's spans
-//                       (JSON Array Format, crash-tolerant: append `]`
-//                       to recover a killed run's file; loads in
-//                       chrome://tracing or Perfetto)
 //   --metrics-out FILE  metrics-registry snapshot as JSON
 //   --events-out FILE   NDJSON scan event stream (schema v1, see
 //                       src/obs/events.h); a flight-recorder dump of
 //                       the most recent events lands next to it at
 //                       FILE.flight.ndjson on incident or fatal
-//                       signal. Aggregate with tools/scan_report.
+//                       signal. Aggregate with tools/scan_report;
+//                       `scan_report --chrome-trace OUT` converts it
+//                       to a Chrome trace (chrome://tracing, Perfetto).
 //
 // --cache-dir enables the persistent function-summary cache: summaries
 // are stored content-addressed under DIR and re-used by later scans of
@@ -386,8 +384,7 @@ int main(int argc, char** argv) {
                  "       [--max-expr-nodes N] [--fail-fast]\n"
                  "  all commands:\n"
                  "       [--log-level error|warn|info|debug]\n"
-                 "       [--trace-out FILE] [--metrics-out FILE]\n"
-                 "       [--events-out FILE]\n");
+                 "       [--metrics-out FILE] [--events-out FILE]\n");
     return 2;
   }
   const std::string cmd = argv[1];

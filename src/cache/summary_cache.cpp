@@ -239,13 +239,6 @@ void SummaryCache::Store(const Hash128& key, const FunctionSummary& summary) {
         ++stats_.io_failures;
         m_io_failures_.Add();
       }
-      if (wrote && config_.write_debug_json) {
-        std::string json = SummaryToDebugJson(summary);
-        WriteFileAtomic(
-            config_.disk_dir + "/" + key.ToHex() + ".json",
-            std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(json.data()), json.size()));
-      }
     }
   }
   InsertMemoryLocked(key, std::move(blob));

@@ -52,9 +52,6 @@ struct CacheConfig {
   /// In-memory LRU bounds (whichever trips first evicts).
   size_t max_memory_entries = 4096;
   size_t max_memory_bytes = 64u << 20;
-  /// Also write a human-readable `<key>.json` dump beside each disk
-  /// entry (triage aid; never read back).
-  bool write_debug_json = false;
   /// Bounded retry-with-backoff for disk-tier reads and writes. After
   /// the final attempt fails the cache falls back to cache-off for
   /// that entry (miss on read, memory-only on write).

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "src/util/hash.h"
-#include "src/util/strings.h"
 
 namespace dtaint {
 
@@ -513,59 +512,6 @@ Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes) {
     return CorruptData("summary blob has trailing bytes");
   }
   return summary;
-}
-
-std::string SummaryToDebugJson(const FunctionSummary& summary) {
-  std::string out = "{";
-  out += "\"function\":\"" + JsonEscape(summary.name) + "\"";
-  out += ",\"addr\":\"" + HexStr(summary.addr) + "\"";
-  out += ",\"paths_explored\":" + std::to_string(summary.paths_explored);
-  out += ",\"blocks_visited\":" + std::to_string(summary.blocks_visited);
-  out += std::string(",\"truncated\":") +
-         (summary.truncated ? "true" : "false");
-
-  out += ",\"def_pairs\":[";
-  for (size_t i = 0; i < summary.def_pairs.size(); ++i) {
-    const DefPair& dp = summary.def_pairs[i];
-    if (i) out += ',';
-    out += "{\"d\":\"" + JsonEscape(dp.d->ToString()) + "\",\"u\":\"" +
-           JsonEscape(dp.u->ToString()) + "\",\"site\":\"" +
-           HexStr(dp.site) + "\",\"constraints\":" +
-           std::to_string(dp.constraints.size()) + "}";
-  }
-  out += "]";
-
-  out += ",\"undefined_uses\":[";
-  for (size_t i = 0; i < summary.undefined_uses.size(); ++i) {
-    if (i) out += ',';
-    out += "\"" + JsonEscape(summary.undefined_uses[i].u->ToString()) + "\"";
-  }
-  out += "]";
-
-  out += ",\"calls\":[";
-  for (size_t i = 0; i < summary.calls.size(); ++i) {
-    const CallEvent& call = summary.calls[i];
-    if (i) out += ',';
-    out += "{\"callee\":\"" + JsonEscape(call.callee) + "\",\"site\":\"" +
-           HexStr(call.callsite) + "\",\"indirect\":" +
-           (call.is_indirect ? "true" : "false") + "}";
-  }
-  out += "]";
-
-  out += ",\"return_values\":[";
-  for (size_t i = 0; i < summary.return_values.size(); ++i) {
-    if (i) out += ',';
-    out += "\"" +
-           JsonEscape(summary.return_values[i]
-                          ? summary.return_values[i]->ToString()
-                          : "<none>") +
-           "\"";
-  }
-  out += "]";
-
-  out += ",\"types\":" + std::to_string(summary.types.size());
-  out += "}";
-  return out;
 }
 
 }  // namespace dtaint

@@ -47,9 +47,4 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary);
 /// crashes on hostile bytes.
 Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes);
 
-/// Human-debuggable JSON rendering of a summary, in the style of
-/// src/report/json — written next to cache entries when the cache's
-/// debug dump is enabled, and handy in tests.
-std::string SummaryToDebugJson(const FunctionSummary& summary);
-
 }  // namespace dtaint

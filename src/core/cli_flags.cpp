@@ -9,7 +9,6 @@
 
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace dtaint {
 
@@ -156,17 +155,12 @@ void AddObsFlags(FlagSet& flags, ObsFlags* out) {
         return true;
       },
       "error|warn|info|debug");
-  flags.String("--trace-out", &out->trace_out);
   flags.String("--metrics-out", &out->metrics_out);
   flags.String("--events-out", &out->events_out);
 }
 
 bool ObsFlags::Open(std::string_view tool, std::string* error) const {
   if (log_level) obs::SetLogLevel(*log_level);
-  if (!trace_out.empty() && !obs::Tracer::Global().StreamTo(trace_out)) {
-    *error = "cannot open trace file " + trace_out;
-    return false;
-  }
   if (!events_out.empty() &&
       !obs::EventStream::Global().Open(events_out, tool)) {
     *error = "cannot open event stream " + events_out;
@@ -176,22 +170,15 @@ bool ObsFlags::Open(std::string_view tool, std::string* error) const {
 }
 
 bool ObsFlags::Finish() const {
-  bool ok = true;
-  if (!trace_out.empty() && !obs::Tracer::Global().FinishStream()) {
-    DTAINT_LOG(obs::LogLevel::kError, "obs", "cannot finish trace at %s",
-               trace_out.c_str());
-    ok = false;
+  if (metrics_out.empty()) return true;
+  std::ofstream out(metrics_out, std::ios::trunc);
+  out << obs::MetricsRegistry::Global().ToJson() << '\n';
+  if (!out.good()) {
+    DTAINT_LOG(obs::LogLevel::kError, "obs", "cannot write metrics to %s",
+               metrics_out.c_str());
+    return false;
   }
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out, std::ios::trunc);
-    out << obs::MetricsRegistry::Global().ToJson() << '\n';
-    if (!out.good()) {
-      DTAINT_LOG(obs::LogLevel::kError, "obs", "cannot write metrics to %s",
-                 metrics_out.c_str());
-      ok = false;
-    }
-  }
-  return ok;
+  return true;
 }
 
 }  // namespace dtaint

@@ -1,11 +1,12 @@
-// Command-line flag parsing for the scanners (dtaint_cli, corpus_scan).
+// Command-line flag parsing for the repo's tools (dtaint_cli,
+// corpus_scan, scan_report, bench_diff).
 //
 // FlagSet is a small declarative argv parser: each flag is registered
 // with the variable it fills, and Parse rejects anything it cannot
 // account for — an unknown flag, a missing value, a value that is not
 // a well-formed non-negative number for a numeric flag, or one a
 // custom parser refuses — with a message that names the flag. The
-// scanners exit 2 on such an error instead of running with a silently
+// tools exit 2 on such an error instead of running with a silently
 // defaulted or garbage setting.
 //
 // AddScanFlags and AddObsFlags register the flags both scanners share,
@@ -74,17 +75,15 @@ void AddScanFlags(FlagSet& flags, ScanFlags* out);
 /// command accepts them).
 struct ObsFlags {
   std::optional<obs::LogLevel> log_level;  // --log-level
-  std::string trace_out;                   // --trace-out
   std::string metrics_out;                 // --metrics-out
   std::string events_out;                  // --events-out
 
-  /// Applies the log level and opens the trace and event streams
-  /// (`tool` names the event stream's producer). On failure sets
-  /// *error and returns false.
+  /// Applies the log level and opens the event stream (`tool` names
+  /// the stream's producer). On failure sets *error and returns false.
   bool Open(std::string_view tool, std::string* error) const;
-  /// Finishes the trace stream and writes the metrics snapshot; logs
-  /// and returns false if either fails. The event stream is left open
-  /// for the caller to close with its own status.
+  /// Writes the metrics snapshot; logs and returns false if that
+  /// fails. The event stream is left open for the caller to close with
+  /// its own status.
   bool Finish() const;
 };
 void AddObsFlags(FlagSet& flags, ObsFlags* out);

@@ -7,7 +7,6 @@
 #include "src/obs/log.h"
 #include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 #include "src/resilience/fault.h"
 #include "src/symexec/intern.h"
 #include "src/util/strings.h"
@@ -36,7 +35,6 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   AnalysisReport report;
   report.binary_name = binary.soname;
   report.arch = binary.arch;
-  obs::Span binary_span(obs::Tracer::Global(), "binary", report.binary_name);
   obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsSnapshot metrics_before = registry.Snapshot();
   if (events.enabled()) {
@@ -49,10 +47,11 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   DTAINT_LOG(obs::LogLevel::kInfo, "dtaint", "analyzing %s",
              report.binary_name.c_str());
 
-  // The phases below tile the binary span, one obs::Phase each, in the
-  // order lift, filter, callgraph, summary, link, structsim, relink,
-  // pathfind_index, pathfind, sanitize, report. ssa_seconds sums lift
-  // through link; ddg_seconds sums structsim through report.
+  // The phases below tile the binary (binary_begin to binary_end), one
+  // obs::Phase each, in the order lift, filter, callgraph, summary,
+  // link, structsim, relink, pathfind_index, pathfind, sanitize,
+  // report. ssa_seconds sums lift through link; ddg_seconds sums
+  // structsim through report.
 
   // 1. CFG skeleton of every function. No IR is lifted here: the
   // engine lifts a function only when it executes it (step 2).
@@ -276,8 +275,6 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
              report.binary_name.c_str(), report.findings.size(),
              report.total_paths, report.pathfinder_stats.sanitized_away,
              report.total_seconds);
-  // Ended before `report` moves out: the span names it by view.
-  binary_span.Finish();
   return report;
 }
 

@@ -15,7 +15,6 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -143,7 +142,6 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   SummarySet result;
   InterprocStats& stats = result.stats;
   const std::vector<std::string> order = graph.BottomUpOrder();
-  obs::Tracer& tracer = obs::Tracer::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::EventStream& events = obs::EventStream::Global();
   // Live progress gauge the heartbeat thread reads: bumped on EVERY
@@ -202,7 +200,6 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     if (events.enabled()) {
       events.Emit(obs::Event("function_begin").Str("function", order[i]));
     }
-    obs::Span span(tracer, "function", order[i]);
     obs::Stopwatch watch;
     BudgetTracker tracker(config.budget);
     bool from_cache = false;
@@ -287,10 +284,10 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
       fn_micros.Observe(static_cast<uint64_t>(s * 1e6));
     }
   }
-  if (config.hot_function_count > 0) {
+  {
     std::vector<size_t> by_cost(order.size());
     std::iota(by_cost.begin(), by_cost.end(), size_t{0});
-    size_t keep = std::min(config.hot_function_count, by_cost.size());
+    size_t keep = std::min(kHotFunctionCount, by_cost.size());
     std::partial_sort(by_cost.begin(), by_cost.begin() + keep, by_cost.end(),
                       [&](size_t a, size_t b) {
                         return fn_seconds[a] > fn_seconds[b];

@@ -66,9 +66,6 @@ struct InterprocConfig {
   /// by the differential-oracle test suite. The cache is internally
   /// synchronized; sharing one across threads and scans is safe.
   SummaryCache* cache = nullptr;
-  /// Size of the hot-function profile (top functions by summary-
-  /// analysis wall time) kept in InterprocStats. 0 disables profiling.
-  size_t hot_function_count = 10;
   /// Per-function analysis budget (0 limits = unbounded). Each worker
   /// charges its own BudgetTracker during symbolic exploration; an
   /// exhausted function yields the conservative degraded summary (never
@@ -85,6 +82,9 @@ struct HotFunction {
   double seconds = 0.0;
   bool cached = false;  // summary served by the cache, not recomputed
 };
+
+/// Size of the hot-function profile kept in InterprocStats.
+inline constexpr size_t kHotFunctionCount = 10;
 
 struct InterprocStats {
   /// Wall time of the `summary` phase (set by DTaint::AnalyzeFunctions;
@@ -112,7 +112,7 @@ struct InterprocStats {
   size_t cache_evictions = 0;   // lifetime evictions of the shared cache
   size_t cache_memory_bytes = 0;  // in-memory tier footprint afterwards
   /// Top functions by summary-production time, most expensive first
-  /// (bounded by InterprocConfig::hot_function_count).
+  /// (at most kHotFunctionCount).
   std::vector<HotFunction> hot_functions;
   /// Functions that exhausted their budget (or hit an injected summary
   /// fault) and were replaced by the conservative degraded summary.

@@ -55,11 +55,11 @@ bool RegionDefCoversUse(const SymRef& def_loc, const SymRef& def_val,
 
 /// Open-addressed set of (function id, expression hash) pairs marking
 /// walk nodes already explored for one trace start. Tables live in the
-/// tracer's bump arena — a FindAll run performs thousands of short
+/// backtracker's bump arena — a FindAll run performs thousands of short
 /// traces, and the former std::set cost a node allocation (plus a
 /// function-name string copy) per visited node; here an insert is a
 /// probe into a flat table and abandoned tables are reclaimed wholesale
-/// when the tracer is destroyed.
+/// when the backtracker is destroyed.
 class VisitedSet {
  public:
   explicit VisitedSet(BumpArena& arena) : arena_(arena) {
@@ -108,7 +108,7 @@ class VisitedSet {
       while (slots_[i].key1 != 0) i = (i + 1) & mask;
       slots_[i] = old[j];
     }
-    // `old` stays in the arena until the tracer dies — deliberate.
+    // `old` stays in the arena until the backtracker dies — deliberate.
   }
 
   BumpArena& arena_;
@@ -117,9 +117,9 @@ class VisitedSet {
   size_t size_ = 0;
 };
 
-class Tracer {
+class Backtracker {
  public:
-  Tracer(const Program& program, const ProgramAnalysis& analysis,
+  Backtracker(const Program& program, const ProgramAnalysis& analysis,
          const PathFinderConfig& config, std::vector<TaintPath>& out,
          PathFinderStats& stats)
       : program_(program), analysis_(analysis), config_(config), out_(out),
@@ -325,7 +325,7 @@ size_t PathFinder::SinkCount() const {
 std::vector<TaintPath> PathFinder::FindAll() const {
   std::vector<TaintPath> paths;
   stats_ = PathFinderStats{};
-  Tracer tracer(program_, analysis_, config_, paths, stats_);
+  Backtracker backtracker(program_, analysis_, config_, paths, stats_);
 
   for (const auto& [fn_name, summary] : analysis_.summaries) {
     // Library-call sinks.
@@ -357,7 +357,7 @@ std::vector<TaintPath> PathFinder::FindAll() const {
       if (arg->kind() != SymKind::kConst) {
         starts.push_back(SymExpr::Deref(arg));
       }
-      tracer.TraceSink(fn_name, seed, starts);
+      backtracker.TraceSink(fn_name, seed, starts);
     }
 
     // Loop-copy sinks: stores inside a natural loop whose address has
@@ -397,7 +397,7 @@ std::vector<TaintPath> PathFinder::FindAll() const {
         seed.crossed_degraded = dp.degraded;
         seed.hops.push_back(
             {fn_name, dp.site, "loop copy " + dp.d->ToString()});
-        tracer.TraceSink(fn_name, seed, {dp.u});
+        backtracker.TraceSink(fn_name, seed, {dp.u});
       }
     }
   }

@@ -9,7 +9,6 @@
 
 #include "src/obs/log.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 #include "src/util/json_writer.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -104,18 +103,12 @@ Harness::Harness(std::string name, int argc, char** argv)
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json-out") == 0) {
       json_out_ = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out_ = argv[i + 1];
     } else if (std::strcmp(argv[i], "--reps") == 0) {
       reps_override_ = std::atoi(argv[i + 1]);
     }
   }
   if (reps_override_ <= 0) reps_override_ = EnvInt("DTAINT_BENCH_N", 0);
   warmup_override_ = EnvInt("DTAINT_BENCH_WARMUP", -1);
-  if (!trace_out_.empty() && !obs::Tracer::Global().enabled()) {
-    obs::Tracer::Global().Start();
-    started_tracer_ = true;
-  }
 }
 
 int Harness::RepsFor(int default_reps) const {
@@ -281,16 +274,6 @@ int Harness::Finish(bool ok) {
       rc = 2;
     } else {
       std::printf("bench json: %s\n", json_out_.c_str());
-    }
-  }
-  if (!trace_out_.empty()) {
-    if (started_tracer_) obs::Tracer::Global().Stop();
-    if (!obs::Tracer::Global().WriteChromeJson(trace_out_)) {
-      DTAINT_LOG(obs::LogLevel::kError, "bench", "cannot write trace to %s",
-                 trace_out_.c_str());
-      rc = 2;
-    } else {
-      std::printf("trace json: %s\n", trace_out_.c_str());
     }
   }
   return rc;

@@ -16,7 +16,6 @@
 //
 // Flags every harness-using bench accepts:
 //   --json-out FILE   write the BENCH json document
-//   --trace-out FILE  Chrome trace of everything the reps executed
 //   --reps N          override each run's rep count
 // Environment:
 //   DTAINT_BENCH_N       same as --reps (CI sets 1 for the fast gate)
@@ -103,9 +102,8 @@ void RecordPhaseSeconds(Rep& rep, const obs::MetricsSnapshot& metrics,
 
 class Harness {
  public:
-  /// Parses --json-out / --trace-out / --reps out of argv (other flags
-  /// are left for the bench to interpret) and starts the global tracer
-  /// when a trace was requested.
+  /// Parses --json-out / --reps out of argv (other flags are left for
+  /// the bench to interpret).
   Harness(std::string name, int argc = 0, char** argv = nullptr);
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
@@ -141,8 +139,8 @@ class Harness {
   /// The full BENCH document; `ok` is the bench's self-check verdict.
   std::string ToJson(bool ok) const;
 
-  /// Writes --json-out / --trace-out if requested and returns the
-  /// bench's exit code: `ok ? 0 : 1`, or 2 when a write failed.
+  /// Writes --json-out if requested and returns the bench's exit code:
+  /// `ok ? 0 : 1`, or 2 when the write failed.
   int Finish(bool ok);
 
   // ---- test hooks ----------------------------------------------------------
@@ -155,8 +153,6 @@ class Harness {
  private:
   std::string name_;
   std::string json_out_;
-  std::string trace_out_;
-  bool started_tracer_ = false;
   int reps_override_ = 0;    // 0 = none
   int warmup_override_ = -1;  // -1 = none
   std::function<double()> now_;

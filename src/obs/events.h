@@ -1,7 +1,7 @@
 // Live scan telemetry — a versioned, crash-safe NDJSON event stream.
 //
 // A fleet scan that dies three hours in must not be a black box: the
-// Chrome trace and the JSON report only exist if the run *finishes*.
+// metrics dump and the JSON report only exist if the run *finishes*.
 // The event stream is the always-durable record: every scan-lifecycle
 // event (corpus/image/phase/function begin+end, cache traffic, budget
 // exhaustion, the alias setting, incidents, per-finding evidence,
@@ -10,6 +10,10 @@
 // event that was emitted before a crash is on disk, each on its own
 // parseable line. Consumers (tools/scan_report, the fleet triage
 // pipeline) tolerate a torn final line; everything before it is valid.
+// It is also the one recorder of the scan's timeline: the Chrome trace
+// is derived from its begin/end pairs (`scan_report --chrome-trace`,
+// src/obs/scan_report.h), so the stream's crash tolerance is the
+// trace's too.
 //
 // Event schema v1 — every line carries the envelope
 //   {"v":1,"type":"<type>","ts_ms":<ms since stream open>,"tid":N,...}
@@ -18,7 +22,8 @@
 //   stream_begin / stream_end    tool, pid, unix_ms / outcome, events
 //   corpus_begin / corpus_end    fleet scan brackets (corpus_scan)
 //   image_begin / image_end      per-image outcome, status, duration_ms
-//   binary_begin / binary_end    one Analyze() call (duration_ms)
+//   binary_begin / binary_end    one Analyze() call (duration_ms); an
+//                                Analyze that fails emits no binary_end
 //   phase_begin / phase_end      one obs::Phase (src/obs/phase.h): lift,
 //                                filter, callgraph, summary, link,
 //                                structsim, relink, pathfind_index,

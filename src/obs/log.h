@@ -38,8 +38,8 @@ inline bool LogEnabled(LogLevel level) {
 }
 
 /// Small dense ordinal for the calling thread (0 for the first thread
-/// that asks, 1 for the next, …). Shared with the span tracer so log
-/// lines and trace events agree on thread identity.
+/// that asks, 1 for the next, …). Shared with the event stream's
+/// envelope so log lines and events agree on thread identity.
 uint32_t ThreadId();
 
 /// Sink signature. Receives already-filtered records; must be

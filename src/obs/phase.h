@@ -2,14 +2,15 @@
 //
 // One obs::Phase covers one phase of one Analyze call in every
 // observability channel at once, from a single clock reading:
-//  * trace:   a "phase" span named after the phase (tracer running);
 //  * events:  phase_begin at construction, phase_end at Finish with
 //             duration_ms plus the caller's end fields (stream open);
+//             `scan_report --chrome-trace` turns the pair into the
+//             phase's slice of the Chrome trace;
 //  * metrics: one sample of the histogram `phase.<name>_micros`
 //             (always), which the report's per-run metrics delta and
 //             the benches' `<phase>_seconds` values are read from.
-// Against a stopped tracer and a closed stream a phase costs two clock
-// reads and one histogram observation; event fields are not formatted.
+// Against a closed stream a phase costs two clock reads and one
+// histogram observation; event fields are not formatted.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +20,14 @@
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 
 namespace dtaint::obs {
 
 class Phase {
  public:
-  /// Starts the phase against the global tracer, event stream and
-  /// metrics registry. `name` must outlive the scope (a literal).
-  explicit Phase(std::string_view name)
-      : name_(name), span_(Tracer::Global(), "phase", name) {
+  /// Starts the phase against the global event stream and metrics
+  /// registry. `name` must outlive the scope (a literal).
+  explicit Phase(std::string_view name) : name_(name) {
     if (EventStream& events = EventStream::Global(); events.enabled()) {
       events_ = &events;
       events.Emit(Event("phase_begin").Str("phase", name_));
@@ -46,9 +45,7 @@ class Phase {
   double Finish(EndFields&& end_fields) {
     if (finished_) return seconds_;
     finished_ = true;
-    // The span's own clock when tracing, so the span, the event and
-    // the sample agree; the stopwatch otherwise.
-    uint64_t nanos = span_.recording() ? span_.Finish() : watch_.Nanos();
+    uint64_t nanos = watch_.Nanos();
     seconds_ = static_cast<double>(nanos) * 1e-9;
     MetricsRegistry::Global()
         .histogram("phase." + std::string(name_) + "_micros")
@@ -66,7 +63,6 @@ class Phase {
  private:
   std::string_view name_;
   Stopwatch watch_;
-  Span span_;
   EventStream* events_ = nullptr;  // null when the stream was closed
   bool finished_ = false;
   double seconds_ = 0.0;

@@ -1,6 +1,7 @@
 #include "src/obs/scan_report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -132,11 +133,11 @@ double UnattributedMs(const ScanAggregate& agg) {
   return agg.binary_ms - phases_ms;
 }
 
-}  // namespace
-
-void AggregateEvents(std::string_view ndjson, ScanAggregate* agg) {
-  ++agg->streams;
-  bool terminated = false;
+/// Calls fold(event, type) for every parseable event line of one
+/// stream and returns the number of lines skipped as malformed.
+template <typename Fold>
+size_t ForEachEvent(std::string_view ndjson, Fold&& fold) {
+  size_t malformed = 0;
   size_t pos = 0;
   while (pos < ndjson.size()) {
     size_t eol = ndjson.find('\n', pos);
@@ -148,20 +149,29 @@ void AggregateEvents(std::string_view ndjson, ScanAggregate* agg) {
     pos = eol == std::string_view::npos ? ndjson.size() : eol + 1;
     if (line.empty()) continue;
     auto parsed = ParseJson(line);
-    if (!parsed.ok() || !parsed->is_object()) {
-      ++agg->malformed_lines;
-      continue;
-    }
-    std::string_view type = FieldStr(*parsed, "type");
+    std::string_view type =
+        parsed.ok() && parsed->is_object() ? FieldStr(*parsed, "type") : "";
     if (type.empty()) {
-      ++agg->malformed_lines;
+      ++malformed;
       continue;
     }
-    ++agg->events;
-    ++agg->events_by_type[std::string(type)];
-    if (type == "stream_end") terminated = true;
-    FoldEvent(*parsed, type, agg);
+    fold(*parsed, type);
   }
+  return malformed;
+}
+
+}  // namespace
+
+void AggregateEvents(std::string_view ndjson, ScanAggregate* agg) {
+  ++agg->streams;
+  bool terminated = false;
+  agg->malformed_lines +=
+      ForEachEvent(ndjson, [&](const JsonValue& event, std::string_view type) {
+        ++agg->events;
+        ++agg->events_by_type[std::string(type)];
+        if (type == "stream_end") terminated = true;
+        FoldEvent(event, type, agg);
+      });
   if (!terminated) ++agg->truncated_streams;
 }
 
@@ -180,18 +190,26 @@ void FinalizeAggregate(ScanAggregate* agg, const ScanReportOptions& options) {
   }
 }
 
-Result<ScanAggregate> AggregateEventFiles(
-    const std::vector<std::string>& paths,
-    const ScanReportOptions& options) {
-  ScanAggregate agg;
+Result<std::vector<std::string>> ReadEventFiles(
+    const std::vector<std::string>& paths) {
+  std::vector<std::string> streams;
   for (const std::string& path : paths) {
     std::ifstream in(path, std::ios::binary);
     if (!in) return NotFound("cannot read event stream: " + path);
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
-    AggregateEvents(text, &agg);
+    streams.push_back(std::move(buf).str());
   }
+  return streams;
+}
+
+Result<ScanAggregate> AggregateEventFiles(
+    const std::vector<std::string>& paths,
+    const ScanReportOptions& options) {
+  auto streams = ReadEventFiles(paths);
+  if (!streams.ok()) return streams.status();
+  ScanAggregate agg;
+  for (const std::string& text : *streams) AggregateEvents(text, &agg);
   FinalizeAggregate(&agg, options);
   return agg;
 }
@@ -452,6 +470,50 @@ std::string AggregateToJson(const ScanAggregate& agg) {
   }
   b.EndObject();
 
+  b.EndObject();
+  return std::move(b).Take();
+}
+
+std::string EventsToChromeTrace(const std::vector<std::string>& streams) {
+  // The begin/end pairs that become slices; each names its slice by
+  // the field named after its prefix.
+  static constexpr std::string_view kSliceKinds[] = {"binary", "phase",
+                                                     "function", "image"};
+  JsonBuilder b;
+  b.BeginObject();
+  b.Key("traceEvents");
+  b.BeginArray();
+  for (size_t s = 0; s < streams.size(); ++s) {
+    ForEachEvent(streams[s], [&](const JsonValue& event,
+                                 std::string_view type) {
+      size_t sep = type.rfind('_');
+      if (sep == std::string_view::npos) return;
+      std::string_view kind = type.substr(0, sep);
+      std::string_view edge = type.substr(sep + 1);
+      if ((edge != "begin" && edge != "end") ||
+          std::ranges::find(kSliceKinds, kind) == std::end(kSliceKinds)) {
+        return;
+      }
+      b.BeginObject();
+      b.Key("name");
+      b.String(FieldStr(event, kind));
+      b.Key("cat");
+      b.String(kind);
+      b.Key("ph");
+      b.String(edge == "begin" ? "B" : "E");
+      b.Key("ts");
+      b.Number(static_cast<uint64_t>(
+          std::llround(FieldNum(event, "ts_ms") * 1000.0)));
+      b.Key("pid");
+      b.Number(static_cast<uint64_t>(s + 1));
+      b.Key("tid");
+      b.Number(FieldCount(event, "tid"));
+      b.EndObject();
+    });
+  }
+  b.EndArray();
+  b.Key("displayTimeUnit");
+  b.String("ms");
   b.EndObject();
   return std::move(b).Take();
 }

@@ -18,6 +18,10 @@
 //  * top-k hot functions by summary-production time;
 //  * incident and degradation counts by phase;
 //  * whether each stream terminated cleanly (stream_end present).
+//
+// The same streams also convert to a Chrome trace (EventsToChromeTrace):
+// the event stream is the one recorder of the binary → phase →
+// function timeline, and the trace is a view of it.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +130,10 @@ void AggregateEvents(std::string_view ndjson, ScanAggregate* agg);
 /// AggregateEvents.
 void FinalizeAggregate(ScanAggregate* agg, const ScanReportOptions& options);
 
+/// Reads each stream file whole. Fails only on an unreadable file.
+Result<std::vector<std::string>> ReadEventFiles(
+    const std::vector<std::string>& paths);
+
 /// Reads + aggregates + finalizes a list of stream files. Fails only
 /// on an unreadable file, never on stream contents.
 Result<ScanAggregate> AggregateEventFiles(
@@ -138,5 +146,17 @@ std::string AggregateToMarkdown(const ScanAggregate& agg);
 /// Fleet summary as a JSON document (round-trips through
 /// util/json.h's parser; validated in the test suite).
 std::string AggregateToJson(const ScanAggregate& agg);
+
+/// The streams' timeline as one Chrome trace-event document (JSON
+/// Object Format, for chrome://tracing or Perfetto). Each binary_,
+/// phase_, function_ and image_ begin event becomes a "B" record and
+/// each matching end event an "E" record: `name` is the event's
+/// binary/phase/function/image field, `cat` that prefix, `ts` its
+/// ts_ms x 1000 (µs), `tid` the envelope's, and `pid` the stream's
+/// 1-based position in `streams`. Chrome nests the slices of a thread
+/// by emission order, so nothing is paired here: an end whose begin
+/// was lost, or a begin a truncated stream never ended, stays
+/// unmatched, and malformed lines are skipped.
+std::string EventsToChromeTrace(const std::vector<std::string>& streams);
 
 }  // namespace dtaint::obs

@@ -1,6 +1,6 @@
-// Monotonic wall-clock helper shared by the pipeline phases, the span
-// tracer, and the benches — the one place steady_clock arithmetic
-// lives, so timing code reads the same everywhere.
+// Monotonic wall-clock helper shared by the pipeline phases and the
+// benches — the one place steady_clock arithmetic lives, so timing
+// code reads the same everywhere.
 #pragma once
 
 #include <chrono>
@@ -19,7 +19,7 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Nanoseconds elapsed — what the tracer records.
+  /// Nanoseconds elapsed — what obs::Phase records.
   uint64_t Nanos() const {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -

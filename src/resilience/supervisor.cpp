@@ -205,13 +205,10 @@ void ScanSupervisor::RunChild(const TaskSpec& task, size_t index, int attempt,
         static_cast<rlim_t>(config_.mem_limit_mb) << 20;
     ::setrlimit(RLIMIT_AS, &lim);
   }
-  uint32_t cpu_s = config_.cpu_limit_s;
-  if (cpu_s == 0 && config_.image_timeout_ms > 0) {
+  if (config_.image_timeout_ms > 0) {
     // CPU backstop behind the wall-clock watchdog: a worker that pegs
     // a core past the deadline dies even if the parent is wedged.
-    cpu_s = config_.image_timeout_ms / 1000 + 2;
-  }
-  if (cpu_s > 0) {
+    uint32_t cpu_s = config_.image_timeout_ms / 1000 + 2;
     struct rlimit lim;
     lim.rlim_cur = cpu_s;
     lim.rlim_max = cpu_s + 1;
@@ -511,7 +508,6 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       RetryPolicy policy;
       policy.attempts = 1 + config_.max_retries;
       policy.initial_backoff_us = config_.backoff_initial_us;
-      policy.max_total_backoff_us = config_.backoff_total_cap_us;
       policy.jitter_seed = Fnv1a(task.fingerprint);
       st.backoff_plan = RetryScheduleUs(policy);
       JournalRecord record;

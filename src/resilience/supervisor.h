@@ -88,14 +88,13 @@ struct SupervisorConfig {
   /// Extra attempts after the first before quarantine (so an image is
   /// tried at most 1 + max_retries times).
   int max_retries = 2;
-  /// Per-image wall-clock watchdog; 0 = no deadline.
+  /// Per-image wall-clock watchdog; 0 = no deadline. A deadline also
+  /// caps each worker's CPU time (RLIMIT_CPU) at image_timeout_ms /
+  /// 1000 + 2 seconds.
   uint32_t image_timeout_ms = 0;
   /// RLIMIT_AS for each worker; 0 = unlimited. (Meaningless under
   /// ASan, which reserves terabytes of shadow address space.)
   uint32_t mem_limit_mb = 0;
-  /// RLIMIT_CPU seconds; 0 = derive from image_timeout_ms (rounded up,
-  /// +1s slack) or leave unlimited when there is no deadline either.
-  uint32_t cpu_limit_s = 0;
   /// Base analysis budget; retries run TightenBudget(budget, attempt).
   AnalysisBudget budget;
   /// Journal directory; empty = no journal (and resume impossible).
@@ -109,9 +108,9 @@ struct SupervisorConfig {
   /// and resume still work.
   bool force_in_process = false;
   /// Retry backoff shape (jitter seed comes from each image's
-  /// fingerprint, not from here).
+  /// fingerprint, not from here; the sum of sleeps is capped at
+  /// RetryPolicy's default 1 s).
   int backoff_initial_us = 200;
-  int backoff_total_cap_us = 1'000'000;
 };
 
 /// One unit of supervised work.

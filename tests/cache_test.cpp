@@ -128,14 +128,6 @@ TEST(SummaryCodec, EngineSummariesRoundTripByteIdentical) {
   }
 }
 
-TEST(SummaryCodec, DebugJsonMentionsEveryDefPair) {
-  FunctionSummary s = TinySummary("dbg");
-  std::string json = SummaryToDebugJson(s);
-  EXPECT_NE(json.find("\"function\":\"dbg\""), std::string::npos);
-  EXPECT_NE(json.find("recv"), std::string::npos);
-  EXPECT_NE(json.find("memcpy"), std::string::npos);
-}
-
 // ---------- codec: rejection of damaged blobs --------------------------------
 
 TEST(SummaryCodec, EveryTruncationIsRejected) {
@@ -275,19 +267,6 @@ TEST(SummaryCacheTier, DiskTierPersistsAcrossInstances) {
     EXPECT_TRUE(reader.Lookup(key).has_value());
     EXPECT_EQ(reader.stats().disk_hits, 1u);
   }
-  fs::remove_all(dir);
-}
-
-TEST(SummaryCacheTier, WriteDebugJsonDumpsSidecar) {
-  fs::path dir = "cache_test_json";
-  fs::remove_all(dir);
-  CacheConfig config;
-  config.disk_dir = dir.string();
-  config.write_debug_json = true;
-  SummaryCache cache(config);
-  Hash128 key{5, 5};
-  cache.Store(key, TinySummary("dumped"));
-  EXPECT_TRUE(fs::exists(dir / (key.ToHex() + ".json")));
   fs::remove_all(dir);
 }
 

@@ -1,16 +1,20 @@
-// Tests for the scanners' shared flag parser (src/core/cli_flags.h):
+// Tests for the tools' shared flag parser (src/core/cli_flags.h):
 // well-formed argv fills DTaintConfig and the cache/observability
 // outputs; an unknown flag, a missing value, or a non-numeric,
 // negative or trailing-garbage number is an error naming the flag —
-// and corpus_scan turns that error into exit code 2.
+// and corpus_scan, scan_report and bench_diff turn that error into
+// exit code 2.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 #include <vector>
 
 #include "src/core/cli_flags.h"
+#include "src/obs/bench.h"
 
 namespace dtaint {
 namespace {
@@ -60,7 +64,7 @@ TEST(CliFlags, DefaultsWithoutFlags) {
   EXPECT_FALSE(p.scan.config.interproc.budget.limited());
   EXPECT_TRUE(p.scan.cache_dir.empty());
   EXPECT_FALSE(p.obs.log_level.has_value());
-  EXPECT_TRUE(p.obs.trace_out.empty());
+  EXPECT_TRUE(p.obs.metrics_out.empty());
   EXPECT_FALSE(p.json);
 }
 
@@ -69,8 +73,8 @@ TEST(CliFlags, SharedFlagsFillConfigAndOutputs) {
       {"--threads", "8", "--cache-dir", "cdir",
        "--deadline-ms", "12.5", "--max-steps", "1000", "--max-states", "7",
        "--max-expr-nodes", "18446744073709551615", "--log-level", "debug",
-       "--trace-out", "t.json", "--metrics-out", "m.json", "--events-out",
-       "e.ndjson", "fw.dtfw", "--json", "--workers", "0"});
+       "--metrics-out", "m.json", "--events-out", "e.ndjson", "fw.dtfw",
+       "--json", "--workers", "0"});
   ASSERT_TRUE(p.ok) << p.error;
   const InterprocConfig& ip = p.scan.config.interproc;
   EXPECT_EQ(ip.num_threads, 8);
@@ -81,7 +85,6 @@ TEST(CliFlags, SharedFlagsFillConfigAndOutputs) {
   EXPECT_EQ(ip.budget.max_expr_nodes, UINT64_MAX);
   ASSERT_TRUE(p.obs.log_level.has_value());
   EXPECT_EQ(*p.obs.log_level, obs::LogLevel::kDebug);
-  EXPECT_EQ(p.obs.trace_out, "t.json");
   EXPECT_EQ(p.obs.metrics_out, "m.json");
   EXPECT_EQ(p.obs.events_out, "e.ndjson");
   EXPECT_EQ(p.positional, std::vector<std::string>{"fw.dtfw"});
@@ -91,9 +94,9 @@ TEST(CliFlags, SharedFlagsFillConfigAndOutputs) {
 
 TEST(CliFlags, ValueFlagTakesTheNextArgumentVerbatim) {
   // A path that looks like a flag is still the value, not a flag.
-  Parsed p = ParseArgs({"--trace-out", "--json"});
+  Parsed p = ParseArgs({"--metrics-out", "--json"});
   ASSERT_TRUE(p.ok) << p.error;
-  EXPECT_EQ(p.obs.trace_out, "--json");
+  EXPECT_EQ(p.obs.metrics_out, "--json");
   EXPECT_FALSE(p.json);
 }
 
@@ -158,6 +161,69 @@ TEST(CliFlags, CorpusScanExitsTwoOnUnknownFlag) {
     ASSERT_TRUE(WIFEXITED(status)) << flag;
     EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
   }
+}
+
+/// Runs `command` through the shell; returns its exit code (-1 when it
+/// did not exit normally) and sets *output to its stdout and stderr.
+int RunTool(const std::string& command, std::string* output) {
+  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (!pipe) return -1;
+  output->clear();
+  char buf[256];
+  while (size_t n = std::fread(buf, 1, sizeof(buf), pipe)) {
+    output->append(buf, n);
+  }
+  int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliFlags, ScanReportAndBenchDiffExitTwoNamingTheFlag) {
+  const char* scan_report = std::getenv("DTAINT_SCAN_REPORT_BIN");
+  const char* bench_diff = std::getenv("DTAINT_BENCH_DIFF_BIN");
+  if (!scan_report || !bench_diff) {
+    GTEST_SKIP() << "DTAINT_SCAN_REPORT_BIN/DTAINT_BENCH_DIFF_BIN not set";
+  }
+  // An event stream and a BENCH document the tools accept.
+  const std::string events = "cli_flags_test_events.ndjson";
+  std::ofstream(events) << "{\"v\":1,\"type\":\"stream_begin\",\"ts_ms\":0,"
+                           "\"tid\":0}\n";
+  const std::string doc = "cli_flags_test_BENCH.json";
+  {
+    bench::Harness harness("cli_flags_test");
+    harness.Run("run", [](bench::Rep& rep) { rep.Value("items", 1); });
+    std::ofstream(doc) << harness.ToJson(true) << '\n';
+  }
+  const std::string report = std::string("\"") + scan_report + "\" ";
+  const std::string diff =
+      std::string("\"") + bench_diff + "\" " + doc + " " + doc + " ";
+
+  const struct {
+    std::string command;
+    std::string message;
+  } bad[] = {
+      {report + "--top", "--top needs a value"},
+      {report + "--top abc " + events, "bad --top: 'abc'"},
+      {report + "--chrome-trace", "--chrome-trace needs a value"},
+      {report + "--frobnicate " + events, "unknown flag --frobnicate"},
+      {diff + "--threshold", "--threshold needs a value"},
+      {diff + "--threshold abc", "bad --threshold: 'abc'"},
+      {diff + "--threshold 4x", "bad --threshold: '4x'"},
+      {diff + "--noise-floor 0.1s", "bad --noise-floor: '0.1s'"},
+      {diff + "--rel-tol -1", "bad --rel-tol: '-1'"},
+      {diff + "--frobnicate", "unknown flag --frobnicate"},
+  };
+  std::string output;
+  for (const auto& [command, message] : bad) {
+    EXPECT_EQ(RunTool(command, &output), 2) << command;
+    EXPECT_NE(output.find(message), std::string::npos)
+        << command << ": " << output;
+  }
+  // Well-formed flags still parse, the CI bench gate's included.
+  EXPECT_EQ(RunTool(report + "--top 3 " + events, &output), 0) << output;
+  EXPECT_EQ(RunTool(diff + "--threshold 4.0 --noise-floor 0.1", &output), 0)
+      << output;
+  std::remove(events.c_str());
+  std::remove(doc.c_str());
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // Covers the crash-safety contract end to end: every emitted line is
 // parseable NDJSON (validated against the repo's own JSON parser),
 // per-type event counts are deterministic across identical runs, the
-// pipeline's phases tile the binary in the trace, the event stream and
-// the metrics alike, the flight-recorder ring wraps and dumps
+// pipeline's phases tile the binary in the event stream, in the Chrome
+// trace converted from it and in the metrics alike, the converter
+// emits golden begin/end records and survives torn streams, the
+// flight-recorder ring wraps and dumps
 // correctly (from normal context and after a real fatal signal in a
 // child process), and scan_report produces a correct partial fleet
 // summary from the truncated stream a killed corpus_scan worker leaves
@@ -28,7 +30,6 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/scan_report.h"
-#include "src/obs/trace.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/json.h"
 
@@ -213,37 +214,69 @@ SynthOutput DispatchProgram() {
   return std::move(*SynthesizeBinary(spec));
 }
 
+/// One slice of a converted Chrome trace: a "B" record and its "E".
+struct Slice {
+  std::string cat;
+  std::string name;
+  double start = 0.0;  // µs
+  double end = 0.0;
+  std::string parent;  // cat of the enclosing slice on the thread
+};
+
+/// Pairs the B/E records of a Chrome trace per (pid, tid) by nesting
+/// order, as Chrome does; slices come back in end order.
+std::vector<Slice> SlicesOf(const JsonValue& trace) {
+  std::map<std::pair<double, double>, std::vector<Slice>> open;
+  std::vector<Slice> closed;
+  for (const JsonValue& e : trace.Find("traceEvents")->array()) {
+    std::vector<Slice>& stack =
+        open[{e.Find("pid")->number(), e.Find("tid")->number()}];
+    if (e.Find("ph")->string() == "B") {
+      Slice slice{e.Find("cat")->string(), e.Find("name")->string(),
+                  e.Find("ts")->number(), 0.0,
+                  stack.empty() ? "" : stack.back().cat};
+      stack.push_back(std::move(slice));
+      continue;
+    }
+    EXPECT_FALSE(stack.empty()) << "unmatched end of "
+                                << e.Find("name")->string();
+    if (stack.empty()) continue;
+    Slice slice = std::move(stack.back());
+    stack.pop_back();
+    EXPECT_EQ(e.Find("name")->string(), slice.name);
+    slice.end = e.Find("ts")->number();
+    closed.push_back(std::move(slice));
+  }
+  return closed;
+}
+
 TEST(EventStream, PhasesTileTheBinaryInEveryChannel) {
   fs::path path = ArtifactDir() / "phase_tiling.ndjson";
   obs::EventStream& events = obs::EventStream::Global();
-  obs::Tracer& tracer = obs::Tracer::Global();
   SynthOutput synth = DispatchProgram();
-  tracer.Start();
   ASSERT_TRUE(events.Open(path.string(), "events_test"));
   auto report = DTaint{DTaintConfig{}}.Analyze(synth.binary);
   events.Close("ok");
-  tracer.Stop();
   ASSERT_TRUE(report.ok());
   ASSERT_GT(report->indirect_calls_resolved, 0u);
 
-  // Trace: flat phase spans, in order, none overlapping, all inside
-  // the one binary span.
-  auto trace = ParseJson(tracer.ToChromeJson());
+  // Trace converted from the stream: flat phase slices, in order, none
+  // overlapping, all inside the one binary slice.
+  auto trace = ParseJson(obs::EventsToChromeTrace({ReadAll(path)}));
   ASSERT_TRUE(trace.ok());
-  std::vector<std::pair<double, double>> spans;  // [start, end] in µs
-  std::vector<std::string> span_names;
+  std::vector<std::pair<double, double>> phases;  // [start, end] in µs
+  std::vector<std::string> phase_names;
   double bin_start = 0.0, bin_end = 0.0;
   int binaries = 0;
-  for (const JsonValue& e : trace->Find("traceEvents")->array()) {
-    double ts = e.Find("ts")->number();
-    double end = ts + e.Find("dur")->number();
-    if (e.Find("cat")->string() == "binary") {
+  for (const Slice& slice : SlicesOf(*trace)) {
+    if (slice.cat == "binary") {
       ++binaries;
-      bin_start = ts;
-      bin_end = end;
-    } else if (e.Find("cat")->string() == "phase") {
-      spans.emplace_back(ts, end);
-      span_names.push_back(e.Find("name")->string());
+      bin_start = slice.start;
+      bin_end = slice.end;
+    } else if (slice.cat == "phase") {
+      EXPECT_EQ(slice.parent, "binary") << slice.name;
+      phases.emplace_back(slice.start, slice.end);
+      phase_names.push_back(slice.name);
     }
   }
   ASSERT_EQ(binaries, 1);
@@ -251,13 +284,13 @@ TEST(EventStream, PhasesTileTheBinaryInEveryChannel) {
       "lift",     "filter",    "callgraph", "summary",
       "link",     "structsim", "relink",    "pathfind_index",
       "pathfind", "sanitize",  "report"};
-  EXPECT_EQ(span_names, expected);
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_GE(spans[i].first, bin_start) << span_names[i];
-    EXPECT_LE(spans[i].second, bin_end) << span_names[i];
+  EXPECT_EQ(phase_names, expected);
+  for (size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_GE(phases[i].first, bin_start) << phase_names[i];
+    EXPECT_LE(phases[i].second, bin_end) << phase_names[i];
     if (i > 0) {
-      EXPECT_LE(spans[i - 1].second, spans[i].first)
-          << span_names[i - 1] << " overlaps " << span_names[i];
+      EXPECT_LE(phases[i - 1].second, phases[i].first)
+          << phase_names[i - 1] << " overlaps " << phase_names[i];
     }
   }
 
@@ -276,7 +309,7 @@ TEST(EventStream, PhasesTileTheBinaryInEveryChannel) {
       binary_ms = event->Find("duration_ms")->number();
     }
   }
-  EXPECT_EQ(end_names, span_names);
+  EXPECT_EQ(end_names, phase_names);
   EXPECT_GT(binary_ms, 0.0);
   EXPECT_LE(phase_ms,
             binary_ms + 0.0005 * static_cast<double>(end_names.size()));
@@ -585,43 +618,93 @@ TEST(KillMidScan, TruncatedStreamYieldsCorrectPartialFleetSummary) {
   EXPECT_NE(solo.find("in_flight"), std::string::npos);
 }
 
-// ----------------------------------------------------------- trace streaming
+// ----------------------------------------------------------- chrome trace
 
-TEST(TraceStreaming, UnfinishedStreamRecoversWithSingleBracket) {
-  fs::path path = ArtifactDir() / "trace_stream.json";
-  obs::Tracer tracer;
-  ASSERT_TRUE(tracer.StreamTo(path.string()));
-  tracer.RecordComplete("phase", "lift", 1000, 2000);
-  tracer.RecordComplete("phase", "summary", 3000, 4000);
-  EXPECT_EQ(tracer.EventCount(), 2u);
+TEST(ChromeTrace, BeginEndRecordsAreGolden) {
+  // Two streams: a scan whose summary phase runs a function on its own
+  // thread and one on a worker, and a fleet stream with one image.
+  // Events other than the four begin/end kinds are not slices.
+  const std::string scan =
+      R"({"v":1,"type":"stream_begin","ts_ms":0,"tid":0,"tool":"t","pid":9,"unix_ms":6}
+{"v":1,"type":"binary_begin","ts_ms":0.5,"tid":0,"binary":"httpd","arch":"dtarm"}
+{"v":1,"type":"alias_mode","ts_ms":0.6,"tid":0,"mode":"ondemand"}
+{"v":1,"type":"phase_begin","ts_ms":1,"tid":0,"phase":"summary"}
+{"v":1,"type":"function_begin","ts_ms":1.25,"tid":0,"function":"parse_uri"}
+{"v":1,"type":"function_begin","ts_ms":1.5,"tid":2,"function":"main"}
+{"v":1,"type":"function_end","ts_ms":1.75,"tid":0,"function":"parse_uri","micros":500,"cached":false,"degraded":false}
+{"v":1,"type":"function_end","ts_ms":2.001,"tid":2,"function":"main","micros":501,"cached":true,"degraded":false}
+{"v":1,"type":"phase_end","ts_ms":3,"tid":0,"phase":"summary","duration_ms":2.0}
+{"v":1,"type":"finding","ts_ms":4,"tid":0,"class":"overflow","sink":"strcpy"}
+{"v":1,"type":"binary_end","ts_ms":5,"tid":0,"binary":"httpd","duration_ms":4.5}
+{"v":1,"type":"stream_end","ts_ms":6,"tid":0,"outcome":"ok","events":11}
+)";
+  const std::string fleet =
+      R"({"v":1,"type":"image_begin","ts_ms":2,"tid":1,"image":"Netgear \"R7000\""}
+{"v":1,"type":"image_end","ts_ms":3,"tid":1,"image":"Netgear \"R7000\"","status":"ok"}
+)";
+  std::string json = obs::EventsToChromeTrace({scan, fleet});
+  auto record = [](const char* name, const char* cat, const char* ph,
+                   int ts, int pid, int tid) {
+    return std::string("{\"name\":\"") + name + "\",\"cat\":\"" + cat +
+           "\",\"ph\":\"" + ph + "\",\"ts\":" + std::to_string(ts) +
+           ",\"pid\":" + std::to_string(pid) +
+           ",\"tid\":" + std::to_string(tid) + "}";
+  };
+  std::string golden =
+      "{\"traceEvents\":[" + record("httpd", "binary", "B", 500, 1, 0) + "," +
+      record("summary", "phase", "B", 1000, 1, 0) + "," +
+      record("parse_uri", "function", "B", 1250, 1, 0) + "," +
+      record("main", "function", "B", 1500, 1, 2) + "," +
+      record("parse_uri", "function", "E", 1750, 1, 0) + "," +
+      record("main", "function", "E", 2001, 1, 2) + "," +
+      record("summary", "phase", "E", 3000, 1, 0) + "," +
+      record("httpd", "binary", "E", 5000, 1, 0) + "," +
+      record("Netgear \\\"R7000\\\"", "image", "B", 2000, 2, 1) + "," +
+      record("Netgear \\\"R7000\\\"", "image", "E", 3000, 2, 1) +
+      "],\"displayTimeUnit\":\"ms\"}";
+  EXPECT_EQ(json, golden);
 
-  // Simulate the crash: no FinishStream. The recovery contract is
-  // "append one ']'".
-  std::string torn = ReadAll(path);
-  auto recovered = ParseJson(torn + "]");
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ASSERT_TRUE(recovered->is_array());
-  ASSERT_EQ(recovered->array().size(), 2u);
-  EXPECT_EQ(recovered->array()[0].Find("name")->string(), "lift");
-  EXPECT_EQ(recovered->array()[1].Find("name")->string(), "summary");
-
-  // Finishing normally yields a valid array with no repair needed.
-  ASSERT_TRUE(tracer.FinishStream());
-  auto finished = ParseJson(ReadAll(path));
-  ASSERT_TRUE(finished.ok());
-  EXPECT_EQ(finished->array().size(), 2u);
+  // The repo's own parser accepts it, and the slices nest three deep
+  // on the scan's thread 0.
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Find("displayTimeUnit")->string(), "ms");
+  std::vector<Slice> slices = SlicesOf(*parsed);
+  ASSERT_EQ(slices.size(), 5u);
+  EXPECT_EQ(slices[0].name, "parse_uri");
+  EXPECT_EQ(slices[0].parent, "phase");
+  EXPECT_EQ(slices[1].name, "main");
+  EXPECT_EQ(slices[1].parent, "");  // a worker thread's own track
+  EXPECT_EQ(slices[2].parent, "binary");
+  EXPECT_EQ(slices[4].name, "Netgear \"R7000\"");
+  EXPECT_DOUBLE_EQ(slices[4].end - slices[4].start, 1000.0);
 }
 
-TEST(TraceStreaming, ZeroEventCrashRecoversToEmptyArray) {
-  fs::path path = ArtifactDir() / "trace_empty.json";
-  obs::Tracer tracer;
-  ASSERT_TRUE(tracer.StreamTo(path.string()));
-  std::string torn = ReadAll(path);
-  auto recovered = ParseJson(torn + "]");
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(recovered->is_array());
-  EXPECT_TRUE(recovered->array().empty());
-  ASSERT_TRUE(tracer.FinishStream());
+TEST(ChromeTrace, TornAndUnmatchedStreamsConvert) {
+  // A killed worker's stream (image C 3 never ends, garbage mid-stream,
+  // a torn final line) and a stream whose begins were lost (it starts
+  // at an end): both convert, open slices stay open.
+  const std::string lost_begins =
+      R"({"v":1,"type":"phase_end","ts_ms":1,"tid":0,"phase":"lift","duration_ms":1}
+{"v":1,"type":"binary_end","ts_ms":2,"tid":0,"binary":"b","duration_ms":2}
+)";
+  std::string json =
+      obs::EventsToChromeTrace({kTruncatedStream, lost_begins});
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto& records = parsed->Find("traceEvents")->array();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].Find("name")->string(), "C 3");
+  EXPECT_EQ(records[0].Find("ph")->string(), "B");
+  EXPECT_EQ(records[1].Find("name")->string(), "lift");
+  EXPECT_EQ(records[1].Find("ph")->string(), "E");
+  EXPECT_EQ(records[1].Find("pid")->number(), 2);
+  EXPECT_EQ(records[2].Find("cat")->string(), "binary");
+
+  // No streams at all: an empty, still valid, document.
+  auto empty = ParseJson(obs::EventsToChromeTrace({}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->Find("traceEvents")->array().empty());
 }
 
 }  // namespace

@@ -1,18 +1,13 @@
 // Observability layer tests: metrics registry (exact totals under
 // concurrency, histogram quantiles, snapshot deltas, JSON round-trip),
-// span tracer (golden Chrome-trace JSON re-parsed by the repo's own
-// JSON parser, no-allocation guarantee when disabled), leveled logging
-// (threshold filtering, sink capture, lazy argument evaluation), the
-// obs::Phase scope (one span, one event pair and one histogram sample
-// per phase; only the sample when the tracer and stream are off), and
+// leveled logging (threshold filtering, sink capture, lazy argument
+// evaluation), the obs::Phase scope (one event pair and one histogram
+// sample per phase; only the sample when the stream is closed), and
 // the InterprocStats-from-registry cache compatibility view.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,30 +20,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
 #include "src/obs/stopwatch.h"
-#include "src/obs/trace.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/json.h"
-
-// Global allocation counter: every operator new in this test binary
-// bumps it, so a test can assert a code path allocates nothing.
-namespace {
-std::atomic<size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dtaint {
 namespace {
@@ -275,87 +248,6 @@ TEST(MetricsSnapshot, JsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(micros->Find("p90")->number(), 1000.0);
   EXPECT_DOUBLE_EQ(micros->Find("p95")->number(), 1000.0);
   EXPECT_DOUBLE_EQ(micros->Find("p99")->number(), 1000.0);
-}
-
-// ------------------------------------------------------------------ trace
-
-TEST(Tracer, GoldenChromeJsonRoundTrips) {
-  obs::Tracer tracer;
-  tracer.Start();
-  // Deterministic relative timestamps; the calling thread's id is
-  // stable within the test.
-  tracer.RecordComplete("binary", "httpd", 0, 5000000);          // 0..5ms
-  tracer.RecordComplete("phase", "summary", 1000000, 2000000);   // nested
-  tracer.RecordComplete("function", "parse_uri", 1200000, 500000);
-  tracer.Stop();
-  ASSERT_EQ(tracer.EventCount(), 3u);
-
-  std::string json = tracer.ToChromeJson();
-  uint32_t tid = obs::ThreadId();
-  std::string golden =
-      "{\"traceEvents\":["
-      "{\"name\":\"httpd\",\"cat\":\"binary\",\"ph\":\"X\",\"ts\":0.000,"
-      "\"dur\":5000.000,\"pid\":1,\"tid\":" + std::to_string(tid) + "},"
-      "{\"name\":\"summary\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":1000.000,"
-      "\"dur\":2000.000,\"pid\":1,\"tid\":" + std::to_string(tid) + "},"
-      "{\"name\":\"parse_uri\",\"cat\":\"function\",\"ph\":\"X\","
-      "\"ts\":1200.000,\"dur\":500.000,\"pid\":1,\"tid\":" +
-      std::to_string(tid) + "}],\"displayTimeUnit\":\"ms\"}";
-  EXPECT_EQ(json, golden);
-
-  // The repo's own JSON parser must accept what the tracer emits.
-  auto parsed = ParseJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue* events = parsed->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array().size(), 3u);
-  const JsonValue& phase = events->array()[1];
-  EXPECT_EQ(phase.Find("name")->string(), "summary");
-  EXPECT_EQ(phase.Find("cat")->string(), "phase");
-  EXPECT_EQ(phase.Find("ph")->string(), "X");
-  EXPECT_DOUBLE_EQ(phase.Find("ts")->number(), 1000.0);
-  EXPECT_DOUBLE_EQ(phase.Find("dur")->number(), 2000.0);
-  EXPECT_EQ(parsed->Find("displayTimeUnit")->string(), "ms");
-  // Nesting check: the phase span lies inside the binary span, the
-  // function span inside the phase span (how Chrome reconstructs the
-  // three-level stack from timestamps).
-  const JsonValue& bin = events->array()[0];
-  const JsonValue& fn = events->array()[2];
-  EXPECT_GE(phase.Find("ts")->number(), bin.Find("ts")->number());
-  EXPECT_LE(phase.Find("ts")->number() + phase.Find("dur")->number(),
-            bin.Find("ts")->number() + bin.Find("dur")->number());
-  EXPECT_GE(fn.Find("ts")->number(), phase.Find("ts")->number());
-  EXPECT_LE(fn.Find("ts")->number() + fn.Find("dur")->number(),
-            phase.Find("ts")->number() + phase.Find("dur")->number());
-}
-
-TEST(Tracer, SpansRecordOnlyWhenEnabled) {
-  obs::Tracer tracer;
-  { obs::Span span(tracer, "phase", "ignored"); }
-  EXPECT_EQ(tracer.EventCount(), 0u);
-  tracer.Start();
-  { obs::Span span(tracer, "phase", "kept"); }
-  EXPECT_EQ(tracer.EventCount(), 1u);
-  tracer.Stop();
-  { obs::Span span(tracer, "phase", "ignored-again"); }
-  EXPECT_EQ(tracer.EventCount(), 1u);
-  tracer.Start();  // Start clears prior events
-  EXPECT_EQ(tracer.EventCount(), 0u);
-}
-
-TEST(Tracer, DisabledSpanDoesNotAllocate) {
-  obs::Tracer tracer;  // never started
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("pre.created");
-  registry.SetEnabled(false);
-  size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 100; ++i) {
-    obs::Span span(tracer, "phase", "hot-loop");
-    counter.Add();
-  }
-  size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before);
 }
 
 // -------------------------------------------------------------------- log
@@ -585,13 +477,11 @@ uint64_t PhaseSamples(const obs::MetricsSnapshot& delta,
   return it == delta.histograms.end() ? 0 : it->second.count;
 }
 
-TEST(Phase, OneScopeIsOneSpanOneEventPairAndOneSample) {
+TEST(Phase, OneScopeIsOneEventPairAndOneSample) {
   const std::string path = "obs_test_phase.ndjson";
-  obs::Tracer& tracer = obs::Tracer::Global();
   obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::MetricsSnapshot before = registry.Snapshot();
-  tracer.Start();
   ASSERT_TRUE(events.Open(path, "obs_test"));
   double first = 0.0;
   {
@@ -601,18 +491,7 @@ TEST(Phase, OneScopeIsOneSpanOneEventPairAndOneSample) {
     EXPECT_EQ(phase.Finish(), first);
   }
   events.Close("ok");
-  tracer.Stop();
   obs::MetricsSnapshot delta = registry.Snapshot().DeltaSince(before);
-
-  auto trace = ParseJson(tracer.ToChromeJson());
-  ASSERT_TRUE(trace.ok());
-  std::vector<const JsonValue*> spans;
-  for (const JsonValue& e : trace->Find("traceEvents")->array()) {
-    if (e.Find("cat")->string() == "phase") spans.push_back(&e);
-  }
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0]->Find("name")->string(), "unit");
-  double span_us = spans[0]->Find("dur")->number();
 
   std::ifstream in(path);
   std::string line;
@@ -628,29 +507,27 @@ TEST(Phase, OneScopeIsOneSpanOneEventPairAndOneSample) {
       ++ends;
       EXPECT_EQ(event->Find("phase")->string(), "unit");
       EXPECT_EQ(event->Find("items")->number(), 3);
-      // duration_ms carries 3 decimals: the span's time to the µs.
-      EXPECT_NEAR(event->Find("duration_ms")->number() * 1e3, span_us, 1.0);
+      // duration_ms carries 3 decimals: the phase's time to the µs.
+      EXPECT_NEAR(event->Find("duration_ms")->number() * 1e3, first * 1e6,
+                  1.0);
     }
   }
   std::remove(path.c_str());
   std::remove((path + ".flight.ndjson").c_str());
   EXPECT_EQ(begins, 1);
   EXPECT_EQ(ends, 1);
-  EXPECT_NEAR(first * 1e6, span_us, 1e-3);
 
+  // The sample is the same clock reading, truncated to whole µs.
   ASSERT_EQ(PhaseSamples(delta, "phase.unit_micros"), 1u);
   EXPECT_NEAR(static_cast<double>(delta.histograms.at("phase.unit_micros").sum),
-              span_us, 1.0);
+              first * 1e6, 1.0);
 }
 
-TEST(Phase, StoppedTracerAndClosedStreamRecordOnlyTheSample) {
-  obs::Tracer& tracer = obs::Tracer::Global();
+TEST(Phase, ClosedStreamRecordsOnlyTheSample) {
   obs::EventStream& events = obs::EventStream::Global();
-  ASSERT_FALSE(tracer.enabled());
   ASSERT_FALSE(events.enabled());
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::MetricsSnapshot before = registry.Snapshot();
-  size_t spans = tracer.EventCount();
   uint64_t emitted = events.EventCount();
   bool formatted = false;
   {
@@ -658,7 +535,6 @@ TEST(Phase, StoppedTracerAndClosedStreamRecordOnlyTheSample) {
     phase.Finish([&](obs::Event&) { formatted = true; });
   }
   EXPECT_FALSE(formatted);
-  EXPECT_EQ(tracer.EventCount(), spans);
   EXPECT_EQ(events.EventCount(), emitted);
   EXPECT_EQ(PhaseSamples(registry.Snapshot().DeltaSince(before),
                          "phase.quiet_micros"),

@@ -15,9 +15,10 @@
 //
 // Prints a markdown delta table per bench. Exit codes: 0 = no
 // regression (improvements included), 1 = regression / drifted count /
-// missing metric, 2 = usage, I/O, or parse error.
+// missing metric, 2 = usage, I/O, or parse error. An unknown flag, a
+// missing value or a value that is not a non-negative number is a
+// usage error naming the flag (src/core/cli_flags.h).
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/cli_flags.h"
 #include "src/obs/benchdiff.h"
 #include "src/util/strings.h"
 
@@ -76,29 +78,23 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   bench::DiffOptions options;
   bool print_all = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      options.time_threshold = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--noise-floor") == 0 && i + 1 < argc) {
-      options.noise_floor_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--noise-floor-nanos") == 0 &&
-               i + 1 < argc) {
-      options.noise_floor_nanos = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
-      options.value_rel_tol = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--allow-missing") == 0) {
-      options.allow_missing = true;
-    } else if (std::strcmp(argv[i], "--all") == 0) {
-      print_all = true;
-    } else if (argv[i][0] == '-') {
-      return Usage();
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() != 2 || options.time_threshold <= 1.0) {
+  FlagSet flags;
+  flags.Double("--threshold", &options.time_threshold);
+  flags.Double("--noise-floor", &options.noise_floor_seconds);
+  flags.Double("--noise-floor-nanos", &options.noise_floor_nanos);
+  flags.Double("--rel-tol", &options.value_rel_tol);
+  flags.Switch("--allow-missing", &options.allow_missing);
+  flags.Switch("--all", &print_all);
+  std::string error;
+  if (!flags.Parse(argc - 1, argv + 1, &positional, &error)) {
+    std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
     return Usage();
   }
+  if (options.time_threshold <= 1.0) {
+    std::fprintf(stderr, "bench_diff: --threshold must exceed 1\n");
+    return Usage();
+  }
+  if (positional.size() != 2) return Usage();
 
   auto baselines = CollectDocs(positional[0]);
   auto currents = CollectDocs(positional[1]);
