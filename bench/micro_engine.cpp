@@ -147,6 +147,19 @@ void BM_LiftBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_LiftBlock);
 
+/// One function's IR lifted and dropped: the lifting each
+/// SymEngine::Analyze pays before it explores.
+void BM_LiftFunction(benchmark::State& state) {
+  const Binary& bin = TestProgram().binary;
+  Program program = std::move(*CfgBuilder(bin).BuildProgram());
+  const Function& fn = program.functions.at("b1_handler");
+  Lifter lifter(bin);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lifter.LiftFunction(fn));
+  }
+}
+BENCHMARK(BM_LiftFunction);
+
 void BM_BuildProgramCfg(benchmark::State& state) {
   const Binary& bin = TestProgram().binary;
   CfgBuilder builder(bin);

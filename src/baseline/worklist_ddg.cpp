@@ -35,13 +35,13 @@ struct FlowState {
 
 /// Abstract slot key for a memory operand expression: the pair of the
 /// base register mentioned in the address and its constant offset.
-uint64_t SlotKey(const ExprRef& addr) {
+uint64_t SlotKey(ExprRef addr) {
   // Address shapes from the lifter: Binop(Add, Get/RdTmp..., Const) —
   // but temps hide the register, so hash the whole tree structurally.
   uint64_t h = kFnvOffset;
-  std::vector<const Expr*> stack{addr.get()};
+  std::vector<ExprRef> stack{addr};
   while (!stack.empty()) {
-    const Expr* e = stack.back();
+    ExprRef e = stack.back();
     stack.pop_back();
     h = HashCombine(h, static_cast<uint64_t>(e->kind()));
     switch (e->kind()) {
@@ -56,11 +56,11 @@ uint64_t SlotKey(const ExprRef& addr) {
         break;
       case ExprKind::kBinop:
         h = HashCombine(h, static_cast<uint64_t>(e->binop()));
-        stack.push_back(e->lhs().get());
-        stack.push_back(e->rhs().get());
+        stack.push_back(e->lhs());
+        stack.push_back(e->rhs());
         break;
       case ExprKind::kLoad:
-        stack.push_back(e->lhs().get());
+        stack.push_back(e->lhs());
         break;
     }
   }
@@ -178,7 +178,7 @@ class BaselineRun {
 
   /// Materializes def->use dependence edges for every variable read by
   /// the expression ("data dependence on every variable").
-  void CountUses(const ExprRef& expr, FlowState& state) {
+  void CountUses(ExprRef expr, FlowState& state) {
     if (!expr) return;
     switch (expr->kind()) {
       case ExprKind::kGet: {

@@ -2,10 +2,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/ir/stmt.h"
+#include "src/util/arena.h"
 
 namespace dtaint {
 
@@ -16,8 +18,14 @@ struct IRBlock {
   int next_tmp = 0;              // number of temporaries used
 
   JumpKind jumpkind = JumpKind::kBoring;
-  ExprRef next;                  // where control goes (const or tmp)
+  ExprRef next = nullptr;        // where control goes (const or tmp)
   uint32_t return_addr = 0;      // for calls: the fallthrough address
+
+  /// Owns every Expr that `stmts` and `next` point to; they are freed
+  /// together with the block. Held through a pointer so that moving the
+  /// block (into FunctionIR's map, say) leaves every node where it is.
+  /// A moved-from block has no arena.
+  std::unique_ptr<BumpArena> arena = std::make_unique<BumpArena>();
 
   /// Address one past the last guest instruction.
   uint32_t EndAddr() const { return addr + size; }

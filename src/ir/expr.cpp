@@ -26,27 +26,30 @@ std::string_view BinOpName(BinOp op) {
 
 bool IsCompare(BinOp op) { return op >= BinOp::kCmpEq; }
 
-ExprRef Expr::MakeConst(uint32_t value) {
-  return std::make_shared<const Expr>(Key{}, ExprKind::kConst, value, 4,
-                                      BinOp::kAdd, nullptr, nullptr);
+ExprRef Expr::New(BumpArena& arena, ExprKind kind, uint32_t value,
+                  uint8_t size, BinOp op, ExprRef lhs, ExprRef rhs) {
+  return new (arena.Alloc(sizeof(Expr), alignof(Expr)))
+      Expr(kind, value, size, op, lhs, rhs);
 }
-ExprRef Expr::MakeRdTmp(int tmp) {
-  return std::make_shared<const Expr>(Key{}, ExprKind::kRdTmp,
-                                      static_cast<uint32_t>(tmp), 4,
-                                      BinOp::kAdd, nullptr, nullptr);
+
+ExprRef Expr::MakeConst(BumpArena& arena, uint32_t value) {
+  return New(arena, ExprKind::kConst, value, 4, BinOp::kAdd, nullptr,
+             nullptr);
 }
-ExprRef Expr::MakeGet(int reg) {
-  return std::make_shared<const Expr>(Key{}, ExprKind::kGet,
-                                      static_cast<uint32_t>(reg), 4,
-                                      BinOp::kAdd, nullptr, nullptr);
+ExprRef Expr::MakeRdTmp(BumpArena& arena, int tmp) {
+  return New(arena, ExprKind::kRdTmp, static_cast<uint32_t>(tmp), 4,
+             BinOp::kAdd, nullptr, nullptr);
 }
-ExprRef Expr::MakeLoad(ExprRef addr, uint8_t size) {
-  return std::make_shared<const Expr>(Key{}, ExprKind::kLoad, 0, size,
-                                      BinOp::kAdd, std::move(addr), nullptr);
+ExprRef Expr::MakeGet(BumpArena& arena, int reg) {
+  return New(arena, ExprKind::kGet, static_cast<uint32_t>(reg), 4,
+             BinOp::kAdd, nullptr, nullptr);
 }
-ExprRef Expr::MakeBinop(BinOp op, ExprRef lhs, ExprRef rhs) {
-  return std::make_shared<const Expr>(Key{}, ExprKind::kBinop, 0, 4, op,
-                                      std::move(lhs), std::move(rhs));
+ExprRef Expr::MakeLoad(BumpArena& arena, ExprRef addr, uint8_t size) {
+  return New(arena, ExprKind::kLoad, 0, size, BinOp::kAdd, addr, nullptr);
+}
+ExprRef Expr::MakeBinop(BumpArena& arena, BinOp op, ExprRef lhs,
+                        ExprRef rhs) {
+  return New(arena, ExprKind::kBinop, 0, 4, op, lhs, rhs);
 }
 
 std::string Expr::ToString() const {

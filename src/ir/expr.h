@@ -2,14 +2,18 @@
 // machine code into VEX; DTaint's analysis consumes the IR, not the
 // machine code).
 //
-// Expressions are immutable trees shared via shared_ptr. A block's
-// statements write temporaries (WrTmp), registers (Put) and memory
-// (Store); expressions read them (RdTmp/Get/Load).
+// Expressions are immutable trees of plain pointers. Every node lives
+// in the BumpArena of the IRBlock that uses it and dies with that
+// block, all at once. A block's statements write temporaries (WrTmp),
+// registers (Put) and memory (Store); expressions read them
+// (RdTmp/Get/Load).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <type_traits>
+
+#include "src/util/arena.h"
 
 namespace dtaint {
 
@@ -52,29 +56,20 @@ std::string_view BinOpName(BinOp op);
 bool IsCompare(BinOp op);
 
 class Expr;
-using ExprRef = std::shared_ptr<const Expr>;
+/// A node in some block's arena; valid as long as that arena is.
+using ExprRef = const Expr*;
 
 /// Immutable IR expression node.
 class Expr {
-  /// A key only the factories can create. The constructor is public so
-  /// std::make_shared can put node and control block in one
-  /// allocation, but without a key nothing else can call it.
-  struct Key {
-    explicit Key() = default;
-  };
-
  public:
-  Expr(Key, ExprKind kind, uint32_t value, uint8_t size, BinOp op,
-       ExprRef lhs, ExprRef rhs)
-      : kind_(kind), value_(value), size_(size), op_(op),
-        lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-
-  // Factories.
-  static ExprRef MakeConst(uint32_t value);
-  static ExprRef MakeRdTmp(int tmp);
-  static ExprRef MakeGet(int reg);
-  static ExprRef MakeLoad(ExprRef addr, uint8_t size);
-  static ExprRef MakeBinop(BinOp op, ExprRef lhs, ExprRef rhs);
+  // Factories. Each allocates the node in `arena`; children must live
+  // in the same arena (or one that outlives it).
+  static ExprRef MakeConst(BumpArena& arena, uint32_t value);
+  static ExprRef MakeRdTmp(BumpArena& arena, int tmp);
+  static ExprRef MakeGet(BumpArena& arena, int reg);
+  static ExprRef MakeLoad(BumpArena& arena, ExprRef addr, uint8_t size);
+  static ExprRef MakeBinop(BumpArena& arena, BinOp op, ExprRef lhs,
+                           ExprRef rhs);
 
   ExprKind kind() const { return kind_; }
   uint32_t const_value() const { return value_; }
@@ -82,19 +77,32 @@ class Expr {
   int reg() const { return static_cast<int>(value_); }
   uint8_t load_size() const { return size_; }
   BinOp binop() const { return op_; }
-  const ExprRef& lhs() const { return lhs_; }
-  const ExprRef& rhs() const { return rhs_; }
+  ExprRef lhs() const { return lhs_; }
+  ExprRef rhs() const { return rhs_; }
 
   /// Structural pretty-print, e.g. "Add(Get(r5), 0x4c)".
   std::string ToString() const;
 
  private:
-  ExprKind kind_;
+  Expr(ExprKind kind, uint32_t value, uint8_t size, BinOp op, ExprRef lhs,
+       ExprRef rhs)
+      : value_(value), kind_(kind), size_(size), op_(op), lhs_(lhs),
+        rhs_(rhs) {}
+  static ExprRef New(BumpArena& arena, ExprKind kind, uint32_t value,
+                     uint8_t size, BinOp op, ExprRef lhs, ExprRef rhs);
+
   uint32_t value_;  // const value / tmp index / reg index
+  ExprKind kind_;
   uint8_t size_;    // load size in bytes
   BinOp op_;
   ExprRef lhs_;
   ExprRef rhs_;
 };
+
+// Nodes are placed in the arena without a destructor record: releasing
+// the arena must be all it takes to dispose of a block's IR. The scalar
+// fields pack into one word ahead of the two child pointers.
+static_assert(std::is_trivially_destructible_v<Expr>);
+static_assert(sizeof(Expr) == 8 + 2 * sizeof(ExprRef));
 
 }  // namespace dtaint

@@ -14,28 +14,28 @@ Stmt Stmt::WrTmp(int tmp, ExprRef expr) {
   Stmt s;
   s.kind = StmtKind::kWrTmp;
   s.tmp = tmp;
-  s.expr = std::move(expr);
+  s.expr = expr;
   return s;
 }
 Stmt Stmt::Put(int reg, ExprRef expr) {
   Stmt s;
   s.kind = StmtKind::kPut;
   s.reg = reg;
-  s.expr = std::move(expr);
+  s.expr = expr;
   return s;
 }
 Stmt Stmt::Store(ExprRef addr, ExprRef data, uint8_t size) {
   Stmt s;
   s.kind = StmtKind::kStore;
-  s.addr_expr = std::move(addr);
-  s.data_expr = std::move(data);
+  s.addr_expr = addr;
+  s.data_expr = data;
   s.size = size;
   return s;
 }
 Stmt Stmt::Exit(ExprRef guard, uint32_t target) {
   Stmt s;
   s.kind = StmtKind::kExit;
-  s.expr = std::move(guard);
+  s.expr = guard;
   s.target = target;
   return s;
 }

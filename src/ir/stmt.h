@@ -16,17 +16,18 @@ enum class StmtKind : uint8_t {
   kExit,   // if (guard) goto target  (conditional block exit)
 };
 
-/// One IR statement. Fields unused by the kind are empty/zero.
+/// One IR statement. Fields unused by the kind are null/zero. The
+/// expressions belong to the arena of the block holding the statement.
 struct Stmt {
   StmtKind kind = StmtKind::kIMark;
-  uint32_t addr = 0;      // kIMark: guest address
-  int tmp = -1;           // kWrTmp
-  int reg = -1;           // kPut
-  ExprRef expr;           // kWrTmp/kPut value, kExit guard
-  ExprRef addr_expr;      // kStore address
-  ExprRef data_expr;      // kStore data
-  uint8_t size = 4;       // kStore width
-  uint32_t target = 0;    // kExit branch target (guest address)
+  uint32_t addr = 0;            // kIMark: guest address
+  int tmp = -1;                 // kWrTmp
+  int reg = -1;                 // kPut
+  ExprRef expr = nullptr;       // kWrTmp/kPut value, kExit guard
+  ExprRef addr_expr = nullptr;  // kStore address
+  ExprRef data_expr = nullptr;  // kStore data
+  uint8_t size = 4;             // kStore width
+  uint32_t target = 0;          // kExit branch target (guest address)
 
   static Stmt IMark(uint32_t addr);
   static Stmt WrTmp(int tmp, ExprRef expr);

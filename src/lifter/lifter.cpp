@@ -7,36 +7,38 @@ namespace dtaint {
 
 namespace {
 
-/// Per-block lifting context: allocates temporaries and appends stmts.
+/// Per-block lifting context: allocates temporaries and appends stmts,
+/// building every expression in the block's arena.
 class BlockCtx {
  public:
-  explicit BlockCtx(IRBlock& block) : block_(block) {}
+  explicit BlockCtx(IRBlock& block) : block_(block), arena_(*block.arena) {}
 
   ExprRef Tmp(ExprRef value) {
     int t = block_.next_tmp++;
-    block_.stmts.push_back(Stmt::WrTmp(t, std::move(value)));
-    return Expr::MakeRdTmp(t);
+    block_.stmts.push_back(Stmt::WrTmp(t, value));
+    return Expr::MakeRdTmp(arena_, t);
   }
   void Put(int reg, ExprRef value) {
-    block_.stmts.push_back(Stmt::Put(reg, std::move(value)));
+    block_.stmts.push_back(Stmt::Put(reg, value));
   }
   void Store(ExprRef addr, ExprRef data, uint8_t size) {
-    block_.stmts.push_back(Stmt::Store(std::move(addr), std::move(data), size));
+    block_.stmts.push_back(Stmt::Store(addr, data, size));
   }
   void Exit(ExprRef guard, uint32_t target) {
-    block_.stmts.push_back(Stmt::Exit(std::move(guard), target));
+    block_.stmts.push_back(Stmt::Exit(guard, target));
   }
-  ExprRef Get(int reg) { return Tmp(Expr::MakeGet(reg)); }
-  ExprRef Const(uint32_t v) { return Expr::MakeConst(v); }
+  ExprRef Get(int reg) { return Tmp(Expr::MakeGet(arena_, reg)); }
+  ExprRef Const(uint32_t v) { return Expr::MakeConst(arena_, v); }
   ExprRef Bin(BinOp op, ExprRef a, ExprRef b) {
-    return Tmp(Expr::MakeBinop(op, std::move(a), std::move(b)));
+    return Tmp(Expr::MakeBinop(arena_, op, a, b));
   }
   ExprRef Load(ExprRef addr, uint8_t size) {
-    return Tmp(Expr::MakeLoad(std::move(addr), size));
+    return Tmp(Expr::MakeLoad(arena_, addr, size));
   }
 
  private:
   IRBlock& block_;
+  BumpArena& arena_;
 };
 
 BinOp AluOp(Op op) {
@@ -200,9 +202,10 @@ Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
         uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
         // The guard stays an inline Binop (not a temp) so consumers can
         // read the compared operands directly off the Exit statement.
-        ExprRef guard =
-            Expr::MakeBinop(CondOp(insn.op), Expr::MakeGet(kFlagLhs),
-                            Expr::MakeGet(kFlagRhs));
+        BumpArena& arena = *block.arena;
+        ExprRef guard = Expr::MakeBinop(arena, CondOp(insn.op),
+                                        Expr::MakeGet(arena, kFlagLhs),
+                                        Expr::MakeGet(arena, kFlagRhs));
         ctx.Exit(guard, target);
         block.size = next_pc - addr;
         block.next = ctx.Const(next_pc);
@@ -245,7 +248,7 @@ Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
   // Fell through to stop_before: straight-line block ending in an
   // implicit fallthrough edge.
   block.size = pc - addr;
-  block.next = Expr::MakeConst(pc);
+  block.next = ctx.Const(pc);
   block.jumpkind = JumpKind::kBoring;
   return block;
 }

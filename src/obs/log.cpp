@@ -1,8 +1,12 @@
 #include "src/obs/log.h"
 
+#include <pthread.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <new>
 #include <string>
 
 #include "src/obs/stopwatch.h"
@@ -24,6 +28,35 @@ double UptimeSeconds() {
   static const Stopwatch start;
   return start.Seconds();
 }
+
+constexpr uint32_t kNoThreadId = ~uint32_t{0};
+constinit thread_local uint32_t t_thread_id = kNoThreadId;
+
+/// The next unused thread ordinal. It lives in a shared mapping, so a
+/// forked child draws from the same sequence as its parent and its
+/// siblings: every thread of a process tree gets an ordinal of its own.
+std::atomic<uint32_t>& NextThreadId() {
+  static std::atomic<uint32_t>* next = [] {
+    void* shared = ::mmap(nullptr, sizeof(std::atomic<uint32_t>),
+                          PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                          -1, 0);
+    if (shared == MAP_FAILED) return new std::atomic<uint32_t>(0);
+    return new (shared) std::atomic<uint32_t>(0);
+  }();
+  return *next;
+}
+
+// The thread that calls fork() goes on in the child as a thread of a
+// new process, so it needs a new ordinal: the parent reserves one just
+// before the fork and the child installs it. Reserving also maps the
+// shared counter before a child could map a private one.
+constinit thread_local uint32_t t_reserved_for_child = kNoThreadId;
+void ReserveChildThreadId() {
+  t_reserved_for_child = NextThreadId().fetch_add(1);
+}
+void InstallChildThreadId() { t_thread_id = t_reserved_for_child; }
+[[maybe_unused]] const int g_atfork = ::pthread_atfork(
+    &ReserveChildThreadId, nullptr, &InstallChildThreadId);
 
 }  // namespace
 
@@ -83,9 +116,8 @@ LogLevel GetLogLevel() {
 }
 
 uint32_t ThreadId() {
-  static std::atomic<uint32_t> next{0};
-  thread_local const uint32_t id = next.fetch_add(1);
-  return id;
+  if (t_thread_id == kNoThreadId) t_thread_id = NextThreadId().fetch_add(1);
+  return t_thread_id;
 }
 
 void SetLogSink(LogSink sink, void* user) {

@@ -39,7 +39,10 @@ inline bool LogEnabled(LogLevel level) {
 
 /// Small dense ordinal for the calling thread (0 for the first thread
 /// that asks, 1 for the next, …). Shared with the event stream's
-/// envelope so log lines and events agree on thread identity.
+/// envelope so log lines and events agree on thread identity. The
+/// sequence spans forked children: a child's threads, including the
+/// one that called fork(), never reuse an ordinal of the parent or of
+/// another child.
 uint32_t ThreadId();
 
 /// Sink signature. Receives already-filtered records; must be

@@ -297,7 +297,7 @@ class Exploration {
     return FreshUnknown(widen_counter_++);
   }
 
-  SymRef EvalExpr(const ExprRef& e, std::vector<SymRef>& tmps,
+  SymRef EvalExpr(ExprRef e, const std::vector<SymRef>& tmps,
                   SymState& state, uint32_t site) {
     switch (e->kind()) {
       case ExprKind::kConst:
@@ -692,9 +692,8 @@ class Exploration {
           event.callsite = cs->call_addr;
           event.is_indirect = true;
           // The target expression is the evaluated `next`.
-          std::vector<SymRef> dummy_tmps = tmps;
           event.indirect_target =
-              EvalExpr(block->next, dummy_tmps, state, cs->call_addr);
+              EvalExpr(block->next, tmps, state, cs->call_addr);
           event.args = CollectArgs(state, kNumRegArgs + 2);
           event.constraints = state.ConstraintsSnapshot();
           event.path_id = state.path_id;

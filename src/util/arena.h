@@ -1,21 +1,25 @@
-// Bump-pointer arena for per-function analysis scratch.
+// Bump-pointer arena for same-lifetime allocations.
 //
-// The symbolic engine allocates a torrent of tiny, same-lifetime
-// objects per function — memory-trie nodes, constraint-trail links,
-// overlay spill arrays — that all die together the moment the
-// function's summary is produced. A general-purpose allocator pays a
-// sync'd free-list round-trip for each of them; the arena pays one
-// pointer bump, and the whole population is released wholesale by
-// Reset() (or the destructor).
+// The symbolic engine allocates a torrent of tiny objects per function
+// — memory-trie nodes, constraint-trail links, overlay spill arrays —
+// that all die together the moment the function's summary is
+// produced. The lifter places every IR expression of a block in the
+// block's own arena (IRBlock::arena), and the nodes die with the
+// block. The path finder keeps its per-trace visited tables in one.
+// A general-purpose allocator pays a sync'd free-list round-trip for
+// each object; the arena pays one pointer bump, and the whole
+// population is released wholesale by Reset() (or the destructor).
 //
 // Non-trivially-destructible objects can be allocated through New /
 // NewArray, which register their destructors on an intrusive list
 // (the list nodes live in the arena too). Reset runs them newest-first
 // — reverse construction order — so objects may reference earlier
-// allocations from their destructors.
+// allocations from their destructors. IR nodes are trivially
+// destructible and register nothing.
 //
-// Single-threaded by design: one arena per function analysis, owned by
-// the worker that runs it. Not internally synchronized.
+// Single-threaded by design: each arena is filled by one thread (the
+// one running the analysis, lifting the block or tracing the path).
+// Not internally synchronized.
 #pragma once
 
 #include <cstddef>

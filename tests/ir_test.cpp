@@ -8,31 +8,36 @@ namespace dtaint {
 namespace {
 
 TEST(Expr, Factories) {
-  ExprRef c = Expr::MakeConst(0x4C);
+  BumpArena arena;
+  ExprRef c = Expr::MakeConst(arena, 0x4C);
   EXPECT_EQ(c->kind(), ExprKind::kConst);
   EXPECT_EQ(c->const_value(), 0x4Cu);
 
-  ExprRef t = Expr::MakeRdTmp(3);
+  ExprRef t = Expr::MakeRdTmp(arena, 3);
   EXPECT_EQ(t->kind(), ExprKind::kRdTmp);
   EXPECT_EQ(t->tmp(), 3);
 
-  ExprRef g = Expr::MakeGet(5);
+  ExprRef g = Expr::MakeGet(arena, 5);
   EXPECT_EQ(g->reg(), 5);
 
-  ExprRef load = Expr::MakeLoad(g, 1);
+  ExprRef load = Expr::MakeLoad(arena, g, 1);
   EXPECT_EQ(load->kind(), ExprKind::kLoad);
   EXPECT_EQ(load->load_size(), 1);
-  EXPECT_EQ(load->lhs().get(), g.get());
+  EXPECT_EQ(load->lhs(), g);
 
-  ExprRef bin = Expr::MakeBinop(BinOp::kAdd, g, c);
+  ExprRef bin = Expr::MakeBinop(arena, BinOp::kAdd, g, c);
   EXPECT_EQ(bin->binop(), BinOp::kAdd);
+  EXPECT_EQ(bin->lhs(), g);
+  EXPECT_EQ(bin->rhs(), c);
 }
 
 TEST(Expr, ToString) {
-  ExprRef e = Expr::MakeBinop(BinOp::kAdd, Expr::MakeGet(5),
-                              Expr::MakeConst(0x4C));
+  BumpArena arena;
+  ExprRef e = Expr::MakeBinop(arena, BinOp::kAdd, Expr::MakeGet(arena, 5),
+                              Expr::MakeConst(arena, 0x4C));
   EXPECT_EQ(e->ToString(), "Add(Get(5), 0x4c)");
-  EXPECT_EQ(Expr::MakeLoad(e, 4)->ToString(), "Load4(Add(Get(5), 0x4c))");
+  EXPECT_EQ(Expr::MakeLoad(arena, e, 4)->ToString(),
+            "Load4(Add(Get(5), 0x4c))");
 }
 
 TEST(Expr, BinOpNames) {
@@ -42,12 +47,16 @@ TEST(Expr, BinOpNames) {
 }
 
 TEST(Stmt, ToStringForms) {
-  EXPECT_EQ(Stmt::WrTmp(2, Expr::MakeConst(7)).ToString(), "t2 = 0x7");
-  EXPECT_EQ(Stmt::Put(0, Expr::MakeRdTmp(1)).ToString(), "PUT(0) = t1");
-  Stmt store = Stmt::Store(Expr::MakeGet(13), Expr::MakeConst(0), 4);
+  BumpArena arena;
+  EXPECT_EQ(Stmt::WrTmp(2, Expr::MakeConst(arena, 7)).ToString(), "t2 = 0x7");
+  EXPECT_EQ(Stmt::Put(0, Expr::MakeRdTmp(arena, 1)).ToString(),
+            "PUT(0) = t1");
+  Stmt store = Stmt::Store(Expr::MakeGet(arena, 13),
+                           Expr::MakeConst(arena, 0), 4);
   EXPECT_EQ(store.ToString(), "STORE4(Get(13)) = 0x0");
   Stmt exit = Stmt::Exit(
-      Expr::MakeBinop(BinOp::kCmpEq, Expr::MakeGet(16), Expr::MakeGet(17)),
+      Expr::MakeBinop(arena, BinOp::kCmpEq, Expr::MakeGet(arena, 16),
+                      Expr::MakeGet(arena, 17)),
       0x10050);
   EXPECT_EQ(exit.ToString(),
             "if (CmpEQ(Get(16), Get(17))) goto 0x10050");
@@ -68,7 +77,7 @@ TEST(Block, EndAddr) {
 TEST(Block, ToStringIncludesNext) {
   IRBlock block;
   block.addr = 0x10000;
-  block.next = Expr::MakeConst(0x10010);
+  block.next = Expr::MakeConst(*block.arena, 0x10010);
   block.jumpkind = JumpKind::kBoring;
   block.stmts.push_back(Stmt::IMark(0x10000));
   std::string s = block.ToString();

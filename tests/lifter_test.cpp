@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/binary/writer.h"
 #include "src/isa/asm_builder.h"
 #include "src/lifter/lifter.h"
@@ -44,6 +46,29 @@ TEST(Lifter, LoadBecomesBaseOffsetAddress) {
   }
   EXPECT_TRUE(saw_load_put);
   EXPECT_EQ(block.jumpkind, JumpKind::kRet);
+}
+
+TEST(Lifter, MovingABlockKeepsItsExpressions) {
+  Binary bin = BuildWith([](FnBuilder& b) {
+    // Enough instructions to spill the block's arena over several chunks.
+    for (int i = 0; i < 256; ++i) b.AddI(1, 1, i);
+    b.StrW(1, 13, 4);
+    b.Ret();
+  });
+  IRBlock block = Lifter(bin).LiftBlock(kTextBase).value();
+  ASSERT_GT(block.arena->bytes_reserved(), BumpArena::kDefaultChunkBytes);
+  const std::string lifted = block.ToString();
+  const ExprRef next = block.next;
+
+  // Into a map, as LiftFunction files it; then reuse the moved-from
+  // local so any node it still owned would be freed.
+  std::map<uint32_t, IRBlock> blocks;
+  blocks.emplace(kTextBase, std::move(block));
+  block = Lifter(bin).LiftBlock(kTextBase).value();
+
+  const IRBlock& moved = blocks.at(kTextBase);
+  EXPECT_EQ(moved.next, next);
+  EXPECT_EQ(moved.ToString(), lifted);
 }
 
 TEST(Lifter, StoreByteHasSizeOne) {

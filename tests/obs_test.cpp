@@ -1,13 +1,17 @@
 // Observability layer tests: metrics registry (exact totals under
 // concurrency, histogram quantiles, snapshot deltas, JSON round-trip),
 // leveled logging (threshold filtering, sink capture, lazy argument
-// evaluation), the obs::Phase scope (one event pair and one histogram
-// sample per phase; only the sample when the stream is closed), and
-// the InterprocStats-from-registry cache compatibility view.
+// evaluation), thread ordinals across fork(), the obs::Phase scope
+// (one event pair and one histogram sample per phase; only the sample
+// when the stream is closed), and the InterprocStats-from-registry
+// cache compatibility view.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -314,6 +318,47 @@ TEST_F(LogTest, DisabledStatementDoesNotEvaluateArguments) {
   EXPECT_EQ(g_side_effects, 0);
   DTAINT_LOG(obs::LogLevel::kError, "t", "%d", SideEffect());
   EXPECT_EQ(g_side_effects, 1);
+}
+
+// -------------------------------------------------------------- thread id
+
+/// Forks a child that reports its own ThreadId() and that of a thread
+/// it starts. Empty if the fork or the report failed.
+std::vector<uint32_t> ForkedChildThreadIds() {
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    uint32_t ids[2] = {obs::ThreadId(), 0};
+    std::thread([&ids] { ids[1] = obs::ThreadId(); }).join();
+    bool sent = ::write(fds[1], ids, sizeof(ids)) == sizeof(ids);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::vector<uint32_t> ids(2);
+  ssize_t got = -1;
+  int status = -1;
+  if (pid > 0) {
+    got = ::read(fds[0], ids.data(), 2 * sizeof(uint32_t));
+    ::waitpid(pid, &status, 0);
+  }
+  ::close(fds[0]);
+  if (got != 2 * sizeof(uint32_t) || status != 0) return {};
+  return ids;
+}
+
+TEST(ThreadId, ForkedChildrenNeverReuseAnOrdinal) {
+  const uint32_t parent = obs::ThreadId();
+  std::vector<uint32_t> first = ForkedChildThreadIds();
+  std::vector<uint32_t> second = ForkedChildThreadIds();
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(obs::ThreadId(), parent);
+  // The forking thread and a thread started in the child each get an
+  // ordinal no other thread of the process tree has.
+  std::set<uint32_t> all = {parent, first[0], first[1], second[0], second[1]};
+  EXPECT_EQ(all.size(), 5u);
 }
 
 // ----------------------------------------------- cache compatibility view
