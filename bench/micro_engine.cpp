@@ -25,6 +25,7 @@
 #include "src/isa/decode.h"
 #include "src/isa/encode.h"
 #include "src/lifter/lifter.h"
+#include "src/symexec/intern.h"
 #include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/synth/paper_images.h"
@@ -102,6 +103,44 @@ void BM_IsTaintedDeep_Interned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IsTaintedDeep_Interned);
+
+/// A fleet filler's ALU burst as the engine evaluates it: 192 ops
+/// cycling add/shift/mul over two scratch registers, each result
+/// widened to a fresh symbol once it grows past the engine's default
+/// depth cap of 96, all inside one ScratchScope. Closing the scope
+/// resets the scratch interner, as after every function, so each
+/// iteration builds its nodes afresh: the miss path of
+/// ScratchInterner::Intern.
+void BM_ScratchInternChain(benchmark::State& state) {
+  constexpr int kOps = 192;
+  constexpr int kMaxDepth = 96;
+  for (auto _ : state) {
+    ScratchScope scope;
+    int widened = 0;
+    auto widen = [&widened](SymRef value) {
+      return value->Depth() <= kMaxDepth
+                 ? value
+                 : SymExpr::InitReg(0x10000 + widened++);
+    };
+    SymRef s3 = SymExpr::InitReg(3);
+    SymRef s4 = SymExpr::InitReg(4);
+    for (int k = 0; k < kOps; ++k) {
+      switch (k % 3) {
+        case 0:
+          s4 = widen(SymExpr::Bin(BinOp::kAdd, s4, s3));
+          break;
+        case 1:
+          s3 = widen(SymExpr::Bin(BinOp::kShl, s4, SymExpr::Const(1 + k % 2)));
+          break;
+        default:
+          s4 = widen(SymExpr::Bin(BinOp::kMul, s3, s4));
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(s4);
+  }
+}
+BENCHMARK(BM_ScratchInternChain);
 
 /// Shared medium-sized program for the per-phase benchmarks.
 const SynthOutput& TestProgram() {
@@ -220,7 +259,7 @@ void BM_StateFork(benchmark::State& state) {
   uint32_t salt = 0;
   for (auto _ : state) {
     SymState child = parent.Fork();
-    const SymRef& v = dvals[++salt % dvals.size()];
+    SymRef v = dvals[++salt % dvals.size()];
     child.StoreMem(daddr, v, 4);
     child.SetReg(2, v);
     benchmark::DoNotOptimize(child.MemEntryCount());

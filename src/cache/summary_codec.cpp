@@ -51,12 +51,12 @@ class Writer {
     out_.insert(out_.end(), s.begin(), s.end());
   }
 
-  void Expr(const SymRef& e) {
+  void Expr(SymRef e) {
     if (!e) {
       U8(0);
       return;
     }
-    auto it = expr_ids_.find(e.get());
+    auto it = expr_ids_.find(e);
     if (it != expr_ids_.end()) {
       U8(kExprBackRef);
       U32(it->second);
@@ -97,7 +97,7 @@ class Writer {
     }
     // Post-order id assignment (children first) — the decoder appends
     // to its pool in the same order.
-    expr_ids_.emplace(e.get(), next_expr_id_++);
+    expr_ids_.emplace(e, next_expr_id_++);
   }
 
   void Constraint(const PathConstraint& c) {
@@ -151,8 +151,8 @@ class Writer {
   // Constraint dedup keys carry canonical expression pointers for the
   // same reason Expr does: identical constraints must collide.
   static ConstraintKey KeyFor(const PathConstraint& c) {
-    return ConstraintKey{static_cast<uint8_t>(c.op), c.lhs.get(),
-                         c.rhs.get(), c.taken, c.site};
+    return ConstraintKey{static_cast<uint8_t>(c.op), c.lhs, c.rhs, c.taken,
+                         c.site};
   }
 
   std::vector<uint8_t> out_;
@@ -227,7 +227,7 @@ class Reader {
       }
       return expr_pool_[id];
     }
-    SymRef node;
+    SymRef node = nullptr;
     switch (static_cast<SymKind>(tag - 1)) {
       case SymKind::kConst:
         node = SymExpr::Const(U32());
@@ -259,7 +259,7 @@ class Reader {
           Fail();
           return nullptr;
         }
-        node = SymExpr::Deref(std::move(addr), size);
+        node = SymExpr::Deref(addr, size);
         break;
       }
       case SymKind::kBin: {
@@ -274,8 +274,7 @@ class Reader {
           Fail();
           return nullptr;
         }
-        node = SymExpr::Bin(static_cast<BinOp>(op), std::move(lhs),
-                            std::move(rhs));
+        node = SymExpr::Bin(static_cast<BinOp>(op), lhs, rhs);
         break;
       }
       default:
@@ -389,13 +388,13 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
     w.U8(call.is_indirect ? 1 : 0);
     w.Expr(call.indirect_target);
     w.U32(static_cast<uint32_t>(call.args.size()));
-    for (const SymRef& arg : call.args) w.Expr(arg);
+    for (SymRef arg : call.args) w.Expr(arg);
     w.ConstraintList(call.constraints);
     w.U32(static_cast<uint32_t>(call.path_id));
   }
 
   w.U32(static_cast<uint32_t>(summary.return_values.size()));
-  for (const SymRef& ret : summary.return_values) w.Expr(ret);
+  for (SymRef ret : summary.return_values) w.Expr(ret);
 
   // TypeMap iterates its sorted underlying map — deterministic bytes.
   w.U32(static_cast<uint32_t>(summary.types.entries().size()));

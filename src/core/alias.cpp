@@ -2,11 +2,11 @@
 
 namespace dtaint {
 
-bool IsPointerValue(const SymRef& value, const TypeMap& types) {
+bool IsPointerValue(SymRef value, const TypeMap& types) {
   if (!value) return false;
   if (IsPointerType(types.TypeOf(value))) return true;
   auto split = SymExpr::SplitBaseOffset(value);
-  const SymRef& base = split.base ? split.base : value;
+  SymRef base = split.base ? split.base : value;
   switch (base->kind()) {
     case SymKind::kSp0:
     case SymKind::kHeap:
@@ -65,7 +65,7 @@ std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
   // Phase 2 (lines 13-22): rewrite each DOP entry through every
   // matching alias: new_d = d.Replace(p, alias_loc - offset).
   for (const DopEntry& entry : dop) {
-    for (const SymRef& ptr : entry.ptrs) {
+    for (SymRef ptr : entry.ptrs) {
       for (const AliasFact& fact : facts) {
         if (!SymExpr::Equal(fact.base, ptr)) continue;
         // Do not rewrite a location with an alias derived from itself
@@ -76,7 +76,7 @@ std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
             SymExpr::Replace(entry.pair->d, ptr, replacement);
         if (SymExpr::Equal(new_d, entry.pair->d)) continue;
         DefPair twin = *entry.pair;
-        twin.d = std::move(new_d);
+        twin.d = new_d;
         additions.push_back(std::move(twin));
       }
     }

@@ -26,9 +26,9 @@ namespace dtaint {
 /// One discovered alias fact: `alias_loc` (a deref expression) holds
 /// the pointer `base + offset`.
 struct AliasFact {
-  SymRef alias_loc;  // d: deref(base1+off1)
-  SymRef base;       // base2
-  int64_t offset;    // off2
+  SymRef alias_loc = nullptr;  // d: deref(base1+off1)
+  SymRef base = nullptr;       // base2
+  int64_t offset = 0;          // off2
 };
 
 /// Algorithm 1 phase 1 (lines 3-12): scan the summary's definition
@@ -54,6 +54,6 @@ std::vector<DefPair> ComputeAliasTwins(const FunctionSummary& summary,
 /// follow-up, which compares base+offset expressions without a type
 /// heuristic. Init-register values and arithmetic residues stay
 /// excluded.
-bool IsPointerValue(const SymRef& value, const TypeMap& types);
+bool IsPointerValue(SymRef value, const TypeMap& types);
 
 }  // namespace dtaint

@@ -65,7 +65,7 @@ const std::vector<AliasFact>& OnDemandAliasOracle::FactsFor(
 }
 
 SymRef OnDemandAliasOracle::CanonicalSse(const FunctionSummary& summary,
-                                         const SymRef& expr) {
+                                         SymRef expr) {
   if (!expr) return expr;
   // Copy out under the lock: CanonicalSse runs expression rewrites
   // that must not hold the memo mutex.
@@ -93,7 +93,7 @@ SymRef OnDemandAliasOracle::CanonicalSse(const FunctionSummary& summary,
 }
 
 bool OnDemandAliasOracle::MayAlias(const FunctionSummary& summary,
-                                   const SymRef& a, const SymRef& b) {
+                                   SymRef a, SymRef b) {
   if (!a || !b) return false;
   if (SymExpr::Equal(a, b)) return true;
   return SymExpr::Equal(CanonicalSse(summary, a), CanonicalSse(summary, b));

@@ -71,12 +71,11 @@ class OnDemandAliasOracle {
   /// rewritten to the pointer it stores (base + offset), to a bounded
   /// fixpoint. Two expressions alias iff their canonical SSEs are
   /// Equal — with interning, a pointer compare.
-  SymRef CanonicalSse(const FunctionSummary& summary, const SymRef& expr);
+  SymRef CanonicalSse(const FunctionSummary& summary, SymRef expr);
 
   /// May `a` and `b` name the same storage in `summary`? Reflexive and
   /// symmetric; defined as Equal(CanonicalSse(a), CanonicalSse(b)).
-  bool MayAlias(const FunctionSummary& summary, const SymRef& a,
-                const SymRef& b);
+  bool MayAlias(const FunctionSummary& summary, SymRef a, SymRef b);
 
   // ---- introspection (tests, metrics) --------------------------------------
   size_t memo_functions() const;

@@ -24,8 +24,7 @@ namespace {
 /// Replaces every formal-argument symbol arg_i occurring in `expr`
 /// with the i-th actual argument of the callsite (Algorithm 2's
 /// ReplaceFormalArgs). Unmapped formals stay as-is.
-SymRef ReplaceFormalArgs(const SymRef& expr,
-                         const std::vector<SymRef>& actual_args) {
+SymRef ReplaceFormalArgs(SymRef expr, const std::vector<SymRef>& actual_args) {
   // O(1) bail-out for the common case: nothing argument-rooted inside.
   if (!expr->ContainsKind(SymKind::kArg)) return expr;
   SymRef result = expr;
@@ -43,7 +42,7 @@ SymRef ReplaceFormalArgs(const SymRef& expr,
 /// hash is extended by the caller's callsite address, so two calls to
 /// the same allocating callee produce distinct objects (Listing 1's
 /// "hash value of the callsite chain").
-SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
+SymRef RehashHeap(SymRef expr, uint32_t callsite) {
   // The kind bitmask proves heap-freeness without walking the tree.
   if (!expr->ContainsKind(SymKind::kHeap)) return expr;
   if (expr->kind() == SymKind::kHeap) {
@@ -52,7 +51,7 @@ SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
   if (!expr->lhs() && !expr->rhs()) return expr;
   SymRef lhs = expr->lhs() ? RehashHeap(expr->lhs(), callsite) : nullptr;
   SymRef rhs = expr->rhs() ? RehashHeap(expr->rhs(), callsite) : nullptr;
-  if (lhs.get() == expr->lhs().get() && rhs.get() == expr->rhs().get()) {
+  if (lhs == expr->lhs() && rhs == expr->rhs()) {
     return expr;
   }
   if (expr->kind() == SymKind::kDeref) {
@@ -68,8 +67,8 @@ SymRef RehashHeap(const SymRef& expr, uint32_t callsite) {
 /// carries structure (argument passthrough, heap pointer, tainted
 /// expression) over opaque unknowns.
 SymRef RepresentativeReturn(const FunctionSummary& callee) {
-  SymRef best;
-  for (const SymRef& ret : callee.return_values) {
+  SymRef best = nullptr;
+  for (SymRef ret : callee.return_values) {
     if (!ret) continue;
     if (!best) best = ret;
     switch (RootPointerOf(ret)->kind()) {
@@ -105,7 +104,7 @@ using RetIndex = std::unordered_map<uint32_t, RetUses>;
 /// Calls `visit(cs)` for every ret_{cs} leaf of `expr`, entering only
 /// subtrees whose kind bitmask holds a ret.
 template <typename Visit>
-void ForEachRetSite(const SymRef& expr, Visit&& visit) {
+void ForEachRetSite(SymRef expr, Visit&& visit) {
   if (!expr || !expr->ContainsKind(SymKind::kRet)) return;
   if (expr->kind() == SymKind::kRet) {
     visit(expr->ret_site());
@@ -129,7 +128,7 @@ void IndexDefPair(const DefPair& dp, size_t k, RetIndex& index) {
 }
 
 /// Lists return value `k` under every ret_{cs} it mentions.
-void IndexReturnValue(const SymRef& rv, size_t k, RetIndex& index) {
+void IndexReturnValue(SymRef rv, size_t k, RetIndex& index) {
   ForEachRetSite(rv, [&](uint32_t cs) {
     InsertSorted(index[cs].return_values, k);
   });

@@ -12,7 +12,7 @@
 
 namespace dtaint {
 
-bool DefCoversUse(const SymRef& def_loc, const SymRef& use_expr) {
+bool DefCoversUse(SymRef def_loc, SymRef use_expr) {
   if (!def_loc || !use_expr) return false;
   if (def_loc->kind() != SymKind::kDeref ||
       use_expr->kind() != SymKind::kDeref) {
@@ -34,8 +34,7 @@ namespace {
 /// True when the def defines an entire buffer region that the use reads
 /// a part of: def = deref(B) holding taint, use = deref(B + k). Source
 /// models write whole buffers this way (recv taints deref(buf)).
-bool RegionDefCoversUse(const SymRef& def_loc, const SymRef& def_val,
-                        const SymRef& use_expr) {
+bool RegionDefCoversUse(SymRef def_loc, SymRef def_val, SymRef use_expr) {
   if (!def_loc || !def_val || !use_expr) return false;
   if (!def_val->IsTainted()) return false;
   if (def_loc->kind() != SymKind::kDeref ||
@@ -148,7 +147,7 @@ class Backtracker {
                  const std::vector<SymRef>& start_exprs) {
     ++stats_.sinks_visited;
     paths_found_for_sink_ = 0;
-    for (const SymRef& expr : start_exprs) {
+    for (SymRef expr : start_exprs) {
       if (paths_found_for_sink_ >= config_.max_paths_per_sink) break;
       TaintPath path = seed;
       VisitedSet visited(arena_);
@@ -178,7 +177,7 @@ class Backtracker {
     ++stats_.paths_found;
   }
 
-  void Walk(uint64_t fn_id, const std::string& fn, const SymRef& expr,
+  void Walk(uint64_t fn_id, const std::string& fn, SymRef expr,
             TaintPath& path, VisitedSet& visited, int depth) {
     if (!expr) return;
     if (depth <= 0) {
@@ -217,7 +216,7 @@ class Backtracker {
       const std::vector<DefPair>& t = analysis_.alias_oracle->TwinsFor(summary);
       if (!t.empty()) twins = &t;
     }
-    for (const SymRef& part : deref_parts) {
+    for (SymRef part : deref_parts) {
       bool stop = MatchDefs(summary.def_pairs, fn_id, fn, expr, part, path,
                             visited, depth);
       if (!stop && twins) {
@@ -268,7 +267,7 @@ class Backtracker {
   /// pairs (the summary's own, or the on-demand alias twins). Returns
   /// true when the per-sink path cap was hit and the walk should stop.
   bool MatchDefs(const std::vector<DefPair>& pairs, uint64_t fn_id,
-                 const std::string& fn, const SymRef& expr, const SymRef& part,
+                 const std::string& fn, SymRef expr, SymRef part,
                  TaintPath& path, VisitedSet& visited, int depth) {
     for (const DefPair& dp : pairs) {
       if (!dp.u || SymExpr::Equal(dp.u, expr)) continue;
@@ -338,7 +337,7 @@ std::vector<TaintPath> PathFinder::FindAll() const {
       if (sink->tainted_param >= static_cast<int>(event.args.size())) {
         continue;
       }
-      const SymRef& arg = event.args[sink->tainted_param];
+      SymRef arg = event.args[sink->tainted_param];
       if (!arg) continue;
 
       TaintPath seed;

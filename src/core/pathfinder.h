@@ -38,9 +38,10 @@ struct TaintPath {
   uint32_t sink_site = 0;      // callsite of the sink
   std::string sink_name;       // "strcpy", "system", "loop", ...
   VulnClass vuln_class = VulnClass::kBufferOverflow;
-  SymRef sink_arg;             // the dangerous argument expression
-  SymRef sink_store_addr;      // loop sinks: the store address (its
-                               // index term is what bounds checks hit)
+  SymRef sink_arg = nullptr;   // the dangerous argument expression
+  // Loop sinks: the store address (its index term is what bounds
+  // checks hit).
+  SymRef sink_store_addr = nullptr;
 
   // Source side.
   std::string source_name;     // "recv", "getenv", ...
@@ -112,6 +113,6 @@ class PathFinder {
 /// (part of) the memory named by `use_expr`? Exact equality, equal
 /// base with equal offset, or a whole-region def (deref(B)) covering
 /// any deref(B+k) use.
-bool DefCoversUse(const SymRef& def_loc, const SymRef& use_expr);
+bool DefCoversUse(SymRef def_loc, SymRef use_expr);
 
 }  // namespace dtaint

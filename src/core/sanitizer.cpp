@@ -8,10 +8,9 @@ constexpr uint32_t kSemicolon = 0x3B;
 
 /// Does `expr` mention (contain or equal) any of the values the taint
 /// flowed through, or share a memory region with one of them?
-bool MentionsTracedValue(const SymRef& expr,
-                         const std::vector<SymRef>& traced) {
+bool MentionsTracedValue(SymRef expr, const std::vector<SymRef>& traced) {
   if (!expr) return false;
-  for (const SymRef& t : traced) {
+  for (SymRef t : traced) {
     if (!t) continue;
     if (SymExpr::Equal(expr, t)) return true;
     if (expr->Contains(t)) return true;
@@ -108,7 +107,7 @@ SanitizationVerdict CheckSanitization(const TaintPath& path) {
       case VulnClass::kCommandInjection: {
         // A semicolon filter: some byte of the command string compared
         // against ';' (deref(cmd+i) == ';' on either branch polarity).
-        const SymRef& other = lhs_tainted ? c.rhs : c.lhs;
+        SymRef other = lhs_tainted ? c.rhs : c.lhs;
         bool cmp_semicolon = other &&
                              other->kind() == SymKind::kConst &&
                              other->const_value() == kSemicolon &&

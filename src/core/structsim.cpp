@@ -22,7 +22,7 @@ bool TypesUnify(ValueType a, ValueType b) {
 }
 
 /// Normalized base-path key: the root pointer becomes "R".
-std::string NormalizedBaseKey(const SymRef& base, const SymRef& root) {
+std::string NormalizedBaseKey(SymRef base, SymRef root) {
   std::string base_str = base->ToString();
   std::string root_str = root->ToString();
   std::string out;
@@ -41,18 +41,18 @@ std::string NormalizedBaseKey(const SymRef& base, const SymRef& root) {
 }
 
 /// Collects (base, offset) pairs of every deref inside `expr`.
-void CollectAccesses(const SymRef& expr,
+void CollectAccesses(SymRef expr,
                      std::vector<std::pair<SymRef, int64_t>>* out) {
   std::vector<SymRef> derefs;
   SymExpr::CollectDerefs(expr, &derefs);
-  for (const SymRef& d : derefs) {
+  for (SymRef d : derefs) {
     auto split = SymExpr::SplitBaseOffset(d->lhs());
     if (!split.base) continue;  // constant address: not a structure
     out->push_back({split.base, split.offset});
   }
 }
 
-bool IsLayoutRoot(const SymRef& root) {
+bool IsLayoutRoot(SymRef root) {
   switch (root->kind()) {
     case SymKind::kArg:
     case SymKind::kHeap:
@@ -74,9 +74,9 @@ std::vector<StructLayout> ExtractLayouts(const FunctionSummary& summary) {
   // dedup is output-invariant and skips the repeated deref walks.
   std::vector<std::pair<SymRef, int64_t>> accesses;
   std::unordered_set<const SymExpr*> walked;
-  auto collect_once = [&](const SymRef& e) {
+  auto collect_once = [&](SymRef e) {
     if (!e) return;
-    if (!walked.insert(e.get()).second) return;
+    if (!walked.insert(e).second) return;
     CollectAccesses(e, &accesses);
   };
   for (const DefPair& dp : summary.def_pairs) {
@@ -87,7 +87,7 @@ std::vector<StructLayout> ExtractLayouts(const FunctionSummary& summary) {
     collect_once(use.u);
   }
   for (const CallEvent& call : summary.calls) {
-    for (const SymRef& arg : call.args) {
+    for (SymRef arg : call.args) {
       collect_once(arg);
     }
     collect_once(call.indirect_target);
@@ -95,7 +95,7 @@ std::vector<StructLayout> ExtractLayouts(const FunctionSummary& summary) {
 
   // Group by root pointer.
   struct Builder {
-    SymRef root;
+    SymRef root = nullptr;
     std::map<std::string, std::set<StructField>> groups;
   };
   std::map<uint64_t, Builder> builders;
@@ -287,7 +287,7 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
       // the one rooted where the target pointer (or the first call
       // argument) lives.
       std::vector<const StructLayout*> site_layouts;
-      auto add_site_layout = [&](const SymRef& expr) {
+      auto add_site_layout = [&](SymRef expr) {
         if (!expr) return;
         SymRef root = RootPointerOf(expr);
         if (!root) return;

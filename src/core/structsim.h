@@ -47,7 +47,7 @@ struct StructField {
 /// "R" (so layouts rooted at arg0 in one function and arg2 in another
 /// compare equal), e.g. "R", "deref(R+0x58)".
 struct StructLayout {
-  SymRef root;  // the root pointer expression in its home function
+  SymRef root = nullptr;  // the root pointer expression in its home function
   std::map<std::string, std::vector<StructField>> groups;
 
   size_t FieldCount() const {

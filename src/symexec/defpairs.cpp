@@ -16,7 +16,7 @@ std::string PathConstraint::ToString() const {
   return s + "  @" + HexStr(site);
 }
 
-SymRef RootPointerOf(const SymRef& expr) {
+SymRef RootPointerOf(SymRef expr) {
   if (!expr) return nullptr;
   SymRef cur = expr;
   for (;;) {
@@ -26,7 +26,7 @@ SymRef RootPointerOf(const SymRef& expr) {
         break;
       case SymKind::kBin: {
         auto split = SymExpr::SplitBaseOffset(cur);
-        if (split.base && split.base.get() != cur.get()) {
+        if (split.base && split.base != cur) {
           cur = split.base;
           break;
         }
@@ -92,7 +92,7 @@ std::string SummaryToString(const FunctionSummary& summary,
     out += ")  @" + HexStr(call.callsite) + "\n";
   }
   out += "  returns:";
-  for (const SymRef& ret : summary.return_values) {
+  for (SymRef ret : summary.return_values) {
     out += " " + (ret ? ret->ToString() : std::string("?"));
   }
   out += "\n";

@@ -22,8 +22,8 @@ namespace dtaint {
 /// checked by the sanitization phase (paper §IV).
 struct PathConstraint {
   BinOp op = BinOp::kCmpEq;
-  SymRef lhs;
-  SymRef rhs;
+  SymRef lhs = nullptr;
+  SymRef rhs = nullptr;
   bool taken = true;   // whether the guard evaluated true on this path
   uint32_t site = 0;
 
@@ -32,8 +32,8 @@ struct PathConstraint {
 
 /// One (d, u) definition pair observed on some path.
 struct DefPair {
-  SymRef d;            // location: Deref(...) for memory, or a symbol
-  SymRef u;            // defined value
+  SymRef d = nullptr;  // location: Deref(...) for memory, or a symbol
+  SymRef u = nullptr;  // defined value
   uint32_t site = 0;   // guest address of the defining store/call
   int path_id = 0;     // which explored path produced it
   /// Constraints active when the definition executed (needed by the
@@ -51,7 +51,7 @@ struct DefPair {
 /// A use of a variable that had no reaching definition in the function
 /// (to be forwarded to callers, Algorithm 2 ForwardUndefinedUse).
 struct UseRecord {
-  SymRef u;            // the consumed value expression
+  SymRef u = nullptr;  // the consumed value expression
   uint32_t site = 0;
   int path_id = 0;
 };
@@ -63,7 +63,7 @@ struct CallEvent {
   std::string callee;           // name; empty for unresolved indirect
   bool is_import = false;
   bool is_indirect = false;
-  SymRef indirect_target;       // symbolic target for indirect calls
+  SymRef indirect_target = nullptr;  // symbolic target for indirect calls
   std::vector<SymRef> args;     // arg0..argN as seen at the call
   std::vector<PathConstraint> constraints;  // active constraints
   int path_id = 0;
@@ -121,7 +121,7 @@ struct FunctionSummary {
 
 /// True if the location expression is rooted (innermost base) at a
 /// formal argument / Sp0 / heap symbol; extracts the root.
-SymRef RootPointerOf(const SymRef& expr);
+SymRef RootPointerOf(SymRef expr);
 
 /// Human-readable dump of a function summary (definition pairs,
 /// undefined uses, calls, return values) — the CLI's `inspect

@@ -142,31 +142,31 @@ struct ExitDecision {
   uint32_t fallthrough = 0;  // kFork untaken side
   bool has_fallthrough = false;
   BinOp op = BinOp::kCmpEq;  // kFork guard
-  SymRef guard_lhs, guard_rhs;
+  SymRef guard_lhs = nullptr, guard_rhs = nullptr;
   uint32_t site = 0;
-  SymRef ret_value;          // kReturn
+  SymRef ret_value = nullptr;  // kReturn
 };
 
 struct MemoProbe {
   int reg = -1;  // >= 0: register probe; -1: memory probe at `addr`
-  SymRef addr;
-  SymRef value;  // expected value; nullptr = location undefined
+  SymRef addr = nullptr;
+  SymRef value = nullptr;  // expected value; nullptr = location undefined
 };
 
 struct MemoWrite {
   int reg = -1;
-  SymRef addr;
-  SymRef value;
+  SymRef addr = nullptr;
+  SymRef value = nullptr;
   uint8_t size = 0;
 };
 
 struct MemoDef {
-  SymRef d, u;
+  SymRef d = nullptr, u = nullptr;
   uint32_t site = 0;
 };
 
 struct MemoUse {
-  SymRef u;
+  SymRef u = nullptr;
   uint32_t site = 0;
 };
 
@@ -199,7 +199,7 @@ class MemoRecorder : public StateTape {
     active = true;
   }
 
-  void OnRegRead(int reg, const SymRef& value) override {
+  void OnRegRead(int reg, SymRef value) override {
     if (!active) return;
     if (reg < 0 || reg >= 64) {
       active = false;
@@ -212,7 +212,7 @@ class MemoRecorder : public StateTape {
     if (memo.probes.size() > kMaxMemoProbes) active = false;
   }
 
-  void OnRegWrite(int reg, const SymRef& value) override {
+  void OnRegWrite(int reg, SymRef value) override {
     if (!active) return;
     if (reg < 0 || reg >= 64) {
       active = false;
@@ -223,9 +223,9 @@ class MemoRecorder : public StateTape {
     if (memo.writes.size() > kMaxMemoWrites) active = false;
   }
 
-  void OnMemRead(const SymRef& addr, const SymRef& value) override {
+  void OnMemRead(SymRef addr, SymRef value) override {
     if (!active) return;
-    for (const SymRef& w : written_addrs_) {
+    for (SymRef w : written_addrs_) {
       if (SymExpr::Equal(w, addr)) return;
     }
     for (const MemoProbe& p : memo.probes) {
@@ -235,8 +235,7 @@ class MemoRecorder : public StateTape {
     if (memo.probes.size() > kMaxMemoProbes) active = false;
   }
 
-  void OnMemWrite(const SymRef& addr, const SymRef& value,
-                  uint8_t size) override {
+  void OnMemWrite(SymRef addr, SymRef value, uint8_t size) override {
     if (!active) return;
     written_addrs_.push_back(addr);
     memo.writes.push_back({-1, addr, value, size});
@@ -362,16 +361,15 @@ class Exploration {
       recorder_.memo.defs.push_back({location, value, site});
     }
     DefPair dp;
-    dp.d = std::move(location);
-    dp.u = std::move(value);
+    dp.d = location;
+    dp.u = value;
     dp.site = site;
     dp.path_id = state.path_id;
     dp.constraints = state.ConstraintsSnapshot();
     summary_.def_pairs.push_back(std::move(dp));
   }
 
-  void RecordUndefinedUse(SymState& state, const SymRef& value,
-                          uint32_t site) {
+  void RecordUndefinedUse(SymState& state, SymRef value, uint32_t site) {
     if (recorder_.active) recorder_.memo.uses.push_back({value, site});
     summary_.undefined_uses.push_back({value, site, state.path_id});
   }
@@ -386,7 +384,7 @@ class Exploration {
     summary_.calls.push_back(std::move(event));
   }
 
-  void ObserveType(const SymRef& expr, ValueType type) {
+  void ObserveType(SymRef expr, ValueType type) {
     if (recorder_.active) recorder_.memo.types.push_back({expr, type});
     summary_.types.Observe(expr, type);
   }
@@ -399,7 +397,7 @@ class Exploration {
     if (model) {
       if (model->taints_pointee_of_arg >= 0 &&
           model->taints_pointee_of_arg < static_cast<int>(args.size())) {
-        const SymRef& buf = args[model->taints_pointee_of_arg];
+        SymRef buf = args[model->taints_pointee_of_arg];
         SymRef taint = SymExpr::Taint(cs.call_addr, name);
         state.StoreMem(buf, taint, 4);
         RecordDef(state, SymExpr::Deref(buf), taint, cs.call_addr);
@@ -412,8 +410,8 @@ class Exploration {
       if (model->copy_dst_arg >= 0 && model->copy_src_arg >= 0 &&
           model->copy_dst_arg < static_cast<int>(args.size()) &&
           model->copy_src_arg < static_cast<int>(args.size())) {
-        const SymRef& dst = args[model->copy_dst_arg];
-        const SymRef& src = args[model->copy_src_arg];
+        SymRef dst = args[model->copy_dst_arg];
+        SymRef src = args[model->copy_src_arg];
         SymRef value = state.LoadMem(src, 4, nullptr);
         state.StoreMem(dst, value, 4);
         RecordDef(state, SymExpr::Deref(dst), value, cs.call_addr);
@@ -423,7 +421,7 @@ class Exploration {
             dst_idx >= static_cast<int>(args.size())) {
           continue;
         }
-        const SymRef& dst = args[dst_idx];
+        SymRef dst = args[dst_idx];
         SymRef value =
             state.LoadMem(args[model->copy_src_arg], 4, nullptr);
         state.StoreMem(dst, value, 4);
@@ -558,7 +556,7 @@ class Exploration {
     // Pending symbolic conditional exit, if any (lifter emits at most
     // one, as the final statement before the block terminator).
     struct PendingExit {
-      SymRef guard_lhs, guard_rhs;
+      SymRef guard_lhs = nullptr, guard_rhs = nullptr;
       BinOp op;
       uint32_t target;
       uint32_t site;
@@ -591,7 +589,7 @@ class Exploration {
             // CMP rX, #imm marks rX's value as an integer.
             ObserveType(state.Reg(kFlagLhs), ValueType::kInt);
           }
-          state.SetReg(stmt.reg, std::move(value));
+          state.SetReg(stmt.reg, value);
           break;
         }
         case StmtKind::kStore: {
@@ -878,7 +876,7 @@ FunctionSummary MakeDegradedSummary(const Function& fn) {
   summary.degraded = true;
   summary.truncated = true;
   summary.paths_explored = 0;
-  SymRef ret;
+  SymRef ret = nullptr;
   for (int i = 0; i < kNumRegArgs; ++i) {
     SymRef pointee = SymExpr::Deref(SymExpr::Arg(i));
     DefPair dp;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/util/arena.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -19,20 +20,10 @@
 
 namespace dtaint {
 
-namespace {
-
-/// Non-owning view of an arena node: an aliasing shared_ptr with no
-/// control block. Copying it performs no atomic operations.
-SymRef NonOwningRef(const SymExpr* node) {
-  return SymRef(SymRef(), node);
-}
-
-}  // namespace
-
 /// One lock stripe: an open-addressed pointer table plus the arena its
-/// nodes live in. Nodes are placement-new'd into arena blocks; within a
-/// generation the table only grows, and Recycle() drops the whole
-/// generation at once.
+/// nodes and their names live in. Nodes are placement-new'd into arena
+/// blocks; within a generation the table only grows, and Recycle()
+/// drops the whole generation at once.
 struct ExprInterner::Shard {
   static constexpr size_t kInitialSlots = 1024;   // power of two
   static constexpr size_t kArenaBlockBytes = 64 * 1024;
@@ -51,41 +42,18 @@ struct ExprInterner::Shard {
   size_t used = 0;      // nodes of the current generation
   uint64_t created = 0;  // nodes ever created
 
-  std::vector<std::unique_ptr<std::byte[]>> arena;
-  size_t arena_pos = 0;       // offset into the current (last) block
-  uint64_t arena_bytes = 0;   // total ever reserved across blocks
-  // Nodes whose destructor frees heap memory (a taint node's source
-  // name); every other node is trivially dropped with its arena block.
-  std::vector<SymExpr*> owners;
+  BumpArena arena{kArenaBlockBytes};
+  uint64_t recycled_bytes = 0;  // arena bytes of recycled generations
 
   uint64_t hits = 0;
   uint64_t contended = 0;
 
-  ~Shard() { DestroyOwners(); }
-
-  void DestroyOwners() {
-    for (SymExpr* node : owners) node->~SymExpr();
-    owners.clear();
-  }
-
   /// Drops the generation: its nodes, their arena and the grown table.
   void Recycle() {
-    DestroyOwners();
-    arena.clear();
-    arena_pos = 0;
+    recycled_bytes += arena.bytes_reserved();
+    arena.Reset();
     std::vector<Slot>(kInitialSlots).swap(slots);
     used = 0;
-  }
-
-  void* Allocate(size_t size, size_t align) {
-    size_t pos = (arena_pos + align - 1) & ~(align - 1);
-    if (arena.empty() || pos + size > kArenaBlockBytes) {
-      arena.push_back(std::make_unique<std::byte[]>(kArenaBlockBytes));
-      arena_bytes += kArenaBlockBytes;
-      pos = 0;
-    }
-    arena_pos = pos + size;
-    return arena.back().get() + pos;
   }
 
   void Grow() {
@@ -116,7 +84,7 @@ ExprInterner::Shard& ExprInterner::ShardFor(uint64_t hash) {
 
 SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
                             BinOp op, SymRef lhs, SymRef rhs,
-                            std::string text) {
+                            std::string_view text) {
   // A caller without a pin may keep what it gets for good, so the
   // generation can no longer be recycled. The flag is set under
   // pin_mu_, which a recycle holds throughout: this call either stops
@@ -132,18 +100,17 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
   // calls: one load on a hit, no hash, no shard lock. Misses fall
   // through to the table once and then publish the canonical node into
   // the cache slot.
-  const int leaf = LeafSlot(kind, a, size, op, lhs.get(), rhs.get(), text);
+  const int leaf = LeafSlot(kind, a, size, op, lhs, rhs, text);
   std::atomic<const SymExpr*>* leaf_slot =
       leaf >= 0 ? &leaves_[leaf] : nullptr;
   if (leaf_slot) {
     if (const SymExpr* hit = leaf_slot->load(std::memory_order_acquire)) {
       leaf_hits_.fetch_add(1, std::memory_order_relaxed);
-      return NonOwningRef(hit);
+      return hit;
     }
   }
 
-  const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs.get(),
-                                        rhs.get(), text);
+  const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text);
   Shard& shard = ShardFor(h);
 
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
@@ -157,10 +124,10 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
   for (; shard.slots[i].node; i = (i + 1) & mask) {
     if (shard.slots[i].hash != h) continue;
     const SymExpr* node = shard.slots[i].node;
-    if (node->HasShape(kind, a, size, op, lhs.get(), rhs.get(), text)) {
+    if (node->HasShape(kind, a, size, op, lhs, rhs, text)) {
       ++shard.hits;
       if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
-      return NonOwningRef(node);
+      return node;
     }
   }
 
@@ -171,16 +138,18 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     while (shard.slots[i].node) i = (i + 1) & grown_mask;
   }
 
-  void* mem = shard.Allocate(sizeof(SymExpr), alignof(SymExpr));
-  SymExpr* node = new (mem)
-      SymExpr(kind, a, size, op, std::move(lhs), std::move(rhs),
-              std::move(text), h);
+  const char* stored =
+      SymExpr::StoreText(text, [&shard](size_t n, size_t align) {
+        return shard.arena.Alloc(n, align);
+      });
+  const SymExpr* node =
+      new (shard.arena.Alloc(sizeof(SymExpr), alignof(SymExpr)))
+          SymExpr(kind, a, size, op, lhs, rhs, stored, h);
   shard.slots[i] = {h, node};
   ++shard.used;
   ++shard.created;
-  if (!node->text_.empty()) shard.owners.push_back(node);
   if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
-  return NonOwningRef(node);
+  return node;
 }
 
 InternPin ExprInterner::Pin() {
@@ -223,7 +192,7 @@ InternStats ExprInterner::stats() const {
     total.nodes += shard.created;
     total.resident_nodes += shard.used;
     total.hits += shard.hits;
-    total.bytes += shard.arena_bytes;
+    total.bytes += shard.recycled_bytes + shard.arena.bytes_reserved();
     total.contended += shard.contended;
   }
   return total;
@@ -251,7 +220,6 @@ constinit thread_local ScratchInterner* ScratchInterner::current_ = nullptr;
 ScratchInterner::ScratchInterner() = default;
 
 ScratchInterner::~ScratchInterner() {
-  for (SymExpr* node : owners_) node->~SymExpr();
   for (auto& block : arena_) {
     ASAN_UNPOISON_MEMORY_REGION(block.get(), kArenaBlockBytes);
   }
@@ -259,21 +227,20 @@ ScratchInterner::~ScratchInterner() {
 
 SymRef ScratchInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
                                BinOp op, SymRef lhs, SymRef rhs,
-                               std::string text) {
+                               std::string_view text) {
   assert((!lhs || lhs->scratch_) && (!rhs || rhs->scratch_));
-  const int leaf = LeafSlot(kind, a, size, op, lhs.get(), rhs.get(), text);
-  if (leaf >= 0 && leaves_[leaf]) return NonOwningRef(leaves_[leaf]);
+  const int leaf = LeafSlot(kind, a, size, op, lhs, rhs, text);
+  if (leaf >= 0 && leaves_[leaf]) return leaves_[leaf];
 
-  const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs.get(),
-                                        rhs.get(), text);
+  const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text);
   size_t mask = slots_.size() - 1;
   size_t i = h & mask;
   for (; slots_[i].node; i = (i + 1) & mask) {
     if (slots_[i].hash != h) continue;
     const SymExpr* node = slots_[i].node;
-    if (node->HasShape(kind, a, size, op, lhs.get(), rhs.get(), text)) {
+    if (node->HasShape(kind, a, size, op, lhs, rhs, text)) {
       if (leaf >= 0) leaves_[leaf] = node;
-      return NonOwningRef(node);
+      return node;
     }
   }
   if (used_ + 1 > slots_.size() / 2) {
@@ -283,31 +250,29 @@ SymRef ScratchInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     while (slots_[i].node) i = (i + 1) & mask;
   }
 
-  void* mem = Allocate(sizeof(SymExpr), alignof(SymExpr));
-  SymExpr* node = new (mem)
-      SymExpr(kind, a, size, op, std::move(lhs), std::move(rhs),
-              std::move(text), h);
+  const char* stored = SymExpr::StoreText(
+      text, [this](size_t n, size_t align) { return Allocate(n, align); });
+  SymExpr* node = new (Allocate(sizeof(SymExpr), alignof(SymExpr)))
+      SymExpr(kind, a, size, op, lhs, rhs, stored, h);
   node->scratch_ = true;
   slots_[i] = {h, node, nullptr};
   ++used_;
-  if (!node->text_.empty()) owners_.push_back(node);
   if (leaf >= 0) leaves_[leaf] = node;
-  return NonOwningRef(node);
+  return node;
 }
 
-SymRef ScratchInterner::Publish(const SymRef& expr) {
+SymRef ScratchInterner::Publish(SymRef expr) {
   if (!expr || !expr->scratch_) return expr;
-  Slot& slot = SlotOf(expr.get());
+  Slot& slot = SlotOf(expr);
   if (!slot.published) {
     // Exact fields, no factory: the scratch node is normalized already,
-    // and its published children are the global twins of its own.
-    slot.published = ExprInterner::Global()
-                         .Intern(expr->kind_, expr->a_, expr->size_,
-                                 expr->op_, Publish(expr->lhs_),
-                                 Publish(expr->rhs_), expr->text_)
-                         .get();
+    // and its published children are the global twins of its own. The
+    // global interner copies the name out of the scratch arena.
+    slot.published = ExprInterner::Global().Intern(
+        expr->kind_, expr->a_, expr->size_, expr->op_, Publish(expr->lhs_),
+        Publish(expr->rhs_), expr->taint_source());
   }
-  return NonOwningRef(slot.published);
+  return slot.published;
 }
 
 ScratchInterner::Slot& ScratchInterner::SlotOf(const SymExpr* node) {
@@ -321,8 +286,7 @@ ScratchInterner::Slot& ScratchInterner::SlotOf(const SymExpr* node) {
 }
 
 void ScratchInterner::Reset() {
-  for (SymExpr* node : owners_) node->~SymExpr();
-  owners_.clear();
+  outsized_.clear();
   if (used_ > 0) {
     // Clearing costs the table's size, which the last function's
     // growth bounds by 8x its node count; a table that much larger
@@ -343,6 +307,10 @@ void ScratchInterner::Reset() {
 }
 
 void* ScratchInterner::Allocate(size_t size, size_t align) {
+  if (size > kArenaBlockBytes) {
+    outsized_.push_back(std::make_unique_for_overwrite<std::byte[]>(size));
+    return outsized_.back().get();
+  }
   size_t pos = (arena_pos_ + align - 1) & ~(align - 1);
   if (arena_.empty() || pos + size > kArenaBlockBytes) {
     if (!arena_.empty()) ++arena_block_;

@@ -23,19 +23,20 @@
 // Global interner design:
 //  * The table is sharded 64 ways by node hash; each shard owns a
 //    mutex, an open-addressed pointer table, and a bump-pointer arena
-//    the nodes live in. A hit allocates nothing at all — no
-//    shared_ptr control block, no node.
-//  * Interned SymRefs are non-owning (aliasing shared_ptr with no
-//    control block): copying one costs zero atomic operations.
+//    the nodes (and taint nodes' source names) live in. A hit
+//    allocates nothing at all.
+//  * A SymRef is a plain pointer into an arena: copying one costs
+//    nothing, and no node owns memory outside its arena.
 //  * Nodes live in *generations*. DTaint::AnalyzeFunctions holds a
 //    pin (Pin()) for its whole run, and every Finding it returns keeps
 //    a copy, so the nodes a caller can reach stay valid while any pin
 //    is held. Once the last pin drops, the next Pin() recycles the
 //    generation: tables shrink back to their initial size, arenas are
-//    freed, leaf caches are cleared, and only the nodes owning heap
-//    memory (taint nodes, for their source name) are destroyed.
-//    Residency is thus bounded by one analysis, not by every shape the
-//    process ever built (`intern.resident_nodes`, `intern.recycles`).
+//    freed with every node and name in them (nodes are trivially
+//    destructible, so nothing is visited), and leaf caches are
+//    cleared. Residency is thus bounded by one analysis, not by every
+//    shape the process ever built (`intern.resident_nodes`,
+//    `intern.recycles`).
 //  * Interning with no pin held (tests, examples, `dtaint_cli inspect`,
 //    any caller that drives the layers itself) makes the generation
 //    permanent: from then on no recycle ever happens, which is the
@@ -62,7 +63,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/symexec/symexpr.h"
@@ -87,7 +88,7 @@ struct InternStats {
 inline constexpr int kLeafSlots = 1024 + 16 + 32 + 1;
 inline int LeafSlot(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                     const SymExpr* lhs, const SymExpr* rhs,
-                    const std::string& text) {
+                    std::string_view text) {
   if (lhs || rhs || size != 4 || op != BinOp::kAdd || !text.empty()) {
     return -1;
   }
@@ -134,7 +135,7 @@ class ExprInterner {
   /// first sight. Children are canonical already (hash-consing is
   /// bottom-up), so the shape key compares them by pointer.
   SymRef Intern(SymKind kind, uint64_t a, uint8_t size, BinOp op,
-                SymRef lhs, SymRef rhs, std::string text);
+                SymRef lhs, SymRef rhs, std::string_view text);
 
   /// Point-in-time counters, summed across shards.
   InternStats stats() const;
@@ -198,24 +199,22 @@ class ScratchInterner {
   /// As ExprInterner::Intern, for this interner's own nodes: children
   /// must be nodes of this interner (debug builds assert it).
   SymRef Intern(SymKind kind, uint64_t a, uint8_t size, BinOp op,
-                SymRef lhs, SymRef rhs, std::string text);
+                SymRef lhs, SymRef rhs, std::string_view text);
 
   /// The global node with the same structure as `expr`: each scratch
   /// node reachable from it is re-interned into ExprInterner::Global()
   /// with its exact fields, children first, once per node until the
-  /// next Reset. Null and global nodes are returned as they are.
-  SymRef Publish(const SymRef& expr);
+  /// next Reset. A taint node's source name is copied into the global
+  /// arena. Null and global nodes are returned as they are.
+  SymRef Publish(SymRef expr);
 
   /// Nodes created since the last Reset.
   size_t size() const { return used_; }
-  /// Nodes with a heap-owning field (taint source names) waiting for
-  /// their destructor, which Reset runs.
-  size_t owners() const { return owners_.size(); }
 
-  /// Ends the function: destroys the heap-owning nodes, empties the
-  /// table and the leaf cache, and rewinds the arena (poisoned for
-  /// AddressSanitizer until reused, so a scratch node that escaped
-  /// into a summary is a use-after-poison).
+  /// Ends the function: empties the table and the leaf cache, frees
+  /// outsized names, and rewinds the arena (poisoned for
+  /// AddressSanitizer until reused, so a scratch node or name that
+  /// escaped into a summary is a use-after-poison).
   void Reset();
 
  private:
@@ -241,7 +240,8 @@ class ScratchInterner {
   std::vector<std::unique_ptr<std::byte[]>> arena_;
   size_t arena_block_ = 0;  // index of the block being filled
   size_t arena_pos_ = 0;    // offset into that block
-  std::vector<SymExpr*> owners_;
+  // Names too long for an arena block, freed by Reset.
+  std::vector<std::unique_ptr<std::byte[]>> outsized_;
 };
 
 /// Routes the calling thread's SymExpr factories to the thread's

@@ -54,12 +54,11 @@ uint64_t SymExpr::ShapeHash(SymKind kind, uint64_t a, uint8_t size,
 }
 
 SymExpr::SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op,
-                 SymRef lhs, SymRef rhs, std::string text,
+                 SymRef lhs, SymRef rhs, const char* text,
                  uint64_t shape_hash)
-    : kind_(kind), size_(size), op_(op), a_(a), lhs_(std::move(lhs)),
-      rhs_(std::move(rhs)), text_(std::move(text)), hash_(shape_hash) {
-  assert(hash_ ==
-         ShapeHash(kind_, a_, size_, op_, lhs_.get(), rhs_.get(), text_));
+    : kind_(kind), size_(size), op_(op), a_(a), lhs_(lhs), rhs_(rhs),
+      text_(text), hash_(shape_hash) {
+  assert(hash_ == ShapeHash(kind_, a_, size_, op_, lhs_, rhs_, Text(text_)));
   depth_ = 1 + (lhs_ ? lhs_->depth_ : 0) + (rhs_ ? rhs_->depth_ : 0);
   kind_mask_ = static_cast<uint16_t>(KindBit(kind_) |
                                      (lhs_ ? lhs_->kind_mask_ : 0) |
@@ -69,13 +68,11 @@ SymExpr::SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op,
 }
 
 SymRef SymExpr::Make(SymKind kind, uint64_t a, uint8_t size, BinOp op,
-                     SymRef lhs, SymRef rhs, std::string text) {
+                     SymRef lhs, SymRef rhs, std::string_view text) {
   if (ScratchInterner* scratch = ScratchInterner::Current()) {
-    return scratch->Intern(kind, a, size, op, std::move(lhs), std::move(rhs),
-                           std::move(text));
+    return scratch->Intern(kind, a, size, op, lhs, rhs, text);
   }
-  return ExprInterner::Global().Intern(kind, a, size, op, std::move(lhs),
-                                       std::move(rhs), std::move(text));
+  return ExprInterner::Global().Intern(kind, a, size, op, lhs, rhs, text);
 }
 
 SymRef SymExpr::Const(uint32_t value) {
@@ -94,17 +91,16 @@ SymRef SymExpr::Ret(uint32_t callsite) {
 SymRef SymExpr::Heap(uint64_t id) {
   return Make(SymKind::kHeap, id, 4, BinOp::kAdd, nullptr, nullptr);
 }
-SymRef SymExpr::Taint(uint32_t site, std::string source) {
+SymRef SymExpr::Taint(uint32_t site, std::string_view source) {
   return Make(SymKind::kTaint, site, 4, BinOp::kAdd, nullptr, nullptr,
-              std::move(source));
+              source);
 }
 SymRef SymExpr::InitReg(int reg) {
   return Make(SymKind::kInit, static_cast<uint64_t>(reg), 4, BinOp::kAdd,
               nullptr, nullptr);
 }
 SymRef SymExpr::Deref(SymRef addr, uint8_t size) {
-  return Make(SymKind::kDeref, 0, size, BinOp::kAdd, std::move(addr),
-              nullptr);
+  return Make(SymKind::kDeref, 0, size, BinOp::kAdd, addr, nullptr);
 }
 
 SymRef SymExpr::Bin(BinOp op, SymRef lhs, SymRef rhs) {
@@ -115,8 +111,7 @@ SymRef SymExpr::Bin(BinOp op, SymRef lhs, SymRef rhs) {
   }
   // Normalize subtraction-of-constant into addition.
   if (op == BinOp::kSub && rhs->kind_ == SymKind::kConst) {
-    return Bin(BinOp::kAdd, std::move(lhs),
-               Const(0u - rhs->const_value()));
+    return Bin(BinOp::kAdd, lhs, Const(0u - rhs->const_value()));
   }
   if (op == BinOp::kAdd) {
     // Constant to the right.
@@ -134,23 +129,23 @@ SymRef SymExpr::Bin(BinOp op, SymRef lhs, SymRef rhs) {
   }
   // x - x -> 0.
   if (op == BinOp::kSub && Equal(lhs, rhs)) return Const(0);
-  return Make(SymKind::kBin, 0, 4, op, std::move(lhs), std::move(rhs));
+  return Make(SymKind::kBin, 0, 4, op, lhs, rhs);
 }
 
 bool SymExpr::DeepEqual(const SymExpr& a, const SymExpr& b) {
   if (&a == &b) return true;
   if (a.hash_ != b.hash_) return false;
   if (a.kind_ != b.kind_ || a.a_ != b.a_ || a.size_ != b.size_ ||
-      a.op_ != b.op_ || a.text_ != b.text_) {
+      a.op_ != b.op_ || Text(a.text_) != Text(b.text_)) {
     return false;
   }
-  auto deep = [](const SymRef& x, const SymRef& y) {
-    return x.get() == y.get() || (x && y && DeepEqual(*x, *y));
+  auto deep = [](SymRef x, SymRef y) {
+    return x == y || (x && y && DeepEqual(*x, *y));
   };
   return deep(a.lhs_, b.lhs_) && deep(a.rhs_, b.rhs_);
 }
 
-SymExpr::BaseOffset SymExpr::SplitBaseOffset(const SymRef& expr) {
+SymExpr::BaseOffset SymExpr::SplitBaseOffset(SymRef expr) {
   if (expr->kind_ == SymKind::kConst) {
     return {nullptr, SignExt32(expr->const_value())};
   }
@@ -161,7 +156,7 @@ SymExpr::BaseOffset SymExpr::SplitBaseOffset(const SymRef& expr) {
   return {expr, 0};
 }
 
-bool SymExpr::Contains(const SymRef& needle) const {
+bool SymExpr::Contains(SymRef needle) const {
   if (!needle) return false;
   if (!MayContain(*needle)) return false;
   return ContainsImpl(*needle);
@@ -178,7 +173,7 @@ bool SymExpr::ContainsImpl(const SymExpr& needle) const {
   return false;
 }
 
-void SymExpr::CollectDerefs(const SymRef& expr, std::vector<SymRef>* out,
+void SymExpr::CollectDerefs(SymRef expr, std::vector<SymRef>* out,
                             bool skip_self) {
   if (!expr->ContainsKind(SymKind::kDeref)) return;
   if (expr->kind_ == SymKind::kDeref && !skip_self) {
@@ -188,8 +183,7 @@ void SymExpr::CollectDerefs(const SymRef& expr, std::vector<SymRef>* out,
   if (expr->rhs_) CollectDerefs(expr->rhs_, out, false);
 }
 
-SymRef SymExpr::Replace(const SymRef& self, const SymRef& from,
-                        const SymRef& to) {
+SymRef SymExpr::Replace(SymRef self, SymRef from, SymRef to) {
   if (Equal(self, from)) return to;
   // Subtree pruning: the kind bitmask and hash bloom prove absence
   // without walking (the self-match above is covered by the bloom —
@@ -198,22 +192,15 @@ SymRef SymExpr::Replace(const SymRef& self, const SymRef& from,
   if (!self->lhs_ && !self->rhs_) return self;
   SymRef new_lhs = self->lhs_ ? Replace(self->lhs_, from, to) : nullptr;
   SymRef new_rhs = self->rhs_ ? Replace(self->rhs_, from, to) : nullptr;
-  if (new_lhs.get() == self->lhs_.get() &&
-      new_rhs.get() == self->rhs_.get()) {
-    return self;
-  }
-  if (self->kind_ == SymKind::kDeref) {
-    return Deref(std::move(new_lhs), self->size_);
-  }
-  if (self->kind_ == SymKind::kBin) {
-    return Bin(self->op_, std::move(new_lhs), std::move(new_rhs));
-  }
+  if (new_lhs == self->lhs_ && new_rhs == self->rhs_) return self;
+  if (self->kind_ == SymKind::kDeref) return Deref(new_lhs, self->size_);
+  if (self->kind_ == SymKind::kBin) return Bin(self->op_, new_lhs, new_rhs);
   return self;
 }
 
 std::optional<std::pair<uint32_t, std::string>> SymExpr::FindTaint() const {
   if (kind_ == SymKind::kTaint) {
-    return std::make_pair(taint_site(), text_);
+    return std::make_pair(taint_site(), std::string(taint_source()));
   }
   // Descend only into subtrees that carry taint; the leftmost-first
   // order of the original full walk is preserved.
@@ -238,7 +225,8 @@ std::string SymExpr::ToString() const {
     case SymKind::kHeap:
       return "heap_{" + HexStr(heap_id() & 0xFFFFFFFF) + "}";
     case SymKind::kTaint:
-      return "taint(" + text_ + "@" + HexStr(taint_site()) + ")";
+      return "taint(" + std::string(taint_source()) + "@" +
+             HexStr(taint_site()) + ")";
     case SymKind::kInit:
       return "init_r" + std::to_string(init_reg());
     case SymKind::kDeref:
@@ -260,7 +248,7 @@ std::string SymExpr::ToString() const {
 }
 
 SymRef SymAdd(SymRef a, int64_t c) {
-  return SymExpr::Bin(BinOp::kAdd, std::move(a),
+  return SymExpr::Bin(BinOp::kAdd, a,
                       SymExpr::Const(static_cast<uint32_t>(c)));
 }
 

@@ -22,14 +22,22 @@
 // per-node flags cached at construction (a kind bitmask and a subtree
 // hash bloom). Add/Sub chains are normalized to `base + const` so that
 // GetBasePtr-style decomposition (paper Algorithm 1) is syntactic.
+//
+// A SymRef is a plain pointer to a node in its interner's arena; it
+// owns nothing, and the interner's generation (global) or the
+// exploration (scratch) bounds its lifetime. A node is one 64-byte,
+// trivially destructible record: raw child pointers, and a taint
+// node's source name as length-prefixed bytes copied into the same
+// arena, so dropping the arena drops everything.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/ir/expr.h"
@@ -51,7 +59,7 @@ enum class SymKind : uint8_t {
 class SymExpr;
 class ExprInterner;
 class ScratchInterner;
-using SymRef = std::shared_ptr<const SymExpr>;
+using SymRef = const SymExpr*;
 
 class SymExpr {
  public:
@@ -61,7 +69,7 @@ class SymExpr {
   static SymRef Sp0();
   static SymRef Ret(uint32_t callsite);
   static SymRef Heap(uint64_t id);
-  static SymRef Taint(uint32_t site, std::string source);
+  static SymRef Taint(uint32_t site, std::string_view source);
   static SymRef InitReg(int reg);
   static SymRef Deref(SymRef addr, uint8_t size = 4);
   /// Binop with normalization: constants fold; Add/Sub re-associate so
@@ -75,12 +83,12 @@ class SymExpr {
   uint32_t ret_site() const { return static_cast<uint32_t>(a_); }
   uint64_t heap_id() const { return a_; }
   uint32_t taint_site() const { return static_cast<uint32_t>(a_); }
-  const std::string& taint_source() const { return text_; }
+  std::string_view taint_source() const { return Text(text_); }
   int init_reg() const { return static_cast<int>(a_); }
   uint8_t deref_size() const { return size_; }
   BinOp binop() const { return op_; }
-  const SymRef& lhs() const { return lhs_; }
-  const SymRef& rhs() const { return rhs_; }
+  SymRef lhs() const { return lhs_; }
+  SymRef rhs() const { return rhs_; }
 
   uint64_t hash() const { return hash_; }
 
@@ -95,32 +103,31 @@ class SymExpr {
   /// Structural equality: a pointer compare, since every node is
   /// canonical. Debug builds re-check distinct pointers with the deep
   /// walk.
-  static bool Equal(const SymRef& a, const SymRef& b) {
-    assert(a.get() == b.get() || !a || !b || !DeepEqual(*a, *b));
-    return a.get() == b.get();
+  static bool Equal(SymRef a, SymRef b) {
+    assert(a == b || !a || !b || !DeepEqual(*a, *b));
+    return a == b;
   }
 
   /// Decomposes into (base, constant offset): `x` -> (x, 0),
   /// `x + 5` -> (x, 5). Constants decompose to (nullptr, c).
   struct BaseOffset {
-    SymRef base;      // nullptr when the value is purely constant
-    int64_t offset;
+    SymRef base = nullptr;  // nullptr when the value is purely constant
+    int64_t offset = 0;
   };
-  static BaseOffset SplitBaseOffset(const SymRef& expr);
+  static BaseOffset SplitBaseOffset(SymRef expr);
 
   /// True if `needle` occurs anywhere inside this expression.
-  bool Contains(const SymRef& needle) const;
+  bool Contains(SymRef needle) const;
 
   /// All Deref subexpressions acting as pointers inside `expr` (paper
   /// Algorithm 1's GetPtrInVar). Includes nested derefs; excludes the
   /// expression itself when skip_self is set.
-  static void CollectDerefs(const SymRef& expr, std::vector<SymRef>* out,
+  static void CollectDerefs(SymRef expr, std::vector<SymRef>* out,
                             bool skip_self = false);
 
   /// Structural replace: every occurrence of `from` becomes `to`.
   /// Returns this expression unchanged (same pointer) if absent.
-  static SymRef Replace(const SymRef& self, const SymRef& from,
-                        const SymRef& to);
+  static SymRef Replace(SymRef self, SymRef from, SymRef to);
 
   /// Number of nodes (used to bound expression growth).
   int Depth() const { return depth_; }
@@ -143,12 +150,36 @@ class SymExpr {
   /// `shape_hash` must be ShapeHash over the same fields — the
   /// interner's miss path has already computed it for the table probe,
   /// so the constructor takes it instead of hashing twice (debug builds
-  /// assert the match).
+  /// assert the match). `text` is null or a name laid out by
+  /// StoreText in the interner's arena.
   SymExpr(SymKind kind, uint64_t a, uint8_t size, BinOp op, SymRef lhs,
-          SymRef rhs, std::string text, uint64_t shape_hash);
+          SymRef rhs, const char* text, uint64_t shape_hash);
 
   static SymRef Make(SymKind kind, uint64_t a, uint8_t size, BinOp op,
-                     SymRef lhs, SymRef rhs, std::string text = {});
+                     SymRef lhs, SymRef rhs, std::string_view text = {});
+
+  /// Copies `text` into memory from `alloc(bytes, align)` as a uint32
+  /// length followed by the bytes, and returns the pointer a node
+  /// keeps; null for no text.
+  template <typename Alloc>
+  static const char* StoreText(std::string_view text, Alloc&& alloc) {
+    if (text.empty()) return nullptr;
+    // Names are source-model names or codec strings with a uint32
+    // length, so the length always fits.
+    const auto len = static_cast<uint32_t>(text.size());
+    assert(len == text.size());
+    auto* mem = static_cast<char*>(alloc(sizeof len + len, alignof(uint32_t)));
+    std::memcpy(mem, &len, sizeof len);
+    std::memcpy(mem + sizeof len, text.data(), len);
+    return mem;
+  }
+  /// The name StoreText laid out at `text` (empty for null).
+  static std::string_view Text(const char* text) {
+    if (!text) return {};
+    uint32_t len;
+    std::memcpy(&len, text, sizeof len);
+    return {text + sizeof len, len};
+  }
 
   static constexpr uint16_t KindBit(SymKind k) {
     return static_cast<uint16_t>(uint16_t{1} << static_cast<int>(k));
@@ -176,7 +207,7 @@ class SymExpr {
                 const SymExpr* lhs, const SymExpr* rhs,
                 std::string_view text) const {
     return kind_ == kind && a_ == a && size_ == size && op_ == op &&
-           lhs_.get() == lhs && rhs_.get() == rhs && text_ == text;
+           lhs_ == lhs && rhs_ == rhs && Text(text_) == text;
   }
 
   /// Full structural walk, hash-gated. The reference semantics Equal's
@@ -190,14 +221,20 @@ class SymExpr {
   BinOp op_ = BinOp::kAdd;
   bool scratch_ = false;    // lives in a ScratchInterner, not Global()
   uint16_t kind_mask_ = 0;  // union of KindBit over the subtree
+  int depth_ = 1;
   uint64_t a_ = 0;          // const/arg/ret/heap/init payload
-  SymRef lhs_;
-  SymRef rhs_;
-  std::string text_;        // taint source name
+  SymRef lhs_ = nullptr;
+  SymRef rhs_ = nullptr;
+  const char* text_ = nullptr;  // taint source name (see StoreText)
   uint64_t hash_ = 0;
   uint64_t bloom_ = 0;      // union of BloomBit(hash) over the subtree
-  int depth_ = 1;
 };
+
+// A node fits in a cache line and leaves nothing for an arena to
+// destroy: the interners drop whole blocks without visiting a node.
+static_assert(sizeof(SymRef) == 8);
+static_assert(sizeof(SymExpr) <= 64);
+static_assert(std::is_trivially_destructible_v<SymExpr>);
 
 /// Convenience: a + c (normalized).
 SymRef SymAdd(SymRef a, int64_t c);

@@ -16,8 +16,9 @@ namespace {
 // practice), so every prior state keeps seeing its own root. Slots are
 // tagged pointers: low bit set = MemLeaf (all cells sharing one full
 // hash), clear = interior MemNode. Everything lives in the owning
-// exploration's StateArena; MemCell arrays register destructors there
-// so their SymRefs are released when the arena resets.
+// exploration's StateArena and is trivially destructible (a MemCell
+// holds two plain SymRefs), so the arena registers no destructor for
+// any of it and a reset just frees the chunks.
 
 struct MemLeaf {
   uint64_t hash = 0;
@@ -94,8 +95,7 @@ uintptr_t InsertSlot(StateArena& sa, uintptr_t slot, int shift,
   return reinterpret_cast<uintptr_t>(node);
 }
 
-const SymState::MemCell* FindSlot(uintptr_t slot, uint64_t hash,
-                                  const SymRef& addr) {
+const SymState::MemCell* FindSlot(uintptr_t slot, uint64_t hash, SymRef addr) {
   int shift = 0;
   while (slot) {
     if (IsLeaf(slot)) {
@@ -113,7 +113,7 @@ const SymState::MemCell* FindSlot(uintptr_t slot, uint64_t hash,
 }
 
 /// Which taint-class bit a store through `addr` contributes.
-uint32_t TaintClassOfAddr(const SymRef& addr) {
+uint32_t TaintClassOfAddr(SymRef addr) {
   SymRef root = RootPointerOf(addr);
   if (!root) return kTaintClassOtherMem;
   switch (root->kind()) {
@@ -167,9 +167,9 @@ SymState SymState::Fork() {
   return *this;  // shares the committed spine
 }
 
-const SymRef& SymState::Reg(int reg) const {
+SymRef SymState::Reg(int reg) const {
   assert(reg >= 0 && reg < kNumIrRegs);
-  const SymRef& value =
+  SymRef value =
       chunks_[reg / kRegChunkSize]->regs[reg % kRegChunkSize];
   if (tape_.ptr) tape_.ptr->OnRegRead(reg, value);
   return value;
@@ -186,10 +186,10 @@ void SymState::SetReg(int reg, SymRef value) {
     chunk = std::make_shared<RegChunk>(*chunk);
     ++arena_->stats.cow_chunk_copies;
   }
-  chunk->regs[reg % kRegChunkSize] = std::move(value);
+  chunk->regs[reg % kRegChunkSize] = value;
 }
 
-void SymState::NoteTaintedStore(const SymRef& addr) {
+void SymState::NoteTaintedStore(SymRef addr) {
   taint_mask_ |= TaintClassOfAddr(addr);
 }
 
@@ -204,31 +204,30 @@ void SymState::CommitOverlay() {
   overlay_count_ = 0;
 }
 
-const SymState::MemCell* SymState::FindInTrie(const SymRef& addr) const {
+const SymState::MemCell* SymState::FindInTrie(SymRef addr) const {
   return FindSlot(mem_root_, addr->hash(), addr);
 }
 
-const SymState::MemCell* SymState::FindCell(const SymRef& addr) const {
+const SymState::MemCell* SymState::FindCell(SymRef addr) const {
   for (int i = 0; i < overlay_count_; ++i) {
     if (SymExpr::Equal(overlay_[i].addr, addr)) return &overlay_[i];
   }
   return FindInTrie(addr);
 }
 
-SymRef SymState::LoadMem(const SymRef& addr, uint8_t size,
-                         bool* was_defined) {
+SymRef SymState::LoadMem(SymRef addr, uint8_t size, bool* was_defined) {
   const MemCell* cell = FindCell(addr);
   if (tape_.ptr) tape_.ptr->OnMemRead(addr, cell ? cell->value : nullptr);
   if (was_defined) *was_defined = cell != nullptr;
   return cell ? cell->value : SymExpr::Deref(addr, size);
 }
 
-void SymState::StoreMem(const SymRef& addr, SymRef value, uint8_t size) {
+void SymState::StoreMem(SymRef addr, SymRef value, uint8_t size) {
   if (tape_.ptr) tape_.ptr->OnMemWrite(addr, value, size);
   if (value && value->IsTainted()) NoteTaintedStore(addr);
   for (int i = 0; i < overlay_count_; ++i) {
     if (SymExpr::Equal(overlay_[i].addr, addr)) {
-      overlay_[i].value = std::move(value);
+      overlay_[i].value = value;
       overlay_[i].size = size;
       return;
     }
@@ -238,10 +237,10 @@ void SymState::StoreMem(const SymRef& addr, SymRef value, uint8_t size) {
     CommitOverlay();
     ++arena_->stats.overlay_spills;
   }
-  overlay_[overlay_count_++] = MemCell{addr, std::move(value), size};
+  overlay_[overlay_count_++] = MemCell{addr, value, size};
 }
 
-SymRef SymState::PeekMem(const SymRef& addr) const {
+SymRef SymState::PeekMem(SymRef addr) const {
   const MemCell* cell = FindCell(addr);
   return cell ? cell->value : nullptr;
 }

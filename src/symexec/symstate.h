@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/isa/regs.h"
@@ -67,12 +68,11 @@ struct StateArena {
 class StateTape {
  public:
   virtual ~StateTape() = default;
-  virtual void OnRegRead(int reg, const SymRef& value) = 0;
-  virtual void OnRegWrite(int reg, const SymRef& value) = 0;
+  virtual void OnRegRead(int reg, SymRef value) = 0;
+  virtual void OnRegWrite(int reg, SymRef value) = 0;
   /// `value` is nullptr when the location was undefined on this path.
-  virtual void OnMemRead(const SymRef& addr, const SymRef& value) = 0;
-  virtual void OnMemWrite(const SymRef& addr, const SymRef& value,
-                          uint8_t size) = 0;
+  virtual void OnMemRead(SymRef addr, SymRef value) = 0;
+  virtual void OnMemWrite(SymRef addr, SymRef value, uint8_t size) = 0;
 };
 
 // Taint-class bits for SymState::taint_mask(): one bit per source
@@ -104,19 +104,19 @@ class SymState {
   SymState Fork();
 
   // ---- registers -----------------------------------------------------------
-  const SymRef& Reg(int reg) const;
+  SymRef Reg(int reg) const;
   void SetReg(int reg, SymRef value);
 
   // ---- memory --------------------------------------------------------------
   /// Reads `size` bytes at `addr`. If nothing was stored there on this
   /// path, returns deref(addr) (and reports it as an undefined use
   /// via `was_defined=false`).
-  SymRef LoadMem(const SymRef& addr, uint8_t size, bool* was_defined);
+  SymRef LoadMem(SymRef addr, uint8_t size, bool* was_defined);
   /// Writes to `addr`, replacing any prior value at an equal address.
-  void StoreMem(const SymRef& addr, SymRef value, uint8_t size);
+  void StoreMem(SymRef addr, SymRef value, uint8_t size);
   /// Value at an exactly-equal address, or nullptr. Does not fire the
   /// tape — this is the memoizer's footprint probe.
-  SymRef PeekMem(const SymRef& addr) const;
+  SymRef PeekMem(SymRef addr) const;
 
   size_t MemEntryCount() const;
 
@@ -149,8 +149,8 @@ class SymState {
 
   /// One memory cell: canonical address expression -> stored value.
   struct MemCell {
-    SymRef addr;
-    SymRef value;
+    SymRef addr = nullptr;
+    SymRef value = nullptr;
     uint8_t size = 0;
   };
 
@@ -163,7 +163,7 @@ class SymState {
   static constexpr int kOverlayCap = 8;
 
   struct RegChunk {
-    SymRef regs[kRegChunkSize];
+    SymRef regs[kRegChunkSize] = {};
   };
 
   /// Constraint-trail link (arena-allocated, immutable once pushed;
@@ -172,6 +172,10 @@ class SymState {
     PathConstraint c;
     const TrailNode* prev = nullptr;
   };
+  // Nothing the arena holds needs a destructor run.
+  static_assert(std::is_trivially_destructible_v<MemCell>);
+  static_assert(std::is_trivially_destructible_v<RegChunk>);
+  static_assert(std::is_trivially_destructible_v<TrailNode>);
 
   /// Tape pointer that never survives a copy or move: a forked or
   /// queued state must not keep feeding a recorder attached to its
@@ -185,14 +189,14 @@ class SymState {
     TapeRef& operator=(TapeRef&&) noexcept { return *this; }
   };
 
-  void NoteTaintedStore(const SymRef& addr);
+  void NoteTaintedStore(SymRef addr);
   /// Moves every overlay cell into the trie (path-copying); afterwards
   /// the overlay is empty and the spine is safe to share.
   void CommitOverlay();
   /// Trie lookup, or nullptr.
-  const MemCell* FindInTrie(const SymRef& addr) const;
+  const MemCell* FindInTrie(SymRef addr) const;
   /// Overlay, then trie lookup, or nullptr.
-  const MemCell* FindCell(const SymRef& addr) const;
+  const MemCell* FindCell(SymRef addr) const;
 
   TapeRef tape_;
 

@@ -32,13 +32,13 @@ bool IsPointerType(ValueType type) {
   return type == ValueType::kPtr || type == ValueType::kCharPtr;
 }
 
-void TypeMap::Observe(const SymRef& expr, ValueType type) {
+void TypeMap::Observe(SymRef expr, ValueType type) {
   if (!expr || type == ValueType::kUnknown) return;
   ValueType& slot = types_[expr->hash()];
   slot = JoinTypes(slot, type);
 }
 
-ValueType TypeMap::TypeOf(const SymRef& expr) const {
+ValueType TypeMap::TypeOf(SymRef expr) const {
   if (!expr) return ValueType::kUnknown;
   auto it = types_.find(expr->hash());
   return it == types_.end() ? ValueType::kUnknown : it->second;

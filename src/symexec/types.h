@@ -40,10 +40,10 @@ bool IsPointerType(ValueType type);
 class TypeMap {
  public:
   /// Records evidence that `expr` has `type` (joined with existing).
-  void Observe(const SymRef& expr, ValueType type);
+  void Observe(SymRef expr, ValueType type);
 
   /// Current best type for `expr` (kUnknown if never observed).
-  ValueType TypeOf(const SymRef& expr) const;
+  ValueType TypeOf(SymRef expr) const;
 
   size_t size() const { return types_.size(); }
 

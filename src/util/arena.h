@@ -14,8 +14,10 @@
 // NewArray, which register their destructors on an intrusive list
 // (the list nodes live in the arena too). Reset runs them newest-first
 // — reverse construction order — so objects may reference earlier
-// allocations from their destructors. IR nodes are trivially
-// destructible and register nothing.
+// allocations from their destructors. IR nodes, the symbolic state's
+// trie nodes, memory cells and trail links, and the global
+// interner's expression nodes are all trivially destructible and
+// register nothing.
 //
 // Single-threaded by design: each arena is filled by one thread (the
 // one running the analysis, lifting the block or tracing the path).

@@ -35,7 +35,7 @@ struct RefExpr {
   bool operator==(const RefExpr&) const = default;
 };
 
-RefExpr Mirror(const SymRef& e) {
+RefExpr Mirror(SymRef e) {
   RefExpr out;
   out.kind = e->kind();
   out.size = e->deref_size();
@@ -194,7 +194,7 @@ struct Mirrored {
 Mirrored MirroredPool(uint64_t seed, size_t count) {
   Mirrored out;
   out.exprs = RandomPool(seed, count);
-  for (const SymRef& e : out.exprs) out.refs.push_back(Mirror(e));
+  for (SymRef e : out.exprs) out.refs.push_back(Mirror(e));
   return out;
 }
 
@@ -205,7 +205,7 @@ TEST(InternDifferential, EqualAgreesWithStructuralEquality) {
   size_t equal_pairs = 0;
   for (size_t i = 0; i < pool.exprs.size(); ++i) {
     // The factories land every structure on one node.
-    EXPECT_EQ(Rebuild(pool.refs[i]).get(), pool.exprs[i].get())
+    EXPECT_EQ(Rebuild(pool.refs[i]), pool.exprs[i])
         << pool.exprs[i]->ToString();
     for (size_t j = 0; j < pool.exprs.size(); ++j) {
       bool structural = pool.refs[i] == pool.refs[j];
@@ -228,7 +228,7 @@ TEST(InternDifferential, PrunedQueriesAgreeWithTreeWalks) {
   Mirrored pool = MirroredPool(0xB100, 160);
   size_t contained = 0;
   for (size_t i = 0; i < pool.exprs.size(); ++i) {
-    const SymRef& e = pool.exprs[i];
+    SymRef e = pool.exprs[i];
     const RefExpr& r = pool.refs[i];
     std::string where = e->ToString();
     for (SymKind kind : kAllKinds) {
@@ -276,22 +276,22 @@ TEST(InternDifferential, ReplaceAgreesWithRebuiltSubstitution) {
   Mirrored pool = MirroredPool(0x5EB5, 160);
   Rng rng(0x5EB5);
   for (size_t i = 0; i < pool.exprs.size(); ++i) {
-    const SymRef& hay = pool.exprs[i];
+    SymRef hay = pool.exprs[i];
     std::vector<const RefExpr*> subterms = Preorder(pool.refs[i]);
     // Half the needles are subterms of the haystack, half arbitrary.
     SymRef from = rng.Chance(0.5)
                       ? Rebuild(*subterms[rng.Below(subterms.size())])
                       : pool.exprs[rng.Below(pool.exprs.size())];
-    const SymRef& to = pool.exprs[rng.Below(pool.exprs.size())];
+    SymRef to = pool.exprs[rng.Below(pool.exprs.size())];
     SymRef got = SymExpr::Replace(hay, from, to);
     SymRef want =
         Rebuild(RefReplace(pool.refs[i], Mirror(from), Mirror(to)));
-    EXPECT_EQ(got.get(), want.get())
+    EXPECT_EQ(got, want)
         << hay->ToString() << " [" << from->ToString() << " := "
         << to->ToString() << "]: " << got->ToString() << " vs "
         << want->ToString();
     if (!hay->Contains(from)) {
-      EXPECT_EQ(got.get(), hay.get()) << "absent needle rebuilt the tree";
+      EXPECT_EQ(got, hay) << "absent needle rebuilt the tree";
     }
   }
 }
@@ -319,7 +319,7 @@ TEST(InternDifferential, ConcurrentBuildsMatchSerialBuilds) {
       const std::vector<SymRef>& pool = built[t][(k - t + kThreads) % kThreads];
       ASSERT_EQ(pool.size(), kCount);
       for (size_t i = 0; i < kCount; ++i) {
-        EXPECT_EQ(pool[i].get(), serial.exprs[i].get())
+        EXPECT_EQ(pool[i], serial.exprs[i])
             << "thread " << t << " seed " << k << " expr " << i;
         EXPECT_EQ(Mirror(pool[i]), serial.refs[i]);
       }

@@ -28,24 +28,25 @@ SymRef Leaf(ExprInterner& interner, SymKind kind, uint64_t a) {
 }
 
 SymRef Add(ExprInterner& interner, SymRef lhs, SymRef rhs) {
-  return interner.Intern(SymKind::kBin, 0, 4, BinOp::kAdd, std::move(lhs),
-                         std::move(rhs), {});
+  return interner.Intern(SymKind::kBin, 0, 4, BinOp::kAdd, lhs, rhs, {});
 }
 
-SymRef Taint(ExprInterner& interner, uint32_t site, std::string source) {
+SymRef Taint(ExprInterner& interner, uint32_t site,
+             std::string_view source) {
   return interner.Intern(SymKind::kTaint, site, 4, BinOp::kAdd, nullptr,
-                         nullptr, std::move(source));
+                         nullptr, source);
 }
 
-/// Builds a few shapes, one of them a taint node with a heap-allocated
-/// source name, and returns how many distinct nodes that is.
+/// Builds a few shapes, one of them a taint node with a source name
+/// longer than any small-string buffer, and returns how many distinct
+/// nodes that is.
 uint64_t BuildShapes(ExprInterner& interner, uint64_t salt) {
   SymRef x = Leaf(interner, SymKind::kHeap, 0x1000 + salt);
   SymRef sum = Add(interner, x, Leaf(interner, SymKind::kConst, 7));
   SymRef tainted = Add(
       interner, sum,
       Taint(interner, 0x40, "recv_with_a_name_too_long_for_small_strings"));
-  EXPECT_EQ(tainted->lhs().get(), sum.get());
+  EXPECT_EQ(tainted->lhs(), sum);
   EXPECT_EQ(tainted->rhs()->taint_source(),
             "recv_with_a_name_too_long_for_small_strings");
   return 5;
@@ -101,7 +102,7 @@ TEST(InternGeneration, OneUnpinnedInternBlocksEveryLaterRecycle) {
   EXPECT_EQ(stats.recycles, 0u);
   EXPECT_EQ(stats.resident_nodes, stats.nodes);
   // The unpinned node is still the canonical one for its shape.
-  EXPECT_EQ(Leaf(interner, SymKind::kArg, 3).get(), unpinned.get());
+  EXPECT_EQ(Leaf(interner, SymKind::kArg, 3), unpinned);
   EXPECT_EQ(unpinned->arg_index(), 3);
 }
 
@@ -171,18 +172,12 @@ TEST(InternGeneration, ConcurrentPinAndInternFromFourThreads) {
                       Leaf(interner, SymKind::kConst,
                            static_cast<uint64_t>(depth + t)));
         }
-        for (const SymExpr* node = spine.get(); node->lhs();
-             node = node->lhs().get()) {
+        for (SymRef node = spine; node->lhs(); node = node->lhs()) {
           ASSERT_EQ(node->kind(), SymKind::kBin);
         }
-        EXPECT_EQ(Add(interner, base,
-                      Leaf(interner, SymKind::kConst,
-                           static_cast<uint64_t>(t)))
-                      .get(),
-                  Add(interner, base,
-                      Leaf(interner, SymKind::kConst,
-                           static_cast<uint64_t>(t)))
-                      .get());
+        const uint64_t c = static_cast<uint64_t>(t);
+        EXPECT_EQ(Add(interner, base, Leaf(interner, SymKind::kConst, c)),
+                  Add(interner, base, Leaf(interner, SymKind::kConst, c)));
       }
     });
   }

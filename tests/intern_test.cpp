@@ -34,24 +34,23 @@ SymRef DeepExpr(int depth, int arg = 0) {
 TEST(Intern, FactoriesReturnTheCanonicalNode) {
   SymRef a = DeepExpr(16);
   SymRef b = DeepExpr(16);
-  EXPECT_EQ(a.get(), b.get());  // same node, not merely equal
+  EXPECT_EQ(a, b);  // same node, not merely equal
   EXPECT_TRUE(SymExpr::Equal(a, b));
 
   // Every leaf family dedups too.
-  EXPECT_EQ(SymExpr::Const(7).get(), SymExpr::Const(7).get());
-  EXPECT_EQ(SymExpr::Sp0().get(), SymExpr::Sp0().get());
-  EXPECT_EQ(SymExpr::Ret(0x6c4c).get(), SymExpr::Ret(0x6c4c).get());
-  EXPECT_EQ(SymExpr::Heap(42).get(), SymExpr::Heap(42).get());
-  EXPECT_EQ(SymExpr::Taint(0x10, "recv").get(),
-            SymExpr::Taint(0x10, "recv").get());
+  EXPECT_EQ(SymExpr::Const(7), SymExpr::Const(7));
+  EXPECT_EQ(SymExpr::Sp0(), SymExpr::Sp0());
+  EXPECT_EQ(SymExpr::Ret(0x6c4c), SymExpr::Ret(0x6c4c));
+  EXPECT_EQ(SymExpr::Heap(42), SymExpr::Heap(42));
+  EXPECT_EQ(SymExpr::Taint(0x10, "recv"), SymExpr::Taint(0x10, "recv"));
 }
 
 TEST(Intern, DistinctShapesAreDistinctNodes) {
-  EXPECT_NE(SymExpr::Arg(0).get(), SymExpr::Arg(1).get());
-  EXPECT_NE(SymExpr::Taint(0x10, "recv").get(),
-            SymExpr::Taint(0x10, "read").get());  // text participates
-  EXPECT_NE(SymExpr::Deref(SymExpr::Arg(0), 4).get(),
-            SymExpr::Deref(SymExpr::Arg(0), 1).get());  // size does too
+  EXPECT_NE(SymExpr::Arg(0), SymExpr::Arg(1));
+  EXPECT_NE(SymExpr::Taint(0x10, "recv"),
+            SymExpr::Taint(0x10, "read"));  // text participates
+  EXPECT_NE(SymExpr::Deref(SymExpr::Arg(0), 4),
+            SymExpr::Deref(SymExpr::Arg(0), 1));  // size does too
   EXPECT_FALSE(SymExpr::Equal(DeepExpr(16, 0), DeepExpr(16, 1)));
 }
 
@@ -59,7 +58,7 @@ TEST(Intern, NormalizationLandsOnTheSameNode) {
   // ((arg0+4)+4) normalizes to arg0+8 — interning makes that literal.
   SymRef chained = SymAdd(SymAdd(SymExpr::Arg(0), 4), 4);
   SymRef direct = SymAdd(SymExpr::Arg(0), 8);
-  EXPECT_EQ(chained.get(), direct.get());
+  EXPECT_EQ(chained, direct);
 }
 
 TEST(Intern, ReplaceAndTaintQueriesHaveFixedResults) {
@@ -72,13 +71,12 @@ TEST(Intern, ReplaceAndTaintQueriesHaveFixedResults) {
   EXPECT_EQ(replaced->ToString(),
             "(deref((deref(SP+0x1) Xor init_r1)+0x2) Xor init_r2)");
   // The rewrite lands on the canonical node of the rewritten spine.
-  EXPECT_EQ(replaced.get(), DeepSpine(to, 2).get());
-  EXPECT_EQ(SymExpr::Replace(DeepExpr(12), from, to).get(),
-            DeepSpine(to, 12).get());
+  EXPECT_EQ(replaced, DeepSpine(to, 2));
+  EXPECT_EQ(SymExpr::Replace(DeepExpr(12), from, to), DeepSpine(to, 12));
   EXPECT_FALSE(replaced->Contains(from));
   EXPECT_TRUE(replaced->Contains(to));
   // Absent needle: unchanged, same pointer.
-  EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to).get(), hay.get());
+  EXPECT_EQ(SymExpr::Replace(hay, SymExpr::Arg(7), to), hay);
 
   SymRef tainted =
       SymExpr::Bin(BinOp::kXor, hay, SymExpr::Taint(0x20, "recv"));
@@ -108,7 +106,7 @@ TEST(Intern, StatsCountHitsNodesAndBytes) {
   // ... rebuilt, is all hits and zero new nodes.
   SymRef again = SymExpr::Bin(BinOp::kMul, SymExpr::Heap(0xA11CE),
                               SymExpr::Heap(0xB0B51DE5));
-  EXPECT_EQ(again.get(), fresh.get());
+  EXPECT_EQ(again, fresh);
   InternStats after_hit = interner.stats();
   EXPECT_EQ(after_hit.nodes, after_miss.nodes);  // all hits, no new nodes
   EXPECT_EQ(after_hit.bytes, after_miss.bytes);
@@ -127,7 +125,7 @@ TEST(Intern, PublishMetricsPushesDeltasIntoTheRegistry) {
                               SymExpr::Heap(0xF00D));
   SymRef again = SymExpr::Bin(BinOp::kOr, SymExpr::Heap(0xFEED),
                               SymExpr::Heap(0xF00D));
-  EXPECT_EQ(fresh.get(), again.get());
+  EXPECT_EQ(fresh, again);
   interner.PublishMetrics();
   EXPECT_GT(registry.counter("intern.nodes").Value(), nodes0);
   EXPECT_GT(registry.counter("intern.hits").Value(), hits0);
@@ -155,7 +153,7 @@ TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
         SymRef e = SymExpr::Bin(
             BinOp::kXor, DeepExpr(8, s % 4),
             SymAdd(SymExpr::Taint(0x9000 + s, "recv"), s));
-        seen[t][s] = e.get();
+        seen[t][s] = e;
         EXPECT_TRUE(e->IsTainted());
       }
     });

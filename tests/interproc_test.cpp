@@ -162,7 +162,7 @@ TEST(BottomUp, ListingOneHeapIdentities) {
   }
   ProgramAnalysis analysis = RunAnalysis(writer.Build().value());
   const FunctionSummary& a = analysis.summaries.at("A");
-  SymRef x, y;
+  SymRef x = nullptr, y = nullptr;
   for (const DefPair& dp : a.def_pairs) {
     if (dp.d->ToString() == "deref(SP-0x10)") x = dp.u;
     if (dp.d->ToString() == "deref(SP-0xc)") y = dp.u;

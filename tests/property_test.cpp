@@ -428,7 +428,7 @@ FunctionSummary MakeAliasSummary(Rng& rng, std::vector<SymRef>* alias_locs) {
 }
 
 SymRef RandomSse(Rng& rng, const std::vector<SymRef>& alias_locs) {
-  SymRef expr;
+  SymRef expr = nullptr;
   switch (rng.Below(3)) {
     case 0:
       expr = SymExpr::Arg(static_cast<int>(rng.Below(4)));

@@ -31,8 +31,7 @@ SymRef Leaf(ScratchInterner& scratch, SymKind kind, uint64_t a) {
 }
 
 SymRef Add(ScratchInterner& scratch, SymRef lhs, SymRef rhs) {
-  return scratch.Intern(SymKind::kBin, 0, 4, BinOp::kAdd, std::move(lhs),
-                        std::move(rhs), {});
+  return scratch.Intern(SymKind::kBin, 0, 4, BinOp::kAdd, lhs, rhs, {});
 }
 
 /// The node's kind payload, as the interners key it.
@@ -63,13 +62,13 @@ struct GlobalCheck {
   size_t expressions = 0;
   size_t scratch_nodes = 0;
 
-  void Expect(const SymRef& expr) {
+  void Expect(SymRef expr) {
     if (!expr) return;
     ++expressions;
-    if (Canonical(expr).get() != expr.get()) ++scratch_nodes;
+    if (Canonical(expr) != expr) ++scratch_nodes;
   }
 
-  static SymRef Canonical(const SymRef& expr) {
+  static SymRef Canonical(SymRef expr) {
     if (!expr) return nullptr;
     return ExprInterner::Global().Intern(
         expr->kind(), Payload(*expr), expr->deref_size(), expr->binop(),
@@ -100,13 +99,13 @@ TEST(ScratchIntern, EveryNodeOfAnAnalysedSummaryIsGlobal) {
       for (const UseRecord& use : summary.undefined_uses) uses.Expect(use.u);
       for (const CallEvent& call : summary.calls) {
         targets.Expect(call.indirect_target);
-        for (const SymRef& arg : call.args) args.Expect(arg);
+        for (SymRef arg : call.args) args.Expect(arg);
         for (const PathConstraint& c : call.constraints) {
           call_constraints.Expect(c.lhs);
           call_constraints.Expect(c.rhs);
         }
       }
-      for (const SymRef& value : summary.return_values) returns.Expect(value);
+      for (SymRef value : summary.return_values) returns.Expect(value);
     }
   }
   for (const GlobalCheck* check : {&defs, &def_constraints, &uses, &targets,
@@ -130,10 +129,10 @@ TEST(ScratchIntern, ScopeRoutesTheFactoriesAndCountsItsNodes) {
                                   SymExpr::Const(8));
     built = scope.interner().size();
     EXPECT_EQ(built, 3u);
-    EXPECT_NE(scratch.get(), global.get());
+    EXPECT_NE(scratch, global);
     EXPECT_EQ(scratch->hash(), global->hash());  // structural, shared
-    EXPECT_EQ(scope.interner().Publish(scratch).get(), global.get());
-    EXPECT_EQ(scope.interner().Publish(global).get(), global.get());
+    EXPECT_EQ(scope.interner().Publish(scratch), global);
+    EXPECT_EQ(scope.interner().Publish(global), global);
   }
   EXPECT_EQ(ScratchInterner::Current(), nullptr);
   EXPECT_EQ(counter.Value() - before, built);
@@ -145,8 +144,8 @@ TEST(ScratchIntern, AResetScratchGivesNoStaleLeafOrTableHit) {
   SymRef c = Leaf(scratch, SymKind::kConst, 5);
   SymRef h = Leaf(scratch, SymKind::kHeap, 0x77);
   Add(scratch, h, c);
-  EXPECT_EQ(Leaf(scratch, SymKind::kConst, 5).get(), c.get());
-  EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x77).get(), h.get());
+  EXPECT_EQ(Leaf(scratch, SymKind::kConst, 5), c);
+  EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x77), h);
   EXPECT_EQ(scratch.size(), 3u);
   scratch.Reset();
   EXPECT_EQ(scratch.size(), 0u);
@@ -178,24 +177,56 @@ TEST(ScratchIntern, AResetScratchGivesNoStaleLeafOrTableHit) {
   }
 }
 
-TEST(ScratchIntern, TaintNodesAreDestroyedOnReset) {
+TEST(ScratchIntern, PublishedTaintNamesOutliveTheirScratchArena) {
+  // A taint node's name lives in its interner's arena, next to the
+  // node. Publishing must copy it into the global arena: the scratch
+  // copy is poisoned by Reset and overwritten by the next function, so
+  // a published node that kept it would read the wrong name (and be a
+  // use-after-poison under AddressSanitizer). The outsized name takes
+  // the path for names longer than an arena block.
+  const std::vector<std::string> names = {
+      "recv", std::string(64, 'r'), std::string(100 * 1024, 'q')};
+  std::vector<SymRef> published;
   ScratchInterner scratch;
-  // Longer than any small-string buffer, so each node owns heap memory.
-  const std::string name(64, 'r');
-  for (uint32_t round = 0; round < 3; ++round) {
+  for (uint32_t round = 0; round < names.size(); ++round) {
+    const std::string& name = names[round];
     SymRef first = scratch.Intern(SymKind::kTaint, 0x40 + round, 4,
                                   BinOp::kAdd, nullptr, nullptr, name);
     SymRef second = scratch.Intern(SymKind::kTaint, 0x80 + round, 4,
                                    BinOp::kAdd, nullptr, nullptr, name);
-    Add(scratch, first, second);  // a parent owns nothing
-    EXPECT_EQ(scratch.owners(), 2u);
     EXPECT_EQ(first->taint_source(), name);
+    SymRef sum = scratch.Publish(Add(scratch, first, second));
+    EXPECT_NE(first->taint_source().data(), name.data());  // a copy
+    published.push_back(sum);
     scratch.Reset();
-    EXPECT_EQ(scratch.owners(), 0u);
+    // Reuse the rewound arena with other names before reading back.
+    scratch.Intern(SymKind::kTaint, 0xC0, 4, BinOp::kAdd, nullptr, nullptr,
+                   std::string(name.size(), 'x'));
+    scratch.Reset();
   }
-  // Each round built its taint nodes over the last round's arena
-  // bytes: a node whose destructor Reset skipped would leak its name,
-  // which the AddressSanitizer build's leak checker reports.
+  for (uint32_t round = 0; round < names.size(); ++round) {
+    EXPECT_EQ(published[round]->lhs()->taint_source(), names[round]);
+    EXPECT_EQ(published[round]->rhs()->taint_source(), names[round]);
+    EXPECT_EQ(published[round]->rhs()->taint_site(), 0x80 + round);
+  }
+}
+
+TEST(ScratchIntern, TaintNamesAreFreedWithTheirGeneration) {
+  // A global taint name goes when its generation is recycled, with the
+  // arena that holds it; the next generation interns the same shape as
+  // a new node with a name of its own.
+  ExprInterner interner;
+  const std::string name(100 * 1024, 'g');
+  for (uint64_t generation = 0; generation < 3; ++generation) {
+    InternPin pin = interner.Pin();
+    EXPECT_EQ(interner.stats().recycles, generation);
+    EXPECT_EQ(interner.stats().resident_nodes, 0u);
+    SymRef taint = interner.Intern(SymKind::kTaint, 0x40, 4, BinOp::kAdd,
+                                   nullptr, nullptr, name);
+    EXPECT_EQ(taint->taint_source(), name);
+    EXPECT_EQ(interner.stats().nodes, generation + 1);
+    EXPECT_GE(interner.stats().bytes, (generation + 1) * name.size());
+  }
 }
 
 TEST(ScratchIntern, EightSummaryThreadsRaceACacheDecoder) {

@@ -38,8 +38,8 @@ namespace {
 
 struct RefState {
   struct Cell {
-    SymRef addr;
-    SymRef value;
+    SymRef addr = nullptr;
+    SymRef value = nullptr;
     uint8_t size = 0;
   };
 
@@ -55,13 +55,13 @@ struct RefState {
     }
   }
 
-  const Cell* Find(const SymRef& addr) const {
+  const Cell* Find(SymRef addr) const {
     for (const Cell& cell : mem) {
       if (SymExpr::Equal(cell.addr, addr)) return &cell;
     }
     return nullptr;
   }
-  void Store(const SymRef& addr, const SymRef& value, uint8_t size) {
+  void Store(SymRef addr, SymRef value, uint8_t size) {
     may_hold_taint = may_hold_taint || value->IsTainted();
     for (Cell& cell : mem) {
       if (SymExpr::Equal(cell.addr, addr)) {
@@ -72,7 +72,7 @@ struct RefState {
     }
     mem.push_back({addr, value, size});
   }
-  void SetReg(int reg, const SymRef& value) {
+  void SetReg(int reg, SymRef value) {
     may_hold_taint = may_hold_taint || value->IsTainted();
     regs[reg] = value;
   }
@@ -123,7 +123,7 @@ void ExpectMatchesModel(SymState& state, const RefState& model,
   }
   std::vector<SymRef> addrs = pool;
   for (const RefState::Cell& cell : model.mem) addrs.push_back(cell.addr);
-  for (const SymRef& addr : addrs) {
+  for (SymRef addr : addrs) {
     SymRef got = state.PeekMem(addr);
     const RefState::Cell* want = model.Find(addr);
     ASSERT_EQ(got != nullptr, want != nullptr)
@@ -166,15 +166,15 @@ TEST(StateProperty, RandomizedInterleavingsMatchModel) {
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
       switch (rng.Below(6)) {
         case 0: {  // store
-          const SymRef& addr = addrs[rng.Below(addrs.size())];
-          const SymRef& value = values[rng.Below(values.size())];
+          SymRef addr = addrs[rng.Below(addrs.size())];
+          SymRef value = values[rng.Below(values.size())];
           uint8_t size = rng.Chance(0.5) ? 4 : 1;
           state.StoreMem(addr, value, size);
           model.Store(addr, value, size);
           break;
         }
         case 1: {  // load: the stored value, or the lazy deref
-          const SymRef& addr = addrs[rng.Below(addrs.size())];
+          SymRef addr = addrs[rng.Below(addrs.size())];
           bool defined = false;
           SymRef got = state.LoadMem(addr, 4, &defined);
           const RefState::Cell* want = model.Find(addr);
@@ -187,7 +187,7 @@ TEST(StateProperty, RandomizedInterleavingsMatchModel) {
         }
         case 2: {  // register write
           int reg = static_cast<int>(rng.Below(kNumIrRegs));
-          const SymRef& value = values[rng.Below(values.size())];
+          SymRef value = values[rng.Below(values.size())];
           state.SetReg(reg, value);
           model.SetReg(reg, value);
           break;

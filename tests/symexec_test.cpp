@@ -459,7 +459,7 @@ TEST(EngineReturns, PathsYieldDistinctReturnValues) {
   });
   ASSERT_EQ(summary.return_values.size(), 2u);
   std::set<uint32_t> values;
-  for (const SymRef& ret : summary.return_values) {
+  for (SymRef ret : summary.return_values) {
     values.insert(ret->const_value());
   }
   EXPECT_EQ(values, (std::set<uint32_t>{1, 2}));

@@ -1,10 +1,59 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
+
+#include "src/core/alias.h"
 #include "src/symexec/defpairs.h"
 #include "src/symexec/symexpr.h"
+#include "src/symexec/symstate.h"
 
 namespace dtaint {
 namespace {
+
+/// Default-constructs a T over storage filled with garbage, so a SymRef
+/// field without an initializer keeps the garbage instead of reading
+/// null by luck.
+template <typename T, typename Check>
+void OverGarbage(Check check) {
+  alignas(T) unsigned char storage[sizeof(T)];
+  std::memset(storage, 0xA5, sizeof storage);
+  T* record = new (storage) T;
+  check(*record);
+  record->~T();
+}
+
+TEST(SymRef, EveryRecordDefaultConstructsToNull) {
+  // A SymRef is a plain pointer: it starts null only where the field
+  // says `= nullptr`.
+  OverGarbage<PathConstraint>([](const PathConstraint& c) {
+    EXPECT_EQ(c.lhs, nullptr);
+    EXPECT_EQ(c.rhs, nullptr);
+  });
+  OverGarbage<DefPair>([](const DefPair& dp) {
+    EXPECT_EQ(dp.d, nullptr);
+    EXPECT_EQ(dp.u, nullptr);
+  });
+  OverGarbage<UseRecord>([](const UseRecord& use) {
+    EXPECT_EQ(use.u, nullptr);
+  });
+  OverGarbage<CallEvent>([](const CallEvent& call) {
+    EXPECT_EQ(call.indirect_target, nullptr);
+  });
+  OverGarbage<AliasFact>([](const AliasFact& fact) {
+    EXPECT_EQ(fact.alias_loc, nullptr);
+    EXPECT_EQ(fact.base, nullptr);
+    EXPECT_EQ(fact.offset, 0);
+  });
+  OverGarbage<SymExpr::BaseOffset>([](const SymExpr::BaseOffset& split) {
+    EXPECT_EQ(split.base, nullptr);
+    EXPECT_EQ(split.offset, 0);
+  });
+  OverGarbage<SymState::MemCell>([](const SymState::MemCell& cell) {
+    EXPECT_EQ(cell.addr, nullptr);
+    EXPECT_EQ(cell.value, nullptr);
+  });
+}
 
 TEST(SymExpr, ConstantFolding) {
   SymRef e = SymExpr::Bin(BinOp::kAdd, SymExpr::Const(3), SymExpr::Const(4));
@@ -88,7 +137,7 @@ TEST(SymExpr, ReplaceRewritesAllOccurrences) {
 TEST(SymExpr, ReplaceNoMatchReturnsSamePointer) {
   SymRef expr = SymExpr::Deref(SymExpr::Arg(0));
   SymRef out = SymExpr::Replace(expr, SymExpr::Arg(5), SymExpr::Sp0());
-  EXPECT_EQ(out.get(), expr.get());
+  EXPECT_EQ(out, expr);
 }
 
 TEST(SymExpr, CollectDerefs) {
