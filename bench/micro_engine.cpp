@@ -120,7 +120,7 @@ void BM_ScratchInternChain(benchmark::State& state) {
     auto widen = [&widened](SymRef value) {
       return value->Depth() <= kMaxDepth
                  ? value
-                 : SymExpr::InitReg(0x10000 + widened++);
+                 : SymExpr::InitReg(kFreshInitBase + widened++);
     };
     SymRef s3 = SymExpr::InitReg(3);
     SymRef s4 = SymExpr::InitReg(4);
@@ -141,6 +141,30 @@ void BM_ScratchInternChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScratchInternChain);
+
+/// The scratch interner's table route alone: every leaf gets a first
+/// parent (its deref) up front, so each xor over two leaves finds both
+/// children parented and must probe the table. The first sweep inserts
+/// the 256 pairs, the second finds them again.
+void BM_ScratchInternShared(benchmark::State& state) {
+  constexpr int kLeaves = 16;
+  for (auto _ : state) {
+    ScratchScope scope;
+    std::array<SymRef, kLeaves> leaves;
+    for (int i = 0; i < kLeaves; ++i) {
+      leaves[i] = SymExpr::Arg(i);
+      benchmark::DoNotOptimize(SymExpr::Deref(leaves[i]));
+    }
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (SymRef lhs : leaves) {
+        for (SymRef rhs : leaves) {
+          benchmark::DoNotOptimize(SymExpr::Bin(BinOp::kXor, lhs, rhs));
+        }
+      }
+    }
+  }
+}
+BENCHMARK(BM_ScratchInternShared);
 
 /// Shared medium-sized program for the per-phase benchmarks.
 const SynthOutput& TestProgram() {

@@ -3,6 +3,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
@@ -15,7 +16,7 @@ namespace {
 /// Fresh opaque symbol used when an expression is widened (depth cap)
 /// or a value is unknowable; keyed so repeated widenings differ.
 SymRef FreshUnknown(uint32_t salt) {
-  return SymExpr::InitReg(static_cast<int>(0x10000 + salt));
+  return SymExpr::InitReg(static_cast<int>(kFreshInitBase + salt));
 }
 
 }  // namespace
@@ -128,11 +129,13 @@ struct Work {
 // are the only path-dependent parts of the recorded effects
 // (constraints never change mid-block — they are pushed at block
 // exits). Blocks that widened (the fresh symbol draws from a global
-// counter) are never memoized, and the whole machinery is off under a
-// limited budget so degradation points stay bit-exact with
-// per-statement charging. Memoization is invisible to analysis
-// results (tests/golden_report_test pins this), so it is not part of
-// the engine cache fingerprint.
+// counter) are never memoized, blocks with more Put and Store
+// statements than kMaxMemoWrites are never even recorded (each such
+// statement writes once, so the recording always overflows), and the
+// whole machinery is off under a limited budget so degradation points
+// stay bit-exact with per-statement charging. Memoization is invisible
+// to analysis results (tests/golden_report_test pins this), so it is
+// not part of the engine cache fingerprint.
 
 /// The successor decision a block execution arrived at; shared by the
 /// executed and replayed paths (Dispatch interprets it).
@@ -183,7 +186,6 @@ struct BlockMemo {
 
 constexpr size_t kMaxMemoPerBlock = 4;  // distinct footprints kept per block
 constexpr size_t kMaxMemoProbes = 32;   // beyond this, recording is abandoned
-constexpr size_t kMaxMemoWrites = 128;
 
 /// StateTape that builds a BlockMemo while a block executes. Reads of
 /// locations the block already wrote are replay-internal and excluded
@@ -269,6 +271,18 @@ class Exploration {
     // per-statement charge points ARE the observable behavior
     // (degradation must trip at the same statement), so it stays off.
     memo_enabled_ = !(budget_ && budget_->limits().limited());
+    // Every Put and Store statement writes the state once, so a block
+    // with more of them than kMaxMemoWrites abandons each recording.
+    if (memo_enabled_) {
+      for (const auto& [addr, block] : ir_.blocks) {
+        size_t writes = 0;
+        for (const Stmt& stmt : block.stmts) {
+          writes +=
+              stmt.kind == StmtKind::kPut || stmt.kind == StmtKind::kStore;
+        }
+        if (writes > kMaxMemoWrites) unrecordable_.insert(addr);
+      }
+    }
     arena_ = std::make_shared<StateArena>();
     SymState init = SymState::Entry(binary_.arch, arena_);
     init.path_id = next_path_id_++;
@@ -541,7 +555,8 @@ class Exploration {
           }
         }
       }
-      if (it == memo_.end() || it->second.size() < kMaxMemoPerBlock) {
+      if ((it == memo_.end() || it->second.size() < kMaxMemoPerBlock) &&
+          !unrecordable_.contains(block_addr)) {
         recorder_.Begin();
         state.AttachTape(&recorder_);
         recording = true;
@@ -809,6 +824,7 @@ class Exploration {
   std::shared_ptr<StateArena> arena_;
   std::unordered_map<uint32_t, int> block_index_;
   std::unordered_map<uint32_t, std::vector<std::unique_ptr<BlockMemo>>> memo_;
+  std::unordered_set<uint32_t> unrecordable_;  // blocks no memo can hold
   MemoRecorder recorder_;
   bool memo_enabled_ = false;
   int next_path_id_ = 0;

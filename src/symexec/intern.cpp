@@ -229,9 +229,64 @@ SymRef ScratchInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
                                BinOp op, SymRef lhs, SymRef rhs,
                                std::string_view text) {
   assert((!lhs || lhs->scratch_) && (!rhs || rhs->scratch_));
-  const int leaf = LeafSlot(kind, a, size, op, lhs, rhs, text);
-  if (leaf >= 0 && leaves_[leaf]) return leaves_[leaf];
+  if (lhs || rhs) {
+    Prefix* lp = lhs ? &PrefixOf(lhs) : nullptr;
+    Prefix* rp = rhs ? &PrefixOf(rhs) : nullptr;
+    if (lp && lp->first_parent &&
+        lp->first_parent->HasShape(kind, a, size, op, lhs, rhs, text)) {
+      ++hits_.lhs_link;
+      return lp->first_parent;
+    }
+    if (rp && rp->first_parent &&
+        rp->first_parent->HasShape(kind, a, size, op, lhs, rhs, text)) {
+      ++hits_.rhs_link;
+      return rp->first_parent;
+    }
+    // A node over a child would have given that child a parent, so a
+    // parentless child proves the shape new. Linking it keeps it
+    // findable without the table.
+    const bool lhs_free = lp && !lp->first_parent;
+    const bool rhs_free = rp && !rp->first_parent;
+    if (!lhs_free && !rhs_free) {
+      return InternInTable(kind, a, size, op, lhs, rhs, text);
+    }
+    const SymExpr* node =
+        Create(kind, a, size, op, lhs, rhs, text,
+               SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text));
+    if (lhs_free) lp->first_parent = node;
+    if (rhs_free) rp->first_parent = node;
+    return node;
+  }
 
+  const int leaf = LeafSlot(kind, a, size, op, lhs, rhs, text);
+  const SymExpr** slot = nullptr;
+  uint64_t* hit_count = nullptr;
+  if (leaf >= 0) {
+    slot = &leaves_[leaf];
+    hit_count = &hits_.leaf;
+  } else if (kind == SymKind::kInit && size == 4 && op == BinOp::kAdd &&
+             text.empty() && a >= kFreshInitBase &&
+             a - kFreshInitBase < kMaxFresh) {
+    const size_t salt = a - kFreshInitBase;
+    if (salt >= fresh_.size()) fresh_.resize(salt + 1);
+    slot = &fresh_[salt];
+    hit_count = &hits_.fresh;
+  } else {
+    return InternInTable(kind, a, size, op, lhs, rhs, text);
+  }
+  if (*slot) {
+    ++*hit_count;
+    return *slot;
+  }
+  *slot = Create(kind, a, size, op, lhs, rhs, text,
+                 SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text));
+  return *slot;
+}
+
+const SymExpr* ScratchInterner::InternInTable(SymKind kind, uint64_t a,
+                                              uint8_t size, BinOp op,
+                                              SymRef lhs, SymRef rhs,
+                                              std::string_view text) {
   const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text);
   size_t mask = slots_.size() - 1;
   size_t i = h & mask;
@@ -239,66 +294,81 @@ SymRef ScratchInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     if (slots_[i].hash != h) continue;
     const SymExpr* node = slots_[i].node;
     if (node->HasShape(kind, a, size, op, lhs, rhs, text)) {
-      if (leaf >= 0) leaves_[leaf] = node;
+      ++hits_.table;
       return node;
     }
   }
-  if (used_ + 1 > slots_.size() / 2) {
+  if (table_used_ + 1 > slots_.size() / 2) {
     Grow();
     mask = slots_.size() - 1;
     i = h & mask;
     while (slots_[i].node) i = (i + 1) & mask;
   }
+  const SymExpr* node = Create(kind, a, size, op, lhs, rhs, text, h);
+  slots_[i] = {h, node};
+  ++table_used_;
+  return node;
+}
 
+const SymExpr* ScratchInterner::Create(SymKind kind, uint64_t a,
+                                       uint8_t size, BinOp op, SymRef lhs,
+                                       SymRef rhs, std::string_view text,
+                                       uint64_t hash) {
+  static_assert(sizeof(Prefix) % alignof(SymExpr) == 0);
+  static_assert(alignof(Prefix) <= alignof(SymExpr));
   const char* stored = SymExpr::StoreText(
       text, [this](size_t n, size_t align) { return Allocate(n, align); });
-  SymExpr* node = new (Allocate(sizeof(SymExpr), alignof(SymExpr)))
-      SymExpr(kind, a, size, op, lhs, rhs, stored, h);
+  auto* mem = static_cast<std::byte*>(
+      Allocate(sizeof(Prefix) + sizeof(SymExpr), alignof(SymExpr)));
+  new (mem) Prefix{};
+  SymExpr* node = new (mem + sizeof(Prefix))
+      SymExpr(kind, a, size, op, lhs, rhs, stored, hash);
   node->scratch_ = true;
-  slots_[i] = {h, node, nullptr};
   ++used_;
-  if (leaf >= 0) leaves_[leaf] = node;
   return node;
+}
+
+ScratchInterner::Prefix& ScratchInterner::PrefixOf(const SymExpr* node) {
+  // Create placed the prefix right before the node in the same block.
+  return *std::launder(reinterpret_cast<Prefix*>(
+      reinterpret_cast<std::byte*>(const_cast<SymExpr*>(node)) -
+      sizeof(Prefix)));
 }
 
 SymRef ScratchInterner::Publish(SymRef expr) {
   if (!expr || !expr->scratch_) return expr;
-  Slot& slot = SlotOf(expr);
-  if (!slot.published) {
+  Prefix& prefix = PrefixOf(expr);
+  if (!prefix.published) {
     // Exact fields, no factory: the scratch node is normalized already,
     // and its published children are the global twins of its own. The
     // global interner copies the name out of the scratch arena.
-    slot.published = ExprInterner::Global().Intern(
+    prefix.published = ExprInterner::Global().Intern(
         expr->kind_, expr->a_, expr->size_, expr->op_, Publish(expr->lhs_),
         Publish(expr->rhs_), expr->taint_source());
   }
-  return slot.published;
-}
-
-ScratchInterner::Slot& ScratchInterner::SlotOf(const SymExpr* node) {
-  const size_t mask = slots_.size() - 1;
-  size_t i = node->hash_ & mask;
-  while (slots_[i].node != node) {
-    assert(slots_[i].node);  // every scratch node is in the table
-    i = (i + 1) & mask;
-  }
-  return slots_[i];
+  return prefix.published;
 }
 
 void ScratchInterner::Reset() {
   outsized_.clear();
-  if (used_ > 0) {
+  if (table_used_ > 0) {
     // Clearing costs the table's size, which the last function's
-    // growth bounds by 8x its node count; a table that much larger
+    // growth bounds by 8x its occupancy; a table that much larger
     // than its use goes back to the initial size instead.
-    if (slots_.size() > kInitialSlots && used_ * 8 < slots_.size()) {
+    if (slots_.size() > kInitialSlots && table_used_ * 8 < slots_.size()) {
       std::vector<Slot>(kInitialSlots).swap(slots_);
     } else {
       std::fill(slots_.begin(), slots_.end(), Slot{});
     }
+    table_used_ = 0;
+  }
+  if (used_ > 0) {
     std::fill(std::begin(leaves_), std::end(leaves_), nullptr);
+    fresh_.clear();
     used_ = 0;
   }
+  // Links and twins live in the prefixes, which the arena drops with
+  // their nodes.
   for (auto& block : arena_) {
     ASAN_POISON_MEMORY_REGION(block.get(), kArenaBlockBytes);
   }

@@ -10,15 +10,36 @@
 //    oracle, pathfind and the cache codec only ever see its nodes.
 //  * While SymEngine::Analyze explores a function, a ScratchScope
 //    routes the calling thread's factories to that thread's private
-//    ScratchInterner: no lock, no atomic, an open-addressed table and
-//    an arena reused from one function to the next. The exploration's
-//    millions of intermediate shapes never touch the shared table.
+//    ScratchInterner: no lock, no atomic, and an arena reused from one
+//    function to the next. The exploration's millions of intermediate
+//    shapes never touch the shared table.
 //    Before the scope closes, the engine publishes the finished
 //    summary with ScratchInterner::Publish, a memoized bottom-up copy
 //    that re-interns each reachable node into the global interner
 //    with its exact fields (no second normalization). Closing the
 //    scope resets the scratch interner. A node's hash is structural,
 //    so it is the same in both interners (TypeMap keys stay valid).
+//
+// Scratch interner design: nearly every shape an exploration builds is
+// new, so a lookup avoids the hash table wherever sharing cannot
+// happen. Each scratch node takes 80 bytes of arena: a 16-byte prefix
+// {first parent, published twin} and the 64-byte node. A shape goes
+// down exactly one of five routes, fixed by the shape alone:
+//  1. leaf slot — the LeafSlot shapes, one pointer each;
+//  2. fresh array — the engine's fresh unknowns,
+//     InitReg(kFreshInitBase + salt), indexed by salt (capped; past
+//     the cap they take the table);
+//  3. lhs link and 4. rhs link — a node with children is looked up
+//     as its lhs's first parent, then as its rhs's. If either child
+//     has no parent yet, no node over that child exists, so the shape
+//     is new: it becomes that child's first parent and skips the
+//     table;
+//  5. table — every other leaf, and a node whose children both had a
+//     parent already: an open-addressed {hash, node} table.
+// So every node with children is the first parent of its lhs or of its
+// rhs, or is in the table, and a lookup that checks those three places
+// finds it. Reset rewinds the arena, which drops every link and twin
+// with the nodes.
 //
 // Global interner design:
 //  * The table is sharded 64 ways by node hash; each shard owns a
@@ -80,6 +101,12 @@ struct InternStats {
   uint64_t contended = 0;       // shard-lock acquisitions that had to wait
   uint64_t recycles = 0;        // generations recycled
 };
+
+/// Payload base of the fresh unknowns the engine draws when it widens
+/// an expression: InitReg(kFreshInitBase + salt), one salt per
+/// widening, counted from zero in each function. The scratch interner
+/// keeps them in a dense array indexed by salt.
+inline constexpr uint64_t kFreshInitBase = 0x10000;
 
 /// Direct-mapped cache index for the leaf shapes the engine builds
 /// millions of times (small constants, formal args, SP0, initial
@@ -180,11 +207,22 @@ class ExprInterner {
   InternStats published_;  // totals already pushed to the registry
 };
 
+/// Lookups a ScratchInterner served with an existing node, by route
+/// (see the header comment). Cumulative over the interner's life.
+struct ScratchHits {
+  uint64_t leaf = 0;
+  uint64_t fresh = 0;
+  uint64_t lhs_link = 0;
+  uint64_t rhs_link = 0;
+  uint64_t table = 0;
+};
+
 /// One thread's private interner for the function it is exploring:
-/// an open-addressed table and a bump arena, neither locked nor
-/// atomic, both reused (not freed) from one function to the next.
+/// leaf slots, a fresh-unknown array, first-parent links, an
+/// open-addressed table and a bump arena, none of them locked or
+/// atomic, all reused (not freed) from one function to the next.
 /// Reached through a ScratchScope; see the header comment for the
-/// scratch/publish protocol.
+/// lookup routes and the scratch/publish protocol.
 class ScratchInterner {
  public:
   ScratchInterner();
@@ -211,32 +249,49 @@ class ScratchInterner {
   /// Nodes created since the last Reset.
   size_t size() const { return used_; }
 
-  /// Ends the function: empties the table and the leaf cache, frees
-  /// outsized names, and rewinds the arena (poisoned for
-  /// AddressSanitizer until reused, so a scratch node or name that
-  /// escaped into a summary is a use-after-poison).
+  const ScratchHits& hits() const { return hits_; }
+
+  /// Ends the function: empties the table, the leaf slots and the
+  /// fresh array, frees outsized names, and rewinds the arena
+  /// (poisoned for AddressSanitizer until reused, so a scratch node or
+  /// name that escaped into a summary is a use-after-poison).
   void Reset();
 
  private:
   friend class ScratchScope;
 
+  /// The 16 arena bytes just before every scratch node.
+  struct Prefix {
+    const SymExpr* first_parent = nullptr;  // first node built over it
+    const SymExpr* published = nullptr;     // global twin, once published
+  };
   struct Slot {
     uint64_t hash = 0;
     const SymExpr* node = nullptr;
-    const SymExpr* published = nullptr;  // global twin, once published
   };
   static constexpr size_t kInitialSlots = 1024;  // power of two
   static constexpr size_t kArenaBlockBytes = 64 * 1024;
+  static constexpr uint64_t kMaxFresh = uint64_t{1} << 20;
 
   static constinit thread_local ScratchInterner* current_;
 
-  Slot& SlotOf(const SymExpr* node);
+  static Prefix& PrefixOf(const SymExpr* node);
+  /// A new node (and its prefix) in the arena; `hash` is its ShapeHash.
+  const SymExpr* Create(SymKind kind, uint64_t a, uint8_t size, BinOp op,
+                        SymRef lhs, SymRef rhs, std::string_view text,
+                        uint64_t hash);
+  const SymExpr* InternInTable(SymKind kind, uint64_t a, uint8_t size,
+                               BinOp op, SymRef lhs, SymRef rhs,
+                               std::string_view text);
   void* Allocate(size_t size, size_t align);
   void Grow();
 
   std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
-  size_t used_ = 0;
+  size_t table_used_ = 0;  // occupied slots
+  size_t used_ = 0;        // nodes created
   const SymExpr* leaves_[kLeafSlots] = {};
+  std::vector<const SymExpr*> fresh_;  // by salt
+  ScratchHits hits_;
   std::vector<std::unique_ptr<std::byte[]>> arena_;
   size_t arena_block_ = 0;  // index of the block being filled
   size_t arena_pos_ = 0;    // offset into that block

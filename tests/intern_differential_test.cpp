@@ -7,8 +7,9 @@
 // plain owned tree answers. This suite mirrors randomized expressions
 // into such a tree (no sharing, no hashes, no masks) and checks each
 // query against it, with the expressions built on one thread and on
-// several at once. The report-level oracle over the synthesized corpora
-// lives in golden_report_test.
+// several at once, and checks that the scratch interner's lookup routes
+// keep every shape on one node. The report-level oracle over the
+// synthesized corpora lives in golden_report_test.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/symexec/intern.h"
 #include "src/symexec/symexpr.h"
 #include "src/util/rng.h"
 
@@ -324,6 +326,85 @@ TEST(InternDifferential, ConcurrentBuildsMatchSerialBuilds) {
         EXPECT_EQ(Mirror(pool[i]), serial.refs[i]);
       }
     }
+  }
+}
+
+/// A seeded random DAG built through the factories: each new node takes
+/// its children from the nodes built so far, so children often have a
+/// first parent already and shapes recur. The leaves mix leaf-slot
+/// shapes, the engine's fresh unknowns and table leaves (heap ids).
+std::vector<SymRef> RandomDag(Rng& rng, size_t count) {
+  std::vector<SymRef> nodes;
+  auto pick = [&] { return nodes[rng.Below(nodes.size())]; };
+  static constexpr BinOp kOps[] = {BinOp::kAdd, BinOp::kXor, BinOp::kMul,
+                                   BinOp::kShl, BinOp::kCmpLt};
+  while (nodes.size() < count) {
+    if (nodes.size() < 4 || rng.Chance(0.3)) {
+      switch (rng.Below(4)) {
+        case 0:
+          nodes.push_back(SymExpr::Const(static_cast<uint32_t>(rng.Below(6))));
+          break;
+        case 1:
+          nodes.push_back(SymExpr::Arg(static_cast<int>(rng.Below(3))));
+          break;
+        case 2:
+          nodes.push_back(SymExpr::InitReg(
+              static_cast<int>(kFreshInitBase + rng.Below(8))));
+          break;
+        default:
+          nodes.push_back(SymExpr::Heap(0xbe00 + rng.Below(6)));
+          break;
+      }
+      continue;
+    }
+    SymRef lhs = pick();
+    SymRef rhs = pick();
+    // Depth() counts tree nodes: the cap keeps the plain mirrors small.
+    if (lhs->Depth() + rhs->Depth() > 48) continue;
+    if (rng.Chance(0.2)) {
+      nodes.push_back(SymExpr::Deref(lhs));
+    } else {
+      nodes.push_back(SymExpr::Bin(kOps[rng.Below(std::size(kOps))], lhs, rhs));
+    }
+  }
+  return nodes;
+}
+
+TEST(InternDifferential, ScratchRoutesKeepEveryShapeOnOneNode) {
+  std::vector<SymRef> published;
+  std::vector<RefExpr> refs;
+  ScratchHits before, after;
+  {
+    ScratchScope scope;
+    ScratchInterner& scratch = scope.interner();
+    before = scratch.hits();
+    Rng rng(0xDA6);
+    std::vector<SymRef> dag = RandomDag(rng, 600);
+    for (SymRef e : dag) refs.push_back(Mirror(e));
+    // Rebuilding each node from its plain tree looks every subterm up
+    // again, now that the DAG has given most children their parents.
+    for (size_t i = 0; i < dag.size(); ++i) {
+      ASSERT_EQ(Rebuild(refs[i]), dag[i]) << dag[i]->ToString();
+    }
+    for (size_t i = 0; i < dag.size(); ++i) {
+      for (size_t j = 0; j < dag.size(); ++j) {
+        ASSERT_EQ(dag[i] == dag[j], refs[i] == refs[j])
+            << dag[i]->ToString() << " vs " << dag[j]->ToString();
+      }
+    }
+    after = scratch.hits();
+    for (SymRef e : dag) published.push_back(scratch.Publish(e));
+  }
+  EXPECT_GT(after.leaf, before.leaf);
+  EXPECT_GT(after.fresh, before.fresh);
+  EXPECT_GT(after.lhs_link, before.lhs_link);
+  EXPECT_GT(after.rhs_link, before.rhs_link);
+  EXPECT_GT(after.table, before.table);
+  // Outside the scope the factories build global nodes: each published
+  // twin is exactly the node the same shape gets there.
+  for (size_t i = 0; i < published.size(); ++i) {
+    EXPECT_EQ(published[i], Rebuild(refs[i])) << published[i]->ToString();
+    EXPECT_EQ(Mirror(published[i]), refs[i]);
   }
 }
 

@@ -140,40 +140,83 @@ TEST(ScratchIntern, ScopeRoutesTheFactoriesAndCountsItsNodes) {
 
 TEST(ScratchIntern, AResetScratchGivesNoStaleLeafOrTableHit) {
   ScratchInterner scratch;
-  // A leaf-cache shape, a table shape, and a parent of both.
+  // One shape per route: a leaf slot, a fresh unknown, a table leaf,
+  // a node linked as its lhs's first parent, one linked as its rhs's
+  // (its lhs has a parent already), and one whose children both have
+  // parents, which goes to the table.
   SymRef c = Leaf(scratch, SymKind::kConst, 5);
+  SymRef f = Leaf(scratch, SymKind::kInit, kFreshInitBase + 3);
   SymRef h = Leaf(scratch, SymKind::kHeap, 0x77);
-  Add(scratch, h, c);
+  SymRef lhs_linked = Add(scratch, h, c);
+  SymRef rhs_linked = Add(scratch, h, f);
+  SymRef tabled = Add(scratch, c, f);
+  EXPECT_EQ(scratch.size(), 6u);
+  const ScratchHits before = scratch.hits();
   EXPECT_EQ(Leaf(scratch, SymKind::kConst, 5), c);
+  EXPECT_EQ(Leaf(scratch, SymKind::kInit, kFreshInitBase + 3), f);
   EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x77), h);
-  EXPECT_EQ(scratch.size(), 3u);
+  EXPECT_EQ(Add(scratch, h, c), lhs_linked);
+  EXPECT_EQ(Add(scratch, h, f), rhs_linked);
+  EXPECT_EQ(Add(scratch, c, f), tabled);
+  EXPECT_EQ(scratch.size(), 6u);
+  const ScratchHits warm = scratch.hits();
+  EXPECT_EQ(warm.leaf - before.leaf, 1u);
+  EXPECT_EQ(warm.fresh - before.fresh, 1u);
+  EXPECT_EQ(warm.lhs_link - before.lhs_link, 1u);
+  EXPECT_EQ(warm.rhs_link - before.rhs_link, 1u);
+  EXPECT_EQ(warm.table - before.table, 2u);  // the heap leaf and `tabled`
   scratch.Reset();
   EXPECT_EQ(scratch.size(), 0u);
+
   // Every shape is built afresh: a stale hit would leave size() as is.
-  SymRef c2 = Leaf(scratch, SymKind::kConst, 5);
-  EXPECT_EQ(scratch.size(), 1u);
+  // The order differs from before, so the rewound arena puts other
+  // nodes where the old ones and their link prefixes were.
   SymRef h2 = Leaf(scratch, SymKind::kHeap, 0x77);
+  EXPECT_EQ(scratch.size(), 1u);
+  SymRef f2 = Leaf(scratch, SymKind::kInit, kFreshInitBase + 3);
   EXPECT_EQ(scratch.size(), 2u);
-  SymRef sum = Add(scratch, h2, c2);
+  SymRef c2 = Leaf(scratch, SymKind::kConst, 5);
   EXPECT_EQ(scratch.size(), 3u);
+  SymRef tabled2 = Add(scratch, c2, f2);
+  EXPECT_EQ(scratch.size(), 4u);
+  SymRef sum = Add(scratch, h2, c2);
+  EXPECT_EQ(scratch.size(), 5u);
+  EXPECT_EQ(Add(scratch, h2, f2)->rhs(), f2);
+  EXPECT_EQ(scratch.size(), 6u);
   EXPECT_EQ(sum->lhs()->heap_id(), 0x77u);
   EXPECT_EQ(sum->rhs()->const_value(), 5u);
+  EXPECT_EQ(tabled2->lhs(), c2);
+  EXPECT_EQ(tabled2->rhs()->init_reg(),
+            static_cast<int>(kFreshInitBase + 3));
+  const ScratchHits after = scratch.hits();
+  EXPECT_EQ(after.leaf, warm.leaf);
+  EXPECT_EQ(after.fresh, warm.fresh);
+  EXPECT_EQ(after.lhs_link, warm.lhs_link);
+  EXPECT_EQ(after.rhs_link, warm.rhs_link);
+  EXPECT_EQ(after.table, warm.table);
+  // The new links and entries serve hits again.
+  EXPECT_EQ(Add(scratch, h2, c2), sum);
+  EXPECT_EQ(Add(scratch, c2, f2), tabled2);
+  EXPECT_EQ(scratch.size(), 6u);
 
-  // A grown table is cleared in place after a large function and
-  // shrunk after a small one; neither keeps a hit.
+  // A grown table and fresh array are cleared in place after a large
+  // function, the table shrunk after a small one; none keeps a hit.
   for (uint64_t round = 0; round < 3; ++round) {
     const uint64_t count = round == 1 ? 10 : 3000;
     scratch.Reset();
     for (uint64_t i = 0; i < count; ++i) {
-      Leaf(scratch, SymKind::kHeap, 0x1000 + i);
+      SymRef heap = Leaf(scratch, SymKind::kHeap, 0x1000 + i);
       Leaf(scratch, SymKind::kConst, i);  // leaf cache below 1024
+      Add(scratch, heap, Leaf(scratch, SymKind::kInit, kFreshInitBase + i));
     }
-    EXPECT_EQ(scratch.size(), count * 2) << "round " << round;
+    EXPECT_EQ(scratch.size(), count * 4) << "round " << round;
     for (uint64_t i = 0; i < count; ++i) {
-      EXPECT_EQ(Leaf(scratch, SymKind::kHeap, 0x1000 + i)->heap_id(),
-                0x1000 + i);
+      SymRef heap = Leaf(scratch, SymKind::kHeap, 0x1000 + i);
+      EXPECT_EQ(heap->heap_id(), 0x1000 + i);
+      SymRef fresh = Leaf(scratch, SymKind::kInit, kFreshInitBase + i);
+      EXPECT_EQ(Add(scratch, heap, fresh)->rhs(), fresh);
     }
-    EXPECT_EQ(scratch.size(), count * 2) << "round " << round;
+    EXPECT_EQ(scratch.size(), count * 4) << "round " << round;
   }
 }
 
