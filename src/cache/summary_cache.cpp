@@ -1,7 +1,12 @@
 #include "src/cache/summary_cache.h"
 
-#include <cstdio>
-#include <filesystem>
+#include <fcntl.h>
+#include <sys/types.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <fstream>
 
 #include "src/cache/summary_codec.h"
@@ -11,28 +16,132 @@ namespace dtaint {
 
 namespace {
 
-/// The whole file, in one read sized by the file's length.
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::error_code ec;
-  uintmax_t size = std::filesystem::file_size(path, ec);
-  std::vector<uint8_t> bytes(ec ? 0 : static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  bytes.resize(static_cast<size_t>(in.gcount()));
-  // The path may name a different file by now (an atomic rename after
-  // the open): whatever the open file holds beyond the size read.
-  if (in) {
-    bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+namespace fs = std::filesystem;
+
+// Pack file layout (see the header); all integers little-endian.
+constexpr uint32_t kPackMagic = 0x44545350;  // "DTSP"
+constexpr uint32_t kPackVersion = 1;
+constexpr size_t kPackHeaderBytes = 12;   // magic, version, count
+constexpr size_t kPackRecordBytes = 20;   // key.hi, key.lo, length
+constexpr size_t kPackChecksumBytes = 8;  // FNV-1a of header + index
+constexpr std::string_view kPackExtension = ".dtsp";
+
+/// (key, blob length) per entry, in file order.
+using PackIndex = std::vector<std::pair<Hash128, uint32_t>>;
+
+void PutLe(std::vector<uint8_t>& out, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<uint8_t>(value >> (8 * i)));
+  }
+}
+
+uint64_t GetLe(const uint8_t* in, int bytes) {
+  uint64_t value = 0;
+  for (int i = 0; i < bytes; ++i) {
+    value |= static_cast<uint64_t>(in[i]) << (8 * i);
+  }
+  return value;
+}
+
+/// Offset of the first blob in a pack of `count` entries.
+uint64_t PackDataStart(uint64_t count) {
+  return kPackHeaderBytes + count * kPackRecordBytes + kPackChecksumBytes;
+}
+
+/// The pack file holding `blobs`, and its index records.
+std::vector<uint8_t> BuildPack(
+    const std::map<Hash128, std::vector<uint8_t>>& blobs, PackIndex& index) {
+  uint64_t total = PackDataStart(blobs.size());
+  for (const auto& [key, blob] : blobs) total += blob.size();
+  std::vector<uint8_t> bytes;
+  bytes.reserve(total);
+  PutLe(bytes, kPackMagic, 4);
+  PutLe(bytes, kPackVersion, 4);
+  PutLe(bytes, blobs.size(), 4);
+  index.reserve(blobs.size());
+  for (const auto& [key, blob] : blobs) {
+    PutLe(bytes, key.hi, 8);
+    PutLe(bytes, key.lo, 8);
+    PutLe(bytes, blob.size(), 4);
+    index.emplace_back(key, static_cast<uint32_t>(blob.size()));
+  }
+  PutLe(bytes, Fnv1a(bytes), 8);
+  for (const auto& [key, blob] : blobs) {
+    bytes.insert(bytes.end(), blob.begin(), blob.end());
   }
   return bytes;
 }
 
+/// Reads `length` bytes at `offset` of `path` into `out`. False only on
+/// an I/O error worth retrying; a missing or short file leaves `out`
+/// empty, which no decoder accepts.
+bool ReadAt(const std::string& path, uint64_t offset, size_t length,
+            std::vector<uint8_t>& out) {
+  out.clear();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno == ENOENT;
+  std::vector<uint8_t> bytes(length);
+  size_t done = 0;
+  bool ok = true;
+  while (done < length) {
+    ssize_t n = ::pread(fd, bytes.data() + done, length - done,
+                        static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) ok = false;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (ok && done == length) out = std::move(bytes);
+  return ok;
+}
+
+/// The index of the pack at `path`, or nullopt when the pack is
+/// damaged: bad magic or version, an index that fails its checksum, or
+/// a file length other than the index implies.
+std::optional<PackIndex> ReadPackIndex(const std::string& path) {
+  std::error_code ec;
+  const uint64_t file_size = fs::file_size(path, ec);
+  std::vector<uint8_t> header;
+  if (ec || !ReadAt(path, 0, kPackHeaderBytes, header) || header.empty()) {
+    return std::nullopt;
+  }
+  const uint64_t count = GetLe(&header[8], 4);
+  if (GetLe(&header[0], 4) != kPackMagic ||
+      GetLe(&header[4], 4) != kPackVersion ||
+      PackDataStart(count) > file_size) {
+    return std::nullopt;
+  }
+  std::vector<uint8_t> head;
+  if (!ReadAt(path, 0, PackDataStart(count), head) || head.empty()) {
+    return std::nullopt;
+  }
+  const size_t checked = head.size() - kPackChecksumBytes;
+  if (Fnv1a(std::span<const uint8_t>(head).first(checked)) !=
+      GetLe(&head[checked], 8)) {
+    return std::nullopt;
+  }
+  PackIndex index;
+  index.reserve(count);
+  uint64_t end = head.size();
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint8_t* record = &head[kPackHeaderBytes + i * kPackRecordBytes];
+    uint32_t length = static_cast<uint32_t>(GetLe(record + 16, 4));
+    index.emplace_back(Hash128{GetLe(record, 8), GetLe(record + 8, 8)},
+                       length);
+    end += length;
+  }
+  if (end != file_size) return std::nullopt;
+  return index;
+}
+
 bool WriteFileAtomic(const std::string& path,
                      std::span<const uint8_t> bytes) {
-  std::string tmp = path + ".tmp";
+  // A temp name of its own per write: two processes (or threads)
+  // flushing the same pack must not interleave in one temp file.
+  static std::atomic<uint64_t> serial{0};
+  std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                    std::to_string(serial.fetch_add(1)) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
@@ -41,8 +150,8 @@ bool WriteFileAtomic(const std::string& path,
     if (!out.good()) return false;
   }
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  fs::rename(tmp, path, ec);
+  if (ec) fs::remove(tmp, ec);
   return !ec;
 }
 
@@ -130,11 +239,13 @@ SummaryCache::SummaryCache(CacheConfig config)
       m_io_failures_(
           obs::MetricsRegistry::Global().counter("cache.io_failures")),
       m_memory_bytes_(
-          obs::MetricsRegistry::Global().gauge("cache.memory_bytes")) {}
-
-std::string SummaryCache::PathFor(const Hash128& key) const {
-  return config_.disk_dir + "/" + key.ToHex() + ".dtsc";
+          obs::MetricsRegistry::Global().gauge("cache.memory_bytes")) {
+  if (config_.disk_dir.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  RefreshDiskIndexLocked();
 }
+
+SummaryCache::~SummaryCache() { Flush(); }
 
 std::optional<FunctionSummary> SummaryCache::Lookup(const Hash128& key) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -159,10 +270,28 @@ std::optional<FunctionSummary> SummaryCache::Lookup(const Hash128& key) {
   }
 
   if (!config_.disk_dir.empty()) {
+    if (auto summary = LookupDiskLocked(key)) return summary;
+  }
+
+  ++stats_.misses;
+  m_misses_.Add();
+  return std::nullopt;
+}
+
+std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
+    const Hash128& key) {
+  auto it = disk_index_.find(key);
+  if (it == disk_index_.end() && RefreshDiskIndexLocked()) {
+    it = disk_index_.find(key);
+  }
+  if (it == disk_index_.end()) return std::nullopt;
+  std::vector<DiskLocation>& copies = it->second;
+  while (!copies.empty()) {
+    const DiskLocation at = copies.back();
+    const std::string& path = pack_paths_[at.pack];
     // Transient read errors (NFS hiccup, throttled disk — modeled by
     // the cache_read fault site) are retried with backoff; if the read
-    // never succeeds this entry is simply a miss.
-    const std::string path = PathFor(key);
+    // never succeeds this lookup is a miss and the copy stays indexed.
     std::vector<uint8_t> blob;
     int retries = 0;
     bool read_ok = RetryIo(
@@ -171,39 +300,79 @@ std::optional<FunctionSummary> SummaryCache::Lookup(const Hash128& key) {
           if (FaultPlan::Global().ShouldFail(FaultSite::kCacheRead, path)) {
             return false;
           }
-          blob = ReadFileBytes(path);
-          return true;
+          return ReadAt(path, at.offset, at.length, blob);
         },
         &retries);
-    if (retries > 0) {
-      stats_.io_retries += static_cast<size_t>(retries);
-      m_io_retries_.Add(static_cast<uint64_t>(retries));
+    CountIoLocked(retries, read_ok);
+    if (!read_ok) return std::nullopt;
+    auto decoded = DecodeSummary(blob);
+    if (decoded.ok()) {
+      InsertMemoryLocked(key, std::move(blob));
+      ++stats_.hits;
+      m_hits_.Add();
+      ++stats_.disk_hits;
+      m_disk_hits_.Add();
+      return std::move(*decoded);
     }
-    if (!read_ok) {
-      ++stats_.io_failures;
-      m_io_failures_.Add();
-      blob.clear();
-    }
-    if (!blob.empty()) {
-      auto decoded = DecodeSummary(blob);
-      if (decoded.ok()) {
-        InsertMemoryLocked(key, std::move(blob));
-        ++stats_.hits;
-        m_hits_.Add();
-        ++stats_.disk_hits;
-        m_disk_hits_.Add();
-        return std::move(*decoded);
-      }
-      // Bad entry on disk: count it, treat as miss; the recompute's
-      // Store will overwrite the damaged file.
-      ++stats_.corrupt_entries;
-      m_corrupt_.Add();
-    }
+    // A bad copy: count it, forget it and try the next older one. The
+    // recompute's Store lands in a newer pack.
+    ++stats_.corrupt_entries;
+    m_corrupt_.Add();
+    copies.pop_back();
   }
-
-  ++stats_.misses;
-  m_misses_.Add();
+  disk_index_.erase(it);
   return std::nullopt;
+}
+
+bool SummaryCache::RefreshDiskIndexLocked() {
+  // One stat per call; the listing and the index reads happen only
+  // when a pack was added, renamed or removed since the last listing.
+  std::error_code ec;
+  const fs::file_time_type mtime = fs::last_write_time(config_.disk_dir, ec);
+  if (ec || mtime == dir_mtime_) return false;
+  dir_mtime_ = mtime;
+  // Oldest first, so the newest copy of a key ends up last in its list.
+  std::vector<std::pair<fs::file_time_type, std::string>> fresh;
+  for (fs::directory_iterator entry(config_.disk_dir, ec), end;
+       !ec && entry != end; entry.increment(ec)) {
+    if (!entry->path().native().ends_with(kPackExtension)) continue;
+    std::string name = entry->path().filename().string();
+    if (pack_ids_.contains(name)) continue;
+    std::error_code time_ec;
+    fresh.emplace_back(entry->last_write_time(time_ec), std::move(name));
+  }
+  std::sort(fresh.begin(), fresh.end());
+  for (const auto& [written, name] : fresh) {
+    if (auto index = ReadPackIndex(config_.disk_dir + "/" + name)) {
+      AddPackLocked(name, *index);
+      continue;
+    }
+    pack_ids_.emplace(name, std::nullopt);
+    ++stats_.corrupt_entries;
+    m_corrupt_.Add();
+  }
+  return !fresh.empty();
+}
+
+void SummaryCache::AddPackLocked(
+    const std::string& name,
+    std::span<const std::pair<Hash128, uint32_t>> index) {
+  std::optional<uint32_t>& id = pack_ids_[name];
+  if (!id) {
+    id = static_cast<uint32_t>(pack_paths_.size());
+    pack_paths_.push_back(config_.disk_dir + "/" + name);
+  }
+  uint64_t offset = PackDataStart(index.size());
+  for (const auto& [key, length] : index) {
+    std::vector<DiskLocation>& copies = disk_index_[key];
+    // A pack flushed again under a known name (its entries recomputed
+    // after corruption, so the same bytes) may still be listed here.
+    if (std::none_of(copies.begin(), copies.end(),
+                     [&](const DiskLocation& c) { return c.pack == *id; })) {
+      copies.push_back(DiskLocation{*id, length, offset});
+    }
+    offset += length;
+  }
 }
 
 void SummaryCache::Store(const Hash128& key, const FunctionSummary& summary) {
@@ -212,36 +381,51 @@ void SummaryCache::Store(const Hash128& key, const FunctionSummary& summary) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.stores;
   m_stores_.Add();
-  if (!config_.disk_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.disk_dir, ec);
-    if (!ec) {
-      // Same transient-error policy as reads: retry with backoff, then
-      // give up on the disk tier for this entry (the memory insert
-      // below still happens — the cache never blocks a store).
-      const std::string path = PathFor(key);
-      int retries = 0;
-      bool wrote = RetryIo(
-          config_.retry,
-          [&] {
-            if (FaultPlan::Global().ShouldFail(FaultSite::kCacheWrite,
-                                               path)) {
-              return false;
-            }
-            return WriteFileAtomic(path, blob);
-          },
-          &retries);
-      if (retries > 0) {
-        stats_.io_retries += static_cast<size_t>(retries);
-        m_io_retries_.Add(static_cast<uint64_t>(retries));
-      }
-      if (!wrote) {
-        ++stats_.io_failures;
-        m_io_failures_.Add();
-      }
-    }
-  }
+  if (!config_.disk_dir.empty()) pending_.insert_or_assign(key, blob);
   InsertMemoryLocked(key, std::move(blob));
+}
+
+void SummaryCache::Flush() {
+  std::map<Hash128, std::vector<uint8_t>> pending;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending.swap(pending_);
+  }
+  if (pending.empty()) return;
+  // Built and written outside the lock, so other threads' lookups and
+  // stores go on meanwhile.
+  PackIndex index;
+  const std::vector<uint8_t> bytes = BuildPack(pending, index);
+  const std::string name =
+      Fingerprint128().Mix(std::span<const uint8_t>(bytes)).Digest().ToHex() +
+      std::string(kPackExtension);
+  const std::string path = config_.disk_dir + "/" + name;
+  // Same transient-error policy as reads: retry with backoff, then give
+  // up on the disk tier for these entries (the memory tier keeps them).
+  auto write = [&] {
+    if (FaultPlan::Global().ShouldFail(FaultSite::kCacheWrite, path)) {
+      return false;
+    }
+    return WriteFileAtomic(path, bytes);
+  };
+  std::error_code ec;
+  fs::create_directories(config_.disk_dir, ec);
+  int retries = 0;
+  const bool wrote = !ec && RetryIo(config_.retry, write, &retries);
+  std::lock_guard<std::mutex> lock(mu_);
+  CountIoLocked(retries, wrote);
+  if (wrote) AddPackLocked(name, index);
+}
+
+void SummaryCache::CountIoLocked(int retries, bool ok) {
+  if (retries > 0) {
+    stats_.io_retries += static_cast<size_t>(retries);
+    m_io_retries_.Add(static_cast<uint64_t>(retries));
+  }
+  if (!ok) {
+    ++stats_.io_failures;
+    m_io_failures_.Add();
+  }
 }
 
 void SummaryCache::InsertMemoryLocked(const Hash128& key,

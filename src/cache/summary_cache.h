@@ -15,26 +15,52 @@
 //    bytes) — every hit round-trips through the codec, so a cached
 //    result is by construction identical to what a cold process would
 //    read back from disk;
-//  * an optional on-disk store (one `<key>.dtsc` file per entry,
-//    written atomically via rename).
+//  * an optional on-disk store of immutable *pack files*, one per
+//    Summarize pass (that is, per binary). Store() queues each new blob
+//    and Flush() writes the queue as one `<hex32>.dtsp` file, named by
+//    the fingerprint of its bytes and written atomically via rename:
+//
+//      u32 magic "DTSP" | u32 version | u32 count
+//      count x (u64 key.hi | u64 key.lo | u32 length)   sorted by key
+//      u64 FNV-1a checksum over everything above
+//      the blobs (EncodeSummary bytes), in index order
+//
+//    Entries are sorted by key, so a binary's pack is byte-identical at
+//    every thread count. One file per binary, not per function: an
+//    inode per summary costs more CPU than encoding it.
+//
+// Reading: the constructor reads every pack's index into an in-memory
+// map (key -> pack, offset, length), so supervisor workers forked after
+// it inherit the index. A key the map lacks re-lists the directory, but
+// only when its mtime has moved since the last listing, and reads only
+// packs it has not seen. A hit preads just that blob.
 //
 // Corruption tolerance is a hard requirement: a damaged entry —
 // truncated file, flipped bit, stale codec version — must behave
-// exactly like a miss (recompute, overwrite), never crash, and never
-// alter analysis results. The differential-oracle test suite holds the
-// cache to "cold == warm == corrupted-then-recovered" on every corpus
-// it can synthesize.
+// exactly like a miss (recompute, store again), never crash, and never
+// alter analysis results. A key held by several packs keeps every
+// copy, newest first; a copy that fails to decode is counted and
+// dropped and the next one tried, so a recomputed entry in a newer
+// pack serves even a fresh process. A pack whose index fails its
+// checksum is ignored and counted once. The differential-oracle test
+// suite holds the cache to "cold == warm == corrupted-then-recovered"
+// on every corpus it can synthesize.
 //
 // All methods are thread-safe: the interprocedural phase looks up and
 // stores from its worker pool when InterprocConfig::num_threads > 1.
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <list>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/cfg/function.h"
 #include "src/obs/metrics.h"
@@ -47,7 +73,7 @@ namespace dtaint {
 
 struct CacheConfig {
   /// Directory for the on-disk tier; empty = in-memory only. Created
-  /// on first store if missing.
+  /// on the first Flush() with entries if missing.
   std::string disk_dir;
   /// In-memory LRU bounds (whichever trips first evicts).
   size_t max_memory_entries = 4096;
@@ -77,25 +103,58 @@ struct CacheStats {
 
 class SummaryCache {
  public:
+  /// Reads the index of every pack already in `config.disk_dir`.
   explicit SummaryCache(CacheConfig config = {});
+  /// Flushes whatever is still queued.
+  ~SummaryCache();
 
-  /// Returns the cached summary for `key`, or nullopt. Decode failures
-  /// (corruption, version skew) discard the entry and report a miss.
+  SummaryCache(const SummaryCache&) = delete;
+  SummaryCache& operator=(const SummaryCache&) = delete;
+
+  /// Returns the cached summary for `key`, or nullopt. A copy that
+  /// fails to decode (corruption, version skew) is discarded and the
+  /// next older disk copy tried; when none decodes, the lookup misses.
   std::optional<FunctionSummary> Lookup(const Hash128& key);
 
-  /// Encodes and inserts `summary` under `key` (memory tier + disk
-  /// tier when configured). Disk write failures are swallowed: the
-  /// cache is an accelerator, never a correctness dependency.
+  /// Encodes and inserts `summary` under `key` into the memory tier,
+  /// and queues it for the next Flush() when a disk tier is configured.
   void Store(const Hash128& key, const FunctionSummary& summary);
+
+  /// Writes every entry queued since the last flush as one pack file.
+  /// Summarize calls it once per pass, after its pool joins. Write
+  /// failures are swallowed (counted in io_failures): the cache is an
+  /// accelerator, never a correctness dependency.
+  void Flush();
 
   CacheStats stats() const;
 
   const CacheConfig& config() const { return config_; }
 
  private:
+  /// Where one copy of a blob sits on disk.
+  struct DiskLocation {
+    uint32_t pack = 0;  // index into pack_paths_
+    uint32_t length = 0;
+    uint64_t offset = 0;
+  };
+  // Keys are fingerprints, so either word is already well mixed.
+  struct KeyHash {
+    size_t operator()(const Hash128& key) const { return key.lo; }
+  };
+
   void InsertMemoryLocked(const Hash128& key, std::vector<uint8_t> blob);
   void EvictLocked();
-  std::string PathFor(const Hash128& key) const;
+  /// Serves `key` from its newest readable, decodable disk copy.
+  std::optional<FunctionSummary> LookupDiskLocked(const Hash128& key);
+  /// Re-lists the disk directory if its mtime moved since the last
+  /// listing and indexes the packs not seen before. Returns whether
+  /// any pack was added.
+  bool RefreshDiskIndexLocked();
+  /// Adds a pack's index records — (key, blob length) in file order —
+  /// to the disk index as the newest copies.
+  void AddPackLocked(const std::string& name,
+                     std::span<const std::pair<Hash128, uint32_t>> index);
+  void CountIoLocked(int retries, bool ok);
 
   CacheConfig config_;
 
@@ -107,6 +166,19 @@ class SummaryCache {
   std::list<Entry> lru_;  // front = most recently used
   std::map<Hash128, std::list<Entry>::iterator> index_;
   CacheStats stats_;
+
+  // Disk tier: the blobs stored since the last flush, by key (so a
+  // pack's entries come out sorted); the path of each indexed pack;
+  // every pack seen so far by file name, with its id or none when its
+  // index is damaged (so it is read and counted once); every indexed
+  // copy of each key, oldest first; the directory's mtime at the last
+  // listing.
+  std::map<Hash128, std::vector<uint8_t>> pending_;
+  std::vector<std::string> pack_paths_;
+  std::unordered_map<std::string, std::optional<uint32_t>> pack_ids_;
+  std::unordered_map<Hash128, std::vector<DiskLocation>, KeyHash>
+      disk_index_;
+  std::optional<std::filesystem::file_time_type> dir_mtime_;
 
   // Registry mirrors of stats_ ("cache.*" in the global metrics
   // registry): every increment above lands in both, so InterprocStats

@@ -1,7 +1,7 @@
 #include "src/cache/summary_codec.h"
 
-#include <map>
 #include <tuple>
+#include <unordered_map>
 
 #include "src/util/hash.h"
 
@@ -148,6 +148,24 @@ class Writer {
       std::tuple<uint8_t, const SymExpr*, const SymExpr*, bool, uint32_t>;
   using ListKey = std::vector<ConstraintKey>;
 
+  struct ConstraintKeyHash {
+    size_t operator()(const ConstraintKey& key) const {
+      const auto& [op, lhs, rhs, taken, site] = key;
+      uint64_t h = HashCombine(op, reinterpret_cast<uintptr_t>(lhs));
+      h = HashCombine(h, reinterpret_cast<uintptr_t>(rhs));
+      return HashCombine(HashCombine(h, taken ? 1 : 0), site);
+    }
+  };
+  struct ListKeyHash {
+    size_t operator()(const ListKey& list) const {
+      uint64_t h = list.size();
+      for (const ConstraintKey& key : list) {
+        h = HashCombine(h, ConstraintKeyHash{}(key));
+      }
+      return h;
+    }
+  };
+
   // Constraint dedup keys carry canonical expression pointers for the
   // same reason Expr does: identical constraints must collide.
   static ConstraintKey KeyFor(const PathConstraint& c) {
@@ -156,11 +174,14 @@ class Writer {
   }
 
   std::vector<uint8_t> out_;
-  std::map<const SymExpr*, uint32_t> expr_ids_;
+  // Ids count up in first-seen order, so the bytes do not depend on
+  // how these tables iterate.
+  std::unordered_map<const SymExpr*, uint32_t> expr_ids_;
   uint32_t next_expr_id_ = 0;
-  std::map<ConstraintKey, uint32_t> constraint_ids_;
+  std::unordered_map<ConstraintKey, uint32_t, ConstraintKeyHash>
+      constraint_ids_;
   uint32_t next_constraint_id_ = 0;
-  std::map<ListKey, uint32_t> list_ids_;
+  std::unordered_map<ListKey, uint32_t, ListKeyHash> list_ids_;
   uint32_t next_list_id_ = 0;
 };
 

@@ -264,6 +264,8 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
+  // Everything this pass stored goes to disk as one pack file.
+  if (cache) cache->Flush();
   for (size_t i = 0; i < order.size(); ++i) {
     if (fn_budget[i].exhausted_by == BudgetExhaustion::kNone) continue;
     Incident incident;

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/dtaint.h"
+#include "tests/testing/pack_files.h"
 #include "tests/testing/plant_corpus.h"
 
 namespace dtaint {
@@ -46,24 +46,19 @@ std::string AnalyzeNormalized(const Binary& binary,
   return report.ok() ? NormalizedJson(*report) : std::string();
 }
 
-void CorruptEveryEntry(const fs::path& dir) {
+/// Flips a byte inside every blob of every pack, so each disk copy
+/// fails to decode. Returns the number of blobs damaged.
+size_t CorruptEveryEntry(const fs::path& dir) {
   size_t corrupted = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".dtsc") continue;
-    std::vector<uint8_t> bytes;
-    {
-      std::ifstream in(entry.path(), std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
+  for (const fs::path& pack : testing_util::PackFiles(dir)) {
+    std::vector<uint8_t> bytes = testing_util::ReadBytes(pack);
+    for (const testing_util::PackBlob& blob : testing_util::PackBlobs(bytes)) {
+      bytes[blob.offset + blob.length / 3] ^= 0xA5;
+      ++corrupted;
     }
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 3] ^= 0xA5;
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    ++corrupted;
+    testing_util::WriteBytes(pack, bytes);
   }
-  ASSERT_GT(corrupted, 0u);
+  return corrupted;
 }
 
 // ---------- the oracle -------------------------------------------------------
@@ -93,6 +88,9 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
     }
     EXPECT_GT(cache.stats().stores, 0u);
   }
+  // One pack per binary that stored anything.
+  EXPECT_GT(testing_util::PackFiles(dir).size(), 0u);
+  EXPECT_LE(testing_util::PackFiles(dir).size(), corpus.size());
 
   // Warm run: a fresh process-equivalent (new cache instance, empty
   // memory tier) must serve every single function from disk — which
@@ -118,13 +116,17 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
   // Corrupted run: every on-disk entry is damaged; the cache must
   // detect each one, recompute, and still produce identical bytes.
   {
-    CorruptEveryEntry(dir);
+    ASSERT_GT(CorruptEveryEntry(dir), 0u);
     SummaryCache cache(cache_config);
     for (size_t i = 0; i < corpus.size(); ++i) {
       EXPECT_EQ(AnalyzeNormalized(corpus[i], &cache), cold[i])
           << "corrupted-cache run diverged on corpus[" << i << "]";
     }
-    EXPECT_GT(cache.stats().corrupt_entries, 0u);
+    CacheStats stats = cache.stats();
+    EXPECT_GT(stats.corrupt_entries, 0u);
+    // Every disk lookup found a damaged copy: none served.
+    EXPECT_EQ(stats.disk_hits, 0u);
+    EXPECT_EQ(stats.corrupt_entries, stats.misses);
   }
 
   fs::remove_all(dir);

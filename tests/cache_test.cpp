@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
+#include <thread>
 #include <vector>
 
 #include "src/binary/writer.h"
@@ -21,11 +21,14 @@
 #include "src/symexec/engine.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/rng.h"
+#include "tests/testing/pack_files.h"
 #include "tests/testing/random_insn.h"
 
 namespace dtaint {
 namespace {
 
+using testing_util::CorruptBlob;
+using testing_util::PackFiles;
 using testing_util::RandomInsnForOp;
 namespace fs = std::filesystem;
 
@@ -252,7 +255,7 @@ TEST(SummaryCacheTier, DiskTierPersistsAcrossInstances) {
     writer.Store(key, TinySummary("persisted"));
     EXPECT_EQ(writer.stats().stores, 1u);
   }
-  ASSERT_TRUE(fs::exists(dir / (key.ToHex() + ".dtsc")));
+  ASSERT_EQ(PackFiles(dir).size(), 1u);
   {
     CacheConfig config;
     config.disk_dir = dir.string();
@@ -280,31 +283,224 @@ TEST(SummaryCacheTier, CorruptDiskEntryIsMissThenRepaired) {
     SummaryCache writer(config);
     writer.Store(key, TinySummary("victim"));
   }
-  // Flip a byte in the middle of the stored blob.
-  fs::path file = dir / (key.ToHex() + ".dtsc");
-  {
-    std::vector<uint8_t> bytes;
-    {
-      std::ifstream in(file, std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    }
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0xFF;
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  // Flip a byte in the middle of the stored blob, inside its pack.
+  ASSERT_EQ(PackFiles(dir).size(), 1u);
+  ASSERT_TRUE(CorruptBlob(PackFiles(dir)[0], key));
   SummaryCache reader(config);
   EXPECT_FALSE(reader.Lookup(key).has_value());  // never crashes
   CacheStats stats = reader.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_GE(stats.corrupt_entries, 1u);
-  // The caller recomputes and stores; the bad file is overwritten and
-  // the entry serves again.
+  // The caller recomputes, stores and flushes; the entry serves a
+  // fresh instance again.
   reader.Store(key, TinySummary("victim"));
+  reader.Flush();
   SummaryCache reader2(config);
   EXPECT_TRUE(reader2.Lookup(key).has_value());
+  EXPECT_EQ(reader2.stats().disk_hits, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(SummaryCacheTier, PackWithDamagedIndexIsACountedMiss) {
+  fs::path dir = "cache_test_bad_index";
+  fs::remove_all(dir);
+  CacheConfig config;
+  config.disk_dir = dir.string();
+  Hash128 key{7, 7};
+  {
+    SummaryCache writer(config);
+    writer.Store(key, TinySummary("indexed"));
+  }
+  ASSERT_EQ(PackFiles(dir).size(), 1u);
+  // The first index record's key: the blob is intact, the checksum over
+  // the index is not.
+  fs::path pack = PackFiles(dir)[0];
+  std::vector<uint8_t> bytes = testing_util::ReadBytes(pack);
+  bytes[testing_util::kPackHeaderBytes + 3] ^= 0x10;
+  testing_util::WriteBytes(pack, bytes);
+
+  SummaryCache reader(config);
+  EXPECT_EQ(reader.stats().corrupt_entries, 1u);
+  EXPECT_FALSE(reader.Lookup(key).has_value());  // never crashes
+  EXPECT_FALSE(reader.Lookup(Hash128{7, 8}).has_value());
+  CacheStats stats = reader.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.corrupt_entries, 1u);  // the pack, counted once
+
+  // A pack cut short is damaged the same way.
+  bytes = testing_util::ReadBytes(pack);
+  bytes[testing_util::kPackHeaderBytes + 3] ^= 0x10;
+  bytes.pop_back();
+  testing_util::WriteBytes(pack, bytes);
+  SummaryCache truncated(config);
+  EXPECT_FALSE(truncated.Lookup(key).has_value());
+  EXPECT_EQ(truncated.stats().corrupt_entries, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(SummaryCacheTier, RecomputedEntryInANewerPackServesAFreshInstance) {
+  fs::path dir = "cache_test_two_packs";
+  fs::remove_all(dir);
+  CacheConfig config;
+  config.disk_dir = dir.string();
+  Hash128 key{8, 1};
+  Hash128 other{8, 2};
+  {
+    SummaryCache writer(config);
+    writer.Store(key, TinySummary("twice"));
+  }
+  ASSERT_EQ(PackFiles(dir).size(), 1u);
+  fs::path older = PackFiles(dir)[0];
+  ASSERT_TRUE(CorruptBlob(older, key));
+  {
+    SummaryCache rescan(config);
+    EXPECT_FALSE(rescan.Lookup(key).has_value());
+    EXPECT_EQ(rescan.stats().corrupt_entries, 1u);
+    // The recompute lands in a second pack beside another entry.
+    rescan.Store(key, TinySummary("twice"));
+    rescan.Store(other, TinySummary("beside", 1));
+  }
+  ASSERT_EQ(PackFiles(dir).size(), 2u);
+  // Make the age order explicit whatever the timestamp granularity.
+  fs::last_write_time(older,
+                      fs::last_write_time(older) - std::chrono::hours(1));
+
+  SummaryCache fresh(config);
+  auto hit = fresh.Lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name, "twice");
+  EXPECT_EQ(fresh.stats().disk_hits, 1u);
+  EXPECT_EQ(fresh.stats().corrupt_entries, 0u);  // the newer copy first
+
+  // The other way round: flipping the same byte again restores the
+  // older copy, and the newer one is damaged now. It is counted and
+  // dropped, and the older one serves.
+  for (const fs::path& pack : PackFiles(dir)) {
+    ASSERT_TRUE(CorruptBlob(pack, key));
+  }
+  fs::last_write_time(older,
+                      fs::last_write_time(older) - std::chrono::hours(1));
+  SummaryCache fallback(config);
+  hit = fallback.Lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name, "twice");
+  EXPECT_EQ(fallback.stats().corrupt_entries, 1u);
+  EXPECT_EQ(fallback.stats().disk_hits, 1u);
+  EXPECT_EQ(fallback.stats().misses, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(SummaryCacheTier, SeesAPackFlushedAfterItWasBuilt) {
+  fs::path dir = "cache_test_late_pack";
+  fs::remove_all(dir);
+  CacheConfig config;
+  config.disk_dir = dir.string();
+  Hash128 early{9, 1}, late{9, 2};
+  {
+    SummaryCache writer(config);
+    writer.Store(early, TinySummary("early"));
+  }
+  SummaryCache reader(config);  // indexes the one pack there is
+  EXPECT_FALSE(reader.Lookup(late).has_value());
+  {
+    SummaryCache writer(config);
+    writer.Store(late, TinySummary("late", 1));
+    writer.Flush();
+  }
+  auto hit = reader.Lookup(late);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name, "late");
+  ASSERT_TRUE(reader.Lookup(early).has_value());
+  CacheStats stats = reader.stats();
+  EXPECT_EQ(stats.disk_hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.corrupt_entries, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(SummaryCacheTier, PackBytesAreTheSameAtEveryThreadCount) {
+  ProgramSpec spec;
+  spec.name = "packs";
+  spec.seed = 17;
+  spec.filler_functions = 24;
+  PlantSpec p;
+  p.id = "v";
+  p.pattern = VulnPattern::kAliasChain;
+  p.source = "recv";
+  p.sink = "strcpy";
+  spec.plants = {p};
+  auto out = SynthesizeBinary(spec);
+  ASSERT_TRUE(out.ok());
+
+  std::string reference_name;
+  std::vector<uint8_t> reference;
+  for (int threads : {1, 2, 8}) {
+    fs::path dir = "cache_test_pack_threads";
+    fs::remove_all(dir);
+    CacheConfig cache_config;
+    cache_config.disk_dir = dir.string();
+    SummaryCache cache(cache_config);
+    DTaintConfig config;
+    config.interproc.cache = &cache;
+    config.interproc.num_threads = threads;
+    auto report = DTaint(config).Analyze(out->binary);
+    ASSERT_TRUE(report.ok());
+    // One pack for the binary, written before Analyze returns.
+    std::vector<fs::path> packs = PackFiles(dir);
+    ASSERT_EQ(packs.size(), 1u) << "threads=" << threads;
+    std::vector<uint8_t> bytes = testing_util::ReadBytes(packs[0]);
+    EXPECT_EQ(testing_util::PackBlobs(bytes).size(), cache.stats().stores);
+    if (reference.empty()) {
+      reference_name = packs[0].filename().string();
+      reference = std::move(bytes);
+    } else {
+      EXPECT_EQ(packs[0].filename().string(), reference_name)
+          << "threads=" << threads;
+      EXPECT_TRUE(bytes == reference) << "threads=" << threads;
+    }
+    fs::remove_all(dir);
+  }
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST(SummaryCacheTier, ConcurrentStoreLookupAndFlush) {
+  fs::path dir = "cache_test_concurrent";
+  fs::remove_all(dir);
+  CacheConfig config;
+  config.disk_dir = dir.string();
+  config.max_memory_entries = 64;  // evictions send lookups to disk
+  constexpr uint32_t kThreads = 8;
+  constexpr uint32_t kPerThread = 40;
+  {
+    SummaryCache cache(config);
+    std::vector<std::thread> pool;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&cache, t] {
+        for (uint32_t i = 0; i < kPerThread; ++i) {
+          cache.Store(Hash128{100 + t, i}, TinySummary("c", i));
+          // Another thread's key: a hit or a miss, never a crash.
+          cache.Lookup(Hash128{100 + (t + 1) % kThreads, i});
+          if (i % 10 == 9) cache.Flush();
+        }
+      });
+    }
+    for (std::thread& thread : pool) thread.join();
+    CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.stores, kThreads * kPerThread);
+    EXPECT_EQ(stats.corrupt_entries, 0u);
+    EXPECT_EQ(stats.io_failures, 0u);
+  }
+  SummaryCache reader(config);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    for (uint32_t i = 0; i < kPerThread; ++i) {
+      auto hit = reader.Lookup(Hash128{100 + t, i});
+      ASSERT_TRUE(hit.has_value()) << t << "/" << i;
+      EXPECT_EQ(hit->addr, 0x10000u + i);
+    }
+  }
+  EXPECT_EQ(reader.stats().disk_hits, kThreads * kPerThread);
+  EXPECT_EQ(reader.stats().corrupt_entries, 0u);
   fs::remove_all(dir);
 }
 

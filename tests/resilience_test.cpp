@@ -24,6 +24,7 @@
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
 #include "src/synth/firmware_synth.h"
+#include "tests/testing/pack_files.h"
 
 namespace dtaint {
 namespace {
@@ -302,7 +303,9 @@ TEST_F(ResilienceTest, TinyBudgetFindingsAreSubsetOfGenerous) {
           << "spurious finding under max_steps=" << max_steps << ": "
           << key;
     }
-    if (tiny->degraded_functions > 0) EXPECT_FALSE(tiny->complete);
+    if (tiny->degraded_functions > 0) {
+      EXPECT_FALSE(tiny->complete);
+    }
   }
 }
 
@@ -552,9 +555,10 @@ TEST_F(ResilienceTest, PersistentCacheWriteFaultKeepsMemoryTier) {
   FunctionSummary s;
   s.name = "memonly";
   cache.Store(key, s);
+  cache.Flush();
   EXPECT_GE(cache.stats().io_failures, 1u);
   // Disk tier never materialized, memory tier still serves.
-  EXPECT_FALSE(fs::exists(dir / (key.ToHex() + ".dtsc")));
+  EXPECT_TRUE(testing_util::PackFiles(dir).empty());
   auto hit = cache.Lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->name, "memonly");
