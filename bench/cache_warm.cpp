@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
 
   const bench::RunResult& warm =
       harness.Run("warm", median3, [&](bench::Rep& rep) {
-        // Fresh instance per rep = fresh process: the memory tier
-        // starts empty and everything must come off disk.
+        // Fresh instance per rep = fresh process: nothing is queued
+        // and everything must come off disk.
         SummaryCache cache(cache_config);
         SweepTotals t = Sweep(corpus, &cache, rep);
         CacheStats stats = cache.stats();

@@ -142,17 +142,27 @@ bool WriteFileAtomic(const std::string& path,
   static std::atomic<uint64_t> serial{0};
   std::string tmp = path + "." + std::to_string(::getpid()) + "." +
                     std::to_string(serial.fetch_add(1)) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) return false;
-  }
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  // close() flushes the buffer: a full disk or a file-size limit shows
+  // up only here.
+  out.close();
   std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) fs::remove(tmp, ec);
-  return !ec;
+  if (out.good()) {
+    fs::rename(tmp, path, ec);
+    if (!ec) return true;
+  }
+  fs::remove(tmp, ec);
+  return false;
+}
+
+/// The mtime of directory `dir`, or nullopt when it cannot be read.
+std::optional<fs::file_time_type> DirMtime(const std::string& dir) {
+  std::error_code ec;
+  const fs::file_time_type mtime = fs::last_write_time(dir, ec);
+  if (ec) return std::nullopt;
+  return mtime;
 }
 
 }  // namespace
@@ -230,16 +240,13 @@ SummaryCache::SummaryCache(CacheConfig config)
     : config_(std::move(config)),
       m_hits_(obs::MetricsRegistry::Global().counter("cache.hits")),
       m_misses_(obs::MetricsRegistry::Global().counter("cache.misses")),
-      m_evictions_(obs::MetricsRegistry::Global().counter("cache.evictions")),
       m_stores_(obs::MetricsRegistry::Global().counter("cache.stores")),
       m_disk_hits_(obs::MetricsRegistry::Global().counter("cache.disk_hits")),
       m_corrupt_(
           obs::MetricsRegistry::Global().counter("cache.corrupt_entries")),
       m_io_retries_(obs::MetricsRegistry::Global().counter("cache.io_retries")),
       m_io_failures_(
-          obs::MetricsRegistry::Global().counter("cache.io_failures")),
-      m_memory_bytes_(
-          obs::MetricsRegistry::Global().gauge("cache.memory_bytes")) {
+          obs::MetricsRegistry::Global().counter("cache.io_failures")) {
   if (config_.disk_dir.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
   RefreshDiskIndexLocked();
@@ -250,23 +257,19 @@ SummaryCache::~SummaryCache() { Flush(); }
 std::optional<FunctionSummary> SummaryCache::Lookup(const Hash128& key) {
   std::lock_guard<std::mutex> lock(mu_);
 
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    auto decoded = DecodeSummary(it->second->blob);
+  auto it = pending_.find(key);
+  if (it != pending_.end()) {
+    auto decoded = DecodeSummary(it->second);
     if (decoded.ok()) {
       ++stats_.hits;
       m_hits_.Add();
       return std::move(*decoded);
     }
-    // Poisoned in-memory entry (should be impossible, but never trust
-    // a cache): drop it and fall through to disk/miss.
+    // Poisoned queued entry (should be impossible, but never trust a
+    // cache): drop it and fall through to disk/miss.
     ++stats_.corrupt_entries;
     m_corrupt_.Add();
-    stats_.memory_bytes -= it->second->blob.size();
-    lru_.erase(it->second);
-    index_.erase(it);
-    m_memory_bytes_.Set(static_cast<double>(stats_.memory_bytes));
+    pending_.erase(it);
   }
 
   if (!config_.disk_dir.empty()) {
@@ -307,7 +310,6 @@ std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
     if (!read_ok) return std::nullopt;
     auto decoded = DecodeSummary(blob);
     if (decoded.ok()) {
-      InsertMemoryLocked(key, std::move(blob));
       ++stats_.hits;
       m_hits_.Add();
       ++stats_.disk_hits;
@@ -326,13 +328,14 @@ std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
 
 bool SummaryCache::RefreshDiskIndexLocked() {
   // One stat per call; the listing and the index reads happen only
-  // when a pack was added, renamed or removed since the last listing.
-  std::error_code ec;
-  const fs::file_time_type mtime = fs::last_write_time(config_.disk_dir, ec);
-  if (ec || mtime == dir_mtime_) return false;
+  // when another writer added, renamed or removed a pack since the
+  // last listing.
+  const std::optional<fs::file_time_type> mtime = DirMtime(config_.disk_dir);
+  if (!mtime || mtime == dir_mtime_) return false;
   dir_mtime_ = mtime;
   // Oldest first, so the newest copy of a key ends up last in its list.
   std::vector<std::pair<fs::file_time_type, std::string>> fresh;
+  std::error_code ec;
   for (fs::directory_iterator entry(config_.disk_dir, ec), end;
        !ec && entry != end; entry.increment(ec)) {
     if (!entry->path().native().ends_with(kPackExtension)) continue;
@@ -381,27 +384,26 @@ void SummaryCache::Store(const Hash128& key, const FunctionSummary& summary) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.stores;
   m_stores_.Add();
-  if (!config_.disk_dir.empty()) pending_.insert_or_assign(key, blob);
-  InsertMemoryLocked(key, std::move(blob));
+  pending_.insert_or_assign(key, std::move(blob));
 }
 
 void SummaryCache::Flush() {
-  std::map<Hash128, std::vector<uint8_t>> pending;
+  if (config_.disk_dir.empty()) return;
+  std::lock_guard<std::mutex> flushing(flush_mu_);
+  PackIndex index;
+  std::vector<uint8_t> bytes;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending.swap(pending_);
+    if (pending_.empty()) return;
+    bytes = BuildPack(pending_, index);
   }
-  if (pending.empty()) return;
-  // Built and written outside the lock, so other threads' lookups and
-  // stores go on meanwhile.
-  PackIndex index;
-  const std::vector<uint8_t> bytes = BuildPack(pending, index);
+  // Written outside the lock; the queue serves these entries meanwhile.
   const std::string name =
       Fingerprint128().Mix(std::span<const uint8_t>(bytes)).Digest().ToHex() +
       std::string(kPackExtension);
   const std::string path = config_.disk_dir + "/" + name;
   // Same transient-error policy as reads: retry with backoff, then give
-  // up on the disk tier for these entries (the memory tier keeps them).
+  // up on the disk tier for now (the entries stay queued).
   auto write = [&] {
     if (FaultPlan::Global().ShouldFail(FaultSite::kCacheWrite, path)) {
       return false;
@@ -410,11 +412,20 @@ void SummaryCache::Flush() {
   };
   std::error_code ec;
   fs::create_directories(config_.disk_dir, ec);
+  const auto before = DirMtime(config_.disk_dir);
   int retries = 0;
   const bool wrote = !ec && RetryIo(config_.retry, write, &retries);
+  const auto after = DirMtime(config_.disk_dir);
   std::lock_guard<std::mutex> lock(mu_);
   CountIoLocked(retries, wrote);
-  if (wrote) AddPackLocked(name, index);
+  // Our write moved the directory's mtime. If nothing else had since
+  // the last listing, that is no news: the pack is indexed right here.
+  if (before && before == dir_mtime_) dir_mtime_ = after;
+  if (!wrote) return;
+  AddPackLocked(name, index);
+  // A key names its content, so a Store of a written key meanwhile
+  // queued the bytes the pack holds.
+  for (const auto& [key, length] : index) pending_.erase(key);
 }
 
 void SummaryCache::CountIoLocked(int retries, bool ok) {
@@ -425,34 +436,6 @@ void SummaryCache::CountIoLocked(int retries, bool ok) {
   if (!ok) {
     ++stats_.io_failures;
     m_io_failures_.Add();
-  }
-}
-
-void SummaryCache::InsertMemoryLocked(const Hash128& key,
-                                      std::vector<uint8_t> blob) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    stats_.memory_bytes -= it->second->blob.size();
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  stats_.memory_bytes += blob.size();
-  lru_.push_front(Entry{key, std::move(blob)});
-  index_[key] = lru_.begin();
-  EvictLocked();
-  stats_.memory_entries = index_.size();
-  m_memory_bytes_.Set(static_cast<double>(stats_.memory_bytes));
-}
-
-void SummaryCache::EvictLocked() {
-  while (!lru_.empty() && (index_.size() > config_.max_memory_entries ||
-                           stats_.memory_bytes > config_.max_memory_bytes)) {
-    if (index_.size() == 1) break;  // always keep the newest entry
-    stats_.memory_bytes -= lru_.back().blob.size();
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-    m_evictions_.Add();
   }
 }
 

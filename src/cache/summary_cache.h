@@ -10,15 +10,15 @@
 // unchanged binaries) is a lookup. The key needs no lifted IR, so a hit
 // never lifts the function.
 //
-// Two tiers:
-//  * an in-memory LRU of *encoded* blobs (bounded by entries and
-//    bytes) — every hit round-trips through the codec, so a cached
-//    result is by construction identical to what a cold process would
-//    read back from disk;
+// Every entry is held once, as an *encoded* blob, in one of two places,
+// and every hit decodes it — so a served summary is by construction
+// identical to what a cold process would read back from disk:
+//  * the pending queue: Store() encodes each new summary into it, and a
+//    lookup serves it from there until its pack is written;
 //  * an optional on-disk store of immutable *pack files*, one per
-//    Summarize pass (that is, per binary). Store() queues each new blob
-//    and Flush() writes the queue as one `<hex32>.dtsp` file, named by
-//    the fingerprint of its bytes and written atomically via rename:
+//    Summarize pass (that is, per binary). Flush() writes the queue as
+//    one `<hex32>.dtsp` file, named by the fingerprint of its bytes and
+//    written atomically via rename:
 //
 //      u32 magic "DTSP" | u32 version | u32 count
 //      count x (u64 key.hi | u64 key.lo | u32 length)   sorted by key
@@ -27,13 +27,21 @@
 //
 //    Entries are sorted by key, so a binary's pack is byte-identical at
 //    every thread count. One file per binary, not per function: an
-//    inode per summary costs more CPU than encoding it.
+//    inode per summary costs more CPU than encoding it. Flush() drops
+//    an entry from the queue only once its pack is renamed in and
+//    indexed, so no key is ever in neither place; a failed write leaves
+//    the entries queued for the next Flush().
+//
+// A cache without a disk directory never flushes: its queue is its
+// whole store. Only tests use one (the golden, differential, obs and
+// alias suites), to share summaries between scans in one process.
 //
 // Reading: the constructor reads every pack's index into an in-memory
 // map (key -> pack, offset, length), so supervisor workers forked after
 // it inherit the index. A key the map lacks re-lists the directory, but
 // only when its mtime has moved since the last listing, and reads only
-// packs it has not seen. A hit preads just that blob.
+// packs it has not seen. The cache's own Flush() is not such a move: it
+// indexes its pack itself. A hit preads just that blob.
 //
 // Corruption tolerance is a hard requirement: a damaged entry —
 // truncated file, flipped bit, stale codec version — must behave
@@ -52,7 +60,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -75,28 +82,22 @@ struct CacheConfig {
   /// Directory for the on-disk tier; empty = in-memory only. Created
   /// on the first Flush() with entries if missing.
   std::string disk_dir;
-  /// In-memory LRU bounds (whichever trips first evicts).
-  size_t max_memory_entries = 4096;
-  size_t max_memory_bytes = 64u << 20;
   /// Bounded retry-with-backoff for disk-tier reads and writes. After
   /// the final attempt fails the cache falls back to cache-off for
-  /// that entry (miss on read, memory-only on write).
+  /// that entry (miss on read; on write it stays queued in memory).
   RetryPolicy retry;
 };
 
 /// Counters: monotonic over the cache's lifetime. `hits` counts every
-/// successful lookup (memory or disk); `disk_hits` the subset served
-/// by promoting a disk entry into memory. A corrupt entry counts as
-/// both `corrupt_entries` and `misses`.
+/// successful lookup (pending queue or disk); `disk_hits` the subset
+/// read from a pack. A corrupt entry counts as both `corrupt_entries`
+/// and `misses`.
 struct CacheStats {
   size_t hits = 0;
   size_t misses = 0;
-  size_t evictions = 0;
   size_t stores = 0;
   size_t disk_hits = 0;
   size_t corrupt_entries = 0;
-  size_t memory_entries = 0;
-  size_t memory_bytes = 0;
   size_t io_retries = 0;   // disk operations that needed a re-try
   size_t io_failures = 0;  // disk operations abandoned after all tries
 };
@@ -116,19 +117,18 @@ class SummaryCache {
   /// next older disk copy tried; when none decodes, the lookup misses.
   std::optional<FunctionSummary> Lookup(const Hash128& key);
 
-  /// Encodes and inserts `summary` under `key` into the memory tier,
-  /// and queues it for the next Flush() when a disk tier is configured.
+  /// Encodes `summary` and queues it under `key` for the next Flush();
+  /// it serves lookups from the queue until then.
   void Store(const Hash128& key, const FunctionSummary& summary);
 
-  /// Writes every entry queued since the last flush as one pack file.
-  /// Summarize calls it once per pass, after its pool joins. Write
-  /// failures are swallowed (counted in io_failures): the cache is an
+  /// Writes every queued entry as one pack file, then drops them from
+  /// the queue; a no-op without a disk tier. Summarize calls it once
+  /// per pass, after its pool joins. Write failures are swallowed
+  /// (counted in io_failures; the entries stay queued): the cache is an
   /// accelerator, never a correctness dependency.
   void Flush();
 
   CacheStats stats() const;
-
-  const CacheConfig& config() const { return config_; }
 
  private:
   /// Where one copy of a blob sits on disk.
@@ -142,8 +142,6 @@ class SummaryCache {
     size_t operator()(const Hash128& key) const { return key.lo; }
   };
 
-  void InsertMemoryLocked(const Hash128& key, std::vector<uint8_t> blob);
-  void EvictLocked();
   /// Serves `key` from its newest readable, decodable disk copy.
   std::optional<FunctionSummary> LookupDiskLocked(const Hash128& key);
   /// Re-lists the disk directory if its mtime moved since the last
@@ -158,21 +156,18 @@ class SummaryCache {
 
   CacheConfig config_;
 
+  // One Flush() at a time, so no entry is written into two packs.
+  // Taken before mu_.
+  std::mutex flush_mu_;
   mutable std::mutex mu_;
-  struct Entry {
-    Hash128 key;
-    std::vector<uint8_t> blob;
-  };
-  std::list<Entry> lru_;  // front = most recently used
-  std::map<Hash128, std::list<Entry>::iterator> index_;
   CacheStats stats_;
 
-  // Disk tier: the blobs stored since the last flush, by key (so a
+  // The blobs stored and not yet in an indexed pack, by key (so a
   // pack's entries come out sorted); the path of each indexed pack;
   // every pack seen so far by file name, with its id or none when its
   // index is damaged (so it is read and counted once); every indexed
   // copy of each key, oldest first; the directory's mtime at the last
-  // listing.
+  // listing, or after the last flush that was the only change since.
   std::map<Hash128, std::vector<uint8_t>> pending_;
   std::vector<std::string> pack_paths_;
   std::unordered_map<std::string, std::optional<uint32_t>> pack_ids_;
@@ -186,13 +181,11 @@ class SummaryCache {
   // Handles resolved once here; stable for the registry's lifetime.
   obs::Counter& m_hits_;
   obs::Counter& m_misses_;
-  obs::Counter& m_evictions_;
   obs::Counter& m_stores_;
   obs::Counter& m_disk_hits_;
   obs::Counter& m_corrupt_;
   obs::Counter& m_io_retries_;
   obs::Counter& m_io_failures_;
-  obs::Gauge& m_memory_bytes_;
 };
 
 /// Fingerprint of everything outside the function body that can change

@@ -308,9 +308,6 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
         registry.counter("cache.hits").Value() - cache_hits_before;
     stats.cache_misses =
         registry.counter("cache.misses").Value() - cache_misses_before;
-    stats.cache_evictions = registry.counter("cache.evictions").Value();
-    stats.cache_memory_bytes =
-        static_cast<size_t>(registry.gauge("cache.memory_bytes").Value());
   }
   for (size_t i = 0; i < order.size(); ++i) {
     if (!program.FindFunction(order[i])) continue;

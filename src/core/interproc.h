@@ -103,14 +103,10 @@ struct InterprocStats {
   /// view: since the obs layer landed these are populated from the
   /// metrics registry ("cache.*" counters, which the cache itself
   /// increments), not read off the cache — proven equal to the cache's
-  /// own CacheStats by the obs test suite. hits/misses are deltas over
-  /// Summarize; evictions is the registry's lifetime total (identical
-  /// to the legacy semantics when one cache is shared, the supported
-  /// configuration); memory_bytes is the "cache.memory_bytes" gauge.
+  /// own CacheStats by the obs test suite. Both are deltas over
+  /// Summarize.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  size_t cache_evictions = 0;   // lifetime evictions of the shared cache
-  size_t cache_memory_bytes = 0;  // in-memory tier footprint afterwards
   /// Top functions by summary-production time, most expensive first
   /// (at most kHotFunctionCount).
   std::vector<HotFunction> hot_functions;

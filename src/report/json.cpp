@@ -114,11 +114,6 @@ std::string ReportToJson(const AnalysisReport& report) {
   json.Number(static_cast<uint64_t>(report.interproc_stats.cache_hits));
   json.Key("misses");
   json.Number(static_cast<uint64_t>(report.interproc_stats.cache_misses));
-  json.Key("evictions");
-  json.Number(static_cast<uint64_t>(report.interproc_stats.cache_evictions));
-  json.Key("memory_bytes");
-  json.Number(
-      static_cast<uint64_t>(report.interproc_stats.cache_memory_bytes));
   json.EndObject();
   json.EndObject();
 

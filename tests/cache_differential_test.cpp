@@ -92,8 +92,8 @@ TEST(CacheDifferential, ColdWarmAndCorruptedRunsAreByteIdentical) {
   EXPECT_GT(testing_util::PackFiles(dir).size(), 0u);
   EXPECT_LE(testing_util::PackFiles(dir).size(), corpus.size());
 
-  // Warm run: a fresh process-equivalent (new cache instance, empty
-  // memory tier) must serve every single function from disk — which
+  // Warm run: a fresh process-equivalent (new cache instance, nothing
+  // queued) must serve every single function from disk — which
   // also proves decode(encode(x)) is analysis-equivalent to x — and,
   // every summary being a hit, must not lift a single function's IR.
   {

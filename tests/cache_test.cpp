@@ -1,6 +1,6 @@
 // Unit tests for the persistent function-summary cache: the versioned
 // binary codec (round trip, corruption rejection, version skew), the
-// two cache tiers (LRU memory + on-disk store), and the fingerprint
+// cache's two places (pending queue + on-disk packs), and the fingerprint
 // properties the content-addressed keys must satisfy (stability across
 // independent builds and process runs; sensitivity to any single
 // instruction mutation and to every analysis-relevant config knob).
@@ -199,49 +199,31 @@ TEST(SummaryCodec, ChecksumFailureIsCorruptData) {
 
 // ---------- cache tiers ------------------------------------------------------
 
-TEST(SummaryCacheTier, MemoryLruEvictsBeyondEntryCap) {
+TEST(SummaryCacheTier, StoredEntryServesFromTheQueueThenFromItsPack) {
+  fs::path dir = "cache_test_lifecycle";
+  fs::remove_all(dir);
   CacheConfig config;
-  config.max_memory_entries = 2;
+  config.disk_dir = dir.string();
+  Hash128 key{1, 1};
   SummaryCache cache(config);
-  Hash128 k1{1, 1}, k2{1, 2}, k3{1, 3};
-  cache.Store(k1, TinySummary("a", 1));
-  cache.Store(k2, TinySummary("b", 2));
-  cache.Store(k3, TinySummary("c", 3));
+  cache.Store(key, TinySummary("queued"));
+  ASSERT_TRUE(cache.Lookup(key).has_value());
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
 
-  CacheStats stats = cache.stats();
-  EXPECT_GE(stats.evictions, 1u);
-  EXPECT_LE(stats.memory_entries, 2u);
-  // Oldest entry gone (no disk tier to fall back to), newest present.
-  EXPECT_FALSE(cache.Lookup(k1).has_value());
-  ASSERT_TRUE(cache.Lookup(k3).has_value());
-  EXPECT_EQ(cache.Lookup(k3)->name, "c");
-}
+  // Once flushed, the entry lives only in its pack.
+  cache.Flush();
+  ASSERT_EQ(PackFiles(dir).size(), 1u);
+  ASSERT_TRUE(cache.Lookup(key).has_value());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 
-TEST(SummaryCacheTier, LookupRefreshesLruRecency) {
-  CacheConfig config;
-  config.max_memory_entries = 2;
-  SummaryCache cache(config);
-  Hash128 k1{2, 1}, k2{2, 2}, k3{2, 3};
-  cache.Store(k1, TinySummary("a", 1));
-  cache.Store(k2, TinySummary("b", 2));
-  ASSERT_TRUE(cache.Lookup(k1).has_value());  // k1 now most-recent
-  cache.Store(k3, TinySummary("c", 3));       // should evict k2, not k1
-  EXPECT_TRUE(cache.Lookup(k1).has_value());
-  EXPECT_FALSE(cache.Lookup(k2).has_value());
-}
-
-TEST(SummaryCacheTier, ByteBudgetBoundsMemoryFootprint) {
-  CacheConfig config;
-  config.max_memory_bytes = 256;  // far below a few summaries' size
-  SummaryCache cache(config);
-  for (uint32_t i = 0; i < 8; ++i) {
-    cache.Store(Hash128{3, i}, TinySummary("s" + std::to_string(i), i));
-  }
-  CacheStats stats = cache.stats();
-  // The newest entry is always kept even if alone over-budget; beyond
-  // that the byte cap holds.
-  EXPECT_LE(stats.memory_entries, 2u);
-  EXPECT_GE(stats.evictions, 6u);
+  // Without a disk tier the queue is the whole store.
+  SummaryCache memory;
+  memory.Store(key, TinySummary("kept"));
+  memory.Flush();
+  ASSERT_TRUE(memory.Lookup(key).has_value());
+  EXPECT_EQ(memory.stats().disk_hits, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(SummaryCacheTier, DiskTierPersistsAcrossInstances) {
@@ -259,16 +241,13 @@ TEST(SummaryCacheTier, DiskTierPersistsAcrossInstances) {
   {
     CacheConfig config;
     config.disk_dir = dir.string();
-    SummaryCache reader(config);  // cold memory tier
+    SummaryCache reader(config);
     auto hit = reader.Lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->name, "persisted");
     CacheStats stats = reader.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.disk_hits, 1u);
-    // Promoted blob now serves from memory.
-    EXPECT_TRUE(reader.Lookup(key).has_value());
-    EXPECT_EQ(reader.stats().disk_hits, 1u);
   }
   fs::remove_all(dir);
 }
@@ -391,29 +370,39 @@ TEST(SummaryCacheTier, RecomputedEntryInANewerPackServesAFreshInstance) {
   fs::remove_all(dir);
 }
 
-TEST(SummaryCacheTier, SeesAPackFlushedAfterItWasBuilt) {
+TEST(SummaryCacheTier, SeesForeignPacksButNotItsOwnFlushAsNews) {
   fs::path dir = "cache_test_late_pack";
   fs::remove_all(dir);
+  fs::create_directories(dir);
   CacheConfig config;
   config.disk_dir = dir.string();
-  Hash128 early{9, 1}, late{9, 2};
-  {
+  auto flush_elsewhere = [&](Hash128 key, const char* name) {
     SummaryCache writer(config);
-    writer.Store(early, TinySummary("early"));
-  }
-  SummaryCache reader(config);  // indexes the one pack there is
-  EXPECT_FALSE(reader.Lookup(late).has_value());
-  {
-    SummaryCache writer(config);
-    writer.Store(late, TinySummary("late", 1));
-    writer.Flush();
-  }
-  auto hit = reader.Lookup(late);
+    writer.Store(key, TinySummary(name, 1));
+  };
+  SummaryCache reader(config);  // lists the empty directory
+  reader.Store(Hash128{9, 1}, TinySummary("own"));
+  reader.Flush();
+  // A pack another instance flushes later is found.
+  flush_elsewhere(Hash128{9, 2}, "late");
+  auto hit = reader.Lookup(Hash128{9, 2});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->name, "late");
-  ASSERT_TRUE(reader.Lookup(early).has_value());
+
+  // The reader's own write is no news: pretend a foreign pack lands in
+  // the same timestamp tick, and the reader does not list again.
+  reader.Store(Hash128{9, 3}, TinySummary("own again"));
+  reader.Flush();
+  const fs::file_time_type after_own = fs::last_write_time(dir);
+  flush_elsewhere(Hash128{9, 4}, "same tick");
+  fs::last_write_time(dir, after_own);
+  EXPECT_FALSE(reader.Lookup(Hash128{9, 4}).has_value());
+  // Any later change to the directory brings it in.
+  fs::last_write_time(dir, after_own + std::chrono::seconds(1));
+  EXPECT_TRUE(reader.Lookup(Hash128{9, 4}).has_value());
+  EXPECT_TRUE(reader.Lookup(Hash128{9, 1}).has_value());
   CacheStats stats = reader.stats();
-  EXPECT_EQ(stats.disk_hits, 2u);
+  EXPECT_EQ(stats.disk_hits, 3u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.corrupt_entries, 0u);
   fs::remove_all(dir);
@@ -469,7 +458,6 @@ TEST(SummaryCacheTier, ConcurrentStoreLookupAndFlush) {
   fs::remove_all(dir);
   CacheConfig config;
   config.disk_dir = dir.string();
-  config.max_memory_entries = 64;  // evictions send lookups to disk
   constexpr uint32_t kThreads = 8;
   constexpr uint32_t kPerThread = 40;
   {

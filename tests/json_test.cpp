@@ -80,7 +80,7 @@ TEST(JsonReport, MetricsObjectEmbedsPerRunSnapshot) {
   report.binary_name = "m";
   report.metrics.counters["cache.hits"] = 7;
   report.metrics.counters["pathfind.paths_found"] = 2;
-  report.metrics.gauges["cache.memory_bytes"] = 4096.0;
+  report.metrics.gauges["intern.resident_nodes"] = 4096.0;
   obs::HistogramStats h;
   h.count = 3;
   h.sum = 30;
@@ -105,7 +105,8 @@ TEST(JsonReport, MetricsObjectEmbedsPerRunSnapshot) {
   EXPECT_DOUBLE_EQ(counters->Find("cache.hits")->number(), 7.0);
   EXPECT_DOUBLE_EQ(counters->Find("pathfind.paths_found")->number(), 2.0);
   EXPECT_DOUBLE_EQ(
-      metrics->Find("gauges")->Find("cache.memory_bytes")->number(), 4096.0);
+      metrics->Find("gauges")->Find("intern.resident_nodes")->number(),
+      4096.0);
   const JsonValue* histogram =
       metrics->Find("histograms")->Find("summary.function_micros");
   ASSERT_NE(histogram, nullptr);

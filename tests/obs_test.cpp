@@ -229,7 +229,7 @@ TEST(MetricsRegistry, ResetZeroesInstrumentsKeepsHandles) {
 TEST(MetricsSnapshot, JsonRoundTripsThroughParser) {
   obs::MetricsRegistry registry;
   registry.counter("cache.hits").Add(7);
-  registry.gauge("cache.memory_bytes").Set(4096.0);
+  registry.gauge("intern.resident_nodes").Set(4096.0);
   for (uint64_t v = 1; v <= 1000; ++v) {
     registry.histogram("summary.function_micros").Observe(v);
   }
@@ -242,7 +242,8 @@ TEST(MetricsSnapshot, JsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(hits->number(), 7.0);
   const JsonValue* gauges = parsed->Find("gauges");
   ASSERT_NE(gauges, nullptr);
-  EXPECT_DOUBLE_EQ(gauges->Find("cache.memory_bytes")->number(), 4096.0);
+  EXPECT_DOUBLE_EQ(gauges->Find("intern.resident_nodes")->number(),
+                   4096.0);
   const JsonValue* histograms = parsed->Find("histograms");
   ASSERT_NE(histograms, nullptr);
   const JsonValue* micros = histograms->Find("summary.function_micros");
@@ -394,9 +395,6 @@ TEST(CacheCompatView, InterprocStatsMatchCacheStats) {
   CacheStats after_cold = cache.stats();
   EXPECT_EQ(cold->interproc_stats.cache_hits, after_cold.hits);
   EXPECT_EQ(cold->interproc_stats.cache_misses, after_cold.misses);
-  EXPECT_EQ(cold->interproc_stats.cache_evictions, after_cold.evictions);
-  EXPECT_EQ(cold->interproc_stats.cache_memory_bytes,
-            after_cold.memory_bytes);
   EXPECT_GT(cold->interproc_stats.cache_misses, 0u);
 
   // Warm run against the same cache: the report's counters are per-run

@@ -6,7 +6,12 @@
 // persistent cache).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -557,11 +562,49 @@ TEST_F(ResilienceTest, PersistentCacheWriteFaultKeepsMemoryTier) {
   cache.Store(key, s);
   cache.Flush();
   EXPECT_GE(cache.stats().io_failures, 1u);
-  // Disk tier never materialized, memory tier still serves.
+  // Disk tier never materialized, the queued entry still serves.
   EXPECT_TRUE(testing_util::PackFiles(dir).empty());
   auto hit = cache.Lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->name, "memonly");
+
+  // Once the fault clears, the next flush writes the queued entry.
+  FaultPlan::Global().Clear();
+  cache.Flush();
+  EXPECT_EQ(testing_util::PackFiles(dir).size(), 1u);
+  SummaryCache fresh(config);
+  hit = fresh.Lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name, "memonly");
+  EXPECT_EQ(fresh.stats().disk_hits, 1u);
+  fs::remove_all(dir);
+}
+
+TEST_F(ResilienceTest, FailedPackWriteLeavesNoFileBehind) {
+  // A file-size limit below the pack's size makes every write attempt
+  // fail part-way. Set in a forked child, so only that child is
+  // limited; it exits 0 when it counted the failure.
+  fs::path dir = "resilience_cache_fsize";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{16, 16};  // below a pack's 40-byte header and index
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+    CacheConfig config;
+    config.disk_dir = dir.string();
+    config.retry.initial_backoff_us = 1;
+    SummaryCache cache(config);
+    cache.Store(Hash128{9, 4}, FunctionSummary{});
+    cache.Flush();
+    ::_exit(cache.stats().io_failures >= 1 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_TRUE(fs::is_empty(dir));  // no .tmp, no .dtsp
   fs::remove_all(dir);
 }
 
