@@ -307,7 +307,7 @@ void BM_StateMerge(benchmark::State& state) {
         child.StoreMem(SymAdd(SymExpr::Sp0(), -(8 * c + i)),
                        SymExpr::Const(static_cast<uint32_t>(c * 16 + i)), 4);
       }
-      sum += child.MemEntryCount() + child.ConstraintCount();
+      sum += child.MemEntryCount() + child.constraints().size();
     }
     benchmark::DoNotOptimize(sum);
   }

@@ -101,9 +101,9 @@ class Writer {
   }
 
   void Constraint(const PathConstraint& c) {
-    // Path-constraint lists are copied wholesale between def pairs on
-    // the same path, so the same constraint recurs hundreds of times
-    // per summary (sharing its expression pointers). Intern them like
+    // Lists that differ only in their newest constraints share the
+    // older ones, so the same constraint recurs hundreds of times per
+    // summary (sharing its expression pointers). Intern them like
     // expression nodes: full record once, back-reference after.
     ConstraintKey key = KeyFor(c);
     auto it = constraint_ids_.find(key);
@@ -121,15 +121,13 @@ class Writer {
     constraint_ids_.emplace(key, next_constraint_id_++);
   }
 
-  void ConstraintList(const std::vector<PathConstraint>& list) {
-    // Whole lists recur as well: the engine copies a path's constraint
-    // list into every def pair and call recorded along it, so most
-    // lists are exact repeats. Interning the sequence makes a repeat
-    // cost five bytes instead of one back-reference per member.
-    ListKey key;
-    key.reserve(list.size());
-    for (const PathConstraint& c : list) key.push_back(KeyFor(c));
-    auto it = list_ids_.find(key);
+  void List(ConstraintList list) {
+    // Whole lists recur as well: every def pair and call recorded on a
+    // path shares the path's list, so most lists are exact repeats.
+    // Lists are hash-consed, so equal lists are the same pointer and
+    // the head pointer is the key. A repeat costs five bytes instead of
+    // one back-reference per member.
+    auto it = list_ids_.find(list.head());
     if (it != list_ids_.end()) {
       U8(kExprBackRef);
       U32(it->second);
@@ -137,8 +135,8 @@ class Writer {
     }
     U8(1);
     U32(static_cast<uint32_t>(list.size()));
-    for (const PathConstraint& c : list) Constraint(c);
-    list_ids_.emplace(std::move(key), next_list_id_++);
+    list.ForEach([this](const PathConstraint& c) { Constraint(c); });
+    list_ids_.emplace(list.head(), next_list_id_++);
   }
 
   std::vector<uint8_t> Take() && { return std::move(out_); }
@@ -146,7 +144,6 @@ class Writer {
  private:
   using ConstraintKey =
       std::tuple<uint8_t, const SymExpr*, const SymExpr*, bool, uint32_t>;
-  using ListKey = std::vector<ConstraintKey>;
 
   struct ConstraintKeyHash {
     size_t operator()(const ConstraintKey& key) const {
@@ -154,15 +151,6 @@ class Writer {
       uint64_t h = HashCombine(op, reinterpret_cast<uintptr_t>(lhs));
       h = HashCombine(h, reinterpret_cast<uintptr_t>(rhs));
       return HashCombine(HashCombine(h, taken ? 1 : 0), site);
-    }
-  };
-  struct ListKeyHash {
-    size_t operator()(const ListKey& list) const {
-      uint64_t h = list.size();
-      for (const ConstraintKey& key : list) {
-        h = HashCombine(h, ConstraintKeyHash{}(key));
-      }
-      return h;
     }
   };
 
@@ -181,7 +169,7 @@ class Writer {
   std::unordered_map<ConstraintKey, uint32_t, ConstraintKeyHash>
       constraint_ids_;
   uint32_t next_constraint_id_ = 0;
-  std::unordered_map<ListKey, uint32_t, ListKeyHash> list_ids_;
+  std::unordered_map<const ConstraintCell*, uint32_t> list_ids_;
   uint32_t next_list_id_ = 0;
 };
 
@@ -339,24 +327,28 @@ class Reader {
     return c;
   }
 
-  std::vector<PathConstraint> ConstraintList() {
-    std::vector<PathConstraint> list;
+  ConstraintList List() {
     uint8_t tag = U8();
     if (tag == kExprBackRef) {
       uint32_t id = U32();
       if (id >= list_pool_.size()) {
         Fail();
-        return list;
+        return {};
       }
       return list_pool_[id];
     }
     if (tag != 1) {
       Fail();
-      return list;
+      return {};
     }
+    // Rebuilt through the global interner, so the list is the very one
+    // the engine published for the same constraints.
+    ConstraintList list;
     uint32_t n = Count();
-    list.reserve(n);
-    for (uint32_t i = 0; i < n && ok(); ++i) list.push_back(Constraint());
+    for (uint32_t i = 0; i < n && ok(); ++i) {
+      PathConstraint c = Constraint();
+      if (ok()) list = list.Push(c);
+    }
     if (ok()) list_pool_.push_back(list);
     return list;
   }
@@ -372,7 +364,7 @@ class Reader {
   bool failed_ = false;
   std::vector<SymRef> expr_pool_;
   std::vector<PathConstraint> constraint_pool_;
-  std::vector<std::vector<PathConstraint>> list_pool_;
+  std::vector<ConstraintList> list_pool_;
 };
 
 }  // namespace
@@ -391,7 +383,7 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
     w.Expr(dp.u);
     w.U32(dp.site);
     w.U32(static_cast<uint32_t>(dp.path_id));
-    w.ConstraintList(dp.constraints);
+    w.List(dp.constraints);
   }
 
   w.U32(static_cast<uint32_t>(summary.undefined_uses.size()));
@@ -410,7 +402,7 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
     w.Expr(call.indirect_target);
     w.U32(static_cast<uint32_t>(call.args.size()));
     for (SymRef arg : call.args) w.Expr(arg);
-    w.ConstraintList(call.constraints);
+    w.List(call.constraints);
     w.U32(static_cast<uint32_t>(call.path_id));
   }
 
@@ -472,7 +464,7 @@ Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes) {
     dp.u = r.Expr();
     dp.site = r.U32();
     dp.path_id = static_cast<int>(r.U32());
-    dp.constraints = r.ConstraintList();
+    dp.constraints = r.List();
     if (!dp.d || !dp.u) return CorruptData("def pair missing expression");
     summary.def_pairs.push_back(std::move(dp));
   }
@@ -502,7 +494,7 @@ Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes) {
     for (uint32_t a = 0; a < arg_count && r.ok(); ++a) {
       call.args.push_back(r.Expr());
     }
-    call.constraints = r.ConstraintList();
+    call.constraints = r.List();
     call.path_id = static_cast<int>(r.U32());
     summary.calls.push_back(std::move(call));
   }

@@ -16,10 +16,13 @@
 // is a DAG (per-path def pairs and constraints share subtrees), so
 // each unique node is written once and later occurrences are a
 // back-reference to its id. Path constraints are interned the same
-// way: per-path constraint lists are copied wholesale between def
-// pairs, so the same record recurs hundreds of times per summary.
-// Blob size and decode time scale with the unique-node count, and
-// decode rebuilds the same shared structure.
+// way, and so are whole constraint lists: every record on a path
+// shares the path's list, so the same list recurs hundreds of times
+// per summary. Lists are hash-consed (src/symexec/constraints.h), so
+// the encoder keys them by pointer; equal pointers mean equal
+// contents, so the bytes are those a content key would give. Blob
+// size and decode time scale with the unique-node count, and decode
+// rebuilds the same shared lists through the global interner.
 #pragma once
 
 #include <cstdint>

@@ -142,11 +142,14 @@ class Backtracker {
     }
   }
 
-  /// Launches a trace for one sink occurrence.
+  /// Launches a trace for one sink occurrence; `sink_constraints` are
+  /// the constraints active at the sink.
   void TraceSink(const std::string& fn, const TaintPath& seed,
+                 ConstraintList sink_constraints,
                  const std::vector<SymRef>& start_exprs) {
     ++stats_.sinks_visited;
     paths_found_for_sink_ = 0;
+    lists_.assign(1, sink_constraints);
     for (SymRef expr : start_exprs) {
       if (paths_found_for_sink_ >= config_.max_paths_per_sink) break;
       TaintPath path = seed;
@@ -163,14 +166,18 @@ class Backtracker {
     return it->second;
   }
 
-  void Emit(TaintPath path, uint32_t taint_site,
+  /// Records the walk so far as a path, unless its (sink, source) was
+  /// recorded already. Only a recorded path gets its constraints
+  /// materialized: the sink's, then each crossed callsite's.
+  void Emit(const TaintPath& walk, uint32_t taint_site,
             const std::string& taint_source) {
+    auto key = std::make_tuple(walk.sink_site, taint_site, walk.sink_name);
+    if (!emitted_.insert(key).second) return;
+    TaintPath path = walk;
     path.source_name = taint_source;
     path.source_site = taint_site;
     if (degraded_hops_ > 0) path.crossed_degraded = true;
-    auto key = std::make_tuple(path.sink_site, path.source_site,
-                               path.sink_name);
-    if (!emitted_.insert(key).second) return;
+    for (ConstraintList list : lists_) list.AppendTo(path.constraints);
     if (path.crossed_degraded) ++stats_.degraded_paths;
     out_.push_back(std::move(path));
     ++paths_found_for_sink_;
@@ -246,12 +253,9 @@ class Backtracker {
               {caller, event->callsite,
                "via call to " + fn + " (" + root->ToString() + " = " +
                    event->args[idx]->ToString() + ")"});
-          size_t constraints_before = path.constraints.size();
-          path.constraints.insert(path.constraints.end(),
-                                  event->constraints.begin(),
-                                  event->constraints.end());
+          lists_.push_back(event->constraints);
           Walk(FnId(caller), caller, lifted, path, visited, depth - 1);
-          path.constraints.resize(constraints_before);
+          lists_.pop_back();
           path.hops.pop_back();
           if (paths_found_for_sink_ >= config_.max_paths_per_sink) {
             path.traced_exprs.pop_back();
@@ -299,6 +303,9 @@ class Backtracker {
   /// Backs every VisitedSet table for the lifetime of one FindAll run.
   BumpArena arena_;
   std::unordered_map<std::string, uint64_t> fn_ids_;
+  /// The sink's constraint list, then one per caller hop on the walk
+  /// stack.
+  std::vector<ConstraintList> lists_;
   int paths_found_for_sink_ = 0;
   /// Degraded def pairs currently on the walk stack; any emit while
   /// nonzero marks the path crossed_degraded.
@@ -346,7 +353,6 @@ std::vector<TaintPath> PathFinder::FindAll() const {
       seed.sink_name = event.callee;
       seed.vuln_class = sink->vuln_class;
       seed.sink_arg = arg;
-      seed.constraints = event.constraints;
       seed.hops.push_back({fn_name, event.callsite,
                            "sink " + event.callee + "(" + arg->ToString() +
                                ")"});
@@ -356,7 +362,7 @@ std::vector<TaintPath> PathFinder::FindAll() const {
       if (arg->kind() != SymKind::kConst) {
         starts.push_back(SymExpr::Deref(arg));
       }
-      backtracker.TraceSink(fn_name, seed, starts);
+      backtracker.TraceSink(fn_name, seed, event.constraints, starts);
     }
 
     // Loop-copy sinks: stores inside a natural loop whose address has
@@ -392,11 +398,10 @@ std::vector<TaintPath> PathFinder::FindAll() const {
         seed.vuln_class = VulnClass::kBufferOverflow;
         seed.sink_arg = dp.u;
         seed.sink_store_addr = dp.d->lhs();
-        seed.constraints = dp.constraints;
         seed.crossed_degraded = dp.degraded;
         seed.hops.push_back(
             {fn_name, dp.site, "loop copy " + dp.d->ToString()});
-        backtracker.TraceSink(fn_name, seed, {dp.u});
+        backtracker.TraceSink(fn_name, seed, dp.constraints, {dp.u});
       }
     }
   }

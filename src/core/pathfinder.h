@@ -51,7 +51,8 @@ struct TaintPath {
   std::vector<PathHop> hops;
 
   /// Constraints active at the sink plus those of crossed callsites —
-  /// the material the sanitization checker inspects.
+  /// the material the sanitization checker inspects. Copied out of the
+  /// summaries' shared lists only for recorded paths.
   std::vector<PathConstraint> constraints;
   /// Expressions the tainted value passed through (sink-side first);
   /// sanitization constraints may be phrased against any of them.

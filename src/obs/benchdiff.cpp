@@ -38,15 +38,22 @@ std::string FmtValue(double v) {
   return FmtDouble(v, 6);
 }
 
-/// One run's comparable scalars: wall_seconds + the "values" object.
-Result<std::map<std::string, double, std::less<>>> RunMetrics(
-    const JsonValue& run) {
-  std::map<std::string, double, std::less<>> metrics;
+using Scalars = std::map<std::string, double, std::less<>>;
+
+/// One run's comparable scalars: wall_seconds + the "values" object,
+/// and the work counters of its "metrics" object.
+struct RunScalars {
+  Scalars values;
+  Scalars counters;
+};
+
+Result<RunScalars> ParseRun(const JsonValue& run) {
+  RunScalars scalars;
   const JsonValue* wall = run.Find("wall_seconds");
   if (!wall || !wall->is_number()) {
     return InvalidArgument("run is missing wall_seconds");
   }
-  metrics["wall_seconds"] = wall->number();
+  scalars.values["wall_seconds"] = wall->number();
   const JsonValue* values = run.Find("values");
   if (!values || !values->is_object()) {
     return InvalidArgument("run is missing the values object");
@@ -55,16 +62,28 @@ Result<std::map<std::string, double, std::less<>>> RunMetrics(
     if (!value.is_number()) {
       return InvalidArgument("non-numeric value metric: " + name);
     }
-    metrics[name] = value.number();
+    scalars.values[name] = value.number();
   }
-  return metrics;
+  // Runs without a registry (external runs, older documents) carry no
+  // counters; that is not an error.
+  const JsonValue* metrics = run.Find("metrics");
+  const JsonValue* counters =
+      metrics && metrics->is_object() ? metrics->Find("counters") : nullptr;
+  if (counters && counters->is_object()) {
+    for (const auto& [name, value] : counters->object()) {
+      if (!value.is_number()) {
+        return InvalidArgument("non-numeric counter: " + name);
+      }
+      scalars.counters[name] = value.number();
+    }
+  }
+  return scalars;
 }
 
 struct ParsedDoc {
   std::string bench;
-  // run name -> metric name -> value, in document order of runs.
-  std::vector<std::pair<std::string,
-                        std::map<std::string, double, std::less<>>>> runs;
+  // run name -> scalars, in document order of runs.
+  std::vector<std::pair<std::string, RunScalars>> runs;
 };
 
 Result<ParsedDoc> ParseDoc(const JsonValue& doc, const char* which) {
@@ -96,14 +115,21 @@ Result<ParsedDoc> ParseDoc(const JsonValue& doc, const char* which) {
     if (!name || !name->is_string()) {
       return InvalidArgument(std::string(which) + " run has no name");
     }
-    auto metrics = RunMetrics(run);
-    if (!metrics.ok()) return metrics.status();
-    parsed.runs.emplace_back(name->string(), std::move(*metrics));
+    auto scalars = ParseRun(run);
+    if (!scalars.ok()) return scalars.status();
+    parsed.runs.emplace_back(name->string(), std::move(*scalars));
   }
   return parsed;
 }
 
 }  // namespace
+
+bool IsGatedCounter(std::string_view name) {
+  for (std::string_view ungated : kUngatedCounters) {
+    if (name == ungated) return false;
+  }
+  return true;
+}
 
 MetricClass ClassifyMetric(std::string_view name) {
   if (name.ends_with("_ratio") || name.ends_with("_speedup") ||
@@ -156,10 +182,10 @@ Result<DiffReport> DiffBenchDocs(const JsonValue& baseline,
                            "'");
   }
 
-  auto find_run = [](const ParsedDoc& doc, const std::string& name)
-      -> const std::map<std::string, double, std::less<>>* {
-    for (const auto& [run_name, metrics] : doc.runs) {
-      if (run_name == name) return &metrics;
+  auto find_run = [](const ParsedDoc& doc,
+                     const std::string& name) -> const RunScalars* {
+    for (const auto& [run_name, scalars] : doc.runs) {
+      if (run_name == name) return &scalars;
     }
     return nullptr;
   };
@@ -171,17 +197,21 @@ Result<DiffReport> DiffBenchDocs(const JsonValue& baseline,
     report.rows.push_back(
         {cur->bench, run, metric, base_v, cur_v, ratio, status});
   };
+  auto count_drifted = [&](double base_v, double cur_v) {
+    double scale = std::max(std::fabs(base_v), 1e-12);
+    return std::fabs(cur_v - base_v) / scale > options.value_rel_tol;
+  };
 
-  for (const auto& [run_name, base_metrics] : base->runs) {
-    const auto* cur_metrics = find_run(*cur, run_name);
-    if (!cur_metrics) {
+  for (const auto& [run_name, base_run] : base->runs) {
+    const RunScalars* cur_run = find_run(*cur, run_name);
+    if (!cur_run) {
       if (!options.allow_missing) add(run_name, "*", 0, 0, 0,
                                       DiffStatus::kMissing);
       continue;
     }
-    for (const auto& [metric, base_v] : base_metrics) {
-      auto it = cur_metrics->find(metric);
-      if (it == cur_metrics->end()) {
+    for (const auto& [metric, base_v] : base_run.values) {
+      auto it = cur_run->values.find(metric);
+      if (it == cur_run->values.end()) {
         if (!options.allow_missing) add(run_name, metric, base_v, 0, 0,
                                         DiffStatus::kMissing);
         continue;
@@ -208,23 +238,46 @@ Result<DiffReport> DiffBenchDocs(const JsonValue& baseline,
           }
           break;
         }
-        case MetricClass::kCount: {
-          double scale = std::max(std::fabs(base_v), 1e-12);
-          if (std::fabs(cur_v - base_v) / scale > options.value_rel_tol) {
-            status = DiffStatus::kChanged;
-          }
+        case MetricClass::kCount:
+          if (count_drifted(base_v, cur_v)) status = DiffStatus::kChanged;
           break;
-        }
       }
       add(run_name, metric, base_v, cur_v, ratio, status);
     }
-    for (const auto& [metric, cur_v] : *cur_metrics) {
-      if (base_metrics.find(metric) == base_metrics.end()) {
+    for (const auto& [metric, cur_v] : cur_run->values) {
+      if (base_run.values.find(metric) == base_run.values.end()) {
         add(run_name, metric, 0, cur_v, 0, DiffStatus::kNew);
       }
     }
+    // Work counters are counts whatever their name says: gated like
+    // the counts in `values`, except the named scheduling-dependent
+    // ones, which are reported only.
+    for (const auto& [counter, base_v] : base_run.counters) {
+      const std::string metric = std::string(kCounterPrefix) + counter;
+      auto it = cur_run->counters.find(counter);
+      if (it == cur_run->counters.end()) {
+        if (!options.allow_missing) add(run_name, metric, base_v, 0, 0,
+                                        DiffStatus::kMissing);
+        continue;
+      }
+      double cur_v = it->second;
+      DiffStatus status = DiffStatus::kOk;
+      if (!IsGatedCounter(counter)) {
+        status = DiffStatus::kInfo;
+      } else if (count_drifted(base_v, cur_v)) {
+        status = DiffStatus::kChanged;
+      }
+      add(run_name, metric, base_v, cur_v,
+          base_v != 0.0 ? cur_v / base_v : 0.0, status);
+    }
+    for (const auto& [counter, cur_v] : cur_run->counters) {
+      if (base_run.counters.find(counter) == base_run.counters.end()) {
+        add(run_name, std::string(kCounterPrefix) + counter, 0, cur_v, 0,
+            DiffStatus::kNew);
+      }
+    }
   }
-  for (const auto& [run_name, metrics] : cur->runs) {
+  for (const auto& [run_name, scalars] : cur->runs) {
     if (!find_run(*base, run_name)) {
       add(run_name, "*", 0, 0, 0, DiffStatus::kNew);
     }

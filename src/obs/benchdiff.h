@@ -15,6 +15,12 @@
 //  * everything else: deterministic counts (findings, hits, paths).
 //    Any mismatch beyond `value_rel_tol` is a behavioral drift and
 //    fails the gate even when timings look fine.
+//  * the run's work counters (`metrics.counters`: engine.state_forks,
+//    lift.blocks, link.*, pathfind.*, ...), reported as
+//    `counters.<name>`: counts whatever their name, gated exactly like
+//    the counts above. They measure each layer's work without timing
+//    noise. kUngatedCounters names the few that depend on thread
+//    scheduling; those are reported and never gated.
 //
 // Runs or metrics present in the baseline but missing from the current
 // document fail the gate (a silently dropped measurement is how perf
@@ -23,6 +29,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/json.h"
@@ -45,6 +52,17 @@ struct DiffOptions {
 };
 
 enum class MetricClass { kTimeSeconds, kTimeNanos, kInformational, kCount };
+
+/// Work counters that differ between runs of the same build and input
+/// (measured over repeated table3/table5 runs at 1, 2 and 8 summary
+/// threads): shard-lock waits depend on how threads interleave.
+inline constexpr std::string_view kUngatedCounters[] = {"intern.contended"};
+
+/// Prefix of the diff rows that compare work counters.
+inline constexpr std::string_view kCounterPrefix = "counters.";
+
+/// False for the counters in kUngatedCounters.
+bool IsGatedCounter(std::string_view name);
 
 /// How a metric name is gated; exposed for tests and the doc table.
 MetricClass ClassifyMetric(std::string_view name);

@@ -9,13 +9,6 @@ std::string DefPair::ToString() const {
          (u ? u->ToString() : std::string("<none>")) + "  @" + HexStr(site);
 }
 
-std::string PathConstraint::ToString() const {
-  std::string s = lhs->ToString() + " " + std::string(BinOpName(op)) + " " +
-                  rhs->ToString();
-  if (!taken) s = "!(" + s + ")";
-  return s + "  @" + HexStr(site);
-}
-
 SymRef RootPointerOf(SymRef expr) {
   if (!expr) return nullptr;
   SymRef cur = expr;

@@ -12,23 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "src/symexec/constraints.h"
 #include "src/symexec/symexpr.h"
 #include "src/symexec/types.h"
 
 namespace dtaint {
-
-/// One branch condition recorded along a path: `lhs op rhs` was
-/// observed `taken` at `site`. These are the "constraint expressions"
-/// checked by the sanitization phase (paper §IV).
-struct PathConstraint {
-  BinOp op = BinOp::kCmpEq;
-  SymRef lhs = nullptr;
-  SymRef rhs = nullptr;
-  bool taken = true;   // whether the guard evaluated true on this path
-  uint32_t site = 0;
-
-  std::string ToString() const;
-};
 
 /// One (d, u) definition pair observed on some path.
 struct DefPair {
@@ -38,7 +26,8 @@ struct DefPair {
   int path_id = 0;     // which explored path produced it
   /// Constraints active when the definition executed (needed by the
   /// loop-copy sink check, which has no call event to read them from).
-  std::vector<PathConstraint> constraints;
+  /// Shared with every record made on the same path prefix.
+  ConstraintList constraints;
   /// True when this pair came from a budget-degraded summary (directly
   /// or imported from a degraded callee during linking). The path
   /// finder refuses to report flows built on degraded pairs — they are
@@ -65,7 +54,7 @@ struct CallEvent {
   bool is_indirect = false;
   SymRef indirect_target = nullptr;  // symbolic target for indirect calls
   std::vector<SymRef> args;     // arg0..argN as seen at the call
-  std::vector<PathConstraint> constraints;  // active constraints
+  ConstraintList constraints;   // active constraints (shared)
   int path_id = 0;
 };
 

@@ -379,7 +379,7 @@ class Exploration {
     dp.u = value;
     dp.site = site;
     dp.path_id = state.path_id;
-    dp.constraints = state.ConstraintsSnapshot();
+    dp.constraints = state.constraints();
     summary_.def_pairs.push_back(std::move(dp));
   }
 
@@ -391,7 +391,7 @@ class Exploration {
   void RecordCall(CallEvent event) {
     if (recorder_.active) {
       CallEvent proto = event;
-      proto.constraints.clear();
+      proto.constraints = {};
       proto.path_id = 0;
       recorder_.memo.calls.push_back(std::move(proto));
     }
@@ -498,10 +498,7 @@ class Exploration {
         state.StoreMem(w.addr, w.value, w.size);
       }
     }
-    std::vector<PathConstraint> constraints;
-    if (!memo.defs.empty() || !memo.calls.empty()) {
-      constraints = state.ConstraintsSnapshot();
-    }
+    const ConstraintList constraints = state.constraints();
     for (const MemoDef& d : memo.defs) {
       DefPair dp;
       dp.d = d.d;
@@ -708,7 +705,7 @@ class Exploration {
           event.indirect_target =
               EvalExpr(block->next, tmps, state, cs->call_addr);
           event.args = CollectArgs(state, kNumRegArgs + 2);
-          event.constraints = state.ConstraintsSnapshot();
+          event.constraints = state.constraints();
           event.path_id = state.path_id;
           RecordCall(std::move(event));
           state.SetReg(cc_.ret_reg, SymExpr::Ret(cs->call_addr));
@@ -788,7 +785,7 @@ class Exploration {
     event.callee = cs.target_name;
     event.is_import = cs.target_is_import;
     event.args = CollectArgs(state, arg_count);
-    event.constraints = state.ConstraintsSnapshot();
+    event.constraints = state.constraints();
     event.path_id = state.path_id;
 
     if (cs.target_is_import) {
@@ -832,28 +829,23 @@ class Exploration {
   uint32_t widen_counter_ = 0;
 };
 
-/// Replaces every expression the summary carries by its global twin,
-/// so nothing downstream ever sees a scratch node. TypeMap needs no
-/// rewrite: it is keyed by the structural hash, the same in both
-/// interners.
+/// Replaces every expression and constraint list the summary carries
+/// by its global twin, so nothing downstream ever sees a scratch node
+/// or a trail cell. Records share their path's trail, and each trail
+/// cell is published once. TypeMap needs no rewrite: it is keyed by the
+/// structural hash, the same in both interners.
 void PublishSummary(ScratchInterner& scratch, FunctionSummary& summary) {
-  auto publish = [&scratch](SymRef& expr) { expr = scratch.Publish(expr); };
-  auto publish_all = [&publish](std::vector<PathConstraint>& constraints) {
-    for (PathConstraint& c : constraints) {
-      publish(c.lhs);
-      publish(c.rhs);
-    }
-  };
+  auto publish = [&scratch](auto& item) { item = scratch.Publish(item); };
   for (DefPair& dp : summary.def_pairs) {
     publish(dp.d);
     publish(dp.u);
-    publish_all(dp.constraints);
+    publish(dp.constraints);
   }
   for (UseRecord& use : summary.undefined_uses) publish(use.u);
   for (CallEvent& call : summary.calls) {
     publish(call.indirect_target);
     for (SymRef& arg : call.args) publish(arg);
-    publish_all(call.constraints);
+    publish(call.constraints);
   }
   for (SymRef& value : summary.return_values) publish(value);
 }

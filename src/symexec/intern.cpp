@@ -20,52 +20,123 @@
 
 namespace dtaint {
 
-/// One lock stripe: an open-addressed pointer table plus the arena its
-/// nodes and their names live in. Nodes are placement-new'd into arena
-/// blocks; within a generation the table only grows, and Recycle()
-/// drops the whole generation at once.
-struct ExprInterner::Shard {
-  static constexpr size_t kInitialSlots = 1024;   // power of two
-  static constexpr size_t kArenaBlockBytes = 64 * 1024;
+namespace {
 
-  /// The node's hash lives next to its pointer so a probe rejects
-  /// non-matching slots without dereferencing the (cold) node — on
-  /// miss-heavy workloads the table is the working set, and touching
-  /// one line per probe instead of two is the difference that shows.
+/// Open-addressed {hash, pointer} table of one shard. The hash lives
+/// next to its pointer so a probe rejects non-matching slots without
+/// dereferencing the (cold) entry — on miss-heavy workloads the table
+/// is the working set, and touching one line per probe instead of two
+/// is the difference that shows. The low 6 hash bits chose the shard,
+/// so slots are indexed by the bits above them.
+template <typename Entry>
+class ProbeTable {
+ public:
+  /// The entry of hash `h` that `same` accepts, or nullptr; a miss
+  /// leaves `*free` at the slot Insert will fill.
+  template <typename Same>
+  const Entry* Find(uint64_t h, Same same, size_t* free) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = (h >> 6) & mask;
+    for (; slots_[i].entry; i = (i + 1) & mask) {
+      if (slots_[i].hash == h && same(slots_[i].entry)) {
+        return slots_[i].entry;
+      }
+    }
+    *free = i;
+    return nullptr;
+  }
+
+  /// Adds `entry` at the slot a missing Find reported, growing first
+  /// when the table would pass half load.
+  void Insert(uint64_t h, const Entry* entry, size_t free) {
+    if (used_ + 1 > slots_.size() / 2) {
+      Grow();
+      const size_t mask = slots_.size() - 1;
+      free = (h >> 6) & mask;
+      while (slots_[free].entry) free = (free + 1) & mask;
+    }
+    slots_[free] = {h, entry};
+    ++used_;
+  }
+
+  /// Back to an empty table of the initial size.
+  void Reset() {
+    std::vector<Slot>(ExprInterner::kInitialSlots).swap(slots_);
+    used_ = 0;
+  }
+
+  size_t used() const { return used_; }
+  size_t capacity() const { return slots_.size(); }
+
+ private:
   struct Slot {
     uint64_t hash = 0;
-    const SymExpr* node = nullptr;
+    const Entry* entry = nullptr;
   };
 
+  void Grow() {
+    std::vector<Slot> bigger(slots_.size() * 2);
+    const size_t mask = bigger.size() - 1;
+    for (const Slot& slot : slots_) {
+      if (!slot.entry) continue;
+      size_t i = (slot.hash >> 6) & mask;
+      while (bigger[i].entry) i = (i + 1) & mask;
+      bigger[i] = slot;
+    }
+    slots_ = std::move(bigger);
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(ExprInterner::kInitialSlots);
+  size_t used_ = 0;
+};
+
+bool SameCell(const ConstraintCell* cell, const PathConstraint& c,
+              const ConstraintCell* tail) {
+  return cell->tail == tail && cell->c.lhs == c.lhs &&
+         cell->c.rhs == c.rhs && cell->c.site == c.site &&
+         cell->c.op == c.op && cell->c.taken == c.taken;
+}
+
+}  // namespace
+
+/// One lock stripe: a table of nodes and one of constraint-list cells,
+/// each with the arena its entries live in. Within a generation the
+/// tables only grow, and Recycle() drops the whole generation at once.
+struct ExprInterner::Shard {
+  static constexpr size_t kArenaBlockBytes = 64 * 1024;
+
   std::mutex mu;
-  std::vector<Slot> slots = std::vector<Slot>(kInitialSlots);
-  size_t used = 0;      // nodes of the current generation
+  ProbeTable<SymExpr> nodes;
   uint64_t created = 0;  // nodes ever created
-
-  BumpArena arena{kArenaBlockBytes};
+  BumpArena arena{kArenaBlockBytes};  // nodes and their names
   uint64_t recycled_bytes = 0;  // arena bytes of recycled generations
-
   uint64_t hits = 0;
+
+  ProbeTable<ConstraintCell> cells;
+  uint64_t cells_created = 0;
+  BumpArena cell_arena;
+  uint64_t cell_hits = 0;
+
   uint64_t contended = 0;
 
-  /// Drops the generation: its nodes, their arena and the grown table.
+  /// Drops the generation: its nodes and cells, their arenas and the
+  /// grown tables.
   void Recycle() {
     recycled_bytes += arena.bytes_reserved();
     arena.Reset();
-    std::vector<Slot>(kInitialSlots).swap(slots);
-    used = 0;
+    nodes.Reset();
+    cell_arena.Reset();
+    cells.Reset();
   }
 
-  void Grow() {
-    std::vector<Slot> bigger(slots.size() * 2);
-    size_t mask = bigger.size() - 1;
-    for (const Slot& slot : slots) {
-      if (!slot.node) continue;
-      size_t i = (slot.hash >> 6) & mask;
-      while (bigger[i].node) i = (i + 1) & mask;
-      bigger[i] = slot;
+  /// Locks `mu`, counting the acquisitions that had to wait.
+  std::unique_lock<std::mutex> Lock() {
+    std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      lock.lock();
+      ++contended;
     }
-    slots = std::move(bigger);
+    return lock;
   }
 };
 
@@ -82,9 +153,7 @@ ExprInterner::Shard& ExprInterner::ShardFor(uint64_t hash) {
   return shards_[hash & (kShards - 1)];
 }
 
-SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
-                            BinOp op, SymRef lhs, SymRef rhs,
-                            std::string_view text) {
+void ExprInterner::NoteUse() {
   // A caller without a pin may keep what it gets for good, so the
   // generation can no longer be recycled. The flag is set under
   // pin_mu_, which a recycle holds throughout: this call either stops
@@ -94,7 +163,12 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
     std::lock_guard<std::mutex> lock(pin_mu_);
     unpinned_use_.store(true, std::memory_order_release);
   }
+}
 
+SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
+                            BinOp op, SymRef lhs, SymRef rhs,
+                            std::string_view text) {
+  NoteUse();
   assert((!lhs || !lhs->scratch_) && (!rhs || !rhs->scratch_));
   // A handful of leaf shapes account for a large share of all factory
   // calls: one load on a hit, no hash, no shard lock. Misses fall
@@ -112,44 +186,53 @@ SymRef ExprInterner::Intern(SymKind kind, uint64_t a, uint8_t size,
 
   const uint64_t h = SymExpr::ShapeHash(kind, a, size, op, lhs, rhs, text);
   Shard& shard = ShardFor(h);
+  std::unique_lock<std::mutex> lock = shard.Lock();
 
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    lock.lock();
-    ++shard.contended;
+  size_t free = 0;
+  const SymExpr* node = shard.nodes.Find(
+      h,
+      [&](const SymExpr* n) {
+        return n->HasShape(kind, a, size, op, lhs, rhs, text);
+      },
+      &free);
+  if (node) {
+    ++shard.hits;
+  } else {
+    const char* stored =
+        SymExpr::StoreText(text, [&shard](size_t n, size_t align) {
+          return shard.arena.Alloc(n, align);
+        });
+    node = new (shard.arena.Alloc(sizeof(SymExpr), alignof(SymExpr)))
+        SymExpr(kind, a, size, op, lhs, rhs, stored, h);
+    shard.nodes.Insert(h, node, free);
+    ++shard.created;
   }
-
-  const size_t mask = shard.slots.size() - 1;
-  size_t i = (h >> 6) & mask;
-  for (; shard.slots[i].node; i = (i + 1) & mask) {
-    if (shard.slots[i].hash != h) continue;
-    const SymExpr* node = shard.slots[i].node;
-    if (node->HasShape(kind, a, size, op, lhs, rhs, text)) {
-      ++shard.hits;
-      if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
-      return node;
-    }
-  }
-
-  if (shard.used + 1 > shard.slots.size() / 2) {
-    shard.Grow();
-    const size_t grown_mask = shard.slots.size() - 1;
-    i = (h >> 6) & grown_mask;
-    while (shard.slots[i].node) i = (i + 1) & grown_mask;
-  }
-
-  const char* stored =
-      SymExpr::StoreText(text, [&shard](size_t n, size_t align) {
-        return shard.arena.Alloc(n, align);
-      });
-  const SymExpr* node =
-      new (shard.arena.Alloc(sizeof(SymExpr), alignof(SymExpr)))
-          SymExpr(kind, a, size, op, lhs, rhs, stored, h);
-  shard.slots[i] = {h, node};
-  ++shard.used;
-  ++shard.created;
   if (leaf_slot) leaf_slot->store(node, std::memory_order_release);
   return node;
+}
+
+const ConstraintCell* ExprInterner::InternCell(const PathConstraint& c,
+                                               const ConstraintCell* tail) {
+  NoteUse();
+  assert((!c.lhs || !c.lhs->scratch_) && (!c.rhs || !c.rhs->scratch_));
+  assert(!tail || !tail->trail);
+  const uint64_t h = ConstraintCellHash(c, tail);
+  Shard& shard = ShardFor(h);
+  std::unique_lock<std::mutex> lock = shard.Lock();
+
+  size_t free = 0;
+  if (const ConstraintCell* cell = shard.cells.Find(
+          h, [&](const ConstraintCell* e) { return SameCell(e, c, tail); },
+          &free)) {
+    ++shard.cell_hits;
+    return cell;
+  }
+  const uint32_t size = tail ? tail->size + 1 : 1;
+  const ConstraintCell* cell = shard.cell_arena.New<ConstraintCell>(
+      ConstraintCell{c, tail, h, size, false});
+  shard.cells.Insert(h, cell, free);
+  ++shard.cells_created;
+  return cell;
 }
 
 InternPin ExprInterner::Pin() {
@@ -173,7 +256,7 @@ void ExprInterner::TryRecycle() {
   for (size_t s = 0; s < kShards; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);  // stats() may be reading
-    if (shard.used == 0) continue;
+    if (shard.nodes.used() == 0 && shard.cells.used() == 0) continue;
     shard.Recycle();
     recycled = true;
   }
@@ -190,10 +273,13 @@ InternStats ExprInterner::stats() const {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     total.nodes += shard.created;
-    total.resident_nodes += shard.used;
+    total.resident_nodes += shard.nodes.used();
     total.hits += shard.hits;
     total.bytes += shard.recycled_bytes + shard.arena.bytes_reserved();
     total.contended += shard.contended;
+    total.list_cells += shard.cells_created;
+    total.list_hits += shard.cell_hits;
+    total.table_slots += shard.nodes.capacity() + shard.cells.capacity();
   }
   return total;
 }
@@ -208,6 +294,10 @@ void ExprInterner::PublishMetrics() {
   registry.counter("intern.contended")
       .Add(now.contended - published_.contended);
   registry.counter("intern.recycles").Add(now.recycles - published_.recycles);
+  registry.counter("intern.list_cells")
+      .Add(now.list_cells - published_.list_cells);
+  registry.counter("intern.list_hits")
+      .Add(now.list_hits - published_.list_hits);
   registry.gauge("intern.resident_nodes")
       .Set(static_cast<double>(now.resident_nodes));
   published_ = now;
@@ -347,6 +437,29 @@ SymRef ScratchInterner::Publish(SymRef expr) {
         Publish(expr->rhs_), expr->taint_source());
   }
   return prefix.published;
+}
+
+ConstraintList ScratchInterner::Publish(ConstraintList list) {
+  // Walk down to the first cell that is global or already has a twin,
+  // then intern the cells above it oldest first, each over the twin of
+  // its tail.
+  unpublished_.clear();
+  const ConstraintCell* base = list.head();
+  for (; base && base->trail; base = base->tail) {
+    if (const ConstraintCell* twin = TrailCell::Of(base).published) {
+      base = twin;
+      break;
+    }
+    unpublished_.push_back(base);
+  }
+  for (auto it = unpublished_.rbegin(); it != unpublished_.rend(); ++it) {
+    PathConstraint c = (*it)->c;
+    c.lhs = Publish(c.lhs);
+    c.rhs = Publish(c.rhs);
+    base = ExprInterner::Global().InternCell(c, base);
+    TrailCell::Of(*it).published = base;
+  }
+  return ConstraintList(base);
 }
 
 void ScratchInterner::Reset() {

@@ -45,7 +45,14 @@
 //  * The table is sharded 64 ways by node hash; each shard owns a
 //    mutex, an open-addressed pointer table, and a bump-pointer arena
 //    the nodes (and taint nodes' source names) live in. A hit
-//    allocates nothing at all.
+//    allocates nothing at all. Each shard's table starts at
+//    kInitialSlots (1 KiB) and doubles at half load, so a process
+//    that interns little (a forked scan worker) zeroes little.
+//  * The same shards hash-cons constraint-list cells
+//    (src/symexec/constraints.h) in a second table and arena of their
+//    own, keyed by (constraint fields, tail pointer); the `intern.*`
+//    node counters never count them (`intern.list_cells`,
+//    `intern.list_hits` do).
 //  * A SymRef is a plain pointer into an arena: copying one costs
 //    nothing, and no node owns memory outside its arena.
 //  * Nodes live in *generations*. DTaint::AnalyzeFunctions holds a
@@ -53,7 +60,7 @@
 //    a copy, so the nodes a caller can reach stay valid while any pin
 //    is held. Once the last pin drops, the next Pin() recycles the
 //    generation: tables shrink back to their initial size, arenas are
-//    freed with every node and name in them (nodes are trivially
+//    freed with every node, cell and name in them (all trivially
 //    destructible, so nothing is visited), and leaf caches are
 //    cleared. Residency is thus bounded by one analysis, not by every
 //    shape the process ever built (`intern.resident_nodes`,
@@ -68,15 +75,15 @@
 //    constructor is private to them, so every node is canonical within
 //    its interner, and only global nodes escape an exploration.
 //
-// Thread-safety: ExprInterner::Intern() and Pin() may be called from
-// any number of threads. Parents are only published after their
-// children, and every lookup synchronizes on the owning shard's mutex,
-// so a node obtained from the table (directly or through a parent's
-// child pointer) is always fully constructed. A recycle runs under the
-// pin mutex with no pin held, and the first Intern() without a pin
-// sets its flag under that same mutex, so such a call either stops the
-// recycle or runs after it. A ScratchInterner is used by its own
-// thread only.
+// Thread-safety: ExprInterner::Intern(), InternCell() and Pin() may be
+// called from any number of threads. Parents are only published after
+// their children (a cell after its tail), and every lookup
+// synchronizes on the owning shard's mutex, so a node or cell obtained
+// from a table (directly or through a child or tail pointer) is always
+// fully constructed. A recycle runs under the pin mutex with no pin
+// held, and the first Intern() or InternCell() without a pin sets its
+// flag under that same mutex, so such a call either stops the recycle
+// or runs after it. A ScratchInterner is used by its own thread only.
 #pragma once
 
 #include <atomic>
@@ -87,6 +94,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/symexec/constraints.h"
 #include "src/symexec/symexpr.h"
 
 namespace dtaint {
@@ -100,6 +108,9 @@ struct InternStats {
   uint64_t bytes = 0;           // arena bytes reserved for nodes
   uint64_t contended = 0;       // shard-lock acquisitions that had to wait
   uint64_t recycles = 0;        // generations recycled
+  uint64_t list_cells = 0;      // constraint-list cells created
+  uint64_t list_hits = 0;       // InternCell calls served by an existing cell
+  uint64_t table_slots = 0;     // slots of both tables, current generation
 };
 
 /// Payload base of the fresh unknowns the engine draws when it widens
@@ -140,6 +151,9 @@ using InternPin = std::shared_ptr<const void>;
 class ExprInterner {
  public:
   static constexpr size_t kShards = 64;
+  /// Slots each shard's two tables start a generation with; they grow
+  /// by doubling at half load.
+  static constexpr size_t kInitialSlots = 64;  // power of two
 
   /// A private instance, for tests of the interner itself: its nodes
   /// are canonical only among themselves. Production code uses Global().
@@ -164,13 +178,21 @@ class ExprInterner {
   SymRef Intern(SymKind kind, uint64_t a, uint8_t size, BinOp op,
                 SymRef lhs, SymRef rhs, std::string_view text);
 
+  /// Returns the canonical constraint-list cell for `c` pushed onto
+  /// `tail`, creating it on first sight: one cell per (constraint,
+  /// tail) pair in the generation, compared by field and pointer.
+  /// c's expressions and `tail` must be this interner's.
+  const ConstraintCell* InternCell(const PathConstraint& c,
+                                   const ConstraintCell* tail);
+
   /// Point-in-time counters, summed across shards.
   InternStats stats() const;
 
   /// Pushes counter deltas since the last publish into the global
   /// metrics registry ("intern.nodes", "intern.hits", "intern.bytes",
-  /// "intern.contended", "intern.recycles" — contention is counted per
-  /// shard and exported in aggregate) and sets the
+  /// "intern.contended", "intern.recycles", "intern.list_cells",
+  /// "intern.list_hits" — contention is counted per shard and exported
+  /// in aggregate) and sets the
   /// "intern.resident_nodes" gauge. Called by RunBottomUp /
   /// DTaint::Analyze so the interner participates in each report's
   /// metrics object.
@@ -180,6 +202,8 @@ class ExprInterner {
   struct Shard;
 
   void Unpin();
+  /// Marks the generation permanent when called with no pin held.
+  void NoteUse();
   /// Recycles the generation unless it is empty or was used without a
   /// pin. Caller holds pin_mu_ with no pin outstanding.
   void TryRecycle();
@@ -246,6 +270,13 @@ class ScratchInterner {
   /// arena. Null and global nodes are returned as they are.
   SymRef Publish(SymRef expr);
 
+  /// The global list with the same constraints as `list`. Each trail
+  /// cell reachable from it is interned into ExprInterner::Global()
+  /// once, oldest first, with its expressions published as above; the
+  /// twin is memoized in the trail cell, so records sharing a path
+  /// prefix publish it once. Global lists are returned as they are.
+  ConstraintList Publish(ConstraintList list);
+
   /// Nodes created since the last Reset.
   size_t size() const { return used_; }
 
@@ -297,6 +328,8 @@ class ScratchInterner {
   size_t arena_pos_ = 0;    // offset into that block
   // Names too long for an arena block, freed by Reset.
   std::vector<std::unique_ptr<std::byte[]>> outsized_;
+  // Publish(ConstraintList)'s unpublished trail cells, newest first.
+  std::vector<const ConstraintCell*> unpublished_;
 };
 
 /// Routes the calling thread's SymExpr factories to the thread's

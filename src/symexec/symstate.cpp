@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "src/ir/expr.h"
+#include "src/symexec/defpairs.h"
 
 namespace dtaint {
 
@@ -248,20 +249,8 @@ SymRef SymState::PeekMem(SymRef addr) const {
 size_t SymState::MemEntryCount() const { return mem_count_; }
 
 void SymState::PushConstraint(const PathConstraint& c) {
-  trail_ = arena_->arena.New<TrailNode>(TrailNode{c, trail_});
-  ++trail_len_;
+  trail_ = PushTrail(arena_->arena, trail_, c);
 }
-
-std::vector<PathConstraint> SymState::ConstraintsSnapshot() const {
-  std::vector<PathConstraint> out(trail_len_);
-  size_t i = trail_len_;
-  for (const TrailNode* node = trail_; node; node = node->prev) {
-    out[--i] = node->c;
-  }
-  return out;
-}
-
-size_t SymState::ConstraintCount() const { return trail_len_; }
 
 bool SymState::VisitedBlock(int index) const {
   return visited_.Test(static_cast<size_t>(index));

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "src/isa/regs.h"
-#include "src/symexec/defpairs.h"
+#include "src/symexec/constraints.h"
 #include "src/symexec/symexpr.h"
 #include "src/util/arena.h"
 #include "src/util/bitset.h"
@@ -122,10 +122,10 @@ class SymState {
 
   // ---- path constraints ----------------------------------------------------
   void PushConstraint(const PathConstraint& c);
-  /// The trail in push order, materialized (the engine copies it into
-  /// every DefPair/CallEvent it records).
-  std::vector<PathConstraint> ConstraintsSnapshot() const;
-  size_t ConstraintCount() const;
+  /// The trail: a list of trail cells in the state arena, shared with
+  /// every fork and with every DefPair/CallEvent the engine records on
+  /// this path (src/symexec/constraints.h).
+  ConstraintList constraints() const { return trail_; }
 
   // ---- visited blocks ------------------------------------------------------
   /// `index` is the engine's dense per-function block number.
@@ -166,16 +166,10 @@ class SymState {
     SymRef regs[kRegChunkSize] = {};
   };
 
-  /// Constraint-trail link (arena-allocated, immutable once pushed;
-  /// forks share the prefix).
-  struct TrailNode {
-    PathConstraint c;
-    const TrailNode* prev = nullptr;
-  };
   // Nothing the arena holds needs a destructor run.
   static_assert(std::is_trivially_destructible_v<MemCell>);
   static_assert(std::is_trivially_destructible_v<RegChunk>);
-  static_assert(std::is_trivially_destructible_v<TrailNode>);
+  static_assert(std::is_trivially_destructible_v<TrailCell>);
 
   /// Tape pointer that never survives a copy or move: a forked or
   /// queued state must not keep feeding a recorder attached to its
@@ -206,8 +200,7 @@ class SymState {
   MemCell overlay_[kOverlayCap];
   uint8_t overlay_count_ = 0;
   size_t mem_count_ = 0;  // distinct addresses (overlay + trie)
-  const TrailNode* trail_ = nullptr;
-  uint32_t trail_len_ = 0;
+  ConstraintList trail_;
   DynamicBitset visited_;
   uint32_t taint_mask_ = 0;
 };

@@ -311,6 +311,70 @@ TEST(BenchDiff, NewMetricsPass) {
   EXPECT_FALSE(report->HasRegression());
 }
 
+/// A one-run document whose run carries `counters_json` as its
+/// metrics.counters object.
+std::string DocWithCounters(const std::string& counters_json) {
+  std::ostringstream out;
+  out << "{\"schema_version\":" << kBenchSchemaVersion
+      << ",\"bench\":\"b\",\"ok\":true,\"runs\":[{\"name\":\"r\","
+      << "\"wall_seconds\":1,\"values\":{},\"metrics\":{\"counters\":{"
+      << counters_json << "},\"gauges\":{},\"histograms\":{}}}]}";
+  return out.str();
+}
+
+TEST(BenchDiff, WorkCountersAreGatedExactly) {
+  std::string base =
+      DocWithCounters("\"engine.state_forks\":100,\"lift.blocks\":7");
+  auto same = DiffBenchJson(base, base, DiffOptions{});
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(StatusOf(*same, "counters.engine.state_forks"), DiffStatus::kOk);
+  EXPECT_FALSE(same->HasRegression());
+
+  // One extra fork is a change in the layer's work, on any machine.
+  auto drift = DiffBenchJson(
+      base, DocWithCounters("\"engine.state_forks\":101,\"lift.blocks\":7"),
+      DiffOptions{});
+  ASSERT_TRUE(drift.ok());
+  EXPECT_EQ(StatusOf(*drift, "counters.engine.state_forks"),
+            DiffStatus::kChanged);
+  EXPECT_EQ(StatusOf(*drift, "counters.lift.blocks"), DiffStatus::kOk);
+  EXPECT_TRUE(drift->HasRegression());
+}
+
+TEST(BenchDiff, UngatedCountersAreReportedOnly) {
+  ASSERT_FALSE(IsGatedCounter("intern.contended"));
+  EXPECT_TRUE(IsGatedCounter("intern.nodes"));
+  auto report = DiffBenchJson(DocWithCounters("\"intern.contended\":0"),
+                              DocWithCounters("\"intern.contended\":9"),
+                              DiffOptions{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(StatusOf(*report, "counters.intern.contended"),
+            DiffStatus::kInfo);
+  EXPECT_FALSE(report->HasRegression());
+}
+
+TEST(BenchDiff, CounterMissingOnOneSideIsReported) {
+  std::string both = DocWithCounters("\"link.rets_replaced\":3,"
+                                     "\"pathfind.paths_found\":8");
+  std::string one = DocWithCounters("\"pathfind.paths_found\":8");
+  auto dropped = DiffBenchJson(both, one, DiffOptions{});
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(StatusOf(*dropped, "counters.link.rets_replaced"),
+            DiffStatus::kMissing);
+  EXPECT_TRUE(dropped->HasRegression());
+
+  auto added = DiffBenchJson(one, both, DiffOptions{});
+  ASSERT_TRUE(added.ok());
+  EXPECT_EQ(StatusOf(*added, "counters.link.rets_replaced"),
+            DiffStatus::kNew);
+  EXPECT_FALSE(added->HasRegression());
+
+  // A run with no metrics object at all has no counters to compare.
+  auto bare = DiffBenchJson(Doc(1.0, ""), Doc(1.0, ""), DiffOptions{});
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE(bare->HasRegression());
+}
+
 TEST(BenchDiff, SchemaVersionMismatchIsAnError) {
   auto report = DiffBenchJson(Doc(1.0, "", kBenchSchemaVersion + 1),
                               Doc(1.0, ""), DiffOptions{});

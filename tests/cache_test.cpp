@@ -50,7 +50,7 @@ FunctionSummary TinySummary(const std::string& name, uint32_t salt = 0) {
   c.rhs = SymExpr::Const(64);
   c.taken = true;
   c.site = 0x10008;
-  dp.constraints.push_back(c);
+  dp.constraints = dp.constraints.Push(c);
   s.def_pairs.push_back(dp);
 
   UseRecord use;
@@ -129,6 +129,33 @@ TEST(SummaryCodec, EngineSummariesRoundTripByteIdentical) {
       EXPECT_EQ(EncodeSummary(*decoded), blob) << summary.name;
     }
   }
+}
+
+TEST(SummaryCodec, DecodedListsAreTheAnalysedListsThemselves) {
+  // Lists are hash-consed in the global interner, so a decode rebuilds
+  // the very lists the engine published, not equal copies.
+  size_t lists = 0;
+  for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
+    for (const FunctionSummary& summary : EngineSummaries(7, arch)) {
+      auto decoded = DecodeSummary(EncodeSummary(summary));
+      ASSERT_TRUE(decoded.ok()) << summary.name;
+      ASSERT_EQ(decoded->def_pairs.size(), summary.def_pairs.size());
+      ASSERT_EQ(decoded->calls.size(), summary.calls.size());
+      for (size_t i = 0; i < summary.def_pairs.size(); ++i) {
+        const ConstraintList want = summary.def_pairs[i].constraints;
+        EXPECT_EQ(decoded->def_pairs[i].constraints.head(), want.head())
+            << summary.name << " def " << i;
+        lists += !want.empty();
+      }
+      for (size_t i = 0; i < summary.calls.size(); ++i) {
+        const ConstraintList want = summary.calls[i].constraints;
+        EXPECT_EQ(decoded->calls[i].constraints.head(), want.head())
+            << summary.name << " call " << i;
+        lists += !want.empty();
+      }
+    }
+  }
+  EXPECT_GT(lists, 0u) << "the corpus must record constraints";
 }
 
 // ---------- codec: rejection of damaged blobs --------------------------------

@@ -167,5 +167,107 @@ TEST(Intern, ConcurrentFactoriesConvergeOnOneNodePerShape) {
   }
 }
 
+TEST(Intern, FreshAndRecycledTablesHoldTheInitialSlots) {
+  constexpr uint64_t kInitial =
+      2 * ExprInterner::kShards * ExprInterner::kInitialSlots;
+  ExprInterner interner;
+  EXPECT_LE(interner.stats().table_slots, kInitial);
+  {
+    InternPin pin = interner.Pin();
+    SymRef prev = nullptr;
+    ConstraintList list;
+    for (uint64_t i = 0; i < 20000; ++i) {
+      prev = interner.Intern(SymKind::kBin, 0, 4, BinOp::kAdd,
+                             SymExpr::Const(static_cast<uint32_t>(i)),
+                             prev ? prev : SymExpr::Arg(0), "");
+      if (i % 4 == 0) {
+        list = ConstraintList(interner.InternCell(
+            {BinOp::kCmpLt, SymExpr::Arg(1), SymExpr::Const(i % 900), true,
+             static_cast<uint32_t>(i)},
+            list.head()));
+      }
+    }
+    EXPECT_GT(interner.stats().table_slots, kInitial);  // grown
+  }
+  InternPin next = interner.Pin();  // recycles the generation
+  InternStats recycled = interner.stats();
+  EXPECT_EQ(recycled.recycles, 1u);
+  EXPECT_EQ(recycled.resident_nodes, 0u);
+  EXPECT_LE(recycled.table_slots, kInitial);
+}
+
+TEST(Intern, HundredThousandNodesStillDedupEveryShape) {
+  // Private interner, so the counts below are exact. Children come
+  // from the global one (a private interner compares them by pointer).
+  ExprInterner interner;
+  constexpr uint32_t kShapes = 100000;
+  auto build = [&](uint32_t i) {
+    return interner.Intern(SymKind::kBin, 0, 4, BinOp::kXor,
+                           SymExpr::Arg(static_cast<int>(i % 8)),
+                           SymExpr::Const(i / 8), "");
+  };
+  std::vector<SymRef> first(kShapes);
+  for (uint32_t i = 0; i < kShapes; ++i) first[i] = build(i);
+  for (uint32_t i = 0; i < kShapes; ++i) {
+    ASSERT_EQ(build(i), first[i]) << "shape " << i;
+  }
+  InternStats stats = interner.stats();
+  EXPECT_EQ(stats.nodes, kShapes);
+  EXPECT_EQ(stats.resident_nodes, kShapes);
+  EXPECT_EQ(stats.hits, kShapes);
+}
+
+TEST(Intern, ConcurrentListsGetOneCellPerConstraintAndTail) {
+  // List l holds constraints 0..5, constraint j taken iff bit j of l is
+  // set: 64 lists over every prefix, so the distinct (constraint, tail)
+  // pairs are the distinct prefixes, 2 + 4 + ... + 64 = 126. Each
+  // thread builds every list, starting at a different one.
+  constexpr int kThreads = 8;
+  constexpr int kLists = 64;
+  constexpr int kDepth = 6;
+  ExprInterner interner;
+  std::vector<PathConstraint> pool;
+  for (int j = 0; j < kDepth; ++j) {
+    for (bool taken : {false, true}) {
+      pool.push_back({BinOp::kCmpLt, SymExpr::Arg(j % 4),
+                      SymExpr::Const(static_cast<uint32_t>(j)), taken,
+                      static_cast<uint32_t>(0x100 + j)});
+    }
+  }
+  std::vector<std::vector<const ConstraintCell*>> heads(
+      kThreads, std::vector<const ConstraintCell*>(kLists));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &heads, &pool, &interner] {
+      for (int k = 0; k < kLists; ++k) {
+        const int l = (k + 8 * t) % kLists;
+        const ConstraintCell* head = nullptr;
+        for (int j = 0; j < kDepth; ++j) {
+          head = interner.InternCell(pool[2 * j + ((l >> j) & 1)], head);
+        }
+        heads[t][l] = head;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int l = 0; l < kLists; ++l) {
+    ConstraintList list(heads[0][l]);
+    ASSERT_EQ(list.size(), static_cast<size_t>(kDepth));
+    std::vector<PathConstraint> members = list.ToVector();
+    for (int j = 0; j < kDepth; ++j) {
+      EXPECT_EQ(members[j].site, 0x100u + j);  // push order
+      EXPECT_EQ(members[j].taken, ((l >> j) & 1) != 0);
+    }
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(heads[t][l], heads[0][l])
+          << "thread " << t << " got a different cell for list " << l;
+    }
+  }
+  InternStats stats = interner.stats();
+  EXPECT_EQ(stats.list_cells, 126u);
+  EXPECT_EQ(stats.list_hits, uint64_t{kThreads} * kLists * kDepth - 126);
+  EXPECT_EQ(stats.nodes, 0u);  // cells are not counted as nodes
+}
+
 }  // namespace
 }  // namespace dtaint

@@ -91,19 +91,19 @@ TEST(ScratchIntern, EveryNodeOfAnAnalysedSummaryIsGlobal) {
       for (const DefPair& dp : summary.def_pairs) {
         defs.Expect(dp.d);
         defs.Expect(dp.u);
-        for (const PathConstraint& c : dp.constraints) {
+        dp.constraints.ForEach([&](const PathConstraint& c) {
           def_constraints.Expect(c.lhs);
           def_constraints.Expect(c.rhs);
-        }
+        });
       }
       for (const UseRecord& use : summary.undefined_uses) uses.Expect(use.u);
       for (const CallEvent& call : summary.calls) {
         targets.Expect(call.indirect_target);
         for (SymRef arg : call.args) args.Expect(arg);
-        for (const PathConstraint& c : call.constraints) {
+        call.constraints.ForEach([&](const PathConstraint& c) {
           call_constraints.Expect(c.lhs);
           call_constraints.Expect(c.rhs);
-        }
+        });
       }
       for (SymRef value : summary.return_values) returns.Expect(value);
     }

@@ -135,9 +135,9 @@ void ExpectMatchesModel(SymState& state, const RefState& model,
     }
   }
   EXPECT_EQ(state.MemEntryCount(), model.mem.size()) << where;
-  std::vector<PathConstraint> trail = state.ConstraintsSnapshot();
+  std::vector<PathConstraint> trail = state.constraints().ToVector();
   ASSERT_EQ(trail.size(), model.constraints.size()) << where;
-  EXPECT_EQ(state.ConstraintCount(), model.constraints.size()) << where;
+  EXPECT_EQ(state.constraints().size(), model.constraints.size()) << where;
   for (size_t i = 0; i < trail.size(); ++i) {
     const PathConstraint& want = model.constraints[i];
     EXPECT_EQ(trail[i].op, want.op) << where;

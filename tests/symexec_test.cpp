@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "src/isa/asm_builder.h"
 #include "src/lifter/lifter.h"
 #include "src/symexec/engine.h"
+#include "src/symexec/intern.h"
 #include "src/symexec/symstate.h"
 
 namespace dtaint {
@@ -329,9 +331,80 @@ TEST(Engine, DefPairsCarryConstraints) {
   });
   const DefPair* dp = FindDef(summary, "deref(SP)");
   ASSERT_NE(dp, nullptr);
-  ASSERT_EQ(dp->constraints.size(), 1u);
-  EXPECT_EQ(dp->constraints[0].op, BinOp::kCmpGe);
-  EXPECT_FALSE(dp->constraints[0].taken);
+  std::vector<PathConstraint> constraints = dp->constraints.ToVector();
+  ASSERT_EQ(constraints.size(), 1u);
+  EXPECT_EQ(constraints[0].op, BinOp::kCmpGe);
+  EXPECT_FALSE(constraints[0].taken);
+}
+
+TEST(Engine, RecordsOnOnePathPrefixShareOneList) {
+  FunctionSummary summary = Analyze([](FnBuilder& b) {
+    b.CmpI(0, 0x40);
+    b.Bge("out");
+    b.StrW(1, 13, 0);   // two stores and a call under arg0 < 0x40
+    b.StrW(2, 13, 4);
+    b.MovR(0, 4);
+    b.MovR(1, 5);
+    b.Call("strcpy");
+    b.CmpI(1, 8);
+    b.Beq("out");
+    b.StrW(3, 13, 8);   // one constraint deeper, over the same prefix
+    b.Label("out");
+    b.Ret();
+  });
+  const DefPair* first = FindDef(summary, "deref(SP)");
+  const DefPair* second = FindDef(summary, "deref(SP+0x4)");
+  const DefPair* deeper = FindDef(summary, "deref(SP+0x8)");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(deeper, nullptr);
+  ASSERT_EQ(first->constraints.size(), 1u);
+  EXPECT_EQ(first->constraints.head(), second->constraints.head());
+  const CallEvent* strcpy_call = nullptr;
+  for (const CallEvent& call : summary.calls) {
+    if (call.callee == "strcpy") strcpy_call = &call;
+  }
+  ASSERT_NE(strcpy_call, nullptr);
+  EXPECT_EQ(strcpy_call->constraints.head(), first->constraints.head());
+  ASSERT_EQ(deeper->constraints.size(), 2u);
+  EXPECT_EQ(deeper->constraints.head()->tail, first->constraints.head());
+}
+
+TEST(Engine, PublishingInternsEachTrailCellOnce) {
+  const InternStats before = ExprInterner::Global().stats();
+  FunctionSummary summary = Analyze([](FnBuilder& b) {
+    // Three diamonds in a row: eight paths, and every path records
+    // several defs over each prefix of its trail.
+    for (int i = 0; i < 3; ++i) {
+      const std::string skip = "skip" + std::to_string(i);
+      b.CmpI(i, 0x10 * (i + 1));
+      b.Bge(skip);
+      b.StrW(i + 1, 13, 8 * i);
+      b.StrW(i + 2, 13, 8 * i + 4);
+      b.Label(skip);
+      b.StrW(5, 13, 0x40 + 4 * i);
+    }
+    b.Ret();
+  });
+  const InternStats after = ExprInterner::Global().stats();
+  std::set<const ConstraintCell*> cells;
+  size_t copies = 0;  // constraints over all records, shared or not
+  auto walk = [&](ConstraintList list) {
+    copies += list.size();
+    for (const ConstraintCell* c = list.head(); c; c = c->tail) {
+      EXPECT_FALSE(c->trail) << "a trail cell escaped its exploration";
+      cells.insert(c);
+    }
+  };
+  for (const DefPair& dp : summary.def_pairs) walk(dp.constraints);
+  for (const CallEvent& call : summary.calls) walk(call.constraints);
+  ASSERT_FALSE(cells.empty());
+  // One InternCell call per distinct trail cell: each cell the summary
+  // reaches was published once, however many records share it.
+  EXPECT_EQ(after.list_cells + after.list_hits -
+                (before.list_cells + before.list_hits),
+            cells.size());
+  EXPECT_LT(cells.size(), copies);
 }
 
 TEST(Engine, TypeMapJoinSemantics) {
