@@ -49,9 +49,7 @@ int main(int argc, char** argv) {
           fw->image.FindFile(spec.firmware.binary_path);
       auto binary = BinaryLoader::Load(file->bytes);
       DTaint detector;
-      auto report = spec.focus.empty()
-                        ? detector.Analyze(*binary)
-                        : detector.AnalyzeFunctions(*binary, spec.focus);
+      auto report = detector.AnalyzeFunctions(*binary, spec.focus);
       if (!report.ok()) {
         failed = true;
         return;

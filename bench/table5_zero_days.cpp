@@ -38,9 +38,7 @@ int main(int argc, char** argv) {
         spec.firmware.vendor + "_" + spec.firmware.product,
         [&](bench::Rep& rep) {
           DTaint detector;
-          report = spec.focus.empty()
-                       ? detector.Analyze(*binary)
-                       : detector.AnalyzeFunctions(*binary, spec.focus);
+          report = detector.AnalyzeFunctions(*binary, spec.focus);
           if (!report.ok()) return;
           score = ScoreFindings(report->findings, fw->ground_truth);
           rep.Value("total_seconds", report->total_seconds);

@@ -38,7 +38,9 @@ std::vector<NaiveFinding> NaiveReachabilityScan(const Program& program) {
   std::map<std::string, std::string> source_fns;
   for (const auto& [name, fn] : program.functions) {
     for (const CallSite& cs : fn.callsites) {
-      if (cs.target_is_import && IsSource(cs.target_name)) {
+      if (!cs.target_is_import) continue;
+      const LibFunction* lib = FindLibFunction(cs.target_name);
+      if (lib && lib->IsSource()) {
         source_fns.emplace(name, cs.target_name);
         break;
       }
@@ -62,8 +64,8 @@ std::vector<NaiveFinding> NaiveReachabilityScan(const Program& program) {
   for (const auto& [name, fn] : program.functions) {
     for (const CallSite& cs : fn.callsites) {
       if (!cs.target_is_import) continue;
-      auto sink = FindSink(cs.target_name);
-      if (!sink) continue;
+      const LibFunction* sink = FindLibFunction(cs.target_name);
+      if (!sink || !sink->IsSink()) continue;
       for (const auto& [src_fn, src_name] : source_fns) {
         if (src_fn == name || reaches(src_fn, name) ||
             reaches(name, src_fn)) {

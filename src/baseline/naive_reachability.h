@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/cfg/cfg_builder.h"
-#include "src/core/sources_sinks.h"
+#include "src/symexec/libmodels.h"
 
 namespace dtaint {
 

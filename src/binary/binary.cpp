@@ -4,20 +4,6 @@
 
 namespace dtaint {
 
-std::string_view SectionKindName(SectionKind kind) {
-  switch (kind) {
-    case SectionKind::kText:
-      return ".text";
-    case SectionKind::kRodata:
-      return ".rodata";
-    case SectionKind::kData:
-      return ".data";
-    case SectionKind::kBss:
-      return ".bss";
-  }
-  return "?";
-}
-
 const Section* Binary::FindSection(std::string_view name) const {
   for (const Section& s : sections) {
     if (s.name == name) return &s;

@@ -30,8 +30,6 @@ inline constexpr uint32_t kBssBase = 0x00A00000;
 
 enum class SectionKind : uint8_t { kText = 0, kRodata, kData, kBss };
 
-std::string_view SectionKindName(SectionKind kind);
-
 struct Section {
   SectionKind kind;
   std::string name;   // ".text", ".data", ...

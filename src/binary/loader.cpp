@@ -1,7 +1,5 @@
 #include "src/binary/loader.h"
 
-#include <fstream>
-
 #include "src/resilience/fault.h"
 #include "src/util/hash.h"
 
@@ -183,14 +181,6 @@ Result<Binary> BinaryLoader::Load(std::span<const uint8_t> bytes,
     }
   }
   return bin;
-}
-
-Result<Binary> BinaryLoader::LoadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFound(path + ": cannot open file");
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  return Load(bytes, path);
 }
 
 }  // namespace dtaint

@@ -23,9 +23,6 @@ class BinaryLoader {
   static Result<Binary> Load(std::span<const uint8_t> bytes,
                              std::string_view origin = {});
 
-  /// Reads `path` from disk and parses it, with the path as origin.
-  static Result<Binary> LoadFile(const std::string& path);
-
   /// Quick magic check without a full parse (used by the firmware
   /// extractor to pick executable files out of a root filesystem).
   static bool LooksLikeBinary(std::span<const uint8_t> bytes);

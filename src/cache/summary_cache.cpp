@@ -11,6 +11,7 @@
 
 #include "src/cache/summary_codec.h"
 #include "src/resilience/fault.h"
+#include "src/symexec/libmodels.h"
 
 namespace dtaint {
 
@@ -174,7 +175,9 @@ Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config) {
   fp.Mix(static_cast<uint64_t>(config.max_paths));
   fp.Mix(static_cast<uint64_t>(config.max_block_visits));
   fp.Mix(static_cast<uint64_t>(config.max_expr_depth));
-  fp.Mix(config.record_types ? 1 : 0);
+  // The library models decide what every import call does, so editing
+  // a row must not serve summaries computed under the old one.
+  fp.Mix(LibFunctionsDigest());
   // The engine concretizes constant-address loads out of mapped data
   // sections (string literals, dispatch tables), so those bytes are
   // analysis input. Text bytes are covered per-function by the lifted

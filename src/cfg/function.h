@@ -65,7 +65,6 @@ struct Function {
   /// key).
   Hash128 code_digest;
 
-  size_t BlockCount() const { return blocks.size(); }
   const BlockInfo* BlockAt(uint32_t addr) const {
     auto it = blocks.find(addr);
     return it == blocks.end() ? nullptr : &it->second;

@@ -319,8 +319,9 @@ size_t PathFinder::SinkCount() const {
   for (const auto& [_, summary] : analysis_.summaries) {
     std::set<uint32_t> seen;
     for (const CallEvent& event : summary.calls) {
-      if (event.is_import && FindSink(event.callee) &&
-          seen.insert(event.callsite).second) {
+      if (!event.is_import) continue;
+      const LibFunction* lib = FindLibFunction(event.callee);
+      if (lib && lib->IsSink() && seen.insert(event.callsite).second) {
         ++count;
       }
     }
@@ -338,13 +339,13 @@ std::vector<TaintPath> PathFinder::FindAll() const {
     std::set<uint32_t> seen_sites;
     for (const CallEvent& event : summary.calls) {
       if (!event.is_import) continue;
-      auto sink = FindSink(event.callee);
-      if (!sink) continue;
+      const LibFunction* sink = FindLibFunction(event.callee);
+      if (!sink || !sink->IsSink()) continue;
       if (!seen_sites.insert(event.callsite).second) continue;
-      if (sink->tainted_param >= static_cast<int>(event.args.size())) {
+      if (sink->sink_param >= static_cast<int>(event.args.size())) {
         continue;
       }
-      SymRef arg = event.args[sink->tainted_param];
+      SymRef arg = event.args[sink->sink_param];
       if (!arg) continue;
 
       TaintPath seed;
@@ -367,42 +368,40 @@ std::vector<TaintPath> PathFinder::FindAll() const {
 
     // Loop-copy sinks: stores inside a natural loop whose address has
     // a non-constant (per-iteration) component.
-    if (config_.detect_loop_copies) {
-      const Function* fn = program_.FindFunction(fn_name);
-      if (!fn) continue;
-      LoopInfo loops = FindLoops(*fn);
-      if (loops.loops.empty()) continue;
-      // Map def sites to blocks to test loop membership.
-      std::set<uint32_t> emitted_sites;
-      for (const DefPair& dp : summary.def_pairs) {
-        if (!dp.d || dp.d->kind() != SymKind::kDeref) continue;
-        // Address must vary per iteration: base+offset split leaves a
-        // symbolic, non-argument residue (e.g. deref(buf + idx)).
-        auto split = SymExpr::SplitBaseOffset(dp.d->lhs());
-        if (!split.base || split.base->kind() != SymKind::kBin) continue;
-        // Locate the block containing this site.
-        uint32_t block_addr = 0;
-        for (const auto& [addr, block] : fn->blocks) {
-          if (dp.site >= addr && dp.site < addr + block.size) {
-            block_addr = addr;
-            break;
-          }
+    const Function* fn = program_.FindFunction(fn_name);
+    if (!fn) continue;
+    LoopInfo loops = FindLoops(*fn);
+    if (loops.loops.empty()) continue;
+    // Map def sites to blocks to test loop membership.
+    std::set<uint32_t> emitted_sites;
+    for (const DefPair& dp : summary.def_pairs) {
+      if (!dp.d || dp.d->kind() != SymKind::kDeref) continue;
+      // Address must vary per iteration: base+offset split leaves a
+      // symbolic, non-argument residue (e.g. deref(buf + idx)).
+      auto split = SymExpr::SplitBaseOffset(dp.d->lhs());
+      if (!split.base || split.base->kind() != SymKind::kBin) continue;
+      // Locate the block containing this site.
+      uint32_t block_addr = 0;
+      for (const auto& [addr, block] : fn->blocks) {
+        if (dp.site >= addr && dp.site < addr + block.size) {
+          block_addr = addr;
+          break;
         }
-        if (!block_addr || !loops.InAnyLoop(block_addr)) continue;
-        if (!emitted_sites.insert(dp.site).second) continue;
-
-        TaintPath seed;
-        seed.sink_function = fn_name;
-        seed.sink_site = dp.site;
-        seed.sink_name = "loop";
-        seed.vuln_class = VulnClass::kBufferOverflow;
-        seed.sink_arg = dp.u;
-        seed.sink_store_addr = dp.d->lhs();
-        seed.crossed_degraded = dp.degraded;
-        seed.hops.push_back(
-            {fn_name, dp.site, "loop copy " + dp.d->ToString()});
-        backtracker.TraceSink(fn_name, seed, dp.constraints, {dp.u});
       }
+      if (!block_addr || !loops.InAnyLoop(block_addr)) continue;
+      if (!emitted_sites.insert(dp.site).second) continue;
+
+      TaintPath seed;
+      seed.sink_function = fn_name;
+      seed.sink_site = dp.site;
+      seed.sink_name = "loop";
+      seed.vuln_class = VulnClass::kBufferOverflow;
+      seed.sink_arg = dp.u;
+      seed.sink_store_addr = dp.d->lhs();
+      seed.crossed_degraded = dp.degraded;
+      seed.hops.push_back(
+          {fn_name, dp.site, "loop copy " + dp.d->ToString()});
+      backtracker.TraceSink(fn_name, seed, dp.constraints, {dp.u});
     }
   }
 

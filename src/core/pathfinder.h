@@ -20,7 +20,7 @@
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/interproc.h"
-#include "src/core/sources_sinks.h"
+#include "src/symexec/libmodels.h"
 
 namespace dtaint {
 
@@ -70,7 +70,6 @@ struct TaintPath {
 struct PathFinderConfig {
   int max_depth = 24;          // backward-step budget per trace
   int max_paths_per_sink = 8;  // stop after this many distinct sources
-  bool detect_loop_copies = true;
 };
 
 /// Search-effort accounting for one FindAll pass. Deterministic for a

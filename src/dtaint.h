@@ -19,7 +19,6 @@
 #include "src/core/interproc.h"
 #include "src/core/pathfinder.h"
 #include "src/core/sanitizer.h"
-#include "src/core/sources_sinks.h"
 #include "src/core/structsim.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/image.h"
@@ -34,6 +33,7 @@
 #include "src/report/scoring.h"
 #include "src/report/table.h"
 #include "src/symexec/engine.h"
+#include "src/symexec/libmodels.h"
 #include "src/synth/firmware_synth.h"
 #include "src/synth/paper_images.h"
 #include "src/util/status.h"

@@ -32,26 +32,17 @@ FnBuilder& FnBuilder::AddR(int rd, int rn, int rm) {
 FnBuilder& FnBuilder::AddI(int rd, int rn, int32_t imm) {
   return Emit({Op::kAddI, uint8_t(rd), uint8_t(rn), 0, imm});
 }
-FnBuilder& FnBuilder::SubR(int rd, int rn, int rm) {
-  return Emit({Op::kSubR, uint8_t(rd), uint8_t(rn), uint8_t(rm), 0});
-}
 FnBuilder& FnBuilder::SubI(int rd, int rn, int32_t imm) {
   return Emit({Op::kSubI, uint8_t(rd), uint8_t(rn), 0, imm});
 }
 FnBuilder& FnBuilder::MulR(int rd, int rn, int rm) {
   return Emit({Op::kMulR, uint8_t(rd), uint8_t(rn), uint8_t(rm), 0});
 }
-FnBuilder& FnBuilder::AndI(int rd, int rn, int32_t imm) {
-  return Emit({Op::kAndI, uint8_t(rd), uint8_t(rn), 0, imm});
-}
 FnBuilder& FnBuilder::OrrR(int rd, int rn, int rm) {
   return Emit({Op::kOrrR, uint8_t(rd), uint8_t(rn), uint8_t(rm), 0});
 }
 FnBuilder& FnBuilder::LslI(int rd, int rn, int32_t imm) {
   return Emit({Op::kLslI, uint8_t(rd), uint8_t(rn), 0, imm});
-}
-FnBuilder& FnBuilder::LsrI(int rd, int rn, int32_t imm) {
-  return Emit({Op::kLsrI, uint8_t(rd), uint8_t(rn), 0, imm});
 }
 
 FnBuilder& FnBuilder::LdrW(int rt, int base, int32_t off) {
@@ -68,9 +59,6 @@ FnBuilder& FnBuilder::StrB(int rt, int base, int32_t off) {
 }
 FnBuilder& FnBuilder::LdrWR(int rt, int base, int idx) {
   return Emit({Op::kLdrWR, uint8_t(rt), uint8_t(base), uint8_t(idx), 0});
-}
-FnBuilder& FnBuilder::StrWR(int rt, int base, int idx) {
-  return Emit({Op::kStrWR, uint8_t(rt), uint8_t(base), uint8_t(idx), 0});
 }
 FnBuilder& FnBuilder::LdrBR(int rt, int base, int idx) {
   return Emit({Op::kLdrBR, uint8_t(rt), uint8_t(base), uint8_t(idx), 0});
@@ -101,8 +89,6 @@ FnBuilder& FnBuilder::Beq(const std::string& l) { return Branch(Op::kBeq, l); }
 FnBuilder& FnBuilder::Bne(const std::string& l) { return Branch(Op::kBne, l); }
 FnBuilder& FnBuilder::Blt(const std::string& l) { return Branch(Op::kBlt, l); }
 FnBuilder& FnBuilder::Bge(const std::string& l) { return Branch(Op::kBge, l); }
-FnBuilder& FnBuilder::Ble(const std::string& l) { return Branch(Op::kBle, l); }
-FnBuilder& FnBuilder::Bgt(const std::string& l) { return Branch(Op::kBgt, l); }
 
 FnBuilder& FnBuilder::Call(const std::string& symbol) {
   call_fixups_.push_back({insns_.size(), symbol, /*is_call=*/true});

@@ -52,13 +52,10 @@ class FnBuilder {
   FnBuilder& MovConst(int rd, uint32_t value);
   FnBuilder& AddR(int rd, int rn, int rm);
   FnBuilder& AddI(int rd, int rn, int32_t imm);
-  FnBuilder& SubR(int rd, int rn, int rm);
   FnBuilder& SubI(int rd, int rn, int32_t imm);
   FnBuilder& MulR(int rd, int rn, int rm);
-  FnBuilder& AndI(int rd, int rn, int32_t imm);
   FnBuilder& OrrR(int rd, int rn, int rm);
   FnBuilder& LslI(int rd, int rn, int32_t imm);
-  FnBuilder& LsrI(int rd, int rn, int32_t imm);
 
   // -- memory ---------------------------------------------------------------
   FnBuilder& LdrW(int rt, int base, int32_t off);
@@ -66,7 +63,6 @@ class FnBuilder {
   FnBuilder& LdrB(int rt, int base, int32_t off);
   FnBuilder& StrB(int rt, int base, int32_t off);
   FnBuilder& LdrWR(int rt, int base, int idx);
-  FnBuilder& StrWR(int rt, int base, int idx);
   FnBuilder& LdrBR(int rt, int base, int idx);
   FnBuilder& StrBR(int rt, int base, int idx);
 
@@ -79,8 +75,6 @@ class FnBuilder {
   FnBuilder& Bne(const std::string& label);
   FnBuilder& Blt(const std::string& label);
   FnBuilder& Bge(const std::string& label);
-  FnBuilder& Ble(const std::string& label);
-  FnBuilder& Bgt(const std::string& label);
   /// Call a function by name (resolved by the binary writer).
   FnBuilder& Call(const std::string& symbol);
   /// Indirect call through a register.

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "src/core/dtaint.h"
-#include "src/core/sources_sinks.h"
+#include "src/symexec/libmodels.h"
 
 namespace dtaint {
 

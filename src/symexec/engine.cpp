@@ -7,6 +7,7 @@
 
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
+#include "src/symexec/libmodels.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -18,92 +19,6 @@ namespace {
 SymRef FreshUnknown(uint32_t salt) {
   return SymExpr::InitReg(static_cast<int>(kFreshInitBase + salt));
 }
-
-}  // namespace
-
-const LibModel* FindLibModel(std::string_view name) {
-  static const std::vector<LibModel> kModels = [] {
-    std::vector<LibModel> models;
-    auto taints_arg = [&models](const char* name, int arg, int ret_arg = -1) {
-      LibModel m;
-      m.name = name;
-      m.taints_pointee_of_arg = arg;
-      m.returns_arg = ret_arg;
-      models.push_back(std::move(m));
-    };
-    auto taints_ret = [&models](const char* name) {
-      LibModel m;
-      m.name = name;
-      m.returns_tainted_buffer = true;
-      models.push_back(std::move(m));
-    };
-    auto copies = [&models](const char* name, int dst, int src,
-                            int ret_arg = -1) {
-      LibModel m;
-      m.name = name;
-      m.copy_dst_arg = dst;
-      m.copy_src_arg = src;
-      m.returns_arg = ret_arg;
-      models.push_back(std::move(m));
-    };
-    // Sources: network/file reads write attacker bytes into a buffer arg.
-    taints_arg("read", 1);
-    taints_arg("recv", 1);
-    taints_arg("recvfrom", 1);
-    taints_arg("recvmsg", 1);
-    taints_arg("fgets", 0, /*ret_arg=*/0);
-    // Sources returning a pointer to attacker-controlled bytes.
-    taints_ret("getenv");
-    taints_ret("websGetVar");
-    taints_ret("find_var");
-    // Copies (sinks for overflow checking; also propagate data).
-    copies("strcpy", 0, 1, /*ret_arg=*/0);
-    copies("strncpy", 0, 1, /*ret_arg=*/0);
-    copies("strcat", 0, 1, /*ret_arg=*/0);
-    copies("memcpy", 0, 1, /*ret_arg=*/0);
-    copies("sprintf", 0, 2);
-    copies("snprintf", 0, 3);
-    {
-      LibModel m;
-      m.name = "sscanf";
-      m.copy_src_arg = 0;
-      m.extra_dst_args = {2, 3, 4};
-      models.push_back(std::move(m));
-    }
-    {
-      LibModel m;
-      m.name = "malloc";
-      m.allocates = true;
-      models.push_back(std::move(m));
-    }
-    // String interrogation: the result is a pure function of the buffer
-    // contents, modeled as deref(arg) so `strlen(s) < 64` constrains
-    // the same region the taint lives in.
-    {
-      LibModel m;
-      m.name = "strlen";
-      m.returns_deref_of_arg = 0;
-      models.push_back(std::move(m));
-    }
-    {
-      LibModel m;
-      m.name = "atoi";
-      m.returns_deref_of_arg = 0;
-      models.push_back(std::move(m));
-    }
-    return models;
-  }();
-  static const std::unordered_map<std::string_view, const LibModel*>
-      kByName = [] {
-        std::unordered_map<std::string_view, const LibModel*> by_name;
-        for (const LibModel& m : kModels) by_name.emplace(m.name, &m);
-        return by_name;
-      }();
-  auto it = kByName.find(name);
-  return it == kByName.end() ? nullptr : it->second;
-}
-
-namespace {
 
 /// One in-flight exploration unit: a block about to be executed under a
 /// path state.
@@ -321,10 +236,8 @@ class Exploration {
         return state.Reg(e->reg());
       case ExprKind::kLoad: {
         SymRef addr = EvalExpr(e->lhs(), tmps, state, site);
-        if (config_.record_types) {
-          auto split = SymExpr::SplitBaseOffset(addr);
-          if (split.base) ObserveType(split.base, ValueType::kPtr);
-        }
+        auto split = SymExpr::SplitBaseOffset(addr);
+        if (split.base) ObserveType(split.base, ValueType::kPtr);
         // Concrete addresses into .rodata/.data read the actual bytes —
         // string literals, dispatch tables (function pointers!).
         if (addr->kind() == SymKind::kConst && e->load_size() == 4) {
@@ -403,8 +316,9 @@ class Exploration {
     summary_.types.Observe(expr, type);
   }
 
-  /// Applies a library model's memory/taint/return effects.
-  void ApplyLibCall(const CallSite& cs, const LibModel* model,
+  /// Applies a library model's memory/taint/return effects and its
+  /// type evidence.
+  void ApplyLibCall(const CallSite& cs, const LibFunction* model,
                     const std::string& name, std::vector<SymRef>& args,
                     SymState& state) {
     SymRef ret = SymExpr::Ret(cs.call_addr);
@@ -456,18 +370,14 @@ class Exploration {
           model->returns_deref_of_arg < static_cast<int>(args.size())) {
         ret = state.LoadMem(args[model->returns_deref_of_arg], 4, nullptr);
       }
+      // Library-signature type evidence (paper: "the parameters are
+      // specified data types").
+      for (size_t i = 0; i < model->params.size() && i < args.size(); ++i) {
+        ObserveType(args[i], model->params[i]);
+      }
+      ObserveType(ret, model->ret);
     }
     state.SetReg(cc_.ret_reg, ret);
-    // Library-signature type evidence (paper: "the parameters are
-    // specified data types").
-    if (config_.record_types) {
-      if (const LibSignature* sig = FindLibSignature(name)) {
-        for (size_t i = 0; i < sig->params.size() && i < args.size(); ++i) {
-          ObserveType(args[i], sig->params[i]);
-        }
-        ObserveType(ret, sig->ret);
-      }
-    }
   }
 
   int BlockIndexOf(uint32_t block_addr) const {
@@ -596,8 +506,7 @@ class Exploration {
           break;
         case StmtKind::kPut: {
           SymRef value = EvalExpr(stmt.expr, tmps, state, cur_site);
-          if (config_.record_types && stmt.reg == kFlagRhs &&
-              value->kind() == SymKind::kConst) {
+          if (stmt.reg == kFlagRhs && value->kind() == SymKind::kConst) {
             // CMP rX, #imm marks rX's value as an integer.
             ObserveType(state.Reg(kFlagLhs), ValueType::kInt);
           }
@@ -607,12 +516,8 @@ class Exploration {
         case StmtKind::kStore: {
           SymRef addr = EvalExpr(stmt.addr_expr, tmps, state, cur_site);
           SymRef data = EvalExpr(stmt.data_expr, tmps, state, cur_site);
-          if (config_.record_types) {
-            auto split = SymExpr::SplitBaseOffset(addr);
-            if (split.base) {
-              ObserveType(split.base, ValueType::kPtr);
-            }
-          }
+          auto split = SymExpr::SplitBaseOffset(addr);
+          if (split.base) ObserveType(split.base, ValueType::kPtr);
           state.StoreMem(addr, data, stmt.size);
           RecordDef(state, SymExpr::Deref(addr, stmt.size), data, cur_site);
           break;
@@ -772,14 +677,10 @@ class Exploration {
   }
 
   void HandleDirectCall(const CallSite& cs, SymState& state) {
-    const LibModel* model =
-        cs.target_is_import ? FindLibModel(cs.target_name) : nullptr;
-    int arg_count = kNumRegArgs + 2;
-    if (cs.target_is_import) {
-      if (const LibSignature* sig = FindLibSignature(cs.target_name)) {
-        arg_count = static_cast<int>(sig->params.size());
-      }
-    }
+    const LibFunction* model =
+        cs.target_is_import ? FindLibFunction(cs.target_name) : nullptr;
+    const int arg_count =
+        model ? static_cast<int>(model->params.size()) : kNumRegArgs + 2;
     CallEvent event;
     event.callsite = cs.call_addr;
     event.callee = cs.target_name;

@@ -9,9 +9,9 @@
 //    once" is realized by never revisiting a block on the same path
 //    (back edges are not followed), so a block may still carry several
 //    distinct symbolic states from different paths;
-//  * direct library calls apply a behavioral model (taint injection
-//    for sources, buffer copies for str*/mem* functions, heap identity
-//    for malloc); local callees yield a ret_{callsite} symbol whose
+//  * direct library calls apply their row of the library table
+//    (libmodels.h: taint injection for sources, buffer copies for
+//    str*/mem* functions, heap identity for malloc); local callees yield a ret_{callsite} symbol whose
 //    meaning is filled in later by the bottom-up interprocedural pass;
 //  * every store becomes a definition pair, every load from undefined
 //    memory becomes a lazily-named deref variable (and an undefined
@@ -34,7 +34,6 @@ struct EngineConfig {
   int max_paths = 48;          // terminated-path budget per function
   int max_block_visits = 4096; // total block executions per function
   int max_expr_depth = 96;     // widen expressions beyond this
-  bool record_types = true;
 };
 
 /// State writes one block-memo recording may hold; a recording that
@@ -64,26 +63,6 @@ class SymEngine {
   const Binary& binary_;
   EngineConfig config_;
 };
-
-/// Behavioral model of one library function, applied at import calls.
-struct LibModel {
-  std::string name;
-  int taints_pointee_of_arg = -1;  // recv/read: arg index whose buffer
-                                   // is overwritten with attacker data
-  bool returns_tainted_buffer = false;  // getenv-style: *ret is tainted
-  int copy_dst_arg = -1;           // strcpy-style copies
-  int copy_src_arg = -1;
-  std::vector<int> extra_dst_args; // sscanf: multiple out-pointers
-  bool allocates = false;          // malloc-style: returns heap pointer
-  int returns_arg = -1;            // strcpy returns dst
-  int returns_deref_of_arg = -1;   // strlen-style: the return value is
-                                   // a function of the buffer contents,
-                                   // modeled as deref(arg) so length
-                                   // checks tie back to the region
-};
-
-/// Model for a library function, or nullptr if unmodeled.
-const LibModel* FindLibModel(std::string_view name);
 
 /// The conservative stand-in emitted when a function's analysis budget
 /// is exhausted (or a `summary` fault is injected): every register

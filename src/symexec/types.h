@@ -1,18 +1,16 @@
 // Data-type inference (paper §III-B "Data Type").
 //
 // DTaint infers primitive types two ways: (1) from standard library
-// signatures (both strcpy arguments are char*), and (2) from machine
-// instructions (a load/store base register holds a pointer; a CMP
-// operand against an immediate is an integer). Types feed pointer-alias
-// recognition (is `u` a pointer?) and the data-structure layout used
-// for indirect-call matching.
+// signatures (both strcpy arguments are char*; the signatures are part
+// of src/symexec/libmodels.h), and (2) from machine instructions (a
+// load/store base register holds a pointer; a CMP operand against an
+// immediate is an integer). Types feed pointer-alias recognition (is
+// `u` a pointer?) and the data-structure layout used for indirect-call
+// matching.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "src/symexec/symexpr.h"
 
@@ -25,8 +23,6 @@ enum class ValueType : uint8_t {
   kPtr,      // pointer to unknown
   kCharPtr,  // pointer to char buffer
 };
-
-std::string_view ValueTypeName(ValueType type);
 
 /// Lattice join: Unknown is bottom; conflicting concrete types keep the
 /// pointer interpretation (pointers are what the layout metric needs,
@@ -67,16 +63,5 @@ class TypeMap {
   // two expressions, which only ever widens a type to pointer.
   std::map<uint64_t, ValueType> types_;
 };
-
-/// Library signature table: parameter/return types of the modeled libc
-/// functions ("standard C/C++ library function calls" evidence).
-struct LibSignature {
-  std::string name;
-  std::vector<ValueType> params;
-  ValueType ret = ValueType::kUnknown;
-};
-
-/// Signature of a modeled library function, or nullptr.
-const LibSignature* FindLibSignature(std::string_view name);
 
 }  // namespace dtaint

@@ -39,8 +39,6 @@ enum class VulnPattern : uint8_t {
                     // cross-boundary facts; layout similarity scores 0)
 };
 
-std::string_view VulnPatternName(VulnPattern pattern);
-
 /// One pattern instance to synthesize.
 struct PlantSpec {
   std::string id;        // unique tag; function names derive from it

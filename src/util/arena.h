@@ -10,14 +10,11 @@
 // each object; the arena pays one pointer bump, and the whole
 // population is released wholesale by Reset() (or the destructor).
 //
-// Non-trivially-destructible objects can be allocated through New /
-// NewArray, which register their destructors on an intrusive list
-// (the list nodes live in the arena too). Reset runs them newest-first
-// — reverse construction order — so objects may reference earlier
-// allocations from their destructors. IR nodes, the symbolic state's
-// trie nodes, memory cells and trail links, and the global
-// interner's expression nodes are all trivially destructible and
-// register nothing.
+// The arena never runs a destructor: New and NewArray accept only
+// trivially destructible types (a static_assert), so a reset just
+// frees the chunks. IR nodes, the symbolic state's trie nodes, memory
+// cells and trail links, constraint-list cells, the path finder's
+// visited slots and the global interner's expression nodes all are.
 //
 // Single-threaded by design: each arena is filled by one thread (the
 // one running the analysis, lifting the block or tracing the path).
@@ -55,34 +52,25 @@ class BumpArena {
     return reinterpret_cast<void*>(p);
   }
 
-  /// Constructs a T in the arena; registers its destructor unless T is
-  /// trivially destructible.
+  /// Constructs a T in the arena.
   template <typename T, typename... Args>
   T* New(Args&&... args) {
-    T* obj = new (Alloc(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      RegisterDtor(&DestroyThunk<T>, obj, 1);
-    }
-    return obj;
+    static_assert(std::is_trivially_destructible_v<T>);
+    return new (Alloc(sizeof(T), alignof(T))) T(std::forward<Args>(args)...);
   }
 
-  /// Value-initialized array of n Ts; one destructor record covers the
-  /// whole array.
+  /// Value-initialized array of n Ts.
   template <typename T>
   T* NewArray(size_t n) {
+    static_assert(std::is_trivially_destructible_v<T>);
     T* arr = static_cast<T*>(Alloc(sizeof(T) * n, alignof(T)));
     for (size_t i = 0; i < n; ++i) new (arr + i) T();
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      RegisterDtor(&DestroyThunk<T>, arr, n);
-    }
     return arr;
   }
 
-  /// Runs registered destructors (newest first) and frees every chunk.
-  /// The arena is immediately reusable.
+  /// Frees every chunk. The arena is immediately reusable.
   void Reset() {
     Release();
-    dtors_ = nullptr;
     chunks_ = nullptr;
     cursor_ = 0;
     limit_ = 0;
@@ -97,30 +85,6 @@ class BumpArena {
     Chunk* next;
     // payload follows
   };
-  struct DtorRecord {
-    void (*destroy)(void* first, size_t count);
-    void* first;
-    size_t count;
-    DtorRecord* next;
-  };
-
-  template <typename T>
-  static void DestroyThunk(void* first, size_t count) {
-    T* arr = static_cast<T*>(first);
-    for (size_t i = count; i > 0; --i) arr[i - 1].~T();
-  }
-
-  void RegisterDtor(void (*destroy)(void*, size_t), void* first,
-                    size_t count) {
-    auto* rec = static_cast<DtorRecord*>(
-        Alloc(sizeof(DtorRecord), alignof(DtorRecord)));
-    rec->destroy = destroy;
-    rec->first = first;
-    rec->count = count;
-    rec->next = dtors_;
-    dtors_ = rec;
-  }
-
   void AddChunk(size_t min_payload) {
     size_t payload = min_payload > chunk_bytes_ ? min_payload : chunk_bytes_;
     size_t total = sizeof(Chunk) + payload;
@@ -133,9 +97,6 @@ class BumpArena {
   }
 
   void Release() {
-    for (DtorRecord* rec = dtors_; rec; rec = rec->next) {
-      rec->destroy(rec->first, rec->count);
-    }
     for (Chunk* chunk = chunks_; chunk;) {
       Chunk* next = chunk->next;
       std::free(chunk);
@@ -145,7 +106,6 @@ class BumpArena {
 
   size_t chunk_bytes_;
   Chunk* chunks_ = nullptr;
-  DtorRecord* dtors_ = nullptr;
   uintptr_t cursor_ = 0;
   uintptr_t limit_ = 0;
   size_t bytes_reserved_ = 0;

@@ -235,9 +235,7 @@ TEST(PaperImages, VulnerabilityCountsMatchTableThree) {
         fw->image.FindFile(spec.firmware.binary_path);
     auto binary = BinaryLoader::Load(file->bytes);
     DTaint detector;
-    auto report = spec.focus.empty()
-                      ? detector.Analyze(*binary)
-                      : detector.AnalyzeFunctions(*binary, spec.focus);
+    auto report = detector.AnalyzeFunctions(*binary, spec.focus);
     ASSERT_TRUE(report.ok());
     DetectionScore score =
         ScoreFindings(report->findings, fw->ground_truth);

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/lifter/lifter.h"
 #include "src/symexec/engine.h"
 #include "src/symexec/intern.h"
+#include "src/symexec/libmodels.h"
 #include "src/symexec/symstate.h"
 
 namespace dtaint {
@@ -418,15 +420,36 @@ TEST(Engine, TypeMapJoinSemantics) {
 }
 
 TEST(LibModels, TableLookups) {
-  ASSERT_NE(FindLibModel("recv"), nullptr);
-  EXPECT_EQ(FindLibModel("recv")->taints_pointee_of_arg, 1);
-  ASSERT_NE(FindLibModel("getenv"), nullptr);
-  EXPECT_TRUE(FindLibModel("getenv")->returns_tainted_buffer);
-  ASSERT_NE(FindLibModel("memcpy"), nullptr);
-  EXPECT_EQ(FindLibModel("memcpy")->copy_dst_arg, 0);
-  EXPECT_EQ(FindLibModel("no_such_fn"), nullptr);
-  ASSERT_NE(FindLibSignature("sprintf"), nullptr);
-  EXPECT_EQ(FindLibSignature("sprintf")->params[0], ValueType::kCharPtr);
+  ASSERT_NE(FindLibFunction("recv"), nullptr);
+  EXPECT_EQ(FindLibFunction("recv")->taints_pointee_of_arg, 1);
+  ASSERT_NE(FindLibFunction("getenv"), nullptr);
+  EXPECT_TRUE(FindLibFunction("getenv")->returns_tainted_buffer);
+  ASSERT_NE(FindLibFunction("memcpy"), nullptr);
+  EXPECT_EQ(FindLibFunction("memcpy")->copy_dst_arg, 0);
+  EXPECT_EQ(FindLibFunction("no_such_fn"), nullptr);
+  ASSERT_NE(FindLibFunction("sprintf"), nullptr);
+  EXPECT_EQ(FindLibFunction("sprintf")->params[0], ValueType::kCharPtr);
+}
+
+TEST(LibModels, EveryRowIsConsistent) {
+  std::set<std::string_view> names;
+  std::vector<std::string_view> sources;
+  for (const LibFunction& row : AllLibFunctions()) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    EXPECT_EQ(FindLibFunction(row.name), &row) << row.name;
+    // The engine collects exactly params.size() arguments at a call,
+    // and the path finder skips a sink whose parameter is missing.
+    if (row.IsSink()) {
+      EXPECT_LT(row.sink_param, static_cast<int>(row.params.size()))
+          << row.name;
+    }
+    if (row.IsSource()) sources.push_back(row.name);
+  }
+  // Table I's eight input sources, in Table I order.
+  EXPECT_EQ(sources, (std::vector<std::string_view>{
+                         "read", "recv", "recvfrom", "recvmsg", "getenv",
+                         "fgets", "websGetVar", "find_var"}));
+  EXPECT_EQ(FindLibFunction("loop"), nullptr);
 }
 
 }  // namespace
