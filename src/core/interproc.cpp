@@ -148,15 +148,13 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   // retired, and so event-off and event-on runs stay byte-identical
   // (the differential oracles compare cold vs warm reports).
   obs::Counter& fns_done = registry.counter("summary.functions_done");
-  // CoW-state and block-memoization traffic, folded out of each
+  // Fork, CoW-state and tainted-path counts, folded out of each
   // summary's ExplorationStats here (the symexec layer stays obs-free).
   // Cache-served summaries carry zeros, so the counters reflect work
   // actually performed this run.
   obs::Counter& m_state_forks = registry.counter("engine.state_forks");
   obs::Counter& m_cow_copies = registry.counter("engine.cow_copies");
   obs::Counter& m_overlay_spills = registry.counter("engine.overlay_spills");
-  obs::Counter& m_memo_hits = registry.counter("engine.block_memo_hits");
-  obs::Counter& m_memo_lookups = registry.counter("engine.block_memo_lookups");
   obs::Counter& m_tainted_paths = registry.counter("engine.tainted_paths");
 
   // Intraprocedural static symbolic analysis — exactly once per
@@ -224,8 +222,6 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     m_state_forks.Add(es.state_forks);
     m_cow_copies.Add(es.cow_chunk_copies);
     m_overlay_spills.Add(es.overlay_spills);
-    m_memo_hits.Add(es.memo_hits);
-    m_memo_lookups.Add(es.memo_lookups);
     m_tainted_paths.Add(es.tainted_paths);
     if (events.enabled()) {
       events.Emit(obs::Event("function_end")
@@ -235,9 +231,7 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
                           static_cast<uint64_t>(fn_seconds[i] * 1e6))
                       .Bool("cached", from_cache)
                       .Bool("degraded", base[i].degraded)
-                      .Num("forks", es.state_forks)
-                      .Num("memo_hits", es.memo_hits)
-                      .Num("memo_lookups", es.memo_lookups));
+                      .Num("forks", es.state_forks));
     }
   };
 

@@ -34,7 +34,7 @@
 //                                calls, paths)
 //   function_begin / function_end  per-function summary production:
 //                                micros, cached (cache hit/miss),
-//                                degraded
+//                                degraded, forks (state forks)
 //   alias_mode                   "ondemand", or "off" with alias disabled
 //   incident                     mirror of a resilience Incident
 //                                (budget exhaustion carries its cause)

@@ -104,8 +104,6 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     fn.total_ms += FieldNum(event, "micros") / 1000.0;
     if (FieldBool(event, "cached")) ++fn.cached;
     if (FieldBool(event, "degraded")) ++agg->degraded_functions;
-    fn.memo_hits += FieldCount(event, "memo_hits");
-    fn.memo_lookups += FieldCount(event, "memo_lookups");
   } else if (type == "incident") {
     ++agg->incidents;
     std::string_view phase = FieldStr(event, "phase");
@@ -303,18 +301,13 @@ std::string AggregateToMarkdown(const ScanAggregate& agg) {
 
   if (!agg.functions.empty()) {
     out += "\n## Hot functions\n\n"
-           "| Function | Calls | Cached | Memo hit % | Total ms |\n"
-           "|---|---:|---:|---:|---:|\n";
+           "| Function | Calls | Cached | Total ms |\n"
+           "|---|---:|---:|---:|\n";
     for (const FunctionRollup& fn : agg.functions) {
-      double memo_pct = fn.memo_lookups == 0
-                            ? 0.0
-                            : 100.0 * static_cast<double>(fn.memo_hits) /
-                                  static_cast<double>(fn.memo_lookups);
-      std::snprintf(buf, sizeof(buf), "| %s | %llu | %llu | %.1f | %.2f |\n",
+      std::snprintf(buf, sizeof(buf), "| %s | %llu | %llu | %.2f |\n",
                     fn.function.c_str(),
                     static_cast<unsigned long long>(fn.calls),
-                    static_cast<unsigned long long>(fn.cached), memo_pct,
-                    fn.total_ms);
+                    static_cast<unsigned long long>(fn.cached), fn.total_ms);
       out += buf;
     }
   }
@@ -444,10 +437,6 @@ std::string AggregateToJson(const ScanAggregate& agg) {
     b.Number(fn.calls);
     b.Key("cached");
     b.Number(fn.cached);
-    b.Key("memo_hits");
-    b.Number(fn.memo_hits);
-    b.Key("memo_lookups");
-    b.Number(fn.memo_lookups);
     b.Key("total_ms");
     b.Number(fn.total_ms);
     b.EndObject();

@@ -76,11 +76,6 @@ struct FunctionRollup {
   double total_ms = 0.0;
   uint64_t calls = 0;
   uint64_t cached = 0;  // of those, served from the summary cache
-  /// Block-transfer memoization traffic summed over the function's
-  /// explorations (from the function_end events' memo_* fields), so
-  /// the hot-function table can show a memo hit rate next to the cost.
-  uint64_t memo_hits = 0;
-  uint64_t memo_lookups = 0;
 };
 
 struct ScanAggregate {

@@ -37,18 +37,6 @@ bool BudgetTracker::ChargeStep() {
   return exhausted();
 }
 
-bool BudgetTracker::ChargeSteps(uint64_t n) {
-  steps_ += n;
-  if (exhausted()) return true;
-  if (!limits_.limited()) return false;
-  if (limits_.max_steps > 0 && steps_ >= limits_.max_steps) {
-    cause_ = BudgetExhaustion::kSteps;
-    return true;
-  }
-  SlowCheck();
-  return exhausted();
-}
-
 bool BudgetTracker::ChargeState() {
   ++states_;
   if (exhausted()) return true;

@@ -89,12 +89,6 @@ class BudgetTracker {
   /// exhausted; callers should stop exploring and degrade.
   bool ChargeStep();
 
-  /// Bulk-charges `n` steps at once — the block-memoization replay
-  /// path, which retires a whole recorded block without per-statement
-  /// execution, uses this to keep step accounting identical to the
-  /// executed path.
-  bool ChargeSteps(uint64_t n);
-
   /// Charges one enqueued symbolic state.
   bool ChargeState();
 

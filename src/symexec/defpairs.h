@@ -58,21 +58,17 @@ struct CallEvent {
   int path_id = 0;
 };
 
-/// Engine-internals counters for one function's exploration: CoW state
-/// traffic and block-transfer memoization effectiveness. Diagnostics
-/// only — surfaced through the `engine.*` metrics and the NDJSON
+/// Engine-internals counters for one function's exploration: forks,
+/// CoW state traffic and taint-holding paths. Diagnostics only —
+/// surfaced through the `engine.*` metrics and the NDJSON
 /// function_end events, and deliberately NOT serialized by the summary
 /// codec (cache blobs and their content-addressed fingerprints are
 /// unchanged; a cache-served summary reports zeros here).
 struct ExplorationStats {
-  uint64_t state_forks = 0;       // path forks (both representations)
+  uint64_t state_forks = 0;       // path forks
   uint64_t cow_chunk_copies = 0;  // register chunks cloned on write
   uint64_t overlay_spills = 0;    // overlay commits forced by capacity
-  uint64_t trie_nodes = 0;        // memory-trie nodes allocated
-  uint64_t memo_lookups = 0;      // block executions that probed the memo
-  uint64_t memo_hits = 0;         // of those, replayed a recorded delta
   uint64_t tainted_paths = 0;     // finished paths whose taint mask != 0
-  uint64_t arena_bytes = 0;       // state-arena bytes reserved
 };
 
 /// Everything the engine learned about one function.

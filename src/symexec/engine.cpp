@@ -1,9 +1,8 @@
 #include "src/symexec/engine.h"
 
-#include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
@@ -27,147 +26,6 @@ struct Work {
   SymState state;
 };
 
-// ---- block-transfer memoization --------------------------------------------
-//
-// A block's effect on a path state is a deterministic function of (a)
-// the immutable block/binary and (b) the values the block actually
-// reads out of the incoming state. Executing a block under a recording
-// tape captures exactly those reads — registers and memory cells
-// consulted before the block wrote them — as an ordered probe list,
-// and every externally visible effect (state writes, def pairs,
-// undefined uses, call events, type observations, the successor
-// decision) as a replayable delta. A later visit whose state matches
-// every probe (canonical pointer compare — exact, not a hash gamble)
-// must produce the same effects, by induction over the probe order:
-// probe k is a deterministic function of the block and probes 0..k-1.
-// Replay substitutes the current path's id and constraint trail, which
-// are the only path-dependent parts of the recorded effects
-// (constraints never change mid-block — they are pushed at block
-// exits). Blocks that widened (the fresh symbol draws from a global
-// counter) are never memoized, blocks with more Put and Store
-// statements than kMaxMemoWrites are never even recorded (each such
-// statement writes once, so the recording always overflows), and the
-// whole machinery is off under a limited budget so degradation points
-// stay bit-exact with per-statement charging. Memoization is invisible
-// to analysis results (tests/golden_report_test pins this), so it is
-// not part of the engine cache fingerprint.
-
-/// The successor decision a block execution arrived at; shared by the
-/// executed and replayed paths (Dispatch interprets it).
-struct ExitDecision {
-  enum Kind : uint8_t { kFinish, kGoto, kFork, kReturn } kind = kFinish;
-  uint32_t target = 0;       // kGoto destination / kFork taken target
-  uint32_t fallthrough = 0;  // kFork untaken side
-  bool has_fallthrough = false;
-  BinOp op = BinOp::kCmpEq;  // kFork guard
-  SymRef guard_lhs = nullptr, guard_rhs = nullptr;
-  uint32_t site = 0;
-  SymRef ret_value = nullptr;  // kReturn
-};
-
-struct MemoProbe {
-  int reg = -1;  // >= 0: register probe; -1: memory probe at `addr`
-  SymRef addr = nullptr;
-  SymRef value = nullptr;  // expected value; nullptr = location undefined
-};
-
-struct MemoWrite {
-  int reg = -1;
-  SymRef addr = nullptr;
-  SymRef value = nullptr;
-  uint8_t size = 0;
-};
-
-struct MemoDef {
-  SymRef d = nullptr, u = nullptr;
-  uint32_t site = 0;
-};
-
-struct MemoUse {
-  SymRef u = nullptr;
-  uint32_t site = 0;
-};
-
-struct BlockMemo {
-  std::vector<MemoProbe> probes;
-  std::vector<MemoWrite> writes;
-  std::vector<MemoDef> defs;
-  std::vector<MemoUse> uses;
-  std::vector<CallEvent> calls;  // path_id/constraints filled at replay
-  std::vector<std::pair<SymRef, ValueType>> types;
-  uint32_t steps = 0;  // statements the recorded execution charged
-  ExitDecision exit;
-};
-
-constexpr size_t kMaxMemoPerBlock = 4;  // distinct footprints kept per block
-constexpr size_t kMaxMemoProbes = 32;   // beyond this, recording is abandoned
-
-/// StateTape that builds a BlockMemo while a block executes. Reads of
-/// locations the block already wrote are replay-internal and excluded
-/// from the footprint; duplicate probes are collapsed (same state →
-/// same value, so one check suffices).
-class MemoRecorder : public StateTape {
- public:
-  void Begin() {
-    memo = BlockMemo{};
-    written_regs_ = 0;
-    probed_regs_ = 0;
-    written_addrs_.clear();
-    active = true;
-  }
-
-  void OnRegRead(int reg, SymRef value) override {
-    if (!active) return;
-    if (reg < 0 || reg >= 64) {
-      active = false;
-      return;
-    }
-    uint64_t bit = uint64_t{1} << reg;
-    if ((written_regs_ | probed_regs_) & bit) return;
-    probed_regs_ |= bit;
-    memo.probes.push_back({reg, nullptr, value});
-    if (memo.probes.size() > kMaxMemoProbes) active = false;
-  }
-
-  void OnRegWrite(int reg, SymRef value) override {
-    if (!active) return;
-    if (reg < 0 || reg >= 64) {
-      active = false;
-      return;
-    }
-    written_regs_ |= uint64_t{1} << reg;
-    memo.writes.push_back({reg, nullptr, value, 0});
-    if (memo.writes.size() > kMaxMemoWrites) active = false;
-  }
-
-  void OnMemRead(SymRef addr, SymRef value) override {
-    if (!active) return;
-    for (SymRef w : written_addrs_) {
-      if (SymExpr::Equal(w, addr)) return;
-    }
-    for (const MemoProbe& p : memo.probes) {
-      if (p.reg < 0 && SymExpr::Equal(p.addr, addr)) return;
-    }
-    memo.probes.push_back({-1, addr, value});
-    if (memo.probes.size() > kMaxMemoProbes) active = false;
-  }
-
-  void OnMemWrite(SymRef addr, SymRef value, uint8_t size) override {
-    if (!active) return;
-    written_addrs_.push_back(addr);
-    memo.writes.push_back({-1, addr, value, size});
-    if (memo.writes.size() > kMaxMemoWrites) active = false;
-  }
-
-  BlockMemo memo;
-  bool active = false;
-
- private:
-  uint64_t written_regs_ = 0;
-  uint64_t probed_regs_ = 0;
-  std::vector<SymRef> written_addrs_;
-};
-
 class Exploration {
  public:
   Exploration(const Binary& binary, const Function& fn, const FunctionIR& ir,
@@ -181,22 +39,6 @@ class Exploration {
     // order = address order, deterministic).
     for (const auto& [addr, block] : fn_.blocks) {
       block_index_.emplace(addr, static_cast<int>(block_index_.size()));
-    }
-    // Memoization replays whole blocks; under a limited budget the
-    // per-statement charge points ARE the observable behavior
-    // (degradation must trip at the same statement), so it stays off.
-    memo_enabled_ = !(budget_ && budget_->limits().limited());
-    // Every Put and Store statement writes the state once, so a block
-    // with more of them than kMaxMemoWrites abandons each recording.
-    if (memo_enabled_) {
-      for (const auto& [addr, block] : ir_.blocks) {
-        size_t writes = 0;
-        for (const Stmt& stmt : block.stmts) {
-          writes +=
-              stmt.kind == StmtKind::kPut || stmt.kind == StmtKind::kStore;
-        }
-        if (writes > kMaxMemoWrites) unrecordable_.insert(addr);
-      }
     }
     arena_ = std::make_shared<StateArena>();
     SymState init = SymState::Entry(binary_.arch, arena_);
@@ -215,8 +57,6 @@ class Exploration {
     }
     summary_.engine_stats.cow_chunk_copies = arena_->stats.cow_chunk_copies;
     summary_.engine_stats.overlay_spills = arena_->stats.overlay_spills;
-    summary_.engine_stats.trie_nodes = arena_->stats.trie_nodes;
-    summary_.engine_stats.arena_bytes = arena_->arena.bytes_reserved();
   }
 
  private:
@@ -237,7 +77,7 @@ class Exploration {
       case ExprKind::kLoad: {
         SymRef addr = EvalExpr(e->lhs(), tmps, state, site);
         auto split = SymExpr::SplitBaseOffset(addr);
-        if (split.base) ObserveType(split.base, ValueType::kPtr);
+        if (split.base) summary_.types.Observe(split.base, ValueType::kPtr);
         // Concrete addresses into .rodata/.data read the actual bytes —
         // string literals, dispatch tables (function pointers!).
         if (addr->kind() == SymKind::kConst && e->load_size() == 4) {
@@ -251,7 +91,7 @@ class Exploration {
           if (root && (root->kind() == SymKind::kArg ||
                        root->kind() == SymKind::kRet ||
                        root->kind() == SymKind::kHeap)) {
-            RecordUndefinedUse(state, value, site);
+            summary_.undefined_uses.push_back({value, site, state.path_id});
           }
         }
         return value;
@@ -268,6 +108,7 @@ class Exploration {
   /// Collects call arguments arg0..arg{n-1} from the state.
   std::vector<SymRef> CollectArgs(SymState& state, int count) {
     std::vector<SymRef> args;
+    args.reserve(count);  // held by the summary's call event: no slack
     for (int i = 0; i < count; ++i) {
       if (i < kNumRegArgs) {
         args.push_back(state.Reg(cc_.arg_regs[i]));
@@ -280,13 +121,8 @@ class Exploration {
     return args;
   }
 
-  // ---- effect funnels (observed by the memo recorder) ----------------------
-
   void RecordDef(SymState& state, SymRef location, SymRef value,
                  uint32_t site) {
-    if (recorder_.active) {
-      recorder_.memo.defs.push_back({location, value, site});
-    }
     DefPair dp;
     dp.d = location;
     dp.u = value;
@@ -294,26 +130,6 @@ class Exploration {
     dp.path_id = state.path_id;
     dp.constraints = state.constraints();
     summary_.def_pairs.push_back(std::move(dp));
-  }
-
-  void RecordUndefinedUse(SymState& state, SymRef value, uint32_t site) {
-    if (recorder_.active) recorder_.memo.uses.push_back({value, site});
-    summary_.undefined_uses.push_back({value, site, state.path_id});
-  }
-
-  void RecordCall(CallEvent event) {
-    if (recorder_.active) {
-      CallEvent proto = event;
-      proto.constraints = {};
-      proto.path_id = 0;
-      recorder_.memo.calls.push_back(std::move(proto));
-    }
-    summary_.calls.push_back(std::move(event));
-  }
-
-  void ObserveType(SymRef expr, ValueType type) {
-    if (recorder_.active) recorder_.memo.types.push_back({expr, type});
-    summary_.types.Observe(expr, type);
   }
 
   /// Applies a library model's memory/taint/return effects and its
@@ -373,64 +189,20 @@ class Exploration {
       // Library-signature type evidence (paper: "the parameters are
       // specified data types").
       for (size_t i = 0; i < model->params.size() && i < args.size(); ++i) {
-        ObserveType(args[i], model->params[i]);
+        summary_.types.Observe(args[i], model->params[i]);
       }
-      ObserveType(ret, model->ret);
+      summary_.types.Observe(ret, model->ret);
     }
     state.SetReg(cc_.ret_reg, ret);
+  }
+
+  bool InFunction(uint32_t addr) const {
+    return addr >= fn_.addr && addr < fn_.addr + fn_.size;
   }
 
   int BlockIndexOf(uint32_t block_addr) const {
     auto it = block_index_.find(block_addr);
     return it == block_index_.end() ? 0 : it->second;
-  }
-
-  bool ProbesMatch(const BlockMemo& memo, const SymState& state) const {
-    for (const MemoProbe& p : memo.probes) {
-      if (p.reg >= 0) {
-        if (!SymExpr::Equal(state.Reg(p.reg), p.value)) return false;
-      } else {
-        SymRef current = state.PeekMem(p.addr);
-        if (!SymExpr::Equal(current, p.value)) return false;
-      }
-    }
-    return true;
-  }
-
-  void ReplayMemo(const BlockMemo& memo, SymState state) {
-    // Bulk step charge keeps the budget's effort counters identical to
-    // the executed path (only reachable with an unlimited budget).
-    if (budget_ && budget_->ChargeSteps(memo.steps)) return;
-    for (const MemoWrite& w : memo.writes) {
-      if (w.reg >= 0) {
-        state.SetReg(w.reg, w.value);
-      } else {
-        state.StoreMem(w.addr, w.value, w.size);
-      }
-    }
-    const ConstraintList constraints = state.constraints();
-    for (const MemoDef& d : memo.defs) {
-      DefPair dp;
-      dp.d = d.d;
-      dp.u = d.u;
-      dp.site = d.site;
-      dp.path_id = state.path_id;
-      dp.constraints = constraints;
-      summary_.def_pairs.push_back(std::move(dp));
-    }
-    for (const MemoUse& u : memo.uses) {
-      summary_.undefined_uses.push_back({u.u, u.site, state.path_id});
-    }
-    for (const CallEvent& proto : memo.calls) {
-      CallEvent event = proto;
-      event.constraints = constraints;
-      event.path_id = state.path_id;
-      summary_.calls.push_back(std::move(event));
-    }
-    for (const auto& [expr, type] : memo.types) {
-      summary_.types.Observe(expr, type);
-    }
-    Dispatch(memo.exit, std::move(state));
   }
 
   void ExecuteBlock(uint32_t block_addr, SymState state) {
@@ -448,29 +220,6 @@ class Exploration {
     state.MarkVisited(block_idx);
     ++block_visits_;
     ++summary_.blocks_visited;
-
-    bool recording = false;
-    if (memo_enabled_) {
-      ++summary_.engine_stats.memo_lookups;
-      auto it = memo_.find(block_addr);
-      if (it != memo_.end()) {
-        for (const auto& entry : it->second) {
-          if (ProbesMatch(*entry, state)) {
-            ++summary_.engine_stats.memo_hits;
-            ReplayMemo(*entry, std::move(state));
-            return;
-          }
-        }
-      }
-      if ((it == memo_.end() || it->second.size() < kMaxMemoPerBlock) &&
-          !unrecordable_.contains(block_addr)) {
-        recorder_.Begin();
-        state.AttachTape(&recorder_);
-        recording = true;
-      }
-    }
-    uint32_t widen_before = widen_counter_;
-    uint32_t steps_in_block = 0;
 
     std::vector<SymRef> tmps(block->next_tmp);
     uint32_t cur_site = block_addr;
@@ -491,12 +240,7 @@ class Exploration {
       // Cooperative watchdog: one budget step per IR statement. On
       // exhaustion abandon the block mid-way — the caller throws the
       // whole partial summary away and degrades.
-      ++steps_in_block;
-      if (budget_ && budget_->ChargeStep()) {
-        state.DetachTape();
-        recorder_.active = false;
-        return;
-      }
+      if (budget_ && budget_->ChargeStep()) return;
       switch (stmt.kind) {
         case StmtKind::kIMark:
           cur_site = stmt.addr;
@@ -508,7 +252,7 @@ class Exploration {
           SymRef value = EvalExpr(stmt.expr, tmps, state, cur_site);
           if (stmt.reg == kFlagRhs && value->kind() == SymKind::kConst) {
             // CMP rX, #imm marks rX's value as an integer.
-            ObserveType(state.Reg(kFlagLhs), ValueType::kInt);
+            summary_.types.Observe(state.Reg(kFlagLhs), ValueType::kInt);
           }
           state.SetReg(stmt.reg, value);
           break;
@@ -517,7 +261,7 @@ class Exploration {
           SymRef addr = EvalExpr(stmt.addr_expr, tmps, state, cur_site);
           SymRef data = EvalExpr(stmt.data_expr, tmps, state, cur_site);
           auto split = SymExpr::SplitBaseOffset(addr);
-          if (split.base) ObserveType(split.base, ValueType::kPtr);
+          if (split.base) summary_.types.Observe(split.base, ValueType::kPtr);
           state.StoreMem(addr, data, stmt.size);
           RecordDef(state, SymExpr::Deref(addr, stmt.size), data, cur_site);
           break;
@@ -545,44 +289,40 @@ class Exploration {
     }
 
     // Decide successors.
-    ExitDecision exit;
     switch (block->jumpkind) {
       case JumpKind::kBoring: {
         uint32_t fallthrough = 0;
         bool has_fallthrough = false;
         if (block->next && block->next->kind() == ExprKind::kConst) {
           fallthrough = block->next->const_value();
-          has_fallthrough =
-              fallthrough >= fn_.addr && fallthrough < fn_.addr + fn_.size;
+          has_fallthrough = InFunction(fallthrough);
         }
-        if (pending_exit) {
+        if (pending_exit && !pending_exit->concrete) {
+          // Symbolic: explore both directions (paper: "DTaint explores
+          // both directions of each conditional branch").
           const PendingExit& px = *pending_exit;
-          if (px.concrete) {
-            // Deterministic branch: follow only the feasible side.
-            if (px.concrete_taken) {
-              exit.kind = ExitDecision::kGoto;
-              exit.target = px.target;
-            } else if (has_fallthrough) {
-              exit.kind = ExitDecision::kGoto;
-              exit.target = fallthrough;
-            }
+          ++summary_.engine_stats.state_forks;
+          SymState taken = state.Fork();
+          taken.path_id = next_path_id_++;
+          taken.PushConstraint(
+              {px.op, px.guard_lhs, px.guard_rhs, true, px.site});
+          Continue(px.target, std::move(taken));
+          if (has_fallthrough) {
+            state.PushConstraint(
+                {px.op, px.guard_lhs, px.guard_rhs, false, px.site});
+            Continue(fallthrough, std::move(state));
           } else {
-            // Symbolic: explore both directions (paper: "DTaint
-            // explores both directions of each conditional branch").
-            exit.kind = ExitDecision::kFork;
-            exit.target = px.target;
-            exit.fallthrough = fallthrough;
-            exit.has_fallthrough = has_fallthrough;
-            exit.op = px.op;
-            exit.guard_lhs = px.guard_lhs;
-            exit.guard_rhs = px.guard_rhs;
-            exit.site = px.site;
+            FinishPath(state);
           }
+        } else if (pending_exit && pending_exit->concrete_taken) {
+          // Deterministic branch: follow only the feasible side.
+          Continue(pending_exit->target, std::move(state));
         } else if (has_fallthrough) {
-          exit.kind = ExitDecision::kGoto;
-          exit.target = fallthrough;
+          Continue(fallthrough, std::move(state));
+        } else {
+          FinishPath(state);
         }
-        break;
+        return;
       }
       case JumpKind::kCall: {
         const CallSite* cs = nullptr;
@@ -590,11 +330,6 @@ class Exploration {
           if (c.block_addr == block_addr && !c.is_indirect) cs = &c;
         }
         if (cs) HandleDirectCall(*cs, state);
-        if (block->return_addr >= fn_.addr &&
-            block->return_addr < fn_.addr + fn_.size) {
-          exit.kind = ExitDecision::kGoto;
-          exit.target = block->return_addr;
-        }
         break;
       }
       case JumpKind::kIndirectCall: {
@@ -612,67 +347,21 @@ class Exploration {
           event.args = CollectArgs(state, kNumRegArgs + 2);
           event.constraints = state.constraints();
           event.path_id = state.path_id;
-          RecordCall(std::move(event));
+          summary_.calls.push_back(std::move(event));
           state.SetReg(cc_.ret_reg, SymExpr::Ret(cs->call_addr));
         }
-        if (block->return_addr >= fn_.addr &&
-            block->return_addr < fn_.addr + fn_.size) {
-          exit.kind = ExitDecision::kGoto;
-          exit.target = block->return_addr;
-        }
         break;
       }
-      case JumpKind::kRet: {
-        exit.kind = ExitDecision::kReturn;
-        exit.ret_value = state.Reg(cc_.ret_reg);
-        break;
-      }
-    }
-
-    if (recording) {
-      state.DetachTape();
-      // A widened block bakes a draw from the global fresh-symbol
-      // counter into its delta; replaying it would desequence later
-      // widenings. Never memoize those.
-      if (recorder_.active && widen_counter_ == widen_before) {
-        auto memo = std::make_unique<BlockMemo>(std::move(recorder_.memo));
-        memo->steps = steps_in_block;
-        memo->exit = exit;
-        memo_[block_addr].push_back(std::move(memo));
-      }
-      recorder_.active = false;
-    }
-    Dispatch(exit, std::move(state));
-  }
-
-  void Dispatch(const ExitDecision& exit, SymState state) {
-    switch (exit.kind) {
-      case ExitDecision::kFinish:
+      case JumpKind::kRet:
+        summary_.return_values.push_back(state.Reg(cc_.ret_reg));
         FinishPath(state);
         return;
-      case ExitDecision::kGoto:
-        Continue(exit.target, std::move(state));
-        return;
-      case ExitDecision::kReturn:
-        summary_.return_values.push_back(exit.ret_value);
-        FinishPath(state);
-        return;
-      case ExitDecision::kFork: {
-        ++summary_.engine_stats.state_forks;
-        SymState taken = state.Fork();
-        taken.path_id = next_path_id_++;
-        taken.PushConstraint(
-            {exit.op, exit.guard_lhs, exit.guard_rhs, true, exit.site});
-        Continue(exit.target, std::move(taken));
-        if (exit.has_fallthrough) {
-          state.PushConstraint(
-              {exit.op, exit.guard_lhs, exit.guard_rhs, false, exit.site});
-          Continue(exit.fallthrough, std::move(state));
-        } else {
-          FinishPath(state);
-        }
-        return;
-      }
+    }
+    // A call continues at its return address inside this function.
+    if (InFunction(block->return_addr)) {
+      Continue(block->return_addr, std::move(state));
+    } else {
+      FinishPath(state);
     }
   }
 
@@ -697,7 +386,7 @@ class Exploration {
       // summary (Algorithm 2).
       state.SetReg(cc_.ret_reg, SymExpr::Ret(cs.call_addr));
     }
-    RecordCall(std::move(event));
+    summary_.calls.push_back(std::move(event));
   }
 
   void Continue(uint32_t block_addr, SymState state) {
@@ -721,10 +410,6 @@ class Exploration {
   std::vector<Work> work_;
   std::shared_ptr<StateArena> arena_;
   std::unordered_map<uint32_t, int> block_index_;
-  std::unordered_map<uint32_t, std::vector<std::unique_ptr<BlockMemo>>> memo_;
-  std::unordered_set<uint32_t> unrecordable_;  // blocks no memo can hold
-  MemoRecorder recorder_;
-  bool memo_enabled_ = false;
   int next_path_id_ = 0;
   int block_visits_ = 0;
   uint32_t widen_counter_ = 0;

@@ -18,7 +18,6 @@
 //    use when rooted at an argument).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "src/binary/binary.h"
@@ -35,11 +34,6 @@ struct EngineConfig {
   int max_block_visits = 4096; // total block executions per function
   int max_expr_depth = 96;     // widen expressions beyond this
 };
-
-/// State writes one block-memo recording may hold; a recording that
-/// writes more is abandoned. A block with more Put and Store
-/// statements than this is never recorded at all.
-inline constexpr size_t kMaxMemoWrites = 128;
 
 class SymEngine {
  public:

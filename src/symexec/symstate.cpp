@@ -83,14 +83,12 @@ uintptr_t InsertSlot(StateArena& sa, uintptr_t slot, int shift,
     // level down and recurse — distinct 64-bit hashes guarantee a
     // distinguishing nibble before the hash runs out.
     auto* node = sa.arena.New<MemNode>();
-    ++sa.stats.trie_nodes;
     node->slots[(leaf->hash >> shift) & 15] = slot;
     uintptr_t* target = &node->slots[(hash >> shift) & 15];
     *target = InsertSlot(sa, *target, shift + 4, hash, cell, added);
     return reinterpret_cast<uintptr_t>(node);
   }
   auto* node = sa.arena.New<MemNode>(*AsNode(slot));
-  ++sa.stats.trie_nodes;
   uintptr_t* target = &node->slots[(hash >> shift) & 15];
   *target = InsertSlot(sa, *target, shift + 4, hash, cell, added);
   return reinterpret_cast<uintptr_t>(node);
@@ -170,15 +168,11 @@ SymState SymState::Fork() {
 
 SymRef SymState::Reg(int reg) const {
   assert(reg >= 0 && reg < kNumIrRegs);
-  SymRef value =
-      chunks_[reg / kRegChunkSize]->regs[reg % kRegChunkSize];
-  if (tape_.ptr) tape_.ptr->OnRegRead(reg, value);
-  return value;
+  return chunks_[reg / kRegChunkSize]->regs[reg % kRegChunkSize];
 }
 
 void SymState::SetReg(int reg, SymRef value) {
   assert(reg >= 0 && reg < kNumIrRegs);
-  if (tape_.ptr) tape_.ptr->OnRegWrite(reg, value);
   if (value && value->IsTainted()) taint_mask_ |= kTaintClassReg;
   std::shared_ptr<RegChunk>& chunk = chunks_[reg / kRegChunkSize];
   // Sharing is confined to one exploration on one thread, so the
@@ -218,13 +212,11 @@ const SymState::MemCell* SymState::FindCell(SymRef addr) const {
 
 SymRef SymState::LoadMem(SymRef addr, uint8_t size, bool* was_defined) {
   const MemCell* cell = FindCell(addr);
-  if (tape_.ptr) tape_.ptr->OnMemRead(addr, cell ? cell->value : nullptr);
   if (was_defined) *was_defined = cell != nullptr;
   return cell ? cell->value : SymExpr::Deref(addr, size);
 }
 
 void SymState::StoreMem(SymRef addr, SymRef value, uint8_t size) {
-  if (tape_.ptr) tape_.ptr->OnMemWrite(addr, value, size);
   if (value && value->IsTainted()) NoteTaintedStore(addr);
   for (int i = 0; i < overlay_count_; ++i) {
     if (SymExpr::Equal(overlay_[i].addr, addr)) {

@@ -48,7 +48,6 @@ namespace dtaint {
 struct StateStats {
   uint64_t cow_chunk_copies = 0;  // register chunks cloned on write
   uint64_t overlay_spills = 0;    // overlay commits forced by capacity
-  uint64_t trie_nodes = 0;        // hash-trie nodes allocated
 };
 
 /// Per-function allocation context shared by every state of one
@@ -59,20 +58,6 @@ struct StateStats {
 struct StateArena {
   BumpArena arena;
   StateStats stats;
-};
-
-/// Observation hooks the engine's block-transfer memoizer attaches
-/// while recording a block: every register/memory read that consults
-/// state established *before* the block becomes part of the block's
-/// input footprint, every write part of its output delta.
-class StateTape {
- public:
-  virtual ~StateTape() = default;
-  virtual void OnRegRead(int reg, SymRef value) = 0;
-  virtual void OnRegWrite(int reg, SymRef value) = 0;
-  /// `value` is nullptr when the location was undefined on this path.
-  virtual void OnMemRead(SymRef addr, SymRef value) = 0;
-  virtual void OnMemWrite(SymRef addr, SymRef value, uint8_t size) = 0;
 };
 
 // Taint-class bits for SymState::taint_mask(): one bit per source
@@ -114,8 +99,8 @@ class SymState {
   SymRef LoadMem(SymRef addr, uint8_t size, bool* was_defined);
   /// Writes to `addr`, replacing any prior value at an equal address.
   void StoreMem(SymRef addr, SymRef value, uint8_t size);
-  /// Value at an exactly-equal address, or nullptr. Does not fire the
-  /// tape — this is the memoizer's footprint probe.
+  /// Value at an exactly-equal address, or nullptr when nothing was
+  /// stored there on this path. Unlike LoadMem, never builds a deref.
   SymRef PeekMem(SymRef addr) const;
 
   size_t MemEntryCount() const;
@@ -138,10 +123,6 @@ class SymState {
   /// O(1) may-hold-taint query: no stored value anywhere on this path
   /// ever contained a Taint node iff false.
   bool MayHoldTaint() const { return taint_mask_ != 0; }
-
-  // ---- memo tape -----------------------------------------------------------
-  void AttachTape(StateTape* tape) { tape_.ptr = tape; }
-  void DetachTape() { tape_.ptr = nullptr; }
 
   const std::shared_ptr<StateArena>& arena() const { return arena_; }
 
@@ -171,18 +152,6 @@ class SymState {
   static_assert(std::is_trivially_destructible_v<RegChunk>);
   static_assert(std::is_trivially_destructible_v<TrailCell>);
 
-  /// Tape pointer that never survives a copy or move: a forked or
-  /// queued state must not keep feeding a recorder attached to its
-  /// parent.
-  struct TapeRef {
-    StateTape* ptr = nullptr;
-    TapeRef() = default;
-    TapeRef(const TapeRef&) {}
-    TapeRef& operator=(const TapeRef&) { return *this; }
-    TapeRef(TapeRef&&) noexcept {}
-    TapeRef& operator=(TapeRef&&) noexcept { return *this; }
-  };
-
   void NoteTaintedStore(SymRef addr);
   /// Moves every overlay cell into the trie (path-copying); afterwards
   /// the overlay is empty and the spine is safe to share.
@@ -191,8 +160,6 @@ class SymState {
   const MemCell* FindInTrie(SymRef addr) const;
   /// Overlay, then trie lookup, or nullptr.
   const MemCell* FindCell(SymRef addr) const;
-
-  TapeRef tape_;
 
   std::shared_ptr<StateArena> arena_;
   std::shared_ptr<RegChunk> chunks_[kNumRegChunks];

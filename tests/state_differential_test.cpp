@@ -2,19 +2,18 @@
 //
 // SymState keeps a persistent spine (ref-counted register chunks, a
 // hash-trie memory behind a bounded per-path overlay, a shared
-// constraint trail, a visited bitset), and the engine memoizes block
-// transfers over it. Both are only admissible if they are *invisible*.
-// Two tiers check that:
+// constraint trail, a visited bitset). It is only admissible if it is
+// *invisible*. Two tiers check that:
 //
 //  * property tests drive SymState and the plainest state one could
 //    write — a register array, a linear list of memory cells compared
 //    with SymExpr::Equal, a constraint vector and a visited set — in
 //    lockstep through randomized store/load/fork interleavings and
 //    compare every observable pointwise;
-//  * corpus-level checks analyze synthesized binaries with block
-//    memoization on (the default) and off (any limited AnalysisBudget
-//    turns it off, here one too generous to ever trip) and require
-//    byte-identical normalized reports and summary codec bytes.
+//  * a corpus-level check analyzes synthesized binaries under an
+//    unlimited AnalysisBudget and under a limited one too generous to
+//    ever trip, and requires byte-identical normalized reports and
+//    summary codec bytes: charging the budget never changes a result.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -26,7 +25,6 @@
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/dtaint.h"
-#include "src/obs/metrics.h"
 #include "src/symexec/symstate.h"
 #include "src/util/rng.h"
 #include "tests/testing/plant_corpus.h"
@@ -291,7 +289,7 @@ TEST(StateProperty, OverlaySpillKeepsLoadsExact) {
   EXPECT_GT(state.arena()->stats.overlay_spills, 0u);
 }
 
-// ---------- block memoization against exact re-execution ----------------------
+// ---------- limited against unlimited budgets -------------------------------
 
 /// 20 synthesized binaries (10 seeds x 2 architectures).
 std::vector<Binary> BuildCorpus() {
@@ -300,65 +298,46 @@ std::vector<Binary> BuildCorpus() {
 
 using testing_util::NormalizedJson;
 
-/// Analyzes `binary` and adds the block-memo replays it made to
-/// `*memo_hits`.
-std::string AnalyzeNormalized(const Binary& binary, bool memo,
-                              uint64_t* memo_hits) {
-  obs::Counter& hits =
-      obs::MetricsRegistry::Global().counter("engine.block_memo_hits");
-  uint64_t hits_before = hits.Value();
+std::string AnalyzeNormalized(const Binary& binary, const InterprocConfig& ip) {
   DTaintConfig config;
-  // A step ceiling no function comes near: nothing is degraded, but
-  // the budget is limited, which switches block memoization off.
-  if (!memo) config.interproc.budget.max_steps = uint64_t{1} << 40;
+  config.interproc = ip;
   auto report = DTaint(config).Analyze(binary);
-  *memo_hits += hits.Value() - hits_before;
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   if (!report.ok()) return std::string();
   EXPECT_TRUE(report->complete) << "the generous budget degraded a function";
   return NormalizedJson(*report);
 }
 
-TEST(StateDifferential, BlockMemoIsInvisibleInReports) {
+TEST(StateDifferential, GenerousBudgetIsInvisibleInReportsAndCodecBytes) {
+  // A step ceiling no function comes near: nothing is degraded, but
+  // every statement is charged against a limited budget. Summaries
+  // carry far more than reports surface (every def pair, call event
+  // and constraint trail), so each function summary's codec bytes are
+  // compared too.
+  InterprocConfig limited;
+  limited.budget.max_steps = uint64_t{1} << 40;
   std::vector<Binary> corpus = BuildCorpus();
   ASSERT_EQ(corpus.size(), 20u);
-  uint64_t exact_hits = 0;
-  uint64_t memo_hits = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    std::string exact =
-        AnalyzeNormalized(corpus[i], /*memo=*/false, &exact_hits);
-    ASSERT_FALSE(exact.empty());
-    EXPECT_EQ(AnalyzeNormalized(corpus[i], /*memo=*/true, &memo_hits), exact)
-        << "memoized run diverged on corpus[" << i << "]";
-  }
-  // Both sides of the comparison are what they claim to be.
-  EXPECT_EQ(exact_hits, 0u);
-  EXPECT_GT(memo_hits, 0u);
-}
+    std::string unlimited_report = AnalyzeNormalized(corpus[i], {});
+    ASSERT_FALSE(unlimited_report.empty());
+    EXPECT_EQ(AnalyzeNormalized(corpus[i], limited), unlimited_report)
+        << "limited run diverged on corpus[" << i << "]";
 
-TEST(StateDifferential, BlockMemoIsInvisibleInSummaryCodecBytes) {
-  // Summaries carry far more than reports surface (every def pair,
-  // call event and constraint trail), so the codec bytes of each
-  // function summary are the sharper comparison.
-  std::vector<Binary> corpus = BuildCorpus();
-  ASSERT_EQ(corpus.size(), 20u);
-  for (size_t i = 0; i < corpus.size(); ++i) {
     CfgBuilder builder(corpus[i]);
     auto program = builder.BuildProgram();
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     SymEngine engine(corpus[i]);
     CallGraph graph = CallGraph::Build(*program);
-    InterprocConfig exact_config;
-    exact_config.budget.max_steps = uint64_t{1} << 40;
-    ProgramAnalysis exact = RunBottomUp(*program, graph, engine, exact_config);
-    ProgramAnalysis memo = RunBottomUp(*program, graph, engine);
-    ASSERT_EQ(memo.summaries.size(), exact.summaries.size());
-    for (const auto& [name, summary] : exact.summaries) {
-      auto it = memo.summaries.find(name);
-      ASSERT_NE(it, memo.summaries.end()) << name;
+    ProgramAnalysis bounded = RunBottomUp(*program, graph, engine, limited);
+    ProgramAnalysis unlimited = RunBottomUp(*program, graph, engine);
+    ASSERT_EQ(unlimited.summaries.size(), bounded.summaries.size());
+    for (const auto& [name, summary] : bounded.summaries) {
+      auto it = unlimited.summaries.find(name);
+      ASSERT_NE(it, unlimited.summaries.end()) << name;
       EXPECT_EQ(EncodeSummary(it->second), EncodeSummary(summary))
           << "corpus[" << i << "] " << name
-          << ": memoized summary encodes differently";
+          << ": limited summary encodes differently";
     }
   }
 }

@@ -7,10 +7,8 @@
 #include <vector>
 
 #include "src/binary/writer.h"
-#include "src/cache/summary_codec.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/isa/asm_builder.h"
-#include "src/lifter/lifter.h"
 #include "src/symexec/engine.h"
 #include "src/symexec/intern.h"
 #include "src/symexec/libmodels.h"
@@ -563,79 +561,6 @@ TEST(EngineReturns, PathsYieldDistinctReturnValues) {
     values.insert(ret->const_value());
   }
   EXPECT_EQ(values, (std::set<uint32_t>{1, 2}));
-}
-
-}  // namespace
-}  // namespace dtaint
-
-// ---- block-memo recording boundary (appended) -----------------------------
-
-namespace dtaint {
-namespace {
-
-/// A function whose block `body` runs on two paths with the same
-/// register and memory state: the entry forks on arg0, the taken side
-/// jumps straight to `body` and the other falls into it through a nop.
-/// `body` is `stores` stack stores of arg1 and a return; the return
-/// writes nothing, so the stores are its only writing statements.
-struct TwoVisits {
-  Binary binary;
-  Function fn;
-};
-
-TwoVisits BuildTwoVisits(int stores) {
-  BinaryWriter writer(Arch::kDtArm, "t");
-  FnBuilder b("f");
-  b.CmpI(0, 0);
-  b.Beq("body");
-  b.Nop();
-  b.Label("body");
-  for (int k = 0; k < stores; ++k) b.StrW(1, 13, 4 * k);
-  b.Ret();
-  writer.AddFunction(std::move(b).Finish().value());
-  TwoVisits out{writer.Build().value(), {}};
-  out.fn = CfgBuilder(out.binary).BuildFunction(*out.binary.FindSymbol("f"))
-               .value();
-  return out;
-}
-
-/// Put and Store statements of `body`, the function's last block.
-size_t BodyWrites(const TwoVisits& tv) {
-  FunctionIR ir = Lifter(tv.binary).LiftFunction(tv.fn).value();
-  size_t writes = 0;
-  for (const Stmt& stmt : ir.blocks.rbegin()->second.stmts) {
-    writes += stmt.kind == StmtKind::kPut || stmt.kind == StmtKind::kStore;
-  }
-  return writes;
-}
-
-/// The summary's codec bytes, and its block-memo hits.
-std::pair<std::vector<uint8_t>, uint64_t> AnalyzeTwoVisits(
-    const TwoVisits& tv, bool memo) {
-  SymEngine engine(tv.binary);
-  // A step ceiling nothing comes near limits the budget, which turns
-  // block memoization off without degrading anything.
-  AnalysisBudget limits;
-  limits.max_steps = uint64_t{1} << 40;
-  BudgetTracker budget(limits);
-  FunctionSummary summary = engine.Analyze(tv.fn, memo ? nullptr : &budget);
-  EXPECT_FALSE(summary.degraded);
-  EXPECT_EQ(summary.paths_explored, 2);
-  return {EncodeSummary(summary), summary.engine_stats.memo_hits};
-}
-
-TEST(EngineMemo, ABlockAtTheWriteLimitIsReplayedOneAboveIsNot) {
-  for (size_t stores : {kMaxMemoWrites, kMaxMemoWrites + 1}) {
-    TwoVisits tv = BuildTwoVisits(static_cast<int>(stores));
-    ASSERT_EQ(BodyWrites(tv), stores);
-    auto [memo_bytes, memo_hits] = AnalyzeTwoVisits(tv, /*memo=*/true);
-    auto [exact_bytes, exact_hits] = AnalyzeTwoVisits(tv, /*memo=*/false);
-    // The second visit of `body` replays the first one's recording
-    // only if the block fits the recorder.
-    EXPECT_EQ(memo_hits, stores <= kMaxMemoWrites ? 1u : 0u) << stores;
-    EXPECT_EQ(exact_hits, 0u);
-    EXPECT_EQ(memo_bytes, exact_bytes) << stores;
-  }
 }
 
 }  // namespace
