@@ -1,8 +1,9 @@
 // Supervisor bench (extra): isolated workers vs in-process A/B.
 //
 // The crash-isolated scan supervisor (src/resilience/supervisor.h)
-// buys fault containment with a fork per image, a pipe round-trip,
-// and a JSON wire codec on every outcome. This bench prices that
+// buys fault containment with forked workers (one fork per worker,
+// reused across images), a pipe round-trip per image, and a JSON wire
+// codec on every outcome. This bench prices that
 // isolation tax: the same synthesized fleet is scanned twice through
 // the same ScanSupervisor — once with force_in_process (direct call,
 // the A side) and once with real forked workers (the B side) — and
@@ -120,12 +121,12 @@ int main(int argc, char** argv) {
 
   std::vector<Binary> fleet = BuildFleet();
   std::vector<TaskSpec> tasks = FleetTasks(fleet);
-  std::printf("fleet: %zu binaries, one fork per image on the isolated "
-              "side\n\n",
+  std::printf("fleet: %zu binaries, one reused forked worker on the "
+              "isolated side\n\n",
               fleet.size());
 
-  // Median-of-3 by wall time: fork+waitpid latency is at the mercy of
-  // the scheduler, and the ratio is the headline.
+  // Median-of-3 by wall time: fork, pipe and waitpid latency are at the
+  // mercy of the scheduler, and the ratio is the headline.
   bench::RunOptions median3;
   median3.reps = 3;
 

@@ -35,9 +35,10 @@
 //                        thread count)
 //
 // Crash isolation & resume (src/resilience/supervisor.h): with
-// `--isolate` each image is scanned in a forked worker process — a
-// SIGSEGV, OOM kill, or hang in one image can no longer take the fleet
-// run down. Failed workers are retried with backoff under a tightened
+// `--isolate` each image is scanned in a forked worker process (up to
+// `--workers` of them, each reused for image after image) — a SIGSEGV,
+// OOM kill, or hang in one image costs only that image, never the
+// fleet run. Failed workers are retried with backoff under a tightened
 // budget (`--max-retries N`, default 2) and quarantined when the
 // retries are spent; `--image-timeout-ms MS` arms a per-image
 // wall-clock watchdog and `--mem-limit-mb MB` an RLIMIT_AS cap.

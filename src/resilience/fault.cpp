@@ -141,6 +141,25 @@ void FaultPlan::Install(std::vector<FaultRule> rules) {
 
 void FaultPlan::Clear() { Install({}); }
 
+FaultPlan::Counters FaultPlan::SnapshotCounters() {
+  std::lock_guard<std::mutex> lock(mu_);
+  Counters counters;
+  counters.reserve(rules_.size());
+  for (const ActiveRule& active : rules_) {
+    counters.emplace_back(active.seen, active.fired);
+  }
+  return counters;
+}
+
+void FaultPlan::RestoreCounters(const Counters& counters) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (counters.size() != rules_.size()) return;
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    rules_[i].seen = counters[i].first;
+    rules_[i].fired = counters[i].second;
+  }
+}
+
 bool FaultPlan::ShouldFail(FaultSite site, std::string_view detail) {
   if (!enabled_.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(mu_);

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/status.h"
@@ -104,6 +105,17 @@ class FaultPlan {
 
   /// Total faults fired since process start (monotonic).
   uint64_t injected() const { return injected_.load(std::memory_order_relaxed); }
+
+  /// Each installed rule's occurrence counters (seen, fired), in rule
+  /// order.
+  using Counters = std::vector<std::pair<int, int>>;
+  /// Copies the rules' occurrence counters. A forked scan worker takes
+  /// one at fork and restores it before each task it runs.
+  Counters SnapshotCounters();
+  /// Puts back counters taken by SnapshotCounters, so later occurrences
+  /// are counted as if nothing had happened in between. Ignored when
+  /// the rules were replaced since (the rule count differs).
+  void RestoreCounters(const Counters& counters);
 
   /// Acquires the rule lock for the duration of a fork(2), so a forked
   /// scan worker never inherits it mid-ShouldFail from another thread.

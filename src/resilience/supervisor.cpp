@@ -1,6 +1,10 @@
 #include "src/resilience/supervisor.h"
 
 #include <fcntl.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+#include <pthread.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -23,6 +27,7 @@
 #include "src/obs/metrics.h"
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
+#include "src/symexec/intern.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -120,16 +125,107 @@ Result<ScanOutcome> DecodeWireResult(std::string_view frame) {
 
 // ---- ScanSupervisor -------------------------------------------------------
 
-/// One live forked worker.
-struct ScanSupervisor::Active {
+/// One long-lived forked worker.
+struct ScanSupervisor::Worker {
   pid_t pid = -1;
-  int fd = -1;  // read end of the result pipe (non-blocking)
-  size_t index = 0;
+  int cmd_fd = -1;     // write end of the command pipe
+  int result_fd = -1;  // read end of the result pipe (non-blocking)
+  bool busy = false;   // a task is in flight
+  size_t index = 0;    // the in-flight task
   Clock::time_point deadline;
   bool has_deadline = false;
   bool timed_out = false;
-  std::string buf;  // accumulated wire frame
+  std::string buf;  // the in-flight task's frame so far
 };
+
+namespace {
+
+/// A request on a worker's command pipe. Parent and worker are one
+/// program image, so the struct travels as raw bytes; it is far below
+/// PIPE_BUF, so each write and read moves it whole.
+struct WorkerCommand {
+  uint64_t index;
+  int32_t attempt;
+};
+
+/// True once `buf` holds a whole frame, or a header no frame can follow
+/// (bad magic or version): either way DecodeWireResult can rule on it.
+bool FrameReady(std::string_view buf) {
+  if (buf.size() < 12) return false;
+  if (std::memcmp(buf.data(), kWireMagic, sizeof(kWireMagic)) != 0 ||
+      ReadU32Le(buf.data() + 4) != kWireVersion) {
+    return true;
+  }
+  return buf.size() >= 12 + static_cast<size_t>(ReadU32Le(buf.data() + 8));
+}
+
+bool WriteAll(int fd, const char* data, size_t size) {
+  while (size > 0) {
+    ssize_t n = ::write(fd, data, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Sends one command. A worker that died while idle makes the write
+/// fail with EPIPE: SIGPIPE is blocked around the write, and the one it
+/// raised is consumed, so that cannot kill the supervisor. The dead
+/// worker's EOF then fails the task like any death in flight.
+void SendCommand(int fd, const WorkerCommand& command) {
+  sigset_t pipe_only, saved;
+  sigemptyset(&pipe_only);
+  sigaddset(&pipe_only, SIGPIPE);
+  ::pthread_sigmask(SIG_BLOCK, &pipe_only, &saved);
+  if (!WriteAll(fd, reinterpret_cast<const char*>(&command),
+                sizeof(command)) &&
+      errno == EPIPE) {
+    struct timespec zero = {0, 0};
+    ::sigtimedwait(&pipe_only, nullptr, &zero);
+  }
+  ::pthread_sigmask(SIG_SETMASK, &saved, nullptr);
+}
+
+/// Blocks for the next command; false on EOF (the supervisor is done
+/// with this worker) or a read error.
+bool ReceiveCommand(int fd, WorkerCommand* command) {
+  char* out = reinterpret_cast<char*>(command);
+  size_t got = 0;
+  while (got < sizeof(*command)) {
+    ssize_t n = ::read(fd, out + got, sizeof(*command) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Moves the RLIMIT_CPU soft limit to `budget_s` seconds past the CPU
+/// this process has used so far (rounded up), so each task a worker
+/// runs gets the same allowance. The hard limit stays where it is: an
+/// unprivileged process could never raise it again for the next task.
+void ExtendCpuLimit(uint32_t budget_s) {
+  struct rusage usage;
+  ::getrusage(RUSAGE_SELF, &usage);
+  uint64_t used_us =
+      static_cast<uint64_t>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) *
+          1'000'000 +
+      static_cast<uint64_t>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
+  struct rlimit lim;
+  ::getrlimit(RLIMIT_CPU, &lim);
+  lim.rlim_cur = static_cast<rlim_t>((used_us + 999'999) / 1'000'000) +
+                 budget_s;
+  if (lim.rlim_max != RLIM_INFINITY) {
+    lim.rlim_cur = std::min(lim.rlim_cur, lim.rlim_max);
+  }
+  ::setrlimit(RLIMIT_CPU, &lim);
+}
+
+}  // namespace
 
 ScanSupervisor::ScanSupervisor(SupervisorConfig config)
     : config_(std::move(config)) {
@@ -137,13 +233,22 @@ ScanSupervisor::ScanSupervisor(SupervisorConfig config)
   if (config_.max_retries < 0) config_.max_retries = 0;
 }
 
-bool ScanSupervisor::SpawnWorker(const TaskSpec& task, size_t index,
-                                 int attempt, const TaskFn& fn, Active* slot) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
+bool ScanSupervisor::ForkWorker(const std::vector<TaskSpec>& tasks,
+                                const TaskFn& fn,
+                                const std::vector<Worker>& pool,
+                                const std::string& label, Worker* worker) {
+  int cmd[2] = {-1, -1};
+  int result[2] = {-1, -1};
+  auto close_all = [&] {
+    for (int fd : {cmd[0], cmd[1], result[0], result[1]}) {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+  if (::pipe(cmd) != 0 || ::pipe(result) != 0) {
     DTAINT_LOG(obs::LogLevel::kWarn, "supervisor",
                "pipe failed (%s); running %s in-process",
-               std::strerror(errno), task.label.c_str());
+               std::strerror(errno), label.c_str());
+    close_all();
     return false;
   }
   pid_t pid = -1;
@@ -167,79 +272,90 @@ bool ScanSupervisor::SpawnWorker(const TaskSpec& task, size_t index,
       recorder_lock.unlock();
       metrics_lock.unlock();
       stream_lock.unlock();
-      ::close(fds[0]);
-      RunChild(task, index, attempt, fn, fds[1]);
+      ::close(cmd[1]);
+      ::close(result[0]);
+      // A sibling's command pipe must reach EOF when the supervisor
+      // closes it, so no other worker may hold its write end.
+      for (const Worker& sibling : pool) {
+        ::close(sibling.cmd_fd);
+        ::close(sibling.result_fd);
+      }
+      ServeTasks(tasks, fn, cmd[0], result[1]);
     }
   }
   if (pid < 0) {
     DTAINT_LOG(obs::LogLevel::kWarn, "supervisor",
                "fork failed (%s); running %s in-process",
-               std::strerror(errno), task.label.c_str());
-    ::close(fds[0]);
-    ::close(fds[1]);
+               std::strerror(errno), label.c_str());
+    close_all();
     return false;
   }
-  ::close(fds[1]);
-  int flags = ::fcntl(fds[0], F_GETFL, 0);
-  ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-  slot->pid = pid;
-  slot->fd = fds[0];
-  slot->index = index;
-  slot->has_deadline = config_.image_timeout_ms > 0;
-  if (slot->has_deadline) {
-    slot->deadline =
-        Clock::now() + std::chrono::milliseconds(config_.image_timeout_ms);
-  }
-  slot->timed_out = false;
-  slot->buf.clear();
+  ::close(cmd[0]);
+  ::close(result[1]);
+  int flags = ::fcntl(result[0], F_GETFL, 0);
+  ::fcntl(result[0], F_SETFL, flags | O_NONBLOCK);
+  worker->pid = pid;
+  worker->cmd_fd = cmd[1];
+  worker->result_fd = result[0];
   return true;
 }
 
-void ScanSupervisor::RunChild(const TaskSpec& task, size_t index, int attempt,
-                              const TaskFn& fn, int pipe_fd) {
+void ScanSupervisor::ServeTasks(const std::vector<TaskSpec>& tasks,
+                                const TaskFn& fn, int cmd_fd, int result_fd) {
   // Resource limits first: they bound everything that follows,
-  // including the fault sites and the scan itself.
+  // including the fault sites and the scans themselves.
   if (config_.mem_limit_mb > 0) {
     struct rlimit lim;
     lim.rlim_cur = lim.rlim_max =
         static_cast<rlim_t>(config_.mem_limit_mb) << 20;
     ::setrlimit(RLIMIT_AS, &lim);
   }
-  if (config_.image_timeout_ms > 0) {
-    // CPU backstop behind the wall-clock watchdog: a worker that pegs
-    // a core past the deadline dies even if the parent is wedged.
-    uint32_t cpu_s = config_.image_timeout_ms / 1000 + 2;
-    struct rlimit lim;
-    lim.rlim_cur = cpu_s;
-    lim.rlim_max = cpu_s + 1;
-    ::setrlimit(RLIMIT_CPU, &lim);
-  }
-  // The synthetic poison images. Note each child starts from a fresh
-  // copy of the parent's FaultPlan occurrence counters, so a
-  // worker_kill rule fires in *every* forked attempt regardless of its
-  // count — exactly what a deterministically-crashing image does.
-  if (FaultPlan::Global().ShouldFail(FaultSite::kWorkerKill, task.label)) {
-    ::raise(SIGKILL);
-  }
-  if (FaultPlan::Global().ShouldFail(FaultSite::kWorkerHang, task.label)) {
-    for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  std::string frame;
-  try {
-    frame = EncodeWireResult(fn(index, TightenBudget(config_.budget, attempt)));
-  } catch (const std::bad_alloc&) {
-    ::_exit(kWorkerExitOom);
-  } catch (...) {
-    ::_exit(kWorkerExitError);
-  }
-  size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n = ::write(pipe_fd, frame.data() + off, frame.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::_exit(kWorkerExitError);
+  // Every task starts from the fault plan's occurrence counters as they
+  // were at fork, as if it had a fresh copy of the parent's: a
+  // worker_kill rule fires in *every* attempt regardless of its count —
+  // exactly what a deterministically-crashing image does.
+  FaultPlan& plan = FaultPlan::Global();
+  const FaultPlan::Counters at_fork = plan.SnapshotCounters();
+  WorkerCommand command{};
+  while (ReceiveCommand(cmd_fd, &command)) {
+    if (config_.image_timeout_ms > 0) {
+      // CPU backstop behind the wall-clock watchdog: a task that pegs
+      // a core past the deadline dies even if the parent is wedged.
+      ExtendCpuLimit(config_.image_timeout_ms / 1000 + 2);
     }
-    off += static_cast<size_t>(n);
+    plan.RestoreCounters(at_fork);
+    const TaskSpec& task = tasks[command.index];
+    if (plan.ShouldFail(FaultSite::kWorkerKill, task.label)) {
+      ::raise(SIGKILL);
+    }
+    if (plan.ShouldFail(FaultSite::kWorkerHang, task.label)) {
+      for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    {
+      // The task runs in an interner generation of its own: holding a
+      // pin for it recycles the previous task's nodes first, and keeps
+      // a caller that interns without a pin of its own (one driving the
+      // layers itself) from making the generation permanent and
+      // carrying one image's nodes into the next.
+      InternPin pin = ExprInterner::Global().Pin();
+      std::string frame;
+      try {
+        frame = EncodeWireResult(
+            fn(command.index, TightenBudget(config_.budget, command.attempt)));
+      } catch (const std::bad_alloc&) {
+        ::_exit(kWorkerExitOom);
+      } catch (...) {
+        ::_exit(kWorkerExitError);
+      }
+      if (!WriteAll(result_fd, frame.data(), frame.size())) {
+        ::_exit(kWorkerExitError);
+      }
+    }
+#if defined(__GLIBC__)
+    // Hand the task's freed heap back to the kernel, so a worker's
+    // resident set after many images stays near a one-image worker's.
+    ::malloc_trim(0);
+#endif
   }
   // _exit, never exit: the child shares the parent's event-stream fd
   // and singletons; running atexit handlers or destructors here would
@@ -498,7 +614,32 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     if (config_.stop_on_failure) stopped = true;
   };
 
-  std::vector<Active> active;
+  // Live workers, busy or idle. Never more than config_.workers: a
+  // worker is forked only when none is idle and a slot is free. However
+  // Run ends, every command pipe is closed (a worker exits on its EOF;
+  // one still busy, left by an exception, is killed) and every worker
+  // is reaped before Run returns.
+  struct Pool {
+    std::vector<Worker> workers;
+    Pool() = default;
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+    ~Pool() {
+      for (Worker& worker : workers) {
+        if (worker.busy) ::kill(worker.pid, SIGKILL);
+        ::close(worker.cmd_fd);
+      }
+      for (Worker& worker : workers) {
+        int status = 0;
+        while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
+        }
+        ::close(worker.result_fd);
+      }
+    }
+  };
+  Pool live;
+  std::vector<Worker>& pool = live.workers;
+  size_t in_flight = 0;  // busy workers
 
   auto dispatch = [&](size_t index) {
     const TaskSpec& task = tasks[index];
@@ -522,11 +663,31 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       }
     }
     if (!config_.force_in_process) {
-      Active slot;
-      if (SpawnWorker(task, index, st.attempt, fn, &slot)) {
-        ++stats_.workers_spawned;
-        metrics.counter("supervisor.workers_spawned").Add();
-        active.push_back(std::move(slot));
+      auto idle = std::find_if(pool.begin(), pool.end(),
+                               [](const Worker& w) { return !w.busy; });
+      Worker* worker = idle != pool.end() ? &*idle : nullptr;
+      if (!worker) {
+        Worker fresh;
+        if (ForkWorker(tasks, fn, pool, task.label, &fresh)) {
+          ++stats_.workers_spawned;
+          metrics.counter("supervisor.workers_spawned").Add();
+          pool.push_back(std::move(fresh));
+          worker = &pool.back();
+        }
+      }
+      if (worker) {
+        SendCommand(worker->cmd_fd,
+                    WorkerCommand{index, static_cast<int32_t>(st.attempt)});
+        worker->busy = true;
+        worker->index = index;
+        worker->has_deadline = config_.image_timeout_ms > 0;
+        if (worker->has_deadline) {
+          worker->deadline = Clock::now() +
+                             std::chrono::milliseconds(config_.image_timeout_ms);
+        }
+        worker->timed_out = false;
+        worker->buf.clear();
+        ++in_flight;
         return;
       }
       ++stats_.in_process_fallbacks;
@@ -544,39 +705,51 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     }
   };
 
-  auto reap = [&](Active& slot, int status) {
-    if (slot.timed_out) {
-      handle_failure(slot.index, WorkerFailure::kTimeout,
+  // Fails the in-flight task of a worker that died, by how it died.
+  auto reap = [&](const Worker& worker, int status) {
+    if (worker.timed_out) {
+      handle_failure(worker.index, WorkerFailure::kTimeout,
                      "exceeded " + std::to_string(config_.image_timeout_ms) +
                          "ms watchdog");
       return;
     }
     if (WIFSIGNALED(status)) {
-      handle_failure(slot.index, WorkerFailure::kSignal,
+      handle_failure(worker.index, WorkerFailure::kSignal,
                      "signal " + std::to_string(WTERMSIG(status)));
       return;
     }
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     if (code == kWorkerExitOom) {
-      handle_failure(slot.index, WorkerFailure::kOom,
+      handle_failure(worker.index, WorkerFailure::kOom,
                      "allocation failed under mem limit");
       return;
     }
     if (code != 0) {
-      handle_failure(slot.index, WorkerFailure::kExit,
+      handle_failure(worker.index, WorkerFailure::kExit,
                      "exit code " + std::to_string(code));
       return;
     }
-    auto outcome = DecodeWireResult(slot.buf);
-    if (!outcome.ok()) {
-      handle_failure(slot.index, WorkerFailure::kWire,
-                     outcome.status().message());
-      return;
-    }
-    handle_success(slot.index, std::move(*outcome));
+    // Exited cleanly mid-task: whatever it wrote is not a whole frame.
+    handle_failure(worker.index, WorkerFailure::kWire,
+                   DecodeWireResult(worker.buf).status().message());
   };
 
-  while (!pending.empty() || !active.empty()) {
+  // Closes a worker's pipes and waits for it to exit; a task still in
+  // flight on it fails. The slot is dropped from the pool afterwards.
+  auto retire = [&](Worker& worker) {
+    ::close(worker.cmd_fd);
+    ::close(worker.result_fd);
+    int status = 0;
+    while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    if (worker.busy) {
+      --in_flight;
+      reap(worker, status);
+    }
+    worker.pid = -1;
+  };
+
+  while (!pending.empty() || in_flight > 0) {
     Clock::time_point now = Clock::now();
 
     if (stopped && !pending.empty()) {
@@ -594,7 +767,7 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     // Fill free worker slots with whatever is eligible to run.
     bool dispatched = true;
     while (dispatched && !stopped &&
-           static_cast<int>(active.size()) < config_.workers) {
+           static_cast<int>(in_flight) < config_.workers) {
       dispatched = false;
       for (size_t k = 0; k < pending.size(); ++k) {
         if (pending[k].not_before <= now) {
@@ -607,7 +780,7 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       }
     }
 
-    if (active.empty()) {
+    if (in_flight == 0) {
       if (pending.empty()) break;
       // Everything eligible has run; sleep toward the earliest backoff.
       Clock::time_point earliest = pending.front().not_before;
@@ -622,14 +795,16 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       continue;
     }
 
+    // Idle workers are polled too: one that dies between tasks shows
+    // up as EOF and is retired before it can be handed a task.
     std::vector<struct pollfd> fds;
-    fds.reserve(active.size());
+    fds.reserve(pool.size());
     int timeout_ms = 200;
-    for (const Active& slot : active) {
-      fds.push_back({slot.fd, POLLIN, 0});
-      if (slot.has_deadline && !slot.timed_out) {
+    for (const Worker& worker : pool) {
+      fds.push_back({worker.result_fd, POLLIN, 0});
+      if (worker.busy && worker.has_deadline && !worker.timed_out) {
         auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             slot.deadline - now)
+                             worker.deadline - now)
                              .count();
         timeout_ms = std::max(
             0, std::min<int>(timeout_ms, static_cast<int>(remaining)));
@@ -638,37 +813,51 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
     now = Clock::now();
 
-    bool reaped = false;
-    for (size_t k = 0; k < active.size() && !reaped; ++k) {
-      Active& slot = active[k];
-      if (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) {
-        char buf[4096];
-        for (;;) {
-          ssize_t n = ::read(slot.fd, buf, sizeof(buf));
-          if (n > 0) {
-            slot.buf.append(buf, static_cast<size_t>(n));
-            continue;
-          }
-          if (n < 0 && errno == EINTR) continue;
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          // EOF (or a hard read error): the child is done writing.
-          ::close(slot.fd);
-          int status = 0;
-          while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
-          }
-          reap(slot, status);
-          active.erase(active.begin() + static_cast<ptrdiff_t>(k));
-          reaped = true;
-          break;
+    for (size_t k = 0; k < pool.size(); ++k) {
+      Worker& worker = pool[k];
+      if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
+      bool eof = false;
+      char buf[4096];
+      for (;;) {
+        ssize_t n = ::read(worker.result_fd, buf, sizeof(buf));
+        if (n > 0) {
+          worker.buf.append(buf, static_cast<size_t>(n));
+          continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        // EOF (or a hard read error): the worker is gone.
+        eof = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+        break;
+      }
+      // A timed-out task fails even if its frame squeaks in: the
+      // watchdog already killed the worker.
+      if (worker.busy && !worker.timed_out && FrameReady(worker.buf)) {
+        auto outcome = DecodeWireResult(worker.buf);
+        worker.busy = false;
+        --in_flight;
+        worker.buf.clear();
+        if (outcome.ok()) {
+          handle_success(worker.index, std::move(*outcome));
+        } else {
+          // The pipe is out of step with the protocol: this worker's
+          // next frame could not be trusted either.
+          handle_failure(worker.index, WorkerFailure::kWire,
+                         outcome.status().message());
+          ::kill(worker.pid, SIGKILL);
+          eof = true;
         }
       }
+      if (eof) retire(worker);
     }
-    if (reaped) continue;
+    pool.erase(std::remove_if(pool.begin(), pool.end(),
+                              [](const Worker& w) { return w.pid < 0; }),
+               pool.end());
 
-    for (Active& slot : active) {
-      if (slot.has_deadline && !slot.timed_out && now >= slot.deadline) {
-        slot.timed_out = true;
-        ::kill(slot.pid, SIGKILL);  // EOF + reap happen on the next poll
+    for (Worker& worker : pool) {
+      if (worker.busy && worker.has_deadline && !worker.timed_out &&
+          now >= worker.deadline) {
+        worker.timed_out = true;
+        ::kill(worker.pid, SIGKILL);  // EOF + reap happen on the next poll
       }
     }
   }

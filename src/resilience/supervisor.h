@@ -1,24 +1,41 @@
-// Crash-isolated scan supervisor — fork-per-image worker pool with
-// watchdogs, resource limits, retry/quarantine policy, and a resumable
-// checkpoint journal (src/resilience/journal.h).
+// Crash-isolated scan supervisor — a pool of long-lived forked
+// workers with watchdogs, resource limits, retry/quarantine policy, and
+// a resumable checkpoint journal (src/resilience/journal.h).
 //
 // The in-process incident machinery (incident.h, budget.h) contains
 // *expected* failures: malformed binaries, exhausted budgets. It cannot
 // contain a worker that SIGSEGVs in the lifter, leaks until the OOM
 // killer fires, or spins forever in a pathological loop — one poison
 // image would take the whole fleet run down with it. The supervisor
-// closes that gap: each image is scanned in a forked child, the
+// closes that gap: images are scanned in forked worker processes, each
 // ScanOutcome comes back over a pipe in a small versioned wire frame,
 // and the parent enforces a per-image wall-clock watchdog plus
-// RLIMIT_AS / RLIMIT_CPU in the child.
+// RLIMIT_AS / RLIMIT_CPU in the workers.
 //
-// Worker lifecycle state machine (per image):
+// Workers are reused. Up to `workers` of them run at once, each forked
+// on demand and then fed one (task, attempt) request at a time over its
+// command pipe; it answers each with one length-prefixed frame on its
+// result pipe, hands its freed heap back (malloc_trim), and waits for
+// the next request. Before each task it moves its RLIMIT_CPU soft
+// limit to the CPU it has used plus the per-task allowance, resets the
+// fault plan's occurrence counters to their values at fork, and pins a
+// fresh expression-interner generation, so every task runs as if it
+// had a worker of its own. A worker exits on
+// EOF of its command pipe; Run closes every pipe and reaps every worker
+// before it returns.
 //
-//   PENDING --fork--> RUNNING --frame ok--------------------> DONE
-//                        |  `--timeout--> KILLED(SIGKILL) --.
-//                        `--signal/OOM/exit/bad frame-------+--> FAILED
+// Task lifecycle state machine (per image):
+//
+//   PENDING --request to an idle or newly forked worker--> RUNNING
+//   RUNNING --frame ok----------------------------------------> DONE
+//      |  `--timeout--> KILLED(SIGKILL) --.
+//      `--signal/OOM/exit/bad frame-------+--> FAILED
 //   FAILED --attempts left--> PENDING (backoff, tightened budget)
 //   FAILED --attempts exhausted--> QUARANTINED
+//
+// A worker that dies (or is killed by the watchdog, or sends a frame
+// that does not decode) takes only its in-flight task down with it; it
+// is reaped, and the next dispatch forks a replacement.
 //
 // Every failure becomes a typed Incident (phase "supervisor"); retries
 // back off with deterministic jitter (retry.h, seeded from the image
@@ -89,8 +106,8 @@ struct SupervisorConfig {
   /// tried at most 1 + max_retries times).
   int max_retries = 2;
   /// Per-image wall-clock watchdog; 0 = no deadline. A deadline also
-  /// caps each worker's CPU time (RLIMIT_CPU) at image_timeout_ms /
-  /// 1000 + 2 seconds.
+  /// caps the CPU time of each task a worker runs (its RLIMIT_CPU soft
+  /// limit) at image_timeout_ms / 1000 + 2 seconds.
   uint32_t image_timeout_ms = 0;
   /// RLIMIT_AS for each worker; 0 = unlimited. (Meaningless under
   /// ASan, which reserves terabytes of shadow address space.)
@@ -152,8 +169,10 @@ struct SupervisorStats {
 };
 
 /// The task body: scan image `index` under `budget` and return its
-/// outcome. In isolated mode it runs inside the forked child; it must
-/// not assume it shares memory with the caller afterwards.
+/// outcome. In isolated mode it runs inside a forked worker, which runs
+/// many tasks one after another: it must not assume it shares memory
+/// with the caller afterwards, and must leave nothing behind that
+/// changes the outcome of the next task it runs.
 using TaskFn = std::function<ScanOutcome(size_t index, const AnalysisBudget& budget)>;
 
 class ScanSupervisor {
@@ -171,17 +190,21 @@ class ScanSupervisor {
   const SupervisorStats& stats() const { return stats_; }
 
  private:
-  struct Active;  // one live worker slot (supervisor.cpp)
+  struct Worker;  // one live forked worker (supervisor.cpp)
 
-  /// Forks and runs task `index` (attempt `attempt`) in a child whose
-  /// frame arrives on `*out_fd`. False when fork/pipe failed and the
-  /// caller should fall back to in-process execution.
-  bool SpawnWorker(const TaskSpec& task, size_t index, int attempt,
-                   const TaskFn& fn, Active* slot);
+  /// Forks a worker that serves requests for `tasks` until its command
+  /// pipe closes. The child closes every `pool` worker's pipe ends.
+  /// False when fork/pipe failed and the caller should fall back to
+  /// in-process execution (`label` names the task in the warning).
+  bool ForkWorker(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
+                  const std::vector<Worker>& pool, const std::string& label,
+                  Worker* worker);
 
-  /// The child side: rlimits, worker fault sites, run fn, write frame.
-  [[noreturn]] void RunChild(const TaskSpec& task, size_t index, int attempt,
-                             const TaskFn& fn, int pipe_fd);
+  /// The worker side: RLIMIT_AS, then per request the CPU limit, the
+  /// fault counters, the worker fault sites, an interner pin, fn, the
+  /// frame and a heap trim. Exits on EOF of `cmd_fd`.
+  [[noreturn]] void ServeTasks(const std::vector<TaskSpec>& tasks,
+                               const TaskFn& fn, int cmd_fd, int result_fd);
 
   /// In-process execution of one attempt (forced mode and fork
   /// fallback). False on failure, with the failure kind and a detail

@@ -7,7 +7,8 @@
 //    truncation or corruption;
 //  * the supervisor state machine — retry with tightened budgets,
 //    quarantine after 1 + max_retries attempts, the per-image
-//    watchdog, resume-from-journal, and stop_on_failure, exercised
+//    watchdog, resume-from-journal, stop_on_failure, and reused
+//    workers (replacement, per-task limits and counters), exercised
 //    both in-process (deterministic, fault-injected) and with real
 //    forked workers;
 //  * the kill-mid-scan resume oracle — a corpus_scan subprocess is
@@ -19,13 +20,18 @@
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/scan_report.h"
@@ -383,7 +389,8 @@ TEST_F(SupervisorTest, ForkedWorkersReturnOutcomesInTaskOrder) {
     EXPECT_FALSE(results[i].resumed);
     ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
   }
-  EXPECT_EQ(supervisor.stats().workers_spawned, 3u);
+  // Two workers for three tasks: the third reuses whichever is free.
+  EXPECT_EQ(supervisor.stats().workers_spawned, 2u);
   EXPECT_EQ(supervisor.stats().worker_failures, 0u);
 }
 
@@ -471,6 +478,140 @@ TEST_F(SupervisorTest, PoisonImageQuarantinesWithoutPoisoningTheFleet) {
   EXPECT_EQ(poison.incidents.back().detail, "quarantine");
   EXPECT_EQ(supervisor.stats().retries, 1u);
   EXPECT_EQ(supervisor.stats().quarantined, 1u);
+}
+
+TEST_F(SupervisorTest, WorkerDeathFailsOnlyItsTaskAndIsReplaced) {
+  // One worker: poison kills it mid-task, the next dispatch forks a
+  // replacement that finishes the fleet.
+  FaultRule rule;
+  rule.site = FaultSite::kWorkerKill;
+  rule.match = "poison";
+  rule.count = -1;
+  FaultPlan::Global().Install({rule});
+
+  SupervisorConfig config;
+  config.max_retries = 0;
+  ScanSupervisor supervisor(config);
+  auto results = supervisor.Run(
+      Tasks({"good0", "poison", "good2", "good3"}),
+      [](size_t index, const AnalysisBudget&) { return OutcomeForIndex(index); });
+  ASSERT_EQ(results.size(), 4u);
+  for (size_t i : {size_t{0}, size_t{2}, size_t{3}}) {
+    EXPECT_EQ(results[i].state, TaskResult::State::kDone) << i;
+    EXPECT_EQ(results[i].attempts, 1u) << i;
+    EXPECT_FALSE(results[i].in_process) << i;
+    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
+  }
+  EXPECT_EQ(results[1].state, TaskResult::State::kQuarantined);
+  EXPECT_EQ(supervisor.stats().workers_spawned, 2u);
+  EXPECT_EQ(supervisor.stats().worker_failures, 1u);
+}
+
+TEST_F(SupervisorTest, EachTaskOnAReusedWorkerSeesTheForkTimeFaultCounters) {
+  // A count-1 rule matching everything fires once per process — but a
+  // reused worker rewinds the counters before each task, so it fires
+  // in every task, as it did when each task had a worker of its own.
+  FaultRule rule;
+  rule.site = FaultSite::kLoad;
+  FaultPlan::Global().Install({rule});
+
+  SupervisorConfig config;
+  config.max_retries = 0;
+  ScanSupervisor supervisor(config);
+  auto results = supervisor.Run(
+      Tasks({"a", "b", "c"}), [](size_t index, const AnalysisBudget&) {
+        ScanOutcome out = OutcomeForIndex(index);
+        out.status =
+            FaultPlan::Global().ShouldFail(FaultSite::kLoad, "image")
+                ? "fired"
+                : "quiet";
+        return out;
+      });
+  ASSERT_EQ(results.size(), 3u);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].state, TaskResult::State::kDone) << i;
+    EXPECT_EQ(results[i].outcome.status, "fired") << i;
+  }
+  EXPECT_EQ(supervisor.stats().workers_spawned, 1u);
+}
+
+TEST_F(SupervisorTest, CpuLimitIsPerTaskNotPerWorker) {
+  // image_timeout_ms 999 gives each task a 2 s CPU allowance (3 s for
+  // the first, as the CPU used before it rounds up to a second). Eight
+  // tasks of ~0.4 CPU s on one worker use 3.2 s together: a limit
+  // counted from the worker's fork would kill it partway through.
+  SupervisorConfig config;
+  config.max_retries = 0;
+  config.image_timeout_ms = 999;
+  ScanSupervisor supervisor(config);
+  auto results = supervisor.Run(
+      Tasks({"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}),
+      [](size_t index, const AnalysisBudget&) {
+        auto cpu_ms = [] {
+          struct timespec ts;
+          ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+          return ts.tv_sec * 1000.0 + ts.tv_nsec / 1e6;
+        };
+        double start = cpu_ms();
+        volatile uint64_t sink = 0;
+        while (cpu_ms() - start < 400.0) {
+          for (int i = 0; i < 10000; ++i) sink = sink + static_cast<uint64_t>(i);
+        }
+        return OutcomeForIndex(index);
+      });
+  ASSERT_EQ(results.size(), 8u);
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].state, TaskResult::State::kDone)
+        << i << ": " << results[i].quarantine_reason;
+  }
+  EXPECT_EQ(supervisor.stats().workers_spawned, 1u);
+}
+
+TEST_F(SupervisorTest, RunReapsEveryWorkerBeforeReturning) {
+  auto expect_no_child = [](const char* when) {
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << when;
+    EXPECT_EQ(errno, ECHILD) << when;
+  };
+  TaskFn fn = [](size_t index, const AnalysisBudget&) {
+    return OutcomeForIndex(index);
+  };
+
+  SupervisorConfig config;
+  config.workers = 2;
+  {
+    ScanSupervisor supervisor(config);
+    auto results = supervisor.Run(Tasks({"a", "b", "c", "d"}), fn);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(supervisor.stats().workers_spawned, 2u);
+  }
+  expect_no_child("after a clean run");
+
+  // A stop_on_failure stop leaves the surviving worker idle; it must
+  // still be shut down and reaped. The slow task keeps the second
+  // worker busy until the poison's death has stopped the run.
+  FaultRule rule;
+  rule.site = FaultSite::kWorkerKill;
+  rule.match = "poison";
+  rule.count = -1;
+  FaultPlan::Global().Install({rule});
+  config.max_retries = 0;
+  config.stop_on_failure = true;
+  {
+    ScanSupervisor supervisor(config);
+    auto results = supervisor.Run(
+        Tasks({"poison", "slow", "late"}),
+        [](size_t index, const AnalysisBudget&) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          return OutcomeForIndex(index);
+        });
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].state, TaskResult::State::kQuarantined);
+    EXPECT_EQ(results[1].state, TaskResult::State::kDone);
+    EXPECT_EQ(results[2].state, TaskResult::State::kSkipped);
+  }
+  expect_no_child("after a stop_on_failure stop");
 }
 
 TEST_F(SupervisorTest, WatchdogKillsHungWorker) {
