@@ -37,14 +37,23 @@ bool Binary::IsImportStub(uint32_t addr) const {
 }
 
 Result<uint32_t> Binary::ReadWordAt(uint32_t addr) const {
-  for (const Section& s : sections) {
-    if (addr >= s.addr && addr + 4 <= s.addr + s.size) {
-      uint32_t off = addr - s.addr;
-      if (off + 4 > s.bytes.size()) return uint32_t{0};  // .bss tail
-      return ReadWord(arch, s.bytes.data() + off);
-    }
+  if (const Section* section = SectionOf(addr)) {
+    return ReadWordIn(*section, addr);
   }
   return OutOfRange("address not mapped: " + std::to_string(addr));
+}
+
+const Section* Binary::SectionOf(uint32_t addr) const {
+  for (const Section& s : sections) {
+    if (HoldsWord(s, addr)) return &s;
+  }
+  return nullptr;
+}
+
+uint32_t Binary::ReadWordIn(const Section& section, uint32_t addr) const {
+  const uint64_t off = addr - section.addr;
+  if (off + 4 > section.bytes.size()) return 0;  // .bss tail
+  return ReadWord(arch, section.bytes.data() + off);
 }
 
 uint64_t Binary::MappedSize() const {

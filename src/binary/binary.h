@@ -71,9 +71,45 @@ struct Binary {
 
   /// Reads a 32-bit word from any mapped section (arch endianness).
   Result<uint32_t> ReadWordAt(uint32_t addr) const;
+  /// The section ReadWordAt reads the word at `addr` from: the first
+  /// whose virtual range holds all four bytes, or nullptr.
+  const Section* SectionOf(uint32_t addr) const;
+  /// The word at `addr` of `section`, which must hold it (SectionOf):
+  /// zero where it lies past the section's bytes (the .bss tail).
+  uint32_t ReadWordIn(const Section& section, uint32_t addr) const;
 
   /// Total mapped size in bytes (sum of section virtual sizes).
   uint64_t MappedSize() const;
+};
+
+/// True when `section`'s virtual range holds the four bytes at `addr`.
+/// 64-bit, so neither end wraps at 4 GiB.
+inline bool HoldsWord(const Section& section, uint32_t addr) {
+  return addr >= section.addr &&
+         uint64_t{addr} + 4 <= uint64_t{section.addr} + section.size;
+}
+
+/// Reads words in address order, looking a section up only when the
+/// address leaves the last section read: a sweep through one function
+/// scans the section table once. Sections do not overlap (the loader
+/// rejects it), so every word reads as Binary::ReadWordAt reads it.
+class WordReader {
+ public:
+  explicit WordReader(const Binary& binary) : binary_(binary) {}
+
+  /// Sets `word` to the word at `addr`; false when no section maps it.
+  bool Read(uint32_t addr, uint32_t& word) {
+    if (!section_ || !HoldsWord(*section_, addr)) {
+      section_ = binary_.SectionOf(addr);
+      if (!section_) return false;
+    }
+    word = binary_.ReadWordIn(*section_, addr);
+    return true;
+  }
+
+ private:
+  const Binary& binary_;
+  const Section* section_ = nullptr;
 };
 
 }  // namespace dtaint

@@ -258,43 +258,55 @@ SummaryCache::SummaryCache(CacheConfig config)
 SummaryCache::~SummaryCache() { Flush(); }
 
 std::optional<FunctionSummary> SummaryCache::Lookup(const Hash128& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-
-  auto it = pending_.find(key);
-  if (it != pending_.end()) {
-    auto decoded = DecodeSummary(it->second);
+  // The lock guards the tables only: blobs are copied out, then read
+  // and decoded without it, so summary threads decode in parallel.
+  std::optional<std::vector<uint8_t>> queued;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = pending_.find(key);
+    if (it != pending_.end()) queued = it->second;
+  }
+  if (queued) {
+    auto decoded = DecodeSummary(*queued);
+    std::lock_guard<std::mutex> lock(mu_);
     if (decoded.ok()) {
       ++stats_.hits;
       m_hits_.Add();
       return std::move(*decoded);
     }
     // Poisoned queued entry (should be impossible, but never trust a
-    // cache): drop it and fall through to disk/miss.
+    // cache): drop it, unless a Store replaced it meanwhile, and fall
+    // through to disk/miss.
     ++stats_.corrupt_entries;
     m_corrupt_.Add();
-    pending_.erase(it);
+    auto it = pending_.find(key);
+    if (it != pending_.end() && it->second == *queued) pending_.erase(it);
   }
 
   if (!config_.disk_dir.empty()) {
-    if (auto summary = LookupDiskLocked(key)) return summary;
+    if (auto summary = LookupDisk(key)) return summary;
   }
 
+  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
   m_misses_.Add();
   return std::nullopt;
 }
 
-std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
-    const Hash128& key) {
-  auto it = disk_index_.find(key);
-  if (it == disk_index_.end() && RefreshDiskIndexLocked()) {
-    it = disk_index_.find(key);
-  }
-  if (it == disk_index_.end()) return std::nullopt;
-  std::vector<DiskLocation>& copies = it->second;
-  while (!copies.empty()) {
-    const DiskLocation at = copies.back();
-    const std::string& path = pack_paths_[at.pack];
+std::optional<FunctionSummary> SummaryCache::LookupDisk(const Hash128& key) {
+  for (;;) {
+    DiskLocation at;
+    std::string path;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = disk_index_.find(key);
+      if (it == disk_index_.end() && RefreshDiskIndexLocked()) {
+        it = disk_index_.find(key);
+      }
+      if (it == disk_index_.end()) return std::nullopt;
+      at = it->second.back();
+      path = pack_paths_[at.pack];
+    }
     // Transient read errors (NFS hiccup, throttled disk — modeled by
     // the cache_read fault site) are retried with backoff; if the read
     // never succeeds this lookup is a miss and the copy stays indexed.
@@ -309,9 +321,13 @@ std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
           return ReadAt(path, at.offset, at.length, blob);
         },
         &retries);
-    CountIoLocked(retries, read_ok);
+    if (retries > 0 || !read_ok) {
+      std::lock_guard<std::mutex> lock(mu_);
+      CountIoLocked(retries, read_ok);
+    }
     if (!read_ok) return std::nullopt;
     auto decoded = DecodeSummary(blob);
+    std::lock_guard<std::mutex> lock(mu_);
     if (decoded.ok()) {
       ++stats_.hits;
       m_hits_.Add();
@@ -323,10 +339,16 @@ std::optional<FunctionSummary> SummaryCache::LookupDiskLocked(
     // recompute's Store lands in a newer pack.
     ++stats_.corrupt_entries;
     m_corrupt_.Add();
-    copies.pop_back();
+    auto it = disk_index_.find(key);
+    if (it == disk_index_.end()) return std::nullopt;
+    std::erase_if(it->second, [&](const DiskLocation& copy) {
+      return copy.pack == at.pack && copy.offset == at.offset;
+    });
+    if (it->second.empty()) {
+      disk_index_.erase(it);
+      return std::nullopt;
+    }
   }
-  disk_index_.erase(it);
-  return std::nullopt;
 }
 
 bool SummaryCache::RefreshDiskIndexLocked() {

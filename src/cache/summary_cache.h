@@ -56,6 +56,9 @@
 //
 // All methods are thread-safe: the interprocedural phase looks up and
 // stores from its worker pool when InterprocConfig::num_threads > 1.
+// A lookup holds the lock only to consult the queue and the index: it
+// copies the blob or its location out, then reads and decodes it
+// unlocked, so the pool's threads decode in parallel.
 #pragma once
 
 #include <cstdint>
@@ -142,8 +145,9 @@ class SummaryCache {
     size_t operator()(const Hash128& key) const { return key.lo; }
   };
 
-  /// Serves `key` from its newest readable, decodable disk copy.
-  std::optional<FunctionSummary> LookupDiskLocked(const Hash128& key);
+  /// Serves `key` from its newest readable, decodable disk copy. Takes
+  /// mu_ around each index access, never across a read or a decode.
+  std::optional<FunctionSummary> LookupDisk(const Hash128& key);
   /// Re-lists the disk directory if its mtime moved since the last
   /// listing and indexes the packs not seen before. Returns whether
   /// any pack was added.

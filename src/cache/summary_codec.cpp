@@ -122,21 +122,38 @@ class Writer {
   }
 
   void List(ConstraintList list) {
-    // Whole lists recur as well: every def pair and call recorded on a
-    // path shares the path's list, so most lists are exact repeats.
-    // Lists are hash-consed, so equal lists are the same pointer and
-    // the head pointer is the key. A repeat costs five bytes instead of
-    // one back-reference per member.
-    auto it = list_ids_.find(list.head());
-    if (it != list_ids_.end()) {
-      U8(kExprBackRef);
-      U32(it->second);
+    // Every def pair and call recorded on a path shares the path's
+    // list, and the lists of one path share their older cells. Each
+    // distinct cell gets an id (the empty list is 0), so a list is
+    // written as its newest already-written tail plus the cells on top
+    // of it, oldest first; a list seen before is a back-reference.
+    // Lists are hash-consed, so a cell pointer names its contents.
+    fresh_.clear();
+    uint32_t tail_id = 0;
+    for (const ConstraintCell* cell = list.head(); cell; cell = cell->tail) {
+      auto it = list_ids_.find(cell);
+      if (it != list_ids_.end()) {
+        tail_id = it->second;
+        break;
+      }
+      fresh_.push_back(cell);
+    }
+    if (fresh_.empty()) {
+      if (tail_id == 0) {
+        U8(0);
+      } else {
+        U8(kExprBackRef);
+        U32(tail_id);
+      }
       return;
     }
     U8(1);
-    U32(static_cast<uint32_t>(list.size()));
-    list.ForEach([this](const PathConstraint& c) { Constraint(c); });
-    list_ids_.emplace(list.head(), next_list_id_++);
+    U32(tail_id);
+    U32(static_cast<uint32_t>(fresh_.size()));
+    for (auto it = fresh_.rbegin(); it != fresh_.rend(); ++it) {
+      Constraint((*it)->c);
+      list_ids_.emplace(*it, next_list_id_++);
+    }
   }
 
   std::vector<uint8_t> Take() && { return std::move(out_); }
@@ -170,7 +187,8 @@ class Writer {
       constraint_ids_;
   uint32_t next_constraint_id_ = 0;
   std::unordered_map<const ConstraintCell*, uint32_t> list_ids_;
-  uint32_t next_list_id_ = 0;
+  uint32_t next_list_id_ = 1;
+  std::vector<const ConstraintCell*> fresh_;  // List's scratch, newest first
 };
 
 /// Bounds-checked reader: the first overrun latches the fail flag and
@@ -329,9 +347,10 @@ class Reader {
 
   ConstraintList List() {
     uint8_t tag = U8();
+    if (tag == 0) return {};
     if (tag == kExprBackRef) {
       uint32_t id = U32();
-      if (id >= list_pool_.size()) {
+      if (id == 0 || id >= list_pool_.size()) {
         Fail();
         return {};
       }
@@ -341,15 +360,23 @@ class Reader {
       Fail();
       return {};
     }
-    // Rebuilt through the global interner, so the list is the very one
-    // the engine published for the same constraints.
-    ConstraintList list;
+    // New cells over a list the blob already defined, oldest first.
+    // Each distinct cell is interned once per blob, through the global
+    // interner, so the list is the very one the engine published.
+    uint32_t tail_id = U32();
+    if (tail_id >= list_pool_.size()) {
+      Fail();
+      return {};
+    }
+    ConstraintList list = list_pool_[tail_id];
     uint32_t n = Count();
+    if (n == 0) Fail();
     for (uint32_t i = 0; i < n && ok(); ++i) {
       PathConstraint c = Constraint();
-      if (ok()) list = list.Push(c);
+      if (!ok()) break;
+      list = list.Push(c);
+      list_pool_.push_back(list);
     }
-    if (ok()) list_pool_.push_back(list);
     return list;
   }
 
@@ -364,10 +391,14 @@ class Reader {
   bool failed_ = false;
   std::vector<SymRef> expr_pool_;
   std::vector<PathConstraint> constraint_pool_;
-  std::vector<ConstraintList> list_pool_;
+  std::vector<ConstraintList> list_pool_{ConstraintList()};  // 0: empty
 };
 
 }  // namespace
+
+uint64_t SummaryBlobChecksum(std::span<const uint8_t> payload) {
+  return Fingerprint128().Mix(payload).Digest().lo;
+}
 
 std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
   Writer w;
@@ -421,7 +452,7 @@ std::vector<uint8_t> EncodeSummary(const FunctionSummary& summary) {
   w.U8(summary.truncated ? 1 : 0);
 
   std::vector<uint8_t> out = std::move(w).Take();
-  uint64_t checksum = Fnv1a(std::span<const uint8_t>(out));
+  uint64_t checksum = SummaryBlobChecksum(out);
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>(checksum >> (8 * i)));
   }
@@ -437,7 +468,7 @@ Result<FunctionSummary> DecodeSummary(std::span<const uint8_t> bytes) {
     stored = (stored << 8) | bytes[bytes.size() - 8 + i];
   }
   std::span<const uint8_t> payload = bytes.first(bytes.size() - 8);
-  if (Fnv1a(payload) != stored) {
+  if (SummaryBlobChecksum(payload) != stored) {
     return CorruptData("summary blob checksum mismatch");
   }
 

@@ -2,14 +2,17 @@
 //
 // Mirrors the paper's §III-B front end: "DTaint first creates a control
 // flow graph (CFG) for the firmware ... for each function separately."
-// Per function: (1) a linear decode sweep collects block leaders (branch
-// targets, post-branch/post-call fallthroughs) and fingerprints the
-// code, (2) each leader-to-leader run is bounded by Lifter::ScanBlock,
-// (3) CFG edges are wired. Calls end blocks and fall through to their
-// return address; the callee target is recorded as a CallSite (resolved
-// to a symbol or import when direct). No statement is lifted here: the
-// result is a skeleton, and the engine lifts a function's IR only when
-// it executes it (Lifter::LiftFunction).
+// Per function: (1) one linear sweep reads each word once from the
+// function's section, decodes it once into a per-function instruction
+// array, fingerprints the code and collects block leaders (branch
+// targets, post-branch/post-call fallthroughs); (2) every control
+// transfer starts a leader, so each leader-to-leader run is a block
+// that ends the way its last instruction does; (3) CFG edges are
+// wired. Calls end blocks and fall through to their return address;
+// the callee target is recorded as a CallSite (resolved to a symbol or
+// import when direct). No statement is lifted here: the result is a
+// skeleton, and the engine lifts a function's IR only when it executes
+// it (Lifter::LiftFunction), with the same bounds and failures.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +59,10 @@ class CfgBuilder {
 
   /// Builds the CFG skeleton of a single function symbol. Fails exactly
   /// where lifting every block of it would: a read off the section, an
-  /// undecodable word, a branch escaping the function, an unaligned
-  /// start.
+  /// undecodable word, a branch escaping the function (all
+  /// kCorruptData), an unaligned start (kInvalidArgument). An empty
+  /// symbol is kCorruptData too. Counts the words it decodes in
+  /// `lift.words_decoded`.
   Result<Function> BuildFunction(const Symbol& symbol) const;
 
   /// Builds every function symbol in the binary. Per-function lift

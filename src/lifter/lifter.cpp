@@ -88,11 +88,12 @@ BinOp CondOp(Op op) {
   }
 }
 
-}  // namespace
-
-Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
-  // Keep in step with ScanBlock, which must end every block where this
-  // loop does and fail wherever it fails.
+/// LiftBlock, reading words through `words` and counting each word it
+/// decodes in `decoded`.
+Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
+                              uint32_t stop_before, uint64_t& decoded) {
+  // Keep in step with CfgBuilder::BuildFunction, which must bound every
+  // block where this loop ends it and fail wherever it fails.
   if (addr % kInsnSize != 0) {
     return InvalidArgument("unaligned block address");
   }
@@ -103,14 +104,15 @@ Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
   uint32_t pc = addr;
   for (;;) {
     if (stop_before != 0 && pc >= stop_before && pc != addr) break;
-    auto word = binary_.ReadWordAt(pc);
-    if (!word.ok()) {
+    uint32_t word = 0;
+    if (!words.Read(pc, word)) {
       return CorruptData("block runs off mapped memory at " +
                          std::to_string(pc));
     }
-    auto decoded = Decode(*word);
-    if (!decoded.ok()) return decoded.status();
-    const Insn& insn = *decoded;
+    auto insn_or = Decode(word);
+    ++decoded;
+    if (!insn_or.ok()) return insn_or.status();
+    const Insn& insn = *insn_or;
     uint32_t next_pc = pc + kInsnSize;
     block.stmts.push_back(Stmt::IMark(pc));
 
@@ -253,73 +255,29 @@ Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
   return block;
 }
 
-Result<BlockInfo> Lifter::ScanBlock(uint32_t addr, uint32_t stop_before) const {
-  if (addr % kInsnSize != 0) {
-    return InvalidArgument("unaligned block address");
-  }
-  BlockInfo info;
-  info.addr = addr;
-  uint32_t pc = addr;
-  for (;;) {
-    if (stop_before != 0 && pc >= stop_before && pc != addr) break;
-    auto word = binary_.ReadWordAt(pc);
-    if (!word.ok()) {
-      return CorruptData("block runs off mapped memory at " +
-                         std::to_string(pc));
-    }
-    auto decoded = Decode(*word);
-    if (!decoded.ok()) return decoded.status();
-    const Insn& insn = *decoded;
-    uint32_t next_pc = pc + kInsnSize;
-    uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
-    info.size = next_pc - addr;
-    switch (insn.op) {
-      case Op::kB:
-        info.next = target;
-        return info;
-      case Op::kBeq:
-      case Op::kBne:
-      case Op::kBlt:
-      case Op::kBge:
-      case Op::kBle:
-      case Op::kBgt:
-        info.taken = target;
-        info.next = next_pc;
-        return info;
-      case Op::kBl:
-        info.jumpkind = JumpKind::kCall;
-        info.next = target;
-        info.return_addr = next_pc;
-        return info;
-      case Op::kBlr:
-        info.jumpkind = JumpKind::kIndirectCall;
-        info.return_addr = next_pc;
-        return info;
-      case Op::kRet:
-        info.jumpkind = JumpKind::kRet;
-        return info;
-      case Op::kInvalid:
-        return CorruptData("invalid opcode while lifting");
-      default:
-        break;
-    }
-    pc = next_pc;
-  }
-  info.size = pc - addr;
-  info.next = pc;
-  return info;
+}  // namespace
+
+Result<IRBlock> Lifter::LiftBlock(uint32_t addr, uint32_t stop_before) const {
+  WordReader words(binary_);
+  uint64_t decoded = 0;
+  return LiftBlockFrom(words, addr, stop_before, decoded);
 }
 
 Result<FunctionIR> Lifter::LiftFunction(const Function& fn) const {
   static obs::Counter& lifted =
       obs::MetricsRegistry::Global().counter("lift.ir_functions");
+  static obs::Counter& words_decoded =
+      obs::MetricsRegistry::Global().counter("lift.words_decoded");
   lifted.Add();
   FunctionIR ir;
+  WordReader words(binary_);
+  uint64_t decoded = 0;
   for (const auto& [addr, info] : fn.blocks) {
-    auto block = LiftBlock(addr, info.EndAddr());
+    auto block = LiftBlockFrom(words, addr, info.EndAddr(), decoded);
     if (!block.ok()) return block.status();
     ir.blocks.emplace_hint(ir.blocks.end(), addr, std::move(*block));
   }
+  words_decoded.Add(decoded);
   return ir;
 }
 

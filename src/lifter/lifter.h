@@ -1,9 +1,9 @@
 // Lifter: DT-RISC machine code -> VEX-like IR, one basic block at a
 // time (the shape Angr/pyvex exposes and the paper's analysis consumes).
 //
-// Lifting is on demand: the CFG builder only needs block bounds, which
-// ScanBlock finds by decoding alone, and the IR of a function is built
-// by LiftFunction when the symbolic engine is about to execute it.
+// Lifting is on demand: the CFG builder finds block bounds by decoding
+// alone, and the IR of a function is built by LiftFunction when the
+// symbolic engine is about to execute it.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +36,9 @@ class Lifter {
   /// whichever comes first. `stop_before == 0` means "no limit".
   Result<IRBlock> LiftBlock(uint32_t addr, uint32_t stop_before = 0) const;
 
-  /// The skeleton of the block LiftBlock(addr, stop_before) would lift:
-  /// same bounds, jump kind and constant targets, and the same failures
-  /// with the same status codes, without building any statement.
-  Result<BlockInfo> ScanBlock(uint32_t addr, uint32_t stop_before = 0) const;
-
   /// Lifts every block of a skeleton function. Counts each call in the
-  /// `lift.ir_functions` metric.
+  /// `lift.ir_functions` metric and the words it decodes in
+  /// `lift.words_decoded`.
   Result<FunctionIR> LiftFunction(const Function& fn) const;
 
   const Binary& binary() const { return binary_; }

@@ -76,6 +76,73 @@ FunctionSummary TinySummary(const std::string& name, uint32_t salt = 0) {
   return s;
 }
 
+/// Def pair i's path id: distinctive bytes, so a test can find the
+/// list record that follows it in the blob.
+constexpr uint32_t kMarkedPath = 0x7E57A000;
+
+/// A summary whose def pairs record the constraint lists [a], [a, b],
+/// [a, b, c] and [a, d]: four distinct cells, and lists that share
+/// their older cells, as the records of one path do.
+FunctionSummary SharedPrefixSummary() {
+  FunctionSummary s;
+  s.name = "shared";
+  s.addr = 0x10400;
+  auto constraint = [](uint32_t site, int64_t bound) {
+    PathConstraint c;
+    c.op = BinOp::kCmpLt;
+    c.lhs = SymExpr::Arg(1);
+    c.rhs = SymExpr::Const(static_cast<uint32_t>(bound));
+    c.site = site;
+    return c;
+  };
+  const ConstraintList a = ConstraintList().Push(constraint(0x10404, 64));
+  const ConstraintList ab = a.Push(constraint(0x10408, 32));
+  const ConstraintList abc = ab.Push(constraint(0x1040C, 16));
+  const ConstraintList ad = a.Push(constraint(0x10410, 8));
+  for (const ConstraintList& list : {a, ab, abc, ad}) {
+    DefPair dp;
+    dp.d = SymExpr::Deref(SymAdd(SymExpr::Arg(0), 4), 4);
+    dp.u = SymExpr::Taint(0x10400, "recv");
+    dp.site = 0x10420;
+    dp.path_id = static_cast<int>(kMarkedPath + s.def_pairs.size());
+    dp.constraints = list;
+    s.def_pairs.push_back(dp);
+  }
+  return s;
+}
+
+/// Offset of the list record of def pair `index` in a blob of
+/// SharedPrefixSummary(): right after its marked path id.
+size_t ListRecordOffset(const std::vector<uint8_t>& blob, uint32_t index) {
+  const uint32_t path = kMarkedPath + index;
+  for (size_t at = 0; at + 4 < blob.size(); ++at) {
+    if (testing_util::LoadLe(blob, at, 4) == path) return at + 4;
+  }
+  ADD_FAILURE() << "no def pair with path id " << path;
+  return 0;
+}
+
+/// `blob` with its payload cut to `length` bytes, or patched, and its
+/// checksum recomputed: damage the checksum cannot catch, as the
+/// decoder's own checks must.
+std::vector<uint8_t> Resealed(std::vector<uint8_t> payload) {
+  uint64_t checksum = SummaryBlobChecksum(payload);
+  for (int i = 0; i < 8; ++i) {
+    payload.push_back(static_cast<uint8_t>(checksum >> (8 * i)));
+  }
+  return payload;
+}
+
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& blob) {
+  return {blob.begin(), blob.end() - 8};
+}
+
+void PutLe32(std::vector<uint8_t>& bytes, size_t at, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes.at(at + i) = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
 /// Summaries produced by the real engine over a synthesized binary —
 /// the representative workload for round-trip testing.
 std::vector<FunctionSummary> EngineSummaries(uint64_t seed, Arch arch) {
@@ -161,10 +228,46 @@ TEST(SummaryCodec, DecodedListsAreTheAnalysedListsThemselves) {
 // ---------- codec: rejection of damaged blobs --------------------------------
 
 TEST(SummaryCodec, EveryTruncationIsRejected) {
-  std::vector<uint8_t> blob = EncodeSummary(TinySummary("t"));
-  for (size_t len = 0; len < blob.size(); ++len) {
-    auto r = DecodeSummary(std::span<const uint8_t>(blob.data(), len));
-    EXPECT_FALSE(r.ok()) << "prefix of " << len << " bytes parsed";
+  for (const FunctionSummary& summary :
+       {TinySummary("t"), SharedPrefixSummary()}) {
+    std::vector<uint8_t> blob = EncodeSummary(summary);
+    for (size_t len = 0; len < blob.size(); ++len) {
+      auto r = DecodeSummary(std::span<const uint8_t>(blob.data(), len));
+      EXPECT_FALSE(r.ok()) << "prefix of " << len << " bytes parsed";
+    }
+    // Cut payloads under a valid checksum reach the parser, which must
+    // find every one of them short, list records included.
+    const std::vector<uint8_t> payload = PayloadOf(blob);
+    for (size_t len = 6; len < payload.size(); ++len) {
+      auto r = DecodeSummary(Resealed({payload.begin(), payload.begin() +
+                                                            len}));
+      ASSERT_FALSE(r.ok()) << "resealed prefix of " << len << " bytes parsed";
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruptData) << len;
+    }
+  }
+}
+
+TEST(SummaryCodec, SharedPrefixListsRoundTripAsTheSameLists) {
+  FunctionSummary original = SharedPrefixSummary();
+  std::vector<uint8_t> blob = EncodeSummary(original);
+  auto decoded = DecodeSummary(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->def_pairs.size(), original.def_pairs.size());
+  for (size_t i = 0; i < original.def_pairs.size(); ++i) {
+    EXPECT_EQ(decoded->def_pairs[i].constraints,
+              original.def_pairs[i].constraints)
+        << i;
+  }
+  EXPECT_EQ(EncodeSummary(*decoded), blob);
+  // [a] is written whole; [a, b] and [a, b, c] each push one cell onto
+  // the list before; [a, d] pushes one onto [a], written first.
+  const std::vector<uint8_t> payload = PayloadOf(blob);
+  const uint32_t tails[] = {0, 1, 2, 1};
+  for (uint32_t i = 0; i < 4; ++i) {
+    const size_t at = ListRecordOffset(payload, i);
+    EXPECT_EQ(payload.at(at), 1) << i;
+    EXPECT_EQ(testing_util::LoadLe(payload, at + 1, 4), tails[i]) << i;
+    EXPECT_EQ(testing_util::LoadLe(payload, at + 5, 4), 1u) << i;
   }
 }
 
@@ -195,6 +298,64 @@ TEST(SummaryCodec, FuzzMutationsNeverParseAndNeverCrash) {
   // Overwhelmingly most trials are real mutations; make sure the loop
   // did not silently skip everything.
   EXPECT_GT(rejected, 900);
+
+  // The same damage under a valid checksum reaches the parser: it may
+  // still parse (a flipped site is just another site), but it must
+  // never crash, and what it rejects is corrupt data.
+  const std::vector<uint8_t> payload = PayloadOf(
+      EncodeSummary(SharedPrefixSummary()));
+  const size_t lists = ListRecordOffset(payload, 0);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<uint8_t> bytes = payload;
+    // Mostly inside the list records, which fill the blob's tail.
+    const size_t at = trial % 4 ? lists + rng.Below(bytes.size() - lists)
+                                : 6 + rng.Below(bytes.size() - 6);
+    if (trial % 2) {
+      bytes[at] ^= static_cast<uint8_t>(1u << rng.Below(8));
+    } else {
+      bytes[at] = static_cast<uint8_t>(rng.Below(256));
+    }
+    auto r = DecodeSummary(Resealed(std::move(bytes)));
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruptData);
+    }
+  }
+}
+
+TEST(SummaryCodec, FuzzMutationsOfListRecordsAreCorruptData) {
+  // Def pair 1's record pushes one cell onto list 1 ([a]); the cell
+  // would take id 2. A tail id must name a list written before.
+  const std::vector<uint8_t> payload = PayloadOf(
+      EncodeSummary(SharedPrefixSummary()));
+  const size_t record = ListRecordOffset(payload, 1);
+  struct Patch {
+    const char* what;
+    size_t offset;
+    uint32_t value;
+  };
+  const Patch patches[] = {
+      {"tail id points forward", record + 1, 3},
+      {"tail id points at itself", record + 1, 2},
+      {"tail id out of range", record + 1, 0xFFFFFFFFu},
+      {"count exceeds the remaining bytes", record + 5, 0xFFFFFF00u},
+      {"count one past the remaining bytes", record + 5,
+       static_cast<uint32_t>(payload.size() - record - 9 + 1)},
+      {"count of zero", record + 5, 0},
+      {"back-reference to the empty list id", record, 0},
+  };
+  for (const Patch& patch : patches) {
+    std::vector<uint8_t> bytes = payload;
+    if (patch.offset == record) {
+      // A back-reference record: tag 0xFF, then the id.
+      bytes.at(record) = 0xFF;
+      PutLe32(bytes, record + 1, patch.value);
+    } else {
+      PutLe32(bytes, patch.offset, patch.value);
+    }
+    auto r = DecodeSummary(Resealed(std::move(bytes)));
+    ASSERT_FALSE(r.ok()) << patch.what;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruptData) << patch.what;
+  }
 }
 
 TEST(SummaryCodec, FutureCodecVersionIsUnsupportedNotCorrupt) {
@@ -206,7 +367,7 @@ TEST(SummaryCodec, FutureCodecVersionIsUnsupportedNotCorrupt) {
   uint16_t future = kSummaryCodecVersion + 1;
   blob[4] = static_cast<uint8_t>(future);
   blob[5] = static_cast<uint8_t>(future >> 8);
-  uint64_t checksum = Fnv1a(
+  uint64_t checksum = SummaryBlobChecksum(
       std::span<const uint8_t>(blob.data(), blob.size() - 8));
   for (int i = 0; i < 8; ++i) {
     blob[blob.size() - 8 + i] = static_cast<uint8_t>(checksum >> (8 * i));
@@ -581,7 +742,7 @@ TEST(Fingerprint, GoldenKeyPinsCrossProcessStability) {
   writer.AddFunction(std::move(b).Finish().value());
   Binary bin = writer.Build().value();
   Hash128 key = KeyOfFn(bin, "golden");
-  EXPECT_EQ(key.ToHex(), "b270dd98709b60e296c78813c134e234");
+  EXPECT_EQ(key.ToHex(), "62b67822d5ae22433701429e9a8392af");
 }
 
 TEST(Fingerprint, KeyIsTheSameWhetherOrNotTheIrWasLifted) {

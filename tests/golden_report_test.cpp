@@ -40,36 +40,36 @@ struct GoldenEntry {
 
 // clang-format off
 const GoldenEntry kGolden[] = {
-    {"ifw0/ARM", 0x2aa94087a6509d82ull, 0x1d2a1e217db87d20ull},
-    {"ifw0/MIPS", 0xfeb9bd7c4e026431ull, 0xb1714387f9492bd4ull},
-    {"ifw1/ARM", 0xb68c1e6059297596ull, 0xc3cd3754e058b121ull},
-    {"ifw1/MIPS", 0xda7dbf18137b9b85ull, 0x1a2eeea120983007ull},
-    {"ifw2/ARM", 0x5d73bd2b370186d8ull, 0x74a0cf31dfc02537ull},
-    {"ifw2/MIPS", 0x7fd3fc28ce8853e1ull, 0x2e110192900384c6ull},
-    {"ifw3/ARM", 0x51127c22fd4408f0ull, 0x80d09d3d8736c0c1ull},
-    {"ifw3/MIPS", 0xeb907788ccb323ffull, 0x0c259f5dc91befbbull},
-    {"ifw4/ARM", 0x6de37c7e214b8e78ull, 0xc607b717b9e316ecull},
-    {"ifw4/MIPS", 0xc1782c16b3491995ull, 0x3fdc7f3ef7a892deull},
-    {"sfw0/ARM", 0xab8efdae91dc94c2ull, 0x4f2afc3e00ac7daaull},
-    {"sfw0/MIPS", 0xa694060c803ac3ebull, 0x6907c2946759a5f9ull},
-    {"sfw1/ARM", 0x355072824fd5d63cull, 0x5378eec2b163f697ull},
-    {"sfw1/MIPS", 0x809d719bc976f9a5ull, 0xca558cec96d1c941ull},
-    {"sfw2/ARM", 0x9748aab8564265bcull, 0x1b65eb970b1276eeull},
-    {"sfw2/MIPS", 0x8ab0b4ceb261ff93ull, 0x38881cce98292af2ull},
-    {"sfw3/ARM", 0xce8218a329378740ull, 0xbe071ca77c9def63ull},
-    {"sfw3/MIPS", 0x523137cd2b3be7c1ull, 0x60d016350c203096ull},
-    {"sfw4/ARM", 0x0d423fd699e211b7ull, 0xca327bd2a982c880ull},
-    {"sfw4/MIPS", 0x29ce32ce6bace052ull, 0xd754b87d1f16fb93ull},
-    {"sfw5/ARM", 0xd1dcbc6ab1d70edfull, 0xafe4bfe1134bd112ull},
-    {"sfw5/MIPS", 0xb3dd4410b14e72ccull, 0x6d9643e8c4ee61caull},
-    {"sfw6/ARM", 0xebb86fd4beee2d1full, 0x09c527d4d2c5560bull},
-    {"sfw6/MIPS", 0xae3e814c67b6b3a0ull, 0xf24f41da623aa1ceull},
-    {"sfw7/ARM", 0x411ee0c39be3729full, 0x728148fabafd2245ull},
-    {"sfw7/MIPS", 0x0544fc02127702acull, 0xe87e199664f4cd25ull},
-    {"sfw8/ARM", 0xdeeebd9f62eb67ffull, 0xd31e88c7491829ffull},
-    {"sfw8/MIPS", 0xa93a77d35cd9a418ull, 0x587c64f663f59bb7ull},
-    {"sfw9/ARM", 0xe2eabbd09a82c654ull, 0x97e7b16074b187abull},
-    {"sfw9/MIPS", 0xa0279ff7fc4db607ull, 0xcf57fb984165c43bull},
+    {"ifw0/ARM", 0x2aa94087a6509d82ull, 0x7fdfee9598cdc096ull},
+    {"ifw0/MIPS", 0xfeb9bd7c4e026431ull, 0x59710be68d53ee02ull},
+    {"ifw1/ARM", 0xb68c1e6059297596ull, 0x65bd95f580096835ull},
+    {"ifw1/MIPS", 0xda7dbf18137b9b85ull, 0x265b757e3f79d935ull},
+    {"ifw2/ARM", 0x5d73bd2b370186d8ull, 0x40d1a9083ca797f7ull},
+    {"ifw2/MIPS", 0x7fd3fc28ce8853e1ull, 0xa2ae57159e169187ull},
+    {"ifw3/ARM", 0x51127c22fd4408f0ull, 0x3c718c43f3b1792full},
+    {"ifw3/MIPS", 0xeb907788ccb323ffull, 0x9ccb1070ba0d56c5ull},
+    {"ifw4/ARM", 0x6de37c7e214b8e78ull, 0xaedea4e4afdc97c5ull},
+    {"ifw4/MIPS", 0xc1782c16b3491995ull, 0x86712ca713cd1dd6ull},
+    {"sfw0/ARM", 0xab8efdae91dc94c2ull, 0x5c46eeecc5cb2a94ull},
+    {"sfw0/MIPS", 0xa694060c803ac3ebull, 0x5a21d741ee3e51f2ull},
+    {"sfw1/ARM", 0x355072824fd5d63cull, 0x88f3ccd960848107ull},
+    {"sfw1/MIPS", 0x809d719bc976f9a5ull, 0xfb4d9715c208d884ull},
+    {"sfw2/ARM", 0x9748aab8564265bcull, 0x70dcf57a1adf95a5ull},
+    {"sfw2/MIPS", 0x8ab0b4ceb261ff93ull, 0xece20a8b4296ef47ull},
+    {"sfw3/ARM", 0xce8218a329378740ull, 0x582b9012e331688cull},
+    {"sfw3/MIPS", 0x523137cd2b3be7c1ull, 0x15316d7bb3bbbd74ull},
+    {"sfw4/ARM", 0x0d423fd699e211b7ull, 0xcec0eed1879d1cf2ull},
+    {"sfw4/MIPS", 0x29ce32ce6bace052ull, 0xf7f5f3948f2482caull},
+    {"sfw5/ARM", 0xd1dcbc6ab1d70edfull, 0x6743a8f2fbb0823dull},
+    {"sfw5/MIPS", 0xb3dd4410b14e72ccull, 0x91c9ea2a83133f39ull},
+    {"sfw6/ARM", 0xebb86fd4beee2d1full, 0xf38363663dd74720ull},
+    {"sfw6/MIPS", 0xae3e814c67b6b3a0ull, 0x0761ea5369c52705ull},
+    {"sfw7/ARM", 0x411ee0c39be3729full, 0x44940d373e441466ull},
+    {"sfw7/MIPS", 0x0544fc02127702acull, 0x15a6f83cea08264cull},
+    {"sfw8/ARM", 0xdeeebd9f62eb67ffull, 0x9bd6b22cde0ce834ull},
+    {"sfw8/MIPS", 0xa93a77d35cd9a418ull, 0x18aea67ea01c3f6eull},
+    {"sfw9/ARM", 0xe2eabbd09a82c654ull, 0x1276adf520f7e2a7ull},
+    {"sfw9/MIPS", 0xa0279ff7fc4db607ull, 0xa84a0f47a7529cb7ull},
 };
 // clang-format on
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/cache/summary_codec.h"
 #include "src/core/dtaint.h"
 #include "src/obs/metrics.h"
 #include "src/report/json.h"
@@ -323,6 +324,53 @@ TEST(InternGenerationDTaint, RegistryCountersStayCumulativeAcrossRecycles) {
       EXPECT_EQ(report->metrics.CounterValue("intern.recycles"), 1u);
     }
   }
+}
+
+TEST(InternGenerationDTaint, DecodeInternsEachListCellOnce) {
+  // A summary blob read into a fresh generation, as a warm rescan reads
+  // it: every cell is new there, and the decoder builds each one once,
+  // however many of the blob's lists share it.
+  ExprInterner& interner = ExprInterner::Global();
+  std::vector<uint8_t> blob;
+  uint64_t recycles = 0;
+  {
+    InternPin pin = interner.Pin();
+    recycles = interner.stats().recycles;
+    auto constraint = [](uint32_t site) {
+      PathConstraint c;
+      c.op = BinOp::kCmpNe;
+      c.lhs = SymExpr::Arg(0);
+      c.rhs = SymExpr::Const(site & 0xFF);
+      c.site = site;
+      return c;
+    };
+    // Lists of one path: each record's list extends an earlier one.
+    FunctionSummary summary;
+    summary.name = "shared_prefixes";
+    ConstraintList list;
+    for (uint32_t i = 0; i < 6; ++i) {
+      list = list.Push(constraint(0x10100 + 4 * i));
+      for (int twice = 0; twice < 2; ++twice) {
+        DefPair dp;
+        dp.d = SymExpr::Deref(SymExpr::Arg(1), 4);
+        dp.u = SymExpr::Arg(2);
+        dp.site = 0x10200 + i;
+        dp.constraints = list;
+        summary.def_pairs.push_back(dp);
+      }
+    }
+    blob = EncodeSummary(summary);
+  }
+  InternPin pin = interner.Pin();
+  ASSERT_EQ(interner.stats().recycles, recycles + 1)
+      << "the test needs a fresh generation";
+  const InternStats before = interner.stats();
+  auto decoded = DecodeSummary(blob);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const InternStats after = interner.stats();
+  EXPECT_EQ(after.list_hits, before.list_hits);
+  EXPECT_EQ(after.list_cells - before.list_cells, 6u);
+  EXPECT_EQ(decoded->def_pairs.back().constraints.size(), 6u);
 }
 
 }  // namespace
