@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace dtaint {
 namespace {
@@ -87,6 +88,27 @@ TEST(Hash, Fnv1aStable) {
 TEST(Hash, CombineOrderSensitive) {
   EXPECT_NE(HashCombine(HashCombine(1, 2), 3),
             HashCombine(HashCombine(1, 3), 2));
+}
+
+TEST(Hash, FingerprintMixesBytesAsBigEndianWords) {
+  // Mix(bytes) is the length, then each 8-byte run as one word whose
+  // first byte is most significant, then the rest packed the same way:
+  // pack digests and cache keys depend on exactly these values.
+  std::string text;
+  for (int len = 0; len <= 40; ++len) {
+    Fingerprint128 want;
+    want.Mix(static_cast<uint64_t>(text.size()));
+    uint64_t word = 0;
+    for (size_t i = 0; i < text.size(); ++i) {
+      word = (word << 8) | static_cast<uint8_t>(text[i]);
+      if (i % 8 == 7 || i + 1 == text.size()) {
+        want.Mix(word);
+        word = 0;
+      }
+    }
+    EXPECT_EQ(Fingerprint128().Mix(text).Digest(), want.Digest()) << len;
+    text.push_back(static_cast<char>(0x80 + 7 * len));
+  }
 }
 
 TEST(Strings, HexStr) {
