@@ -15,12 +15,12 @@
 
 #include "src/obs/bench.h"
 
-#include "src/binary/loader.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/core/alias.h"
 #include "src/core/alias_ondemand.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/core/structsim.h"
 #include "src/isa/decode.h"
 #include "src/isa/encode.h"
@@ -438,10 +438,8 @@ void BM_Relink(benchmark::State& state) {
   for (const PaperImageSpec& spec : PaperImageSpecs()) {
     if (spec.firmware.product != "DGN2200") continue;
     auto fw = BuildPaperImage(spec);
-    const FirmwareFile* file =
-        fw.ok() ? fw->image.FindFile(spec.firmware.binary_path) : nullptr;
-    if (!file) break;
-    auto loaded = BinaryLoader::Load(file->bytes);
+    if (!fw.ok()) break;
+    auto loaded = LoadImageBinary(fw->image, spec.firmware.binary_path);
     if (loaded.ok()) binary = std::move(*loaded);
   }
   if (!binary) {

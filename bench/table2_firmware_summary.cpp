@@ -8,9 +8,10 @@
 // the scale column records this.
 #include <cstdio>
 
-#include "src/binary/loader.h"
+#include "src/binary/writer.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
+#include "src/core/scan_image.h"
 #include "src/obs/bench.h"
 #include "src/report/table.h"
 #include "src/synth/paper_images.h"
@@ -31,26 +32,20 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const PaperImageSpec& spec : PaperImageSpecs()) {
     auto fw = BuildPaperImage(spec);
-    if (!fw.ok()) {
-      std::printf("build failed: %s\n", fw.status().ToString().c_str());
-      return harness.Finish(false);
-    }
-    const FirmwareFile* file =
-        fw->image.FindFile(spec.firmware.binary_path);
-    auto binary = BinaryLoader::Load(file->bytes);
-    if (!binary.ok()) {
-      std::printf("load failed: %s\n", binary.status().ToString().c_str());
-      return harness.Finish(false);
-    }
+    if (!fw.ok()) return harness.Fail("build", fw.status());
+    auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+    if (!binary.ok()) return harness.Fail("load", binary.status());
+    // The binary file's size: loading and writing DTBIN round-trip.
+    const size_t size_bytes = BinaryWriter::Serialize(*binary).size();
     // The measured work per image: load + whole-binary CFG recovery.
     // Shape numbers are deterministic; the gate holds them exactly.
     Result<Program> program = InvalidArgument("not built");
     harness.Run(
         spec.firmware.vendor + "_" + spec.firmware.product,
         [&](bench::Rep& rep) {
-          auto loaded = BinaryLoader::Load(file->bytes);
-          CfgBuilder builder(*loaded);
-          program = builder.BuildProgram();
+          auto loaded = LoadImageBinary(fw->image, spec.firmware.binary_path);
+          program = loaded.ok() ? CfgBuilder(*loaded).BuildProgram()
+                                : Result<Program>(loaded.status());
           if (!program.ok()) return;
           rep.Value("functions",
                     static_cast<double>(program->functions.size()));
@@ -59,18 +54,15 @@ int main(int argc, char** argv) {
           rep.Value("call_edges",
                     static_cast<double>(program->CallEdgeCount()));
           rep.Value("size_kb",
-                    static_cast<double>(file->bytes.size() / 1024));
+                    static_cast<double>(size_bytes / 1024));
         });
-    if (!program.ok()) {
-      std::printf("cfg failed: %s\n", program.status().ToString().c_str());
-      return harness.Finish(false);
-    }
+    if (!program.ok()) return harness.Fail("cfg", program.status());
 
     table.AddRow(
         {std::to_string(index), spec.firmware.vendor,
          spec.firmware.product + "_" + spec.firmware.version,
          std::string(ArchName(binary->arch)), binary->soname,
-         std::to_string(file->bytes.size() / 1024),
+         std::to_string(size_bytes / 1024),
          std::to_string(program->functions.size()),
          WithCommas(program->TotalBlocks()),
          WithCommas(program->CallEdgeCount()),

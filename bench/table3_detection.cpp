@@ -16,8 +16,8 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "src/binary/loader.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/obs/bench.h"
 #include "src/obs/events.h"
 #include "src/obs/stopwatch.h"
@@ -60,13 +60,9 @@ int main(int argc, char** argv) {
   std::vector<Scanned> scanned;
   for (const PaperImageSpec& spec : PaperImageSpecs()) {
     auto fw = BuildPaperImage(spec);
-    if (!fw.ok()) {
-      std::printf("build failed: %s\n", fw.status().ToString().c_str());
-      return harness.Finish(false);
-    }
-    const FirmwareFile* file =
-        fw->image.FindFile(spec.firmware.binary_path);
-    auto binary = BinaryLoader::Load(file->bytes);
+    if (!fw.ok()) return harness.Fail("build", fw.status());
+    auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+    if (!binary.ok()) return harness.Fail("load", binary.status());
     Result<AnalysisReport> report = InvalidArgument("not analyzed");
     DetectionScore score;
     // One run per image: the full detection pipeline, with detection
@@ -102,11 +98,7 @@ int main(int argc, char** argv) {
                             static_cast<double>(score.false_positives +
                                                 score.safe_twin_hits));
                 });
-    if (!report.ok()) {
-      std::printf("analysis failed: %s\n",
-                  report.status().ToString().c_str());
-      return harness.Finish(false);
-    }
+    if (!report.ok()) return harness.Fail("analysis", report.status());
 
     std::string label = spec.firmware.vendor + " " + spec.firmware.product;
     table.AddRow({label, std::to_string(report->analyzed_functions),

@@ -7,8 +7,8 @@
 // recovered exactly the paper's sink/source pair.
 #include <cstdio>
 
-#include "src/binary/loader.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/obs/bench.h"
 #include "src/report/scoring.h"
 #include "src/report/table.h"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   // One run covering the whole detection sweep: the per-CVE hits are
   // deterministic counts the regression gate holds exactly.
-  bool failed = false;
+  Status failed;  // the first build, load or analysis failure
   std::vector<ImageScore> scored;
   harness.Run("detect_all", [&](bench::Rep& rep) {
     scored.clear();
@@ -42,16 +42,18 @@ int main(int argc, char** argv) {
     for (const PaperImageSpec& spec : PaperImageSpecs()) {
       auto fw = BuildPaperImage(spec);
       if (!fw.ok()) {
-        failed = true;
+        failed = fw.status();
         return;
       }
-      const FirmwareFile* file =
-          fw->image.FindFile(spec.firmware.binary_path);
-      auto binary = BinaryLoader::Load(file->bytes);
+      auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+      if (!binary.ok()) {
+        failed = binary.status();
+        return;
+      }
       DTaint detector;
       auto report = detector.AnalyzeFunctions(*binary, spec.focus);
       if (!report.ok()) {
-        failed = true;
+        failed = report.status();
         return;
       }
       detect_seconds += report->total_seconds;
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
     }
     rep.Value("detect_seconds", detect_seconds);
   });
-  if (failed) return harness.Finish(false);
+  if (!failed.ok()) return harness.Fail("detection", failed);
 
   int detected = 0, total = 0;
   for (const ImageScore& image : scored) {

@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <map>
 
-#include "src/binary/loader.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/obs/bench.h"
 #include "src/report/scoring.h"
 #include "src/report/table.h"
@@ -26,9 +26,8 @@ int main(int argc, char** argv) {
   for (const PaperImageSpec& spec : PaperImageSpecs()) {
     auto fw = BuildPaperImage(spec);
     if (!fw.ok()) return harness.Finish(false);
-    const FirmwareFile* file =
-        fw->image.FindFile(spec.firmware.binary_path);
-    auto binary = BinaryLoader::Load(file->bytes);
+    auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+    if (!binary.ok()) return harness.Fail("load", binary.status());
     Result<AnalysisReport> report = InvalidArgument("not analyzed");
     DetectionScore score;
     // One run per image: detection time and per-phase seconds are

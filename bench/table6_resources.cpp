@@ -9,11 +9,11 @@
 #include <cstdio>
 #include <fstream>
 
-#include "src/binary/loader.h"
 #include "src/cfg/callgraph.h"
 #include "src/core/dtaint.h"
 #include "src/core/interproc.h"
 #include "src/core/pathfinder.h"
+#include "src/core/scan_image.h"
 #include "src/core/sanitizer.h"
 #include "src/core/structsim.h"
 #include "src/obs/bench.h"
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   const PaperImageSpec& spec = specs.back();
   auto fw = BuildPaperImage(spec);
   if (!fw.ok()) return harness.Finish(false);
-  const FirmwareFile* file = fw->image.FindFile(spec.firmware.binary_path);
-  auto binary = BinaryLoader::Load(file->bytes);
+  auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+  if (!binary.ok()) return harness.Fail("load", binary.status());
 
   // Phase 1: lifting + static symbolic analysis (SSA).
   // Both phases record CPU share (_pct) and RSS growth (_mb) as

@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "src/baseline/worklist_ddg.h"
-#include "src/binary/loader.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/obs/bench.h"
 #include "src/obs/stopwatch.h"
 #include "src/report/table.h"
@@ -74,9 +74,8 @@ int main(int argc, char** argv) {
     if (spec.firmware.product == "DIR-890L") continue;  // one cgibin
     auto fw = BuildPaperImage(spec);
     if (!fw.ok()) return harness.Finish(false);
-    const FirmwareFile* file =
-        fw->image.FindFile(spec.firmware.binary_path);
-    auto binary = BinaryLoader::Load(file->bytes);
+    auto binary = LoadImageBinary(fw->image, spec.firmware.binary_path);
+    if (!binary.ok()) return harness.Fail("load", binary.status());
     programs.push_back({spec.firmware.program.name, std::move(*binary)});
   }
   {

@@ -57,24 +57,19 @@
 // streams with tools/scan_report, or convert them to a Chrome trace
 // with `scan_report --chrome-trace OUT`.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
 
-#include "src/binary/loader.h"
 #include "src/cache/summary_cache.h"
 #include "src/core/cli_flags.h"
-#include "src/core/dtaint.h"
-#include "src/firmware/extractor.h"
+#include "src/core/scan_image.h"
 #include "src/firmware/packer.h"
 #include "src/obs/events.h"
 #include "src/obs/log.h"
-#include "src/obs/stopwatch.h"
 #include "src/report/json.h"
 #include "src/report/scoring.h"
 #include "src/report/table.h"
-#include "src/resilience/fault.h"
 #include "src/resilience/incident.h"
 #include "src/resilience/journal.h"
 #include "src/resilience/supervisor.h"
@@ -206,21 +201,10 @@ void PrintUsage() {
 
 /// Per-image outcome, accumulated for the fleet JSON report.
 struct ImageResult {
-  std::string label;
-  std::string vendor;
-  std::string product;
-  std::string arch;
-  std::string packing;
-  /// "ok", "unextractable" (expected vendor encryption), "failed" (an
-  /// incident was recorded for this image), or "quarantined" (the
-  /// supervisor gave up after retries).
-  std::string status;
-  bool complete = false;
-  uint64_t functions = 0;
-  uint64_t finding_count = 0;
-  std::string findings_json = "[]";
-  bool has_score = false;
-  std::string score_json;
+  std::string label, vendor, product, arch, packing;
+  /// The scan's outcome; only its status, "quarantined", is set when
+  /// the supervisor gave up after retries.
+  ScanOutcome outcome;
   uint32_t attempts = 1;
 };
 
@@ -236,18 +220,19 @@ std::string FleetToJson(const std::vector<ImageResult>& images,
   std::string out = "{\n  \"images\": [";
   for (size_t i = 0; i < images.size(); ++i) {
     const ImageResult& im = images[i];
+    const ScanOutcome& o = im.outcome;
     out += i ? ",\n    {" : "\n    {";
     out += "\"label\": \"" + JsonEscape(im.label) + "\"";
     out += ", \"vendor\": \"" + JsonEscape(im.vendor) + "\"";
     out += ", \"product\": \"" + JsonEscape(im.product) + "\"";
     out += ", \"arch\": \"" + JsonEscape(im.arch) + "\"";
     out += ", \"packing\": \"" + JsonEscape(im.packing) + "\"";
-    out += ", \"status\": \"" + JsonEscape(im.status) + "\"";
-    out += std::string(", \"complete\": ") + (im.complete ? "true" : "false");
-    out += ", \"functions\": " + std::to_string(im.functions);
+    out += ", \"status\": \"" + JsonEscape(o.status) + "\"";
+    out += std::string(", \"complete\": ") + (o.complete ? "true" : "false");
+    out += ", \"functions\": " + std::to_string(o.functions);
     out += ", \"attempts\": " + std::to_string(im.attempts);
-    out += ", \"findings\": " + im.findings_json;
-    if (im.has_score) out += ", \"score\": " + im.score_json;
+    out += ", \"findings\": " + o.findings_json;
+    if (o.has_score) out += ", \"score\": " + o.score_json;
     out += "}";
   }
   out += "\n  ],\n  \"incidents\": " + IncidentsToJson(incidents);
@@ -365,129 +350,34 @@ int main(int argc, char** argv) {
   heartbeat.images_total().store(corpus.size(), std::memory_order_relaxed);
 
   // The per-image scan body: the unit of work both the in-process loop
-  // and the supervisor's workers run. Emits image_begin/image_end
-  // events itself (inside the worker, in isolated mode); everything
-  // the fleet report needs comes back in the ScanOutcome, with JSON
-  // fragments pre-serialized so the journal can replay them
-  // byte-identically.
-  auto scan_image = [&](size_t idx, const AnalysisBudget& image_budget,
-                        bool consult_crash) -> ScanOutcome {
+  // and the supervisor's workers run. ScanImage emits the image events
+  // itself (inside the worker, in isolated mode); everything the fleet
+  // report needs comes back in the ScanOutcome, with JSON fragments
+  // pre-serialized so the journal can replay them byte-identically.
+  auto scan_image = [&](size_t idx,
+                        const AnalysisBudget& image_budget) -> ScanOutcome {
     const CorpusItem& item = corpus[idx];
-    std::string label = item.spec.vendor + " " + item.spec.product;
-    ScanOutcome out;
-    obs::Stopwatch image_watch;
-    if (events.enabled()) {
-      events.Emit(obs::Event("image_begin")
-                      .Str("image", label)
-                      .Str("vendor", item.spec.vendor)
-                      .Str("product", item.spec.product)
-                      .Str("arch", ArchName(item.spec.program.arch))
-                      .Str("packing", PackingName(item.spec.packing)));
-    }
-    // Kill-mid-scan oracle hook: a "crash" fault here dies hard with
-    // the image_begin on disk and no image_end — exactly the torn
-    // stream scan_report must triage (tests/events_test.cpp). Under
-    // the supervisor the parent consults this site instead, before
-    // the first dispatch.
-    if (consult_crash &&
-        FaultPlan::Global().ShouldFail(FaultSite::kCrash, label)) {
-      std::abort();
-    }
-
-    auto record_incident = [&](const std::string& phase,
-                               const std::string& detail,
-                               const Status& status) {
-      Incident inc;
-      inc.binary = label;
-      inc.phase = phase;
-      inc.detail = detail;
-      inc.status = status;
-      if (events.enabled()) EmitIncident(events, inc);
-      out.incidents.push_back(inc);
-      DTAINT_LOG(obs::LogLevel::kWarn, "corpus", "%s",
-                 out.incidents.back().ToString().c_str());
-    };
-    auto finish_image = [&]() {
-      if (events.enabled()) {
-        events.Emit(
-            obs::Event("image_end")
-                .Str("image", label)
-                .Str("status", out.status)
-                .Bool("complete", out.complete)
-                .Num("functions", out.functions)
-                .Num("findings", out.findings)
-                .Double("duration_ms", image_watch.Seconds() * 1e3));
-      }
-    };
-
-    auto extracted = FirmwareExtractor::Extract(item.blob, label);
-    if (!extracted.ok()) {
-      // Vendor encryption / unknown compression is the corpus's
-      // expected attrition (Unsupported); anything else is an incident.
-      if (extracted.status().code() == StatusCode::kUnsupported) {
-        out.status = "unextractable";
-        out.row = "unextractable";
-      } else {
-        out.status = "failed";
-        out.row = "FAILED: extract";
-        record_incident("extract", label, extracted.status());
-      }
-      finish_image();
-      return out;
-    }
-    const FirmwareFile* file =
-        extracted->image.FindFile(item.spec.binary_path);
-    if (!file) {
-      out.status = "failed";
-      out.row = "FAILED: no binary";
-      record_incident("load", item.spec.binary_path,
-                      NotFound(label + ": no " + item.spec.binary_path +
-                               " in extracted image"));
-      finish_image();
-      return out;
-    }
-    auto binary =
-        BinaryLoader::Load(file->bytes, label + item.spec.binary_path);
-    if (!binary.ok()) {
-      out.status = "failed";
-      out.row = "FAILED: load";
-      record_incident("load", item.spec.binary_path, binary.status());
-      finish_image();
-      return out;
-    }
     DTaintConfig config = scan.config;
     if (cache) config.interproc.cache = &*cache;
     config.interproc.budget = image_budget;
-    DTaint detector(config);
-    auto report = detector.Analyze(*binary);
-    if (!report.ok()) {
-      out.status = "failed";
-      out.row = "FAILED: analyze";
-      record_incident("analyze", binary->soname, report.status());
-      finish_image();
-      return out;
+    ImageScan image = ScanImage(
+        item.blob, item.spec.binary_path,
+        item.spec.vendor + " " + item.spec.product, config,
+        {{"vendor", item.spec.vendor},
+         {"product", item.spec.product},
+         {"arch", ArchName(item.spec.program.arch)},
+         {"packing", PackingName(item.spec.packing)}});
+    ScanOutcome& out = image.outcome;
+    if (const auto& report = image.report) {
+      out.findings_json = FindingsToJson(report->findings);
+      DetectionScore score = ScoreFindings(report->findings, item.ground_truth);
+      out.has_score = true;
+      out.score_json = ScoreToJson(score);
+      out.tp = score.true_positives;
+      out.fn = score.false_negatives;
+      out.fp = score.false_positives + score.safe_twin_hits;
     }
-    // Per-function incidents (lift failures, budget exhaustions) come
-    // back inside the report; relabel them with the fleet label so the
-    // fleet log is unambiguous across images that share a soname.
-    for (Incident inc : report->incidents) {
-      inc.binary = label;
-      out.incidents.push_back(std::move(inc));
-    }
-    out.status = "ok";
-    out.row = "ok";
-    out.complete = report->complete;
-    out.functions = report->analyzed_functions;
-    out.findings = report->findings.size();
-    out.findings_json = FindingsToJson(report->findings);
-    DetectionScore score = ScoreFindings(report->findings, item.ground_truth);
-    out.has_score = true;
-    out.score_json = ScoreToJson(score);
-    out.tp = score.true_positives;
-    out.fn = score.false_negatives;
-    out.fp = score.false_positives + score.safe_twin_hits;
-    finish_image();
-    return out;
+    return std::move(out);
   };
 
   // Folds one terminal task result into the fleet report. Always
@@ -507,19 +397,13 @@ int main(int argc, char** argv) {
     totals.worker_restarts += result.worker_restarts;
 
     if (result.state == TaskResult::State::kQuarantined) {
-      im.status = "quarantined";
+      im.outcome.status = "quarantined";
       ++totals.quarantined;
       table.AddRow({im.label, im.arch, im.packing, "QUARANTINED", "-", "-",
                     "-", "-", "-", "-", std::to_string(im.attempts)});
     } else {
       const ScanOutcome& out = result.outcome;
-      im.status = out.status;
-      im.complete = out.complete;
-      im.functions = out.functions;
-      im.finding_count = out.findings;
-      im.findings_json = out.findings_json;
-      im.has_score = out.has_score;
-      im.score_json = out.score_json;
+      im.outcome = out;
       if (out.status == "unextractable") ++totals.unextractable;
       if (out.status == "ok") {
         if (out.complete) {
@@ -583,10 +467,7 @@ int main(int argc, char** argv) {
                              .ToHex();
       tasks.push_back(std::move(task));
     }
-    std::vector<TaskResult> results = supervisor.Run(
-        tasks, [&](size_t idx, const AnalysisBudget& image_budget) {
-          return scan_image(idx, image_budget, /*consult_crash=*/false);
-        });
+    std::vector<TaskResult> results = supervisor.Run(tasks, scan_image);
     for (size_t i = 0; i < results.size(); ++i) {
       const TaskResult& result = results[i];
       if (result.state == TaskResult::State::kSkipped) {
@@ -608,7 +489,7 @@ int main(int argc, char** argv) {
       result.state = TaskResult::State::kDone;
       result.attempts = 1;
       result.in_process = true;
-      result.outcome = scan_image(idx, budget, /*consult_crash=*/true);
+      result.outcome = scan_image(idx, budget);
       fold_result(idx, result);
       heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
       const ScanOutcome& out = result.outcome;

@@ -50,6 +50,7 @@
 #include "src/cache/summary_cache.h"
 #include "src/core/cli_flags.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
 #include "src/ir/printer.h"
@@ -197,36 +198,19 @@ int CmdSynth(const std::vector<std::string>& args, const CliOptions& opts) {
   return 0;
 }
 
-Result<Binary> LoadFirstBinary(const std::string& path,
-                               bool print_rootfs = false) {
+/// The image in the file at `path`: a firmware image, unpacked, or a
+/// bare DTBIN binary as a one-file image.
+Result<FirmwareImage> ReadImage(const std::string& path) {
   std::vector<uint8_t> blob = ReadFile(path);
   if (blob.empty()) return NotFound("cannot read " + path);
-  // Accept either a firmware image or a bare DTBIN binary.
   if (BinaryLoader::LooksLikeBinary(blob)) {
-    return BinaryLoader::Load(blob, path);
+    FirmwareImage image;
+    image.files.push_back({path, std::move(blob)});
+    return image;
   }
   auto extracted = FirmwareExtractor::Extract(blob, path);
   if (!extracted.ok()) return extracted.status();
-  if (print_rootfs) {
-    std::printf("%s %s v%s (%u), %zu files:\n",
-                extracted->image.vendor.c_str(),
-                extracted->image.product.c_str(),
-                extracted->image.version.c_str(),
-                extracted->image.release_year,
-                extracted->image.files.size());
-    for (const FirmwareFile& f : extracted->image.files) {
-      std::printf("  %-26s %7zu bytes%s\n", f.path.c_str(), f.bytes.size(),
-                  BinaryLoader::LooksLikeBinary(f.bytes)
-                      ? "  [executable]"
-                      : "");
-    }
-  }
-  if (extracted->executable_paths.empty()) {
-    return NotFound(path + ": no executables in image");
-  }
-  const std::string& exec_path = extracted->executable_paths[0];
-  return BinaryLoader::Load(extracted->image.FindFile(exec_path)->bytes,
-                            path + ":" + exec_path);
+  return std::move(extracted->image);
 }
 
 int CmdExtract(const std::vector<std::string>& args) {
@@ -234,7 +218,19 @@ int CmdExtract(const std::vector<std::string>& args) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "extract: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(args[0], /*print_rootfs=*/true);
+  auto image = ReadImage(args[0]);
+  if (image.ok() && !image->vendor.empty()) {  // a bare binary has none
+    std::printf("%s %s v%s (%u), %zu files:\n", image->vendor.c_str(),
+                image->product.c_str(), image->version.c_str(),
+                image->release_year, image->files.size());
+    for (const FirmwareFile& f : image->files) {
+      std::printf("  %-26s %7zu bytes%s\n", f.path.c_str(), f.bytes.size(),
+                  BinaryLoader::LooksLikeBinary(f.bytes) ? "  [executable]"
+                                                         : "");
+    }
+  }
+  auto binary = image.ok() ? LoadImageBinary(*image, "", args[0])
+                           : Result<Binary>(image.status());
   if (!binary.ok()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "extract failed: %s",
                binary.status().ToString().c_str());
@@ -248,7 +244,9 @@ int CmdInspect(const std::vector<std::string>& args, const CliOptions& opts) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "inspect: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(args[0]);
+  auto image = ReadImage(args[0]);
+  auto binary = image.ok() ? LoadImageBinary(*image, "", args[0])
+                           : Result<Binary>(image.status());
   if (!binary.ok()) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "inspect failed: %s",
                binary.status().ToString().c_str());
@@ -310,10 +308,10 @@ int CmdScan(const std::vector<std::string>& args, const CliOptions& opts) {
     DTAINT_LOG(obs::LogLevel::kError, "cli", "scan: missing image path");
     return 2;
   }
-  auto binary = LoadFirstBinary(args[0]);
-  if (!binary.ok()) {
-    DTAINT_LOG(obs::LogLevel::kError, "cli", "scan failed: %s",
-               binary.status().ToString().c_str());
+  std::vector<uint8_t> blob = ReadFile(args[0]);
+  if (blob.empty()) {
+    DTAINT_LOG(obs::LogLevel::kError, "cli", "scan failed: cannot read %s",
+               args[0].c_str());
     return 1;
   }
   DTaintConfig config = opts.scan.config;
@@ -324,13 +322,13 @@ int CmdScan(const std::vector<std::string>& args, const CliOptions& opts) {
     cache.emplace(cache_config);
     config.interproc.cache = &*cache;
   }
-  DTaint detector(config);
-  auto report = detector.Analyze(*binary);
-  if (!report.ok()) {
-    DTAINT_LOG(obs::LogLevel::kError, "cli", "analysis failed: %s",
-               report.status().ToString().c_str());
+  ImageScan scan = ScanImage(blob, "", args[0], config);
+  if (!scan.report) {
+    DTAINT_LOG(obs::LogLevel::kError, "cli", "scan failed: %s: %s",
+               scan.outcome.row.c_str(), scan.error.ToString().c_str());
     return 1;
   }
+  const std::optional<AnalysisReport>& report = scan.report;
   if (opts.json) {
     std::printf("%s\n", ReportToJson(*report).c_str());
   } else {

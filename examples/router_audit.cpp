@@ -8,9 +8,7 @@
 // command injection, a stack overflow, and their sanitized twins.
 #include <cstdio>
 
-#include "src/binary/loader.h"
-#include "src/core/dtaint.h"
-#include "src/firmware/extractor.h"
+#include "src/core/scan_image.h"
 #include "src/firmware/packer.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/strings.h"
@@ -57,55 +55,28 @@ int main() {
               spec.version.c_str(), blob.size(),
               std::string(PackingName(spec.packing)).c_str());
 
-  // -- 1. Extract the root filesystem ---------------------------------------
-  auto extracted = FirmwareExtractor::Extract(blob);
-  if (!extracted.ok()) {
-    std::printf("extraction failed: %s\n",
-                extracted.status().ToString().c_str());
+  // -- 1-3. Extract the rootfs, load the CGI binary, run DTaint ---------------
+  // ScanImage unpacks the blob (binwalk's job), loads the binary at
+  // spec.binary_path out of its root filesystem, and analyzes it.
+  ImageScan scan = ScanImage(blob, spec.binary_path,
+                             spec.vendor + " " + spec.product, DTaintConfig{});
+  if (!scan.report) {
+    std::printf("scan %s: %s\n", scan.outcome.row.c_str(),
+                scan.error.ToString().c_str());
     return 1;
   }
-  std::printf("\nextracted rootfs (%zu files):\n",
-              extracted->image.files.size());
-  for (const FirmwareFile& file : extracted->image.files) {
-    std::printf("  %-24s %6zu bytes%s\n", file.path.c_str(),
-                file.bytes.size(),
-                BinaryLoader::LooksLikeBinary(file.bytes) ? "  [executable]"
-                                                          : "");
-  }
-
-  // -- 2. Load the binary of interest ---------------------------------------
-  if (extracted->executable_paths.empty()) {
-    std::printf("no executables found\n");
-    return 1;
-  }
-  const FirmwareFile* target =
-      extracted->image.FindFile(extracted->executable_paths[0]);
-  auto binary = BinaryLoader::Load(target->bytes);
-  if (!binary.ok()) {
-    std::printf("load failed: %s\n", binary.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("\nloaded %s (%s): %zu functions, %zu imports\n",
-              binary->soname.c_str(),
-              std::string(ArchName(binary->arch)).c_str(),
-              binary->symbols.size(), binary->imports.size());
-
-  // -- 3. Run DTaint ----------------------------------------------------------
-  DTaint detector;
-  auto report = detector.Analyze(*binary);
-  if (!report.ok()) {
-    std::printf("analysis failed: %s\n",
-                report.status().ToString().c_str());
-    return 1;
-  }
+  const AnalysisReport& report = *scan.report;
+  std::printf("\nextracted the rootfs and loaded %s as %s (%s)\n",
+              spec.binary_path.c_str(), report.binary_name.c_str(),
+              std::string(ArchName(report.arch)).c_str());
   std::printf("\nanalysis: %zu functions, %zu blocks, %zu call edges, "
               "%zu sink callsites, %.2fs\n",
-              report->analyzed_functions, report->blocks,
-              report->call_graph_edges, report->sink_count,
-              report->total_seconds);
-  std::printf("\n%zu vulnerable path(s):\n", report->findings.size());
-  for (size_t i = 0; i < report->findings.size(); ++i) {
-    const Finding& finding = report->findings[i];
+              report.analyzed_functions, report.blocks,
+              report.call_graph_edges, report.sink_count,
+              report.total_seconds);
+  std::printf("\n%zu vulnerable path(s):\n", report.findings.size());
+  for (size_t i = 0; i < report.findings.size(); ++i) {
+    const Finding& finding = report.findings[i];
     std::printf("\n[%zu] %s\n", i + 1, finding.Summary().c_str());
     for (const PathHop& hop : finding.path.hops) {
       std::printf("      %-20s %s  %s\n", hop.function.c_str(),
@@ -114,5 +85,5 @@ int main() {
   }
   std::printf("\n(2 planted bugs, 2 sanitized twins -> expect exactly the "
               "2 bugs above)\n");
-  return report->findings.size() == 2 ? 0 : 1;
+  return report.findings.size() == 2 ? 0 : 1;
 }

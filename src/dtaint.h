@@ -19,6 +19,7 @@
 #include "src/core/interproc.h"
 #include "src/core/pathfinder.h"
 #include "src/core/sanitizer.h"
+#include "src/core/scan_image.h"
 #include "src/core/structsim.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/image.h"

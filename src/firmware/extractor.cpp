@@ -1,6 +1,5 @@
 #include "src/firmware/extractor.h"
 
-#include "src/binary/loader.h"
 #include "src/firmware/packer.h"
 #include "src/resilience/fault.h"
 #include "src/util/hash.h"
@@ -149,9 +148,6 @@ Result<ExtractionResult> FirmwareExtractor::Extract(
       return CorruptData(where + "file entry truncated: " + f.path);
     }
     f.bytes = fr.Bytes(size);
-    if (BinaryLoader::LooksLikeBinary(f.bytes)) {
-      result.executable_paths.push_back(f.path);
-    }
     image.files.push_back(std::move(f));
   }
   if (!fr.ok()) return CorruptData(where + "filesystem table truncated");

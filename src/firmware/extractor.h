@@ -3,7 +3,8 @@
 // Scans a blob for the DTFW magic (images may be wrapped in vendor
 // headers / padding), parses the filesystem, undoes recoverable
 // packing (plain, xor), verifies the payload checksum, and returns the
-// unpacked FirmwareImage plus the list of executable candidates.
+// unpacked FirmwareImage (LoadImageBinary, src/core/scan_image.h, picks
+// a binary out of it).
 // Encrypted/unknown packings fail with a descriptive status, modeling
 // the >65% unpack-failure rate reported in the paper (§VI).
 #pragma once
@@ -21,8 +22,6 @@ namespace dtaint {
 
 struct ExtractionResult {
   FirmwareImage image;
-  /// Paths of files that look like DTBIN executables, in rootfs order.
-  std::vector<std::string> executable_paths;
 };
 
 class FirmwareExtractor {

@@ -279,6 +279,12 @@ int Harness::Finish(bool ok) {
   return rc;
 }
 
+int Harness::Fail(std::string_view what, const Status& status) {
+  std::printf("%.*s failed: %s\n", static_cast<int>(what.size()), what.data(),
+              status.ToString().c_str());
+  return Finish(false);
+}
+
 void Harness::SetClockForTest(std::function<double()> now_seconds) {
   now_ = std::move(now_seconds);
 }

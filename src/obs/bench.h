@@ -37,6 +37,7 @@
 #include <string_view>
 
 #include "src/obs/metrics.h"
+#include "src/util/status.h"
 
 namespace dtaint::bench {
 
@@ -142,6 +143,8 @@ class Harness {
   /// Writes --json-out if requested and returns the bench's exit code:
   /// `ok ? 0 : 1`, or 2 when the write failed.
   int Finish(bool ok);
+  /// Prints "<what> failed: <status>" and returns Finish(false).
+  int Fail(std::string_view what, const Status& status);
 
   // ---- test hooks ----------------------------------------------------------
   /// Replaces the wall clock (monotonic seconds) for deterministic

@@ -92,6 +92,8 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     im.functions = FieldCount(event, "functions");
     im.findings = FieldCount(event, "findings");
     im.duration_ms = FieldNum(event, "duration_ms");
+    ++agg->image_ends;
+    agg->image_ms += im.duration_ms;
   } else if (type == "phase_end") {
     PhaseRollup& ph =
         RowFor(agg->phases, &PhaseRollup::phase, FieldStr(event, "phase"));
@@ -123,12 +125,22 @@ void FoldEvent(const JsonValue& event, std::string_view type,
   }
 }
 
-/// Binary time no phase covers: the phases tile each binary span, so
-/// this is what the phase instrumentation misses.
+/// Summed phase time of the image around its binary (ScanImage's
+/// `extract` and `load`), or with `image` false of the binary itself.
+double PhaseMs(const ScanAggregate& agg, bool image) {
+  double ms = 0.0;
+  for (const PhaseRollup& ph : agg.phases) {
+    if ((ph.phase == "extract" || ph.phase == "load") == image) {
+      ms += ph.total_ms;
+    }
+  }
+  return ms;
+}
+
+/// Binary time no phase covers: the binary's phases tile each binary
+/// span, so this is what the phase instrumentation misses.
 double UnattributedMs(const ScanAggregate& agg) {
-  double phases_ms = 0.0;
-  for (const PhaseRollup& ph : agg.phases) phases_ms += ph.total_ms;
-  return agg.binary_ms - phases_ms;
+  return agg.binary_ms - PhaseMs(agg, /*image=*/false);
 }
 
 /// Calls fold(event, type) for every parseable event line of one
@@ -293,9 +305,12 @@ std::string AggregateToMarkdown(const ScanAggregate& agg) {
       out += buf;
     }
     std::snprintf(buf, sizeof(buf),
-                  "| binary | %llu | %.1f |\n| unattributed | | %.1f |\n",
+                  "| binary | %llu | %.1f |\n| unattributed | | %.1f |\n"
+                  "| image | %llu | %.1f |\n",
                   static_cast<unsigned long long>(agg.binaries),
-                  agg.binary_ms, UnattributedMs(agg));
+                  agg.binary_ms, UnattributedMs(agg),
+                  static_cast<unsigned long long>(agg.image_ends),
+                  agg.image_ms);
     out += buf;
   }
 
@@ -351,6 +366,10 @@ std::string AggregateToJson(const ScanAggregate& agg) {
   b.Number(agg.binary_ms);
   b.Key("unattributed_ms");
   b.Number(UnattributedMs(agg));
+  b.Key("image_ms");
+  b.Number(agg.image_ms);
+  b.Key("image_unattributed_ms");  // image time extract+load+binary miss
+  b.Number(agg.image_ms - PhaseMs(agg, /*image=*/true) - agg.binary_ms);
   b.Key("findings");
   b.Number(agg.findings);
   b.Key("incidents");

@@ -14,7 +14,8 @@
 //    image_end is reported as "in_flight": that is the image the dead
 //    worker was chewing on;
 //  * phase time breakdown (phase_end durations summed by phase name),
-//    with the summed binary_end durations and the unattributed rest;
+//    with the summed binary_end and image_end durations and what their
+//    phases leave unattributed;
 //  * top-k hot functions by summary-production time;
 //  * incident and degradation counts by phase;
 //  * whether each stream terminated cleanly (stream_end present).
@@ -95,6 +96,8 @@ struct ScanAggregate {
 
   uint64_t binaries = 0;        // binary_end events
   double binary_ms = 0.0;       // their summed duration_ms
+  uint64_t image_ends = 0;      // image_end events
+  double image_ms = 0.0;        // their summed duration_ms
   uint64_t findings = 0;        // finding events
   uint64_t incidents = 0;
   uint64_t degraded_functions = 0;  // function_end with degraded:true

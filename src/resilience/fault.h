@@ -54,13 +54,14 @@ enum class FaultSite : uint8_t {
   kCacheWrite,  // disk-cache entry write (transient I/O error)
   kExtract,     // firmware unpacking
   kLoad,        // binary image parsing
-  kCrash,       // hard process death mid-scan (corpus_scan consults it
-                // right after image_begin in-process, and the scan
-                // supervisor consults it in the parent before each
-                // first dispatch; the kill-mid-scan oracles in
-                // tests/events_test.cpp and tests/supervisor_test.cpp
-                // prove the event stream, flight recorder, and resume
-                // journal survive)
+  kCrash,       // hard process death mid-scan. ScanImage consults it
+                // right after image_begin, and the scan supervisor
+                // consults it in the parent before each first dispatch,
+                // so a crash@<label> spec (no skip) fires in the parent
+                // first and a supervised run dies there, not in a worker.
+                // The kill-mid-scan oracles in tests/events_test.cpp and
+                // tests/supervisor_test.cpp prove the event stream,
+                // flight recorder, and resume journal survive.
   kWorkerKill,  // isolated scan worker SIGKILLs itself at task start —
                 // the synthetic poison image the supervisor must
                 // retry and eventually quarantine

@@ -3,7 +3,8 @@
 // outputs; an unknown flag, a missing value, or a non-numeric,
 // negative or trailing-garbage number is an error naming the flag —
 // and corpus_scan, scan_report and bench_diff turn that error into
-// exit code 2.
+// exit code 2. dtaint_cli's scan exit codes (0 clean, 1 failed, 2
+// usage, 3 findings, 4 incomplete under --fail-fast) are pinned too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 
 #include "src/core/cli_flags.h"
 #include "src/obs/bench.h"
+#include "src/util/json.h"
 
 namespace dtaint {
 namespace {
@@ -224,6 +226,55 @@ TEST(CliFlags, ScanReportAndBenchDiffExitTwoNamingTheFlag) {
       << output;
   std::remove(events.c_str());
   std::remove(doc.c_str());
+}
+
+TEST(CliFlags, DtaintCliScanExitCodes) {
+  const char* bin = std::getenv("DTAINT_CLI_BIN");
+  if (!bin) GTEST_SKIP() << "DTAINT_CLI_BIN not set";
+  const std::string cli = std::string("\"") + bin + "\" ";
+  const std::string vulnerable = "cli_flags_test_vulnerable.dtfw";
+  const std::string clean = "cli_flags_test_clean.dtfw";
+  const std::string encrypted = "cli_flags_test_encrypted.dtfw";
+  const std::string json = "cli_flags_test_report.json";
+  std::string output;
+  ASSERT_EQ(RunTool(cli + "synth " + vulnerable, &output), 0) << output;
+  ASSERT_EQ(RunTool(cli + "synth " + clean + " --vulns 0 --safe 1", &output),
+            0)
+      << output;
+  ASSERT_EQ(
+      RunTool(cli + "synth " + encrypted + " --packing encrypted", &output), 0)
+      << output;
+
+  const struct {
+    std::string args;
+    int exit_code;
+  } cases[] = {
+      {"scan " + vulnerable, 3},
+      {"scan " + clean, 0},
+      {"scan " + encrypted, 1},
+      {"scan cli_flags_test_missing.dtfw", 1},
+      {"scan", 2},
+      {"scan " + vulnerable + " --fail-fast --max-steps 1", 4},
+  };
+  for (const auto& [args, exit_code] : cases) {
+    EXPECT_EQ(RunTool(cli + args, &output), exit_code) << args << ": "
+                                                       << output;
+  }
+
+  // --json keeps stdout one parseable report.
+  EXPECT_EQ(RunTool(cli + "scan " + vulnerable + " --json > " + json, &output),
+            3)
+      << output;
+  std::ifstream in(json);
+  std::string report((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+  auto parsed = ParseJson(report);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << report;
+  ASSERT_TRUE(parsed->is_object());
+  EXPECT_NE(parsed->Find("findings"), nullptr);
+  for (const std::string& file : {vulnerable, clean, encrypted, json}) {
+    std::remove(file.c_str());
+  }
 }
 
 }  // namespace

@@ -512,6 +512,37 @@ TEST(ScanReport, MarkdownAndJsonRender) {
   EXPECT_DOUBLE_EQ(parsed->Find("unattributed_ms")->number(), 0.5);
 }
 
+TEST(ScanReport, ImageTimeCountsExtractLoadAndBinary) {
+  // One image: extract and load tile it around the binary, and stay out
+  // of the binary's own unattributed time.
+  constexpr const char* kStream =
+      R"({"v":1,"type":"image_begin","ts_ms":0,"tid":0,"image":"E 5"}
+{"v":1,"type":"phase_end","ts_ms":1,"tid":0,"phase":"extract","duration_ms":0.5}
+{"v":1,"type":"phase_end","ts_ms":2,"tid":0,"phase":"load","duration_ms":0.25}
+{"v":1,"type":"phase_end","ts_ms":3,"tid":0,"phase":"lift","duration_ms":1.5}
+{"v":1,"type":"binary_end","ts_ms":4,"tid":0,"binary":"e","duration_ms":2.0}
+{"v":1,"type":"image_end","ts_ms":5,"tid":0,"image":"E 5","status":"ok","duration_ms":3.0}
+)";
+  obs::ScanAggregate agg;
+  obs::AggregateEvents(kStream, &agg);
+  obs::FinalizeAggregate(&agg, obs::ScanReportOptions{});
+  EXPECT_EQ(agg.image_ends, 1u);
+  EXPECT_DOUBLE_EQ(agg.image_ms, 3.0);
+
+  std::string md = obs::AggregateToMarkdown(agg);
+  EXPECT_NE(md.find("| extract | 1 | 0.5 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| load | 1 | 0.2 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| binary | 1 | 2.0 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| unattributed | | 0.5 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("| image | 1 | 3.0 |"), std::string::npos) << md;
+
+  auto parsed = ParseJson(obs::AggregateToJson(agg));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_DOUBLE_EQ(parsed->Find("unattributed_ms")->number(), 0.5);
+  EXPECT_DOUBLE_EQ(parsed->Find("image_ms")->number(), 3.0);
+  EXPECT_DOUBLE_EQ(parsed->Find("image_unattributed_ms")->number(), 0.25);
+}
+
 TEST(ScanReport, TopFunctionsTruncationIsDeterministic) {
   obs::ScanAggregate agg;
   std::string stream =
@@ -602,7 +633,6 @@ TEST(KillMidScan, TruncatedStreamYieldsCorrectPartialFleetSummary) {
   EXPECT_EQ(parseable, flight_lines.size());
   EXPECT_NE(ReadAll(flight).find("Netgear R7000"), std::string::npos);
 
-  // A fleet report over both workers' streams still renders.
   // A fleet report over both workers' streams still renders. The same
   // image completed in the clean worker, so its rollup is no longer
   // in_flight — the truncation shows up as stream health instead.

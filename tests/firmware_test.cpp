@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/core/scan_image.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
 
@@ -101,11 +102,19 @@ TEST(Extractor, TruncationDetected) {
 }
 
 TEST(Extractor, SpotsExecutables) {
+  // /bin/httpd keeps its DTB1 magic through extraction, so it is the
+  // file LoadImageBinary takes as the first executable: its truncated
+  // body fails the loader, not the lookup. Without it there is none.
   std::vector<uint8_t> blob = FirmwarePacker::Pack(TestImage());
   auto out = FirmwareExtractor::Extract(blob);
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->executable_paths.size(), 1u);
-  EXPECT_EQ(out->executable_paths[0], "/bin/httpd");
+  EXPECT_EQ(LoadImageBinary(out->image, "", "fw").status().code(),
+            StatusCode::kCorruptData);
+  std::erase_if(out->image.files, [](const FirmwareFile& f) {
+    return f.path == "/bin/httpd";
+  });
+  EXPECT_EQ(LoadImageBinary(out->image, "", "fw").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(Image, Helpers) {

@@ -110,10 +110,9 @@ void IngestBlob(const std::vector<uint8_t>& blob) {
   }
   auto extracted = FirmwareExtractor::Extract(blob, "fuzz.dtfw");
   if (!extracted.ok()) return;
-  for (const std::string& path : extracted->executable_paths) {
-    const FirmwareFile* file = extracted->image.FindFile(path);
-    ASSERT_NE(file, nullptr) << path;
-    auto bin = BinaryLoader::Load(file->bytes, path);
+  for (const FirmwareFile& file : extracted->image.files) {
+    if (!BinaryLoader::LooksLikeBinary(file.bytes)) continue;
+    auto bin = BinaryLoader::Load(file.bytes, file.path);
     if (bin.ok()) BuildCfgs(*bin);
   }
 }

@@ -2,9 +2,12 @@
 // analyze -> score against planted ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/binary/loader.h"
 #include "src/binary/writer.h"
 #include "src/core/dtaint.h"
+#include "src/core/scan_image.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
 #include "src/report/json.h"
@@ -165,14 +168,16 @@ TEST(FirmwarePipeline, PackExtractAnalyze) {
   std::vector<uint8_t> blob = FirmwarePacker::Pack(fw->image);
   auto extracted = FirmwareExtractor::Extract(blob);
   ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
-  ASSERT_EQ(extracted->executable_paths.size(), 1u);
-  EXPECT_EQ(extracted->executable_paths[0], "/bin/cgi");
-
-  const FirmwareFile* file =
-      extracted->image.FindFile(extracted->executable_paths[0]);
-  ASSERT_NE(file, nullptr);
-  auto binary = BinaryLoader::Load(file->bytes);
+  // The only executable, /bin/cgi, is the one an empty path picks.
+  EXPECT_EQ(std::ranges::count_if(extracted->image.files,
+                                  [](const FirmwareFile& f) {
+                                    return BinaryLoader::LooksLikeBinary(
+                                        f.bytes);
+                                  }),
+            1);
+  auto binary = LoadImageBinary(extracted->image, "", "fw");
   ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  EXPECT_EQ(binary->soname, "cgi");
 
   DTaint detector;
   auto report = detector.Analyze(*binary);
