@@ -120,6 +120,5 @@ int main(int argc, char** argv) {
   std::printf("\nEvent stream: %llu events emitted\n",
               static_cast<unsigned long long>(events_emitted));
   std::remove(scratch);
-  std::remove((std::string(scratch) + ".flight.ndjson").c_str());
   return harness.Finish(true);
 }

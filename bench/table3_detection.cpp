@@ -163,7 +163,6 @@ int main(int argc, char** argv) {
                   pair + 1, off, on, on / off);
     }
     std::filesystem::remove(events_path);
-    std::filesystem::remove(events_path + ".flight.ndjson");
     std::sort(ratios.begin(), ratios.end());
     const double median = ratios[ratios.size() / 2];
     rep.Value("events_emitted", static_cast<double>(emitted));

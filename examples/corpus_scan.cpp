@@ -50,8 +50,7 @@
 // Observability: `--log-level LEVEL` sets the stderr log threshold,
 // `--metrics-out FILE` dumps the metrics registry,
 // `--events-out FILE` streams the NDJSON scan event stream (schema v1,
-// see src/obs/events.h) with a `<FILE>.flight.ndjson` flight-recorder
-// dump on incident or fatal signal, and `--heartbeat-ms MS` sets the
+// see src/obs/events.h), and `--heartbeat-ms MS` sets the
 // heartbeat cadence on that stream (default 1000, 0 = off; a final
 // beat is always emitted at shutdown). Aggregate one or more event
 // streams with tools/scan_report, or convert them to a Chrome trace
@@ -192,9 +191,7 @@ void PrintUsage() {
       "  --json-out FILE      fleet report as JSON\n"
       "  --log-level LEVEL    error | warn | info | debug (stderr)\n"
       "  --metrics-out FILE   metrics registry dump as JSON\n"
-      "  --events-out FILE    NDJSON scan event stream (schema v1) +\n"
-      "                       FILE.flight.ndjson flight-recorder dump\n"
-      "                       on incident or fatal signal\n"
+      "  --events-out FILE    NDJSON scan event stream (schema v1)\n"
       "  --heartbeat-ms MS    heartbeat cadence on the event stream\n"
       "                       (default 1000, 0 = off)\n");
 }
@@ -492,9 +489,7 @@ int main(int argc, char** argv) {
       result.outcome = scan_image(idx, budget);
       fold_result(idx, result);
       heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
-      const ScanOutcome& out = result.outcome;
-      if (fail_fast && (out.status == "failed" ||
-                        (out.status == "ok" && !out.complete))) {
+      if (fail_fast && StopsFailFast(result.outcome)) {
         aborted = true;
         break;
       }

@@ -30,12 +30,10 @@
 //   --log-level error|warn|info|debug   stderr log threshold (warn)
 //   --metrics-out FILE  metrics-registry snapshot as JSON
 //   --events-out FILE   NDJSON scan event stream (schema v1, see
-//                       src/obs/events.h); a flight-recorder dump of
-//                       the most recent events lands next to it at
-//                       FILE.flight.ndjson on incident or fatal
-//                       signal. Aggregate with tools/scan_report;
-//                       `scan_report --chrome-trace OUT` converts it
-//                       to a Chrome trace (chrome://tracing, Perfetto).
+//                       src/obs/events.h). Aggregate with
+//                       tools/scan_report; `scan_report --chrome-trace
+//                       OUT` converts it to a Chrome trace
+//                       (chrome://tracing, Perfetto).
 //
 // --cache-dir enables the persistent function-summary cache: summaries
 // are stored content-addressed under DIR and re-used by later scans of

@@ -27,20 +27,25 @@ Result<AnalysisReport> DTaint::Analyze(const Binary& binary) const {
 
 Result<AnalysisReport> DTaint::AnalyzeFunctions(
     const Binary& binary, const std::vector<std::string>& only) const {
-  // Taken first so it is released last: every local below may hold
-  // expressions of this generation.
+  // The binary's clock starts before the pin: the first pin after a
+  // finished image recycles that image's expressions, and that work
+  // belongs to this binary. A Stopwatch holds no expressions.
+  obs::Stopwatch t_total;
+  obs::EventStream& events = obs::EventStream::Global();
+  if (events.enabled()) {
+    events.Emit(obs::Event("binary_begin")
+                    .Str("binary", binary.soname)
+                    .Str("arch", ArchName(binary.arch)));
+  }
+  // Taken before any other local so it is released after them: every
+  // local below may hold expressions of this generation.
   InternPin pin = ExprInterner::Global().Pin();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Stopwatch t_total;
   AnalysisReport report;
   report.binary_name = binary.soname;
   report.arch = binary.arch;
-  obs::EventStream& events = obs::EventStream::Global();
   obs::MetricsSnapshot metrics_before = registry.Snapshot();
   if (events.enabled()) {
-    events.Emit(obs::Event("binary_begin")
-                    .Str("binary", report.binary_name)
-                    .Str("arch", ArchName(binary.arch)));
     events.Emit(obs::Event("alias_mode")
                     .Str("mode", config_.enable_alias ? "ondemand" : "off"));
   }
@@ -260,8 +265,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   graph = CallGraph();
   program = Program();
   report.ddg_seconds += report_phase.Finish();
-  report.total_seconds = t_total.Seconds();
   report.metrics = registry.Snapshot().DeltaSince(metrics_before);
+  report.total_seconds = t_total.Seconds();
   if (events.enabled()) {
     events.Emit(obs::Event("binary_end")
                     .Str("binary", report.binary_name)

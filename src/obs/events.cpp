@@ -1,11 +1,9 @@
 #include "src/obs/events.h"
 
 #include <fcntl.h>
-#include <signal.h>
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 
 #include "src/obs/log.h"
@@ -48,110 +46,6 @@ Event& Event::Bool(std::string_view key, bool value) {
   return *this;
 }
 
-// ---- FlightRecorder -------------------------------------------------------
-
-FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* recorder = new FlightRecorder();
-  return *recorder;
-}
-
-void FlightRecorder::Arm(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = std::min(path.size(), sizeof(path_) - 1);
-  std::memcpy(path_, path.data(), n);
-  path_[n] = '\0';
-  for (Slot& slot : slots_) slot.len = 0;
-  seq_.store(0, std::memory_order_relaxed);
-  armed_.store(true, std::memory_order_release);
-}
-
-void FlightRecorder::Disarm() { armed_.store(false, std::memory_order_release); }
-
-void FlightRecorder::Record(std::string_view line) {
-  if (!armed()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t s = seq_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[s % kSlots];
-  size_t n = std::min(line.size(), kSlotBytes - 2);
-  std::memcpy(slot.text, line.data(), n);
-  slot.text[n] = '\n';
-  slot.len = static_cast<uint32_t>(n + 1);
-}
-
-bool FlightRecorder::WriteDump() const {
-  int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  uint64_t end = seq_.load(std::memory_order_relaxed);
-  uint64_t begin = end > kSlots ? end - kSlots : 0;
-  for (uint64_t s = begin; s < end; ++s) {
-    const Slot& slot = slots_[s % kSlots];
-    uint32_t len = slot.len;
-    if (len == 0 || len > kSlotBytes) continue;
-    ssize_t ignored = ::write(fd, slot.text, len);
-    (void)ignored;
-  }
-  ::close(fd);
-  return true;
-}
-
-bool FlightRecorder::Dump() {
-  if (!armed()) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  return WriteDump();
-}
-
-void FlightRecorder::DumpFromSignal() {
-  // No locking — the handler may have interrupted a Record() holding
-  // mu_. open/write/close are async-signal-safe; a concurrently
-  // written slot may come out torn, and NDJSON consumers skip it.
-  if (armed()) WriteDump();
-}
-
-// ---- crash hook -----------------------------------------------------------
-
-namespace {
-
-void CrashSignalHandler(int signum) {
-  FlightRecorder::Global().DumpFromSignal();
-  // Re-raise with the default action so the exit status still says
-  // "killed by signal" (and core dumps still happen where enabled).
-  ::signal(signum, SIG_DFL);
-  ::raise(signum);
-}
-
-/// Log-sink tee: renders the record exactly like the default stderr
-/// sink *and* records a "log"-type NDJSON line into the flight
-/// recorder, so a crash dump interleaves diagnostics with events.
-void FlightLogSink(LogLevel level, std::string_view component,
-                   std::string_view message, void* /*user*/) {
-  DefaultLogSink(level, component, message, nullptr);
-  FlightRecorder& recorder = FlightRecorder::Global();
-  if (!recorder.armed()) return;
-  std::string line = "{\"v\":" + std::to_string(kEventSchemaVersion) +
-                     ",\"type\":\"log\",\"level\":\"";
-  line += LogLevelName(level);
-  line += "\",\"tid\":" + std::to_string(ThreadId());
-  line += ",\"component\":\"" + JsonEscape(component) + "\"";
-  line += ",\"message\":\"" + JsonEscape(message) + "\"}";
-  recorder.Record(line);
-}
-
-}  // namespace
-
-void InstallCrashHandler() {
-  static bool installed = [] {
-    struct sigaction action;
-    std::memset(&action, 0, sizeof(action));
-    action.sa_handler = CrashSignalHandler;
-    sigemptyset(&action.sa_mask);
-    for (int signum : {SIGSEGV, SIGBUS, SIGILL, SIGFPE, SIGABRT}) {
-      ::sigaction(signum, &action, nullptr);
-    }
-    return true;
-  }();
-  (void)installed;
-}
-
 // ---- EventStream ----------------------------------------------------------
 
 EventStream& EventStream::Global() {
@@ -179,10 +73,6 @@ bool EventStream::Open(const std::string& path, std::string_view tool) {
   enabled_.store(true, std::memory_order_release);
   lock.unlock();
 
-  FlightRecorder::Global().Arm(path + ".flight.ndjson");
-  InstallCrashHandler();
-  SetLogSink(&FlightLogSink, nullptr);
-
   Event begin("stream_begin");
   begin.Str("tool", tool)
       .Num("pid", static_cast<uint64_t>(::getpid()))
@@ -198,8 +88,6 @@ void EventStream::Close(std::string_view outcome) {
   end.Str("outcome", outcome)
       .Num("events", EventCount() + 1);  // count includes this line
   Emit(end);
-  SetLogSink(nullptr, nullptr);
-  FlightRecorder::Global().Disarm();
   std::lock_guard<std::mutex> lock(mu_);
   enabled_.store(false, std::memory_order_release);
   if (fd_ >= 0) {
@@ -232,8 +120,6 @@ void EventStream::Emit(const Event& event) {
   }
   count_.fetch_add(1, std::memory_order_relaxed);
   MetricsRegistry::Global().counter("events.emitted").Add();
-  FlightRecorder::Global().Record(
-      std::string_view(line.data(), line.size() - 1));  // sans '\n'
 }
 
 void EventStream::EmitHeartbeat(uint64_t images_done, uint64_t images_total,
@@ -267,9 +153,6 @@ void EmitIncident(EventStream& stream, const Incident& incident) {
         .Double("elapsed_ms", incident.budget.elapsed_ms, 3);
   }
   stream.Emit(event);
-  // An incident is the "something went wrong" moment — flush the ring
-  // now so the lead-up survives even if the process dies later.
-  FlightRecorder::Global().Dump();
 }
 
 uint64_t CurrentRssBytes() {

@@ -7,9 +7,11 @@
 // exhaustion, the alias setting, incidents, per-finding evidence,
 // periodic heartbeats) is serialized as one JSON line and appended to
 // the `--events-out` file with a single O_APPEND write(2) — so every
-// event that was emitted before a crash is on disk, each on its own
-// parseable line. Consumers (tools/scan_report, the fleet triage
-// pipeline) tolerate a torn final line; everything before it is valid.
+// event emitted before the process dies is in the file, each on its
+// own parseable line. (The stream never fsyncs: a crash of the machine
+// itself can still lose its tail.) Consumers (tools/scan_report, the
+// fleet triage pipeline) tolerate a torn final line; everything
+// before it is valid.
 // It is also the one recorder of the scan's timeline: the Chrome trace
 // is derived from its begin/end pairs (`scan_report --chrome-trace`,
 // src/obs/scan_report.h), so the stream's crash tolerance is the
@@ -45,18 +47,9 @@
 //                                functions done + functions/sec, RSS,
 //                                events emitted — a stalled worker is
 //                                distinguishable from a slow one
-//   log                          flight-recorder-only: a log record
 //
 // Event *counts* per type are deterministic for a given program and
 // config (timestamps are not); the benches exact-match the totals.
-//
-// The flight recorder is the crash half: a fixed-size lock-protected
-// ring of the most recent event lines plus log records. Incident
-// emission flushes it to `<events-out>.flight.ndjson`, and a fatal-
-// signal hook (SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT) dumps it with
-// async-signal-safe writes only — so the last moments before a crash
-// are always recoverable even if the OS page cache ate the tail of the
-// main stream.
 #pragma once
 
 #include <algorithm>
@@ -103,71 +96,6 @@ class Event {
   std::string fields_;  // ",\"k\":v,\"k2\":v2" — envelope tail
 };
 
-/// Fixed-size ring of the most recent NDJSON lines. Record() is
-/// mutex-guarded (cheap; emission is never the hot path — the write(2)
-/// of the main stream dominates). Dump() rewrites the armed path with
-/// the ring's contents oldest-first; DumpFromSignal() does the same
-/// with open/write/close only and NO locking — best effort by design:
-/// a line being concurrently overwritten may come out torn, which the
-/// NDJSON consumers already tolerate.
-class FlightRecorder {
- public:
-  static constexpr size_t kSlots = 256;
-  static constexpr size_t kSlotBytes = 768;
-
-  static FlightRecorder& Global();
-
-  /// Enables recording and sets the dump path (also what the fatal-
-  /// signal hook writes). Clears previously recorded lines.
-  void Arm(const std::string& path);
-  void Disarm();
-  bool armed() const { return armed_.load(std::memory_order_acquire); }
-
-  /// Appends one line (truncated to kSlotBytes-2). No-op when disarmed.
-  void Record(std::string_view line);
-
-  /// Normal-context dump (takes the lock). False on I/O failure.
-  bool Dump();
-  /// Async-signal-safe dump for the crash hook.
-  void DumpFromSignal();
-
-  /// Total lines recorded since Arm (tests).
-  uint64_t recorded() const { return seq_.load(std::memory_order_relaxed); }
-
-  /// Acquires the recorder's lock for the duration of a fork(2). The
-  /// scan supervisor holds it (with the other singleton locks) across
-  /// fork so a child never inherits a mutex mid-Record from another
-  /// thread — which would deadlock the child's first event emission.
-  std::unique_lock<std::mutex> LockForFork() {
-    return std::unique_lock<std::mutex>(mu_);
-  }
-
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
- private:
-  FlightRecorder() = default;
-  /// Rewrites the armed path with the ring, oldest line first, using
-  /// open/write/close only. False when the file cannot be opened.
-  bool WriteDump() const;
-
-  struct Slot {
-    uint32_t len = 0;
-    char text[kSlotBytes];
-  };
-
-  mutable std::mutex mu_;
-  Slot slots_[kSlots];
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<bool> armed_{false};
-  char path_[512] = {0};
-};
-
-/// Installs the fatal-signal hook (SIGSEGV, SIGBUS, SIGILL, SIGFPE,
-/// SIGABRT) that dumps the flight recorder before re-raising the
-/// default action. Idempotent; EventStream::Open calls it.
-void InstallCrashHandler();
-
 class EventStream {
  public:
   EventStream() = default;
@@ -178,10 +106,9 @@ class EventStream {
   /// The stream the pipeline reports into (opened by --events-out).
   static EventStream& Global();
 
-  /// Creates/truncates `path`, writes the stream_begin event, arms the
-  /// global flight recorder at `path + ".flight.ndjson"`, installs the
-  /// crash hook, and tees log records into the recorder. False on I/O
-  /// failure (stream stays disabled).
+  /// Creates/truncates `path` and writes the stream_begin event. False
+  /// on I/O failure (stream stays disabled). The log sink is left
+  /// alone: log records never enter the stream.
   bool Open(const std::string& path, std::string_view tool);
 
   /// Writes the stream_end event and closes. Safe when never opened.
@@ -189,9 +116,8 @@ class EventStream {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Serializes and appends one event line (single write(2)); also
-  /// records the line into the flight recorder and bumps the per-type
-  /// count. No-op when the stream is not open.
+  /// Serializes and appends one event line (single write(2)) and bumps
+  /// the event count. No-op when the stream is not open.
   void Emit(const Event& event);
 
   /// Emits a heartbeat carrying the standard progress gauges. Callers
@@ -205,7 +131,10 @@ class EventStream {
   /// Milliseconds since Open (what ts_ms carries).
   double NowRelMillis() const;
 
-  /// See FlightRecorder::LockForFork.
+  /// Acquires the stream's lock for the duration of a fork(2). The
+  /// scan supervisor holds it (with the other singleton locks) across
+  /// fork so a child never inherits the mutex mid-Emit from another
+  /// thread — which would deadlock the child's first event emission.
   std::unique_lock<std::mutex> LockForFork() {
     return std::unique_lock<std::mutex>(mu_);
   }
@@ -219,9 +148,7 @@ class EventStream {
 };
 
 /// Emits an `incident` event mirroring `incident` (budget cause
-/// included when set) and flushes the flight recorder — incident
-/// handling is one of the two flush triggers, so the recorder's view
-/// of "what led up to this" is on disk even if the process dies later.
+/// included when set).
 void EmitIncident(EventStream& stream, const Incident& incident);
 
 /// Resident-set size of this process in bytes (Linux /proc; 0 where

@@ -58,8 +58,7 @@ void InstallChildThreadId() { t_thread_id = t_reserved_for_child; }
 [[maybe_unused]] const int g_atfork = ::pthread_atfork(
     &ReserveChildThreadId, nullptr, &InstallChildThreadId);
 
-}  // namespace
-
+/// The built-in stderr sink: `ts=… level=… tid=… component: message`.
 void DefaultLogSink(LogLevel level, std::string_view component,
                     std::string_view message, void* /*user*/) {
   // One buffered line per record so concurrent threads don't interleave
@@ -79,6 +78,8 @@ void DefaultLogSink(LogLevel level, std::string_view component,
   line += '\n';
   std::fwrite(line.data(), 1, line.size(), stderr);
 }
+
+}  // namespace
 
 std::string_view LogLevelName(LogLevel level) {
   switch (level) {

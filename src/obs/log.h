@@ -53,13 +53,6 @@ using LogSink = void (*)(LogLevel level, std::string_view component,
 /// Replaces the sink; nullptr restores the stderr default.
 void SetLogSink(LogSink sink, void* user);
 
-/// The built-in stderr sink (`ts=… level=… tid=… component: message`,
-/// one atomic line per record). Exposed so tee sinks — the event
-/// stream's flight recorder captures log records while keeping stderr
-/// behavior — can chain to it instead of re-implementing the format.
-void DefaultLogSink(LogLevel level, std::string_view component,
-                    std::string_view message, void* user);
-
 /// Emits one record if `level` is enabled.
 void Log(LogLevel level, std::string_view component,
          std::string_view message);

@@ -20,6 +20,12 @@ void Histogram::Observe(uint64_t v) {
 
 namespace {
 
+/// Largest value bucket `i` holds (bucket 0 is {0}, bucket i>=1 is
+/// [2^(i-1), 2^i)).
+uint64_t BucketUpperBound(size_t i) {
+  return i == 0 ? 0 : (i >= 64 ? UINT64_MAX : (uint64_t{1} << i) - 1);
+}
+
 /// Upper bound of the bucket holding the q-quantile sample (1-based
 /// rank, at least 1), clamped to `max_clamp`; 0 when empty.
 template <typename Buckets>
@@ -32,11 +38,7 @@ uint64_t QuantileOf(const Buckets& buckets, uint64_t count, double q,
   uint64_t cumulative = 0;
   for (size_t i = 0; i < std::size(buckets); ++i) {
     cumulative += buckets[i];
-    if (cumulative >= rank) {
-      uint64_t upper =
-          i == 0 ? 0 : (i >= 64 ? UINT64_MAX : (uint64_t{1} << i) - 1);
-      return std::min(upper, max_clamp);
-    }
+    if (cumulative >= rank) return std::min(BucketUpperBound(i), max_clamp);
   }
   return max_clamp;
 }
@@ -101,12 +103,17 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
       continue;
     }
     std::vector<uint64_t> diff = stats.buckets;
+    // The interval's own max is unknown; the smaller of the cumulative
+    // max and the top of its highest non-empty bucket still bounds it.
+    // An interval without samples has max 0.
+    uint64_t max = 0;
     for (size_t i = 0; i < diff.size(); ++i) {
       uint64_t b = prior.buckets[i];
       diff[i] = diff[i] >= b ? diff[i] - b : 0;
+      if (diff[i] > 0) max = std::min(stats.max, BucketUpperBound(i));
     }
     uint64_t sum = stats.sum >= prior.sum ? stats.sum - prior.sum : 0;
-    stats = HistogramStatsFromBuckets(std::move(diff), sum, stats.max);
+    stats = HistogramStatsFromBuckets(std::move(diff), sum, max);
   }
   return delta;
 }

@@ -81,8 +81,9 @@ struct HistogramStats {
 
 /// Recomputes count + quantiles from raw bucket counts. Quantiles are
 /// bucket upper bounds clamped to `max_clamp` (the exact observed max
-/// for a live histogram; the cumulative max for a delta, where the
-/// true per-interval max is unknowable — still a sound upper bound).
+/// for a live histogram; for a delta, where the true per-interval max
+/// is unknowable, the smaller of the cumulative max and the top of the
+/// delta's highest non-empty bucket — still a sound upper bound).
 HistogramStats HistogramStatsFromBuckets(std::vector<uint64_t> buckets,
                                          uint64_t sum, uint64_t max_clamp);
 
@@ -128,10 +129,11 @@ struct MetricsSnapshot {
 
   /// Per-run view: counters become deltas against `before`; histograms
   /// are subtracted bucket-wise (count/sum/quantiles recomputed over
-  /// the interval's samples only, max kept as the cumulative upper
-  /// bound) when both snapshots carry raw buckets, so successive runs
-  /// against one registry don't contaminate each other's quantiles;
-  /// gauges keep this snapshot's (current) values.
+  /// the interval's samples only; max as HistogramStatsFromBuckets
+  /// describes, 0 without samples) when both snapshots carry raw
+  /// buckets, so successive runs against one registry don't
+  /// contaminate each other's quantiles; gauges keep this snapshot's
+  /// (current) values.
   MetricsSnapshot DeltaSince(const MetricsSnapshot& before) const;
 
   bool operator==(const MetricsSnapshot&) const = default;
@@ -171,7 +173,7 @@ class MetricsRegistry {
   /// Acquires the registry's map lock for the duration of a fork(2),
   /// so a forked scan worker never inherits it mid-counter-creation
   /// from another thread (instrument *mutation* is lock-free and safe
-  /// regardless). See FlightRecorder::LockForFork.
+  /// regardless). See EventStream::LockForFork.
   std::unique_lock<std::mutex> LockForFork() {
     return std::unique_lock<std::mutex>(mu_);
   }

@@ -3,11 +3,9 @@
 //
 // Input is one or more event streams: live ones, finished ones, and —
 // the case that motivates the whole subsystem — truncated ones left by
-// killed or crashed workers (flight-recorder dumps are valid input
-// too, but overlap the tail of their parent stream, so aggregate one
-// or the other). Parsing is line-at-a-time and defensive: a torn final
-// line, a flight-recorder slot overwritten mid-dump, or garbage in the
-// middle is counted as malformed and skipped, never fatal.
+// killed or crashed workers. Parsing is line-at-a-time and defensive:
+// a torn final line or garbage in the middle is counted as malformed
+// and skipped, never fatal.
 //
 // The aggregate answers the fleet operator's triage questions:
 //  * per-image status table — an image_begin with no matching

@@ -60,8 +60,8 @@ enum class FaultSite : uint8_t {
                 // so a crash@<label> spec (no skip) fires in the parent
                 // first and a supervised run dies there, not in a worker.
                 // The kill-mid-scan oracles in tests/events_test.cpp and
-                // tests/supervisor_test.cpp prove the event stream,
-                // flight recorder, and resume journal survive.
+                // tests/supervisor_test.cpp prove the event stream and
+                // the resume journal survive.
   kWorkerKill,  // isolated scan worker SIGKILLs itself at task start —
                 // the synthetic poison image the supervisor must
                 // retry and eventually quarantine

@@ -80,6 +80,14 @@ struct ScanOutcome {
   std::vector<Incident> incidents;
 };
 
+/// Whether `outcome` stops a fail-fast fleet run: the scan failed, or
+/// it finished without being complete. An unextractable image does
+/// not stop it.
+inline bool StopsFailFast(const ScanOutcome& outcome) {
+  return outcome.status == "failed" ||
+         (outcome.status == "ok" && !outcome.complete);
+}
+
 /// Serializes an outcome as one JSON object (stable key order — the
 /// codec is part of the resume oracle's byte-identity contract).
 std::string ScanOutcomeToJson(const ScanOutcome& outcome);

@@ -262,14 +262,12 @@ bool ScanSupervisor::ForkWorker(const std::vector<TaskSpec>& tasks,
     // deadlock either.
     auto stream_lock = obs::EventStream::Global().LockForFork();
     auto metrics_lock = obs::MetricsRegistry::Global().LockForFork();
-    auto recorder_lock = obs::FlightRecorder::Global().LockForFork();
     auto fault_lock = FaultPlan::Global().LockForFork();
     pid = ::fork();
     if (pid == 0) {
       // This thread did the forking, so the child's copy of each mutex
       // is owned by the (only surviving) thread — unlocking is legal.
       fault_lock.unlock();
-      recorder_lock.unlock();
       metrics_lock.unlock();
       stream_lock.unlock();
       ::close(cmd[1]);
@@ -528,6 +526,9 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     record.incidents = result.incidents;
     record.outcome = result.outcome;
     journal_append(record);
+    if (config_.stop_on_failure && StopsFailFast(result.outcome)) {
+      stopped = true;
+    }
   };
 
   auto handle_failure = [&](size_t index, WorkerFailure failure,

@@ -118,7 +118,9 @@ struct SupervisorConfig {
   std::string journal_dir;
   /// Replay the journal first and skip images already done/quarantined.
   bool resume = false;
-  /// Stop dispatching new images after a quarantine (fail-fast fleets).
+  /// Stop dispatching new images after a quarantine, or after a task
+  /// whose outcome StopsFailFast (fail-fast fleets). Outcomes replayed
+  /// from the journal never stop a run.
   bool stop_on_failure = false;
   /// Run every task in-process (no fork) — the A side of the bench A/B
   /// and the deterministic-path half of the supervisor tests. Journal

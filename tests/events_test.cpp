@@ -1,17 +1,15 @@
-// Event stream, flight recorder, and scan_report tests.
+// Event stream and scan_report tests.
 //
 // Covers the crash-safety contract end to end: every emitted line is
 // parseable NDJSON (validated against the repo's own JSON parser),
-// per-type event counts are deterministic across identical runs, the
-// pipeline's phases tile the binary in the event stream, in the Chrome
-// trace converted from it and in the metrics alike, the converter
-// emits golden begin/end records and survives torn streams, the
-// flight-recorder ring wraps and dumps
-// correctly (from normal context and after a real fatal signal in a
-// child process), and scan_report produces a correct partial fleet
-// summary from the truncated stream a killed corpus_scan worker leaves
-// behind — checked against the ground truth of a clean run of the same
-// corpus.
+// concurrent emitters never tear or lose a line, per-type event counts
+// are deterministic across identical runs, the pipeline's phases tile
+// the binary in the event stream, in the Chrome trace converted from
+// it and in the metrics alike, the converter emits golden begin/end
+// records and survives torn streams, the stream leaves the log sink
+// alone, and scan_report produces a correct partial fleet summary from
+// the truncated stream a killed corpus_scan worker leaves behind —
+// checked against the ground truth of a clean run of the same corpus.
 //
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
@@ -23,6 +21,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/dtaint.h"
@@ -333,68 +332,11 @@ TEST(EventStream, DisabledStreamEmitsNothingAndCountsZero) {
   stream.Close("ok");  // safe when never opened
 }
 
-// --------------------------------------------------------- flight recorder
-
-TEST(FlightRecorder, RingWrapsAndDumpsOldestFirst) {
-  fs::path path = ArtifactDir() / "ring_wrap.flight.ndjson";
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  recorder.Arm(path.string());
-  constexpr size_t kTotal = obs::FlightRecorder::kSlots + 50;
-  for (size_t i = 0; i < kTotal; ++i) {
-    recorder.Record("{\"type\":\"log\",\"seq\":" + std::to_string(i) + "}");
-  }
-  EXPECT_EQ(recorder.recorded(), kTotal);
-  ASSERT_TRUE(recorder.Dump());
-  recorder.Disarm();
-
-  std::vector<std::string> lines = Lines(ReadAll(path));
-  ASSERT_EQ(lines.size(), obs::FlightRecorder::kSlots);
-  // Oldest surviving line is kTotal - kSlots; newest is kTotal - 1.
-  auto first = ParseJson(lines.front());
-  auto last = ParseJson(lines.back());
-  ASSERT_TRUE(first.ok() && last.ok());
-  EXPECT_EQ(static_cast<size_t>(first->Find("seq")->number()),
-            kTotal - obs::FlightRecorder::kSlots);
-  EXPECT_EQ(static_cast<size_t>(last->Find("seq")->number()), kTotal - 1);
-}
-
-TEST(FlightRecorder, LongLinesAreTruncatedNotCorrupting) {
-  fs::path path = ArtifactDir() / "ring_trunc.flight.ndjson";
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  recorder.Arm(path.string());
-  recorder.Record(std::string(obs::FlightRecorder::kSlotBytes * 2, 'x'));
-  recorder.Record("short");
-  ASSERT_TRUE(recorder.Dump());
-  recorder.Disarm();
-  std::vector<std::string> lines = Lines(ReadAll(path));
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_LE(lines[0].size(), obs::FlightRecorder::kSlotBytes);
-  EXPECT_EQ(lines[1], "short");
-}
-
-TEST(FlightRecorder, LogRecordsAreTeedIntoRecorderNotMainStream) {
-  fs::path path = ArtifactDir() / "log_tee.ndjson";
-  obs::EventStream& events = obs::EventStream::Global();
-  ASSERT_TRUE(events.Open(path.string(), "events_test"));
-  obs::LogLevel saved = obs::GetLogLevel();
-  obs::SetLogLevel(obs::LogLevel::kWarn);
-  DTAINT_LOG(obs::LogLevel::kWarn, "tee_test", "flight %d", 42);
-  obs::SetLogLevel(saved);
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  ASSERT_TRUE(recorder.Dump());
-  std::string flight = ReadAll(path.string() + ".flight.ndjson");
-  EXPECT_NE(flight.find("\"type\":\"log\""), std::string::npos);
-  EXPECT_NE(flight.find("flight 42"), std::string::npos);
-  events.Close("ok");
-  // Log records go to the recorder only — the durable stream carries
-  // scan events, not chatter.
-  EXPECT_EQ(ReadAll(path).find("tee_test"), std::string::npos);
-}
-
-TEST(FlightRecorder, IncidentEmissionFlushesFlightFile) {
-  fs::path path = ArtifactDir() / "incident_flush.ndjson";
-  fs::path flight = path.string() + ".flight.ndjson";
-  fs::remove(flight);
+TEST(EventStream, IncidentLandsInTheStreamAndNowhereElse) {
+  fs::path dir = ArtifactDir() / "incident_stream";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::path path = dir / "incident.ndjson";
   obs::EventStream& events = obs::EventStream::Global();
   ASSERT_TRUE(events.Open(path.string(), "events_test"));
   Incident incident;
@@ -407,14 +349,85 @@ TEST(FlightRecorder, IncidentEmissionFlushesFlightFile) {
   obs::EmitIncident(events, incident);
   events.Close("ok");
 
-  ASSERT_TRUE(fs::exists(flight));
   std::string main_stream = ReadAll(path);
   EXPECT_NE(main_stream.find("\"type\":\"incident\""), std::string::npos);
   EXPECT_NE(main_stream.find("\"cause\":"), std::string::npos);
-  for (const std::string& line : Lines(ReadAll(flight))) {
-    if (line.empty()) continue;
-    EXPECT_TRUE(ParseJson(line).ok()) << line;
+  // The stream is the one record: no side file appears beside it.
+  size_t files = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path(), path);
+    ++files;
   }
+  EXPECT_EQ(files, 1u);
+}
+
+/// Log sink that keeps every message it receives.
+void CaptureLogSink(obs::LogLevel, std::string_view, std::string_view message,
+                    void* user) {
+  static_cast<std::vector<std::string>*>(user)->emplace_back(message);
+}
+
+TEST(EventStream, OpenAndCloseLeaveTheLogSinkAlone) {
+  fs::path path = ArtifactDir() / "log_sink.ndjson";
+  std::vector<std::string> captured;
+  obs::SetLogSink(&CaptureLogSink, &captured);
+  obs::LogLevel saved = obs::GetLogLevel();
+  obs::SetLogLevel(obs::LogLevel::kWarn);
+  obs::EventStream& events = obs::EventStream::Global();
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  DTAINT_LOG(obs::LogLevel::kWarn, "sink_test", "during %d", 1);
+  events.Close("ok");
+  DTAINT_LOG(obs::LogLevel::kWarn, "sink_test", "after %d", 2);
+  obs::SetLogLevel(saved);
+  obs::SetLogSink(nullptr, nullptr);
+
+  EXPECT_EQ(captured, (std::vector<std::string>{"during 1", "after 2"}));
+  // Log records are diagnostics, not scan events.
+  std::string stream = ReadAll(path);
+  EXPECT_EQ(stream.find("sink_test"), std::string::npos);
+  EXPECT_EQ(stream.find("during 1"), std::string::npos);
+}
+
+TEST(EventStream, ConcurrentEmittersWriteWholeLines) {
+  fs::path path = ArtifactDir() / "concurrent.ndjson";
+  constexpr int kThreads = 8;
+  constexpr int kEventsPerThread = 500;
+  obs::EventStream& events = obs::EventStream::Global();
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  {
+    // The heartbeat thread emits alongside the emitters, as it does
+    // beside the summary threads of every corpus_scan run.
+    obs::Heartbeat heartbeat(events, 1);
+    std::vector<std::thread> emitters;
+    for (int t = 0; t < kThreads; ++t) {
+      emitters.emplace_back([&events, t] {
+        for (int i = 0; i < kEventsPerThread; ++i) {
+          events.Emit(obs::Event("probe").Num("emitter", t).Num("seq", i));
+        }
+      });
+    }
+    for (std::thread& emitter : emitters) emitter.join();
+  }
+  events.Close("ok");
+
+  std::vector<std::string> lines = Lines(ReadAll(path));
+  std::vector<int> per_emitter(kThreads, 0);
+  uint64_t stream_end_events = 0;
+  for (const std::string& line : lines) {
+    auto event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    std::string type = event->Find("type")->string();
+    if (type == "probe") {
+      ++per_emitter[static_cast<size_t>(event->Find("emitter")->number())];
+    } else if (type == "stream_end") {
+      stream_end_events =
+          static_cast<uint64_t>(event->Find("events")->number());
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(per_emitter[static_cast<size_t>(t)], kEventsPerThread) << t;
+  }
+  EXPECT_EQ(stream_end_events, lines.size());
 }
 
 // -------------------------------------------------------------- aggregation
@@ -575,8 +588,6 @@ TEST(KillMidScan, TruncatedStreamYieldsCorrectPartialFleetSummary) {
   fs::path dir = ArtifactDir();
   fs::path clean = dir / "kill_clean.ndjson";
   fs::path crashed = dir / "kill_crashed.ndjson";
-  fs::path flight = dir / "kill_crashed.ndjson.flight.ndjson";
-  fs::remove(flight);
 
   // Ground truth: the same corpus scanned to completion. Heartbeats
   // off so both event streams are fully deterministic.
@@ -619,19 +630,6 @@ TEST(KillMidScan, TruncatedStreamYieldsCorrectPartialFleetSummary) {
   }
   EXPECT_EQ(crash_agg->images[2].image, "Netgear R7000");
   EXPECT_EQ(crash_agg->images[2].status, "in_flight");
-
-  // The SIGABRT hook dumped the flight recorder; every line of the
-  // dump is valid NDJSON and the tail matches the main stream's tail.
-  ASSERT_TRUE(fs::exists(flight));
-  std::vector<std::string> flight_lines = Lines(ReadAll(flight));
-  ASSERT_FALSE(flight_lines.empty());
-  size_t parseable = 0;
-  for (const std::string& line : flight_lines) {
-    if (line.empty()) continue;
-    if (ParseJson(line).ok()) ++parseable;
-  }
-  EXPECT_EQ(parseable, flight_lines.size());
-  EXPECT_NE(ReadAll(flight).find("Netgear R7000"), std::string::npos);
 
   // A fleet report over both workers' streams still renders. The same
   // image completed in the clean worker, so its rollup is no longer

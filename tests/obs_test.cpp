@@ -192,8 +192,10 @@ TEST(MetricsSnapshot, DeltaSinceSubtractsCounters) {
 TEST(MetricsSnapshot, DeltaSinceSubtractsHistogramsBucketWise) {
   obs::MetricsRegistry registry;
   obs::Histogram& h = registry.histogram("lat");
+  obs::Histogram& idle = registry.histogram("idle");
   // Run 1: a thousand large samples push the cumulative p50 to 511.
   for (uint64_t v = 1; v <= 1000; ++v) h.Observe(v);
+  idle.Observe(74);
   obs::MetricsSnapshot before = registry.Snapshot();
   // Run 2: three tiny samples. Without bucket-wise subtraction the
   // delta would report run 1's quantiles (cross-run contamination).
@@ -209,6 +211,13 @@ TEST(MetricsSnapshot, DeltaSinceSubtractsHistogramsBucketWise) {
   // bucket-wise subtraction they'd still report run 1's p50 of 511.
   EXPECT_EQ(stats.p50, 1u);
   EXPECT_EQ(stats.p99, 3u);
+  // The max is bounded by the top of the highest non-empty bucket
+  // ({2, 3}), not the cumulative 1000.
+  EXPECT_EQ(stats.max, 3u);
+  // A histogram that took no sample in the interval reports max 0.
+  const obs::HistogramStats& quiet = delta.histograms.at("idle");
+  EXPECT_EQ(quiet.count, 0u);
+  EXPECT_EQ(quiet.max, 0u);
 }
 
 TEST(MetricsRegistry, ResetZeroesInstrumentsKeepsHandles) {
@@ -556,7 +565,6 @@ TEST(Phase, OneScopeIsOneEventPairAndOneSample) {
     }
   }
   std::remove(path.c_str());
-  std::remove((path + ".flight.ndjson").c_str());
   EXPECT_EQ(begins, 1);
   EXPECT_EQ(ends, 1);
 

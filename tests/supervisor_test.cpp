@@ -897,5 +897,35 @@ TEST_F(SupervisorTest, PoisonImageQuarantinedInFleetScan) {
   EXPECT_GE(agg->worker_exits, 2u);
 }
 
+TEST_F(SupervisorTest, FailFastStopsAtTheSameImageUnderEveryRunner) {
+  const char* bin = CorpusScanBin();
+  if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
+  fs::path dir = ScratchDir("fail_fast");
+  // The first extractable image fails to extract; --fail-fast stops the
+  // fleet there whether images run in the plain loop, through the
+  // supervisor for the journal, or in isolated workers.
+  auto labels_of = [&](const std::string& name, const std::string& args) {
+    fs::path json_path = dir / (name + ".json");
+    int rc = RunScan(bin, "--corrupt 1 --fail-fast " + args +
+                              " --json-out \"" + json_path.string() + "\"");
+    EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 1) << name;
+    std::vector<std::string> labels;
+    auto fleet = ParseJson(ReadAll(json_path));
+    EXPECT_TRUE(fleet.ok()) << name;
+    if (!fleet.ok()) return labels;
+    for (const JsonValue& image : fleet->Find("images")->array()) {
+      labels.emplace_back(image.Find("label")->string());
+    }
+    return labels;
+  };
+  std::vector<std::string> plain = labels_of("plain", "");
+  ASSERT_FALSE(plain.empty());
+  EXPECT_LT(plain.size(), 8u) << "the plain run did not stop";
+  EXPECT_EQ(labels_of("journal",
+                      "--journal \"" + (dir / "journal").string() + "\""),
+            plain);
+  EXPECT_EQ(labels_of("isolate", "--isolate"), plain);
+}
+
 }  // namespace
 }  // namespace dtaint
