@@ -17,7 +17,9 @@
 // detection failure.
 //
 //   --deadline-ms MS / --max-steps N / --max-states N /
-//   --max-expr-nodes N   per-function analysis budget (0 = unlimited)
+//   --max-expr-nodes N   per-function analysis budget (0 = unlimited);
+//                        a step is one IR statement, about one
+//                        executed instruction
 //   --fail-fast          stop at the first incident, exit nonzero
 //   --json-out FILE      fleet report as JSON (images, incidents,
 //                        totals; findings via FindingsToJson so runs
@@ -171,7 +173,9 @@ void PrintUsage() {
       "  --threads N          worker threads for the summary phase\n"
       "  --cache-dir DIR      persistent function-summary cache\n"
       "  --deadline-ms MS / --max-steps N / --max-states N /\n"
-      "  --max-expr-nodes N   per-function analysis budget (0 = off)\n"
+      "  --max-expr-nodes N   per-function analysis budget (0 = off);\n"
+      "                       a step is one IR statement, about one\n"
+      "                       executed instruction\n"
       "  --corrupt K          corrupt first K extractable images\n"
       "  --fail-fast          stop at the first incident, exit nonzero\n"
       "\n"

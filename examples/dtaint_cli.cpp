@@ -19,6 +19,9 @@
 // Budget flags bound per-function analysis effort (0 = unlimited); a
 // function that exhausts its budget degrades to a conservative summary
 // and the scan continues, flagging the report "complete": false.
+// --max-steps counts executed IR statements, one per effect of a guest
+// instruction: about one per instruction (a cmp counts two; branches,
+// calls, returns and nops none).
 // --fail-fast makes an incomplete analysis exit nonzero (exit 4), for
 // CI jobs that want "no findings" to actually mean "nothing found".
 //
@@ -378,6 +381,8 @@ int main(int argc, char** argv) {
                  "       [--threads N] [--cache-dir DIR] [--deadline-ms MS]\n"
                  "       [--max-steps N] [--max-states N]\n"
                  "       [--max-expr-nodes N] [--fail-fast]\n"
+                 "       (a --max-steps step is one IR statement, about\n"
+                 "       one executed instruction)\n"
                  "  all commands:\n"
                  "       [--log-level error|warn|info|debug]\n"
                  "       [--metrics-out FILE] [--events-out FILE]\n");

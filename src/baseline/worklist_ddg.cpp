@@ -2,6 +2,8 @@
 
 #include <deque>
 
+#include "src/isa/insn.h"
+#include "src/isa/regs.h"
 #include "src/lifter/lifter.h"
 #include "src/obs/stopwatch.h"
 #include "src/util/hash.h"
@@ -36,8 +38,9 @@ struct FlowState {
 /// Abstract slot key for a memory operand expression: the pair of the
 /// base register mentioned in the address and its constant offset.
 uint64_t SlotKey(ExprRef addr) {
-  // Address shapes from the lifter: Binop(Add, Get/RdTmp..., Const) —
-  // but temps hide the register, so hash the whole tree structurally.
+  // Address shapes from the lifter: Binop(Add, Get(base), Const) or
+  // Binop(Add, Get(base), Get(index)); the address tree is whole, so
+  // hash it structurally.
   uint64_t h = kFnvOffset;
   std::vector<ExprRef> stack{addr};
   while (!stack.empty()) {
@@ -50,9 +53,6 @@ uint64_t SlotKey(ExprRef addr) {
         break;
       case ExprKind::kGet:
         h = HashCombine(h, static_cast<uint64_t>(e->reg()));
-        break;
-      case ExprKind::kRdTmp:
-        // Temps are block-local; treat uniformly so slots stay coarse.
         break;
       case ExprKind::kBinop:
         h = HashCombine(h, static_cast<uint64_t>(e->binop()));
@@ -151,28 +151,26 @@ class BaselineRun {
   }
 
   void ExecuteBlock(const IRBlock& block, FlowState& state) {
-    uint32_t site = block.addr;
     for (const Stmt& stmt : block.stmts) {
       switch (stmt.kind) {
-        case StmtKind::kIMark:
-          site = stmt.addr;
-          break;
-        case StmtKind::kWrTmp:
-          CountUses(stmt.expr, state);
-          break;
         case StmtKind::kPut:
           CountUses(stmt.expr, state);
-          state.regs[stmt.reg] = {site};
+          state.regs[stmt.reg] = {stmt.addr};
           break;
         case StmtKind::kStore:
           CountUses(stmt.addr_expr, state);
           CountUses(stmt.data_expr, state);
-          state.mem[SlotKey(stmt.addr_expr)] = {site};
+          state.mem[SlotKey(stmt.addr_expr)] = {stmt.addr};
           break;
         case StmtKind::kExit:
           CountUses(stmt.expr, state);
           break;
       }
+    }
+    // A call's link write, at the call instruction (src/ir/stmt.h).
+    if (block.jumpkind == JumpKind::kCall ||
+        block.jumpkind == JumpKind::kIndirectCall) {
+      state.regs[kRegLr] = {block.EndAddr() - kInsnSize};
     }
   }
 
@@ -201,7 +199,6 @@ class BaselineRun {
         CountUses(expr->rhs(), state);
         break;
       case ExprKind::kConst:
-      case ExprKind::kRdTmp:
         break;
     }
   }

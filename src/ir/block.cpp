@@ -8,7 +8,7 @@ std::string IRBlock::ToString() const {
   std::string out = "IRBlock @ " + HexStr(addr) + " (" +
                     std::to_string(size) + " bytes)\n";
   for (const Stmt& s : stmts) {
-    out += "  " + s.ToString() + "\n";
+    out += "  " + HexStr(s.addr) + ": " + s.ToString() + "\n";
   }
   out += "  NEXT: ";
   out += next ? next->ToString() : std::string("<none>");

@@ -14,11 +14,10 @@ namespace dtaint {
 struct IRBlock {
   uint32_t addr = 0;             // guest address of the first insn
   uint32_t size = 0;             // bytes of guest code covered
-  std::vector<Stmt> stmts;
-  int next_tmp = 0;              // number of temporaries used
+  std::vector<Stmt> stmts;       // in guest order; addr never decreases
 
   JumpKind jumpkind = JumpKind::kBoring;
-  ExprRef next = nullptr;        // where control goes (const or tmp)
+  ExprRef next = nullptr;        // where control goes, read after stmts
   uint32_t return_addr = 0;      // for calls: the fallthrough address
 
   /// Owns every Expr that `stmts` and `next` point to; they are freed

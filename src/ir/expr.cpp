@@ -36,10 +36,6 @@ ExprRef Expr::MakeConst(BumpArena& arena, uint32_t value) {
   return New(arena, ExprKind::kConst, value, 4, BinOp::kAdd, nullptr,
              nullptr);
 }
-ExprRef Expr::MakeRdTmp(BumpArena& arena, int tmp) {
-  return New(arena, ExprKind::kRdTmp, static_cast<uint32_t>(tmp), 4,
-             BinOp::kAdd, nullptr, nullptr);
-}
 ExprRef Expr::MakeGet(BumpArena& arena, int reg) {
   return New(arena, ExprKind::kGet, static_cast<uint32_t>(reg), 4,
              BinOp::kAdd, nullptr, nullptr);
@@ -56,8 +52,6 @@ std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kConst:
       return HexStr(value_);
-    case ExprKind::kRdTmp:
-      return "t" + std::to_string(value_);
     case ExprKind::kGet:
       return "Get(" + std::to_string(value_) + ")";
     case ExprKind::kLoad:

@@ -2,11 +2,16 @@
 // machine code into VEX; DTaint's analysis consumes the IR, not the
 // machine code).
 //
+// The IR is flat: each guest instruction lifts to one statement per
+// effect, and each statement holds the whole expression tree of its
+// value, e.g. `add r1, r2, r3` is Put(1, Add(Get(2), Get(3))). There
+// are no temporaries. Statements write registers (Put) and memory
+// (Store); expressions read them (Get/Load).
+//
 // Expressions are immutable trees of plain pointers. Every node lives
 // in the BumpArena of the IRBlock that uses it and dies with that
-// block, all at once. A block's statements write temporaries (WrTmp),
-// registers (Put) and memory (Store); expressions read them
-// (RdTmp/Get/Load).
+// block, all at once. No node is shared between two statements (or a
+// statement and the block's `next`).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,6 @@ inline constexpr int kNumIrRegs = 18;
 
 enum class ExprKind : uint8_t {
   kConst,
-  kRdTmp,
   kGet,
   kLoad,
   kBinop,
@@ -65,7 +69,6 @@ class Expr {
   // Factories. Each allocates the node in `arena`; children must live
   // in the same arena (or one that outlives it).
   static ExprRef MakeConst(BumpArena& arena, uint32_t value);
-  static ExprRef MakeRdTmp(BumpArena& arena, int tmp);
   static ExprRef MakeGet(BumpArena& arena, int reg);
   static ExprRef MakeLoad(BumpArena& arena, ExprRef addr, uint8_t size);
   static ExprRef MakeBinop(BumpArena& arena, BinOp op, ExprRef lhs,
@@ -73,7 +76,6 @@ class Expr {
 
   ExprKind kind() const { return kind_; }
   uint32_t const_value() const { return value_; }
-  int tmp() const { return static_cast<int>(value_); }
   int reg() const { return static_cast<int>(value_); }
   uint8_t load_size() const { return size_; }
   BinOp binop() const { return op_; }
@@ -91,7 +93,7 @@ class Expr {
   static ExprRef New(BumpArena& arena, ExprKind kind, uint32_t value,
                      uint8_t size, BinOp op, ExprRef lhs, ExprRef rhs);
 
-  uint32_t value_;  // const value / tmp index / reg index
+  uint32_t value_;  // const value / reg index
   ExprKind kind_;
   uint8_t size_;    // load size in bytes
   BinOp op_;

@@ -8,19 +8,19 @@ namespace dtaint {
 std::string PrintBlockWithDisasm(const Binary& binary,
                                  const IRBlock& block) {
   std::string out;
-  for (const Stmt& s : block.stmts) {
-    if (s.kind == StmtKind::kIMark) {
-      auto word = binary.ReadWordAt(s.addr);
-      out += HexStr(s.addr) + ": ";
-      if (word.ok()) {
-        auto insn = Decode(*word);
-        out += insn.ok() ? insn->ToString(binary.arch) : "<bad insn>";
-      } else {
-        out += "<unmapped>";
-      }
-      out += "\n";
+  auto stmt = block.stmts.begin();
+  for (uint32_t pc = block.addr; pc < block.EndAddr(); pc += kInsnSize) {
+    auto word = binary.ReadWordAt(pc);
+    out += HexStr(pc) + ": ";
+    if (word.ok()) {
+      auto insn = Decode(*word);
+      out += insn.ok() ? insn->ToString(binary.arch) : "<bad insn>";
     } else {
-      out += "    " + s.ToString() + "\n";
+      out += "<unmapped>";
+    }
+    out += "\n";
+    for (; stmt != block.stmts.end() && stmt->addr == pc; ++stmt) {
+      out += "    " + stmt->ToString() + "\n";
     }
   }
   out += "    NEXT(" + std::string(JumpKindName(block.jumpkind)) + "): ";

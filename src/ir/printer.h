@@ -9,7 +9,8 @@
 
 namespace dtaint {
 
-/// Renders an IR block with guest disassembly interleaved at IMarks.
+/// Renders an IR block: each guest word's disassembly, then the
+/// statements lifted from it.
 std::string PrintBlockWithDisasm(const Binary& binary, const IRBlock& block);
 
 }  // namespace dtaint

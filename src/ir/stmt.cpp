@@ -4,37 +4,28 @@
 
 namespace dtaint {
 
-Stmt Stmt::IMark(uint32_t addr) {
-  Stmt s;
-  s.kind = StmtKind::kIMark;
-  s.addr = addr;
-  return s;
-}
-Stmt Stmt::WrTmp(int tmp, ExprRef expr) {
-  Stmt s;
-  s.kind = StmtKind::kWrTmp;
-  s.tmp = tmp;
-  s.expr = expr;
-  return s;
-}
-Stmt Stmt::Put(int reg, ExprRef expr) {
+Stmt Stmt::Put(uint32_t addr, int reg, ExprRef expr) {
   Stmt s;
   s.kind = StmtKind::kPut;
+  s.addr = addr;
   s.reg = reg;
   s.expr = expr;
   return s;
 }
-Stmt Stmt::Store(ExprRef addr, ExprRef data, uint8_t size) {
+Stmt Stmt::Store(uint32_t addr, ExprRef addr_expr, ExprRef data,
+                 uint8_t size) {
   Stmt s;
   s.kind = StmtKind::kStore;
-  s.addr_expr = addr;
+  s.addr = addr;
+  s.addr_expr = addr_expr;
   s.data_expr = data;
   s.size = size;
   return s;
 }
-Stmt Stmt::Exit(ExprRef guard, uint32_t target) {
+Stmt Stmt::Exit(uint32_t addr, ExprRef guard, uint32_t target) {
   Stmt s;
   s.kind = StmtKind::kExit;
+  s.addr = addr;
   s.expr = guard;
   s.target = target;
   return s;
@@ -42,10 +33,6 @@ Stmt Stmt::Exit(ExprRef guard, uint32_t target) {
 
 std::string Stmt::ToString() const {
   switch (kind) {
-    case StmtKind::kIMark:
-      return "------ IMark(" + HexStr(addr) + ") ------";
-    case StmtKind::kWrTmp:
-      return "t" + std::to_string(tmp) + " = " + expr->ToString();
     case StmtKind::kPut:
       return "PUT(" + std::to_string(reg) + ") = " + expr->ToString();
     case StmtKind::kStore:

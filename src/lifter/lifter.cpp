@@ -7,38 +7,46 @@ namespace dtaint {
 
 namespace {
 
-/// Per-block lifting context: allocates temporaries and appends stmts,
-/// building every expression in the block's arena.
+/// Per-block lifting context: builds every expression in the block's
+/// arena and appends each statement at the current instruction's
+/// address.
 class BlockCtx {
  public:
   explicit BlockCtx(IRBlock& block) : block_(block), arena_(*block.arena) {}
 
-  ExprRef Tmp(ExprRef value) {
-    int t = block_.next_tmp++;
-    block_.stmts.push_back(Stmt::WrTmp(t, value));
-    return Expr::MakeRdTmp(arena_, t);
-  }
+  void At(uint32_t pc) { pc_ = pc; }
   void Put(int reg, ExprRef value) {
-    block_.stmts.push_back(Stmt::Put(reg, value));
+    block_.stmts.push_back(Stmt::Put(pc_, reg, value));
   }
   void Store(ExprRef addr, ExprRef data, uint8_t size) {
-    block_.stmts.push_back(Stmt::Store(addr, data, size));
+    block_.stmts.push_back(Stmt::Store(pc_, addr, data, size));
   }
   void Exit(ExprRef guard, uint32_t target) {
-    block_.stmts.push_back(Stmt::Exit(guard, target));
+    block_.stmts.push_back(Stmt::Exit(pc_, guard, target));
   }
-  ExprRef Get(int reg) { return Tmp(Expr::MakeGet(arena_, reg)); }
+  ExprRef Get(int reg) { return Expr::MakeGet(arena_, reg); }
   ExprRef Const(uint32_t v) { return Expr::MakeConst(arena_, v); }
   ExprRef Bin(BinOp op, ExprRef a, ExprRef b) {
-    return Tmp(Expr::MakeBinop(arena_, op, a, b));
+    return Expr::MakeBinop(arena_, op, a, b);
   }
   ExprRef Load(ExprRef addr, uint8_t size) {
-    return Tmp(Expr::MakeLoad(arena_, addr, size));
+    return Expr::MakeLoad(arena_, addr, size);
+  }
+  /// The source operand: rm for a register-form insn, else its imm.
+  ExprRef Operand(const Insn& insn) {
+    return FormatOf(insn.op) == OpFormat::kR
+               ? Get(insn.rm)
+               : Const(static_cast<uint32_t>(insn.imm));
+  }
+  /// A load/store address: rn plus the source operand.
+  ExprRef Address(const Insn& insn) {
+    return Bin(BinOp::kAdd, Get(insn.rn), Operand(insn));
   }
 
  private:
   IRBlock& block_;
   BumpArena& arena_;
+  uint32_t pc_ = 0;
 };
 
 BinOp AluOp(Op op) {
@@ -69,6 +77,14 @@ BinOp AluOp(Op op) {
   }
 }
 
+/// Bytes a load or store moves.
+uint8_t AccessSize(Op op) {
+  return op == Op::kLdrW || op == Op::kStrW || op == Op::kLdrWR ||
+                 op == Op::kStrWR
+             ? 4
+             : 1;
+}
+
 BinOp CondOp(Op op) {
   switch (op) {
     case Op::kBeq:
@@ -88,6 +104,20 @@ BinOp CondOp(Op op) {
   }
 }
 
+uint32_t BranchTarget(const Insn& insn, uint32_t next_pc) {
+  return next_pc + static_cast<uint32_t>(insn.imm * 4);
+}
+
+/// Ends `block` just before `end` with its terminator.
+IRBlock Close(IRBlock& block, uint32_t end, JumpKind kind, ExprRef next,
+              uint32_t return_addr = 0) {
+  block.size = end - block.addr;
+  block.jumpkind = kind;
+  block.next = next;
+  block.return_addr = return_addr;
+  return std::move(block);
+}
+
 /// LiftBlock, reading words through `words` and counting each word it
 /// decodes in `decoded`.
 Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
@@ -99,6 +129,10 @@ Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
   }
   IRBlock block;
   block.addr = addr;
+  // About one statement per insn; +1 fits a `cmp; bcc` tail (three).
+  if (stop_before > addr) {
+    block.stmts.reserve((stop_before - addr) / kInsnSize + 1);
+  }
   BlockCtx ctx(block);
 
   uint32_t pc = addr;
@@ -114,14 +148,12 @@ Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
     if (!insn_or.ok()) return insn_or.status();
     const Insn& insn = *insn_or;
     uint32_t next_pc = pc + kInsnSize;
-    block.stmts.push_back(Stmt::IMark(pc));
+    ctx.At(pc);
 
     switch (insn.op) {
       case Op::kMovR:
-        ctx.Put(insn.rd, ctx.Get(insn.rm));
-        break;
       case Op::kMovI:
-        ctx.Put(insn.rd, ctx.Const(static_cast<uint32_t>(insn.imm)));
+        ctx.Put(insn.rd, ctx.Operand(insn));
         break;
       case Op::kMovHi: {
         ExprRef low = ctx.Bin(BinOp::kAnd, ctx.Get(insn.rd),
@@ -138,9 +170,6 @@ Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
       case Op::kAndR:
       case Op::kOrrR:
       case Op::kXorR:
-        ctx.Put(insn.rd,
-                ctx.Bin(AluOp(insn.op), ctx.Get(insn.rn), ctx.Get(insn.rm)));
-        break;
       case Op::kAddI:
       case Op::kSubI:
       case Op::kAndI:
@@ -149,95 +178,47 @@ Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
       case Op::kLslI:
       case Op::kLsrI:
         ctx.Put(insn.rd,
-                ctx.Bin(AluOp(insn.op), ctx.Get(insn.rn),
-                        ctx.Const(static_cast<uint32_t>(insn.imm))));
+                ctx.Bin(AluOp(insn.op), ctx.Get(insn.rn), ctx.Operand(insn)));
         break;
       case Op::kLdrW:
-      case Op::kLdrB: {
-        ExprRef ea = ctx.Bin(BinOp::kAdd, ctx.Get(insn.rn),
-                             ctx.Const(static_cast<uint32_t>(insn.imm)));
-        ctx.Put(insn.rd, ctx.Load(ea, insn.op == Op::kLdrW ? 4 : 1));
-        break;
-      }
-      case Op::kStrW:
-      case Op::kStrB: {
-        ExprRef ea = ctx.Bin(BinOp::kAdd, ctx.Get(insn.rn),
-                             ctx.Const(static_cast<uint32_t>(insn.imm)));
-        ctx.Store(ea, ctx.Get(insn.rd), insn.op == Op::kStrW ? 4 : 1);
-        break;
-      }
+      case Op::kLdrB:
       case Op::kLdrWR:
-      case Op::kLdrBR: {
-        ExprRef ea =
-            ctx.Bin(BinOp::kAdd, ctx.Get(insn.rn), ctx.Get(insn.rm));
-        ctx.Put(insn.rd, ctx.Load(ea, insn.op == Op::kLdrWR ? 4 : 1));
+      case Op::kLdrBR:
+        ctx.Put(insn.rd, ctx.Load(ctx.Address(insn), AccessSize(insn.op)));
         break;
-      }
+      case Op::kStrW:
+      case Op::kStrB:
       case Op::kStrWR:
-      case Op::kStrBR: {
-        ExprRef ea =
-            ctx.Bin(BinOp::kAdd, ctx.Get(insn.rn), ctx.Get(insn.rm));
-        ctx.Store(ea, ctx.Get(insn.rd), insn.op == Op::kStrWR ? 4 : 1);
+      case Op::kStrBR:
+        ctx.Store(ctx.Address(insn), ctx.Get(insn.rd), AccessSize(insn.op));
         break;
-      }
       case Op::kCmpR:
-        ctx.Put(kFlagLhs, ctx.Get(insn.rn));
-        ctx.Put(kFlagRhs, ctx.Get(insn.rm));
-        break;
       case Op::kCmpI:
         ctx.Put(kFlagLhs, ctx.Get(insn.rn));
-        ctx.Put(kFlagRhs, ctx.Const(static_cast<uint32_t>(insn.imm)));
+        ctx.Put(kFlagRhs, ctx.Operand(insn));
         break;
-      case Op::kB: {
-        uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
-        block.size = next_pc - addr;
-        block.next = ctx.Const(target);
-        block.jumpkind = JumpKind::kBoring;
-        return block;
-      }
+      case Op::kB:
+        return Close(block, next_pc, JumpKind::kBoring,
+                     ctx.Const(BranchTarget(insn, next_pc)));
       case Op::kBeq:
       case Op::kBne:
       case Op::kBlt:
       case Op::kBge:
       case Op::kBle:
-      case Op::kBgt: {
-        uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
-        // The guard stays an inline Binop (not a temp) so consumers can
-        // read the compared operands directly off the Exit statement.
-        BumpArena& arena = *block.arena;
-        ExprRef guard = Expr::MakeBinop(arena, CondOp(insn.op),
-                                        Expr::MakeGet(arena, kFlagLhs),
-                                        Expr::MakeGet(arena, kFlagRhs));
-        ctx.Exit(guard, target);
-        block.size = next_pc - addr;
-        block.next = ctx.Const(next_pc);
-        block.jumpkind = JumpKind::kBoring;
-        return block;
-      }
-      case Op::kBl: {
-        uint32_t target = next_pc + static_cast<uint32_t>(insn.imm * 4);
-        ctx.Put(kRegLr, ctx.Const(next_pc));
-        block.size = next_pc - addr;
-        block.next = ctx.Const(target);
-        block.jumpkind = JumpKind::kCall;
-        block.return_addr = next_pc;
-        return block;
-      }
-      case Op::kBlr: {
-        ExprRef target = ctx.Get(insn.rm);
-        ctx.Put(kRegLr, ctx.Const(next_pc));
-        block.size = next_pc - addr;
-        block.next = target;
-        block.jumpkind = JumpKind::kIndirectCall;
-        block.return_addr = next_pc;
-        return block;
-      }
-      case Op::kRet: {
-        block.size = next_pc - addr;
-        block.next = ctx.Get(kRegLr);
-        block.jumpkind = JumpKind::kRet;
-        return block;
-      }
+      case Op::kBgt:
+        // Consumers read the compared operands directly off the guard.
+        ctx.Exit(ctx.Bin(CondOp(insn.op), ctx.Get(kFlagLhs),
+                         ctx.Get(kFlagRhs)),
+                 BranchTarget(insn, next_pc));
+        return Close(block, next_pc, JumpKind::kBoring, ctx.Const(next_pc));
+      case Op::kBl:
+        return Close(block, next_pc, JumpKind::kCall,
+                     ctx.Const(BranchTarget(insn, next_pc)), next_pc);
+      case Op::kBlr:
+        return Close(block, next_pc, JumpKind::kIndirectCall,
+                     ctx.Get(insn.rm), next_pc);
+      case Op::kRet:
+        return Close(block, next_pc, JumpKind::kRet, ctx.Get(kRegLr));
       case Op::kNop:
       case Op::kSvc:
         break;
@@ -249,10 +230,7 @@ Result<IRBlock> LiftBlockFrom(WordReader& words, uint32_t addr,
 
   // Fell through to stop_before: straight-line block ending in an
   // implicit fallthrough edge.
-  block.size = pc - addr;
-  block.next = ctx.Const(pc);
-  block.jumpkind = JumpKind::kBoring;
-  return block;
+  return Close(block, pc, JumpKind::kBoring, ctx.Const(pc));
 }
 
 }  // namespace
@@ -268,16 +246,22 @@ Result<FunctionIR> Lifter::LiftFunction(const Function& fn) const {
       obs::MetricsRegistry::Global().counter("lift.ir_functions");
   static obs::Counter& words_decoded =
       obs::MetricsRegistry::Global().counter("lift.words_decoded");
+  static obs::Counter& ir_stmts =
+      obs::MetricsRegistry::Global().counter("lift.ir_stmts");
   lifted.Add();
   FunctionIR ir;
+  ir.blocks.reserve(fn.blocks.size());
   WordReader words(binary_);
   uint64_t decoded = 0;
+  uint64_t stmts = 0;
   for (const auto& [addr, info] : fn.blocks) {
     auto block = LiftBlockFrom(words, addr, info.EndAddr(), decoded);
     if (!block.ok()) return block.status();
-    ir.blocks.emplace_hint(ir.blocks.end(), addr, std::move(*block));
+    stmts += block->stmts.size();
+    ir.blocks.emplace_back(addr, std::move(*block));
   }
   words_decoded.Add(decoded);
+  ir_stmts.Add(stmts);
   return ir;
 }
 

@@ -1,13 +1,16 @@
-// Lifter: DT-RISC machine code -> VEX-like IR, one basic block at a
-// time (the shape Angr/pyvex exposes and the paper's analysis consumes).
+// Lifter: DT-RISC machine code -> flat VEX-like IR (src/ir/expr.h), one
+// basic block at a time (the shape Angr/pyvex exposes and the paper's
+// analysis consumes).
 //
 // Lifting is on demand: the CFG builder finds block bounds by decoding
 // alone, and the IR of a function is built by LiftFunction when the
 // symbolic engine is about to execute it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "src/binary/binary.h"
 #include "src/cfg/function.h"
@@ -16,13 +19,24 @@
 
 namespace dtaint {
 
-/// The lifted statements of one function, keyed like Function::blocks.
+/// The lifted statements of one function: an (address, block) entry per
+/// Function::blocks entry, in address order, so an entry's position is
+/// the block's dense index in the function.
 struct FunctionIR {
-  std::map<uint32_t, IRBlock> blocks;
+  std::vector<std::pair<uint32_t, IRBlock>> blocks;
 
+  /// Position of the block starting at `addr`, or -1.
+  int IndexOf(uint32_t addr) const {
+    auto it = std::lower_bound(
+        blocks.begin(), blocks.end(), addr,
+        [](const auto& entry, uint32_t a) { return entry.first < a; });
+    return it == blocks.end() || it->first != addr
+               ? -1
+               : static_cast<int>(it - blocks.begin());
+  }
   const IRBlock* BlockAt(uint32_t addr) const {
-    auto it = blocks.find(addr);
-    return it == blocks.end() ? nullptr : &it->second;
+    int index = IndexOf(addr);
+    return index < 0 ? nullptr : &blocks[index].second;
   }
 };
 
@@ -37,8 +51,9 @@ class Lifter {
   Result<IRBlock> LiftBlock(uint32_t addr, uint32_t stop_before = 0) const;
 
   /// Lifts every block of a skeleton function. Counts each call in the
-  /// `lift.ir_functions` metric and the words it decodes in
-  /// `lift.words_decoded`.
+  /// `lift.ir_functions` metric, the words it decodes in
+  /// `lift.words_decoded` and the statements it makes in
+  /// `lift.ir_stmts`.
   Result<FunctionIR> LiftFunction(const Function& fn) const;
 
   const Binary& binary() const { return binary_; }

@@ -34,7 +34,11 @@ namespace dtaint {
 struct AnalysisBudget {
   /// Wall-clock deadline per function, in milliseconds.
   double deadline_ms = 0;
-  /// Symbolic statement evaluations per function.
+  /// Symbolic statement evaluations per function. The engine runs the
+  /// flat IR (src/ir/expr.h), one statement per effect of a guest
+  /// instruction, so a step is about one executed instruction: an ALU
+  /// op, load, store or conditional branch charges 1, a cmp 2 (one per
+  /// flag register), and b/bl/blr/ret/nop/svc charge nothing.
   uint64_t max_steps = 0;
   /// Symbolic states enqueued per function (path forks).
   uint64_t max_states = 0;
@@ -105,7 +109,9 @@ class BudgetTracker {
   const AnalysisBudget& limits() const { return limits_; }
 
  private:
-  static constexpr uint64_t kSlowCheckInterval = 1024;
+  // About the work of 1,024 three-address IR statements: a flat-IR
+  // step does 4.6x as much on the fleet_cold corpus (DESIGN.md).
+  static constexpr uint64_t kSlowCheckInterval = 256;
 
   /// Deadline + expression-node check, amortized over steps.
   void SlowCheck();

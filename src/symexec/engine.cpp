@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
@@ -35,10 +34,15 @@ class Exploration {
         budget_(budget), cc_(ConventionFor(binary.arch)) {}
 
   void Run() {
-    // Dense per-function block numbering for the visited bitset (map
-    // order = address order, deterministic).
-    for (const auto& [addr, block] : fn_.blocks) {
-      block_index_.emplace(addr, static_cast<int>(block_index_.size()));
+    // Each call block's callsite, resolved once: the last one that
+    // matches the block's address and directness.
+    callsite_of_.assign(ir_.blocks.size(), nullptr);
+    for (const CallSite& c : fn_.callsites) {
+      int index = ir_.IndexOf(c.block_addr);
+      if (index >= 0 && c.is_indirect == (ir_.blocks[index].second.jumpkind ==
+                                          JumpKind::kIndirectCall)) {
+        callsite_of_[index] = &c;
+      }
     }
     arena_ = std::make_shared<StateArena>();
     SymState init = SymState::Entry(binary_.arch, arena_);
@@ -65,17 +69,14 @@ class Exploration {
     return FreshUnknown(widen_counter_++);
   }
 
-  SymRef EvalExpr(ExprRef e, const std::vector<SymRef>& tmps,
-                  SymState& state, uint32_t site) {
+  SymRef EvalExpr(ExprRef e, SymState& state, uint32_t site) {
     switch (e->kind()) {
       case ExprKind::kConst:
         return SymExpr::Const(e->const_value());
-      case ExprKind::kRdTmp:
-        return tmps[e->tmp()];
       case ExprKind::kGet:
         return state.Reg(e->reg());
       case ExprKind::kLoad: {
-        SymRef addr = EvalExpr(e->lhs(), tmps, state, site);
+        SymRef addr = EvalExpr(e->lhs(), state, site);
         auto split = SymExpr::SplitBaseOffset(addr);
         if (split.base) summary_.types.Observe(split.base, ValueType::kPtr);
         // Concrete addresses into .rodata/.data read the actual bytes —
@@ -97,8 +98,8 @@ class Exploration {
         return value;
       }
       case ExprKind::kBinop: {
-        SymRef lhs = EvalExpr(e->lhs(), tmps, state, site);
-        SymRef rhs = EvalExpr(e->rhs(), tmps, state, site);
+        SymRef lhs = EvalExpr(e->lhs(), state, site);
+        SymRef rhs = EvalExpr(e->rhs(), state, site);
         return Widen(SymExpr::Bin(e->binop(), lhs, rhs));
       }
     }
@@ -200,18 +201,14 @@ class Exploration {
     return addr >= fn_.addr && addr < fn_.addr + fn_.size;
   }
 
-  int BlockIndexOf(uint32_t block_addr) const {
-    auto it = block_index_.find(block_addr);
-    return it == block_index_.end() ? 0 : it->second;
-  }
-
   void ExecuteBlock(uint32_t block_addr, SymState state) {
-    const IRBlock* block = ir_.BlockAt(block_addr);
-    if (!block) {
+    // The block's position in the IR is its dense index in the function.
+    const int block_idx = ir_.IndexOf(block_addr);
+    if (block_idx < 0) {
       FinishPath(state);
       return;
     }
-    int block_idx = BlockIndexOf(block_addr);
+    const IRBlock* block = &ir_.blocks[block_idx].second;
     if (state.VisitedBlock(block_idx)) {
       // Loop heuristic: a block is analyzed once per path.
       FinishPath(state);
@@ -220,9 +217,6 @@ class Exploration {
     state.MarkVisited(block_idx);
     ++block_visits_;
     ++summary_.blocks_visited;
-
-    std::vector<SymRef> tmps(block->next_tmp);
-    uint32_t cur_site = block_addr;
 
     // Pending symbolic conditional exit, if any (lifter emits at most
     // one, as the final statement before the block terminator).
@@ -237,19 +231,14 @@ class Exploration {
     std::optional<PendingExit> pending_exit;
 
     for (const Stmt& stmt : block->stmts) {
-      // Cooperative watchdog: one budget step per IR statement. On
-      // exhaustion abandon the block mid-way — the caller throws the
-      // whole partial summary away and degrades.
+      // Cooperative watchdog: one budget step per IR statement, i.e.
+      // per effect of a guest instruction. On exhaustion abandon the
+      // block mid-way — the caller throws the whole partial summary
+      // away and degrades.
       if (budget_ && budget_->ChargeStep()) return;
       switch (stmt.kind) {
-        case StmtKind::kIMark:
-          cur_site = stmt.addr;
-          break;
-        case StmtKind::kWrTmp:
-          tmps[stmt.tmp] = EvalExpr(stmt.expr, tmps, state, cur_site);
-          break;
         case StmtKind::kPut: {
-          SymRef value = EvalExpr(stmt.expr, tmps, state, cur_site);
+          SymRef value = EvalExpr(stmt.expr, state, stmt.addr);
           if (stmt.reg == kFlagRhs && value->kind() == SymKind::kConst) {
             // CMP rX, #imm marks rX's value as an integer.
             summary_.types.Observe(state.Reg(kFlagLhs), ValueType::kInt);
@@ -258,25 +247,25 @@ class Exploration {
           break;
         }
         case StmtKind::kStore: {
-          SymRef addr = EvalExpr(stmt.addr_expr, tmps, state, cur_site);
-          SymRef data = EvalExpr(stmt.data_expr, tmps, state, cur_site);
+          SymRef addr = EvalExpr(stmt.addr_expr, state, stmt.addr);
+          SymRef data = EvalExpr(stmt.data_expr, state, stmt.addr);
           auto split = SymExpr::SplitBaseOffset(addr);
           if (split.base) summary_.types.Observe(split.base, ValueType::kPtr);
           state.StoreMem(addr, data, stmt.size);
-          RecordDef(state, SymExpr::Deref(addr, stmt.size), data, cur_site);
+          RecordDef(state, SymExpr::Deref(addr, stmt.size), data, stmt.addr);
           break;
         }
         case StmtKind::kExit: {
           // Guard is Binop(cmp, flagL, flagR); evaluate its operands so
           // the constraint names program values, not flag registers.
-          SymRef lhs = EvalExpr(stmt.expr->lhs(), tmps, state, cur_site);
-          SymRef rhs = EvalExpr(stmt.expr->rhs(), tmps, state, cur_site);
+          SymRef lhs = EvalExpr(stmt.expr->lhs(), state, stmt.addr);
+          SymRef rhs = EvalExpr(stmt.expr->rhs(), state, stmt.addr);
           PendingExit px;
           px.op = stmt.expr->binop();
           px.guard_lhs = lhs;
           px.guard_rhs = rhs;
           px.target = stmt.target;
-          px.site = cur_site;
+          px.site = stmt.addr;
           SymRef folded = SymExpr::Bin(px.op, lhs, rhs);
           if (folded->kind() == SymKind::kConst) {
             px.concrete = true;
@@ -325,25 +314,24 @@ class Exploration {
         return;
       }
       case JumpKind::kCall: {
-        const CallSite* cs = nullptr;
-        for (const CallSite& c : fn_.callsites) {
-          if (c.block_addr == block_addr && !c.is_indirect) cs = &c;
+        state.SetReg(kRegLr, SymExpr::Const(block->return_addr));
+        if (const CallSite* cs = callsite_of_[block_idx]) {
+          HandleDirectCall(*cs, state);
         }
-        if (cs) HandleDirectCall(*cs, state);
         break;
       }
       case JumpKind::kIndirectCall: {
-        const CallSite* cs = nullptr;
-        for (const CallSite& c : fn_.callsites) {
-          if (c.block_addr == block_addr && c.is_indirect) cs = &c;
-        }
+        const CallSite* cs = callsite_of_[block_idx];
+        // The target expression is the evaluated `next`, read before
+        // the call's link write.
+        SymRef target =
+            cs ? EvalExpr(block->next, state, cs->call_addr) : nullptr;
+        state.SetReg(kRegLr, SymExpr::Const(block->return_addr));
         if (cs) {
           CallEvent event;
           event.callsite = cs->call_addr;
           event.is_indirect = true;
-          // The target expression is the evaluated `next`.
-          event.indirect_target =
-              EvalExpr(block->next, tmps, state, cs->call_addr);
+          event.indirect_target = target;
           event.args = CollectArgs(state, kNumRegArgs + 2);
           event.constraints = state.constraints();
           event.path_id = state.path_id;
@@ -409,7 +397,7 @@ class Exploration {
 
   std::vector<Work> work_;
   std::shared_ptr<StateArena> arena_;
-  std::unordered_map<uint32_t, int> block_index_;
+  std::vector<const CallSite*> callsite_of_;  // by block index
   int next_path_id_ = 0;
   int block_visits_ = 0;
   uint32_t widen_counter_ = 0;

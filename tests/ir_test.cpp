@@ -13,10 +13,6 @@ TEST(Expr, Factories) {
   EXPECT_EQ(c->kind(), ExprKind::kConst);
   EXPECT_EQ(c->const_value(), 0x4Cu);
 
-  ExprRef t = Expr::MakeRdTmp(arena, 3);
-  EXPECT_EQ(t->kind(), ExprKind::kRdTmp);
-  EXPECT_EQ(t->tmp(), 3);
-
   ExprRef g = Expr::MakeGet(arena, 5);
   EXPECT_EQ(g->reg(), 5);
 
@@ -48,14 +44,15 @@ TEST(Expr, BinOpNames) {
 
 TEST(Stmt, ToStringForms) {
   BumpArena arena;
-  EXPECT_EQ(Stmt::WrTmp(2, Expr::MakeConst(arena, 7)).ToString(), "t2 = 0x7");
-  EXPECT_EQ(Stmt::Put(0, Expr::MakeRdTmp(arena, 1)).ToString(),
-            "PUT(0) = t1");
-  Stmt store = Stmt::Store(Expr::MakeGet(arena, 13),
+  Stmt put = Stmt::Put(0x10004, 0, Expr::MakeGet(arena, 1));
+  EXPECT_EQ(put.ToString(), "PUT(0) = Get(1)");
+  EXPECT_EQ(put.addr, 0x10004u);
+  Stmt store = Stmt::Store(0x10008, Expr::MakeGet(arena, 13),
                            Expr::MakeConst(arena, 0), 4);
   EXPECT_EQ(store.ToString(), "STORE4(Get(13)) = 0x0");
+  EXPECT_EQ(store.addr, 0x10008u);
   Stmt exit = Stmt::Exit(
-      Expr::MakeBinop(arena, BinOp::kCmpEq, Expr::MakeGet(arena, 16),
+      0x1000C, Expr::MakeBinop(arena, BinOp::kCmpEq, Expr::MakeGet(arena, 16),
                       Expr::MakeGet(arena, 17)),
       0x10050);
   EXPECT_EQ(exit.ToString(),
@@ -79,9 +76,11 @@ TEST(Block, ToStringIncludesNext) {
   block.addr = 0x10000;
   block.next = Expr::MakeConst(*block.arena, 0x10010);
   block.jumpkind = JumpKind::kBoring;
-  block.stmts.push_back(Stmt::IMark(0x10000));
+  block.stmts.push_back(
+      Stmt::Put(0x10000, 1, Expr::MakeConst(*block.arena, 7)));
   std::string s = block.ToString();
   EXPECT_NE(s.find("IRBlock @ 0x10000"), std::string::npos);
+  EXPECT_NE(s.find("0x10000: PUT(1) = 0x7"), std::string::npos);
   EXPECT_NE(s.find("NEXT: 0x10010; Ijk_Boring"), std::string::npos);
 }
 

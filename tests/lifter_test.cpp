@@ -4,7 +4,9 @@
 
 #include "src/binary/writer.h"
 #include "src/isa/asm_builder.h"
+#include "src/ir/printer.h"
 #include "src/lifter/lifter.h"
+#include "src/util/strings.h"
 
 namespace dtaint {
 namespace {
@@ -35,16 +37,20 @@ TEST(Lifter, LoadBecomesBaseOffsetAddress) {
   });
   Lifter lifter(bin);
   IRBlock block = lifter.LiftBlock(kTextBase).value();
-  // Expect: Get(r5), Add(+0x4C), Load, Put(r1), then the ret tail.
-  ASSERT_GE(block.stmts.size(), 5u);
-  bool saw_load_put = false;
-  for (const Stmt& s : block.stmts) {
-    if (s.kind == StmtKind::kPut && s.reg == 1) {
-      saw_load_put = true;
-      EXPECT_EQ(s.expr->kind(), ExprKind::kRdTmp);
-    }
-  }
-  EXPECT_TRUE(saw_load_put);
+  // One statement, Put(r1, Load4(Add(Get(r5), 0x4c))); the ret has none.
+  ASSERT_EQ(block.stmts.size(), 1u);
+  const Stmt& put = block.stmts[0];
+  EXPECT_EQ(put.kind, StmtKind::kPut);
+  EXPECT_EQ(put.reg, 1);
+  EXPECT_EQ(put.addr, kTextBase);
+  EXPECT_EQ(put.expr->ToString(), "Load4(Add(Get(5), 0x4c))");
+  ASSERT_EQ(put.expr->kind(), ExprKind::kLoad);
+  ExprRef ea = put.expr->lhs();
+  ASSERT_EQ(ea->kind(), ExprKind::kBinop);
+  EXPECT_EQ(ea->binop(), BinOp::kAdd);
+  EXPECT_EQ(ea->lhs()->kind(), ExprKind::kGet);
+  EXPECT_EQ(ea->lhs()->reg(), 5);
+  EXPECT_EQ(ea->rhs()->const_value(), 0x4Cu);
   EXPECT_EQ(block.jumpkind, JumpKind::kRet);
 }
 
@@ -118,15 +124,9 @@ TEST(Lifter, CallEndsBlockWithReturnAddr) {
   EXPECT_EQ(block.jumpkind, JumpKind::kCall);
   EXPECT_EQ(block.return_addr, kTextBase + kInsnSize);
   EXPECT_EQ(block.next->const_value(), kPltBase);  // first import stub
-  // lr must have been set to the return address.
-  bool lr_set = false;
-  for (const Stmt& s : block.stmts) {
-    if (s.kind == StmtKind::kPut && s.reg == kRegLr) {
-      lr_set = true;
-      EXPECT_EQ(s.expr->const_value(), kTextBase + kInsnSize);
-    }
-  }
-  EXPECT_TRUE(lr_set);
+  // The link write lr := return_addr belongs to the jump kind: the call
+  // makes no statement.
+  EXPECT_TRUE(block.stmts.empty());
 }
 
 TEST(Lifter, IndirectCallKeepsSymbolicTarget) {
@@ -136,7 +136,9 @@ TEST(Lifter, IndirectCallKeepsSymbolicTarget) {
   });
   IRBlock block = Lifter(bin).LiftBlock(kTextBase).value();
   EXPECT_EQ(block.jumpkind, JumpKind::kIndirectCall);
-  EXPECT_EQ(block.next->kind(), ExprKind::kRdTmp);
+  ASSERT_EQ(block.next->kind(), ExprKind::kGet);
+  EXPECT_EQ(block.next->reg(), 6);
+  EXPECT_TRUE(block.stmts.empty());
 }
 
 TEST(Lifter, RetReadsLinkRegister) {
@@ -160,19 +162,38 @@ TEST(Lifter, StopBeforeCutsStraightLine) {
   EXPECT_EQ(block.next->const_value(), kTextBase + 2 * kInsnSize);
 }
 
-TEST(Lifter, IMarksTrackGuestAddresses) {
+TEST(Lifter, StatementsCarryGuestAddresses) {
   Binary bin = BuildWith([](FnBuilder& b) {
     b.MovI(1, 1);
-    b.MovI(2, 2);
+    b.CmpI(1, 2);
     b.Ret();
   });
   IRBlock block = Lifter(bin).LiftBlock(kTextBase).value();
-  std::vector<uint32_t> marks;
-  for (const Stmt& s : block.stmts) {
-    if (s.kind == StmtKind::kIMark) marks.push_back(s.addr);
+  std::vector<uint32_t> addrs;
+  for (const Stmt& s : block.stmts) addrs.push_back(s.addr);
+  // mov: one Put; cmp: a Put per flag register; ret: none.
+  EXPECT_EQ(addrs,
+            (std::vector<uint32_t>{kTextBase, kTextBase + 4, kTextBase + 4}));
+}
+
+TEST(Lifter, NopAndBranchBlockHasNoStatements) {
+  Binary bin = BuildWith([](FnBuilder& b) {
+    b.Nop();
+    b.Nop();
+    b.B("out");
+    b.Label("out");
+    b.Ret();
+  });
+  IRBlock block = Lifter(bin).LiftBlock(kTextBase).value();
+  EXPECT_EQ(block.size, 3 * kInsnSize);
+  EXPECT_TRUE(block.stmts.empty());
+  // The printer still shows every guest word of the block.
+  std::string out = PrintBlockWithDisasm(bin, block);
+  for (uint32_t pc = kTextBase; pc < block.EndAddr(); pc += kInsnSize) {
+    EXPECT_NE(out.find(HexStr(pc) + ": "), std::string::npos) << pc;
   }
-  EXPECT_EQ(marks,
-            (std::vector<uint32_t>{kTextBase, kTextBase + 4, kTextBase + 8}));
+  EXPECT_NE(out.find(HexStr(kTextBase + 4) + ": nop"), std::string::npos);
+  EXPECT_NE(out.find(HexStr(kTextBase + 8) + ": b"), std::string::npos);
 }
 
 TEST(Lifter, UnalignedAddressRejected) {
@@ -220,8 +241,6 @@ TEST(Lifter, BigEndianFlavorDecodesIdentically) {
 
 // ---- IR printer (appended) ----------------------------------------------------
 
-#include "src/ir/printer.h"
-
 namespace dtaint {
 namespace {
 
@@ -234,8 +253,10 @@ TEST(Printer, InterleavesDisasmWithIr) {
   std::string out = PrintBlockWithDisasm(bin, block);
   // Guest disassembly line...
   EXPECT_NE(out.find("ldr r1, [r5, #76]"), std::string::npos);
-  // ...followed by the lifted statements and the block terminator.
-  EXPECT_NE(out.find("t0 = Get(5)"), std::string::npos);
+  // ...followed by its one flat statement and the block terminator.
+  EXPECT_NE(out.find("ldr r1, [r5, #76]\n"
+                     "    PUT(1) = Load4(Add(Get(5), 0x4c))\n"),
+            std::string::npos);
   EXPECT_NE(out.find("NEXT(Ijk_Ret)"), std::string::npos);
 }
 

@@ -29,6 +29,15 @@ using testing_util::RandomInsnForOp;
 
 // ---------- encoder/decoder round trip --------------------------------------
 
+const Op kAllOps[] = {
+    Op::kMovR, Op::kMovI, Op::kMovHi, Op::kAddR, Op::kAddI, Op::kSubR,
+    Op::kSubI, Op::kMulR, Op::kAndR, Op::kAndI, Op::kOrrR, Op::kOrrI,
+    Op::kXorR, Op::kXorI, Op::kLslI, Op::kLsrI, Op::kLdrW, Op::kStrW,
+    Op::kLdrB, Op::kStrB, Op::kLdrWR, Op::kStrWR, Op::kLdrBR, Op::kStrBR,
+    Op::kCmpR, Op::kCmpI, Op::kB, Op::kBeq, Op::kBne, Op::kBlt,
+    Op::kBge, Op::kBle, Op::kBgt, Op::kBl, Op::kBlr, Op::kRet,
+    Op::kNop, Op::kSvc};
+
 class EncodeRoundTrip : public ::testing::TestWithParam<Op> {};
 
 TEST_P(EncodeRoundTrip, DecodeOfEncodeIsIdentity) {
@@ -43,17 +52,8 @@ TEST_P(EncodeRoundTrip, DecodeOfEncodeIsIdentity) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOpcodes, EncodeRoundTrip,
-    ::testing::Values(Op::kMovR, Op::kMovI, Op::kMovHi, Op::kAddR,
-                      Op::kAddI, Op::kSubR, Op::kSubI, Op::kMulR,
-                      Op::kAndR, Op::kAndI, Op::kOrrR, Op::kOrrI,
-                      Op::kXorR, Op::kXorI, Op::kLslI, Op::kLsrI,
-                      Op::kLdrW, Op::kStrW, Op::kLdrB, Op::kStrB,
-                      Op::kLdrWR, Op::kStrWR, Op::kLdrBR, Op::kStrBR,
-                      Op::kCmpR, Op::kCmpI, Op::kB, Op::kBeq, Op::kBne,
-                      Op::kBlt, Op::kBge, Op::kBle, Op::kBgt, Op::kBl,
-                      Op::kBlr, Op::kRet, Op::kNop, Op::kSvc));
+INSTANTIATE_TEST_SUITE_P(AllOpcodes, EncodeRoundTrip,
+                         ::testing::ValuesIn(kAllOps));
 
 // ---------- differential lifter test -----------------------------------------
 //
@@ -157,17 +157,15 @@ void StepMachine(const Insn& insn, ConcreteState& s) {
   }
 }
 
-uint32_t EvalIrExpr(const ExprRef& e, const std::vector<uint32_t>& tmps,
-                    const ConcreteState& s) {
+uint32_t EvalIrExpr(ExprRef e, const ConcreteState& s) {
   switch (e->kind()) {
     case ExprKind::kConst: return e->const_value();
-    case ExprKind::kRdTmp: return tmps[e->tmp()];
     case ExprKind::kGet: return s.regs[e->reg()];
     case ExprKind::kLoad:
-      return s.Read(EvalIrExpr(e->lhs(), tmps, s), e->load_size());
+      return s.Read(EvalIrExpr(e->lhs(), s), e->load_size());
     case ExprKind::kBinop: {
-      uint32_t a = EvalIrExpr(e->lhs(), tmps, s);
-      uint32_t b = EvalIrExpr(e->rhs(), tmps, s);
+      uint32_t a = EvalIrExpr(e->lhs(), s);
+      uint32_t b = EvalIrExpr(e->rhs(), s);
       switch (e->binop()) {
         case BinOp::kAdd: return a + b;
         case BinOp::kSub: return a - b;
@@ -184,21 +182,17 @@ uint32_t EvalIrExpr(const ExprRef& e, const std::vector<uint32_t>& tmps,
   return 0;
 }
 
+/// Runs a flat block: each statement evaluates its whole tree against
+/// the state left by the statements before it.
 void RunIrBlock(const IRBlock& block, ConcreteState& s) {
-  std::vector<uint32_t> tmps(block.next_tmp, 0);
   for (const Stmt& stmt : block.stmts) {
     switch (stmt.kind) {
-      case StmtKind::kIMark:
-        break;
-      case StmtKind::kWrTmp:
-        tmps[stmt.tmp] = EvalIrExpr(stmt.expr, tmps, s);
-        break;
       case StmtKind::kPut:
-        s.regs[stmt.reg] = EvalIrExpr(stmt.expr, tmps, s);
+        s.regs[stmt.reg] = EvalIrExpr(stmt.expr, s);
         break;
       case StmtKind::kStore: {
-        uint32_t addr = EvalIrExpr(stmt.addr_expr, tmps, s);
-        uint32_t data = EvalIrExpr(stmt.data_expr, tmps, s);
+        uint32_t addr = EvalIrExpr(stmt.addr_expr, s);
+        uint32_t data = EvalIrExpr(stmt.data_expr, s);
         s.Write(addr, data, stmt.size);
         break;
       }
@@ -262,6 +256,55 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, DifferentialLift,
     ::testing::Combine(::testing::Values(Arch::kDtArm, Arch::kDtMips),
                        ::testing::Range(0, 8)));
+
+// ---------- flat IR shape invariants -----------------------------------------
+
+/// Adds every node of the tree under `e` to `seen`; false if one was
+/// already there.
+bool CollectNodes(ExprRef e, std::set<ExprRef>& seen) {
+  if (!e) return true;
+  if (!seen.insert(e).second) return false;
+  return CollectNodes(e->lhs(), seen) && CollectNodes(e->rhs(), seen);
+}
+
+class FlatIr : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlatIr, StatementsShareNoNodeAndKeepGuestOrder) {
+  Rng rng(GetParam() * 389 + 11);
+  for (int trial = 0; trial < 20; ++trial) {
+    FnBuilder b("f");
+    const int length = static_cast<int>(rng.Range(1, 32));
+    for (int i = 0; i < length; ++i) {
+      b.Emit(RandomInsnForOp(kAllOps[rng.Below(std::size(kAllOps))], rng));
+    }
+    b.Ret();
+    BinaryWriter writer(Arch::kDtArm, "t");
+    writer.AddFunction(std::move(b).Finish().value());
+    Binary bin = writer.Build().value();
+    Lifter lifter(bin);
+    // A block from every instruction: each one ends at its first
+    // control transfer.
+    for (int i = 0; i <= length; ++i) {
+      auto block = lifter.LiftBlock(kTextBase + i * kInsnSize);
+      if (!block.ok()) continue;
+      std::set<ExprRef> seen;
+      uint32_t last = block->addr;
+      for (const Stmt& st : block->stmts) {
+        EXPECT_TRUE(CollectNodes(st.expr, seen) &&
+                    CollectNodes(st.addr_expr, seen) &&
+                    CollectNodes(st.data_expr, seen))
+            << "shared node in " << st.ToString();
+        EXPECT_GE(st.addr, last) << st.ToString();
+        EXPECT_GE(st.addr, block->addr);
+        EXPECT_LT(st.addr, block->EndAddr());
+        last = st.addr;
+      }
+      EXPECT_TRUE(CollectNodes(block->next, seen)) << "next shares a node";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FlatIr, ::testing::Range(0, 8));
 
 // ---------- firmware pack/extract round trip ---------------------------------
 

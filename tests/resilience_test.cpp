@@ -20,6 +20,7 @@
 #include "src/binary/writer.h"
 #include "src/isa/asm_builder.h"
 #include "src/cache/summary_cache.h"
+#include "src/cfg/cfg_builder.h"
 #include "src/core/dtaint.h"
 #include "src/firmware/extractor.h"
 #include "src/firmware/packer.h"
@@ -28,6 +29,7 @@
 #include "src/resilience/budget.h"
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
+#include "src/symexec/engine.h"
 #include "src/synth/firmware_synth.h"
 #include "tests/testing/pack_files.h"
 
@@ -102,6 +104,35 @@ TEST_F(ResilienceTest, StepLimitTripsExactlyAtTheLimitAndIsSticky) {
   EXPECT_EQ(tracker.cause(), BudgetExhaustion::kSteps);
   EXPECT_TRUE(tracker.ChargeStep());  // sticky
   EXPECT_TRUE(tracker.ChargeState());
+}
+
+TEST_F(ResilienceTest, OneStepPerAluInstruction) {
+  // The step unit is one flat-IR statement: a straight-line block of N
+  // ALU instructions charges exactly N steps (the ret charges none). An
+  // IR change that moves the unit must fail here, not silently rescale
+  // every --max-steps limit.
+  for (int n : {1, 7, 300}) {
+    FnBuilder b("alu");
+    for (int i = 0; i < n; ++i) {
+      switch (i % 5) {
+        case 0: b.AddR(1, 2, 3); break;
+        case 1: b.AddI(2, 1, i); break;
+        case 2: b.SubI(3, 3, 1); break;
+        case 3: b.MulR(1, 1, 2); break;
+        default: b.LslI(2, 2, 1); break;
+      }
+    }
+    b.Ret();
+    BinaryWriter writer(Arch::kDtArm, "steps");
+    writer.AddFunction(std::move(b).Finish().value());
+    Binary bin = writer.Build().value();
+    Program program = CfgBuilder(bin).BuildProgram().value();
+    const Function& fn = program.functions.at("alu");
+    ASSERT_EQ(fn.blocks.size(), 1u);
+    BudgetTracker tracker{AnalysisBudget{}};
+    SymEngine(bin).Analyze(fn, &tracker);
+    EXPECT_EQ(tracker.counters().steps, static_cast<uint64_t>(n)) << n;
+  }
 }
 
 TEST_F(ResilienceTest, StateLimitTripsIndependentlyOfSteps) {

@@ -263,6 +263,24 @@ TEST(Engine, LocalCallYieldsRetSymbol) {
   EXPECT_EQ(dp->u->kind(), SymKind::kRet);
 }
 
+TEST(Engine, IndirectCallReadsItsTargetBeforeTheLinkWrite) {
+  // blr lr calls the old lr, as the machine does; only afterwards does
+  // lr hold the return address.
+  FunctionSummary summary = Analyze([](FnBuilder& b) {
+    b.MovR(kRegLr, 0);
+    b.CallReg(kRegLr);
+    b.StrW(kRegLr, kRegSp, 0);
+    b.Ret();
+  });
+  ASSERT_EQ(summary.calls.size(), 1u);
+  ASSERT_TRUE(summary.calls[0].is_indirect);
+  EXPECT_EQ(summary.calls[0].indirect_target->ToString(), "arg0");
+  const DefPair* dp = FindDef(summary, "deref(SP)");
+  ASSERT_NE(dp, nullptr);
+  ASSERT_EQ(dp->u->kind(), SymKind::kConst);
+  EXPECT_EQ(dp->u->const_value(), kTextBase + 2 * kInsnSize);
+}
+
 TEST(Engine, StackPassedCallArgsCollected) {
   FunctionSummary summary = Analyze([](FnBuilder& b) {
     b.SubI(13, 13, 0x20);
