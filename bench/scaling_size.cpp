@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   bench::Harness harness("scaling_size", argc, argv);
   std::printf("=== Scaling: cost vs program size ===\n\n");
   TextTable table({"Functions", "Blocks", "DTaint total (s)",
-                   "s per 1k fns", "Baseline ctxs", "Baseline DDG (s)",
+                   "s per 1k fns", "Baseline ctxs", "Baseline block execs",
+                   "Baseline dep edges", "Baseline DDG (s)",
                    "DTaint 4-thread (s)"});
 
   for (int functions : {100, 200, 400, 800, 1600}) {
@@ -82,6 +83,10 @@ int main(int argc, char** argv) {
                   rep.Value("blocks", static_cast<double>(report->blocks));
                   rep.Value("baseline_contexts",
                             static_cast<double>(baseline.contexts_analyzed));
+                  rep.Value("baseline_block_executions",
+                            static_cast<double>(baseline.block_executions));
+                  rep.Value("baseline_dep_edges",
+                            static_cast<double>(baseline.dependence_edges));
                 });
     if (!report.ok()) return harness.Finish(false);
 
@@ -93,6 +98,8 @@ int main(int argc, char** argv) {
                        report->analyzed_functions,
                    3),
          WithCommas(baseline.contexts_analyzed),
+         WithCommas(baseline.block_executions),
+         WithCommas(baseline.dependence_edges),
          FmtDouble(baseline_seconds, 3),
          FmtDouble(par_report->total_seconds, 3)});
   }

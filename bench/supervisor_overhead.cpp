@@ -5,8 +5,8 @@
 // reused across images), a pipe round-trip per image, and a JSON wire
 // codec on every outcome. This bench prices that
 // isolation tax: the same synthesized fleet is scanned twice through
-// the same ScanSupervisor — once with force_in_process (direct call,
-// the A side) and once with real forked workers (the B side) — and
+// the same ScanSupervisor — once with workers = 0 (direct call, the A
+// side) and once with one real forked worker (the B side) — and
 // the wall-clock ratio is reported as supervisor.overhead_ratio.
 //
 // The ratio is informational (the `_ratio` suffix exempts it from the
@@ -82,7 +82,7 @@ FleetTotals RunFleet(const std::vector<Binary>& fleet,
                      const std::vector<TaskSpec>& tasks, bool in_process,
                      bench::Rep& rep) {
   SupervisorConfig config;
-  config.force_in_process = in_process;
+  config.workers = in_process ? 0 : 1;
   ScanSupervisor supervisor(config);
   auto results = supervisor.Run(
       tasks, [&](size_t index, const AnalysisBudget&) {

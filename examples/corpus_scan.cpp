@@ -36,18 +36,18 @@
 //                        hash-consed; results are identical for any
 //                        thread count)
 //
-// Crash isolation & resume (src/resilience/supervisor.h): with
-// `--isolate` each image is scanned in a forked worker process (up to
-// `--workers` of them, each reused for image after image) — a SIGSEGV,
-// OOM kill, or hang in one image costs only that image, never the
-// fleet run. Failed workers are retried with backoff under a tightened
-// budget (`--max-retries N`, default 2) and quarantined when the
-// retries are spent; `--image-timeout-ms MS` arms a per-image
-// wall-clock watchdog and `--mem-limit-mb MB` an RLIMIT_AS cap.
-// `--journal DIR` appends a crash-safe checkpoint record per image
-// outcome, and `--resume` replays it so a rerun after kill -9 skips
-// completed images and produces a byte-identical merged report. The
-// default (no flags) stays fully in-process.
+// Crash isolation & resume (src/resilience/supervisor.h): every image
+// goes through one ScanSupervisor, in this process (`--workers 0`, the
+// default) or in up to `--workers N` forked worker processes, each
+// reused for image after image — a SIGSEGV, OOM kill, or hang in one
+// image costs only that image, never the fleet run. Failed attempts
+// are retried with backoff under a tightened budget (`--max-retries
+// N`, default 2) and quarantined when the retries are spent; with
+// workers, `--image-timeout-ms MS` arms a per-image watchdog and
+// `--mem-limit-mb MB` an RLIMIT_AS cap. `--journal DIR` appends a
+// crash-safe checkpoint record per image outcome, and `--resume`
+// replays it so a rerun after kill -9 skips completed images and
+// produces a byte-identical merged report.
 //
 // Observability: `--log-level LEVEL` sets the stderr log threshold,
 // `--metrics-out FILE` dumps the metrics registry,
@@ -180,13 +180,12 @@ void PrintUsage() {
       "  --fail-fast          stop at the first incident, exit nonzero\n"
       "\n"
       "isolation & resume:\n"
-      "  --isolate            scan each image in a forked worker\n"
-      "                       process (crash/OOM/hang isolation)\n"
-      "  --workers N          concurrent isolated workers (default 1)\n"
+      "  --workers N          forked worker processes (crash/OOM/hang\n"
+      "                       isolation); 0 (default) = in process\n"
       "  --max-retries N      retries per failed image before\n"
       "                       quarantine (default 2)\n"
-      "  --image-timeout-ms MS  per-image wall-clock watchdog (0 = off)\n"
-      "  --mem-limit-mb MB    per-worker address-space cap (0 = off)\n"
+      "  --image-timeout-ms MS  per-image watchdog (0 = off; needs --workers)\n"
+      "  --mem-limit-mb MB    per-worker RLIMIT_AS (0 = off; needs --workers)\n"
       "  --journal DIR        append-only checkpoint journal\n"
       "  --resume             replay the journal; skip images already\n"
       "                       done or quarantined (needs --journal)\n"
@@ -261,20 +260,18 @@ int main(int argc, char** argv) {
   std::string journal_dir;
   int heartbeat_ms = 1000;
   int corrupt_count = 0;
-  int workers = 1;
+  int workers = 0;
   int max_retries = 2;
   int image_timeout_ms = 0;
   int mem_limit_mb = 0;
   bool help = false;
   bool fail_fast = false;
-  bool isolate = false;
   bool resume = false;
   FlagSet flags;
   AddScanFlags(flags, &scan);
   AddObsFlags(flags, &obs_flags);
   flags.Switch("--help", &help);
   flags.Switch("--fail-fast", &fail_fast);
-  flags.Switch("--isolate", &isolate);
   flags.Switch("--resume", &resume);
   flags.Int("--corrupt", &corrupt_count);
   flags.Int("--workers", &workers);
@@ -298,6 +295,12 @@ int main(int argc, char** argv) {
   if (help) {
     PrintUsage();
     return 0;
+  }
+  // The watchdog and the address-space cap act on worker processes.
+  if (workers == 0 && (image_timeout_ms > 0 || mem_limit_mb > 0)) {
+    std::fprintf(stderr, "corpus_scan: %s needs --workers N (N >= 1)\n",
+                 image_timeout_ms ? "--image-timeout-ms" : "--mem-limit-mb");
+    return 2;
   }
   std::optional<SummaryCache> cache;
   if (!scan.cache_dir.empty()) {
@@ -331,7 +334,7 @@ int main(int argc, char** argv) {
   std::printf("fleet scan: %zu firmware images%s%s%s\n\n", corpus.size(),
               cache ? " (summary cache enabled)" : "",
               corrupted ? " (corruption injected)" : "",
-              isolate ? " (isolated workers)" : "");
+              workers > 0 ? " (isolated workers)" : "");
 
   TextTable table({"Image", "Arch", "Packing", "Status", "Complete", "Fns",
                    "Findings", "TP", "FP+twin", "Missed", "Att"});
@@ -350,11 +353,11 @@ int main(int argc, char** argv) {
                                : 0);
   heartbeat.images_total().store(corpus.size(), std::memory_order_relaxed);
 
-  // The per-image scan body: the unit of work both the in-process loop
-  // and the supervisor's workers run. ScanImage emits the image events
-  // itself (inside the worker, in isolated mode); everything the fleet
-  // report needs comes back in the ScanOutcome, with JSON fragments
-  // pre-serialized so the journal can replay them byte-identically.
+  // The per-image scan body, run by the supervisor in this process or
+  // in its workers. ScanImage emits the image events itself (inside the
+  // worker, with --workers); everything the fleet report needs comes
+  // back in the ScanOutcome, with JSON fragments pre-serialized so the
+  // journal can replay them byte-identically.
   auto scan_image = [&](size_t idx,
                         const AnalysisBudget& image_budget) -> ScanOutcome {
     const CorpusItem& item = corpus[idx];
@@ -378,15 +381,48 @@ int main(int argc, char** argv) {
       out.fn = score.false_negatives;
       out.fp = score.false_positives + score.safe_twin_hits;
     }
+    // In a forked worker this bumps the worker's copy; Run's end sets it.
+    heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
     return std::move(out);
   };
 
-  // Folds one terminal task result into the fleet report. Always
-  // called in corpus order, whatever order the supervisor finished in
-  // — the report (and its byte-identity across resumes) never depends
-  // on scheduling.
-  auto fold_result = [&](size_t idx, const TaskResult& result) {
-    const CorpusItem& item = corpus[idx];
+  SupervisorConfig sup_config;
+  sup_config.workers = workers;
+  sup_config.max_retries = max_retries;
+  sup_config.image_timeout_ms = static_cast<uint32_t>(image_timeout_ms);
+  sup_config.mem_limit_mb = static_cast<uint32_t>(mem_limit_mb);
+  sup_config.budget = scan.config.interproc.budget;
+  sup_config.journal_dir = journal_dir;
+  sup_config.resume = resume;
+  sup_config.stop_on_failure = fail_fast;
+  ScanSupervisor supervisor(sup_config);
+
+  std::vector<TaskSpec> tasks;
+  tasks.reserve(corpus.size());
+  for (const CorpusItem& item : corpus) {
+    TaskSpec task;
+    task.label = item.spec.vendor + " " + item.spec.product;
+    task.fingerprint = Fingerprint128()
+                           .Mix(std::span<const uint8_t>(item.blob))
+                           .Digest()
+                           .ToHex();
+    tasks.push_back(std::move(task));
+  }
+  std::vector<TaskResult> results = supervisor.Run(tasks, scan_image);
+  // The fleet report folds the results in corpus order, whatever order
+  // the supervisor finished in — the report (and its byte-identity
+  // across resumes) never depends on scheduling.
+  for (size_t i = 0; i < results.size(); ++i) {
+    const TaskResult& result = results[i];
+    if (result.state == TaskResult::State::kSkipped) {
+      // Images the fail-fast stop cut off never appear in the report,
+      // but any incidents their earlier attempts produced do.
+      for (const Incident& inc : result.incidents) {
+        incidents.push_back(inc);
+      }
+      continue;
+    }
+    const CorpusItem& item = corpus[i];
     ImageResult im;
     im.label = item.spec.vendor + " " + item.spec.product;
     im.vendor = item.spec.vendor;
@@ -438,67 +474,12 @@ int main(int argc, char** argv) {
       incidents.push_back(inc);
     }
     images.push_back(std::move(im));
-  };
-
-  const AnalysisBudget& budget = scan.config.interproc.budget;
-  bool use_supervisor = isolate || !journal_dir.empty();
-  if (use_supervisor) {
-    SupervisorConfig sup_config;
-    sup_config.workers = workers;
-    sup_config.max_retries = max_retries;
-    sup_config.image_timeout_ms =
-        image_timeout_ms > 0 ? static_cast<uint32_t>(image_timeout_ms) : 0;
-    sup_config.mem_limit_mb =
-        mem_limit_mb > 0 ? static_cast<uint32_t>(mem_limit_mb) : 0;
-    sup_config.budget = budget;
-    sup_config.journal_dir = journal_dir;
-    sup_config.resume = resume;
-    sup_config.stop_on_failure = fail_fast;
-    sup_config.force_in_process = !isolate;
-    ScanSupervisor supervisor(sup_config);
-
-    std::vector<TaskSpec> tasks;
-    tasks.reserve(corpus.size());
-    for (const CorpusItem& item : corpus) {
-      TaskSpec task;
-      task.label = item.spec.vendor + " " + item.spec.product;
-      task.fingerprint = Fingerprint128()
-                             .Mix(std::span<const uint8_t>(item.blob))
-                             .Digest()
-                             .ToHex();
-      tasks.push_back(std::move(task));
-    }
-    std::vector<TaskResult> results = supervisor.Run(tasks, scan_image);
-    for (size_t i = 0; i < results.size(); ++i) {
-      const TaskResult& result = results[i];
-      if (result.state == TaskResult::State::kSkipped) {
-        // Mirrors the in-process --fail-fast break: images the stop
-        // cut off never appear in the report, but any incidents their
-        // earlier attempts produced do.
-        aborted = true;
-        for (const Incident& inc : result.incidents) {
-          incidents.push_back(inc);
-        }
-        continue;
-      }
-      fold_result(i, result);
-      heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    for (size_t idx = 0; idx < corpus.size(); ++idx) {
-      TaskResult result;
-      result.state = TaskResult::State::kDone;
-      result.attempts = 1;
-      result.in_process = true;
-      result.outcome = scan_image(idx, budget);
-      fold_result(idx, result);
-      heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
-      if (fail_fast && StopsFailFast(result.outcome)) {
-        aborted = true;
-        break;
-      }
-    }
+    // The image that tripped the fail-fast stop, even the last one.
+    aborted |= fail_fast && !result.resumed &&
+               (result.state == TaskResult::State::kQuarantined ||
+                StopsFailFast(result.outcome));
   }
+  heartbeat.images_done().store(images.size(), std::memory_order_relaxed);
   heartbeat.Stop();
   if (events.enabled()) {
     events.Emit(obs::Event("corpus_end")

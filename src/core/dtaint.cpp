@@ -208,7 +208,6 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
 
   obs::Phase report_phase("report");
   report.interproc_stats = analysis.stats;
-  report.hot_functions = analysis.stats.hot_functions;
   report.call_graph_edges = program.CallEdgeCount();
   // Paths riding on degraded (over-approximated) flow are withheld:
   // reporting them would let a *smaller* budget produce *more*

@@ -74,10 +74,6 @@ struct AnalysisReport {
   /// total_paths - vulnerable_paths). Deterministic, unlike timings.
   PathFinderStats pathfinder_stats;
 
-  /// Hot-function profile: top functions by summary-analysis wall time
-  /// (most expensive first).
-  std::vector<HotFunction> hot_functions;
-
   /// Per-run metrics delta (global registry counters as deltas over
   /// this Analyze call; gauges/histograms as current values). Embedded
   /// in the JSON report as the "metrics" object.

@@ -49,7 +49,8 @@ using ImageFields =
 /// Scans a packed firmware image, or a bare DTBIN binary (no
 /// `extract`). `label` names the image in events and incidents and is
 /// the extract fault-site origin; `label + binary_path` is the load
-/// origin. Consults the `crash` fault site right after image_begin.
+/// origin. Consults the `crash` fault site right after image_begin (the
+/// consult that kills a supervisor running tasks in process).
 ImageScan ScanImage(std::span<const uint8_t> blob,
                     std::string_view binary_path, std::string_view label,
                     const DTaintConfig& config,

@@ -33,7 +33,11 @@ bool BudgetTracker::ChargeStep() {
     cause_ = BudgetExhaustion::kSteps;
     return true;
   }
-  if (steps_ % kSlowCheckInterval == 0) SlowCheck();
+  // The first step reads the clock too, so a deadline that passed
+  // before the function ran trips however few steps it charges.
+  bool interval = steps_ % kSlowCheckInterval == 0;
+  if (interval || steps_ == 1) CheckDeadline();
+  if (interval && !exhausted()) CheckExprNodes();
   return exhausted();
 }
 
@@ -46,17 +50,15 @@ bool BudgetTracker::ChargeState() {
   return exhausted();
 }
 
-void BudgetTracker::SlowCheck() {
-  if (limits_.deadline_ms > 0) {
-    double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
-    if (elapsed_ms >= limits_.deadline_ms) {
-      cause_ = BudgetExhaustion::kDeadline;
-      return;
-    }
-  }
+void BudgetTracker::CheckDeadline() {
+  if (limits_.deadline_ms <= 0) return;
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+  if (elapsed_ms >= limits_.deadline_ms) cause_ = BudgetExhaustion::kDeadline;
+}
+
+void BudgetTracker::CheckExprNodes() {
   // The nodes this function's exploration has built: a count private
   // to the analysing thread, so the trip point does not depend on what
   // other threads intern meanwhile. Outside an exploration (the alias

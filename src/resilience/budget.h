@@ -83,8 +83,9 @@ struct BudgetCounters {
 /// Cooperative watchdog for one function's analysis. Owned by a single
 /// worker thread — not internally synchronized (each analysis in the
 /// phase-1 pool constructs its own). Charging is O(1); the clock
-/// (comparatively expensive) and the scratch interner's node count are
-/// consulted only every kSlowCheckInterval steps.
+/// (comparatively expensive) is consulted on the first step and every
+/// kSlowCheckInterval steps, the scratch interner's node count only
+/// every kSlowCheckInterval steps.
 class BudgetTracker {
  public:
   explicit BudgetTracker(const AnalysisBudget& limits);
@@ -113,8 +114,9 @@ class BudgetTracker {
   // step does 4.6x as much on the fleet_cold corpus (DESIGN.md).
   static constexpr uint64_t kSlowCheckInterval = 256;
 
-  /// Deadline + expression-node check, amortized over steps.
-  void SlowCheck();
+  /// The amortized checks ChargeStep runs (see the class comment).
+  void CheckDeadline();
+  void CheckExprNodes();
 
   AnalysisBudget limits_;
   std::chrono::steady_clock::time_point start_;

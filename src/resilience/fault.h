@@ -55,13 +55,13 @@ enum class FaultSite : uint8_t {
   kExtract,     // firmware unpacking
   kLoad,        // binary image parsing
   kCrash,       // hard process death mid-scan. ScanImage consults it
-                // right after image_begin, and the scan supervisor
-                // consults it in the parent before each first dispatch,
-                // so a crash@<label> spec (no skip) fires in the parent
-                // first and a supervised run dies there, not in a worker.
-                // The kill-mid-scan oracles in tests/events_test.cpp and
-                // tests/supervisor_test.cpp prove the event stream and
-                // the resume journal survive.
+                // right after image_begin; a supervisor with forked
+                // workers first consults it in the parent before each
+                // image's first request, so a crash@<label> spec (no
+                // skip) kills the parent, not a worker. The oracles in
+                // tests/events_test.cpp (in process) and
+                // tests/supervisor_test.cpp (workers) prove the event
+                // stream and the resume journal survive.
   kWorkerKill,  // isolated scan worker SIGKILLs itself at task start —
                 // the synthetic poison image the supervisor must
                 // retry and eventually quarantine

@@ -231,7 +231,7 @@ void ExtendCpuLimit(uint32_t budget_s) {
 
 ScanSupervisor::ScanSupervisor(SupervisorConfig config)
     : config_(std::move(config)) {
-  if (config_.workers < 1) config_.workers = 1;
+  if (config_.workers < 0) config_.workers = 0;
   if (config_.max_retries < 0) config_.max_retries = 0;
 }
 
@@ -661,11 +661,14 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       journal_append(record);
       // The kill-mid-scan oracle: hard supervisor death right after
       // the begin record is durable — resume must re-run this image.
-      if (FaultPlan::Global().ShouldFail(FaultSite::kCrash, task.label)) {
+      // A task run in this process needs no consult here: ScanImage's
+      // own, right after image_begin, kills the supervisor itself.
+      if (config_.workers > 0 &&
+          FaultPlan::Global().ShouldFail(FaultSite::kCrash, task.label)) {
         std::abort();
       }
     }
-    if (!config_.force_in_process) {
+    if (config_.workers > 0) {
       auto idle = std::find_if(pool.begin(), pool.end(),
                                [](const Worker& w) { return !w.busy; });
       Worker* worker = idle != pool.end() ? &*idle : nullptr;
@@ -767,10 +770,11 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       continue;
     }
 
-    // Fill free worker slots with whatever is eligible to run.
+    // Fill free worker slots with whatever is eligible to run. In
+    // process a task finishes inside dispatch, so one slot runs them all.
     bool dispatched = true;
     while (dispatched && !stopped &&
-           static_cast<int>(in_flight) < config_.workers) {
+           static_cast<int>(in_flight) < std::max(config_.workers, 1)) {
       dispatched = false;
       for (size_t k = 0; k < pending.size(); ++k) {
         if (pending[k].not_before <= now) {

@@ -45,10 +45,13 @@
 // After 1 + max_retries attempts the image is quarantined: recorded,
 // reported, and never allowed to poison the rest of the fleet.
 //
-// If fork or pipe creation itself fails (containers without
-// CAP_SYS_ADMIN analogues, fd exhaustion), the supervisor degrades to
-// running the task in-process — isolation is best-effort, the scan
-// itself is not.
+// With `workers` 0 there is no pool: every task runs in this process,
+// one after another, under the same retry/quarantine state machine and
+// journal (worker fault sites become synthetic failures, exceptions
+// become failed attempts). If fork or pipe creation itself fails
+// (containers without CAP_SYS_ADMIN analogues, fd exhaustion), a forked
+// run degrades to the same in-process path for that task — isolation is
+// best-effort, the scan itself is not.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +103,8 @@ std::string EncodeWireResult(const ScanOutcome& outcome);
 Result<ScanOutcome> DecodeWireResult(std::string_view frame);
 
 struct SupervisorConfig {
-  /// Concurrent worker processes.
+  /// Concurrent forked worker processes; 0 runs every task in this
+  /// process (no isolation; journal and resume still work).
   int workers = 1;
   /// Extra attempts after the first before quarantine (so an image is
   /// tried at most 1 + max_retries times).
@@ -122,10 +126,6 @@ struct SupervisorConfig {
   /// whose outcome StopsFailFast (fail-fast fleets). Outcomes replayed
   /// from the journal never stop a run.
   bool stop_on_failure = false;
-  /// Run every task in-process (no fork) — the A side of the bench A/B
-  /// and the deterministic-path half of the supervisor tests. Journal
-  /// and resume still work.
-  bool force_in_process = false;
   /// Retry backoff shape (jitter seed comes from each image's
   /// fingerprint, not from here; the sum of sleeps is capped at
   /// RetryPolicy's default 1 s).
@@ -150,7 +150,7 @@ struct TaskResult {
   uint32_t attempts = 0;
   uint32_t worker_restarts = 0;  // failed attempts (== attempts-1 when done)
   bool resumed = false;          // satisfied from the journal replay
-  bool in_process = false;       // ran without isolation (forced or fallback)
+  bool in_process = false;       // ran in this process (workers 0/fallback)
   std::string quarantine_reason;
   /// Supervisor-level incidents (one per failed attempt, plus the
   /// quarantine verdict), distinct from outcome.incidents.
@@ -171,7 +171,7 @@ struct SupervisorStats {
 };
 
 /// The task body: scan image `index` under `budget` and return its
-/// outcome. In isolated mode it runs inside a forked worker, which runs
+/// outcome. With workers >= 1 it runs inside a forked worker, which runs
 /// many tasks one after another: it must not assume it shares memory
 /// with the caller afterwards, and must leave nothing behind that
 /// changes the outcome of the next task it runs.
@@ -208,7 +208,7 @@ class ScanSupervisor {
   [[noreturn]] void ServeTasks(const std::vector<TaskSpec>& tasks,
                                const TaskFn& fn, int cmd_fd, int result_fd);
 
-  /// In-process execution of one attempt (forced mode and fork
+  /// In-process execution of one attempt (workers 0 and fork
   /// fallback). False on failure, with the failure kind and a detail
   /// message filled in (worker fault sites become synthetic failures;
   /// exceptions become kExit / kOom).

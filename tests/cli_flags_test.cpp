@@ -179,6 +179,27 @@ int RunTool(const std::string& command, std::string* output) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+TEST(CliFlags, CorpusScanRefusesWorkerLimitsWithoutWorkers) {
+  const char* bin = std::getenv("DTAINT_CORPUS_SCAN_BIN");
+  if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
+  // The watchdog and the address-space cap act on forked workers; in
+  // process (--workers 0, the default) nothing could enforce them.
+  const struct {
+    const char* args;
+    const char* flag;
+  } bad[] = {
+      {"--workers -1", "--workers"},
+      {"--image-timeout-ms 300", "--image-timeout-ms"},
+      {"--workers 0 --mem-limit-mb 512", "--mem-limit-mb"},
+  };
+  std::string output;
+  for (const auto& [args, flag] : bad) {
+    EXPECT_EQ(RunTool(std::string("\"") + bin + "\" " + args, &output), 2)
+        << args;
+    EXPECT_NE(output.find(flag), std::string::npos) << args << ": " << output;
+  }
+}
+
 TEST(CliFlags, ScanReportAndBenchDiffExitTwoNamingTheFlag) {
   const char* scan_report = std::getenv("DTAINT_SCAN_REPORT_BIN");
   const char* bench_diff = std::getenv("DTAINT_BENCH_DIFF_BIN");

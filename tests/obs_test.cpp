@@ -496,11 +496,11 @@ TEST(ReportObservability, HotFunctionsAndPathStats) {
 
   // Hot-function profile: bounded, sorted descending by time, and
   // populated (the binary has > 10 functions).
-  ASSERT_FALSE(report->hot_functions.empty());
-  EXPECT_LE(report->hot_functions.size(), 10u);
-  for (size_t i = 1; i < report->hot_functions.size(); ++i) {
-    EXPECT_GE(report->hot_functions[i - 1].seconds,
-              report->hot_functions[i].seconds);
+  const std::vector<HotFunction>& hot = report->interproc_stats.hot_functions;
+  ASSERT_FALSE(hot.empty());
+  EXPECT_LE(hot.size(), 10u);
+  for (size_t i = 1; i < hot.size(); ++i) {
+    EXPECT_GE(hot[i - 1].seconds, hot[i].seconds);
   }
 
   // Path-search effort flowed into the report; the planted vuln means

@@ -11,9 +11,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/binary/loader.h"
@@ -144,6 +146,18 @@ TEST_F(ResilienceTest, StateLimitTripsIndependentlyOfSteps) {
   EXPECT_FALSE(tracker.ChargeState());
   EXPECT_TRUE(tracker.ChargeState());
   EXPECT_EQ(tracker.cause(), BudgetExhaustion::kStates);
+}
+
+TEST_F(ResilienceTest, ExpiredDeadlineTripsOnTheFirstStep) {
+  // A function that charges few steps must still see a deadline that
+  // passed before it ran: the clock is read on the first step, not
+  // only every interval-th.
+  AnalysisBudget budget;
+  budget.deadline_ms = 1;
+  BudgetTracker tracker(budget);
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  EXPECT_TRUE(tracker.ChargeStep());
+  EXPECT_EQ(tracker.cause(), BudgetExhaustion::kDeadline);
 }
 
 TEST_F(ResilienceTest, MarkInjectedReportsInjectedCause) {

@@ -396,7 +396,7 @@ TEST_F(SupervisorTest, ForkedWorkersReturnOutcomesInTaskOrder) {
 
 TEST_F(SupervisorTest, InProcessModeMatchesForkedResults) {
   SupervisorConfig config;
-  config.force_in_process = true;
+  config.workers = 0;
   ScanSupervisor supervisor(config);
   auto results = supervisor.Run(
       Tasks({"a", "b"}),
@@ -420,7 +420,7 @@ TEST_F(SupervisorTest, WorkerDeathRetriesWithTightenedBudgetThenSucceeds) {
   FaultPlan::Global().Install({rule});
 
   SupervisorConfig config;
-  config.force_in_process = true;
+  config.workers = 0;
   config.max_retries = 2;
   config.backoff_initial_us = 1;
   ScanSupervisor supervisor(config);
@@ -671,7 +671,7 @@ TEST_F(SupervisorTest, StopOnFailureSkipsRemainingTasks) {
   FaultPlan::Global().Install({rule});
 
   SupervisorConfig config;
-  config.force_in_process = true;
+  config.workers = 0;
   config.max_retries = 0;
   config.stop_on_failure = true;
   ScanSupervisor supervisor(config);
@@ -699,7 +699,7 @@ TEST_F(SupervisorTest, ResumeReplaysJournalWithoutRescanning) {
   };
 
   SupervisorConfig config;
-  config.force_in_process = true;
+  config.workers = 0;
   config.journal_dir = dir.string();
   {
     ScanSupervisor first(config);
@@ -818,7 +818,7 @@ TEST_F(SupervisorTest, ResumeOracleSurvivesKillMidScan) {
   fs::path crash_journal = dir / "journal_crash";
 
   // Ground truth: the corpus scanned to completion with isolation on.
-  ASSERT_EQ(RunScan(bin, "--isolate --journal \"" + clean_journal.string() +
+  ASSERT_EQ(RunScan(bin, "--workers 1 --journal \"" + clean_journal.string() +
                              "\" --json-out \"" + clean_json.string() + "\""),
             0);
   std::string want = ReadAll(clean_json);
@@ -828,7 +828,7 @@ TEST_F(SupervisorTest, ResumeOracleSurvivesKillMidScan) {
   // consults the crash site right after journaling image_begin.
   ::setenv("DTAINT_FAULTS", "crash@Tenda AC15", 1);
   int rc_crash =
-      RunScan(bin, "--isolate --journal \"" + crash_journal.string() +
+      RunScan(bin, "--workers 1 --journal \"" + crash_journal.string() +
                        "\" --json-out \"" + (dir / "partial.json").string() +
                        "\"");
   ::unsetenv("DTAINT_FAULTS");
@@ -843,7 +843,7 @@ TEST_F(SupervisorTest, ResumeOracleSurvivesKillMidScan) {
 
   // Resume. The merged fleet JSON must be byte-identical to the
   // uninterrupted run's — kill -9 plus --resume == never killed.
-  ASSERT_EQ(RunScan(bin, "--isolate --resume --journal \"" +
+  ASSERT_EQ(RunScan(bin, "--workers 1 --resume --journal \"" +
                              crash_journal.string() + "\" --json-out \"" +
                              resumed_json.string() + "\""),
             0);
@@ -858,7 +858,7 @@ TEST_F(SupervisorTest, PoisonImageQuarantinedInFleetScan) {
   fs::path events_path = dir / "poison.ndjson";
 
   ::setenv("DTAINT_FAULTS", "worker_kill@Tenda AC15:*", 1);
-  int rc = RunScan(bin, "--isolate --max-retries 1 --json-out \"" +
+  int rc = RunScan(bin, "--workers 1 --max-retries 1 --json-out \"" +
                             json_path.string() + "\" --events-out \"" +
                             events_path.string() + "\"");
   ::unsetenv("DTAINT_FAULTS");
@@ -902,8 +902,8 @@ TEST_F(SupervisorTest, FailFastStopsAtTheSameImageUnderEveryRunner) {
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
   fs::path dir = ScratchDir("fail_fast");
   // The first extractable image fails to extract; --fail-fast stops the
-  // fleet there whether images run in the plain loop, through the
-  // supervisor for the journal, or in isolated workers.
+  // fleet there whether images run in process, in process with the
+  // journal, or in a forked worker.
   auto labels_of = [&](const std::string& name, const std::string& args) {
     fs::path json_path = dir / (name + ".json");
     int rc = RunScan(bin, "--corrupt 1 --fail-fast " + args +
@@ -924,7 +924,7 @@ TEST_F(SupervisorTest, FailFastStopsAtTheSameImageUnderEveryRunner) {
   EXPECT_EQ(labels_of("journal",
                       "--journal \"" + (dir / "journal").string() + "\""),
             plain);
-  EXPECT_EQ(labels_of("isolate", "--isolate"), plain);
+  EXPECT_EQ(labels_of("isolate", "--workers 1"), plain);
 }
 
 }  // namespace

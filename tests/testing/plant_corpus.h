@@ -85,7 +85,6 @@ inline std::string NormalizedJson(AnalysisReport report) {
   report.interproc_stats.cache_hits = 0;
   report.interproc_stats.cache_misses = 0;
   report.interproc_stats.hot_functions.clear();
-  report.hot_functions.clear();
   report.metrics = obs::MetricsSnapshot{};
   return ReportToJson(report);
 }
