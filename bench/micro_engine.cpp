@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the analysis hot paths:
-// decode, lift, CFG recovery, per-function symbolic analysis, alias
+// decode, lift, CFG recovery, dead register write pruning,
+// per-function symbolic analysis, alias
 // recognition, layout similarity, whole-binary detection, and the
 // relink over a paper image.
 //
@@ -26,6 +27,7 @@
 #include "src/isa/encode.h"
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
+#include "src/symexec/prune.h"
 #include "src/symexec/symstate.h"
 #include "src/synth/firmware_synth.h"
 #include "src/synth/paper_images.h"
@@ -429,19 +431,50 @@ void BM_BottomUpLinking(benchmark::State& state) {
 }
 BENCHMARK(BM_BottomUpLinking);
 
-/// Link alone, without summary noise: the DGN2200 paper image is
-/// summarized, linked and structsim-resolved once, then each iteration
-/// unlinks and relinks it over the resolved call graph — the round trip
-/// DTaint::AnalyzeFunctions makes after structsim.
-void BM_Relink(benchmark::State& state) {
-  std::optional<Binary> binary;
+/// The analysed binary of the DGN2200 paper image, or nullopt.
+std::optional<Binary> Dgn2200Binary() {
   for (const PaperImageSpec& spec : PaperImageSpecs()) {
     if (spec.firmware.product != "DGN2200") continue;
     auto fw = BuildPaperImage(spec);
     if (!fw.ok()) break;
     auto loaded = LoadImageBinary(fw->image, spec.firmware.binary_path);
-    if (loaded.ok()) binary = std::move(*loaded);
+    if (loaded.ok()) return std::move(*loaded);
   }
+  return std::nullopt;
+}
+
+/// The faint-register pass alone, over every function of the DGN2200
+/// paper image: each function is lifted untimed and then pruned while
+/// its IR is hot, as SymEngine::Analyze does before it explores.
+void BM_PruneDeadPuts(benchmark::State& state) {
+  std::optional<Binary> binary = Dgn2200Binary();
+  if (!binary) {
+    state.SkipWithError("DGN2200 paper image unavailable");
+    return;
+  }
+  Program program = std::move(*CfgBuilder(*binary).BuildProgram());
+  Lifter lifter(*binary);
+  const CallingConvention& cc = ConventionFor(binary->arch);
+  Result<FunctionIR> ir = FunctionIR{};
+  uint64_t dropped = 0;
+  for (auto _ : state) {
+    for (const auto& [name, fn] : program.functions) {
+      state.PauseTiming();
+      ir = lifter.LiftFunction(fn);  // frees the previous function's IR
+      state.ResumeTiming();
+      for (uint32_t n : PruneDeadPuts(*ir, cc)) dropped += n;
+    }
+  }
+  benchmark::DoNotOptimize(dropped);
+}
+BENCHMARK(BM_PruneDeadPuts);
+
+/// Link alone, without summary noise: the DGN2200 paper image is
+/// summarized, linked and structsim-resolved once, then each iteration
+/// unlinks and relinks it over the resolved call graph — the round trip
+/// DTaint::AnalyzeFunctions makes after structsim.
+void BM_Relink(benchmark::State& state) {
+  std::optional<Binary> binary = Dgn2200Binary();
   if (!binary) {
     state.SkipWithError("DGN2200 paper image unavailable");
     return;

@@ -171,6 +171,7 @@ std::optional<fs::file_time_type> DirMtime(const std::string& dir) {
 Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config) {
   Fingerprint128 fp;
   fp.Mix(kSummaryCodecVersion);
+  fp.Mix(kEngineRevision);
   fp.Mix(static_cast<uint64_t>(binary.arch));
   fp.Mix(static_cast<uint64_t>(config.max_paths));
   fp.Mix(static_cast<uint64_t>(config.max_block_visits));

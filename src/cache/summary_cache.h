@@ -193,10 +193,11 @@ class SummaryCache {
 };
 
 /// Fingerprint of everything outside the function body that can change
-/// what SymEngine::Analyze produces: codec version, target arch,
-/// engine budgets, the library models (LibFunctionsDigest), and the
-/// binary's readable data bytes (the engine concretizes loads from
-/// .rodata/.data, so those bytes are part of the analysis input). The
+/// what SymEngine::Analyze produces: codec version, engine revision
+/// (kEngineRevision), target arch, engine budgets, the library models
+/// (LibFunctionsDigest), and the binary's readable data bytes (the
+/// engine concretizes loads from .rodata/.data, so those bytes are
+/// part of the analysis input). The
 /// alias setting is not in it: alias queries run on demand after
 /// linking, so summaries are the same with alias on or off.
 Hash128 EngineFingerprint(const Binary& binary, const EngineConfig& config);

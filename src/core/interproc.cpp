@@ -148,14 +148,15 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   // retired, and so event-off and event-on runs stay byte-identical
   // (the differential oracles compare cold vs warm reports).
   obs::Counter& fns_done = registry.counter("summary.functions_done");
-  // Fork, CoW-state and tainted-path counts, folded out of each
-  // summary's ExplorationStats here (the symexec layer stays obs-free).
-  // Cache-served summaries carry zeros, so the counters reflect work
-  // actually performed this run.
+  // Fork, CoW-state, tainted-path and pruned-statement counts, folded
+  // out of each summary's ExplorationStats here (the symexec layer
+  // stays obs-free). Cache-served summaries carry zeros, so the
+  // counters reflect work actually performed this run.
   obs::Counter& m_state_forks = registry.counter("engine.state_forks");
   obs::Counter& m_cow_copies = registry.counter("engine.cow_copies");
   obs::Counter& m_overlay_spills = registry.counter("engine.overlay_spills");
   obs::Counter& m_tainted_paths = registry.counter("engine.tainted_paths");
+  obs::Counter& m_stmts_pruned = registry.counter("engine.stmts_pruned");
 
   // Intraprocedural static symbolic analysis — exactly once per
   // function (and, with a summary cache configured, once per function
@@ -223,6 +224,7 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     m_cow_copies.Add(es.cow_chunk_copies);
     m_overlay_spills.Add(es.overlay_spills);
     m_tainted_paths.Add(es.tainted_paths);
+    m_stmts_pruned.Add(es.stmts_pruned);
     if (events.enabled()) {
       events.Emit(obs::Event("function_end")
                       .Str("function", order[i])

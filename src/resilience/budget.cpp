@@ -1,5 +1,7 @@
 #include "src/resilience/budget.h"
 
+#include <algorithm>
+
 #include "src/symexec/intern.h"
 
 namespace dtaint {
@@ -25,19 +27,25 @@ std::string_view BudgetExhaustionName(BudgetExhaustion cause) {
 BudgetTracker::BudgetTracker(const AnalysisBudget& limits)
     : limits_(limits), start_(std::chrono::steady_clock::now()) {}
 
-bool BudgetTracker::ChargeStep() {
-  ++steps_;
-  if (exhausted()) return true;
+bool BudgetTracker::ChargeSteps(uint64_t n) {
+  const uint64_t first = steps_ + 1;  // the first step charged here
+  steps_ += n;
+  if (n == 0 || exhausted()) return exhausted();
   if (!limits_.limited()) return false;
-  if (limits_.max_steps > 0 && steps_ >= limits_.max_steps) {
-    cause_ = BudgetExhaustion::kSteps;
-    return true;
+  // The checks run for each step up to the one that reaches max_steps,
+  // which trips before its own checks.
+  uint64_t last = steps_;
+  const bool step_limit = limits_.max_steps > 0 && steps_ >= limits_.max_steps;
+  if (step_limit) last = std::max(first, limits_.max_steps) - 1;
+  if (last >= first) {
+    // The first step reads the clock too, so a deadline that passed
+    // before the function ran trips however few steps it charges.
+    const bool interval =
+        last / kSlowCheckInterval > (first - 1) / kSlowCheckInterval;
+    if (interval || first == 1) CheckDeadline();
+    if (interval && !exhausted()) CheckExprNodes();
   }
-  // The first step reads the clock too, so a deadline that passed
-  // before the function ran trips however few steps it charges.
-  bool interval = steps_ % kSlowCheckInterval == 0;
-  if (interval || steps_ == 1) CheckDeadline();
-  if (interval && !exhausted()) CheckExprNodes();
+  if (step_limit && !exhausted()) cause_ = BudgetExhaustion::kSteps;
   return exhausted();
 }
 

@@ -38,7 +38,11 @@ struct AnalysisBudget {
   /// flat IR (src/ir/expr.h), one statement per effect of a guest
   /// instruction, so a step is about one executed instruction: an ALU
   /// op, load, store or conditional branch charges 1, a cmp 2 (one per
-  /// flag register), and b/bl/blr/ret/nop/svc charge nothing.
+  /// flag register), and b/bl/blr/ret/nop/svc charge nothing. A
+  /// register write the engine skips because nothing in the summary
+  /// reads it (src/symexec/prune.h) is charged all the same, in one
+  /// ChargeSteps per block visit, so a limit means the same guest work
+  /// whatever the pass removes.
   uint64_t max_steps = 0;
   /// Symbolic states enqueued per function (path forks).
   uint64_t max_states = 0;
@@ -92,7 +96,13 @@ class BudgetTracker {
 
   /// Charges one symbolic step. Returns true when the budget is (now)
   /// exhausted; callers should stop exploring and degrade.
-  bool ChargeStep();
+  bool ChargeStep() { return ChargeSteps(1); }
+
+  /// Charges `n` symbolic steps at once, with the outcome of `n`
+  /// ChargeStep calls: the same count, the same cause, and the deadline
+  /// and node checks of every interval crossed before a step-limit trip
+  /// (at the clock reading of this call).
+  bool ChargeSteps(uint64_t n);
 
   /// Charges one enqueued symbolic state.
   bool ChargeState();

@@ -59,16 +59,17 @@ struct CallEvent {
 };
 
 /// Engine-internals counters for one function's exploration: forks,
-/// CoW state traffic and taint-holding paths. Diagnostics only —
-/// surfaced through the `engine.*` metrics and the NDJSON
-/// function_end events, and deliberately NOT serialized by the summary
-/// codec (cache blobs and their content-addressed fingerprints are
-/// unchanged; a cache-served summary reports zeros here).
+/// CoW state traffic, taint-holding paths and pruned statements.
+/// Diagnostics only — surfaced through the `engine.*` metrics and the
+/// NDJSON function_end events, and deliberately NOT serialized by the
+/// summary codec (cache blobs and their content-addressed fingerprints
+/// are unchanged; a cache-served summary reports zeros here).
 struct ExplorationStats {
   uint64_t state_forks = 0;       // path forks
   uint64_t cow_chunk_copies = 0;  // register chunks cloned on write
   uint64_t overlay_spills = 0;    // overlay commits forced by capacity
   uint64_t tainted_paths = 0;     // finished paths whose taint mask != 0
+  uint64_t stmts_pruned = 0;      // IR statements PruneDeadPuts removed
 };
 
 /// Everything the engine learned about one function.

@@ -1,11 +1,13 @@
 #include "src/symexec/engine.h"
 
 #include <memory>
+#include <numeric>
 #include <optional>
 
 #include "src/lifter/lifter.h"
 #include "src/symexec/intern.h"
 #include "src/symexec/libmodels.h"
+#include "src/symexec/prune.h"
 #include "src/util/hash.h"
 
 namespace dtaint {
@@ -27,11 +29,13 @@ struct Work {
 
 class Exploration {
  public:
+  /// `pruned` holds, per block index, the statements PruneDeadPuts
+  /// removed from `ir`.
   Exploration(const Binary& binary, const Function& fn, const FunctionIR& ir,
-              const EngineConfig& config, FunctionSummary& summary,
-              BudgetTracker* budget)
-      : binary_(binary), fn_(fn), ir_(ir), config_(config), summary_(summary),
-        budget_(budget), cc_(ConventionFor(binary.arch)) {}
+              const std::vector<uint32_t>& pruned, const EngineConfig& config,
+              FunctionSummary& summary, BudgetTracker* budget)
+      : binary_(binary), fn_(fn), ir_(ir), pruned_(pruned), config_(config),
+        summary_(summary), budget_(budget), cc_(ConventionFor(binary.arch)) {}
 
   void Run() {
     // Each call block's callsite, resolved once: the last one that
@@ -230,11 +234,15 @@ class Exploration {
     };
     std::optional<PendingExit> pending_exit;
 
+    // Cooperative watchdog: one budget step per IR statement, i.e. per
+    // effect of a guest instruction, the pruned ones included. On
+    // exhaustion abandon the block mid-way — the caller throws the
+    // whole partial summary away and degrades.
+    if (budget_ && pruned_[block_idx] != 0 &&
+        budget_->ChargeSteps(pruned_[block_idx])) {
+      return;
+    }
     for (const Stmt& stmt : block->stmts) {
-      // Cooperative watchdog: one budget step per IR statement, i.e.
-      // per effect of a guest instruction. On exhaustion abandon the
-      // block mid-way — the caller throws the whole partial summary
-      // away and degrades.
       if (budget_ && budget_->ChargeStep()) return;
       switch (stmt.kind) {
         case StmtKind::kPut: {
@@ -390,6 +398,7 @@ class Exploration {
   const Binary& binary_;
   const Function& fn_;
   const FunctionIR& ir_;
+  const std::vector<uint32_t>& pruned_;
   const EngineConfig& config_;
   FunctionSummary& summary_;
   BudgetTracker* budget_;
@@ -433,14 +442,21 @@ FunctionSummary SymEngine::Analyze(const Function& fn,
   // cannot fail unless the binary changed underneath; degrade then.
   auto ir = Lifter(binary_).LiftFunction(fn);
   if (!ir.ok()) return MakeDegradedSummary(fn);
+  // Register writes that reach nothing the summary keeps are not
+  // explored; their budget steps are still charged.
+  const std::vector<uint32_t> pruned =
+      PruneDeadPuts(*ir, ConventionFor(binary_.arch));
   FunctionSummary summary;
   summary.name = fn.name;
   summary.addr = fn.addr;
+  summary.engine_stats.stmts_pruned =
+      std::accumulate(pruned.begin(), pruned.end(), uint64_t{0});
   {
     // The exploration's expressions live in this thread's scratch
     // interner; only the finished summary's reach the global one.
     ScratchScope scope;
-    Exploration exploration(binary_, fn, *ir, config_, summary, budget);
+    Exploration exploration(binary_, fn, *ir, pruned, config_, summary,
+                            budget);
     exploration.Run();
     if (!(budget && budget->exhausted())) {
       PublishSummary(scope.interner(), summary);

@@ -1,7 +1,8 @@
 // Static symbolic analysis of one function (paper §III-B).
 //
 // Explores the function CFG path-by-path over its IR, lifted on entry
-// and freed when the summary is done:
+// and freed when the summary is done, with its dead register writes
+// dropped first (prune.h):
 //  * calling-convention-aware entry state (args symbolic, sp = SP);
 //  * both directions of every symbolic conditional are explored, with
 //    the branch condition recorded as a path constraint;
@@ -29,6 +30,14 @@
 
 namespace dtaint {
 
+/// Revision of what the engine computes. Bumped by every change that
+/// can give a different summary for the same function and
+/// configuration, a renumbering of fresh unknowns included. The
+/// summary cache mixes it into every key (EngineFingerprint), so no
+/// summary the previous engine wrote is served. Revision 1: pruned
+/// register writes (src/symexec/prune.h) draw no widening salt.
+inline constexpr uint64_t kEngineRevision = 1;
+
 struct EngineConfig {
   int max_paths = 48;          // terminated-path budget per function
   int max_block_visits = 4096; // total block executions per function
@@ -41,12 +50,14 @@ class SymEngine {
       : binary_(binary), config_(config) {}
 
   /// Runs static symbolic analysis over one function, lifting its IR
-  /// for the duration of the call (Lifter::LiftFunction). When a
-  /// budget tracker is supplied, exploration charges it cooperatively
-  /// (one step per IR statement, one state per path enqueue); on
-  /// exhaustion the partial exploration is discarded and the
-  /// conservative MakeDegradedSummary result is returned instead, so
-  /// callers always compose against a sound summary.
+  /// for the duration of the call (Lifter::LiftFunction) and dropping
+  /// the register writes nothing in the summary reads (PruneDeadPuts).
+  /// When a budget tracker is supplied, exploration charges it
+  /// cooperatively (one step per IR statement, dropped ones included,
+  /// one state per path enqueue); on exhaustion the partial
+  /// exploration is discarded and the conservative MakeDegradedSummary
+  /// result is returned instead, so callers always compose against a
+  /// sound summary.
   FunctionSummary Analyze(const Function& fn,
                           BudgetTracker* budget = nullptr) const;
 

@@ -731,8 +731,8 @@ TEST(Fingerprint, GoldenKeyPinsCrossProcessStability) {
   // (pointers, ASLR, iteration order). The constant below was produced
   // by this same code; if it drifts without an intentional change to
   // what the key hashes (kFunctionKeySchema, EngineFingerprint, which
-  // includes the library table), cache keys are unstable across runs
-  // and the disk tier is silently useless.
+  // includes the engine revision and the library table), cache keys
+  // are unstable across runs and the disk tier is silently useless.
   FnBuilder b("golden");
   b.MovI(0, 7);
   b.AddI(1, 0, 35);
@@ -742,7 +742,7 @@ TEST(Fingerprint, GoldenKeyPinsCrossProcessStability) {
   writer.AddFunction(std::move(b).Finish().value());
   Binary bin = writer.Build().value();
   Hash128 key = KeyOfFn(bin, "golden");
-  EXPECT_EQ(key.ToHex(), "62b67822d5ae22433701429e9a8392af");
+  EXPECT_EQ(key.ToHex(), "91cf93d50fac5d68356a0a1e7d861936");
 }
 
 TEST(Fingerprint, KeyIsTheSameWhetherOrNotTheIrWasLifted) {

@@ -225,7 +225,7 @@ TEST(InternGenerationDTaint, ExprNodeBudgetDoesNotDependOnEarlierAnalyses) {
   Binary binary = Image(41);
   DTaintConfig config;
   config.interproc.num_threads = 1;
-  config.interproc.budget.max_expr_nodes = 800;
+  config.interproc.budget.max_expr_nodes = 100;
   // Each report is dropped before the next analysis, as a corpus scan
   // does: a finding still held would keep its generation resident.
   size_t degraded = 0;
@@ -254,7 +254,7 @@ TEST(InternGenerationDTaint, ExprNodeBudgetIsTheSameAtEveryThreadCount) {
   for (int threads : {1, 2, 8}) {
     DTaintConfig config;
     config.interproc.num_threads = threads;
-    config.interproc.budget.max_expr_nodes = 800;
+    config.interproc.budget.max_expr_nodes = 100;
     for (int run = 0; run < 8; ++run) {
       auto report = DTaint(config).Analyze(binary);
       ASSERT_TRUE(report.ok());

@@ -19,6 +19,7 @@
 #include "src/isa/asm_builder.h"
 #include "src/isa/decode.h"
 #include "src/lifter/lifter.h"
+#include "src/symexec/prune.h"
 #include "src/util/rng.h"
 #include "tests/testing/random_insn.h"
 
@@ -175,7 +176,17 @@ uint32_t EvalIrExpr(ExprRef e, const ConcreteState& s) {
         case BinOp::kXor: return a ^ b;
         case BinOp::kShl: return b >= 32 ? 0 : a << b;
         case BinOp::kShr: return b >= 32 ? 0 : a >> b;
-        default: return 0;
+        // Conditional branches compare signed, as the VM does.
+        case BinOp::kCmpEq: return a == b;
+        case BinOp::kCmpNe: return a != b;
+        case BinOp::kCmpLt:
+          return static_cast<int32_t>(a) < static_cast<int32_t>(b);
+        case BinOp::kCmpGe:
+          return static_cast<int32_t>(a) >= static_cast<int32_t>(b);
+        case BinOp::kCmpLe:
+          return static_cast<int32_t>(a) <= static_cast<int32_t>(b);
+        case BinOp::kCmpGt:
+          return static_cast<int32_t>(a) > static_cast<int32_t>(b);
       }
     }
   }
@@ -183,8 +194,10 @@ uint32_t EvalIrExpr(ExprRef e, const ConcreteState& s) {
 }
 
 /// Runs a flat block: each statement evaluates its whole tree against
-/// the state left by the statements before it.
-void RunIrBlock(const IRBlock& block, ConcreteState& s) {
+/// the state left by the statements before it. Returns whether the
+/// block's last exit is taken (false when it has none).
+bool RunIrBlock(const IRBlock& block, ConcreteState& s) {
+  bool exit_taken = false;
   for (const Stmt& stmt : block.stmts) {
     switch (stmt.kind) {
       case StmtKind::kPut:
@@ -197,9 +210,28 @@ void RunIrBlock(const IRBlock& block, ConcreteState& s) {
         break;
       }
       case StmtKind::kExit:
-        break;  // straight-line programs only
+        exit_taken = EvalIrExpr(stmt.expr, s) != 0;
+        break;
     }
   }
+  return exit_taken;
+}
+
+const Op kStraightLine[] = {
+    Op::kMovR, Op::kMovI, Op::kMovHi, Op::kAddR, Op::kAddI, Op::kSubR,
+    Op::kSubI, Op::kMulR, Op::kAndR, Op::kAndI, Op::kOrrR, Op::kOrrI,
+    Op::kXorR, Op::kXorI, Op::kLslI, Op::kLsrI, Op::kLdrW, Op::kStrW,
+    Op::kLdrB, Op::kStrB, Op::kLdrWR, Op::kStrWR, Op::kLdrBR,
+    Op::kStrBR, Op::kCmpR, Op::kCmpI, Op::kNop};
+
+/// Random guest register values that double as benign memory
+/// addresses; the flag registers start at 0.
+ConcreteState RandomState(Rng& rng) {
+  ConcreteState state;
+  for (int r = 0; r < kNumRegs; ++r) {
+    state.regs[r] = 0x20000 + static_cast<uint32_t>(rng.Below(0x1000)) * 4;
+  }
+  return state;
 }
 
 class DifferentialLift
@@ -208,13 +240,6 @@ class DifferentialLift
 TEST_P(DifferentialLift, IrEffectsMatchMachineSemantics) {
   const auto& [arch, seed] = GetParam();
   Rng rng(seed * 977 + 5);
-  const Op kStraightLine[] = {
-      Op::kMovR, Op::kMovI, Op::kMovHi, Op::kAddR, Op::kAddI, Op::kSubR,
-      Op::kSubI, Op::kMulR, Op::kAndR, Op::kAndI, Op::kOrrR, Op::kOrrI,
-      Op::kXorR, Op::kXorI, Op::kLslI, Op::kLsrI, Op::kLdrW, Op::kStrW,
-      Op::kLdrB, Op::kStrB, Op::kLdrWR, Op::kStrWR, Op::kLdrBR,
-      Op::kStrBR, Op::kCmpR, Op::kCmpI, Op::kNop};
-
   for (int trial = 0; trial < 40; ++trial) {
     // Random straight-line program.
     std::vector<Insn> insns;
@@ -234,12 +259,7 @@ TEST_P(DifferentialLift, IrEffectsMatchMachineSemantics) {
     Binary bin = writer.Build().value();
 
     // Common random initial state.
-    ConcreteState init;
-    for (int r = 0; r < kNumRegs; ++r) {
-      // Register values double as memory addresses; keep them in a
-      // benign range.
-      init.regs[r] = 0x20000 + static_cast<uint32_t>(rng.Below(0x1000)) * 4;
-    }
+    ConcreteState init = RandomState(rng);
 
     ConcreteState machine = init;
     for (const Insn& insn : insns) StepMachine(insn, machine);
@@ -254,6 +274,79 @@ TEST_P(DifferentialLift, IrEffectsMatchMachineSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DifferentialLift,
+    ::testing::Combine(::testing::Values(Arch::kDtArm, Arch::kDtMips),
+                       ::testing::Range(0, 8)));
+
+// ---------- faint-register pruning -------------------------------------------
+
+class PruneDeadPutsProperty
+    : public ::testing::TestWithParam<std::tuple<Arch, int>> {};
+
+TEST_P(PruneDeadPutsProperty, PrunedBlockKeepsStoresExitAndLiveRegisters) {
+  // A random block, ended by each kind of terminator, run before and
+  // after the pass: the same stores, the same exit decision and the
+  // same values in every register the terminator reads.
+  const auto& [arch, seed] = GetParam();
+  const CallingConvention& cc = ConventionFor(arch);
+  Rng rng(seed * 613 + 29);
+  for (int trial = 0; trial < 40; ++trial) {
+    FnBuilder b("f");
+    const int length = static_cast<int>(rng.Range(1, 32));
+    for (int i = 0; i < length; ++i) {
+      Insn insn = RandomInsnForOp(
+          kStraightLine[rng.Below(std::size(kStraightLine))], rng);
+      if (insn.rd == kRegPc) insn.rd = 4;
+      b.Emit(insn);
+    }
+    switch (rng.Below(4)) {
+      case 0:
+        b.Ret();
+        break;
+      case 1:
+        b.Beq("out");
+        b.Label("out");
+        b.Ret();
+        break;
+      case 2:
+        b.Call("strcpy");
+        b.Ret();
+        break;
+      default:
+        b.CallReg(static_cast<int>(rng.Below(kNumRegs - 1)));
+        b.Ret();
+        break;
+    }
+    BinaryWriter writer(arch, "t");
+    writer.AddImport("strcpy");
+    writer.AddFunction(std::move(b).Finish().value());
+    Binary bin = writer.Build().value();
+    const uint32_t addr = bin.FindSymbol("f")->addr;
+
+    IRBlock full = Lifter(bin).LiftBlock(addr).value();
+    FunctionIR ir;
+    ir.blocks.emplace_back(addr, Lifter(bin).LiftBlock(addr).value());
+    const uint32_t dropped = PruneDeadPuts(ir, cc)[0];
+    const IRBlock& pruned = ir.blocks[0].second;
+    EXPECT_EQ(pruned.stmts.size() + dropped, full.stmts.size());
+
+    const ConcreteState init = RandomState(rng);
+    ConcreteState before = init;
+    ConcreteState after = init;
+    EXPECT_EQ(RunIrBlock(full, before), RunIrBlock(pruned, after))
+        << "trial " << trial;
+    EXPECT_EQ(before.mem, after.mem) << "trial " << trial;
+    const RegMask live = BlockEndUses(pruned, cc);
+    for (int r = 0; r < kNumIrRegs; ++r) {
+      if (live & (RegMask{1} << r)) {
+        EXPECT_EQ(before.regs[r], after.regs[r])
+            << "trial " << trial << ", r" << r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PruneDeadPutsProperty,
     ::testing::Combine(::testing::Values(Arch::kDtArm, Arch::kDtMips),
                        ::testing::Range(0, 8)));
 

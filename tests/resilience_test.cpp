@@ -32,7 +32,9 @@
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
 #include "src/symexec/engine.h"
+#include "src/symexec/intern.h"
 #include "src/synth/firmware_synth.h"
+#include "src/util/rng.h"
 #include "tests/testing/pack_files.h"
 
 namespace dtaint {
@@ -134,6 +136,85 @@ TEST_F(ResilienceTest, OneStepPerAluInstruction) {
     BudgetTracker tracker{AnalysisBudget{}};
     SymEngine(bin).Analyze(fn, &tracker);
     EXPECT_EQ(tracker.counters().steps, static_cast<uint64_t>(n)) << n;
+  }
+}
+
+/// A function of `n` ALU instructions and a ret: one block, one step
+/// per instruction.
+Binary AluFunction(int n) {
+  FnBuilder b("alu");
+  for (int i = 0; i < n; ++i) {
+    switch (i % 5) {
+      case 0: b.AddR(1, 2, 3); break;
+      case 1: b.AddI(2, 1, i); break;
+      case 2: b.SubI(3, 3, 1); break;
+      case 3: b.MulR(1, 1, 2); break;
+      default: b.LslI(2, 2, 1); break;
+    }
+  }
+  b.Ret();
+  BinaryWriter writer(Arch::kDtArm, "steps");
+  writer.AddFunction(std::move(b).Finish().value());
+  return writer.Build().value();
+}
+
+TEST_F(ResilienceTest, PrunedAluOpsStillChargeTheirSteps) {
+  // No ALU op here writes a register the summary reads (the ret reads
+  // r0 only), so the engine prunes every one; their steps are charged
+  // all the same, and a limit of half of them still degrades.
+  constexpr int kOps = 300;
+  Binary bin = AluFunction(kOps);
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  const Function& fn = program.functions.at("alu");
+  BudgetTracker unlimited{AnalysisBudget{}};
+  FunctionSummary full = SymEngine(bin).Analyze(fn, &unlimited);
+  EXPECT_FALSE(full.degraded);
+  EXPECT_EQ(full.engine_stats.stmts_pruned, static_cast<uint64_t>(kOps));
+  AnalysisBudget half;
+  half.max_steps = kOps / 2;
+  BudgetTracker tracker(half);
+  FunctionSummary starved = SymEngine(bin).Analyze(fn, &tracker);
+  EXPECT_TRUE(starved.degraded);
+  EXPECT_EQ(tracker.cause(), BudgetExhaustion::kSteps);
+}
+
+TEST_F(ResilienceTest, ChargeStepsMatchesOneStepAtATime) {
+  // A batch charge leaves the tracker where as many single charges
+  // would: the same count, verdict and cause, and the same node
+  // reading, wherever the batch crosses the slow-check interval or the
+  // step limit.
+  ScratchScope scope;  // the node check reads this thread's scratch count
+  for (int i = 1; i <= 64; ++i) SymAdd(SymExpr::Arg(0), i);
+  const uint64_t nodes = ScratchInterner::Current()->size();
+  std::vector<AnalysisBudget> budgets(8);
+  budgets[1].max_steps = 1;
+  budgets[2].max_steps = 700;
+  budgets[3].max_expr_nodes = nodes;  // trips at the first interval
+  budgets[4].max_steps = 600;
+  budgets[4].max_expr_nodes = nodes + 1000;  // read, never tripped
+  budgets[5].deadline_ms = 1e-9;  // passed by the first step
+  budgets[6].deadline_ms = 1e-9;
+  budgets[6].max_steps = 1;  // the step limit is checked first
+  budgets[7].max_steps = 250;  // trips before the interval whose node
+  budgets[7].max_expr_nodes = nodes;  // check would
+  Rng rng(7);
+  for (size_t which = 0; which < budgets.size(); ++which) {
+    for (int trial = 0; trial < 20; ++trial) {
+      BudgetTracker batched(budgets[which]);
+      BudgetTracker single(budgets[which]);
+      for (int chunk = 0; chunk < 40; ++chunk) {
+        const uint64_t n = rng.Below(60);
+        const bool batched_out = batched.ChargeSteps(n);
+        bool single_out = single.exhausted();
+        for (uint64_t i = 0; i < n; ++i) single_out = single.ChargeStep();
+        const BudgetCounters a = batched.counters();
+        const BudgetCounters b = single.counters();
+        ASSERT_EQ(batched_out, single_out) << "budget " << which;
+        ASSERT_EQ(a.steps, b.steps) << "budget " << which;
+        ASSERT_EQ(a.exhausted_by, b.exhausted_by) << "budget " << which;
+        ASSERT_EQ(a.expr_nodes, b.expr_nodes) << "budget " << which;
+      }
+    }
   }
 }
 

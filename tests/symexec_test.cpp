@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <string_view>
@@ -9,9 +10,11 @@
 #include "src/binary/writer.h"
 #include "src/cfg/cfg_builder.h"
 #include "src/isa/asm_builder.h"
+#include "src/lifter/lifter.h"
 #include "src/symexec/engine.h"
 #include "src/symexec/intern.h"
 #include "src/symexec/libmodels.h"
+#include "src/symexec/prune.h"
 #include "src/symexec/symstate.h"
 
 namespace dtaint {
@@ -579,6 +582,215 @@ TEST(EngineReturns, PathsYieldDistinctReturnValues) {
     values.insert(ret->const_value());
   }
   EXPECT_EQ(values, (std::set<uint32_t>{1, 2}));
+}
+
+// ---- faint-register pruning (src/symexec/prune.h) ---------------------------
+
+/// An authored function's IR after PruneDeadPuts: each kept statement
+/// as text, and how many statements the pass dropped.
+struct Pruned {
+  std::vector<std::string> kept;
+  uint32_t dropped = 0;
+
+  /// True when some kept statement writes register `reg`.
+  bool Writes(int reg) const {
+    const std::string prefix = "PUT(" + std::to_string(reg) + ") =";
+    for (const std::string& stmt : kept) {
+      if (stmt.starts_with(prefix)) return true;
+    }
+    return false;
+  }
+};
+
+Pruned Prune(void (*author)(FnBuilder&), Arch arch = Arch::kDtArm) {
+  BinaryWriter writer(arch, "t");
+  writer.AddImport("strcpy");
+  FnBuilder b("f");
+  author(b);
+  writer.AddFunction(std::move(b).Finish().value());
+  Binary bin = writer.Build().value();
+  Function fn = CfgBuilder(bin).BuildFunction(*bin.FindSymbol("f")).value();
+  FunctionIR ir = Lifter(bin).LiftFunction(fn).value();
+  Pruned out;
+  for (uint32_t n : PruneDeadPuts(ir, ConventionFor(arch))) out.dropped += n;
+  for (const auto& [addr, block] : ir.blocks) {
+    for (const Stmt& stmt : block.stmts) out.kept.push_back(stmt.ToString());
+  }
+  return out;
+}
+
+TEST(PruneDeadPuts, StoreIsARootAndKeepsWhatItReads) {
+  Pruned p = Prune([](FnBuilder& b) {
+    b.MovI(5, 1);
+    b.AddI(6, 0, 8);
+    b.MovI(7, 2);  // read by nothing
+    b.StrW(5, 6, 0);
+    b.Ret();
+  });
+  EXPECT_TRUE(p.Writes(5));
+  EXPECT_TRUE(p.Writes(6));
+  EXPECT_FALSE(p.Writes(7));
+  EXPECT_EQ(p.dropped, 1u);
+  EXPECT_EQ(p.kept.back(), "STORE4(Add(Get(6), 0x0)) = Get(5)");
+}
+
+TEST(PruneDeadPuts, PutOfALoadIsARootAndKeepsItsAddress) {
+  // r6 is never read again, but the load records an undefined use.
+  Pruned p = Prune([](FnBuilder& b) {
+    b.AddI(7, 0, 4);
+    b.LdrW(6, 7, 0);
+    b.Ret();
+  });
+  EXPECT_TRUE(p.Writes(6));
+  EXPECT_TRUE(p.Writes(7));
+  EXPECT_EQ(p.dropped, 0u);
+}
+
+TEST(PruneDeadPuts, ExitGuardIsARootAndKeepsTheCompare) {
+  Pruned p = Prune([](FnBuilder& b) {
+    b.AddI(5, 0, 1);
+    b.MovI(6, 3);  // overwritten before anything reads it
+    b.MovI(6, 4);
+    b.CmpR(5, 6);
+    b.Beq("out");
+    b.Label("out");
+    b.Ret();
+  });
+  EXPECT_TRUE(p.Writes(5));
+  EXPECT_TRUE(p.Writes(kFlagLhs));
+  EXPECT_TRUE(p.Writes(kFlagRhs));
+  EXPECT_EQ(p.dropped, 1u);
+  EXPECT_NE(std::find(p.kept.begin(), p.kept.end(), "PUT(6) = 0x4"),
+            p.kept.end());
+}
+
+TEST(PruneDeadPuts, ConstantCompareOperandIsARootWithoutABranch) {
+  // No exit reads the flags, but `cmp r5, #3` types r5 as an integer,
+  // so both flag writes and r5's definition stay.
+  Pruned p = Prune([](FnBuilder& b) {
+    b.AddI(5, 0, 1);
+    b.CmpI(5, 3);
+    b.Ret();
+  });
+  EXPECT_TRUE(p.Writes(5));
+  EXPECT_TRUE(p.Writes(kFlagLhs));
+  EXPECT_TRUE(p.Writes(kFlagRhs));
+  EXPECT_EQ(p.dropped, 0u);
+}
+
+TEST(PruneDeadPuts, ReturnReadsOnlyTheReturnRegister) {
+  for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
+    Pruned p = Prune(
+        [](FnBuilder& b) {
+          for (int reg = 0; reg < 13; ++reg) b.MovI(reg, reg + 1);
+          b.MovI(kRegLr, 0);
+          b.Ret();
+        },
+        arch);
+    const int ret = ConventionFor(arch).ret_reg;
+    for (int reg = 0; reg <= kRegLr; ++reg) {
+      EXPECT_EQ(p.Writes(reg), reg == ret) << ArchName(arch) << " r" << reg;
+    }
+  }
+}
+
+TEST(PruneDeadPuts, DirectCallReadsArgumentsAndSpAndKillsOnlyLr) {
+  Pruned p = Prune([](FnBuilder& b) {
+    for (int reg = 0; reg < 4; ++reg) b.MovI(reg, reg + 1);
+    b.MovI(5, 9);       // read by nothing
+    b.MovI(8, 7);       // read after the call returns
+    b.SubI(kRegSp, kRegSp, 8);
+    b.MovI(kRegLr, 0);  // the call overwrites lr first
+    b.Call("strcpy");
+    b.StrW(8, 0, 0);
+    b.Ret();
+  });
+  for (int reg : {0, 1, 2, 3, 8, kRegSp}) EXPECT_TRUE(p.Writes(reg)) << reg;
+  EXPECT_FALSE(p.Writes(5));
+  EXPECT_FALSE(p.Writes(kRegLr));
+  EXPECT_EQ(p.dropped, 2u);
+}
+
+TEST(PruneDeadPuts, IndirectCallAlsoReadsItsTarget) {
+  for (Arch arch : {Arch::kDtArm, Arch::kDtMips}) {
+    Pruned p = Prune(
+        [](FnBuilder& b) {
+          b.MovI(9, 0x40);   // the call target
+          b.MovI(10, 0x44);  // read by nothing
+          b.MovI(4, 1);      // an argument on dtmips only
+          b.CallReg(9);
+          b.Ret();
+        },
+        arch);
+    EXPECT_TRUE(p.Writes(9)) << ArchName(arch);
+    EXPECT_FALSE(p.Writes(10)) << ArchName(arch);
+    EXPECT_EQ(p.Writes(4), arch == Arch::kDtMips) << ArchName(arch);
+  }
+}
+
+TEST(PruneDeadPuts, LoopCarriedValueStaysLiveOverTheBackEdge) {
+  // The increment is read only by the store of the next iteration.
+  Pruned p = Prune([](FnBuilder& b) {
+    b.MovI(5, 0);
+    b.Label("loop");
+    b.StrW(5, kRegSp, 0);
+    b.AddI(5, 5, 1);
+    b.CmpI(4, 10);
+    b.Blt("loop");
+    b.Ret();
+  });
+  EXPECT_NE(std::find(p.kept.begin(), p.kept.end(),
+                      "PUT(5) = Add(Get(5), 0x1)"),
+            p.kept.end());
+  EXPECT_EQ(p.dropped, 0u);
+}
+
+TEST(PruneDeadPuts, DeadCycleAcrossBlocksIsRemovedWhole) {
+  // r8 and r9 feed each other around a loop and across a diamond, the
+  // shape of the fillers' scratch bursts. Each is read, but only by
+  // the other, so no write reaches anything the summary keeps.
+  Pruned p = Prune([](FnBuilder& b) {
+    b.Label("top");
+    b.AddR(8, 8, 9);
+    b.CmpI(0, 0);
+    b.Beq("skip");
+    b.LslI(9, 8, 1);
+    b.Label("skip");
+    b.MulR(9, 9, 8);
+    b.CmpI(1, 5);
+    b.Blt("top");
+    b.Ret();
+  });
+  EXPECT_FALSE(p.Writes(8));
+  EXPECT_FALSE(p.Writes(9));
+  EXPECT_EQ(p.dropped, 3u);
+}
+
+TEST(PruneDeadPuts, PrunedWidenDrawsNoFreshSalt) {
+  // Widening numbers its fresh unknowns by the widenings executed. The
+  // dead chain in r8 would widen before the stored chain in r5 does,
+  // so without pruning the stored unknown would be numbered after
+  // them; pruned, it is the first. That renumbering is why the cache
+  // key carries kEngineRevision.
+  EngineConfig tight;
+  tight.max_expr_depth = 4;
+  FunctionSummary summary = Analyze(
+      [](FnBuilder& b) {
+        b.MovR(8, 0);
+        for (int i = 0; i < 12; ++i) b.MulR(8, 8, 1);
+        b.MovR(5, 0);
+        for (int i = 0; i < 3; ++i) b.MulR(5, 5, 1);
+        b.StrW(5, kRegSp, 0);
+        b.Ret();
+      },
+      Arch::kDtArm, tight);
+  const DefPair* dp = FindDef(summary, "deref(SP)");
+  ASSERT_NE(dp, nullptr);
+  EXPECT_EQ(summary.engine_stats.stmts_pruned, 13u);
+  // The kept chain widens once, to the first fresh unknown; the dead
+  // chain would have drawn six before it.
+  EXPECT_EQ(dp->u->ToString(),
+            "(init_r" + std::to_string(kFreshInitBase) + " Mul arg1)");
 }
 
 }  // namespace
