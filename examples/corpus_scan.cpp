@@ -44,10 +44,12 @@
 // are retried with backoff under a tightened budget (`--max-retries
 // N`, default 2) and quarantined when the retries are spent; with
 // workers, `--image-timeout-ms MS` arms a per-image watchdog and
-// `--mem-limit-mb MB` an RLIMIT_AS cap. `--journal DIR` appends a
-// crash-safe checkpoint record per image outcome, and `--resume`
-// replays it so a rerun after kill -9 skips completed images and
-// produces a byte-identical merged report.
+// `--mem-limit-mb MB` an RLIMIT_AS cap. The event stream is the
+// scan's crash-safe record: the supervisor writes one `image_done` or
+// `image_quarantined` line per image outcome, and `--resume` replays
+// the `--events-out` file of a killed run, then appends to it, so the
+// rerun skips completed images and produces a byte-identical merged
+// report.
 //
 // Observability: `--log-level LEVEL` sets the stderr log threshold,
 // `--metrics-out FILE` dumps the metrics registry,
@@ -72,7 +74,6 @@
 #include "src/report/scoring.h"
 #include "src/report/table.h"
 #include "src/resilience/incident.h"
-#include "src/resilience/journal.h"
 #include "src/resilience/supervisor.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/hash.h"
@@ -186,9 +187,10 @@ void PrintUsage() {
       "                       quarantine (default 2)\n"
       "  --image-timeout-ms MS  per-image watchdog (0 = off; needs --workers)\n"
       "  --mem-limit-mb MB    per-worker RLIMIT_AS (0 = off; needs --workers)\n"
-      "  --journal DIR        append-only checkpoint journal\n"
-      "  --resume             replay the journal; skip images already\n"
-      "                       done or quarantined (needs --journal)\n"
+      "  --resume             replay the --events-out file of an\n"
+      "                       interrupted run, skip the images it\n"
+      "                       records done or quarantined, and append\n"
+      "                       to it (needs --events-out)\n"
       "\n"
       "output & observability:\n"
       "  --json-out FILE      fleet report as JSON\n"
@@ -257,7 +259,6 @@ int main(int argc, char** argv) {
   ScanFlags scan;
   ObsFlags obs_flags;
   std::string json_out;
-  std::string journal_dir;
   int heartbeat_ms = 1000;
   int corrupt_count = 0;
   int workers = 0;
@@ -278,7 +279,6 @@ int main(int argc, char** argv) {
   flags.Int("--max-retries", &max_retries);
   flags.Int("--image-timeout-ms", &image_timeout_ms);
   flags.Int("--mem-limit-mb", &mem_limit_mb);
-  flags.String("--journal", &journal_dir);
   flags.String("--json-out", &json_out);
   flags.Int("--heartbeat-ms", &heartbeat_ms);
   std::vector<std::string> positional;
@@ -308,11 +308,11 @@ int main(int argc, char** argv) {
     cache_config.disk_dir = scan.cache_dir;
     cache.emplace(cache_config);
   }
-  if (resume && journal_dir.empty()) {
-    std::fprintf(stderr, "--resume needs --journal DIR\n");
+  if (resume && obs_flags.events_out.empty()) {
+    std::fprintf(stderr, "--resume needs --events-out FILE\n");
     return 2;
   }
-  if (!obs_flags.Open("corpus_scan", &error)) {
+  if (!obs_flags.Open("corpus_scan", &error, /*append_events=*/resume)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
@@ -347,17 +347,15 @@ int main(int argc, char** argv) {
     events.Emit(obs::Event("corpus_begin")
                     .Num("images", static_cast<uint64_t>(corpus.size())));
   }
-  obs::Heartbeat heartbeat(events,
-                           heartbeat_ms > 0
-                               ? static_cast<uint32_t>(heartbeat_ms)
-                               : 0);
-  heartbeat.images_total().store(corpus.size(), std::memory_order_relaxed);
+  obs::Heartbeat heartbeat(
+      events, heartbeat_ms > 0 ? static_cast<uint32_t>(heartbeat_ms) : 0,
+      corpus.size());
 
   // The per-image scan body, run by the supervisor in this process or
   // in its workers. ScanImage emits the image events itself (inside the
   // worker, with --workers); everything the fleet report needs comes
-  // back in the ScanOutcome, with JSON fragments pre-serialized so the
-  // journal can replay them byte-identically.
+  // back in the ScanOutcome, with JSON fragments pre-serialized so a
+  // resume can replay them byte-identically.
   auto scan_image = [&](size_t idx,
                         const AnalysisBudget& image_budget) -> ScanOutcome {
     const CorpusItem& item = corpus[idx];
@@ -381,8 +379,6 @@ int main(int argc, char** argv) {
       out.fn = score.false_negatives;
       out.fp = score.false_positives + score.safe_twin_hits;
     }
-    // In a forked worker this bumps the worker's copy; Run's end sets it.
-    heartbeat.images_done().fetch_add(1, std::memory_order_relaxed);
     return std::move(out);
   };
 
@@ -392,8 +388,7 @@ int main(int argc, char** argv) {
   sup_config.image_timeout_ms = static_cast<uint32_t>(image_timeout_ms);
   sup_config.mem_limit_mb = static_cast<uint32_t>(mem_limit_mb);
   sup_config.budget = scan.config.interproc.budget;
-  sup_config.journal_dir = journal_dir;
-  sup_config.resume = resume;
+  if (resume) sup_config.resume_from = obs_flags.events_out;
   sup_config.stop_on_failure = fail_fast;
   ScanSupervisor supervisor(sup_config);
 
@@ -479,7 +474,6 @@ int main(int argc, char** argv) {
                (result.state == TaskResult::State::kQuarantined ||
                 StopsFailFast(result.outcome));
   }
-  heartbeat.images_done().store(images.size(), std::memory_order_relaxed);
   heartbeat.Stop();
   if (events.enabled()) {
     events.Emit(obs::Event("corpus_end")

@@ -159,10 +159,11 @@ void AddObsFlags(FlagSet& flags, ObsFlags* out) {
   flags.String("--events-out", &out->events_out);
 }
 
-bool ObsFlags::Open(std::string_view tool, std::string* error) const {
+bool ObsFlags::Open(std::string_view tool, std::string* error,
+                    bool append_events) const {
   if (log_level) obs::SetLogLevel(*log_level);
   if (!events_out.empty() &&
-      !obs::EventStream::Global().Open(events_out, tool)) {
+      !obs::EventStream::Global().Open(events_out, tool, append_events)) {
     *error = "cannot open event stream " + events_out;
     return false;
   }

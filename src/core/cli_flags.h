@@ -79,8 +79,10 @@ struct ObsFlags {
   std::string events_out;                  // --events-out
 
   /// Applies the log level and opens the event stream (`tool` names
-  /// the stream's producer). On failure sets *error and returns false.
-  bool Open(std::string_view tool, std::string* error) const;
+  /// the stream's producer; `append_events` appends to the file, see
+  /// EventStream::Open). On failure sets *error and returns false.
+  bool Open(std::string_view tool, std::string* error,
+            bool append_events = false) const;
   /// Writes the metrics snapshot; logs and returns false if that
   /// fails. The event stream is left open for the caller to close with
   /// its own status.

@@ -20,7 +20,7 @@
 
 #include "src/core/dtaint.h"
 #include "src/firmware/image.h"
-#include "src/resilience/journal.h"
+#include "src/resilience/supervisor.h"
 
 namespace dtaint {
 

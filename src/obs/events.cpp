@@ -46,6 +46,14 @@ Event& Event::Bool(std::string_view key, bool value) {
   return *this;
 }
 
+Event& Event::Raw(std::string_view key, std::string_view json) {
+  fields_ += ",\"";
+  fields_ += JsonEscape(key);
+  fields_ += "\":";
+  fields_ += json;
+  return *this;
+}
+
 // ---- EventStream ----------------------------------------------------------
 
 EventStream& EventStream::Global() {
@@ -57,7 +65,8 @@ EventStream::~EventStream() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool EventStream::Open(const std::string& path, std::string_view tool) {
+bool EventStream::Open(const std::string& path, std::string_view tool,
+                       bool append) {
   std::unique_lock<std::mutex> lock(mu_);
   if (fd_ >= 0) {
     ::close(fd_);
@@ -66,8 +75,18 @@ bool EventStream::Open(const std::string& path, std::string_view tool) {
   // O_APPEND: each write(2) lands atomically at the end of the file,
   // so concurrent emitters never interleave mid-line and every
   // completed emit survives a crash as a whole line.
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+  fd_ = ::open(path.c_str(),
+               O_RDWR | O_CREAT | O_APPEND | (append ? 0 : O_TRUNC), 0644);
   if (fd_ < 0) return false;
+  // A killed run can leave a torn last line; without a newline after
+  // it, this stream's stream_begin would glue onto it and both lines
+  // would be lost.
+  char last = '\n';
+  off_t size = ::lseek(fd_, 0, SEEK_END);
+  if (size > 0 && ::pread(fd_, &last, 1, size - 1) == 1 && last != '\n') {
+    ssize_t ignored = ::write(fd_, "\n", 1);
+    (void)ignored;
+  }
   t0_ = std::chrono::steady_clock::now();
   count_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
@@ -102,7 +121,11 @@ double EventStream::NowRelMillis() const {
       .count();
 }
 
-void EventStream::Emit(const Event& event) {
+void EventStream::Emit(const Event& event) { Write(event, /*torn=*/false); }
+
+void EventStream::EmitTorn(const Event& event) { Write(event, /*torn=*/true); }
+
+void EventStream::Write(const Event& event, bool torn) {
   if (!enabled()) return;
   std::string line = "{\"v\":" + std::to_string(kEventSchemaVersion) +
                      ",\"type\":\"" + JsonEscape(event.type()) +
@@ -110,6 +133,7 @@ void EventStream::Emit(const Event& event) {
                      ",\"tid\":" + std::to_string(ThreadId());
   line += event.fields();
   line += "}\n";
+  if (torn) line.resize(line.size() / 2);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (fd_ < 0) return;
@@ -134,6 +158,11 @@ void EventStream::EmitHeartbeat(uint64_t images_done, uint64_t images_total,
       .Double("rss_mb", static_cast<double>(CurrentRssBytes()) / (1 << 20), 1)
       .Num("events", EventCount());
   Emit(beat);
+}
+
+void EventStream::BeatNow() {
+  std::lock_guard<std::mutex> lock(beat_mu_);
+  if (heartbeat_) heartbeat_->Beat();
 }
 
 // ---- helpers --------------------------------------------------------------
@@ -174,11 +203,20 @@ uint64_t CurrentRssBytes() {
 
 // ---- Heartbeat ------------------------------------------------------------
 
-Heartbeat::Heartbeat(EventStream& stream, uint32_t period_ms)
-    : stream_(stream) {
+Heartbeat::Heartbeat(EventStream& stream, uint32_t period_ms,
+                     uint64_t images_total)
+    : stream_(stream), images_total_(images_total) {
   if (!stream.enabled() || period_ms == 0) return;
   last_beat_ = std::chrono::steady_clock::now();
+  last_functions_ =
+      MetricsRegistry::Global().counter("summary.functions_done").Value();
   running_ = true;
+  {
+    // First deterministic beat: the gauges before any progress.
+    std::lock_guard<std::mutex> beat_lock(stream_.beat_mu_);
+    Beat();
+    stream_.heartbeat_ = this;
+  }
   thread_ = std::thread([this, period_ms] {
     std::unique_lock<std::mutex> lock(mu_);
     while (!stop_) {
@@ -187,16 +225,16 @@ Heartbeat::Heartbeat(EventStream& stream, uint32_t period_ms)
         return;
       }
       lock.unlock();
-      Beat();
+      stream_.BeatNow();
       lock.lock();
     }
   });
 }
 
 void Heartbeat::Beat() {
-  uint64_t functions = MetricsRegistry::Global()
-                           .counter("summary.functions_done")
-                           .Value();
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  uint64_t images = metrics.counter("supervisor.images_done").Value();
+  uint64_t functions = metrics.counter("summary.functions_done").Value();
   auto now = std::chrono::steady_clock::now();
   double dt =
       std::chrono::duration_cast<std::chrono::duration<double>>(now -
@@ -204,9 +242,7 @@ void Heartbeat::Beat() {
           .count();
   double rate =
       dt > 0 ? static_cast<double>(functions - last_functions_) / dt : 0.0;
-  stream_.EmitHeartbeat(images_done_.load(std::memory_order_relaxed),
-                        images_total_.load(std::memory_order_relaxed),
-                        functions, rate);
+  stream_.EmitHeartbeat(images, images_total_, functions, rate);
   last_functions_ = functions;
   last_beat_ = now;
 }
@@ -222,7 +258,9 @@ void Heartbeat::Stop() {
   running_ = false;
   // Final deterministic beat: every heartbeat-enabled run ends with at
   // least one gauge reading, even if it finished inside one period.
+  std::lock_guard<std::mutex> beat_lock(stream_.beat_mu_);
   Beat();
+  stream_.heartbeat_ = nullptr;
 }
 
 }  // namespace dtaint::obs

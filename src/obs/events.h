@@ -17,6 +17,13 @@
 // src/obs/scan_report.h), so the stream's crash tolerance is the
 // trace's too.
 //
+// A resumed run appends to the stream it resumes (Open's append mode,
+// `corpus_scan --resume`), so one file can hold several streams, each
+// starting at its stream_begin with ts_ms back at 0; scan_report reads
+// each as a stream of its own. The stream is at-least-once: a resumed
+// run re-emits what it replays, and a torn line only costs the record
+// on it.
+//
 // Event schema v1 — every line carries the envelope
 //   {"v":1,"type":"<type>","ts_ms":<ms since stream open>,"tid":N,...}
 // plus type-specific fields. Types emitted by the pipeline:
@@ -47,6 +54,18 @@
 //                                functions done + functions/sec, RSS,
 //                                events emitted — a stalled worker is
 //                                distinguishable from a slow one
+//   image_resumed / image_retry / worker_exit
+//                                scan supervisor lifecycle
+//                                (src/resilience/supervisor.h)
+//   image_done / image_quarantined
+//                                the supervisor's terminal record of
+//                                one image, written by its parent
+//                                process only: image, fp (content
+//                                fingerprint), attempts,
+//                                worker_restarts, incidents, and the
+//                                ScanOutcome (image_done) or reason
+//                                (image_quarantined) — what a resumed
+//                                run replays
 //
 // Event *counts* per type are deterministic for a given program and
 // config (timestamps are not); the benches exact-match the totals.
@@ -87,6 +106,8 @@ class Event {
   }
   Event& Double(std::string_view key, double value, int decimals = 3);
   Event& Bool(std::string_view key, bool value);
+  /// `json` must be one whole JSON value; it is embedded unescaped.
+  Event& Raw(std::string_view key, std::string_view json);
 
   const std::string& type() const { return type_; }
   const std::string& fields() const { return fields_; }
@@ -95,6 +116,8 @@ class Event {
   std::string type_;
   std::string fields_;  // ",\"k\":v,\"k2\":v2" — envelope tail
 };
+
+class Heartbeat;
 
 class EventStream {
  public:
@@ -106,10 +129,13 @@ class EventStream {
   /// The stream the pipeline reports into (opened by --events-out).
   static EventStream& Global();
 
-  /// Creates/truncates `path` and writes the stream_begin event. False
-  /// on I/O failure (stream stays disabled). The log sink is left
-  /// alone: log records never enter the stream.
-  bool Open(const std::string& path, std::string_view tool);
+  /// Creates/truncates `path` (with `append`, keeps what it holds and
+  /// adds a newline first if its last line is torn, so the new stream
+  /// starts on a line of its own) and writes the stream_begin event.
+  /// False on I/O failure (stream stays disabled). The log sink is
+  /// left alone: log records never enter the stream.
+  bool Open(const std::string& path, std::string_view tool,
+            bool append = false);
 
   /// Writes the stream_end event and closes. Safe when never opened.
   void Close(std::string_view outcome);
@@ -119,11 +145,21 @@ class EventStream {
   /// Serializes and appends one event line (single write(2)) and bumps
   /// the event count. No-op when the stream is not open.
   void Emit(const Event& event);
+  /// Emit's torn twin for the `stream_torn` fault site: writes only the
+  /// first half of the line and no newline, what a crash mid-write
+  /// leaves; the process carries on.
+  void EmitTorn(const Event& event);
 
   /// Emits a heartbeat carrying the standard progress gauges. Callers
   /// pass totals; functions/sec and RSS are computed here.
   void EmitHeartbeat(uint64_t images_done, uint64_t images_total,
                      uint64_t functions_done, double functions_per_sec);
+
+  /// Emits a heartbeat now, from the calling thread, when a Heartbeat
+  /// runs on this stream; a no-op otherwise. ScanSupervisor::Run calls
+  /// it for each image it folds, so the beats show every images_done
+  /// value however fast the images finish.
+  void BeatNow();
 
   /// Lifetime event count (including stream_begin).
   uint64_t EventCount() const { return count_.load(std::memory_order_relaxed); }
@@ -140,11 +176,16 @@ class EventStream {
   }
 
  private:
+  friend class Heartbeat;
+  void Write(const Event& event, bool torn);
+
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   int fd_ = -1;
   std::chrono::steady_clock::time_point t0_;
   std::atomic<uint64_t> count_{0};
+  std::mutex beat_mu_;              // serializes beats, guards heartbeat_
+  Heartbeat* heartbeat_ = nullptr;  // the running Heartbeat, if any
 };
 
 /// Emits an `incident` event mirroring `incident` (budget cause
@@ -156,31 +197,32 @@ void EmitIncident(EventStream& stream, const Incident& incident);
 uint64_t CurrentRssBytes();
 
 /// Background heartbeat: a thread that emits one heartbeat event every
-/// `period_ms` while alive, plus a final one at destruction (so every
-/// run with heartbeats enabled ends with a deterministic last gauge
-/// reading). Images gauges are fed by the owner via the atomics;
-/// functions_done reads the "summary.functions_done" live counter the
-/// interprocedural pass increments per function. No thread is spawned
-/// when the stream is disabled or period_ms is 0.
+/// `period_ms` while alive, one more per EventStream::BeatNow, plus one
+/// at construction and a final one at destruction (so every run with
+/// heartbeats enabled starts and ends with a deterministic gauge
+/// reading). images_total is the owner's; images_done reads the
+/// "supervisor.images_done" live counter ScanSupervisor::Run bumps in
+/// this process as it folds each task, and functions_done the
+/// "summary.functions_done" one the interprocedural pass increments
+/// per function. No thread is spawned and no beat emitted when the
+/// stream is disabled or period_ms is 0.
 class Heartbeat {
  public:
-  Heartbeat(EventStream& stream, uint32_t period_ms);
+  Heartbeat(EventStream& stream, uint32_t period_ms,
+            uint64_t images_total = 0);
   ~Heartbeat() { Stop(); }
   Heartbeat(const Heartbeat&) = delete;
   Heartbeat& operator=(const Heartbeat&) = delete;
-
-  std::atomic<uint64_t>& images_done() { return images_done_; }
-  std::atomic<uint64_t>& images_total() { return images_total_; }
 
   /// Emits the final beat and joins the thread. Idempotent.
   void Stop();
 
  private:
-  void Beat();
+  friend class EventStream;
+  void Beat();  // caller holds stream_.beat_mu_
 
   EventStream& stream_;
-  std::atomic<uint64_t> images_done_{0};
-  std::atomic<uint64_t> images_total_{0};
+  const uint64_t images_total_;
   uint64_t last_functions_ = 0;
   std::chrono::steady_clock::time_point last_beat_;
   bool running_ = false;

@@ -77,7 +77,7 @@ void FoldEvent(const JsonValue& event, std::string_view type,
     im.attempts = std::max(im.attempts, FieldCount(event, "attempts"));
     ++agg->quarantined_images;
   } else if (type == "image_resumed") {
-    // Journal replay satisfied this image: no scan events will follow
+    // A resumed run replayed this image: no scan events will follow
     // in this stream, so the lifecycle event *is* the row.
     ImageRollup& im = ImageFor(agg, FieldStr(event, "image"));
     std::string_view status = FieldStr(event, "status");
@@ -143,46 +143,39 @@ double UnattributedMs(const ScanAggregate& agg) {
   return agg.binary_ms - PhaseMs(agg, /*image=*/false);
 }
 
-/// Calls fold(event, type) for every parseable event line of one
-/// stream and returns the number of lines skipped as malformed.
-template <typename Fold>
-size_t ForEachEvent(std::string_view ndjson, Fold&& fold) {
-  size_t malformed = 0;
-  size_t pos = 0;
-  while (pos < ndjson.size()) {
-    size_t eol = ndjson.find('\n', pos);
-    // A final line without its newline is the torn-write case: try it
-    // anyway — it parses iff the write completed before the kill.
-    std::string_view line = ndjson.substr(
-        pos, eol == std::string_view::npos ? std::string_view::npos
-                                           : eol - pos);
-    pos = eol == std::string_view::npos ? ndjson.size() : eol + 1;
-    if (line.empty()) continue;
-    auto parsed = ParseJson(line);
-    std::string_view type =
-        parsed.ok() && parsed->is_object() ? FieldStr(*parsed, "type") : "";
-    if (type.empty()) {
-      ++malformed;
-      continue;
-    }
-    fold(*parsed, type);
+/// Splits a file into its streams: true when `type` starts a stream
+/// after the file's first event.
+class StreamSplitter {
+ public:
+  bool NewStream(std::string_view type) {
+    bool fresh = seen_ && type == "stream_begin";
+    seen_ = true;
+    return fresh;
   }
-  return malformed;
-}
+
+ private:
+  bool seen_ = false;
+};
 
 }  // namespace
 
 void AggregateEvents(std::string_view ndjson, ScanAggregate* agg) {
-  ++agg->streams;
+  StreamSplitter splitter;
   bool terminated = false;
+  auto end_stream = [&] {
+    ++agg->streams;
+    if (!terminated) ++agg->truncated_streams;
+    terminated = false;
+  };
   agg->malformed_lines +=
       ForEachEvent(ndjson, [&](const JsonValue& event, std::string_view type) {
+        if (splitter.NewStream(type)) end_stream();
         ++agg->events;
         ++agg->events_by_type[std::string(type)];
         if (type == "stream_end") terminated = true;
         FoldEvent(event, type, agg);
       });
-  if (!terminated) ++agg->truncated_streams;
+  end_stream();
 }
 
 void FinalizeAggregate(ScanAggregate* agg, const ScanReportOptions& options) {
@@ -491,9 +484,12 @@ std::string EventsToChromeTrace(const std::vector<std::string>& streams) {
   b.BeginObject();
   b.Key("traceEvents");
   b.BeginArray();
-  for (size_t s = 0; s < streams.size(); ++s) {
-    ForEachEvent(streams[s], [&](const JsonValue& event,
-                                 std::string_view type) {
+  uint64_t pid = 0;
+  for (const std::string& text : streams) {
+    StreamSplitter splitter;
+    ++pid;
+    ForEachEvent(text, [&](const JsonValue& event, std::string_view type) {
+      if (splitter.NewStream(type)) ++pid;
       size_t sep = type.rfind('_');
       if (sep == std::string_view::npos) return;
       std::string_view kind = type.substr(0, sep);
@@ -513,7 +509,7 @@ std::string EventsToChromeTrace(const std::vector<std::string>& streams) {
       b.Number(static_cast<uint64_t>(
           std::llround(FieldNum(event, "ts_ms") * 1000.0)));
       b.Key("pid");
-      b.Number(static_cast<uint64_t>(s + 1));
+      b.Number(pid);
       b.Key("tid");
       b.Number(FieldCount(event, "tid"));
       b.EndObject();

@@ -3,9 +3,12 @@
 //
 // Input is one or more event streams: live ones, finished ones, and —
 // the case that motivates the whole subsystem — truncated ones left by
-// killed or crashed workers. Parsing is line-at-a-time and defensive:
-// a torn final line or garbage in the middle is counted as malformed
-// and skipped, never fatal.
+// killed or crashed workers. One file may hold several streams: a
+// resumed corpus_scan appends its own stream_begin..stream_end to the
+// file of the run it resumes, so every stream_begin after the first
+// event of a file starts a new stream. Parsing is line-at-a-time and
+// defensive: a torn line or garbage in the middle is counted as
+// malformed and skipped, never fatal.
 //
 // The aggregate answers the fleet operator's triage questions:
 //  * per-image status table — an image_begin with no matching
@@ -29,9 +32,39 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace dtaint::obs {
+
+/// Calls fold(event, type) for every parseable event line of `ndjson`
+/// (a JSON object with a string "type") and returns the number of
+/// lines skipped as malformed. The one line reader of every stream
+/// consumer: scan_report and the supervisor's resume replay.
+template <typename Fold>
+size_t ForEachEvent(std::string_view ndjson, Fold&& fold) {
+  size_t malformed = 0;
+  size_t pos = 0;
+  while (pos < ndjson.size()) {
+    size_t eol = ndjson.find('\n', pos);
+    // A final line without its newline is the torn-write case: try it
+    // anyway — it parses iff the write completed before the kill.
+    std::string_view line = ndjson.substr(
+        pos, eol == std::string_view::npos ? std::string_view::npos
+                                           : eol - pos);
+    pos = eol == std::string_view::npos ? ndjson.size() : eol + 1;
+    if (line.empty()) continue;
+    auto parsed = ParseJson(line);
+    const JsonValue* type =
+        parsed.ok() && parsed->is_object() ? parsed->Find("type") : nullptr;
+    if (!type || !type->is_string() || type->string().empty()) {
+      ++malformed;
+      continue;
+    }
+    fold(*parsed, std::string_view(type->string()));
+  }
+  return malformed;
+}
 
 struct ImageRollup {
   std::string image;
@@ -59,8 +92,8 @@ struct ImageRollup {
   /// kept separate so lifecycle events that carry an absolute attempt
   /// count never double-count with the begins).
   uint64_t begin_events = 0;
-  /// Satisfied from the resume journal (image_resumed event) rather
-  /// than rescanned in the stream(s) being aggregated.
+  /// Replayed by a resumed run (image_resumed event) rather than
+  /// rescanned in the stream(s) being aggregated.
   bool resumed = false;
 };
 
@@ -117,8 +150,9 @@ struct ScanReportOptions {
   size_t top_functions = 10;
 };
 
-/// Folds one stream's text (possibly truncated mid-line) into `agg`.
-/// Never fails: unparseable lines bump malformed_lines.
+/// Folds one file's text (one or more streams, possibly truncated
+/// mid-line) into `agg`. Never fails: unparseable lines bump
+/// malformed_lines.
 void AggregateEvents(std::string_view ndjson, ScanAggregate* agg);
 
 /// Sorts functions time-descending (name ascending on ties) and
@@ -149,7 +183,9 @@ std::string AggregateToJson(const ScanAggregate& agg);
 /// each matching end event an "E" record: `name` is the event's
 /// binary/phase/function/image field, `cat` that prefix, `ts` its
 /// ts_ms x 1000 (µs), `tid` the envelope's, and `pid` the stream's
-/// 1-based position in `streams`. Chrome nests the slices of a thread
+/// 1-based position among all the streams `streams` hold (a file with
+/// two streams takes two pids, so a killed run's open slices never
+/// overlap its resumed run's). Chrome nests the slices of a thread
 /// by emission order, so nothing is paired here: an end whose begin
 /// was lost, or a begin a truncated stream never ended, stays
 /// unmatched, and malformed lines are skipped.

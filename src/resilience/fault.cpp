@@ -37,7 +37,7 @@ constexpr SiteName kSiteNames[] = {
     {FaultSite::kCrash, "crash"},
     {FaultSite::kWorkerKill, "worker_kill"},
     {FaultSite::kWorkerHang, "worker_hang"},
-    {FaultSite::kJournalTorn, "journal_torn"},
+    {FaultSite::kStreamTorn, "stream_torn"},
 };
 
 }  // namespace

@@ -15,7 +15,7 @@
 //
 //   site   lift | summary | pathfind | cache_read | cache_write |
 //          extract | load | crash | worker_kill | worker_hang |
-//          journal_torn
+//          stream_torn
 //   match  substring the site's detail string must contain (function
 //          name, binary name, file path); empty matches everything
 //   count  how many matching occurrences fail (default 1, '*' = all)
@@ -59,19 +59,20 @@ enum class FaultSite : uint8_t {
                 // workers first consults it in the parent before each
                 // image's first request, so a crash@<label> spec (no
                 // skip) kills the parent, not a worker. The oracles in
-                // tests/events_test.cpp (in process) and
-                // tests/supervisor_test.cpp (workers) prove the event
-                // stream and the resume journal survive.
+                // tests/events_test.cpp and tests/supervisor_test.cpp
+                // prove the event stream survives, and that a resume
+                // from it matches an uninterrupted run, under either
+                // runner.
   kWorkerKill,  // isolated scan worker SIGKILLs itself at task start —
                 // the synthetic poison image the supervisor must
                 // retry and eventually quarantine
   kWorkerHang,  // isolated scan worker spins forever at task start —
                 // exercises the per-image wall-clock watchdog
-  kJournalTorn, // journal append writes only a prefix of the record
-                // and no newline — the torn-write the replay path
-                // must skip (that record, and possibly the next line
-                // it glues onto, is lost; the journal is at-least-once
-                // and the image is simply re-scanned)
+  kStreamTorn,  // the supervisor writes an image's image_done event as
+                // a prefix with no newline — the torn write the resume
+                // replay must skip (that record, and the next line it
+                // glues onto, is lost; the stream is at-least-once and
+                // the image is simply re-scanned)
 };
 
 /// "lift", "summary", "pathfind", "cache_read", ...

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <map>
 #include <new>
 #include <thread>
 #include <utility>
@@ -25,10 +26,13 @@
 #include "src/obs/events.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/scan_report.h"
 #include "src/resilience/fault.h"
 #include "src/resilience/retry.h"
 #include "src/symexec/intern.h"
 #include "src/util/hash.h"
+#include "src/util/json.h"
+#include "src/util/strings.h"
 
 namespace dtaint {
 
@@ -51,7 +55,186 @@ void PutU32Le(std::string* out, uint32_t v) {
   }
 }
 
+bool ParseStatusCode(std::string_view name, StatusCode* out) {
+  for (int c = 0; c <= static_cast<int>(StatusCode::kInternal); ++c) {
+    StatusCode code = static_cast<StatusCode>(c);
+    if (StatusCodeName(code) == name) {
+      *out = code;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ParseBudgetExhaustion(std::string_view name, BudgetExhaustion* out) {
+  for (int c = 0; c <= static_cast<int>(BudgetExhaustion::kInjected); ++c) {
+    BudgetExhaustion cause = static_cast<BudgetExhaustion>(c);
+    if (BudgetExhaustionName(cause) == name) {
+      *out = cause;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string FieldString(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  if (!v || !v->is_string()) return {};
+  return v->string();
+}
+
+uint64_t FieldU64(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  if (!v || !v->is_number()) return 0;
+  double d = v->number();
+  return d <= 0 ? 0 : static_cast<uint64_t>(d);
+}
+
+double FieldDouble(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  return v && v->is_number() ? v->number() : 0.0;
+}
+
+bool FieldBool(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  return v && v->is_bool() && v->boolean();
+}
+
+Status AppendIncidents(const JsonValue& parent, std::string_view key,
+                       std::vector<Incident>* out) {
+  const JsonValue* list = parent.Find(key);
+  if (!list) return Status::Ok();
+  if (!list->is_array()) return CorruptData("incidents: not an array");
+  for (const JsonValue& entry : list->array()) {
+    auto incident = IncidentFromJson(entry);
+    if (!incident.ok()) return incident.status();
+    out->push_back(std::move(*incident));
+  }
+  return Status::Ok();
+}
+
+/// The terminal results an earlier run's event stream records, by
+/// content fingerprint: its parent-written image_done and
+/// image_quarantined lines, the last one per fingerprint winning. A
+/// line that lacks a field the result needs is skipped, so the image
+/// it names is scanned again. A missing file replays nothing.
+std::map<std::string, TaskResult, std::less<>> ReplayStream(
+    const std::string& path) {
+  std::map<std::string, TaskResult, std::less<>> replay;
+  auto text = obs::ReadEventFiles({path});
+  if (!text.ok()) return replay;
+  obs::ForEachEvent(text->front(), [&](const JsonValue& event,
+                                       std::string_view type) {
+    bool done = type == "image_done";
+    if (!done && type != "image_quarantined") return;
+    std::string fp = FieldString(event, "fp");
+    if (fp.empty()) return;
+    TaskResult result;
+    if (done) {
+      const JsonValue* outcome = event.Find("outcome");
+      if (!outcome) return;
+      auto decoded = ScanOutcomeFromJson(*outcome);
+      if (!decoded.ok()) return;
+      result.state = TaskResult::State::kDone;
+      result.outcome = std::move(*decoded);
+    } else {
+      result.state = TaskResult::State::kQuarantined;
+      result.quarantine_reason = FieldString(event, "reason");
+    }
+    if (!AppendIncidents(event, "incidents", &result.incidents).ok()) return;
+    result.attempts = static_cast<uint32_t>(FieldU64(event, "attempts"));
+    result.worker_restarts =
+        static_cast<uint32_t>(FieldU64(event, "worker_restarts"));
+    result.resumed = true;
+    replay[fp] = std::move(result);
+  });
+  return replay;
+}
+
 }  // namespace
+
+// ---- ScanOutcome codec ----------------------------------------------------
+
+std::string ScanOutcomeToJson(const ScanOutcome& outcome) {
+  std::string out = "{";
+  out += "\"status\":\"" + JsonEscape(outcome.status) + "\",";
+  out += "\"row\":\"" + JsonEscape(outcome.row) + "\",";
+  out += std::string("\"complete\":") + (outcome.complete ? "true" : "false");
+  out += ",\"functions\":" + std::to_string(outcome.functions);
+  out += ",\"findings\":" + std::to_string(outcome.findings);
+  // Raw report fragments travel as escaped *strings*, not as embedded
+  // JSON: unescape(escape(x)) == x for any byte string, which is what
+  // makes a resume reproduce the fleet report byte-for-byte.
+  // Re-serializing a parsed tree would not make that guarantee.
+  out += ",\"findings_json\":\"" + JsonEscape(outcome.findings_json) + "\"";
+  if (outcome.has_score) {
+    out += ",\"score_json\":\"" + JsonEscape(outcome.score_json) + "\"";
+  }
+  out += ",\"tp\":" + std::to_string(outcome.tp);
+  out += ",\"fn\":" + std::to_string(outcome.fn);
+  out += ",\"fp\":" + std::to_string(outcome.fp);
+  out += ",\"incidents\":" + IncidentsToJson(outcome.incidents);
+  out += "}";
+  return out;
+}
+
+Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value) {
+  if (!value.is_object()) return CorruptData("outcome: not an object");
+  ScanOutcome outcome;
+  outcome.status = FieldString(value, "status");
+  if (outcome.status.empty()) return CorruptData("outcome: missing status");
+  outcome.row = FieldString(value, "row");
+  outcome.complete = FieldBool(value, "complete");
+  outcome.functions = FieldU64(value, "functions");
+  outcome.findings = FieldU64(value, "findings");
+  const JsonValue* findings = value.Find("findings_json");
+  if (!findings || !findings->is_string()) {
+    return CorruptData("outcome: missing findings_json");
+  }
+  outcome.findings_json = findings->string();
+  if (const JsonValue* score = value.Find("score_json");
+      score && score->is_string()) {
+    outcome.has_score = true;
+    outcome.score_json = score->string();
+  }
+  outcome.tp = FieldU64(value, "tp");
+  outcome.fn = FieldU64(value, "fn");
+  outcome.fp = FieldU64(value, "fp");
+  Status status = AppendIncidents(value, "incidents", &outcome.incidents);
+  if (!status.ok()) return status;
+  return outcome;
+}
+
+Result<ScanOutcome> ScanOutcomeFromJson(std::string_view json) {
+  auto parsed = ParseJson(json);
+  if (!parsed.ok()) return parsed.status();
+  return ScanOutcomeFromJson(*parsed);
+}
+
+Result<Incident> IncidentFromJson(const JsonValue& value) {
+  if (!value.is_object()) return CorruptData("incident: not an object");
+  Incident incident;
+  incident.binary = FieldString(value, "binary");
+  incident.phase = FieldString(value, "phase");
+  incident.detail = FieldString(value, "detail");
+  StatusCode code = StatusCode::kInternal;
+  if (!ParseStatusCode(FieldString(value, "code"), &code)) {
+    return CorruptData("incident: bad status code");
+  }
+  incident.status = Status(code, FieldString(value, "message"));
+  if (const JsonValue* budget = value.Find("budget");
+      budget && budget->is_object()) {
+    incident.budget.steps = FieldU64(*budget, "steps");
+    incident.budget.states = FieldU64(*budget, "states");
+    incident.budget.elapsed_ms = FieldDouble(*budget, "elapsed_ms");
+    incident.budget.expr_nodes = FieldU64(*budget, "expr_nodes");
+    if (!ParseBudgetExhaustion(FieldString(*budget, "exhausted_by"),
+                               &incident.budget.exhausted_by)) {
+      return CorruptData("incident: bad exhausted_by");
+    }
+  }
+  return incident;
+}
 
 std::string_view WorkerFailureName(WorkerFailure failure) {
   switch (failure) {
@@ -408,42 +591,7 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
   metrics.counter("supervisor.tasks").Add(tasks.size());
 
   std::vector<TaskResult> results(tasks.size());
-
-  JournalReplay replay;
-  if (!config_.journal_dir.empty()) {
-    if (config_.resume) {
-      auto replayed = ScanJournal::Replay(config_.journal_dir);
-      if (replayed.ok()) {
-        replay = std::move(*replayed);
-      } else {
-        DTAINT_LOG(obs::LogLevel::kWarn, "supervisor",
-                   "journal replay failed, running from scratch: %s",
-                   replayed.status().ToString().c_str());
-      }
-      stats_.journal_records_replayed = replay.records;
-      stats_.journal_garbage_lines = replay.garbage_lines;
-      metrics.counter("supervisor.journal_garbage_lines")
-          .Add(replay.garbage_lines);
-      if (stream.enabled()) {
-        obs::Event event("journal_replay");
-        event.Num("records", static_cast<uint64_t>(replay.records))
-            .Num("garbage_lines", static_cast<uint64_t>(replay.garbage_lines))
-            .Num("done", static_cast<uint64_t>(replay.done.size()))
-            .Num("quarantined",
-                 static_cast<uint64_t>(replay.quarantined.size()))
-            .Num("in_flight", static_cast<uint64_t>(replay.in_flight.size()));
-        stream.Emit(event);
-      }
-    }
-    auto journal = ScanJournal::Open(config_.journal_dir);
-    if (journal.ok()) {
-      journal_ = std::move(*journal);
-    } else {
-      DTAINT_LOG(obs::LogLevel::kError, "supervisor",
-                 "continuing without a journal: %s",
-                 journal.status().ToString().c_str());
-    }
-  }
+  obs::Counter& images_done = metrics.counter("supervisor.images_done");
 
   struct TaskState {
     int attempt = 0;  // attempts used so far
@@ -459,59 +607,61 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
   std::deque<Pending> pending;
   bool stopped = false;
 
-  auto emit_resumed = [&](const TaskSpec& task, const TaskResult& result,
-                          std::string_view status) {
-    ++stats_.resumed;
-    metrics.counter("supervisor.resumed").Add();
-    if (stream.enabled()) {
-      obs::Event event("image_resumed");
+  // Every task that reaches done or quarantined, scanned now or
+  // replayed, passes here once, in this process: the image_done line
+  // is what a later resume replays, and the count and beat are the
+  // heartbeat's progress (a forked worker's counters live in the
+  // worker).
+  auto fold = [&](size_t index) {
+    images_done.Add();
+    if (!stream.enabled()) return;
+    const TaskSpec& task = tasks[index];
+    const TaskResult& result = results[index];
+    if (result.state == TaskResult::State::kDone) {
+      obs::Event event("image_done");
       event.Str("image", task.label)
-          .Str("status", status)
-          .Num("attempts", static_cast<uint64_t>(result.attempts));
-      stream.Emit(event);
+          .Str("fp", task.fingerprint)
+          .Num("attempts", static_cast<uint64_t>(result.attempts))
+          .Num("worker_restarts",
+               static_cast<uint64_t>(result.worker_restarts))
+          .Raw("incidents", IncidentsToJson(result.incidents))
+          .Raw("outcome", ScanOutcomeToJson(result.outcome));
+      if (FaultPlan::Global().ShouldFail(FaultSite::kStreamTorn, task.label)) {
+        stream.EmitTorn(event);
+      } else {
+        stream.Emit(event);
+      }
     }
+    stream.BeatNow();
   };
 
+  std::map<std::string, TaskResult, std::less<>> replay;
+  if (!config_.resume_from.empty()) replay = ReplayStream(config_.resume_from);
   Clock::time_point start = Clock::now();
   for (size_t i = 0; i < tasks.size(); ++i) {
     const TaskSpec& task = tasks[i];
-    if (auto it = replay.done.find(task.fingerprint); it != replay.done.end()) {
-      TaskResult& result = results[i];
-      result.state = TaskResult::State::kDone;
-      result.outcome = *it->second.outcome;
-      result.attempts = it->second.attempts;
-      result.worker_restarts = it->second.worker_restarts;
-      result.incidents = it->second.incidents;
-      result.resumed = true;
-      emit_resumed(task, result, result.outcome.status);
+    auto it = replay.find(task.fingerprint);
+    if (it == replay.end()) {
+      pending.push_back({i, start});
       continue;
     }
-    if (auto it = replay.quarantined.find(task.fingerprint);
-        it != replay.quarantined.end()) {
-      TaskResult& result = results[i];
-      result.state = TaskResult::State::kQuarantined;
-      result.attempts = it->second.attempts;
-      result.worker_restarts = it->second.worker_restarts;
-      result.incidents = it->second.incidents;
-      result.quarantine_reason = it->second.reason;
-      result.resumed = true;
-      emit_resumed(task, result, "quarantined");
-      continue;
+    TaskResult& result = results[i];
+    result = it->second;
+    ++stats_.resumed;
+    metrics.counter("supervisor.resumed").Add();
+    bool done = result.state == TaskResult::State::kDone;
+    if (stream.enabled()) {
+      obs::Event event("image_resumed");
+      event.Str("image", task.label)
+          .Str("status", done ? std::string_view(result.outcome.status)
+                              : std::string_view("quarantined"))
+          .Num("attempts", static_cast<uint64_t>(result.attempts));
+      stream.Emit(event);
     }
-    pending.push_back({i, start});
+    fold(i);
   }
 
-  auto journal_append = [&](const JournalRecord& record) {
-    if (!journal_.open()) return;
-    Status status = journal_.Append(record);
-    if (!status.ok()) {
-      DTAINT_LOG(obs::LogLevel::kWarn, "supervisor", "journal append: %s",
-                 status.ToString().c_str());
-    }
-  };
-
   auto handle_success = [&](size_t index, ScanOutcome outcome) {
-    const TaskSpec& task = tasks[index];
     TaskState& st = states[index];
     TaskResult& result = results[index];
     result.state = TaskResult::State::kDone;
@@ -519,15 +669,7 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     result.attempts = static_cast<uint32_t>(st.attempt);
     result.worker_restarts = static_cast<uint32_t>(st.attempt - 1);
     result.incidents = st.incidents;
-    JournalRecord record;
-    record.type = "image_done";
-    record.image = task.label;
-    record.fingerprint = task.fingerprint;
-    record.attempts = result.attempts;
-    record.worker_restarts = result.worker_restarts;
-    record.incidents = result.incidents;
-    record.outcome = result.outcome;
-    journal_append(record);
+    fold(index);
     if (config_.stop_on_failure && StopsFailFast(result.outcome)) {
       stopped = true;
     }
@@ -601,19 +743,15 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     if (stream.enabled()) {
       obs::Event event("image_quarantined");
       event.Str("image", task.label)
+          .Str("fp", task.fingerprint)
           .Num("attempts", static_cast<uint64_t>(result.attempts))
-          .Str("reason", reason);
+          .Num("worker_restarts",
+               static_cast<uint64_t>(result.worker_restarts))
+          .Str("reason", reason)
+          .Raw("incidents", IncidentsToJson(result.incidents));
       stream.Emit(event);
     }
-    JournalRecord record;
-    record.type = "image_quarantined";
-    record.image = task.label;
-    record.fingerprint = task.fingerprint;
-    record.attempts = result.attempts;
-    record.worker_restarts = result.worker_restarts;
-    record.reason = reason;
-    record.incidents = result.incidents;
-    journal_append(record);
+    fold(index);
     if (config_.stop_on_failure) stopped = true;
   };
 
@@ -654,15 +792,10 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
       policy.initial_backoff_us = config_.backoff_initial_us;
       policy.jitter_seed = Fnv1a(task.fingerprint);
       st.backoff_plan = RetryScheduleUs(policy);
-      JournalRecord record;
-      record.type = "image_begin";
-      record.image = task.label;
-      record.fingerprint = task.fingerprint;
-      journal_append(record);
-      // The kill-mid-scan oracle: hard supervisor death right after
-      // the begin record is durable — resume must re-run this image.
-      // A task run in this process needs no consult here: ScanImage's
-      // own, right after image_begin, kills the supervisor itself.
+      // The kill-mid-scan oracle: hard supervisor death before the
+      // image's first request — resume must re-run this image. A task
+      // run in this process needs no consult here: ScanImage's own,
+      // right after image_begin, kills the supervisor itself.
       if (config_.workers > 0 &&
           FaultPlan::Global().ShouldFail(FaultSite::kCrash, task.label)) {
         std::abort();

@@ -1,6 +1,6 @@
 // Crash-isolated scan supervisor — a pool of long-lived forked
 // workers with watchdogs, resource limits, retry/quarantine policy, and
-// a resumable checkpoint journal (src/resilience/journal.h).
+// resume from the event stream of an interrupted run.
 //
 // The in-process incident machinery (incident.h, budget.h) contains
 // *expected* failures: malformed binaries, exhausted budgets. It cannot
@@ -45,9 +45,25 @@
 // After 1 + max_retries attempts the image is quarantined: recorded,
 // reported, and never allowed to poison the rest of the fleet.
 //
+// Resume: the event stream (src/obs/events.h) is the scan's one
+// crash-safe record. For every task it folds, the parent emits an
+// `image_done` event (label, content fingerprint `fp`, attempts, worker
+// restarts, supervisor incidents and the ScanOutcome as raw JSON) or an
+// `image_quarantined` event with the same identity fields — one
+// O_APPEND write(2) each, so a kill -9 of the supervisor loses none
+// that were emitted. Workers write to the same file but never these
+// two types. With `resume_from` set, Run first replays that file's
+// image_done / image_quarantined lines, keyed by fingerprint (a resume
+// never reuses the outcome of a *different* image that shares a label),
+// and runs only the rest; `corpus_scan --resume` then appends to the
+// same file. The record is at-least-once: a torn or malformed line
+// (the `stream_torn` fault site) costs that image a re-scan, never a
+// wrong report, because a replayed outcome is the whole line or
+// nothing.
+//
 // With `workers` 0 there is no pool: every task runs in this process,
 // one after another, under the same retry/quarantine state machine and
-// journal (worker fault sites become synthetic failures, exceptions
+// resume (worker fault sites become synthetic failures, exceptions
 // become failed attempts). If fork or pipe creation itself fails
 // (containers without CAP_SYS_ADMIN analogues, fd exhaustion), a forked
 // run degrades to the same in-process path for that task — isolation is
@@ -57,14 +73,64 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/resilience/budget.h"
 #include "src/resilience/incident.h"
-#include "src/resilience/journal.h"
 #include "src/util/status.h"
 
 namespace dtaint {
+
+class JsonValue;
+
+/// Everything the fleet report needs from one image's scan — the unit
+/// the supervisor's workers return over the wire and its `image_done`
+/// events record. JSON fragments (findings, score) are carried as raw
+/// pre-serialized strings so a resume reproduces the fleet report
+/// byte-for-byte.
+struct ScanOutcome {
+  /// "ok", "unextractable", or "failed" (the supervisor adds
+  /// "quarantined" at the TaskResult level, never here).
+  std::string status;
+  /// Human table cell ("ok", "unextractable", "FAILED: extract", ...).
+  std::string row;
+  bool complete = false;
+  uint64_t functions = 0;
+  uint64_t findings = 0;
+  /// Raw JSON array (report/json.h FindingsToJson output), embedded
+  /// verbatim in the fleet report.
+  std::string findings_json = "[]";
+  bool has_score = false;
+  /// Raw JSON object (report/scoring.h ScoreToJson output).
+  std::string score_json;
+  /// Detection tallies, already folded (fp includes safe-twin hits);
+  /// they count toward fleet totals only when `complete`.
+  uint64_t tp = 0;
+  uint64_t fn = 0;
+  uint64_t fp = 0;
+  /// Analysis incidents, relabeled with the fleet image label.
+  std::vector<Incident> incidents;
+};
+
+/// Whether `outcome` stops a fail-fast fleet run: the scan failed, or
+/// it finished without being complete. An unextractable image does
+/// not stop it.
+inline bool StopsFailFast(const ScanOutcome& outcome) {
+  return outcome.status == "failed" ||
+         (outcome.status == "ok" && !outcome.complete);
+}
+
+/// Serializes an outcome as one JSON object (stable key order — the
+/// codec is part of the resume oracle's byte-identity contract).
+std::string ScanOutcomeToJson(const ScanOutcome& outcome);
+
+/// Inverse of ScanOutcomeToJson; also accepts an already-parsed value.
+Result<ScanOutcome> ScanOutcomeFromJson(std::string_view json);
+Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value);
+
+/// Parses one incident serialized by IncidentToJson (incident.h).
+Result<Incident> IncidentFromJson(const JsonValue& value);
 
 /// Wire format version for the worker->parent result frame.
 inline constexpr uint32_t kWireVersion = 1;
@@ -104,7 +170,7 @@ Result<ScanOutcome> DecodeWireResult(std::string_view frame);
 
 struct SupervisorConfig {
   /// Concurrent forked worker processes; 0 runs every task in this
-  /// process (no isolation; journal and resume still work).
+  /// process (no isolation; resume still works).
   int workers = 1;
   /// Extra attempts after the first before quarantine (so an image is
   /// tried at most 1 + max_retries times).
@@ -118,13 +184,13 @@ struct SupervisorConfig {
   uint32_t mem_limit_mb = 0;
   /// Base analysis budget; retries run TightenBudget(budget, attempt).
   AnalysisBudget budget;
-  /// Journal directory; empty = no journal (and resume impossible).
-  std::string journal_dir;
-  /// Replay the journal first and skip images already done/quarantined.
-  bool resume = false;
+  /// Event stream of an earlier run of the same fleet; empty = a fresh
+  /// run. Run replays its image_done / image_quarantined lines and
+  /// skips the images they name. A missing file is an empty replay.
+  std::string resume_from;
   /// Stop dispatching new images after a quarantine, or after a task
-  /// whose outcome StopsFailFast (fail-fast fleets). Outcomes replayed
-  /// from the journal never stop a run.
+  /// whose outcome StopsFailFast (fail-fast fleets). Replayed outcomes
+  /// never stop a run.
   bool stop_on_failure = false;
   /// Retry backoff shape (jitter seed comes from each image's
   /// fingerprint, not from here; the sum of sleeps is capped at
@@ -135,13 +201,13 @@ struct SupervisorConfig {
 /// One unit of supervised work.
 struct TaskSpec {
   std::string label;        // fleet label, also the fault-site detail
-  std::string fingerprint;  // content identity for the journal
+  std::string fingerprint;  // content identity, the resume key
 };
 
 /// What happened to one task, attempts included.
 struct TaskResult {
   enum class State : uint8_t {
-    kDone,         // outcome is valid (possibly replayed from journal)
+    kDone,         // outcome is valid (possibly replayed on resume)
     kQuarantined,  // gave up after 1 + max_retries attempts
     kSkipped,      // never dispatched (stop_on_failure tripped first)
   };
@@ -149,7 +215,7 @@ struct TaskResult {
   ScanOutcome outcome;
   uint32_t attempts = 0;
   uint32_t worker_restarts = 0;  // failed attempts (== attempts-1 when done)
-  bool resumed = false;          // satisfied from the journal replay
+  bool resumed = false;          // replayed from `resume_from`
   bool in_process = false;       // ran in this process (workers 0/fallback)
   std::string quarantine_reason;
   /// Supervisor-level incidents (one per failed attempt, plus the
@@ -166,8 +232,6 @@ struct SupervisorStats {
   uint64_t quarantined = 0;
   uint64_t resumed = 0;
   uint64_t in_process_fallbacks = 0;
-  uint64_t journal_records_replayed = 0;
-  uint64_t journal_garbage_lines = 0;
 };
 
 /// The task body: scan image `index` under `budget` and return its
@@ -184,8 +248,11 @@ class ScanSupervisor {
   /// Runs every task to a terminal state (done / quarantined /
   /// skipped). Results are returned in task order regardless of
   /// completion order. Emits supervisor lifecycle events
-  /// (image_resumed, image_retry, image_quarantined, worker_exit,
-  /// journal_replay) into the global event stream when it is open.
+  /// (image_resumed, image_retry, image_done, image_quarantined,
+  /// worker_exit) into the global event stream when it is open, and
+  /// bumps the `supervisor.images_done` counter (the heartbeat's
+  /// images_done) once per task that reaches done or quarantined,
+  /// replayed or not.
   std::vector<TaskResult> Run(const std::vector<TaskSpec>& tasks,
                               const TaskFn& fn);
 
@@ -218,7 +285,6 @@ class ScanSupervisor {
 
   SupervisorConfig config_;
   SupervisorStats stats_;
-  ScanJournal journal_;
 };
 
 }  // namespace dtaint

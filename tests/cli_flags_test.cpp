@@ -200,6 +200,15 @@ TEST(CliFlags, CorpusScanRefusesWorkerLimitsWithoutWorkers) {
   }
 }
 
+TEST(CliFlags, CorpusScanResumeNeedsTheEventStream) {
+  const char* bin = std::getenv("DTAINT_CORPUS_SCAN_BIN");
+  if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
+  // The event stream is the one record a resume replays.
+  std::string output;
+  EXPECT_EQ(RunTool(std::string("\"") + bin + "\" --resume", &output), 2);
+  EXPECT_NE(output.find("--events-out"), std::string::npos) << output;
+}
+
 TEST(CliFlags, ScanReportAndBenchDiffExitTwoNamingTheFlag) {
   const char* scan_report = std::getenv("DTAINT_SCAN_REPORT_BIN");
   const char* bench_diff = std::getenv("DTAINT_BENCH_DIFF_BIN");

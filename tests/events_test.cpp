@@ -430,6 +430,44 @@ TEST(EventStream, ConcurrentEmittersWriteWholeLines) {
   EXPECT_EQ(stream_end_events, lines.size());
 }
 
+TEST(EventStream, AppendStartsOnALineOfItsOwn) {
+  fs::path path = ArtifactDir() / "append.ndjson";
+  const std::string whole =
+      R"({"v":1,"type":"stream_begin","ts_ms":0,"tid":0,"tool":"t"})";
+  const std::string torn = R"({"v":1,"type":"image_done","ts_ms":1,"ti)";
+  {
+    // What a killed run leaves: whole lines, then a torn one.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << whole << '\n' << torn;
+  }
+  obs::EventStream& events = obs::EventStream::Global();
+  ASSERT_TRUE(events.Open(path.string(), "events_test", /*append=*/true));
+  events.Emit(obs::Event("probe"));
+  events.Close("ok");
+  // Appending again after a clean end adds no blank line.
+  ASSERT_TRUE(events.Open(path.string(), "events_test", /*append=*/true));
+  events.Close("ok");
+
+  std::vector<std::string> lines = Lines(ReadAll(path));
+  ASSERT_EQ(lines.size(), 7u);
+  EXPECT_EQ(lines[0], whole);
+  EXPECT_EQ(lines[1], torn);  // still torn, but glued to nothing
+  std::vector<std::string> types;
+  size_t malformed = obs::ForEachEvent(
+      ReadAll(path), [&](const JsonValue&, std::string_view type) {
+        types.emplace_back(type);
+      });
+  EXPECT_EQ(malformed, 1u);
+  EXPECT_EQ(types, (std::vector<std::string>{"stream_begin", "stream_begin",
+                                             "probe", "stream_end",
+                                             "stream_begin", "stream_end"}));
+
+  // Without append, Open starts the file over.
+  ASSERT_TRUE(events.Open(path.string(), "events_test"));
+  events.Close("ok");
+  EXPECT_EQ(Lines(ReadAll(path)).size(), 2u);
+}
+
 // -------------------------------------------------------------- aggregation
 
 constexpr const char* kCompleteStream =
@@ -495,6 +533,40 @@ TEST(ScanReport, AggregatesCompleteAndTruncatedStreams) {
   EXPECT_DOUBLE_EQ(agg.phases[0].total_ms, 1.5);
   EXPECT_EQ(agg.binaries, 1u);
   EXPECT_DOUBLE_EQ(agg.binary_ms, 2.0);
+}
+
+TEST(ScanReport, OneFileWithSeveralStreamsReadsAsSeveralStreams) {
+  // A resumed run appends its stream to the file of the run it
+  // resumes; each stream_begin after a file's first event starts a
+  // stream of its own, with its own truncation state and trace pid.
+  const std::string appended =
+      R"({"v":1,"type":"stream_begin","ts_ms":0,"tid":0,"tool":"corpus_scan"}
+{"v":1,"type":"image_begin","ts_ms":0.5,"tid":0,"image":"C 3"}
+{"v":1,"type":"image_end","ts_ms":1,"tid":0,"image":"C 3","status":"ok","duration_ms":0.5}
+{"v":1,"type":"stream_end","ts_ms":2,"tid":0,"outcome":"ok","events":4}
+)";
+  for (const std::string& first : {std::string(kCompleteStream),
+                                   std::string(kTruncatedStream) + "\n"}) {
+    obs::ScanAggregate two_files, one_file;
+    obs::AggregateEvents(first, &two_files);
+    obs::AggregateEvents(appended, &two_files);
+    obs::FinalizeAggregate(&two_files, obs::ScanReportOptions{});
+    obs::AggregateEvents(first + appended, &one_file);
+    obs::FinalizeAggregate(&one_file, obs::ScanReportOptions{});
+    EXPECT_EQ(one_file.streams, 2u);
+    EXPECT_EQ(obs::AggregateToJson(one_file), obs::AggregateToJson(two_files));
+    EXPECT_EQ(obs::EventsToChromeTrace({first + appended}),
+              obs::EventsToChromeTrace({first, appended}));
+  }
+  obs::ScanAggregate killed;
+  obs::AggregateEvents(std::string(kTruncatedStream) + "\n" + appended,
+                       &killed);
+  EXPECT_EQ(killed.streams, 2u);
+  EXPECT_EQ(killed.truncated_streams, 1u);
+  // A file with no stream_begin at all is still one stream.
+  obs::ScanAggregate bare;
+  obs::AggregateEvents("", &bare);
+  EXPECT_EQ(bare.streams, 1u);
 }
 
 TEST(ScanReport, MarkdownAndJsonRender) {

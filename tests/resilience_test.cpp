@@ -293,7 +293,7 @@ TEST_F(ResilienceTest, SiteNamesRoundTrip) {
       FaultSite::kLift,       FaultSite::kSummary,    FaultSite::kPathfinder,
       FaultSite::kCacheRead,  FaultSite::kCacheWrite, FaultSite::kExtract,
       FaultSite::kLoad,       FaultSite::kCrash,      FaultSite::kWorkerKill,
-      FaultSite::kWorkerHang, FaultSite::kJournalTorn};
+      FaultSite::kWorkerHang, FaultSite::kStreamTorn};
   for (FaultSite site : sites) {
     FaultSite parsed;
     ASSERT_TRUE(ParseFaultSite(FaultSiteName(site), &parsed));

@@ -1,27 +1,29 @@
-// Scan supervisor + checkpoint journal tests.
+// Scan supervisor tests.
 //
 // Three layers of coverage:
-//  * codecs — the worker wire frame and the journal record format must
-//    round-trip exactly (they carry raw JSON fragments whose bytes are
-//    part of the resume oracle's identity contract) and reject any
-//    truncation or corruption;
+//  * codecs — the worker wire frame must round-trip exactly (it carries
+//    raw JSON fragments whose bytes are part of the resume oracle's
+//    identity contract) and reject any truncation or corruption;
 //  * the supervisor state machine — retry with tightened budgets,
 //    quarantine after 1 + max_retries attempts, the per-image
-//    watchdog, resume-from-journal, stop_on_failure, and reused
+//    watchdog, resume from the event stream (torn and untrusted lines
+//    cost a re-scan, never a wrong result), stop_on_failure, and reused
 //    workers (replacement, per-task limits and counters), exercised
 //    both in-process (deterministic, fault-injected) and with real
 //    forked workers;
 //  * the kill-mid-scan resume oracle — a corpus_scan subprocess is
-//    crashed at a fault-injected point, rerun with --resume, and the
-//    merged fleet JSON must be byte-identical to an uninterrupted
-//    run's; a poison image must quarantine without poisoning the rest
-//    of the fleet.
+//    crashed at a fault-injected point under either runner, rerun with
+//    --resume on its event stream, and the merged fleet JSON must be
+//    byte-identical to an uninterrupted run's; a poison image must
+//    quarantine without poisoning the rest of the fleet; the parent's
+//    heartbeat counts every image a worker finishes.
 //
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -29,15 +31,16 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/events.h"
 #include "src/obs/scan_report.h"
 #include "src/resilience/budget.h"
 #include "src/resilience/fault.h"
-#include "src/resilience/journal.h"
 #include "src/resilience/supervisor.h"
 #include "src/util/json.h"
 
@@ -188,168 +191,6 @@ TEST_F(SupervisorTest, WireFrameRejectsCorruption) {
   std::string bad_payload = frame;
   bad_payload[13] = '\xff';
   EXPECT_FALSE(DecodeWireResult(bad_payload).ok());
-}
-
-// ---------- journal records --------------------------------------------------
-
-TEST_F(SupervisorTest, JournalRecordsRoundTrip) {
-  JournalRecord done;
-  done.type = "image_done";
-  done.image = "Tenda AC15";
-  done.fingerprint = "00ff00ff";
-  done.attempts = 3;
-  done.worker_restarts = 2;
-  Incident inc;
-  inc.binary = "Tenda AC15";
-  inc.phase = "supervisor";
-  inc.detail = "attempt 1";
-  inc.status = Internal("worker signal: signal 11");
-  done.incidents.push_back(inc);
-  done.outcome = SampleOutcome();
-
-  auto parsed = JournalRecordFromLine(JournalRecordToLine(done));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->type, "image_done");
-  EXPECT_EQ(parsed->image, done.image);
-  EXPECT_EQ(parsed->fingerprint, done.fingerprint);
-  EXPECT_EQ(parsed->attempts, 3u);
-  EXPECT_EQ(parsed->worker_restarts, 2u);
-  ASSERT_EQ(parsed->incidents.size(), 1u);
-  EXPECT_EQ(parsed->incidents[0].detail, "attempt 1");
-  ASSERT_TRUE(parsed->outcome.has_value());
-  ExpectOutcomeEq(*parsed->outcome, *done.outcome);
-
-  JournalRecord quarantined;
-  quarantined.type = "image_quarantined";
-  quarantined.image = "poison";
-  quarantined.fingerprint = "beef";
-  quarantined.attempts = 2;
-  quarantined.reason = "worker signal after 2 attempts";
-  auto q = JournalRecordFromLine(JournalRecordToLine(quarantined));
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  EXPECT_EQ(q->type, "image_quarantined");
-  EXPECT_EQ(q->reason, quarantined.reason);
-  EXPECT_FALSE(q->outcome.has_value());
-}
-
-TEST_F(SupervisorTest, JournalRecordRejectsMalformedLines) {
-  EXPECT_FALSE(JournalRecordFromLine("").ok());
-  EXPECT_FALSE(JournalRecordFromLine("not json").ok());
-  EXPECT_FALSE(JournalRecordFromLine("{\"v\":1}").ok());
-  // Wrong schema version.
-  EXPECT_FALSE(
-      JournalRecordFromLine(
-          R"({"v":99,"type":"image_begin","image":"a","fp":"f"})")
-          .ok());
-  // Unknown type.
-  EXPECT_FALSE(
-      JournalRecordFromLine(R"({"v":1,"type":"mystery","image":"a","fp":"f"})")
-          .ok());
-  // image_done without its outcome.
-  EXPECT_FALSE(
-      JournalRecordFromLine(
-          R"({"v":1,"type":"image_done","image":"a","fp":"f","attempts":1})")
-          .ok());
-}
-
-TEST_F(SupervisorTest, JournalAppendAndReplayRecoverState) {
-  fs::path dir = ScratchDir("journal_replay");
-  auto journal = ScanJournal::Open(dir.string());
-  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-
-  JournalRecord begin_a;
-  begin_a.type = "image_begin";
-  begin_a.image = "A";
-  begin_a.fingerprint = "fa";
-  JournalRecord done_a = begin_a;
-  done_a.type = "image_done";
-  done_a.attempts = 2;
-  done_a.outcome = SampleOutcome();
-  JournalRecord begin_b;
-  begin_b.type = "image_begin";
-  begin_b.image = "B";
-  begin_b.fingerprint = "fb";
-  JournalRecord quarantine_c;
-  quarantine_c.type = "image_quarantined";
-  quarantine_c.image = "C";
-  quarantine_c.fingerprint = "fc";
-  quarantine_c.reason = "worker timeout after 1 attempts";
-  ASSERT_TRUE(journal->Append(begin_a).ok());
-  ASSERT_TRUE(journal->Append(done_a).ok());
-  ASSERT_TRUE(journal->Append(begin_b).ok());
-  ASSERT_TRUE(journal->Append(quarantine_c).ok());
-
-  auto replay = ScanJournal::Replay(dir.string());
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->records, 4u);
-  EXPECT_EQ(replay->garbage_lines, 0u);
-  ASSERT_EQ(replay->done.count("fa"), 1u);
-  EXPECT_EQ(replay->done.at("fa").attempts, 2u);
-  ASSERT_TRUE(replay->done.at("fa").outcome.has_value());
-  ExpectOutcomeEq(*replay->done.at("fa").outcome, *done_a.outcome);
-  ASSERT_EQ(replay->quarantined.count("fc"), 1u);
-  // B began but never finished: the image the dead scan was chewing on.
-  ASSERT_EQ(replay->in_flight.size(), 1u);
-  EXPECT_EQ(replay->in_flight[0], "B");
-
-  // A missing journal is an empty replay, not an error.
-  auto empty = ScanJournal::Replay((dir / "nonexistent").string());
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->records, 0u);
-}
-
-TEST_F(SupervisorTest, JournalReplaySurvivesTornWritesAndGarbage) {
-  fs::path dir = ScratchDir("journal_torn");
-  {
-    auto journal = ScanJournal::Open(dir.string());
-    ASSERT_TRUE(journal.ok());
-    JournalRecord done_a;
-    done_a.type = "image_done";
-    done_a.image = "A";
-    done_a.fingerprint = "fa";
-    done_a.outcome = SampleOutcome();
-    ASSERT_TRUE(journal->Append(done_a).ok());
-
-    // The next record is deliberately torn: only a prefix, no newline.
-    FaultRule rule;
-    rule.site = FaultSite::kJournalTorn;
-    rule.match = "image_done:B";
-    FaultPlan::Global().Install({rule});
-    JournalRecord done_b = done_a;
-    done_b.image = "B";
-    done_b.fingerprint = "fb";
-    ASSERT_TRUE(journal->Append(done_b).ok());
-    FaultPlan::Global().Clear();
-
-    // The record after the torn one glues onto its line — at-least-once
-    // means C's record may be lost with B's; the one after *that* must
-    // survive because Append's newline terminated the glued line.
-    JournalRecord done_c = done_a;
-    done_c.image = "C";
-    done_c.fingerprint = "fc";
-    ASSERT_TRUE(journal->Append(done_c).ok());
-    JournalRecord done_d = done_a;
-    done_d.image = "D";
-    done_d.fingerprint = "fd";
-    ASSERT_TRUE(journal->Append(done_d).ok());
-  }
-  // Hand-inject free-standing garbage too.
-  {
-    std::ofstream out(ScanJournal::PathFor(dir.string()),
-                      std::ios::binary | std::ios::app);
-    out << "}{ total garbage\n";
-  }
-
-  auto replay = ScanJournal::Replay(dir.string());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_GE(replay->garbage_lines, 2u);  // glued torn line + hand garbage
-  EXPECT_EQ(replay->done.count("fa"), 1u);
-  EXPECT_EQ(replay->done.count("fb"), 0u);  // torn away
-  EXPECT_EQ(replay->done.count("fd"), 1u);  // post-tear append survives
-  // No phantom entries: a torn record is *lost*, never misparsed.
-  for (const auto& [fp, record] : replay->done) {
-    EXPECT_TRUE(fp == "fa" || fp == "fc" || fp == "fd") << fp;
-  }
 }
 
 // ---------- supervisor state machine -----------------------------------------
@@ -689,8 +530,192 @@ TEST_F(SupervisorTest, StopOnFailureSkipsRemainingTasks) {
   EXPECT_EQ(ran, 0);
 }
 
-TEST_F(SupervisorTest, ResumeReplaysJournalWithoutRescanning) {
-  fs::path dir = ScratchDir("supervisor_resume");
+// ---------- resume from the event stream -------------------------------------
+
+/// Runs `tasks` with the global event stream open on `path` (appended
+/// to with `resume`, as `corpus_scan --resume` does) and, with
+/// `resume`, replaying it first.
+std::vector<TaskResult> RunWithStream(const fs::path& path, bool resume,
+                                      const std::vector<TaskSpec>& tasks,
+                                      const TaskFn& fn,
+                                      SupervisorConfig config,
+                                      SupervisorStats* stats = nullptr) {
+  obs::EventStream& stream = obs::EventStream::Global();
+  EXPECT_TRUE(stream.Open(path.string(), "supervisor_test", resume));
+  if (resume) config.resume_from = path.string();
+  ScanSupervisor supervisor(config);
+  std::vector<TaskResult> results = supervisor.Run(tasks, fn);
+  stream.Close("ok");
+  if (stats) *stats = supervisor.stats();
+  return results;
+}
+
+/// The `type` events of a stream, in order.
+std::vector<JsonValue> EventsOfType(std::string_view ndjson,
+                                    std::string_view type) {
+  std::vector<JsonValue> events;
+  obs::ForEachEvent(ndjson, [&](const JsonValue& event, std::string_view t) {
+    if (t == type) events.push_back(event);
+  });
+  return events;
+}
+
+TEST_F(SupervisorTest, StreamRecordsEveryTerminalResultForResume) {
+  fs::path path = ScratchDir("stream_resume") / "events.ndjson";
+  FaultRule rule;
+  rule.site = FaultSite::kWorkerKill;
+  rule.match = "poison";
+  rule.count = -1;
+  FaultPlan::Global().Install({rule});
+  int scans = 0;
+  // Task 0 carries every codec field, JSON-hostile bytes included.
+  TaskFn fn = [&](size_t index, const AnalysisBudget&) {
+    ++scans;
+    return index == 0 ? SampleOutcome() : OutcomeForIndex(index);
+  };
+  std::vector<TaskSpec> tasks = Tasks({"a", "poison", "c"});
+  SupervisorConfig config;
+  config.workers = 0;
+  config.max_retries = 1;
+  config.backoff_initial_us = 1;
+  std::vector<TaskResult> first =
+      RunWithStream(path, /*resume=*/false, tasks, fn, config);
+  ASSERT_EQ(first[1].state, TaskResult::State::kQuarantined);
+  EXPECT_EQ(scans, 2);
+
+  // The parent's terminal records carry everything a resume needs.
+  std::vector<JsonValue> done = EventsOfType(ReadAll(path), "image_done");
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].Find("image")->string(), "a");
+  EXPECT_EQ(done[0].Find("fp")->string(), "fp_a");
+  EXPECT_EQ(static_cast<int>(done[0].Find("attempts")->number()), 1);
+  EXPECT_TRUE(done[0].Find("outcome")->is_object());
+  std::vector<JsonValue> quarantined =
+      EventsOfType(ReadAll(path), "image_quarantined");
+  ASSERT_EQ(quarantined.size(), 1u);
+  EXPECT_EQ(quarantined[0].Find("fp")->string(), "fp_poison");
+  EXPECT_EQ(static_cast<int>(quarantined[0].Find("worker_restarts")->number()),
+            2);
+  EXPECT_EQ(quarantined[0].Find("incidents")->array().size(), 3u);
+
+  // Resume: nothing is scanned again, and every result comes back as
+  // the first run had it.
+  FaultPlan::Global().Clear();
+  SupervisorStats stats;
+  std::vector<TaskResult> resumed =
+      RunWithStream(path, /*resume=*/true, tasks, fn, config, &stats);
+  EXPECT_EQ(scans, 2) << "resume must not re-scan recorded images";
+  EXPECT_EQ(stats.resumed, 3u);
+  ASSERT_EQ(resumed.size(), 3u);
+  for (size_t i = 0; i < resumed.size(); ++i) {
+    EXPECT_TRUE(resumed[i].resumed) << i;
+    EXPECT_EQ(resumed[i].state, first[i].state) << i;
+    EXPECT_EQ(resumed[i].attempts, first[i].attempts) << i;
+    EXPECT_EQ(resumed[i].worker_restarts, first[i].worker_restarts) << i;
+    ASSERT_EQ(resumed[i].incidents.size(), first[i].incidents.size()) << i;
+  }
+  ExpectOutcomeEq(resumed[0].outcome, SampleOutcome());
+  ExpectOutcomeEq(resumed[2].outcome, OutcomeForIndex(2));
+  EXPECT_EQ(resumed[1].quarantine_reason, first[1].quarantine_reason);
+  EXPECT_EQ(resumed[1].incidents.back().detail, "quarantine");
+  // The resumed segment records each replayed done image again, so the
+  // file stays a complete record however often it is resumed.
+  EXPECT_EQ(EventsOfType(ReadAll(path), "image_done").size(), 4u);
+  EXPECT_EQ(EventsOfType(ReadAll(path), "image_quarantined").size(), 1u);
+
+  // Resuming from a file that does not exist is a fresh run.
+  SupervisorConfig fresh = config;
+  fresh.resume_from = (path.parent_path() / "missing.ndjson").string();
+  ScanSupervisor supervisor(fresh);
+  supervisor.Run(tasks, fn);
+  EXPECT_EQ(scans, 5);
+  EXPECT_EQ(supervisor.stats().resumed, 0u);
+}
+
+TEST_F(SupervisorTest, StreamReplayTrustsOnlyWholeTerminalRecords) {
+  fs::path path = ScratchDir("stream_untrusted") / "events.ndjson";
+  const std::string outcome = ScanOutcomeToJson(OutcomeForIndex(5));
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "not json\n"
+        // No fingerprint.
+        << R"({"v":1,"type":"image_done","image":"a","outcome":)" << outcome
+        << "}\n"
+        // No outcome.
+        << R"({"v":1,"type":"image_done","image":"b","fp":"fp_b"})" << "\n"
+        // An outcome without its status.
+        << R"({"v":1,"type":"image_done","image":"c","fp":"fp_c",)"
+        << R"("outcome":{"findings_json":"[]"}})" << "\n"
+        // Begun, never finished.
+        << R"({"v":1,"type":"image_begin","image":"d","fp":"fp_d"})" << "\n"
+        // An incident with an unknown status code.
+        << R"({"v":1,"type":"image_quarantined","image":"f","fp":"fp_f",)"
+        << R"("reason":"r","incidents":[{"code":"NOPE"}]})" << "\n"
+        // The one whole record.
+        << R"({"v":1,"type":"image_done","image":"e","fp":"fp_e",)"
+        << R"("attempts":1,"worker_restarts":0,"incidents":[],"outcome":)"
+        << outcome << "}\n";
+  }
+  int scans = 0;
+  SupervisorConfig config;
+  config.workers = 0;
+  config.resume_from = path.string();
+  ScanSupervisor supervisor(config);
+  auto results = supervisor.Run(Tasks({"a", "b", "c", "d", "e", "f"}),
+                                [&](size_t index, const AnalysisBudget&) {
+                                  ++scans;
+                                  return OutcomeForIndex(index);
+                                });
+  EXPECT_EQ(scans, 5);
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].state, TaskResult::State::kDone) << i;
+    EXPECT_EQ(results[i].resumed, i == 4) << i;
+    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i == 4 ? 5 : i));
+  }
+}
+
+TEST_F(SupervisorTest, StreamReplaySurvivesTornWritesAndGarbage) {
+  fs::path path = ScratchDir("stream_torn") / "events.ndjson";
+  int scans = 0;
+  TaskFn fn = [&](size_t index, const AnalysisBudget&) {
+    ++scans;
+    return OutcomeForIndex(index);
+  };
+  std::vector<TaskSpec> tasks = Tasks({"A", "B", "C", "D"});
+  SupervisorConfig config;
+  config.workers = 0;
+  // B's image_done is torn: a prefix, no newline. C's, the next line,
+  // glues onto it — at-least-once means C's record may be lost with
+  // B's; D's must survive because C's newline ended the glued line.
+  FaultRule rule;
+  rule.site = FaultSite::kStreamTorn;
+  rule.match = "B";
+  FaultPlan::Global().Install({rule});
+  RunWithStream(path, /*resume=*/false, tasks, fn, config);
+  FaultPlan::Global().Clear();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "}{ total garbage\n";
+  }
+  size_t malformed = obs::ForEachEvent(
+      ReadAll(path), [](const JsonValue&, std::string_view) {});
+  EXPECT_EQ(malformed, 2u);  // the glued torn line + the garbage
+
+  std::vector<TaskResult> results =
+      RunWithStream(path, /*resume=*/true, tasks, fn, config);
+  EXPECT_EQ(scans, 4 + 2) << "only the lost records cost a re-scan";
+  EXPECT_TRUE(results[0].resumed);
+  EXPECT_FALSE(results[1].resumed);  // torn away
+  EXPECT_FALSE(results[2].resumed);  // glued onto the torn line
+  EXPECT_TRUE(results[3].resumed);   // the line after survives
+  // A torn record is lost, never misparsed.
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
+  }
+}
+
+TEST_F(SupervisorTest, ResumeReplaysStreamWithoutRescanning) {
+  fs::path path = ScratchDir("supervisor_resume") / "events.ndjson";
   std::vector<TaskSpec> tasks = Tasks({"a", "b"});
   int scans = 0;
   TaskFn fn = [&](size_t index, const AnalysisBudget&) {
@@ -700,33 +725,28 @@ TEST_F(SupervisorTest, ResumeReplaysJournalWithoutRescanning) {
 
   SupervisorConfig config;
   config.workers = 0;
-  config.journal_dir = dir.string();
-  {
-    ScanSupervisor first(config);
-    auto results = first.Run(tasks, fn);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].state, TaskResult::State::kDone);
-    EXPECT_EQ(scans, 2);
-  }
+  auto first = RunWithStream(path, /*resume=*/false, tasks, fn, config);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].state, TaskResult::State::kDone);
+  EXPECT_EQ(scans, 2);
 
-  config.resume = true;
-  ScanSupervisor second(config);
-  auto results = second.Run(tasks, fn);
+  SupervisorStats stats;
+  auto results =
+      RunWithStream(path, /*resume=*/true, tasks, fn, config, &stats);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(scans, 2) << "resume must not re-scan journaled images";
+  EXPECT_EQ(scans, 2) << "resume must not re-scan recorded images";
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].state, TaskResult::State::kDone);
     EXPECT_TRUE(results[i].resumed);
     ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
   }
-  EXPECT_EQ(second.stats().resumed, 2u);
+  EXPECT_EQ(stats.resumed, 2u);
 
   // A changed blob (different fingerprint, same label) is re-scanned:
-  // the journal keys on content, not on the human label.
+  // the replay keys on content, not on the human label.
   std::vector<TaskSpec> changed = tasks;
   changed[1].fingerprint = "fp_b_v2";
-  ScanSupervisor third(config);
-  auto results3 = third.Run(changed, fn);
+  auto results3 = RunWithStream(path, /*resume=*/true, changed, fn, config);
   EXPECT_EQ(scans, 3);
   EXPECT_TRUE(results3[0].resumed);
   EXPECT_FALSE(results3[1].resumed);
@@ -736,8 +756,10 @@ TEST_F(SupervisorTest, ResumeReplaysJournalWithoutRescanning) {
 
 TEST_F(SupervisorTest, ScanReportAggregatesSupervisorLifecycle) {
   // Two streams from the same fleet: the first run retried "flaky"
-  // once and quarantined "poison"; the resumed run replayed "flaky"
-  // from the journal. Rows must merge by image name across streams.
+  // once, quarantined "poison" and was killed scanning "late"; the
+  // resumed run replayed "flaky" and scanned "late". Rows must merge by
+  // image name across streams, and image_done, which the parent writes
+  // for resume, shows up only in events_by_type.
   const std::string first_run =
       "{\"v\":1,\"type\":\"stream_begin\",\"ts_ms\":0,\"tid\":0}\n"
       "{\"v\":1,\"type\":\"image_begin\",\"ts_ms\":1,\"tid\":0,"
@@ -752,35 +774,59 @@ TEST_F(SupervisorTest, ScanReportAggregatesSupervisorLifecycle) {
       "{\"v\":1,\"type\":\"image_end\",\"ts_ms\":5,\"tid\":0,"
       "\"image\":\"flaky\",\"status\":\"ok\",\"complete\":true,"
       "\"functions\":7,\"findings\":1,\"duration_ms\":2.0}\n"
+      "{\"v\":1,\"type\":\"image_done\",\"ts_ms\":5.5,\"tid\":0,"
+      "\"image\":\"flaky\",\"fp\":\"f1\",\"attempts\":2,"
+      "\"worker_restarts\":1,\"incidents\":[],\"outcome\":{}}\n"
       "{\"v\":1,\"type\":\"worker_exit\",\"ts_ms\":6,\"tid\":0,"
       "\"image\":\"poison\",\"attempt\":1,\"failure\":\"signal\"}\n"
       "{\"v\":1,\"type\":\"image_quarantined\",\"ts_ms\":7,\"tid\":0,"
-      "\"image\":\"poison\",\"attempts\":1,\"reason\":\"worker signal\"}\n"
-      "{\"v\":1,\"type\":\"stream_end\",\"ts_ms\":8,\"tid\":0}\n";
+      "\"image\":\"poison\",\"fp\":\"f2\",\"attempts\":1,"
+      "\"worker_restarts\":1,\"reason\":\"worker signal\","
+      "\"incidents\":[]}\n"
+      "{\"v\":1,\"type\":\"image_begin\",\"ts_ms\":8,\"tid\":0,"
+      "\"image\":\"late\",\"arch\":\"arm\",\"packing\":\"none\"}\n";
   const std::string resumed_run =
       "{\"v\":1,\"type\":\"stream_begin\",\"ts_ms\":0,\"tid\":0}\n"
       "{\"v\":1,\"type\":\"image_resumed\",\"ts_ms\":1,\"tid\":0,"
       "\"image\":\"flaky\",\"status\":\"ok\",\"attempts\":2}\n"
-      "{\"v\":1,\"type\":\"stream_end\",\"ts_ms\":2,\"tid\":0}\n";
+      "{\"v\":1,\"type\":\"image_done\",\"ts_ms\":1.5,\"tid\":0,"
+      "\"image\":\"flaky\",\"fp\":\"f1\",\"attempts\":2,"
+      "\"worker_restarts\":1,\"incidents\":[],\"outcome\":{}}\n"
+      "{\"v\":1,\"type\":\"image_begin\",\"ts_ms\":2,\"tid\":0,"
+      "\"image\":\"late\",\"arch\":\"arm\",\"packing\":\"none\"}\n"
+      "{\"v\":1,\"type\":\"image_end\",\"ts_ms\":3,\"tid\":0,"
+      "\"image\":\"late\",\"status\":\"ok\",\"complete\":true,"
+      "\"functions\":3,\"findings\":0,\"duration_ms\":1.0}\n"
+      "{\"v\":1,\"type\":\"image_done\",\"ts_ms\":3.5,\"tid\":0,"
+      "\"image\":\"late\",\"fp\":\"f3\",\"attempts\":1,"
+      "\"worker_restarts\":0,\"incidents\":[],\"outcome\":{}}\n"
+      "{\"v\":1,\"type\":\"stream_end\",\"ts_ms\":4,\"tid\":0}\n";
 
   obs::ScanAggregate agg;
   obs::AggregateEvents(first_run, &agg);
   obs::AggregateEvents(resumed_run, &agg);
   obs::FinalizeAggregate(&agg, obs::ScanReportOptions{});
 
+  EXPECT_EQ(agg.streams, 2u);
+  EXPECT_EQ(agg.truncated_streams, 1u);
   EXPECT_EQ(agg.image_retries, 1u);
   EXPECT_EQ(agg.quarantined_images, 1u);
   EXPECT_EQ(agg.worker_exits, 2u);
   EXPECT_EQ(agg.resumed_images, 1u);
+  EXPECT_EQ(agg.events_by_type.at("image_done"), 3u);
 
   // One logical row per image, with the attempt count folded in.
-  ASSERT_EQ(agg.images.size(), 2u);
+  ASSERT_EQ(agg.images.size(), 3u);
   EXPECT_EQ(agg.images[0].image, "flaky");
   EXPECT_EQ(agg.images[0].status, "ok");
   EXPECT_EQ(agg.images[0].attempts, 2u);
   EXPECT_TRUE(agg.images[0].resumed);
   EXPECT_EQ(agg.images[1].image, "poison");
   EXPECT_EQ(agg.images[1].status, "quarantined");
+  EXPECT_EQ(agg.images[2].image, "late");
+  EXPECT_EQ(agg.images[2].status, "ok");
+  EXPECT_EQ(agg.images[2].attempts, 2u);
+  EXPECT_FALSE(agg.images[2].resumed);
 
   std::string md = obs::AggregateToMarkdown(agg);
   EXPECT_NE(md.find("| Attempts |"), std::string::npos);
@@ -788,14 +834,35 @@ TEST_F(SupervisorTest, ScanReportAggregatesSupervisorLifecycle) {
             std::string::npos);
   EXPECT_NE(md.find("(resumed)"), std::string::npos);
 
-  auto json = ParseJson(obs::AggregateToJson(agg));
+  const std::string agg_json = obs::AggregateToJson(agg);
+  auto json = ParseJson(agg_json);
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(static_cast<int>(json->Find("quarantined_images")->number()), 1);
   EXPECT_EQ(static_cast<int>(json->Find("image_retries")->number()), 1);
   const auto& images = json->Find("images")->array();
-  ASSERT_EQ(images.size(), 2u);
+  ASSERT_EQ(images.size(), 3u);
   EXPECT_EQ(static_cast<int>(images[0].Find("attempts")->number()), 2);
   EXPECT_TRUE(images[0].Find("resumed")->boolean());
+
+  // `corpus_scan --resume` appends the resumed run to the killed run's
+  // file: read as one file, the two streams aggregate and convert
+  // exactly as they do read as two.
+  obs::ScanAggregate one_file;
+  obs::AggregateEvents(first_run + resumed_run, &one_file);
+  obs::FinalizeAggregate(&one_file, obs::ScanReportOptions{});
+  EXPECT_EQ(obs::AggregateToJson(one_file), agg_json);
+  const std::string trace = obs::EventsToChromeTrace({first_run, resumed_run});
+  EXPECT_EQ(obs::EventsToChromeTrace({first_run + resumed_run}), trace);
+  // The killed run's open "late" slice and the resumed run's closed one
+  // sit on different pids.
+  auto parsed = ParseJson(trace);
+  ASSERT_TRUE(parsed.ok());
+  const auto& records = parsed->Find("traceEvents")->array();
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_EQ(records[3].Find("name")->string(), "late");
+  EXPECT_EQ(static_cast<int>(records[3].Find("pid")->number()), 1);
+  EXPECT_EQ(records[4].Find("name")->string(), "late");
+  EXPECT_EQ(static_cast<int>(records[4].Find("pid")->number()), 2);
 }
 
 // ---------- kill-mid-scan resume oracle (corpus_scan subprocess) -------------
@@ -808,46 +875,150 @@ int RunScan(const std::string& bin, const std::string& args) {
   return std::system(cmd.c_str());
 }
 
+/// The `image` field of every `type` event in `ndjson`, in order.
+std::vector<std::string> ImagesOf(std::string_view ndjson,
+                                  std::string_view type) {
+  std::vector<std::string> images;
+  for (const JsonValue& event : EventsOfType(ndjson, type)) {
+    images.emplace_back(event.Find("image")->string());
+  }
+  return images;
+}
+
+/// corpus_scan's images ahead of the one the oracles kill it on.
+const std::vector<std::string> kBeforeTenda = {
+    "D-Link DIR-505", "D-Link DIR-868L", "Netgear R7000", "Netgear WNR2000"};
+
 TEST_F(SupervisorTest, ResumeOracleSurvivesKillMidScan) {
   const char* bin = CorpusScanBin();
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
   fs::path dir = ScratchDir("resume_oracle");
+  for (std::string workers : {"0", "1"}) {
+    SCOPED_TRACE("--workers " + workers);
+    const std::string runner = "--workers " + workers;
+    fs::path clean_json = dir / ("clean" + workers + ".json");
+    fs::path resumed_json = dir / ("resumed" + workers + ".json");
+    fs::path events = dir / ("crash" + workers + ".ndjson");
+
+    // Ground truth: the corpus scanned to completion.
+    ASSERT_EQ(RunScan(bin, runner + " --json-out \"" + clean_json.string() +
+                               "\""),
+              0);
+    std::string want = ReadAll(clean_json);
+    ASSERT_FALSE(want.empty());
+
+    // Kill the scan mid-fleet at a deterministic point: in process,
+    // ScanImage's crash consult right after Tenda AC15's image_begin;
+    // with a worker, the parent's consult before the image's first
+    // request.
+    ::setenv("DTAINT_FAULTS", "crash@Tenda AC15", 1);
+    int rc_crash = RunScan(bin, runner + " --events-out \"" +
+                                    events.string() + "\" --json-out \"" +
+                                    (dir / "partial.json").string() + "\"");
+    ::unsetenv("DTAINT_FAULTS");
+    EXPECT_NE(rc_crash, 0) << "crash fault should have killed the scan";
+    // The stream holds a whole image_done for every image finished
+    // before the kill, and none for the one in flight.
+    const std::string crashed = ReadAll(events);
+    EXPECT_EQ(ImagesOf(crashed, "image_done"), kBeforeTenda);
+
+    // Resume. The merged fleet JSON must be byte-identical to the
+    // uninterrupted run's — kill -9 plus --resume == never killed.
+    ASSERT_EQ(RunScan(bin, runner + " --resume --events-out \"" +
+                               events.string() + "\" --json-out \"" +
+                               resumed_json.string() + "\""),
+              0);
+    EXPECT_EQ(ReadAll(resumed_json), want) << "resume oracle violated";
+    // The resumed run appended to the file: it replayed the finished
+    // images and scanned from the one in flight on.
+    const std::string appended = ReadAll(events).substr(crashed.size());
+    EXPECT_EQ(ImagesOf(appended, "image_resumed"), kBeforeTenda);
+    std::vector<std::string> begun = ImagesOf(appended, "image_begin");
+    ASSERT_FALSE(begun.empty());
+    EXPECT_EQ(begun.front(), "Tenda AC15");
+  }
+}
+
+TEST_F(SupervisorTest, ResumeOracleSurvivesATornLastLine) {
+  const char* bin = CorpusScanBin();
+  if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
+  fs::path dir = ScratchDir("resume_torn");
   fs::path clean_json = dir / "clean.json";
   fs::path resumed_json = dir / "resumed.json";
-  fs::path clean_journal = dir / "journal_clean";
-  fs::path crash_journal = dir / "journal_crash";
-
-  // Ground truth: the corpus scanned to completion with isolation on.
-  ASSERT_EQ(RunScan(bin, "--workers 1 --journal \"" + clean_journal.string() +
-                             "\" --json-out \"" + clean_json.string() + "\""),
+  fs::path events = dir / "crash.ndjson";
+  ASSERT_EQ(RunScan(bin, "--workers 1 --json-out \"" + clean_json.string() +
+                             "\""),
             0);
-  std::string want = ReadAll(clean_json);
-  ASSERT_FALSE(want.empty());
 
-  // Kill the scan mid-fleet at a deterministic point: the supervisor
-  // consults the crash site right after journaling image_begin.
-  ::setenv("DTAINT_FAULTS", "crash@Tenda AC15", 1);
-  int rc_crash =
-      RunScan(bin, "--workers 1 --journal \"" + crash_journal.string() +
-                       "\" --json-out \"" + (dir / "partial.json").string() +
-                       "\"");
+  // Netgear WNR2000's image_done is torn, and the parent dies before
+  // the next image's first request: the file ends mid-line.
+  ::setenv("DTAINT_FAULTS", "stream_torn@Netgear WNR2000;crash@Tenda AC15",
+           1);
+  int rc_crash = RunScan(bin, "--workers 1 --events-out \"" +
+                                  events.string() + "\"");
   ::unsetenv("DTAINT_FAULTS");
-  EXPECT_NE(rc_crash, 0) << "crash fault should have killed the scan";
-  // The journal holds whole parseable records — including the begin of
-  // the image the scan died on.
-  auto replay = ScanJournal::Replay(crash_journal.string());
-  ASSERT_TRUE(replay.ok());
-  EXPECT_GT(replay->records, 0u);
-  ASSERT_FALSE(replay->in_flight.empty());
-  EXPECT_EQ(replay->in_flight[0], "Tenda AC15");
+  EXPECT_NE(rc_crash, 0);
+  const std::string crashed = ReadAll(events);
+  ASSERT_FALSE(crashed.empty());
+  EXPECT_NE(crashed.back(), '\n');
+  EXPECT_EQ(ImagesOf(crashed, "image_done"),
+            std::vector<std::string>(kBeforeTenda.begin(),
+                                     kBeforeTenda.end() - 1));
 
-  // Resume. The merged fleet JSON must be byte-identical to the
-  // uninterrupted run's — kill -9 plus --resume == never killed.
-  ASSERT_EQ(RunScan(bin, "--workers 1 --resume --journal \"" +
-                             crash_journal.string() + "\" --json-out \"" +
+  ASSERT_EQ(RunScan(bin, "--workers 1 --resume --events-out \"" +
+                             events.string() + "\" --json-out \"" +
                              resumed_json.string() + "\""),
             0);
-  EXPECT_EQ(ReadAll(resumed_json), want) << "resume oracle violated";
+  EXPECT_EQ(ReadAll(resumed_json), ReadAll(clean_json))
+      << "resume oracle violated";
+  // The torn record costs only its image a re-scan, and the appended
+  // stream starts on a line of its own: none of its lines is lost.
+  const std::string appended = ReadAll(events).substr(crashed.size());
+  EXPECT_EQ(appended.front(), '\n');
+  std::vector<std::string> types;
+  size_t malformed = obs::ForEachEvent(
+      appended, [&](const JsonValue&, std::string_view type) {
+        types.emplace_back(type);
+      });
+  EXPECT_EQ(malformed, 0u);
+  ASSERT_FALSE(types.empty());
+  EXPECT_EQ(types.front(), "stream_begin");
+  EXPECT_EQ(ImagesOf(appended, "image_resumed"),
+            std::vector<std::string>(kBeforeTenda.begin(),
+                                     kBeforeTenda.end() - 1));
+  std::vector<std::string> begun = ImagesOf(appended, "image_begin");
+  ASSERT_GE(begun.size(), 2u);
+  EXPECT_EQ(begun[0], "Netgear WNR2000");
+  EXPECT_EQ(begun[1], "Tenda AC15");
+}
+
+TEST_F(SupervisorTest, HeartbeatCountsEveryImageTheParentFolds) {
+  const char* bin = CorpusScanBin();
+  if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
+  fs::path events = ScratchDir("heartbeat") / "events.ndjson";
+  // A worker's counters live in the worker: the images_done the parent
+  // reports must come from its own per-image fold.
+  std::string cmd = "\"" + std::string(bin) +
+                    "\" --workers 1 --heartbeat-ms 1 --events-out \"" +
+                    events.string() + "\" > /dev/null 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  std::vector<uint64_t> done;
+  uint64_t total = 0;
+  obs::ForEachEvent(ReadAll(events),
+                    [&](const JsonValue& event, std::string_view type) {
+                      if (type != "heartbeat") return;
+                      done.push_back(static_cast<uint64_t>(
+                          event.Find("images_done")->number()));
+                      total = static_cast<uint64_t>(
+                          event.Find("images_total")->number());
+                    });
+  EXPECT_EQ(total, 8u);
+  EXPECT_TRUE(std::is_sorted(done.begin(), done.end()));
+  std::vector<uint64_t> values = done;
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  std::vector<uint64_t> every(total + 1);
+  std::iota(every.begin(), every.end(), uint64_t{0});
+  EXPECT_EQ(values, every);
 }
 
 TEST_F(SupervisorTest, PoisonImageQuarantinedInFleetScan) {
@@ -902,8 +1073,8 @@ TEST_F(SupervisorTest, FailFastStopsAtTheSameImageUnderEveryRunner) {
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
   fs::path dir = ScratchDir("fail_fast");
   // The first extractable image fails to extract; --fail-fast stops the
-  // fleet there whether images run in process, in process with the
-  // journal, or in a forked worker.
+  // fleet there whether images run in process, in process resuming
+  // from a stream that holds no image yet, or in a forked worker.
   auto labels_of = [&](const std::string& name, const std::string& args) {
     fs::path json_path = dir / (name + ".json");
     int rc = RunScan(bin, "--corrupt 1 --fail-fast " + args +
@@ -921,8 +1092,8 @@ TEST_F(SupervisorTest, FailFastStopsAtTheSameImageUnderEveryRunner) {
   std::vector<std::string> plain = labels_of("plain", "");
   ASSERT_FALSE(plain.empty());
   EXPECT_LT(plain.size(), 8u) << "the plain run did not stop";
-  EXPECT_EQ(labels_of("journal",
-                      "--journal \"" + (dir / "journal").string() + "\""),
+  EXPECT_EQ(labels_of("resume", "--resume --events-out \"" +
+                                    (dir / "resume.ndjson").string() + "\""),
             plain);
   EXPECT_EQ(labels_of("isolate", "--workers 1"), plain);
 }
