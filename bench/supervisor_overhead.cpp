@@ -2,8 +2,8 @@
 //
 // The crash-isolated scan supervisor (src/resilience/supervisor.h)
 // buys fault containment with forked workers (one fork per worker,
-// reused across images), a pipe round-trip per image, and a JSON wire
-// codec on every outcome. This bench prices that
+// reused across images), a pipe round-trip per image, and a JSON
+// result line for every outcome. This bench prices that
 // isolation tax: the same synthesized fleet is scanned twice through
 // the same ScanSupervisor — once with workers = 0 (direct call, the A
 // side) and once with one real forked worker (the B side) — and
@@ -12,8 +12,8 @@
 // The ratio is informational (the `_ratio` suffix exempts it from the
 // bench_diff regression gate — fork cost is kernel- and
 // machine-dependent), but the detection counts are not: both sides
-// must produce identical findings/function/tp tallies, or the wire
-// codec is corrupting outcomes in flight. Those bare counts are
+// must produce identical findings/function/tp tallies, or the result
+// pipe is corrupting outcomes in flight. Those bare counts are
 // exact-match gated against the committed baseline.
 #include <cstdio>
 #include <vector>
@@ -77,7 +77,7 @@ struct FleetTotals {
 
 /// One full fleet pass through the supervisor; the TaskFn runs a real
 /// analysis and serializes real findings, so the isolated side pays
-/// the genuine wire-codec cost, not a toy payload's.
+/// the genuine outcome-serialization cost, not a toy payload's.
 FleetTotals RunFleet(const std::vector<Binary>& fleet,
                      const std::vector<TaskSpec>& tasks, bool in_process,
                      bench::Rep& rep) {

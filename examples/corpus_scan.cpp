@@ -40,11 +40,12 @@
 // goes through one ScanSupervisor, in this process (`--workers 0`, the
 // default) or in up to `--workers N` forked worker processes, each
 // reused for image after image — a SIGSEGV, OOM kill, or hang in one
-// image costs only that image, never the fleet run. Failed attempts
-// are retried with backoff under a tightened budget (`--max-retries
-// N`, default 2) and quarantined when the retries are spent; with
-// workers, `--image-timeout-ms MS` arms a per-image watchdog and
-// `--mem-limit-mb MB` an RLIMIT_AS cap. The event stream is the
+// image costs only that image, never the fleet run. A failed attempt
+// goes to the back of the queue at once and is retried under a
+// tightened budget (`--max-retries N`, default 2); an image whose
+// retries are spent is quarantined. With workers, `--image-timeout-ms
+// MS` arms a per-image watchdog and `--mem-limit-mb MB` an RLIMIT_AS
+// cap. The event stream is the
 // scan's crash-safe record: the supervisor writes one `image_done` or
 // `image_quarantined` line per image outcome, and `--resume` replays
 // the `--events-out` file of a killed run, then appends to it, so the

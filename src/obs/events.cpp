@@ -203,13 +203,23 @@ uint64_t CurrentRssBytes() {
 
 // ---- Heartbeat ------------------------------------------------------------
 
+namespace {
+
+/// Functions summarized in this process plus those the supervisor
+/// folded from its forked workers' outcomes.
+uint64_t FunctionsDone(MetricsRegistry& metrics) {
+  return metrics.counter("summary.functions_done").Value() +
+         metrics.counter("supervisor.functions_done").Value();
+}
+
+}  // namespace
+
 Heartbeat::Heartbeat(EventStream& stream, uint32_t period_ms,
                      uint64_t images_total)
     : stream_(stream), images_total_(images_total) {
   if (!stream.enabled() || period_ms == 0) return;
   last_beat_ = std::chrono::steady_clock::now();
-  last_functions_ =
-      MetricsRegistry::Global().counter("summary.functions_done").Value();
+  last_functions_ = FunctionsDone(MetricsRegistry::Global());
   running_ = true;
   {
     // First deterministic beat: the gauges before any progress.
@@ -234,7 +244,7 @@ Heartbeat::Heartbeat(EventStream& stream, uint32_t period_ms,
 void Heartbeat::Beat() {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   uint64_t images = metrics.counter("supervisor.images_done").Value();
-  uint64_t functions = metrics.counter("summary.functions_done").Value();
+  uint64_t functions = FunctionsDone(metrics);
   auto now = std::chrono::steady_clock::now();
   double dt =
       std::chrono::duration_cast<std::chrono::duration<double>>(now -

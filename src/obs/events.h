@@ -202,9 +202,11 @@ uint64_t CurrentRssBytes();
 /// heartbeats enabled starts and ends with a deterministic gauge
 /// reading). images_total is the owner's; images_done reads the
 /// "supervisor.images_done" live counter ScanSupervisor::Run bumps in
-/// this process as it folds each task, and functions_done the
-/// "summary.functions_done" one the interprocedural pass increments
-/// per function. No thread is spawned and no beat emitted when the
+/// this process as it folds each task, and functions_done the sum of
+/// the "summary.functions_done" counter the interprocedural pass
+/// increments per function in this process and the
+/// "supervisor.functions_done" one Run adds each forked worker's
+/// outcome to. No thread is spawned and no beat emitted when the
 /// stream is disabled or period_ms is 0.
 class Heartbeat {
  public:

@@ -14,27 +14,6 @@ namespace dtaint::obs {
 
 namespace {
 
-std::string_view FieldStr(const JsonValue& event, std::string_view key) {
-  const JsonValue* v = event.Find(key);
-  if (!v || !v->is_string()) return {};
-  return v->string();
-}
-
-double FieldNum(const JsonValue& event, std::string_view key) {
-  const JsonValue* v = event.Find(key);
-  if (!v || !v->is_number()) return 0.0;
-  return v->number();
-}
-
-uint64_t FieldCount(const JsonValue& event, std::string_view key) {
-  return static_cast<uint64_t>(FieldNum(event, key));
-}
-
-bool FieldBool(const JsonValue& event, std::string_view key) {
-  const JsonValue* v = event.Find(key);
-  return v && v->is_bool() && v->boolean();
-}
-
 /// The rollup keyed `name` in `rows` (by its `key` member), appended on
 /// first sight so rows keep first-seen order.
 template <typename Rollup>

@@ -17,6 +17,8 @@
 
 namespace dtaint {
 
+class JsonValue;
+
 struct Incident {
   /// Binary/image the failure belongs to (soname or fleet label).
   std::string binary;
@@ -43,5 +45,9 @@ std::string IncidentToJson(const Incident& incident);
 
 /// Serializes a list as a JSON array.
 std::string IncidentsToJson(const std::vector<Incident>& incidents);
+
+/// Inverse of IncidentToJson; an unknown status code or budget cause
+/// fails.
+Result<Incident> IncidentFromJson(const JsonValue& value);
 
 }  // namespace dtaint

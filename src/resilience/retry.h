@@ -7,19 +7,11 @@
 // still fails the caller falls back to cache-off for that entry (the
 // cache is an accelerator, never a correctness dependency).
 //
-// Two fleet lessons are baked into the schedule:
-//  * Deterministic jitter. N scan workers sharing one disk cache fail
-//    together when the disk hiccups; bare doubling backoff has them
-//    all retry in lockstep and hammer the disk again at the same
-//    instant. Each sleep is drawn from [base/2, base] by a splitmix64
-//    hash of (jitter_seed, attempt), so two workers with different
-//    seeds (the supervisor seeds from the image fingerprint) spread
-//    out, while the same worker replays the exact same schedule run
-//    after run — fault-injection tests stay deterministic.
-//  * A total wall-clock cap. Backoff doubles, so a long retry budget
-//    against a dead disk can sleep for seconds per operation;
-//    max_total_backoff_us bounds the *sum* of sleeps so a fleet run
-//    degrades to cache-off quickly instead of crawling.
+// The schedule is fixed (fault-injection tests replay it exactly) and
+// capped: backoff doubles, so a long retry budget against a dead disk
+// can sleep for seconds per operation; max_total_backoff_us bounds the
+// *sum* of sleeps so a fleet run degrades to cache-off quickly instead
+// of crawling.
 #pragma once
 
 #include <algorithm>
@@ -32,60 +24,34 @@ namespace dtaint {
 
 struct RetryPolicy {
   int attempts = 3;              // total tries, including the first
-  int initial_backoff_us = 200;  // nominal sleep before try 2; doubles
+  int initial_backoff_us = 200;  // sleep before try 2; doubles
   /// Cap on the *sum* of all sleeps for one operation; once spent,
   /// remaining attempts run back-to-back. 0 = uncapped.
   int max_total_backoff_us = 1'000'000;
-  /// Identity of this retry stream: callers that share a resource use
-  /// distinct seeds (e.g. a content fingerprint) so their jittered
-  /// schedules decorrelate. The same seed always replays the same
-  /// schedule.
-  uint64_t jitter_seed = 0;
 };
 
-/// splitmix64 — tiny, stateless, well-mixed; good enough to
-/// decorrelate backoff schedules (not a cryptographic PRF).
-constexpr uint64_t RetryMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Uncapped jittered sleep before retry `retry` (1-based: retry 1
-/// precedes the second attempt). Deterministic in (policy.jitter_seed,
-/// retry); always in [base/2, base] for base = initial << (retry-1).
-inline int RetryBackoffUs(const RetryPolicy& policy, int retry) {
-  if (retry < 1 || policy.initial_backoff_us <= 0) return 0;
-  // Clamp the shift so a large attempts count can't overflow.
-  int shift = std::min(retry - 1, 20);
-  int64_t base = static_cast<int64_t>(policy.initial_backoff_us) << shift;
-  base = std::min<int64_t>(base, 1 << 30);
-  int64_t half = base / 2;
-  uint64_t h = RetryMix64(policy.jitter_seed * 0x9E3779B97F4A7C15ULL +
-                          static_cast<uint64_t>(retry));
-  return static_cast<int>(half + static_cast<int64_t>(h % (half + 1)));
-}
-
-/// The full planned sleep schedule (attempts-1 entries), with the
-/// total-wall-clock cap applied: each entry is clamped to whatever cap
-/// budget is left. Pure — tests assert on it without sleeping, and
-/// RetryIo executes exactly this plan.
+/// The full planned sleep schedule (attempts-1 entries): retry r (1
+/// before the second attempt) sleeps initial_backoff_us << (r-1), each
+/// clamped to whatever total-wall-clock cap budget is left. Pure —
+/// tests assert on it without sleeping, and RetryIo executes exactly
+/// this plan.
 inline std::vector<int> RetryScheduleUs(const RetryPolicy& policy) {
   std::vector<int> plan;
   if (policy.attempts <= 1) return plan;
   plan.reserve(static_cast<size_t>(policy.attempts - 1));
+  const int64_t initial = std::max(policy.initial_backoff_us, 0);
   int64_t spent = 0;
   for (int retry = 1; retry < policy.attempts; ++retry) {
-    int sleep_us = RetryBackoffUs(policy, retry);
+    // Clamp the shift so a large attempts count can't overflow.
+    int64_t sleep_us =
+        std::min<int64_t>(initial << std::min(retry - 1, 20), 1 << 30);
     if (policy.max_total_backoff_us > 0) {
       int64_t remaining = policy.max_total_backoff_us - spent;
       if (remaining < 0) remaining = 0;
-      sleep_us = static_cast<int>(
-          std::min<int64_t>(sleep_us, remaining));
+      sleep_us = std::min(sleep_us, remaining);
     }
     spent += sleep_us;
-    plan.push_back(sleep_us);
+    plan.push_back(static_cast<int>(sleep_us));
   }
   return plan;
 }

@@ -28,9 +28,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/scan_report.h"
 #include "src/resilience/fault.h"
-#include "src/resilience/retry.h"
 #include "src/symexec/intern.h"
-#include "src/util/hash.h"
 #include "src/util/json.h"
 #include "src/util/strings.h"
 
@@ -39,66 +37,6 @@ namespace dtaint {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr char kWireMagic[4] = {'D', 'T', 'S', 'W'};
-
-uint32_t ReadU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-void PutU32Le(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-bool ParseStatusCode(std::string_view name, StatusCode* out) {
-  for (int c = 0; c <= static_cast<int>(StatusCode::kInternal); ++c) {
-    StatusCode code = static_cast<StatusCode>(c);
-    if (StatusCodeName(code) == name) {
-      *out = code;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseBudgetExhaustion(std::string_view name, BudgetExhaustion* out) {
-  for (int c = 0; c <= static_cast<int>(BudgetExhaustion::kInjected); ++c) {
-    BudgetExhaustion cause = static_cast<BudgetExhaustion>(c);
-    if (BudgetExhaustionName(cause) == name) {
-      *out = cause;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string FieldString(const JsonValue& object, std::string_view key) {
-  const JsonValue* v = object.Find(key);
-  if (!v || !v->is_string()) return {};
-  return v->string();
-}
-
-uint64_t FieldU64(const JsonValue& object, std::string_view key) {
-  const JsonValue* v = object.Find(key);
-  if (!v || !v->is_number()) return 0;
-  double d = v->number();
-  return d <= 0 ? 0 : static_cast<uint64_t>(d);
-}
-
-double FieldDouble(const JsonValue& object, std::string_view key) {
-  const JsonValue* v = object.Find(key);
-  return v && v->is_number() ? v->number() : 0.0;
-}
-
-bool FieldBool(const JsonValue& object, std::string_view key) {
-  const JsonValue* v = object.Find(key);
-  return v && v->is_bool() && v->boolean();
-}
 
 Status AppendIncidents(const JsonValue& parent, std::string_view key,
                        std::vector<Incident>* out) {
@@ -127,7 +65,7 @@ std::map<std::string, TaskResult, std::less<>> ReplayStream(
                                        std::string_view type) {
     bool done = type == "image_done";
     if (!done && type != "image_quarantined") return;
-    std::string fp = FieldString(event, "fp");
+    std::string fp(FieldStr(event, "fp"));
     if (fp.empty()) return;
     TaskResult result;
     if (done) {
@@ -139,12 +77,12 @@ std::map<std::string, TaskResult, std::less<>> ReplayStream(
       result.outcome = std::move(*decoded);
     } else {
       result.state = TaskResult::State::kQuarantined;
-      result.quarantine_reason = FieldString(event, "reason");
+      result.quarantine_reason = FieldStr(event, "reason");
     }
     if (!AppendIncidents(event, "incidents", &result.incidents).ok()) return;
-    result.attempts = static_cast<uint32_t>(FieldU64(event, "attempts"));
+    result.attempts = static_cast<uint32_t>(FieldCount(event, "attempts"));
     result.worker_restarts =
-        static_cast<uint32_t>(FieldU64(event, "worker_restarts"));
+        static_cast<uint32_t>(FieldCount(event, "worker_restarts"));
     result.resumed = true;
     replay[fp] = std::move(result);
   });
@@ -181,12 +119,12 @@ std::string ScanOutcomeToJson(const ScanOutcome& outcome) {
 Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value) {
   if (!value.is_object()) return CorruptData("outcome: not an object");
   ScanOutcome outcome;
-  outcome.status = FieldString(value, "status");
+  outcome.status = FieldStr(value, "status");
   if (outcome.status.empty()) return CorruptData("outcome: missing status");
-  outcome.row = FieldString(value, "row");
+  outcome.row = FieldStr(value, "row");
   outcome.complete = FieldBool(value, "complete");
-  outcome.functions = FieldU64(value, "functions");
-  outcome.findings = FieldU64(value, "findings");
+  outcome.functions = FieldCount(value, "functions");
+  outcome.findings = FieldCount(value, "findings");
   const JsonValue* findings = value.Find("findings_json");
   if (!findings || !findings->is_string()) {
     return CorruptData("outcome: missing findings_json");
@@ -197,9 +135,9 @@ Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value) {
     outcome.has_score = true;
     outcome.score_json = score->string();
   }
-  outcome.tp = FieldU64(value, "tp");
-  outcome.fn = FieldU64(value, "fn");
-  outcome.fp = FieldU64(value, "fp");
+  outcome.tp = FieldCount(value, "tp");
+  outcome.fn = FieldCount(value, "fn");
+  outcome.fp = FieldCount(value, "fp");
   Status status = AppendIncidents(value, "incidents", &outcome.incidents);
   if (!status.ok()) return status;
   return outcome;
@@ -209,31 +147,6 @@ Result<ScanOutcome> ScanOutcomeFromJson(std::string_view json) {
   auto parsed = ParseJson(json);
   if (!parsed.ok()) return parsed.status();
   return ScanOutcomeFromJson(*parsed);
-}
-
-Result<Incident> IncidentFromJson(const JsonValue& value) {
-  if (!value.is_object()) return CorruptData("incident: not an object");
-  Incident incident;
-  incident.binary = FieldString(value, "binary");
-  incident.phase = FieldString(value, "phase");
-  incident.detail = FieldString(value, "detail");
-  StatusCode code = StatusCode::kInternal;
-  if (!ParseStatusCode(FieldString(value, "code"), &code)) {
-    return CorruptData("incident: bad status code");
-  }
-  incident.status = Status(code, FieldString(value, "message"));
-  if (const JsonValue* budget = value.Find("budget");
-      budget && budget->is_object()) {
-    incident.budget.steps = FieldU64(*budget, "steps");
-    incident.budget.states = FieldU64(*budget, "states");
-    incident.budget.elapsed_ms = FieldDouble(*budget, "elapsed_ms");
-    incident.budget.expr_nodes = FieldU64(*budget, "expr_nodes");
-    if (!ParseBudgetExhaustion(FieldString(*budget, "exhausted_by"),
-                               &incident.budget.exhausted_by)) {
-      return CorruptData("incident: bad exhausted_by");
-    }
-  }
-  return incident;
 }
 
 std::string_view WorkerFailureName(WorkerFailure failure) {
@@ -280,34 +193,6 @@ AnalysisBudget TightenBudget(const AnalysisBudget& base, int attempt) {
   return out;
 }
 
-std::string EncodeWireResult(const ScanOutcome& outcome) {
-  std::string payload = ScanOutcomeToJson(outcome);
-  std::string frame;
-  frame.reserve(12 + payload.size());
-  frame.append(kWireMagic, sizeof(kWireMagic));
-  PutU32Le(&frame, kWireVersion);
-  PutU32Le(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-  return frame;
-}
-
-Result<ScanOutcome> DecodeWireResult(std::string_view frame) {
-  if (frame.size() < 12) return CorruptData("wire: short frame");
-  if (std::memcmp(frame.data(), kWireMagic, sizeof(kWireMagic)) != 0) {
-    return CorruptData("wire: bad magic");
-  }
-  if (ReadU32Le(frame.data() + 4) != kWireVersion) {
-    return CorruptData("wire: version skew");
-  }
-  uint32_t payload_len = ReadU32Le(frame.data() + 8);
-  // Exact length: a short read is a child that died mid-write, trailing
-  // bytes are a framing bug — both are failures, never a guess.
-  if (frame.size() != 12 + static_cast<size_t>(payload_len)) {
-    return CorruptData("wire: truncated frame");
-  }
-  return ScanOutcomeFromJson(frame.substr(12));
-}
-
 // ---- ScanSupervisor -------------------------------------------------------
 
 /// One long-lived forked worker.
@@ -320,7 +205,7 @@ struct ScanSupervisor::Worker {
   Clock::time_point deadline;
   bool has_deadline = false;
   bool timed_out = false;
-  std::string buf;  // the in-flight task's frame so far
+  std::string buf;  // the in-flight task's result bytes so far
 };
 
 namespace {
@@ -333,15 +218,18 @@ struct WorkerCommand {
   int32_t attempt;
 };
 
-/// True once `buf` holds a whole frame, or a header no frame can follow
-/// (bad magic or version): either way DecodeWireResult can rule on it.
-bool FrameReady(std::string_view buf) {
-  if (buf.size() < 12) return false;
-  if (std::memcmp(buf.data(), kWireMagic, sizeof(kWireMagic)) != 0 ||
-      ReadU32Le(buf.data() + 4) != kWireVersion) {
-    return true;
+/// The outcome a worker's result bytes `buf` hold: one ScanOutcomeToJson
+/// line, ended by the only '\n' it has. A worker that died mid-write
+/// leaves no '\n'; bytes after it are out of step with the protocol.
+Result<ScanOutcome> ParseResultLine(std::string_view buf) {
+  size_t end = buf.find('\n');
+  if (end == std::string_view::npos) {
+    return CorruptData("wire: no result line");
   }
-  return buf.size() >= 12 + static_cast<size_t>(ReadU32Le(buf.data() + 8));
+  if (end + 1 != buf.size()) {
+    return CorruptData("wire: bytes after the result line");
+  }
+  return ScanOutcomeFromJson(buf.substr(0, end));
 }
 
 bool WriteAll(int fd, const char* data, size_t size) {
@@ -521,16 +409,17 @@ void ScanSupervisor::ServeTasks(const std::vector<TaskSpec>& tasks,
       // layers itself) from making the generation permanent and
       // carrying one image's nodes into the next.
       InternPin pin = ExprInterner::Global().Pin();
-      std::string frame;
+      std::string line;
       try {
-        frame = EncodeWireResult(
+        line = ScanOutcomeToJson(
             fn(command.index, TightenBudget(config_.budget, command.attempt)));
       } catch (const std::bad_alloc&) {
         ::_exit(kWorkerExitOom);
       } catch (...) {
         ::_exit(kWorkerExitError);
       }
-      if (!WriteAll(result_fd, frame.data(), frame.size())) {
+      line += '\n';
+      if (!WriteAll(result_fd, line.data(), line.size())) {
         ::_exit(kWorkerExitError);
       }
     }
@@ -592,31 +481,32 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
 
   std::vector<TaskResult> results(tasks.size());
   obs::Counter& images_done = metrics.counter("supervisor.images_done");
+  obs::Counter& functions_done = metrics.counter("supervisor.functions_done");
 
   struct TaskState {
     int attempt = 0;  // attempts used so far
-    std::vector<int> backoff_plan;
     std::vector<Incident> incidents;
   };
   std::vector<TaskState> states(tasks.size());
 
-  struct Pending {
-    size_t index;
-    Clock::time_point not_before;
-  };
-  std::deque<Pending> pending;
+  std::deque<size_t> pending;  // task indices, dispatched in order
   bool stopped = false;
 
   // Every task that reaches done or quarantined, scanned now or
   // replayed, passes here once, in this process: the image_done line
-  // is what a later resume replays, and the count and beat are the
-  // heartbeat's progress (a forked worker's counters live in the
-  // worker).
+  // is what a later resume replays, and the counts and beat are the
+  // heartbeat's progress. A forked worker's counters live in the
+  // worker, so its functions are counted here; a task run in this
+  // process counted its own, and a replayed one ran in no process.
   auto fold = [&](size_t index) {
+    const TaskResult& result = results[index];
     images_done.Add();
+    if (result.state == TaskResult::State::kDone && !result.in_process &&
+        !result.resumed) {
+      functions_done.Add(result.outcome.functions);
+    }
     if (!stream.enabled()) return;
     const TaskSpec& task = tasks[index];
-    const TaskResult& result = results[index];
     if (result.state == TaskResult::State::kDone) {
       obs::Event event("image_done");
       event.Str("image", task.label)
@@ -637,12 +527,11 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
 
   std::map<std::string, TaskResult, std::less<>> replay;
   if (!config_.resume_from.empty()) replay = ReplayStream(config_.resume_from);
-  Clock::time_point start = Clock::now();
   for (size_t i = 0; i < tasks.size(); ++i) {
     const TaskSpec& task = tasks[i];
     auto it = replay.find(task.fingerprint);
     if (it == replay.end()) {
-      pending.push_back({i, start});
+      pending.push_back(i);
       continue;
     }
     TaskResult& result = results[i];
@@ -701,22 +590,16 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     }
 
     if (st.attempt <= config_.max_retries) {
-      int backoff_us =
-          static_cast<size_t>(st.attempt) <= st.backoff_plan.size()
-              ? st.backoff_plan[static_cast<size_t>(st.attempt - 1)]
-              : 0;
       ++stats_.retries;
       metrics.counter("supervisor.retries").Add();
       if (stream.enabled()) {
         obs::Event event("image_retry");
         event.Str("image", task.label)
             .Num("next_attempt", st.attempt + 1)
-            .Str("failure", WorkerFailureName(failure))
-            .Num("backoff_us", static_cast<uint64_t>(backoff_us));
+            .Str("failure", WorkerFailureName(failure));
         stream.Emit(event);
       }
-      pending.push_back(
-          {index, Clock::now() + std::chrono::microseconds(backoff_us)});
+      pending.push_back(index);
       return;
     }
 
@@ -786,20 +669,13 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
     const TaskSpec& task = tasks[index];
     TaskState& st = states[index];
     ++st.attempt;
-    if (st.attempt == 1) {
-      RetryPolicy policy;
-      policy.attempts = 1 + config_.max_retries;
-      policy.initial_backoff_us = config_.backoff_initial_us;
-      policy.jitter_seed = Fnv1a(task.fingerprint);
-      st.backoff_plan = RetryScheduleUs(policy);
-      // The kill-mid-scan oracle: hard supervisor death before the
-      // image's first request — resume must re-run this image. A task
-      // run in this process needs no consult here: ScanImage's own,
-      // right after image_begin, kills the supervisor itself.
-      if (config_.workers > 0 &&
-          FaultPlan::Global().ShouldFail(FaultSite::kCrash, task.label)) {
-        std::abort();
-      }
+    // The kill-mid-scan oracle: hard supervisor death before the
+    // image's first request — resume must re-run this image. A task
+    // run in this process needs no consult here: ScanImage's own,
+    // right after image_begin, kills the supervisor itself.
+    if (st.attempt == 1 && config_.workers > 0 &&
+        FaultPlan::Global().ShouldFail(FaultSite::kCrash, task.label)) {
+      std::abort();
     }
     if (config_.workers > 0) {
       auto idle = std::find_if(pool.begin(), pool.end(),
@@ -868,9 +744,9 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
                      "exit code " + std::to_string(code));
       return;
     }
-    // Exited cleanly mid-task: whatever it wrote is not a whole frame.
+    // Exited cleanly mid-task: whatever it wrote is not a whole line.
     handle_failure(worker.index, WorkerFailure::kWire,
-                   DecodeWireResult(worker.buf).status().message());
+                   ParseResultLine(worker.buf).status().message());
   };
 
   // Closes a worker's pipes and waits for it to exit; a task still in
@@ -889,51 +765,28 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
   };
 
   while (!pending.empty() || in_flight > 0) {
-    Clock::time_point now = Clock::now();
-
     if (stopped && !pending.empty()) {
-      for (const Pending& p : pending) {
-        TaskResult& result = results[p.index];
+      for (size_t index : pending) {
+        TaskResult& result = results[index];
         if (result.state == TaskResult::State::kSkipped) {
-          result.attempts = static_cast<uint32_t>(states[p.index].attempt);
-          result.incidents = states[p.index].incidents;
+          result.attempts = static_cast<uint32_t>(states[index].attempt);
+          result.incidents = states[index].incidents;
         }
       }
       pending.clear();
-      continue;
     }
 
-    // Fill free worker slots with whatever is eligible to run. In
-    // process a task finishes inside dispatch, so one slot runs them all.
-    bool dispatched = true;
-    while (dispatched && !stopped &&
+    // Fill free worker slots in queue order. In process a task
+    // finishes inside dispatch, so one slot runs them all.
+    while (!stopped && !pending.empty() &&
            static_cast<int>(in_flight) < std::max(config_.workers, 1)) {
-      dispatched = false;
-      for (size_t k = 0; k < pending.size(); ++k) {
-        if (pending[k].not_before <= now) {
-          size_t index = pending[k].index;
-          pending.erase(pending.begin() + static_cast<ptrdiff_t>(k));
-          dispatch(index);  // may push a retry back onto `pending`
-          dispatched = true;
-          break;
-        }
-      }
+      size_t index = pending.front();
+      pending.pop_front();
+      dispatch(index);  // may push a retry onto the back of `pending`
     }
+    if (in_flight == 0) continue;
 
-    if (in_flight == 0) {
-      if (pending.empty()) break;
-      // Everything eligible has run; sleep toward the earliest backoff.
-      Clock::time_point earliest = pending.front().not_before;
-      for (const Pending& p : pending) {
-        earliest = std::min(earliest, p.not_before);
-      }
-      if (earliest > now) {
-        std::this_thread::sleep_for(
-            std::min<Clock::duration>(earliest - now,
-                                      std::chrono::milliseconds(50)));
-      }
-      continue;
-    }
+    Clock::time_point now = Clock::now();
 
     // Idle workers are polled too: one that dies between tasks shows
     // up as EOF and is retired before it can be handed a task.
@@ -969,10 +822,11 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
         eof = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
         break;
       }
-      // A timed-out task fails even if its frame squeaks in: the
+      // A timed-out task fails even if its line squeaks in: the
       // watchdog already killed the worker.
-      if (worker.busy && !worker.timed_out && FrameReady(worker.buf)) {
-        auto outcome = DecodeWireResult(worker.buf);
+      if (worker.busy && !worker.timed_out &&
+          worker.buf.find('\n') != std::string::npos) {
+        auto outcome = ParseResultLine(worker.buf);
         worker.busy = false;
         --in_flight;
         worker.buf.clear();
@@ -980,7 +834,7 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
           handle_success(worker.index, std::move(*outcome));
         } else {
           // The pipe is out of step with the protocol: this worker's
-          // next frame could not be trusted either.
+          // next line could not be trusted either.
           handle_failure(worker.index, WorkerFailure::kWire,
                          outcome.status().message());
           ::kill(worker.pid, SIGKILL);

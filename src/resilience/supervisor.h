@@ -8,14 +8,16 @@
 // killer fires, or spins forever in a pathological loop — one poison
 // image would take the whole fleet run down with it. The supervisor
 // closes that gap: images are scanned in forked worker processes, each
-// ScanOutcome comes back over a pipe in a small versioned wire frame,
-// and the parent enforces a per-image wall-clock watchdog plus
+// ScanOutcome comes back over a pipe as one line of JSON, and the
+// parent enforces a per-image wall-clock watchdog plus
 // RLIMIT_AS / RLIMIT_CPU in the workers.
 //
 // Workers are reused. Up to `workers` of them run at once, each forked
 // on demand and then fed one (task, attempt) request at a time over its
-// command pipe; it answers each with one length-prefixed frame on its
-// result pipe, hands its freed heap back (malloc_trim), and waits for
+// command pipe; it answers each with one ScanOutcomeToJson line on its
+// result pipe (the bytes an `image_done` event embeds: JsonEscape
+// escapes every control character, so the line's '\n' is its only
+// one), hands its freed heap back (malloc_trim), and waits for
 // the next request. Before each task it moves its RLIMIT_CPU soft
 // limit to the CPU it has used plus the per-task allowance, resets the
 // fault plan's occurrence counters to their values at fork, and pins a
@@ -27,21 +29,22 @@
 // Task lifecycle state machine (per image):
 //
 //   PENDING --request to an idle or newly forked worker--> RUNNING
-//   RUNNING --frame ok----------------------------------------> DONE
+//   RUNNING --result line ok----------------------------------> DONE
 //      |  `--timeout--> KILLED(SIGKILL) --.
-//      `--signal/OOM/exit/bad frame-------+--> FAILED
-//   FAILED --attempts left--> PENDING (backoff, tightened budget)
+//      `--signal/OOM/exit/bad line--------+--> FAILED
+//   FAILED --attempts left--> PENDING (back of the queue, tightened budget)
 //   FAILED --attempts exhausted--> QUARANTINED
 //
-// A worker that dies (or is killed by the watchdog, or sends a frame
-// that does not decode) takes only its in-flight task down with it; it
-// is reaped, and the next dispatch forks a replacement.
+// A worker that dies (or is killed by the watchdog, or sends a line
+// that does not decode, or bytes after it) takes only its in-flight
+// task down with it; it is reaped, and the next dispatch forks a
+// replacement.
 //
-// Every failure becomes a typed Incident (phase "supervisor"); retries
-// back off with deterministic jitter (retry.h, seeded from the image
-// fingerprint) and re-run under a *tightened* AnalysisBudget
-// (TightenBudget: full -> degraded -> harshly degraded), so an image
-// that only dies when allowed to run long gets a cheap second chance.
+// Every failure becomes a typed Incident (phase "supervisor"); the
+// image goes to the back of the queue at once and re-runs under a
+// *tightened* AnalysisBudget (TightenBudget: full -> degraded ->
+// harshly degraded), so an image that only dies when allowed to run
+// long gets a cheap second chance.
 // After 1 + max_retries attempts the image is quarantined: recorded,
 // reported, and never allowed to poison the rest of the fleet.
 //
@@ -85,10 +88,10 @@ namespace dtaint {
 class JsonValue;
 
 /// Everything the fleet report needs from one image's scan — the unit
-/// the supervisor's workers return over the wire and its `image_done`
-/// events record. JSON fragments (findings, score) are carried as raw
-/// pre-serialized strings so a resume reproduces the fleet report
-/// byte-for-byte.
+/// the supervisor's workers return on their result pipes and its
+/// `image_done` events record. JSON fragments (findings, score) are
+/// carried as raw pre-serialized strings so a resume reproduces the
+/// fleet report byte-for-byte.
 struct ScanOutcome {
   /// "ok", "unextractable", or "failed" (the supervisor adds
   /// "quarantined" at the TaskResult level, never here).
@@ -129,12 +132,6 @@ std::string ScanOutcomeToJson(const ScanOutcome& outcome);
 Result<ScanOutcome> ScanOutcomeFromJson(std::string_view json);
 Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value);
 
-/// Parses one incident serialized by IncidentToJson (incident.h).
-Result<Incident> IncidentFromJson(const JsonValue& value);
-
-/// Wire format version for the worker->parent result frame.
-inline constexpr uint32_t kWireVersion = 1;
-
 /// Child exit codes with supervisor meaning. Chosen high to stay clear
 /// of the scan body's own exit codes and shell conventions.
 inline constexpr int kWorkerExitOom = 77;    // std::bad_alloc caught
@@ -147,7 +144,7 @@ enum class WorkerFailure : uint8_t {
   kSignal,   // died on a signal (SIGSEGV, SIGKILL from OOM killer, ...)
   kOom,      // exited kWorkerExitOom: allocation failed under RLIMIT_AS
   kExit,     // nonzero exit for any other reason
-  kWire,     // exited 0 but the result frame didn't decode
+  kWire,     // no whole result line, or one that didn't decode
 };
 
 /// "timeout", "signal", "oom", "exit", "wire".
@@ -159,14 +156,6 @@ std::string_view WorkerFailureName(WorkerFailure failure);
 /// progressively cheaper chances, never more expensive ones. Limits
 /// the base leaves unlimited (0) become limited on retry.
 AnalysisBudget TightenBudget(const AnalysisBudget& base, int attempt);
-
-/// Encodes an outcome as one wire frame: magic, version, payload
-/// length, JSON payload (ScanOutcomeToJson). Length-prefixed so the
-/// parent can tell "complete frame" from "child died mid-write".
-std::string EncodeWireResult(const ScanOutcome& outcome);
-
-/// Strict inverse; any truncation, bad magic, or version skew fails.
-Result<ScanOutcome> DecodeWireResult(std::string_view frame);
 
 struct SupervisorConfig {
   /// Concurrent forked worker processes; 0 runs every task in this
@@ -192,10 +181,6 @@ struct SupervisorConfig {
   /// whose outcome StopsFailFast (fail-fast fleets). Replayed outcomes
   /// never stop a run.
   bool stop_on_failure = false;
-  /// Retry backoff shape (jitter seed comes from each image's
-  /// fingerprint, not from here; the sum of sleeps is capped at
-  /// RetryPolicy's default 1 s).
-  int backoff_initial_us = 200;
 };
 
 /// One unit of supervised work.
@@ -252,7 +237,9 @@ class ScanSupervisor {
   /// worker_exit) into the global event stream when it is open, and
   /// bumps the `supervisor.images_done` counter (the heartbeat's
   /// images_done) once per task that reaches done or quarantined,
-  /// replayed or not.
+  /// replayed or not. A task a forked worker finished also adds its
+  /// outcome's functions to `supervisor.functions_done`, the part of
+  /// the heartbeat's functions_done the worker's own counters hold.
   std::vector<TaskResult> Run(const std::vector<TaskSpec>& tasks,
                               const TaskFn& fn);
 
@@ -271,7 +258,7 @@ class ScanSupervisor {
 
   /// The worker side: RLIMIT_AS, then per request the CPU limit, the
   /// fault counters, the worker fault sites, an interner pin, fn, the
-  /// frame and a heap trim. Exits on EOF of `cmd_fd`.
+  /// result line and a heap trim. Exits on EOF of `cmd_fd`.
   [[noreturn]] void ServeTasks(const std::vector<TaskSpec>& tasks,
                                const TaskFn& fn, int cmd_fd, int result_fd);
 

@@ -1,6 +1,7 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace dtaint {
@@ -9,6 +10,29 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
   auto it = object().find(key);
   return it == object().end() ? nullptr : &it->second;
+}
+
+std::string_view FieldStr(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  if (!v || !v->is_string()) return {};
+  return v->string();
+}
+
+double FieldNum(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  return v && v->is_number() ? v->number() : 0.0;
+}
+
+uint64_t FieldCount(const JsonValue& object, std::string_view key) {
+  double d = FieldNum(object, key);
+  if (!std::isfinite(d) || d <= 0) return 0;
+  if (d >= 18446744073709551616.0) return UINT64_MAX;  // 2^64 and up
+  return static_cast<uint64_t>(d);
+}
+
+bool FieldBool(const JsonValue& object, std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  return v && v->is_bool() && v->boolean();
 }
 
 namespace {

@@ -8,6 +8,7 @@
 // producers own their formats), no streaming.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -54,6 +55,16 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       data_;
 };
+
+/// Typed member readers for documents another process wrote (event
+/// streams, worker results): a member that is absent, or of another
+/// kind, reads as the empty string, 0 or false.
+std::string_view FieldStr(const JsonValue& object, std::string_view key);
+double FieldNum(const JsonValue& object, std::string_view key);
+/// A count: negative and non-finite numbers read as 0, and finite ones
+/// past the range of uint64_t saturate at its maximum.
+uint64_t FieldCount(const JsonValue& object, std::string_view key);
+bool FieldBool(const JsonValue& object, std::string_view key);
 
 /// Parses exactly one JSON document (trailing whitespace allowed,
 /// trailing garbage is an error). Errors carry a byte offset.

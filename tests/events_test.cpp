@@ -569,6 +569,24 @@ TEST(ScanReport, OneFileWithSeveralStreamsReadsAsSeveralStreams) {
   EXPECT_EQ(bare.streams, 1u);
 }
 
+TEST(ScanReport, HostileCountsReadAsZeroOrSaturate) {
+  // A count in a file another process wrote: negative and non-finite
+  // read as 0, past the range of uint64_t as its maximum, never as a
+  // wrapped or undefined conversion.
+  auto last_functions_done = [](std::string_view value) {
+    obs::ScanAggregate agg;
+    obs::AggregateEvents(
+        R"({"v":1,"type":"heartbeat","ts_ms":1,"tid":0,"functions_done":)" +
+            std::string(value) + "}\n",
+        &agg);
+    return agg.last_functions_done;
+  };
+  EXPECT_EQ(last_functions_done("-3"), 0u);
+  EXPECT_EQ(last_functions_done("1e30"), UINT64_MAX);
+  EXPECT_EQ(last_functions_done("1e999"), 0u);  // parses as inf
+  EXPECT_EQ(last_functions_done("12"), 12u);
+}
+
 TEST(ScanReport, MarkdownAndJsonRender) {
   obs::ScanAggregate agg;
   obs::AggregateEvents(kCompleteStream, &agg);

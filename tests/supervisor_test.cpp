@@ -1,9 +1,10 @@
 // Scan supervisor tests.
 //
 // Three layers of coverage:
-//  * codecs — the worker wire frame must round-trip exactly (it carries
-//    raw JSON fragments whose bytes are part of the resume oracle's
-//    identity contract) and reject any truncation or corruption;
+//  * the result pipe — a worker that exits before its whole result
+//    line, writes bytes after it, or sends a line that does not decode
+//    fails the attempt as `wire` (the outcome codec itself is checked
+//    through the stream resume, whose replays must be byte-exact);
 //  * the supervisor state machine — retry with tightened budgets,
 //    quarantine after 1 + max_retries attempts, the per-image
 //    watchdog, resume from the event stream (torn and untrusted lines
@@ -20,8 +21,11 @@
 //
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -32,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -159,40 +164,6 @@ TEST_F(SupervisorTest, TightenBudgetNeverLoosensAndShrinksPerAttempt) {
   EXPECT_DOUBLE_EQ(tightened.deadline_ms, 1.0);
 }
 
-// ---------- wire codec -------------------------------------------------------
-
-TEST_F(SupervisorTest, WireFrameRoundTrips) {
-  ScanOutcome want = SampleOutcome();
-  std::string frame = EncodeWireResult(want);
-  auto got = DecodeWireResult(frame);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectOutcomeEq(*got, want);
-}
-
-TEST_F(SupervisorTest, WireFrameRejectsCorruption) {
-  std::string frame = EncodeWireResult(SampleOutcome());
-
-  // Truncation anywhere — the "child died mid-write" spectrum.
-  for (size_t len : {size_t{0}, size_t{3}, size_t{11}, frame.size() - 1}) {
-    EXPECT_FALSE(DecodeWireResult(std::string_view(frame).substr(0, len)).ok())
-        << "prefix of length " << len << " decoded";
-  }
-  // Trailing bytes after a complete frame.
-  EXPECT_FALSE(DecodeWireResult(frame + "x").ok());
-  // Bad magic.
-  std::string bad_magic = frame;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(DecodeWireResult(bad_magic).ok());
-  // Version skew.
-  std::string bad_version = frame;
-  bad_version[4] = static_cast<char>(kWireVersion + 1);
-  EXPECT_FALSE(DecodeWireResult(bad_version).ok());
-  // Payload corruption that breaks the JSON.
-  std::string bad_payload = frame;
-  bad_payload[13] = '\xff';
-  EXPECT_FALSE(DecodeWireResult(bad_payload).ok());
-}
-
 // ---------- supervisor state machine -----------------------------------------
 
 ScanOutcome OutcomeForIndex(size_t index) {
@@ -263,7 +234,6 @@ TEST_F(SupervisorTest, WorkerDeathRetriesWithTightenedBudgetThenSucceeds) {
   SupervisorConfig config;
   config.workers = 0;
   config.max_retries = 2;
-  config.backoff_initial_us = 1;
   ScanSupervisor supervisor(config);
   std::vector<bool> budget_limited;
   auto results = supervisor.Run(
@@ -298,7 +268,6 @@ TEST_F(SupervisorTest, PoisonImageQuarantinesWithoutPoisoningTheFleet) {
 
   SupervisorConfig config;
   config.max_retries = 1;
-  config.backoff_initial_us = 1;
   ScanSupervisor supervisor(config);
   auto results = supervisor.Run(
       Tasks({"good0", "poison", "good2"}),
@@ -348,6 +317,110 @@ TEST_F(SupervisorTest, WorkerDeathFailsOnlyItsTaskAndIsReplaced) {
   EXPECT_EQ(supervisor.stats().worker_failures, 1u);
 }
 
+// ---------- result pipe ------------------------------------------------------
+
+/// The write-only pipes open in this process, above stderr.
+std::set<int> WriteOnlyPipes() {
+  std::set<int> fds;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st;
+    if (::fstat(fd, &st) == 0 && S_ISFIFO(st.st_mode) &&
+        (::fcntl(fd, F_GETFL) & O_ACCMODE) == O_WRONLY) {
+      fds.insert(fd);
+    }
+  }
+  return fds;
+}
+
+/// The write-only pipes the test process held before Run forked.
+std::set<int> pipes_before_run;
+
+/// In a forked worker, writes `bytes` past the supervisor to its result
+/// pipe: the one write-only pipe the test process did not hold before
+/// Run (the worker closes the parent's ends of every other worker's).
+void WriteToResultPipe(const std::string& bytes) {
+  std::set<int> fds = WriteOnlyPipes();
+  for (int fd : pipes_before_run) fds.erase(fd);
+  ASSERT_EQ(fds.size(), 1u);
+  int fd = *fds.begin();
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Runs `labels` on one forked worker without retries.
+std::vector<TaskResult> RunOnOneWorker(const std::vector<std::string>& labels,
+                                       const TaskFn& fn,
+                                       SupervisorStats* stats) {
+  SupervisorConfig config;
+  config.max_retries = 0;
+  ScanSupervisor supervisor(config);
+  pipes_before_run = WriteOnlyPipes();
+  std::vector<TaskResult> results = supervisor.Run(Tasks(labels), fn);
+  *stats = supervisor.stats();
+  return results;
+}
+
+void ExpectWireFailure(const TaskResult& result) {
+  EXPECT_EQ(result.state, TaskResult::State::kQuarantined);
+  EXPECT_EQ(result.quarantine_reason, "worker wire after 1 attempts");
+}
+
+TEST_F(SupervisorTest, WorkerThatExitsBeforeItsResultLineFailsAsWire) {
+  // Both workers exit 0 without a '\n': one wrote nothing, the other a
+  // whole outcome with no line end. Neither answered.
+  SupervisorStats stats;
+  auto results = RunOnOneWorker(
+      {"silent", "unended"},
+      [](size_t index, const AnalysisBudget&) -> ScanOutcome {
+        if (index == 1) WriteToResultPipe(ScanOutcomeToJson(OutcomeForIndex(1)));
+        ::_exit(0);
+      },
+      &stats);
+  ASSERT_EQ(results.size(), 2u);
+  ExpectWireFailure(results[0]);
+  ExpectWireFailure(results[1]);
+  EXPECT_EQ(stats.workers_spawned, 2u);
+}
+
+TEST_F(SupervisorTest, UndecodableResultLineFailsAsWireAndReplacesTheWorker) {
+  // An outcome without a status does not decode: the worker is out of
+  // step, so it is killed, and the next task gets a fresh one.
+  SupervisorStats stats;
+  auto results = RunOnOneWorker(
+      {"blank", "good"},
+      [](size_t index, const AnalysisBudget&) {
+        ScanOutcome out = OutcomeForIndex(index);
+        if (index == 0) out.status.clear();
+        return out;
+      },
+      &stats);
+  ASSERT_EQ(results.size(), 2u);
+  ExpectWireFailure(results[0]);
+  EXPECT_EQ(results[1].state, TaskResult::State::kDone);
+  ExpectOutcomeEq(results[1].outcome, OutcomeForIndex(1));
+  EXPECT_EQ(stats.workers_spawned, 2u);
+  EXPECT_EQ(stats.worker_failures, 1u);
+}
+
+TEST_F(SupervisorTest, BytesAfterTheResultLineFailAsWire) {
+  // A whole, decodable line followed by more bytes, in one write: the
+  // line is not taken, and the worker is replaced.
+  SupervisorStats stats;
+  auto results = RunOnOneWorker(
+      {"trailing", "good"},
+      [](size_t index, const AnalysisBudget&) {
+        if (index == 0) {
+          WriteToResultPipe(ScanOutcomeToJson(OutcomeForIndex(0)) + "\n{");
+        }
+        return OutcomeForIndex(index);
+      },
+      &stats);
+  ASSERT_EQ(results.size(), 2u);
+  ExpectWireFailure(results[0]);
+  EXPECT_EQ(results[1].state, TaskResult::State::kDone);
+  EXPECT_EQ(stats.workers_spawned, 2u);
+}
+
 TEST_F(SupervisorTest, EachTaskOnAReusedWorkerSeesTheForkTimeFaultCounters) {
   // A count-1 rule matching everything fires once per process — but a
   // reused worker rewinds the counters before each task, so it fires
@@ -378,16 +451,21 @@ TEST_F(SupervisorTest, EachTaskOnAReusedWorkerSeesTheForkTimeFaultCounters) {
 
 TEST_F(SupervisorTest, CpuLimitIsPerTaskNotPerWorker) {
   // image_timeout_ms 999 gives each task a 2 s CPU allowance (3 s for
-  // the first, as the CPU used before it rounds up to a second). Eight
-  // tasks of ~0.4 CPU s on one worker use 3.2 s together: a limit
-  // counted from the worker's fork would kill it partway through.
+  // the first, as the CPU used before it rounds up to a second).
+  // Eighty tasks of 0.05 CPU s on one worker use 4 s together: a limit
+  // counted from the worker's fork would kill it partway through. Each
+  // task's watchdog leaves it 20x its CPU in wall time, so a task still
+  // ends on a host whose cores the other tests keep busy.
+  constexpr double kTaskCpuMs = 50;
+  constexpr int kTasks = 80;
   SupervisorConfig config;
   config.max_retries = 0;
   config.image_timeout_ms = 999;
+  std::vector<std::string> labels;
+  for (int i = 0; i < kTasks; ++i) labels.push_back("t" + std::to_string(i));
   ScanSupervisor supervisor(config);
   auto results = supervisor.Run(
-      Tasks({"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}),
-      [](size_t index, const AnalysisBudget&) {
+      Tasks(labels), [](size_t index, const AnalysisBudget&) {
         auto cpu_ms = [] {
           struct timespec ts;
           ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -395,12 +473,12 @@ TEST_F(SupervisorTest, CpuLimitIsPerTaskNotPerWorker) {
         };
         double start = cpu_ms();
         volatile uint64_t sink = 0;
-        while (cpu_ms() - start < 400.0) {
+        while (cpu_ms() - start < kTaskCpuMs) {
           for (int i = 0; i < 10000; ++i) sink = sink + static_cast<uint64_t>(i);
         }
         return OutcomeForIndex(index);
       });
-  ASSERT_EQ(results.size(), 8u);
+  ASSERT_EQ(results.size(), static_cast<size_t>(kTasks));
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].state, TaskResult::State::kDone)
         << i << ": " << results[i].quarantine_reason;
@@ -577,7 +655,6 @@ TEST_F(SupervisorTest, StreamRecordsEveryTerminalResultForResume) {
   SupervisorConfig config;
   config.workers = 0;
   config.max_retries = 1;
-  config.backoff_initial_us = 1;
   std::vector<TaskResult> first =
       RunWithStream(path, /*resume=*/false, tasks, fn, config);
   ASSERT_EQ(first[1].state, TaskResult::State::kQuarantined);
@@ -767,8 +844,7 @@ TEST_F(SupervisorTest, ScanReportAggregatesSupervisorLifecycle) {
       "{\"v\":1,\"type\":\"worker_exit\",\"ts_ms\":2,\"tid\":0,"
       "\"image\":\"flaky\",\"attempt\":1,\"failure\":\"signal\"}\n"
       "{\"v\":1,\"type\":\"image_retry\",\"ts_ms\":3,\"tid\":0,"
-      "\"image\":\"flaky\",\"next_attempt\":2,\"failure\":\"signal\","
-      "\"backoff_us\":100}\n"
+      "\"image\":\"flaky\",\"next_attempt\":2,\"failure\":\"signal\"}\n"
       "{\"v\":1,\"type\":\"image_begin\",\"ts_ms\":4,\"tid\":0,"
       "\"image\":\"flaky\",\"arch\":\"arm\",\"packing\":\"none\"}\n"
       "{\"v\":1,\"type\":\"image_end\",\"ts_ms\":5,\"tid\":0,"
@@ -995,30 +1071,44 @@ TEST_F(SupervisorTest, ResumeOracleSurvivesATornLastLine) {
 TEST_F(SupervisorTest, HeartbeatCountsEveryImageTheParentFolds) {
   const char* bin = CorpusScanBin();
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
-  fs::path events = ScratchDir("heartbeat") / "events.ndjson";
-  // A worker's counters live in the worker: the images_done the parent
+  fs::path dir = ScratchDir("heartbeat");
+  // The heartbeats' images_done and the last one's functions_done.
+  struct Beats {
+    std::vector<uint64_t> images_done;
+    uint64_t images_total = 0;
+    uint64_t functions_done = 0;
+  };
+  auto beats_of = [&](const std::string& workers) {
+    fs::path events = dir / ("events" + workers + ".ndjson");
+    std::string cmd = "\"" + std::string(bin) + "\" --workers " + workers +
+                      " --heartbeat-ms 1 --events-out \"" + events.string() +
+                      "\" > /dev/null 2>&1";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << "--workers " << workers;
+    Beats beats;
+    obs::ForEachEvent(ReadAll(events), [&](const JsonValue& event,
+                                           std::string_view type) {
+      if (type != "heartbeat") return;
+      beats.images_done.push_back(FieldCount(event, "images_done"));
+      beats.images_total = FieldCount(event, "images_total");
+      beats.functions_done = FieldCount(event, "functions_done");
+    });
+    return beats;
+  };
+  // A worker's counters live in the worker: the progress the parent
   // reports must come from its own per-image fold.
-  std::string cmd = "\"" + std::string(bin) +
-                    "\" --workers 1 --heartbeat-ms 1 --events-out \"" +
-                    events.string() + "\" > /dev/null 2>&1";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-  std::vector<uint64_t> done;
-  uint64_t total = 0;
-  obs::ForEachEvent(ReadAll(events),
-                    [&](const JsonValue& event, std::string_view type) {
-                      if (type != "heartbeat") return;
-                      done.push_back(static_cast<uint64_t>(
-                          event.Find("images_done")->number()));
-                      total = static_cast<uint64_t>(
-                          event.Find("images_total")->number());
-                    });
-  EXPECT_EQ(total, 8u);
+  Beats forked = beats_of("1");
+  EXPECT_EQ(forked.images_total, 8u);
+  std::vector<uint64_t>& done = forked.images_done;
   EXPECT_TRUE(std::is_sorted(done.begin(), done.end()));
   std::vector<uint64_t> values = done;
   values.erase(std::unique(values.begin(), values.end()), values.end());
-  std::vector<uint64_t> every(total + 1);
+  std::vector<uint64_t> every(forked.images_total + 1);
   std::iota(every.begin(), every.end(), uint64_t{0});
   EXPECT_EQ(values, every);
+  // Every function is counted once, whichever process summarized it.
+  Beats in_process = beats_of("0");
+  EXPECT_GT(in_process.functions_done, 0u);
+  EXPECT_EQ(forked.functions_done, in_process.functions_done);
 }
 
 TEST_F(SupervisorTest, PoisonImageQuarantinedInFleetScan) {
