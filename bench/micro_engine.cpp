@@ -2,7 +2,7 @@
 // decode, lift, CFG recovery, dead register write pruning,
 // per-function symbolic analysis, alias
 // recognition, layout similarity, whole-binary detection, and the
-// relink over a paper image.
+// relink, indirect-call resolution and path search over a paper image.
 //
 // A custom main feeds every google-benchmark result into the shared
 // bench harness so micro_engine emits the same BENCH_*.json document
@@ -21,6 +21,7 @@
 #include "src/core/alias.h"
 #include "src/core/alias_ondemand.h"
 #include "src/core/dtaint.h"
+#include "src/core/pathfinder.h"
 #include "src/core/scan_image.h"
 #include "src/core/structsim.h"
 #include "src/isa/decode.h"
@@ -493,6 +494,63 @@ void BM_Relink(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Relink)->Unit(benchmark::kMillisecond);
+
+/// The DGN2200 paper image summarized, linked and structsim-resolved,
+/// as DTaint::AnalyzeFunctions leaves it before the path search (its
+/// indirect calls do not resolve, so no relink is needed).
+struct LinkedImage {
+  Program program;
+  ProgramAnalysis analysis;
+};
+
+std::optional<LinkedImage> Dgn2200Linked(const Binary& binary) {
+  LinkedImage out{std::move(*CfgBuilder(binary).BuildProgram()), {}};
+  SymEngine engine(binary);
+  CallGraph graph = CallGraph::Build(out.program);
+  out.analysis = Link(out.program, graph, Summarize(out.program, graph, engine));
+  if (!ResolveIndirectCalls(out.program, out.analysis.summaries,
+                            out.analysis.alias_oracle.get())
+           .empty()) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// Indirect-call resolution alone over the linked DGN2200 image. No
+/// callsite resolves there, so every iteration does the same work: the
+/// scan for callsites that reach the similarity case.
+void BM_ResolveIndirectCalls(benchmark::State& state) {
+  std::optional<Binary> binary = Dgn2200Binary();
+  std::optional<LinkedImage> image;
+  if (binary) image = Dgn2200Linked(*binary);
+  if (!image) {
+    state.SkipWithError("DGN2200 paper image unavailable");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ResolveIndirectCalls(
+        image->program, image->analysis.summaries,
+        image->analysis.alias_oracle.get()));
+  }
+}
+BENCHMARK(BM_ResolveIndirectCalls);
+
+/// The sink-to-source search alone over the linked DGN2200 image. The
+/// alias oracle's memo is warm after the first iteration.
+void BM_PathFinderFindAll(benchmark::State& state) {
+  std::optional<Binary> binary = Dgn2200Binary();
+  std::optional<LinkedImage> image;
+  if (binary) image = Dgn2200Linked(*binary);
+  if (!image) {
+    state.SkipWithError("DGN2200 paper image unavailable");
+    return;
+  }
+  PathFinder finder(image->program, image->analysis);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(finder.FindAll());
+  }
+}
+BENCHMARK(BM_PathFinderFindAll)->Unit(benchmark::kMillisecond);
 
 /// ConsoleReporter subclass that tees every per-iteration result into
 /// the harness while keeping google-benchmark's normal console table.

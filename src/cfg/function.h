@@ -69,6 +69,15 @@ struct Function {
     auto it = blocks.find(addr);
     return it == blocks.end() ? nullptr : &it->second;
   }
+  /// The block whose code covers `addr`, or nullptr when none does.
+  /// Blocks never overlap, so only the last block starting at or below
+  /// `addr` can cover it.
+  const BlockInfo* BlockContaining(uint32_t addr) const {
+    auto it = blocks.upper_bound(addr);
+    if (it == blocks.begin()) return nullptr;
+    --it;
+    return addr < it->second.EndAddr() ? &it->second : nullptr;
+  }
   const CallSite* CallSiteAt(uint32_t call_addr) const {
     for (const CallSite& cs : callsites) {
       if (cs.call_addr == call_addr) return &cs;

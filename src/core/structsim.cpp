@@ -1,6 +1,7 @@
 #include "src/core/structsim.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -197,27 +198,39 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
     OnDemandAliasOracle* sse_oracle) {
   std::vector<IndirectResolution> resolutions;
 
-  // Candidate set: address-taken functions, with their parameter-rooted
-  // layouts precomputed.
-  std::vector<std::string> candidates = AddressTakenFunctions(program);
-  std::map<std::string, std::vector<StructLayout>> candidate_layouts;
-  for (const std::string& name : candidates) {
-    auto it = summaries.find(name);
-    if (it == summaries.end()) continue;
-    std::vector<StructLayout> arg_layouts;
-    for (StructLayout& layout : ExtractLayouts(it->second)) {
-      if (layout.root->kind() == SymKind::kArg) {
-        arg_layouts.push_back(std::move(layout));
+  // Layouts are extracted on demand: a function's only when one of its
+  // callsites reaches the similarity case, the candidates' (their
+  // parameter-rooted layouts) on the first such callsite. Most callers
+  // have no unresolved symbolic target, and most images none at all.
+  size_t layouts_extracted = 0;
+  auto extract = [&](const FunctionSummary& summary) {
+    ++layouts_extracted;
+    return ExtractLayouts(summary);
+  };
+  std::optional<std::map<std::string, std::vector<StructLayout>>>
+      candidate_layouts;
+  auto candidates = [&]() -> const auto& {
+    if (candidate_layouts) return *candidate_layouts;
+    candidate_layouts.emplace();
+    for (const std::string& name : AddressTakenFunctions(program)) {
+      auto it = summaries.find(name);
+      if (it == summaries.end()) continue;
+      std::vector<StructLayout> arg_layouts;
+      for (StructLayout& layout : extract(it->second)) {
+        if (layout.root->kind() == SymKind::kArg) {
+          arg_layouts.push_back(std::move(layout));
+        }
       }
+      (*candidate_layouts)[name] = std::move(arg_layouts);
     }
-    candidate_layouts[name] = std::move(arg_layouts);
-  }
+    return *candidate_layouts;
+  };
 
   for (auto& [caller_name, fn] : program.functions) {
     auto sum_it = summaries.find(caller_name);
     if (sum_it == summaries.end()) continue;
     const FunctionSummary& summary = sum_it->second;
-    std::vector<StructLayout> caller_layouts = ExtractLayouts(summary);
+    std::optional<std::vector<StructLayout>> caller_layouts;
 
     for (CallSite& cs : fn.callsites) {
       if (!cs.is_indirect || !cs.resolved_targets.empty()) continue;
@@ -286,12 +299,13 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
       // Case 2: similarity matching. The structure at the callsite is
       // the one rooted where the target pointer (or the first call
       // argument) lives.
+      if (!caller_layouts) caller_layouts = extract(summary);
       std::vector<const StructLayout*> site_layouts;
       auto add_site_layout = [&](SymRef expr) {
         if (!expr) return;
         SymRef root = RootPointerOf(expr);
         if (!root) return;
-        for (const StructLayout& layout : caller_layouts) {
+        for (const StructLayout& layout : *caller_layouts) {
           if (SymExpr::Equal(layout.root, root)) {
             site_layouts.push_back(&layout);
           }
@@ -303,7 +317,7 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
 
       double best = 0.0;
       std::vector<std::string> best_targets;
-      for (const auto& [cand_name, layouts] : candidate_layouts) {
+      for (const auto& [cand_name, layouts] : candidates()) {
         if (cand_name == caller_name) continue;
         double cand_best = 0.0;
         for (const StructLayout* site : site_layouts) {
@@ -327,6 +341,9 @@ std::vector<IndirectResolution> ResolveIndirectCalls(
       }
     }
   }
+  obs::MetricsRegistry::Global()
+      .counter("structsim.layouts_extracted")
+      .Add(layouts_extracted);
   for (const IndirectResolution& r : resolutions) {
     DTAINT_LOG(obs::LogLevel::kDebug, "structsim",
                "%s @%#x -> %zu target(s), similarity %.3f", r.caller.c_str(),

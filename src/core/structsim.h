@@ -97,6 +97,9 @@ struct IndirectResolution {
 ///  * remaining symbolic targets are matched by structure-layout
 ///    similarity against address-taken candidate functions (functions
 ///    whose address appears in .data/.rodata).
+/// Layouts are extracted only for callers with a callsite in that last
+/// case, and the candidates' only once one exists
+/// (`structsim.layouts_extracted` counts ExtractLayouts calls).
 /// Writes resolved targets into each CallSite::resolved_targets and
 /// returns the resolution log.
 std::vector<IndirectResolution> ResolveIndirectCalls(

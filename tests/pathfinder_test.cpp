@@ -5,6 +5,8 @@
 #include "src/cfg/cfg_builder.h"
 #include "src/core/pathfinder.h"
 #include "src/isa/asm_builder.h"
+#include "src/isa/insn.h"
+#include "src/obs/metrics.h"
 
 namespace dtaint {
 namespace {
@@ -14,6 +16,12 @@ struct Pipeline {
   Program program;
   ProgramAnalysis analysis;
 };
+
+uint64_t LoopFunctions() {
+  return obs::MetricsRegistry::Global()
+      .counter("pathfind.loop_functions")
+      .Value();
+}
 
 Pipeline RunPipeline(BinaryWriter& writer) {
   Pipeline out{writer.Build().value(), {}, {}};
@@ -53,7 +61,10 @@ TEST(PathFinder, DirectSourceToSink) {
   Pipeline p = RunPipeline(writer);
   PathFinder finder(p.program, p.analysis);
   EXPECT_EQ(finder.SinkCount(), 1u);
+  const uint64_t loops_before = LoopFunctions();
   auto paths = finder.FindAll();
+  // No store through a per-iteration address: no loop analysis.
+  EXPECT_EQ(LoopFunctions(), loops_before);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].sink_name, "system");
   EXPECT_EQ(paths[0].source_name, "getenv");
@@ -132,7 +143,9 @@ TEST(PathFinder, LoopCopySinkDetected) {
   writer.AddFunction(std::move(b).Finish().value());
   Pipeline p = RunPipeline(writer);
   PathFinder finder(p.program, p.analysis);
+  const uint64_t loops_before = LoopFunctions();
   auto paths = finder.FindAll();
+  EXPECT_EQ(LoopFunctions() - loops_before, 1u);
   bool loop_path = false;
   for (const TaintPath& path : paths) {
     if (path.sink_name == "loop") {
@@ -222,6 +235,85 @@ TEST(PathFinder, DuplicatePathsDeduplicated) {
   Pipeline p = RunPipeline(writer);
   PathFinder finder(p.program, p.analysis);
   EXPECT_EQ(finder.FindAll().size(), 1u);
+}
+
+TEST(PathFinder, DefSiteBlockLookup) {
+  // Loop-copy sinks find a def site's block with an upper_bound lookup.
+  // Three blocks: [cmp; bne] [mov] [skip: mov; ret].
+  BinaryWriter writer(Arch::kDtArm, "t");
+  FnBuilder b("h");
+  b.CmpI(0, 0);
+  b.Bne("skip");
+  b.MovI(1, 2);
+  b.Label("skip");
+  b.MovI(2, 3);
+  b.Ret();
+  writer.AddFunction(std::move(b).Finish().value());
+  Binary bin = writer.Build().value();
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  const Function& fn = program.functions.at("h");
+  ASSERT_EQ(fn.blocks.size(), 3u);
+  for (const auto& [addr, block] : fn.blocks) {
+    EXPECT_EQ(fn.BlockContaining(addr), &block);  // first instruction
+    EXPECT_EQ(fn.BlockContaining(block.EndAddr() - kInsnSize), &block);
+  }
+  const BlockInfo& last = fn.blocks.rbegin()->second;
+  EXPECT_EQ(fn.BlockContaining(last.addr + kInsnSize), &last);
+  // In no block: before the function, and past its last block.
+  EXPECT_EQ(fn.BlockContaining(fn.addr - kInsnSize), nullptr);
+  EXPECT_EQ(fn.BlockContaining(last.EndAddr()), nullptr);
+  EXPECT_EQ(fn.BlockContaining(0), nullptr);
+  // Every address agrees with a scan of all blocks.
+  for (uint32_t a = fn.addr - 8; a < last.EndAddr() + 8; ++a) {
+    const BlockInfo* scanned = nullptr;
+    for (const auto& [addr, block] : fn.blocks) {
+      if (a >= addr && a < block.EndAddr()) scanned = &block;
+    }
+    EXPECT_EQ(fn.BlockContaining(a), scanned) << std::hex << a;
+  }
+}
+
+TEST(PathFinder, WalkWithoutDerefAsksTheAliasOracleNothing) {
+  // A sink whose argument is a constant starts one walk, and its only
+  // expression holds no deref: it matches no def pair, so it must not
+  // ask the oracle for twins. A walk through a stack slot must.
+  obs::Counter& queries =
+      obs::MetricsRegistry::Global().counter("alias.ondemand.queries");
+  {
+    BinaryWriter writer(Arch::kDtArm, "t");
+    writer.AddImport("system");
+    uint32_t cmd = kRodataBase + writer.AddRodata({'l', 's', 0});
+    FnBuilder b("h");
+    b.MovConst(0, cmd);
+    b.Call("system");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+    Pipeline p = RunPipeline(writer);
+    ASSERT_NE(p.analysis.alias_oracle, nullptr);
+    const uint64_t before = queries.Value();
+    PathFinder finder(p.program, p.analysis);
+    EXPECT_TRUE(finder.FindAll().empty());
+    EXPECT_EQ(finder.stats().paths_explored, 1u);
+    EXPECT_EQ(queries.Value(), before);
+  }
+  {
+    BinaryWriter writer(Arch::kDtArm, "t");
+    writer.AddImport("getenv");
+    writer.AddImport("system");
+    FnBuilder b("h");
+    b.MovI(0, 0x100);
+    b.Call("getenv");
+    b.StrW(0, 13, -8);
+    b.LdrW(0, 13, -8);
+    b.Call("system");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+    Pipeline p = RunPipeline(writer);
+    const uint64_t before = queries.Value();
+    PathFinder finder(p.program, p.analysis);
+    EXPECT_EQ(finder.FindAll().size(), 1u);
+    EXPECT_GT(queries.Value(), before);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/binary/loader.h"
 #include "src/binary/writer.h"
+#include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
+#include "src/core/interproc.h"
 #include "src/isa/asm_builder.h"
 #include "src/core/structsim.h"
+#include "src/obs/metrics.h"
 #include "src/symexec/engine.h"
 #include "src/synth/firmware_synth.h"
+#include "src/synth/paper_images.h"
 
 namespace dtaint {
 namespace {
+
+uint64_t LayoutsExtracted() {
+  return obs::MetricsRegistry::Global()
+      .counter("structsim.layouts_extracted")
+      .Value();
+}
 
 StructLayout MakeLayout(
     SymRef root,
@@ -145,7 +157,11 @@ TEST(IndirectCalls, DispatchPlantResolvesToImplNotDecoy) {
   for (const auto& [name, fn] : program.functions) {
     summaries.emplace(name, engine.Analyze(fn));
   }
+  const uint64_t extracted_before = LayoutsExtracted();
   auto resolutions = ResolveIndirectCalls(program, summaries);
+  // Layouts of the dispatcher (its callsite reaches the similarity
+  // case) and of the two address-taken candidates; no other function's.
+  EXPECT_EQ(LayoutsExtracted() - extracted_before, 3u);
   ASSERT_EQ(resolutions.size(), 1u);
   EXPECT_EQ(resolutions[0].caller, "d1_dispatch");
   ASSERT_EQ(resolutions[0].targets.size(), 1u);
@@ -195,6 +211,96 @@ TEST(IndirectCalls, ConstantTargetResolvesDirectly) {
   ASSERT_EQ(resolutions.size(), 1u);
   EXPECT_EQ(resolutions[0].targets, std::vector<std::string>{"target_fn"});
   EXPECT_EQ(resolutions[0].similarity, -1.0);  // exact marker
+}
+
+TEST(IndirectCalls, CallersWithoutIndirectCallsitesExtractNoLayouts) {
+  // Field stores through an argument give every function a layout, and
+  // a .data slot makes `handler` address-taken, but no callsite is
+  // indirect: nothing reaches the similarity case, so no layout is
+  // extracted, the candidates' included.
+  BinaryWriter writer(Arch::kDtArm, "t");
+  {
+    FnBuilder b("handler");
+    b.MovI(1, 7);
+    b.StrW(1, 0, 0x10);
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  {
+    FnBuilder b("caller");
+    b.LdrW(4, 0, 0x8);
+    b.StrW(4, 0, 0xC);
+    b.Call("handler");
+    b.Ret();
+    writer.AddFunction(std::move(b).Finish().value());
+  }
+  uint32_t slot = writer.AddData(std::vector<uint8_t>(4, 0));
+  writer.AddDataReloc({".data", slot, "handler"});
+  Binary bin = writer.Build().value();
+  Program program = CfgBuilder(bin).BuildProgram().value();
+  ASSERT_EQ(AddressTakenFunctions(program),
+            std::vector<std::string>{"handler"});
+  SymEngine engine(bin);
+  std::map<std::string, FunctionSummary> summaries;
+  for (const auto& [name, fn] : program.functions) {
+    summaries.emplace(name, engine.Analyze(fn));
+  }
+  ASSERT_FALSE(ExtractLayouts(summaries.at("caller")).empty());
+  const uint64_t before = LayoutsExtracted();
+  EXPECT_TRUE(ResolveIndirectCalls(program, summaries).empty());
+  EXPECT_EQ(LayoutsExtracted(), before);
+}
+
+TEST(IndirectCalls, HikvisionResolutionsKeepTargetsAndSimilarity) {
+  // The Hikvision paper image, focus-filtered and linked the way the
+  // detector scans it: its two indirect calls resolve by layout
+  // similarity, the same targets with the same score as when every
+  // function's layouts were extracted up front.
+  PaperImageSpec spec = PaperImageSpecs().back();
+  ASSERT_EQ(spec.firmware.vendor, "Hikvision");
+  auto fw = BuildPaperImage(spec);
+  ASSERT_TRUE(fw.ok());
+  auto binary =
+      BinaryLoader::Load(fw->image.FindFile(spec.firmware.binary_path)->bytes);
+  ASSERT_TRUE(binary.ok());
+  Program program = CfgBuilder(*binary).BuildProgram().value();
+  std::set<std::string> keep;
+  std::vector<std::string> work(spec.focus.begin(), spec.focus.end());
+  for (const std::string& name : AddressTakenFunctions(program)) {
+    work.push_back(name);
+  }
+  while (!work.empty()) {
+    std::string name = std::move(work.back());
+    work.pop_back();
+    if (!program.functions.count(name) || !keep.insert(name).second) continue;
+    for (const CallSite& cs : program.functions.at(name).callsites) {
+      if (!cs.is_indirect && !cs.target_is_import && !cs.target_name.empty()) {
+        work.push_back(cs.target_name);
+      }
+    }
+  }
+  std::erase_if(program.functions,
+                [&](const auto& entry) { return !keep.count(entry.first); });
+  SymEngine engine(*binary);
+  ProgramAnalysis analysis =
+      RunBottomUp(program, CallGraph::Build(program), engine);
+  const uint64_t extracted_before = LayoutsExtracted();
+  auto resolutions = ResolveIndirectCalls(program, analysis.summaries,
+                                          analysis.alias_oracle.get());
+  const std::vector<std::string> impls{"hik_safe_memcpy_impl",
+                                       "hik_zero_url2_impl"};
+  ASSERT_EQ(resolutions.size(), 2u);
+  EXPECT_EQ(resolutions[0].caller, "hik_safe_memcpy_dispatch");
+  EXPECT_EQ(resolutions[0].callsite, 0x10360u);
+  EXPECT_EQ(resolutions[1].caller, "hik_zero_url2_dispatch");
+  EXPECT_EQ(resolutions[1].callsite, 0x101ecu);
+  for (const IndirectResolution& r : resolutions) {
+    EXPECT_EQ(r.targets, impls) << r.caller;
+    EXPECT_DOUBLE_EQ(r.similarity, 1.0) << r.caller;
+  }
+  // The two dispatchers' layouts and the address-taken candidates'.
+  EXPECT_EQ(LayoutsExtracted() - extracted_before,
+            2 + AddressTakenFunctions(program).size());
 }
 
 }  // namespace
