@@ -74,8 +74,8 @@ std::vector<uint8_t> BuildPack(
 }
 
 /// Reads `length` bytes at `offset` of `path` into `out`. False only on
-/// an I/O error worth retrying; a missing or short file leaves `out`
-/// empty, which no decoder accepts.
+/// an I/O error; a missing or short file leaves `out` empty, which no
+/// decoder accepts.
 bool ReadAt(const std::string& path, uint64_t offset, size_t length,
             std::vector<uint8_t>& out) {
   out.clear();
@@ -248,7 +248,6 @@ SummaryCache::SummaryCache(CacheConfig config)
       m_disk_hits_(obs::MetricsRegistry::Global().counter("cache.disk_hits")),
       m_corrupt_(
           obs::MetricsRegistry::Global().counter("cache.corrupt_entries")),
-      m_io_retries_(obs::MetricsRegistry::Global().counter("cache.io_retries")),
       m_io_failures_(
           obs::MetricsRegistry::Global().counter("cache.io_failures")) {
   if (config_.disk_dir.empty()) return;
@@ -308,25 +307,16 @@ std::optional<FunctionSummary> SummaryCache::LookupDisk(const Hash128& key) {
       at = it->second.back();
       path = pack_paths_[at.pack];
     }
-    // Transient read errors (NFS hiccup, throttled disk — modeled by
-    // the cache_read fault site) are retried with backoff; if the read
-    // never succeeds this lookup is a miss and the copy stays indexed.
+    // A read error (modeled by the cache_read fault site) makes this
+    // lookup a miss; the copy stays indexed for the next one.
     std::vector<uint8_t> blob;
-    int retries = 0;
-    bool read_ok = RetryIo(
-        config_.retry,
-        [&] {
-          if (FaultPlan::Global().ShouldFail(FaultSite::kCacheRead, path)) {
-            return false;
-          }
-          return ReadAt(path, at.offset, at.length, blob);
-        },
-        &retries);
-    if (retries > 0 || !read_ok) {
+    if (FaultPlan::Global().ShouldFail(FaultSite::kCacheRead, path) ||
+        !ReadAt(path, at.offset, at.length, blob)) {
       std::lock_guard<std::mutex> lock(mu_);
-      CountIoLocked(retries, read_ok);
+      ++stats_.io_failures;
+      m_io_failures_.Add();
+      return std::nullopt;
     }
-    if (!read_ok) return std::nullopt;
     auto decoded = DecodeSummary(blob);
     std::lock_guard<std::mutex> lock(mu_);
     if (decoded.ok()) {
@@ -428,41 +418,28 @@ void SummaryCache::Flush() {
       Fingerprint128().Mix(std::span<const uint8_t>(bytes)).Digest().ToHex() +
       std::string(kPackExtension);
   const std::string path = config_.disk_dir + "/" + name;
-  // Same transient-error policy as reads: retry with backoff, then give
-  // up on the disk tier for now (the entries stay queued).
-  auto write = [&] {
-    if (FaultPlan::Global().ShouldFail(FaultSite::kCacheWrite, path)) {
-      return false;
-    }
-    return WriteFileAtomic(path, bytes);
-  };
+  // A failed write (modeled by the cache_write fault site) leaves the
+  // entries queued for the next Flush().
   std::error_code ec;
   fs::create_directories(config_.disk_dir, ec);
   const auto before = DirMtime(config_.disk_dir);
-  int retries = 0;
-  const bool wrote = !ec && RetryIo(config_.retry, write, &retries);
+  const bool wrote =
+      !ec && !FaultPlan::Global().ShouldFail(FaultSite::kCacheWrite, path) &&
+      WriteFileAtomic(path, bytes);
   const auto after = DirMtime(config_.disk_dir);
   std::lock_guard<std::mutex> lock(mu_);
-  CountIoLocked(retries, wrote);
   // Our write moved the directory's mtime. If nothing else had since
   // the last listing, that is no news: the pack is indexed right here.
   if (before && before == dir_mtime_) dir_mtime_ = after;
-  if (!wrote) return;
+  if (!wrote) {
+    ++stats_.io_failures;
+    m_io_failures_.Add();
+    return;
+  }
   AddPackLocked(name, index);
   // A key names its content, so a Store of a written key meanwhile
   // queued the bytes the pack holds.
   for (const auto& [key, length] : index) pending_.erase(key);
-}
-
-void SummaryCache::CountIoLocked(int retries, bool ok) {
-  if (retries > 0) {
-    stats_.io_retries += static_cast<size_t>(retries);
-    m_io_retries_.Add(static_cast<uint64_t>(retries));
-  }
-  if (!ok) {
-    ++stats_.io_failures;
-    m_io_failures_.Add();
-  }
 }
 
 CacheStats SummaryCache::stats() const {

@@ -54,6 +54,11 @@
 // suite holds the cache to "cold == warm == corrupted-then-recovered"
 // on every corpus it can synthesize.
 //
+// An I/O error is not corruption, and nothing retries it in place: a
+// failed blob read is a miss that leaves the copy indexed, so the next
+// lookup of the key reads it again, and a failed pack write leaves its
+// entries queued for the next Flush().
+//
 // All methods are thread-safe: the interprocedural phase looks up and
 // stores from its worker pool when InterprocConfig::num_threads > 1.
 // A lookup holds the lock only to consult the queue and the index: it
@@ -74,7 +79,6 @@
 
 #include "src/cfg/function.h"
 #include "src/obs/metrics.h"
-#include "src/resilience/retry.h"
 #include "src/symexec/defpairs.h"
 #include "src/symexec/engine.h"
 #include "src/util/hash.h"
@@ -85,24 +89,20 @@ struct CacheConfig {
   /// Directory for the on-disk tier; empty = in-memory only. Created
   /// on the first Flush() with entries if missing.
   std::string disk_dir;
-  /// Bounded retry-with-backoff for disk-tier reads and writes. After
-  /// the final attempt fails the cache falls back to cache-off for
-  /// that entry (miss on read; on write it stays queued in memory).
-  RetryPolicy retry;
 };
 
 /// Counters: monotonic over the cache's lifetime. `hits` counts every
 /// successful lookup (pending queue or disk); `disk_hits` the subset
 /// read from a pack. A corrupt entry counts as both `corrupt_entries`
-/// and `misses`.
+/// and `misses`. `io_failures` counts failed disk reads (each also a
+/// miss) and failed pack writes.
 struct CacheStats {
   size_t hits = 0;
   size_t misses = 0;
   size_t stores = 0;
   size_t disk_hits = 0;
   size_t corrupt_entries = 0;
-  size_t io_retries = 0;   // disk operations that needed a re-try
-  size_t io_failures = 0;  // disk operations abandoned after all tries
+  size_t io_failures = 0;
 };
 
 class SummaryCache {
@@ -126,7 +126,7 @@ class SummaryCache {
 
   /// Writes every queued entry as one pack file, then drops them from
   /// the queue; a no-op without a disk tier. Summarize calls it once
-  /// per pass, after its pool joins. Write failures are swallowed
+  /// per pass, after its pool joins. A write failure is swallowed
   /// (counted in io_failures; the entries stay queued): the cache is an
   /// accelerator, never a correctness dependency.
   void Flush();
@@ -156,7 +156,6 @@ class SummaryCache {
   /// to the disk index as the newest copies.
   void AddPackLocked(const std::string& name,
                      std::span<const std::pair<Hash128, uint32_t>> index);
-  void CountIoLocked(int retries, bool ok);
 
   CacheConfig config_;
 
@@ -188,7 +187,6 @@ class SummaryCache {
   obs::Counter& m_stores_;
   obs::Counter& m_disk_hits_;
   obs::Counter& m_corrupt_;
-  obs::Counter& m_io_retries_;
   obs::Counter& m_io_failures_;
 };
 

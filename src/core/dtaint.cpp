@@ -54,9 +54,8 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
 
   // The phases below tile the binary (binary_begin to binary_end), one
   // obs::Phase each, in the order lift, filter, callgraph, summary,
-  // link, structsim, relink, pathfind_index, pathfind, sanitize,
-  // report. ssa_seconds sums lift through link; ddg_seconds sums
-  // structsim through report.
+  // link, structsim, relink, pathfind, sanitize, report. ssa_seconds
+  // sums lift through link; ddg_seconds sums structsim through report.
 
   // 1. CFG skeleton of every function. No IR is lifted here: the
   // engine lifts a function only when it executes it (step 2).
@@ -180,19 +179,16 @@ Result<AnalysisReport> DTaint::AnalyzeFunctions(
   }
 
   // 4. Sink-to-source path search + sanitization checks.
-  obs::Phase pathfind_index("pathfind_index");
+  obs::Phase pathfind("pathfind");
   if (FaultPlan::Global().ShouldFail(FaultSite::kPathfinder,
                                      report.binary_name)) {
     return Internal("injected pathfinder fault: " + report.binary_name);
   }
   PathFinder finder(program, analysis, config_.pathfinder);
-  report.sink_count = finder.SinkCount();
-  report.ddg_seconds += pathfind_index.Finish();
-
-  obs::Phase pathfind("pathfind");
   std::vector<TaintPath> paths = finder.FindAll();
   report.total_paths = paths.size();
   report.pathfinder_stats = finder.stats();
+  report.sink_count = report.pathfinder_stats.sink_callsites;
   report.ddg_seconds += pathfind.Finish([&](obs::Event& end) {
     end.Num("paths", report.total_paths)
         .Num("sinks", report.sink_count);

@@ -430,6 +430,7 @@ std::vector<TaintPath> PathFinder::FindAll() const {
            event.callee},
           event.constraints, std::span(starts, start_count));
     }
+    stats_.sink_callsites += seen_sites.size();
 
     // Loop-copy sinks: stores inside a natural loop whose address has
     // a non-constant (per-iteration) component. Loops are computed

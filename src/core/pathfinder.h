@@ -81,6 +81,9 @@ struct PathFinderStats {
   size_t pruned_by_depth = 0;  // walks cut short by the max_depth budget
   size_t paths_found = 0;      // distinct sink-to-source paths emitted
   size_t degraded_paths = 0;   // of those, paths crossing degraded pairs
+  /// Library-sink callsites scanned, SinkCount() without a second walk.
+  /// Not serialized: reports carry it as `sink_count`.
+  size_t sink_callsites = 0;
   /// Found paths the sanitization checker later ruled safe. The
   /// checker runs after FindAll, so the *driver* (AnalyzeBinary) fills
   /// this in; it stays 0 when PathFinder is used standalone.

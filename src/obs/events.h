@@ -35,12 +35,11 @@
 //                                Analyze that fails emits no binary_end
 //   phase_begin / phase_end      one obs::Phase (src/obs/phase.h): lift,
 //                                filter, callgraph, summary, link,
-//                                structsim, relink, pathfind_index,
-//                                pathfind, sanitize, report — in that
-//                                order, never nested; phase_end carries
-//                                duration_ms and per-phase gauges
-//                                (cache hits/misses, resolved indirect
-//                                calls, paths)
+//                                structsim, relink, pathfind, sanitize,
+//                                report — in that order, never nested;
+//                                phase_end carries duration_ms and
+//                                per-phase gauges (cache hits/misses,
+//                                resolved indirect calls, paths)
 //   function_begin / function_end  per-function summary production:
 //                                micros, cached (cache hit/miss),
 //                                degraded, forks (state forks)

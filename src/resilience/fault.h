@@ -50,8 +50,8 @@ enum class FaultSite : uint8_t {
   kLift,        // per-function CFG recovery / lifting
   kSummary,     // per-function symbolic analysis (degrades, not fails)
   kPathfinder,  // sink-to-source search for one binary
-  kCacheRead,   // disk-cache entry read (transient I/O error)
-  kCacheWrite,  // disk-cache entry write (transient I/O error)
+  kCacheRead,   // disk-cache blob read (I/O error: a miss)
+  kCacheWrite,  // disk-cache pack write (I/O error: stays queued)
   kExtract,     // firmware unpacking
   kLoad,        // binary image parsing
   kCrash,       // hard process death mid-scan. ScanImage consults it

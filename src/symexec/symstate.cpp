@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/ir/expr.h"
-#include "src/symexec/defpairs.h"
 
 namespace dtaint {
 
@@ -111,27 +110,6 @@ const SymState::MemCell* FindSlot(uintptr_t slot, uint64_t hash, SymRef addr) {
   return nullptr;
 }
 
-/// Which taint-class bit a store through `addr` contributes.
-uint32_t TaintClassOfAddr(SymRef addr) {
-  SymRef root = RootPointerOf(addr);
-  if (!root) return kTaintClassOtherMem;
-  switch (root->kind()) {
-    case SymKind::kArg: {
-      int idx = root->arg_index();
-      if (idx >= 0 && idx < 10) return uint32_t{1} << idx;
-      return kTaintClassOtherMem;
-    }
-    case SymKind::kHeap:
-      return kTaintClassHeap;
-    case SymKind::kRet:
-      return kTaintClassRet;
-    case SymKind::kSp0:
-      return kTaintClassSp;
-    default:
-      return kTaintClassOtherMem;
-  }
-}
-
 }  // namespace
 
 SymState SymState::Entry(Arch arch, std::shared_ptr<StateArena> arena) {
@@ -173,7 +151,7 @@ SymRef SymState::Reg(int reg) const {
 
 void SymState::SetReg(int reg, SymRef value) {
   assert(reg >= 0 && reg < kNumIrRegs);
-  if (value && value->IsTainted()) taint_mask_ |= kTaintClassReg;
+  if (value && value->IsTainted()) may_hold_taint_ = true;
   std::shared_ptr<RegChunk>& chunk = chunks_[reg / kRegChunkSize];
   // Sharing is confined to one exploration on one thread, so the
   // use_count check cannot race: a count of 1 proves exclusivity.
@@ -182,10 +160,6 @@ void SymState::SetReg(int reg, SymRef value) {
     ++arena_->stats.cow_chunk_copies;
   }
   chunk->regs[reg % kRegChunkSize] = value;
-}
-
-void SymState::NoteTaintedStore(SymRef addr) {
-  taint_mask_ |= TaintClassOfAddr(addr);
 }
 
 void SymState::CommitOverlay() {
@@ -217,7 +191,7 @@ SymRef SymState::LoadMem(SymRef addr, uint8_t size, bool* was_defined) {
 }
 
 void SymState::StoreMem(SymRef addr, SymRef value, uint8_t size) {
-  if (value && value->IsTainted()) NoteTaintedStore(addr);
+  if (value && value->IsTainted()) may_hold_taint_ = true;
   for (int i = 0; i < overlay_count_; ++i) {
     if (SymExpr::Equal(overlay_[i].addr, addr)) {
       overlay_[i].value = value;

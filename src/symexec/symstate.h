@@ -60,19 +60,6 @@ struct StateArena {
   StateStats stats;
 };
 
-// Taint-class bits for SymState::taint_mask(): one bit per source
-// class. Bits 0..9 — a tainted value was stored through a pointer
-// rooted at arg0..arg9; then heap/ret/sp-rooted and unrooted memory;
-// kTaintClassReg — a register held a tainted value. The mask is
-// monotone (never cleared by overwrites): it answers MAY-hold, the
-// short-circuit side of IsTainted-style queries.
-inline constexpr uint32_t kTaintClassArg0 = 1u << 0;  // ... arg9 = 1u<<9
-inline constexpr uint32_t kTaintClassHeap = 1u << 10;
-inline constexpr uint32_t kTaintClassRet = 1u << 11;
-inline constexpr uint32_t kTaintClassSp = 1u << 12;
-inline constexpr uint32_t kTaintClassOtherMem = 1u << 13;
-inline constexpr uint32_t kTaintClassReg = 1u << 14;
-
 class SymState {
  public:
   /// Initial state at function entry: argument registers hold
@@ -117,12 +104,11 @@ class SymState {
   bool VisitedBlock(int index) const;
   void MarkVisited(int index);
 
-  // ---- taint bitmask -------------------------------------------------------
-  /// Union of kTaintClass* bits observed on this path (monotone).
-  uint32_t taint_mask() const { return taint_mask_; }
-  /// O(1) may-hold-taint query: no stored value anywhere on this path
-  /// ever contained a Taint node iff false.
-  bool MayHoldTaint() const { return taint_mask_ != 0; }
+  // ---- taint -----------------------------------------------------------------
+  /// O(1) may-hold-taint query: false iff no register or memory write
+  /// on this path ever held a Taint node. Monotone: an overwrite never
+  /// clears it.
+  bool MayHoldTaint() const { return may_hold_taint_; }
 
   const std::shared_ptr<StateArena>& arena() const { return arena_; }
 
@@ -152,7 +138,6 @@ class SymState {
   static_assert(std::is_trivially_destructible_v<RegChunk>);
   static_assert(std::is_trivially_destructible_v<TrailCell>);
 
-  void NoteTaintedStore(SymRef addr);
   /// Moves every overlay cell into the trie (path-copying); afterwards
   /// the overlay is empty and the spine is safe to share.
   void CommitOverlay();
@@ -169,7 +154,7 @@ class SymState {
   size_t mem_count_ = 0;  // distinct addresses (overlay + trie)
   ConstraintList trail_;
   DynamicBitset visited_;
-  uint32_t taint_mask_ = 0;
+  bool may_hold_taint_ = false;
 };
 
 }  // namespace dtaint

@@ -280,9 +280,8 @@ TEST(EventStream, PhasesTileTheBinaryInEveryChannel) {
   }
   ASSERT_EQ(binaries, 1);
   const std::vector<std::string> expected = {
-      "lift",     "filter",    "callgraph", "summary",
-      "link",     "structsim", "relink",    "pathfind_index",
-      "pathfind", "sanitize",  "report"};
+      "lift",      "filter", "callgraph", "summary",  "link",
+      "structsim", "relink", "pathfind",  "sanitize", "report"};
   EXPECT_EQ(phase_names, expected);
   for (size_t i = 0; i < phases.size(); ++i) {
     EXPECT_GE(phases[i].first, bin_start) << phase_names[i];

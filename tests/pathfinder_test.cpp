@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/binary/loader.h"
 #include "src/binary/writer.h"
 #include "src/cfg/callgraph.h"
 #include "src/cfg/cfg_builder.h"
@@ -7,6 +8,7 @@
 #include "src/isa/asm_builder.h"
 #include "src/isa/insn.h"
 #include "src/obs/metrics.h"
+#include "src/synth/paper_images.h"
 
 namespace dtaint {
 namespace {
@@ -313,6 +315,28 @@ TEST(PathFinder, WalkWithoutDerefAsksTheAliasOracleNothing) {
     PathFinder finder(p.program, p.analysis);
     EXPECT_EQ(finder.FindAll().size(), 1u);
     EXPECT_GT(queries.Value(), before);
+  }
+}
+
+TEST(PathFinder, FindAllCountsEverySinkCallsite) {
+  // The detector reports FindAll's own count of library-sink callsites
+  // as `sink_count`; it must equal the separate SinkCount() walk.
+  for (const PaperImageSpec& spec : PaperImageSpecs()) {
+    SCOPED_TRACE(spec.firmware.vendor + " " + spec.firmware.product);
+    auto fw = BuildPaperImage(spec);
+    ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+    const FirmwareFile* file = fw->image.FindFile(spec.firmware.binary_path);
+    ASSERT_NE(file, nullptr);
+    auto binary = BinaryLoader::Load(file->bytes);
+    ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+    Program program = CfgBuilder(*binary).BuildProgram().value();
+    SymEngine engine(*binary);
+    ProgramAnalysis analysis =
+        RunBottomUp(program, CallGraph::Build(program), engine);
+    PathFinder finder(program, analysis);
+    finder.FindAll();
+    EXPECT_GT(finder.stats().sink_callsites, 0u);
+    EXPECT_EQ(finder.stats().sink_callsites, finder.SinkCount());
   }
 }
 

@@ -1,6 +1,7 @@
 // Resilience layer tests: analysis budgets and graceful degradation,
 // deterministic fault injection at every instrumented pipeline site,
-// retry-with-backoff on cache I/O, and the differential guarantees the
+// cache I/O failures recovering as misses and queued writes, and the
+// differential guarantees the
 // degraded-summary design promises (tiny-budget findings are a subset
 // of generous-budget findings; degraded summaries never enter the
 // persistent cache).
@@ -30,12 +31,12 @@
 #include "src/report/scoring.h"
 #include "src/resilience/budget.h"
 #include "src/resilience/fault.h"
-#include "src/resilience/retry.h"
 #include "src/symexec/engine.h"
 #include "src/symexec/intern.h"
 #include "src/synth/firmware_synth.h"
 #include "src/util/rng.h"
 #include "tests/testing/pack_files.h"
+#include "tests/testing/plant_corpus.h"
 
 namespace dtaint {
 namespace {
@@ -303,61 +304,6 @@ TEST_F(ResilienceTest, SiteNamesRoundTrip) {
   EXPECT_FALSE(ParseFaultSite("bogus", &dummy));
 }
 
-// ---------- RetryIo ----------------------------------------------------------
-
-TEST_F(ResilienceTest, RetryIoRecoversFromTransientFailures) {
-  RetryPolicy policy;
-  policy.attempts = 3;
-  policy.initial_backoff_us = 1;
-  int calls = 0;
-  int retries = 0;
-  bool ok = RetryIo(
-      policy, [&] { return ++calls >= 3; }, &retries);
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retries, 2);
-}
-
-TEST_F(ResilienceTest, RetryIoGivesUpAfterAttempts) {
-  RetryPolicy policy;
-  policy.attempts = 4;
-  policy.initial_backoff_us = 1;
-  int calls = 0;
-  bool ok = RetryIo(policy, [&] {
-    ++calls;
-    return false;
-  });
-  EXPECT_FALSE(ok);
-  EXPECT_EQ(calls, 4);
-}
-
-TEST_F(ResilienceTest, RetryScheduleDoublesFromTheInitialBackoff) {
-  RetryPolicy policy;
-  policy.attempts = 6;
-  policy.initial_backoff_us = 200;
-  policy.max_total_backoff_us = 0;  // uncapped: test the raw doubling
-  EXPECT_EQ(RetryScheduleUs(policy),
-            (std::vector<int>{200, 400, 800, 1600, 3200}));
-}
-
-TEST_F(ResilienceTest, RetryScheduleHonorsTotalWallClockCap) {
-  RetryPolicy policy;
-  policy.attempts = 12;          // doubling would sleep for minutes
-  policy.initial_backoff_us = 1000;
-  policy.max_total_backoff_us = 5000;
-  std::vector<int> plan = RetryScheduleUs(policy);
-  ASSERT_EQ(plan.size(), 11u);
-  int64_t total = 0;
-  for (int sleep_us : plan) {
-    EXPECT_GE(sleep_us, 0);
-    total += sleep_us;
-  }
-  EXPECT_LE(total, 5000);
-  // 1000 + 2000 leave 2000 of the cap for the third sleep; once the cap
-  // is spent, the remaining retries run back-to-back.
-  EXPECT_EQ(plan, (std::vector<int>{1000, 2000, 2000, 0, 0, 0, 0, 0, 0, 0, 0}));
-}
-
 // ---------- budget exhaustion degrades, never aborts -------------------------
 
 TEST_F(ResilienceTest, TinyStepBudgetDegradesButCompletes) {
@@ -605,12 +551,11 @@ TEST_F(ResilienceTest, InjectedLoadFaultReturnsStatus) {
   EXPECT_TRUE(BinaryLoader::Load(bytes, "resil.bin").ok());
 }
 
-TEST_F(ResilienceTest, TransientCacheReadFaultIsRetriedThrough) {
-  fs::path dir = "resilience_cache_retry";
+TEST_F(ResilienceTest, FailedCacheReadMissesAndTheNextLookupHits) {
+  fs::path dir = "resilience_cache_readonce";
   fs::remove_all(dir);
   CacheConfig config;
   config.disk_dir = dir.string();
-  config.retry.initial_backoff_us = 1;
   Hash128 key{9, 1};
   FunctionSummary s;
   s.name = "victim";
@@ -618,15 +563,19 @@ TEST_F(ResilienceTest, TransientCacheReadFaultIsRetriedThrough) {
     SummaryCache writer(config);
     writer.Store(key, s);
   }
-  // One transient failure, then the (retried) read succeeds — the
-  // entry is served and the retry is accounted.
+  // One failed read: that lookup misses, and nothing retries it in
+  // place. The copy stays indexed, so the next lookup reads it.
   ASSERT_TRUE(FaultPlan::Global().InstallSpec("cache_read:1").ok());
   SummaryCache reader(config);
+  EXPECT_FALSE(reader.Lookup(key).has_value());
+  EXPECT_EQ(reader.stats().io_failures, 1u);
+  EXPECT_EQ(reader.stats().misses, 1u);
   auto hit = reader.Lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->name, "victim");
-  EXPECT_GE(reader.stats().io_retries, 1u);
-  EXPECT_EQ(reader.stats().io_failures, 0u);
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
+  EXPECT_EQ(reader.stats().io_failures, 1u);
+  EXPECT_EQ(reader.stats().corrupt_entries, 0u);
   fs::remove_all(dir);
 }
 
@@ -635,7 +584,6 @@ TEST_F(ResilienceTest, PersistentCacheReadFaultFallsBackToMiss) {
   fs::remove_all(dir);
   CacheConfig config;
   config.disk_dir = dir.string();
-  config.retry.initial_backoff_us = 1;
   Hash128 key{9, 2};
   FunctionSummary s;
   s.name = "unreachable";
@@ -646,7 +594,7 @@ TEST_F(ResilienceTest, PersistentCacheReadFaultFallsBackToMiss) {
   ASSERT_TRUE(FaultPlan::Global().InstallSpec("cache_read:*").ok());
   SummaryCache reader(config);
   EXPECT_FALSE(reader.Lookup(key).has_value());  // miss, not a crash
-  EXPECT_GE(reader.stats().io_failures, 1u);
+  EXPECT_EQ(reader.stats().io_failures, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   fs::remove_all(dir);
 }
@@ -656,7 +604,6 @@ TEST_F(ResilienceTest, PersistentCacheWriteFaultKeepsMemoryTier) {
   fs::remove_all(dir);
   CacheConfig config;
   config.disk_dir = dir.string();
-  config.retry.initial_backoff_us = 1;
   ASSERT_TRUE(FaultPlan::Global().InstallSpec("cache_write:*").ok());
   SummaryCache cache(config);
   Hash128 key{9, 3};
@@ -664,7 +611,7 @@ TEST_F(ResilienceTest, PersistentCacheWriteFaultKeepsMemoryTier) {
   s.name = "memonly";
   cache.Store(key, s);
   cache.Flush();
-  EXPECT_GE(cache.stats().io_failures, 1u);
+  EXPECT_EQ(cache.stats().io_failures, 1u);
   // Disk tier never materialized, the queued entry still serves.
   EXPECT_TRUE(testing_util::PackFiles(dir).empty());
   auto hit = cache.Lookup(key);
@@ -684,8 +631,8 @@ TEST_F(ResilienceTest, PersistentCacheWriteFaultKeepsMemoryTier) {
 }
 
 TEST_F(ResilienceTest, FailedPackWriteLeavesNoFileBehind) {
-  // A file-size limit below the pack's size makes every write attempt
-  // fail part-way. Set in a forked child, so only that child is
+  // A file-size limit below the pack's size makes the write fail
+  // part-way. Set in a forked child, so only that child is
   // limited; it exits 0 when it counted the failure.
   fs::path dir = "resilience_cache_fsize";
   fs::remove_all(dir);
@@ -698,7 +645,6 @@ TEST_F(ResilienceTest, FailedPackWriteLeavesNoFileBehind) {
     ::setrlimit(RLIMIT_FSIZE, &limit);
     CacheConfig config;
     config.disk_dir = dir.string();
-    config.retry.initial_backoff_us = 1;
     SummaryCache cache(config);
     cache.Store(Hash128{9, 4}, FunctionSummary{});
     cache.Flush();
@@ -708,6 +654,56 @@ TEST_F(ResilienceTest, FailedPackWriteLeavesNoFileBehind) {
   ASSERT_EQ(::waitpid(child, &status, 0), child);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   EXPECT_TRUE(fs::is_empty(dir));  // no .tmp, no .dtsp
+  fs::remove_all(dir);
+}
+
+TEST_F(ResilienceTest, FailedCacheIoNeverChangesTheReport) {
+  SynthOutput out = MixedProgram();
+  fs::path dir = "resilience_cache_oracle";
+  fs::remove_all(dir);
+  CacheConfig config;
+  config.disk_dir = dir.string();
+  auto scan = [&](SummaryCache& cache) {
+    DTaintConfig dconfig;
+    dconfig.interproc.cache = &cache;
+    auto report = DTaint(dconfig).Analyze(out.binary);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return report.ok() ? testing_util::NormalizedJson(*report)
+                       : std::string();
+  };
+
+  // A cold scan under a dead disk writes no pack; its entries stay
+  // queued, and the first Flush() once the disk is back writes them
+  // all as one pack.
+  ASSERT_TRUE(FaultPlan::Global().InstallSpec("cache_write:*").ok());
+  std::string cold;
+  {
+    SummaryCache cache(config);
+    cold = scan(cache);
+    ASSERT_FALSE(cold.empty());
+    EXPECT_GE(cache.stats().io_failures, 1u);
+    EXPECT_TRUE(testing_util::PackFiles(dir).empty());
+    FaultPlan::Global().Clear();
+    cache.Flush();
+    EXPECT_EQ(testing_util::PackFiles(dir).size(), 1u);
+  }
+
+  std::string warm;
+  {
+    SummaryCache cache(config);
+    warm = scan(cache);
+    EXPECT_GT(cache.stats().disk_hits, 0u);
+    EXPECT_EQ(cache.stats().io_failures, 0u);
+  }
+  EXPECT_EQ(warm, cold);
+
+  // A warm scan whose every read fails recomputes every summary.
+  ASSERT_TRUE(FaultPlan::Global().InstallSpec("cache_read:*").ok());
+  SummaryCache cache(config);
+  EXPECT_EQ(scan(cache), warm);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  EXPECT_GT(cache.stats().io_failures, 0u);
+  EXPECT_EQ(cache.stats().corrupt_entries, 0u);
   fs::remove_all(dir);
 }
 

@@ -249,23 +249,26 @@ TEST(StateProperty, ForkIsolation) {
       << "register write leaked";
 }
 
-TEST(StateProperty, TaintMaskTracksTaintedStores) {
+TEST(StateProperty, MayHoldTaintTracksTaintedStores) {
   SymState state = SymState::Entry(Arch::kDtArm);
   EXPECT_FALSE(state.MayHoldTaint());
-  // Untainted store: mask stays clear.
+  // Untainted store: the flag stays clear.
   state.StoreMem(SymExpr::Arg(0), SymExpr::Const(1), 4);
   EXPECT_FALSE(state.MayHoldTaint());
-  // Tainted store through arg1: mask sets the arg-class bit.
+  // A tainted store sets it.
   state.StoreMem(SymAdd(SymExpr::Arg(1), 4), SymExpr::Taint(0x100, "recv"),
                  4);
   EXPECT_TRUE(state.MayHoldTaint());
-  EXPECT_NE(state.taint_mask() & (kTaintClassArg0 << 1), 0u);
-  // The mask is monotone: overwriting does not clear it.
+  // The flag is monotone: overwriting does not clear it.
   state.StoreMem(SymAdd(SymExpr::Arg(1), 4), SymExpr::Const(0), 4);
   EXPECT_TRUE(state.MayHoldTaint());
-  // Forks inherit the mask.
+  // Forks inherit it.
   SymState child = state.Fork();
-  EXPECT_EQ(child.taint_mask(), state.taint_mask());
+  EXPECT_TRUE(child.MayHoldTaint());
+  // A tainted register write sets it too.
+  SymState regs = SymState::Entry(Arch::kDtArm);
+  regs.SetReg(3, SymExpr::Taint(0x100, "recv"));
+  EXPECT_TRUE(regs.MayHoldTaint());
 }
 
 TEST(StateProperty, OverlaySpillKeepsLoadsExact) {
