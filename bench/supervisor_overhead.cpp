@@ -12,9 +12,10 @@
 // The ratio is informational (the `_ratio` suffix exempts it from the
 // bench_diff regression gate — fork cost is kernel- and
 // machine-dependent), but the detection counts are not: both sides
-// must produce identical findings/function/tp tallies and work
-// counters, or the result pipe is corrupting outcomes in flight. Those
-// bare counts are exact-match gated against the committed baseline.
+// must produce identical findings/function/tp tallies and metrics
+// counter deltas (a forked worker's arrive with each outcome), or the
+// result pipe is corrupting outcomes in flight. Those counts are
+// exact-match gated against the committed baseline.
 #include <cstdio>
 #include <map>
 #include <string>
@@ -26,20 +27,11 @@
 #include "src/report/table.h"
 #include "src/resilience/supervisor.h"
 #include "src/synth/firmware_synth.h"
-#include "src/util/json.h"
-#include "src/util/json_writer.h"
 #include "src/util/strings.h"
 
 using namespace dtaint;
 
 namespace {
-
-/// Work counters of each report's metrics, gated on both sides. A
-/// forked worker's registry never reaches the parent, so each task
-/// carries them in its outcome.
-constexpr const char* kWorkCounters[] = {
-    "structsim.layouts_extracted", "pathfind.loop_functions",
-    "pathfind.sinks_visited", "alias.ondemand.queries"};
 
 std::vector<Binary> BuildFleet() {
   std::vector<Binary> fleet;
@@ -84,7 +76,6 @@ struct FleetTotals {
   uint64_t functions = 0;
   uint64_t findings = 0;
   uint64_t tp = 0;
-  std::map<std::string, uint64_t> work;  // kWorkCounters, summed
 
   bool operator==(const FleetTotals&) const = default;
 };
@@ -111,17 +102,6 @@ FleetTotals RunFleet(const std::vector<Binary>& fleet,
         out.functions = report->functions;
         out.findings = report->findings.size();
         out.findings_json = FindingsToJson(report->findings);
-        // Nothing here is scored against ground truth, so the score
-        // object carries the work counters across the wire instead.
-        JsonBuilder work;
-        work.BeginObject();
-        for (const char* name : kWorkCounters) {
-          work.Key(name);
-          work.Number(report->metrics.CounterValue(name));
-        }
-        work.EndObject();
-        out.has_score = true;
-        out.score_json = std::move(work).Take();
         return out;
       });
   FleetTotals totals;
@@ -131,18 +111,24 @@ FleetTotals RunFleet(const std::vector<Binary>& fleet,
     totals.functions += result.outcome.functions;
     totals.findings += result.outcome.findings;
     totals.tp += result.outcome.tp;
-    auto work = ParseJson(result.outcome.score_json);
-    for (const char* name : kWorkCounters) {
-      totals.work[name] += work.ok() ? FieldCount(*work, name) : 0;
-    }
   }
   rep.Value("done", static_cast<double>(totals.done));
   rep.Value("functions", static_cast<double>(totals.functions));
   rep.Value("findings", static_cast<double>(totals.findings));
-  for (const auto& [name, value] : totals.work) {
-    rep.Value(name, static_cast<double>(value));
-  }
   return totals;
+}
+
+/// A run's counter deltas but the ones that count a process, not the
+/// scan: supervisor.* counts the runner, and a forked worker's first
+/// image recycles what its interner inherited at fork.
+std::map<std::string, uint64_t, std::less<>> WorkCounters(
+    const bench::RunResult& run) {
+  auto work = run.metrics.counters;
+  std::erase_if(work, [](const auto& counter) {
+    return counter.first.starts_with("supervisor.") ||
+           counter.first == "intern.recycles";
+  });
+  return work;
 }
 
 }  // namespace
@@ -193,7 +179,8 @@ int main(int argc, char** argv) {
   harness.Note("overhead_ratio is informational: fork cost is "
                "machine-dependent; the count identity is the gate");
 
-  bool identical = in_process_totals == isolated_totals;
+  bool identical = in_process_totals == isolated_totals &&
+                   WorkCounters(in_process) == WorkCounters(isolated);
   bool all_done = in_process_totals.done == tasks.size() &&
                   isolated_totals.done == tasks.size();
   std::printf("isolation overhead: %.2fx wall; outcomes identical across "

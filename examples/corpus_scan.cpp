@@ -53,7 +53,9 @@
 // report.
 //
 // Observability: `--log-level LEVEL` sets the stderr log threshold,
-// `--metrics-out FILE` dumps the metrics registry,
+// `--metrics-out FILE` dumps the metrics registry (under `--workers`
+// its counters are complete, each worker's folded in with its image's
+// outcome, while its histograms and gauges belong to this process),
 // `--events-out FILE` streams the NDJSON scan event stream (schema v1,
 // see src/obs/events.h), and `--heartbeat-ms MS` sets the
 // heartbeat cadence on that stream (default 1000, 0 = off; a final
@@ -196,7 +198,9 @@ void PrintUsage() {
       "output & observability:\n"
       "  --json-out FILE      fleet report as JSON\n"
       "  --log-level LEVEL    error | warn | info | debug (stderr)\n"
-      "  --metrics-out FILE   metrics registry dump as JSON\n"
+      "  --metrics-out FILE   metrics registry dump as JSON (with\n"
+      "                       --workers: every counter, this process's\n"
+      "                       histograms and gauges)\n"
       "  --events-out FILE    NDJSON scan event stream (schema v1)\n"
       "  --heartbeat-ms MS    heartbeat cadence on the event stream\n"
       "                       (default 1000, 0 = off)\n");

@@ -143,11 +143,11 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   const std::vector<std::string> order = graph.BottomUpOrder();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::EventStream& events = obs::EventStream::Global();
-  // Live progress gauge the heartbeat thread reads: bumped on EVERY
-  // analyze_one entry — cache hit or miss — so the rate tracks work
-  // retired, and so event-off and event-on runs stay byte-identical
-  // (the differential oracles compare cold vs warm reports).
-  obs::Counter& fns_done = registry.counter("summary.functions_done");
+  // Bumped on EVERY analyze_one entry — cache hit or miss — so the
+  // heartbeat thread reads live progress, and so event-off and
+  // event-on runs stay byte-identical (the differential oracles
+  // compare cold vs warm reports).
+  obs::Counter& m_functions = registry.counter("summary.functions");
   // Fork, CoW-state, tainted-path and pruned-statement counts, folded
   // out of each summary's ExplorationStats here (the symexec layer
   // stays obs-free). Cache-served summaries carry zeros, so the
@@ -194,7 +194,7 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
   auto analyze_one = [&](size_t i) {
     const Function* fn = program.FindFunction(order[i]);
     if (!fn) return;
-    fns_done.Add();
+    m_functions.Add();
     if (events.enabled()) {
       events.Emit(obs::Event("function_begin").Str("function", order[i]));
     }
@@ -312,7 +312,6 @@ SummarySet Summarize(const Program& program, const CallGraph& graph,
     if (base[i].truncated) ++stats.truncated_functions;
     result.summaries.emplace(order[i], std::move(base[i]));
   }
-  registry.counter("summary.functions").Add(stats.functions_processed);
   registry.counter("summary.degraded").Add(stats.degraded_functions);
   DTAINT_LOG(obs::LogLevel::kDebug, "interproc",
              "summaries done: %zu functions, cache %zu/%zu hit/miss",

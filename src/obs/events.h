@@ -62,9 +62,10 @@
 //                                process only: image, fp (content
 //                                fingerprint), attempts,
 //                                worker_restarts, incidents, and the
-//                                ScanOutcome (image_done) or reason
-//                                (image_quarantined) — what a resumed
-//                                run replays
+//                                ScanOutcome (image_done; a forked
+//                                task's carries its counter delta) or
+//                                reason (image_quarantined) — what a
+//                                resumed run replays
 //
 // Event *counts* per type are deterministic for a given program and
 // config (timestamps are not); the benches exact-match the totals.
@@ -201,12 +202,11 @@ uint64_t CurrentRssBytes();
 /// heartbeats enabled starts and ends with a deterministic gauge
 /// reading). images_total is the owner's; images_done reads the
 /// "supervisor.images_done" live counter ScanSupervisor::Run bumps in
-/// this process as it folds each task, and functions_done the sum of
-/// the "summary.functions_done" counter the interprocedural pass
-/// increments per function in this process and the
-/// "supervisor.functions_done" one Run adds each forked worker's
-/// outcome to. No thread is spawned and no beat emitted when the
-/// stream is disabled or period_ms is 0.
+/// this process as it folds each task, and functions_done the
+/// "summary.functions" counter the interprocedural pass bumps as it
+/// starts each function (a forked worker's reach this process when
+/// Run folds its task). No thread is spawned and no beat emitted when
+/// the stream is disabled or period_ms is 0.
 class Heartbeat {
  public:
   Heartbeat(EventStream& stream, uint32_t period_ms,

@@ -176,24 +176,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   });
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, g] : gauges_) {
-    g->value_.store(0.0, std::memory_order_relaxed);
-  }
-  for (auto& [name, h] : histograms_) {
-    for (auto& bucket : h->buckets_) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    h->count_.store(0, std::memory_order_relaxed);
-    h->sum_.store(0, std::memory_order_relaxed);
-    h->max_.store(0, std::memory_order_relaxed);
-  }
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snapshot;

@@ -11,6 +11,10 @@
 //    that live as long as the registry, so hot paths look a name up
 //    once and keep the handle.
 //
+// Instruments only grow: a run that wants its own counts takes a
+// Snapshot before and a DeltaSince after (the report's "metrics", each
+// bench rep, each forked scan task). There is no reset path.
+//
 // The process-global registry (MetricsRegistry::Global()) is what the
 // pipeline uses; tests construct private registries.
 #pragma once
@@ -177,13 +181,6 @@ class MetricsRegistry {
   std::unique_lock<std::mutex> LockForFork() {
     return std::unique_lock<std::mutex>(mu_);
   }
-
-  /// Zeroes every registered instrument (handles stay valid). The
-  /// scoped-reset alternative to snapshot/delta isolation: bench reps
-  /// that want pristine counters call this between reps instead of
-  /// carrying `before` snapshots around. Not safe while workers are
-  /// concurrently mutating instruments — call between runs, not during.
-  void Reset();
 
  private:
   std::atomic<bool> enabled_{true};

@@ -112,6 +112,16 @@ std::string ScanOutcomeToJson(const ScanOutcome& outcome) {
   out += ",\"fn\":" + std::to_string(outcome.fn);
   out += ",\"fp\":" + std::to_string(outcome.fp);
   out += ",\"incidents\":" + IncidentsToJson(outcome.incidents);
+  if (!outcome.counters.empty()) {
+    out += ",\"counters\":{";
+    const char* sep = "";
+    for (const auto& [name, value] : outcome.counters) {
+      out += sep;
+      out += "\"" + JsonEscape(name) + "\":" + std::to_string(value);
+      sep = ",";
+    }
+    out += "}";
+  }
   out += "}";
   return out;
 }
@@ -140,6 +150,12 @@ Result<ScanOutcome> ScanOutcomeFromJson(const JsonValue& value) {
   outcome.fp = FieldCount(value, "fp");
   Status status = AppendIncidents(value, "incidents", &outcome.incidents);
   if (!status.ok()) return status;
+  if (const JsonValue* counters = value.Find("counters");
+      counters && counters->is_object()) {
+    for (const auto& entry : counters->object()) {
+      outcome.counters[entry.first] = FieldCount(*counters, entry.first);
+    }
+  }
   return outcome;
 }
 
@@ -411,8 +427,15 @@ void ScanSupervisor::ServeTasks(const std::vector<TaskSpec>& tasks,
       InternPin pin = ExprInterner::Global().Pin();
       std::string line;
       try {
-        line = ScanOutcomeToJson(
-            fn(command.index, TightenBudget(config_.budget, command.attempt)));
+        // Every counter name goes along, zeros too, so the parent
+        // registers the names an in-process run would.
+        obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+        obs::MetricsSnapshot before = metrics.Snapshot();
+        ScanOutcome outcome =
+            fn(command.index, TightenBudget(config_.budget, command.attempt));
+        outcome.counters =
+            std::move(metrics.Snapshot().DeltaSince(before).counters);
+        line = ScanOutcomeToJson(outcome);
       } catch (const std::bad_alloc&) {
         ::_exit(kWorkerExitOom);
       } catch (...) {
@@ -481,7 +504,6 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
 
   std::vector<TaskResult> results(tasks.size());
   obs::Counter& images_done = metrics.counter("supervisor.images_done");
-  obs::Counter& functions_done = metrics.counter("supervisor.functions_done");
 
   struct TaskState {
     int attempt = 0;  // attempts used so far
@@ -495,16 +517,17 @@ std::vector<TaskResult> ScanSupervisor::Run(const std::vector<TaskSpec>& tasks,
   // Every task that reaches done or quarantined, scanned now or
   // replayed, passes here once, in this process: the image_done line
   // is what a later resume replays, and the counts and beat are the
-  // heartbeat's progress. A forked worker's counters live in the
-  // worker, so its functions are counted here; a task run in this
-  // process counted its own, and a replayed one ran in no process.
+  // heartbeat's progress. A forked worker's counter delta joins this
+  // registry here, before the beat reads it; a task run in this
+  // process carries none, and a replayed one ran in no process.
   auto fold = [&](size_t index) {
     const TaskResult& result = results[index];
-    images_done.Add();
-    if (result.state == TaskResult::State::kDone && !result.in_process &&
-        !result.resumed) {
-      functions_done.Add(result.outcome.functions);
+    if (result.state == TaskResult::State::kDone && !result.resumed) {
+      for (const auto& [name, value] : result.outcome.counters) {
+        metrics.counter(name).Add(value);
+      }
     }
+    images_done.Add();
     if (!stream.enabled()) return;
     const TaskSpec& task = tasks[index];
     if (result.state == TaskResult::State::kDone) {

@@ -22,9 +22,10 @@
 // limit to the CPU it has used plus the per-task allowance, resets the
 // fault plan's occurrence counters to their values at fork, and pins a
 // fresh expression-interner generation, so every task runs as if it
-// had a worker of its own. A worker exits on
-// EOF of its command pipe; Run closes every pipe and reaps every worker
-// before it returns.
+// had a worker of its own. The result line carries the task's counter
+// delta, which the parent adds into its metrics registry; histograms
+// and gauges stay in the worker. A worker exits on EOF of its command
+// pipe; Run closes every pipe and reaps every worker before it returns.
 //
 // Task lifecycle state machine (per image):
 //
@@ -75,6 +76,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -114,6 +116,10 @@ struct ScanOutcome {
   uint64_t fp = 0;
   /// Analysis incidents, relabeled with the fleet image label.
   std::vector<Incident> incidents;
+  /// A forked task's metrics counter delta, zeros included, which the
+  /// worker fills in and Run adds into this process's registry. Empty
+  /// for a task run in process: its counters are already here.
+  std::map<std::string, uint64_t, std::less<>> counters;
 };
 
 /// Whether `outcome` stops a fail-fast fleet run: the scan failed, or
@@ -125,7 +131,9 @@ inline bool StopsFailFast(const ScanOutcome& outcome) {
 }
 
 /// Serializes an outcome as one JSON object (stable key order — the
-/// codec is part of the resume oracle's byte-identity contract).
+/// codec is part of the resume oracle's byte-identity contract). The
+/// `counters` key is written only when the map is non-empty, so an
+/// in-process outcome's line has none.
 std::string ScanOutcomeToJson(const ScanOutcome& outcome);
 
 /// Inverse of ScanOutcomeToJson; also accepts an already-parsed value.
@@ -237,9 +245,9 @@ class ScanSupervisor {
   /// worker_exit) into the global event stream when it is open, and
   /// bumps the `supervisor.images_done` counter (the heartbeat's
   /// images_done) once per task that reaches done or quarantined,
-  /// replayed or not. A task a forked worker finished also adds its
-  /// outcome's functions to `supervisor.functions_done`, the part of
-  /// the heartbeat's functions_done the worker's own counters hold.
+  /// replayed or not. A task a forked worker finished first adds its
+  /// outcome's counter delta into this process's registry; a replayed
+  /// task adds nothing, as no process scanned it.
   std::vector<TaskResult> Run(const std::vector<TaskSpec>& tasks,
                               const TaskFn& fn);
 
@@ -257,8 +265,9 @@ class ScanSupervisor {
                   Worker* worker);
 
   /// The worker side: RLIMIT_AS, then per request the CPU limit, the
-  /// fault counters, the worker fault sites, an interner pin, fn, the
-  /// result line and a heap trim. Exits on EOF of `cmd_fd`.
+  /// fault counters, the worker fault sites, an interner pin, fn and
+  /// its counter delta, the result line and a heap trim. Exits on EOF
+  /// of `cmd_fd`.
   [[noreturn]] void ServeTasks(const std::vector<TaskSpec>& tasks,
                                const TaskFn& fn, int cmd_fd, int result_fd);
 

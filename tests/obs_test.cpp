@@ -220,21 +220,6 @@ TEST(MetricsSnapshot, DeltaSinceSubtractsHistogramsBucketWise) {
   EXPECT_EQ(quiet.max, 0u);
 }
 
-TEST(MetricsRegistry, ResetZeroesInstrumentsKeepsHandles) {
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("c");
-  obs::Histogram& histogram = registry.histogram("h");
-  counter.Add(7);
-  histogram.Observe(100);
-  registry.Reset();
-  EXPECT_EQ(counter.Value(), 0u);
-  EXPECT_EQ(histogram.Count(), 0u);
-  EXPECT_EQ(histogram.Sum(), 0u);
-  EXPECT_EQ(histogram.ValueAtQuantile(0.5), 0u);
-  counter.Add(2);  // the handle survives the reset
-  EXPECT_EQ(registry.Snapshot().CounterValue("c"), 2u);
-}
-
 TEST(MetricsSnapshot, JsonRoundTripsThroughParser) {
   obs::MetricsRegistry registry;
   registry.counter("cache.hits").Add(7);
@@ -428,9 +413,8 @@ TEST(CacheCompatView, InterprocStatsMatchCacheStats) {
 
 // ------------------------------------------- on-demand alias counters
 
-TEST(MetricsRegistry, AliasOnDemandCountersResetAndDeltaCleanly) {
+TEST(MetricsRegistry, AliasOnDemandCountersDeltaCleanly) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.Reset();
 
   FunctionSummary summary;
   summary.name = "f";
@@ -440,18 +424,12 @@ TEST(MetricsRegistry, AliasOnDemandCountersResetAndDeltaCleanly) {
   summary.def_pairs.push_back(fact);
 
   OnDemandAliasOracle oracle;
+  obs::MetricsSnapshot cold = registry.Snapshot();
   oracle.TwinsFor(summary);  // cold: query, no hit
   oracle.TwinsFor(summary);  // warm: query + memo hit
-  obs::MetricsSnapshot warm = registry.Snapshot();
+  obs::MetricsSnapshot warm = registry.Snapshot().DeltaSince(cold);
   EXPECT_EQ(warm.CounterValue("alias.ondemand.queries"), 2u);
   EXPECT_EQ(warm.CounterValue("alias.ondemand.hits"), 1u);
-
-  // Reset() zeroes the alias counters like every other instrument;
-  // a leftover total here would poison the next bench rep.
-  registry.Reset();
-  obs::MetricsSnapshot zeroed = registry.Snapshot();
-  EXPECT_EQ(zeroed.CounterValue("alias.ondemand.queries"), 0u);
-  EXPECT_EQ(zeroed.CounterValue("alias.ondemand.hits"), 0u);
 
   // Per-rep deltas (what the bench harness records between reps) count
   // only the rep's own queries, not the run-up before the snapshot.

@@ -17,7 +17,8 @@
 //    --resume on its event stream, and the merged fleet JSON must be
 //    byte-identical to an uninterrupted run's; a poison image must
 //    quarantine without poisoning the rest of the fleet; the parent's
-//    heartbeat counts every image a worker finishes.
+//    heartbeat counts every image a worker finishes, and its metrics
+//    every counter a worker bumps.
 //
 // All file outputs land under obs_artifacts/ in the working directory
 // so CI can upload them from failing jobs.
@@ -35,6 +36,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "src/obs/events.h"
+#include "src/obs/metrics.h"
 #include "src/obs/scan_report.h"
 #include "src/resilience/budget.h"
 #include "src/resilience/fault.h"
@@ -102,6 +105,7 @@ ScanOutcome SampleOutcome() {
   inc.detail = "parse_uri";
   inc.status = OutOfRange("budget: steps");
   out.incidents.push_back(inc);
+  out.counters = {{"summary.functions", 123}, {"cache.hits", 0}};
   return out;
 }
 
@@ -124,6 +128,16 @@ void ExpectOutcomeEq(const ScanOutcome& got, const ScanOutcome& want) {
     EXPECT_EQ(got.incidents[i].detail, want.incidents[i].detail);
     EXPECT_EQ(got.incidents[i].status.code(), want.incidents[i].status.code());
   }
+  EXPECT_EQ(got.counters, want.counters);
+}
+
+/// A forked task's outcome with the zeros of its counter delta dropped:
+/// the worker ships every counter name its registry holds, bumped or
+/// not.
+ScanOutcome Bumped(ScanOutcome outcome) {
+  std::erase_if(outcome.counters,
+                [](const auto& counter) { return counter.second == 0; });
+  return outcome;
 }
 
 // ---------- TightenBudget ----------------------------------------------------
@@ -187,20 +201,33 @@ std::vector<TaskSpec> Tasks(const std::vector<std::string>& labels) {
 }
 
 TEST_F(SupervisorTest, ForkedWorkersReturnOutcomesInTaskOrder) {
+  // Each task bumps a counter in its worker by index + 1. The delta
+  // rides its outcome, only that task's even on a reused worker, and
+  // Run adds it into this process's registry.
+  obs::Counter& bumps =
+      obs::MetricsRegistry::Global().counter("supervisor_test.bumps");
+  const uint64_t bumps_before = bumps.Value();
   SupervisorConfig config;
   config.workers = 2;
   ScanSupervisor supervisor(config);
   auto results = supervisor.Run(
-      Tasks({"a", "b", "c"}),
-      [](size_t index, const AnalysisBudget&) { return OutcomeForIndex(index); });
+      Tasks({"a", "b", "c"}), [](size_t index, const AnalysisBudget&) {
+        obs::MetricsRegistry::Global()
+            .counter("supervisor_test.bumps")
+            .Add(index + 1);
+        return OutcomeForIndex(index);
+      });
   ASSERT_EQ(results.size(), 3u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].state, TaskResult::State::kDone) << i;
     EXPECT_EQ(results[i].attempts, 1u);
     EXPECT_FALSE(results[i].in_process);
     EXPECT_FALSE(results[i].resumed);
-    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
+    ScanOutcome want = OutcomeForIndex(i);
+    want.counters["supervisor_test.bumps"] = i + 1;
+    ExpectOutcomeEq(Bumped(results[i].outcome), want);
   }
+  EXPECT_EQ(bumps.Value() - bumps_before, 1u + 2u + 3u);
   // Two workers for three tasks: the third reuses whichever is free.
   EXPECT_EQ(supervisor.stats().workers_spawned, 2u);
   EXPECT_EQ(supervisor.stats().worker_failures, 0u);
@@ -275,8 +302,8 @@ TEST_F(SupervisorTest, PoisonImageQuarantinesWithoutPoisoningTheFleet) {
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].state, TaskResult::State::kDone);
   EXPECT_EQ(results[2].state, TaskResult::State::kDone);
-  ExpectOutcomeEq(results[0].outcome, OutcomeForIndex(0));
-  ExpectOutcomeEq(results[2].outcome, OutcomeForIndex(2));
+  ExpectOutcomeEq(Bumped(results[0].outcome), OutcomeForIndex(0));
+  ExpectOutcomeEq(Bumped(results[2].outcome), OutcomeForIndex(2));
 
   const TaskResult& poison = results[1];
   EXPECT_EQ(poison.state, TaskResult::State::kQuarantined);
@@ -310,7 +337,7 @@ TEST_F(SupervisorTest, WorkerDeathFailsOnlyItsTaskAndIsReplaced) {
     EXPECT_EQ(results[i].state, TaskResult::State::kDone) << i;
     EXPECT_EQ(results[i].attempts, 1u) << i;
     EXPECT_FALSE(results[i].in_process) << i;
-    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
+    ExpectOutcomeEq(Bumped(results[i].outcome), OutcomeForIndex(i));
   }
   EXPECT_EQ(results[1].state, TaskResult::State::kQuarantined);
   EXPECT_EQ(supervisor.stats().workers_spawned, 2u);
@@ -397,7 +424,7 @@ TEST_F(SupervisorTest, UndecodableResultLineFailsAsWireAndReplacesTheWorker) {
   ASSERT_EQ(results.size(), 2u);
   ExpectWireFailure(results[0]);
   EXPECT_EQ(results[1].state, TaskResult::State::kDone);
-  ExpectOutcomeEq(results[1].outcome, OutcomeForIndex(1));
+  ExpectOutcomeEq(Bumped(results[1].outcome), OutcomeForIndex(1));
   EXPECT_EQ(stats.workers_spawned, 2u);
   EXPECT_EQ(stats.worker_failures, 1u);
 }
@@ -792,41 +819,55 @@ TEST_F(SupervisorTest, StreamReplaySurvivesTornWritesAndGarbage) {
 }
 
 TEST_F(SupervisorTest, ResumeReplaysStreamWithoutRescanning) {
-  fs::path path = ScratchDir("supervisor_resume") / "events.ndjson";
-  std::vector<TaskSpec> tasks = Tasks({"a", "b"});
-  int scans = 0;
-  TaskFn fn = [&](size_t index, const AnalysisBudget&) {
-    ++scans;
+  // Scans are counted in the metrics registry, which a forked task's
+  // counters reach through its outcome: the first run folds one scan
+  // per image under either runner, and a resume folds none, though a
+  // forked run's replayed outcomes carry their counters.
+  obs::Counter& scans =
+      obs::MetricsRegistry::Global().counter("supervisor_test.scans");
+  TaskFn fn = [](size_t index, const AnalysisBudget&) {
+    obs::MetricsRegistry::Global().counter("supervisor_test.scans").Add();
     return OutcomeForIndex(index);
   };
+  std::vector<TaskSpec> tasks = Tasks({"a", "b"});
+  for (int workers : {0, 1}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    fs::path path =
+        ScratchDir("supervisor_resume" + std::to_string(workers)) /
+        "events.ndjson";
+    SupervisorConfig config;
+    config.workers = workers;
+    const uint64_t before = scans.Value();
+    auto first = RunWithStream(path, /*resume=*/false, tasks, fn, config);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].state, TaskResult::State::kDone);
+    EXPECT_EQ(scans.Value() - before, 2u);
 
-  SupervisorConfig config;
-  config.workers = 0;
-  auto first = RunWithStream(path, /*resume=*/false, tasks, fn, config);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(first[0].state, TaskResult::State::kDone);
-  EXPECT_EQ(scans, 2);
+    SupervisorStats stats;
+    auto results =
+        RunWithStream(path, /*resume=*/true, tasks, fn, config, &stats);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(scans.Value() - before, 2u)
+        << "resume must not re-scan recorded images or fold their counters";
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].state, TaskResult::State::kDone);
+      EXPECT_TRUE(results[i].resumed);
+      ExpectOutcomeEq(results[i].outcome, first[i].outcome);
+      ScanOutcome want = OutcomeForIndex(i);
+      if (workers > 0) want.counters["supervisor_test.scans"] = 1;
+      ExpectOutcomeEq(Bumped(results[i].outcome), want);
+    }
+    EXPECT_EQ(stats.resumed, 2u);
 
-  SupervisorStats stats;
-  auto results =
-      RunWithStream(path, /*resume=*/true, tasks, fn, config, &stats);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(scans, 2) << "resume must not re-scan recorded images";
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].state, TaskResult::State::kDone);
-    EXPECT_TRUE(results[i].resumed);
-    ExpectOutcomeEq(results[i].outcome, OutcomeForIndex(i));
+    // A changed blob (different fingerprint, same label) is re-scanned:
+    // the replay keys on content, not on the human label.
+    std::vector<TaskSpec> changed = tasks;
+    changed[1].fingerprint = "fp_b_v2";
+    auto results3 = RunWithStream(path, /*resume=*/true, changed, fn, config);
+    EXPECT_EQ(scans.Value() - before, 3u);
+    EXPECT_TRUE(results3[0].resumed);
+    EXPECT_FALSE(results3[1].resumed);
   }
-  EXPECT_EQ(stats.resumed, 2u);
-
-  // A changed blob (different fingerprint, same label) is re-scanned:
-  // the replay keys on content, not on the human label.
-  std::vector<TaskSpec> changed = tasks;
-  changed[1].fingerprint = "fp_b_v2";
-  auto results3 = RunWithStream(path, /*resume=*/true, changed, fn, config);
-  EXPECT_EQ(scans, 3);
-  EXPECT_TRUE(results3[0].resumed);
-  EXPECT_FALSE(results3[1].resumed);
 }
 
 // ---------- scan_report supervisor aggregation -------------------------------
@@ -1072,43 +1113,75 @@ TEST_F(SupervisorTest, HeartbeatCountsEveryImageTheParentFolds) {
   const char* bin = CorpusScanBin();
   if (!bin) GTEST_SKIP() << "DTAINT_CORPUS_SCAN_BIN not set";
   fs::path dir = ScratchDir("heartbeat");
-  // The heartbeats' images_done and the last one's functions_done.
+  // The heartbeats' images_done, the last one's functions_done, and the
+  // --metrics-out counters but the ones that count a process:
+  // supervisor.workers_spawned, and intern.recycles (each worker's
+  // first image has no earlier generation to recycle).
+  // events.emitted counts the 1 ms beats, so it is checked per run.
   struct Beats {
     std::vector<uint64_t> images_done;
     uint64_t images_total = 0;
     uint64_t functions_done = 0;
+    std::map<std::string, uint64_t> counters;
   };
   auto beats_of = [&](const std::string& workers) {
+    SCOPED_TRACE("--workers " + workers);
     fs::path events = dir / ("events" + workers + ".ndjson");
+    fs::path metrics = dir / ("metrics" + workers + ".json");
     std::string cmd = "\"" + std::string(bin) + "\" --workers " + workers +
                       " --heartbeat-ms 1 --events-out \"" + events.string() +
+                      "\" --metrics-out \"" + metrics.string() +
                       "\" > /dev/null 2>&1";
-    EXPECT_EQ(std::system(cmd.c_str()), 0) << "--workers " << workers;
+    EXPECT_EQ(std::system(cmd.c_str()), 0);
     Beats beats;
+    uint64_t lines = 0;
     obs::ForEachEvent(ReadAll(events), [&](const JsonValue& event,
                                            std::string_view type) {
+      ++lines;
       if (type != "heartbeat") return;
       beats.images_done.push_back(FieldCount(event, "images_done"));
       beats.images_total = FieldCount(event, "images_total");
       beats.functions_done = FieldCount(event, "functions_done");
     });
+    auto parsed = ParseJson(ReadAll(metrics));
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return beats;
+    const JsonValue* counters = parsed->Find("counters");
+    EXPECT_TRUE(counters && counters->is_object());
+    if (!counters || !counters->is_object()) return beats;
+    for (const auto& entry : counters->object()) {
+      beats.counters[entry.first] = FieldCount(*counters, entry.first);
+    }
+    // Every line but stream_end, written after the metrics, the
+    // workers' lines included.
+    EXPECT_EQ(beats.counters["events.emitted"] + 1, lines);
+    for (const char* name :
+         {"events.emitted", "intern.recycles", "supervisor.workers_spawned"}) {
+      beats.counters.erase(name);
+    }
     return beats;
   };
-  // A worker's counters live in the worker: the progress the parent
-  // reports must come from its own per-image fold.
-  Beats forked = beats_of("1");
-  EXPECT_EQ(forked.images_total, 8u);
-  std::vector<uint64_t>& done = forked.images_done;
-  EXPECT_TRUE(std::is_sorted(done.begin(), done.end()));
-  std::vector<uint64_t> values = done;
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  std::vector<uint64_t> every(forked.images_total + 1);
-  std::iota(every.begin(), every.end(), uint64_t{0});
-  EXPECT_EQ(values, every);
-  // Every function is counted once, whichever process summarized it.
   Beats in_process = beats_of("0");
   EXPECT_GT(in_process.functions_done, 0u);
-  EXPECT_EQ(forked.functions_done, in_process.functions_done);
+  EXPECT_GT(in_process.counters["summary.functions"], 0u);
+  for (std::string workers : {"1", "2"}) {
+    SCOPED_TRACE("--workers " + workers);
+    Beats forked = beats_of(workers);
+    // The parent beats once per image it folds, whichever worker
+    // finished it.
+    EXPECT_EQ(forked.images_total, 8u);
+    std::vector<uint64_t>& done = forked.images_done;
+    EXPECT_TRUE(std::is_sorted(done.begin(), done.end()));
+    std::vector<uint64_t> values = done;
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    std::vector<uint64_t> every(forked.images_total + 1);
+    std::iota(every.begin(), every.end(), uint64_t{0});
+    EXPECT_EQ(values, every);
+    // Every function and every counter is counted once, whichever
+    // process did the work.
+    EXPECT_EQ(forked.functions_done, in_process.functions_done);
+    EXPECT_EQ(forked.counters, in_process.counters);
+  }
 }
 
 TEST_F(SupervisorTest, PoisonImageQuarantinedInFleetScan) {
